@@ -3,9 +3,15 @@
 Physical-element quantities follow the affine maps: H1 gradients and
 H(curl) values transform by J^{-T} (covariant Piola), the 2D rot scales
 by 1/det J and the 3D curl by J/det J, with signed determinants so that
-the quadratic forms are orientation-safe.  Element matrices are built as
-F F^T from per-dof generalized strain columns, which keeps them exactly
-symmetric.
+the quadratic forms are orientation-safe.
+
+Every form runs through one chunked driver: a per-form kernel maps a
+chunk of cells at once from the cached reference tables and returns
+element matrices as batched matmuls K_c = F_c F_c^T (sqrt(w) folded into
+F, so they are exactly symmetric); the 3D forms combine scalar Gram
+blocks per pair of derivative directions with the isotropic moduli.
+Entries are added into a CSR pattern built once from the cell dofs.  Any
+temporary of a chunk holds at most _CHUNK_NNZ entries.
 """
 
 from __future__ import annotations
@@ -37,24 +43,29 @@ class FieldLayout:
     n_comps: int          # components (vector H1) or tensor rows (H(curl))
     offset: int
 
-    @property
-    def size(self):
-        return self.n_comps * self.dofmap.n_dofs
-
     def comp_offset(self, r):
         return self.offset + r * self.dofmap.n_dofs
+
+    def cell_dofs(self, cells=slice(None)):
+        """Global dofs (nc, n_comps, n_local) of a cell chunk."""
+        comps = self.comp_offset(np.arange(self.n_comps))
+        return comps[:, None] + self.dofmap.cell_dofs[cells][:, None, :]
 
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric system with optional Dirichlet constraints."""
+    """Assembled symmetric system with optional Dirichlet constraints.
+
+    ``curl_matrix`` (unit-coefficient curl-curl part) shares the CSR
+    pattern of ``matrix``, so ``matrix_at`` only combines data arrays.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     fields: dict
     mesh: Mesh
     constraints: dict = field(default_factory=dict)
-    curl_matrix: sp.csr_matrix = None   # unit-coefficient curl-curl part
+    curl_matrix: sp.csr_matrix = None
 
     @property
     def n_dofs(self):
@@ -66,44 +77,9 @@ class SparseSystem:
     def matrix_at(self, curl_coeff: float):
         if self.curl_matrix is None:
             return self.matrix
-        return (self.matrix + curl_coeff * self.curl_matrix).tocsr()
-
-
-class _TripletAccumulator:
-    """Chunked COO accumulation to bound peak memory."""
-
-    def __init__(self, n):
-        self.n = n
-        self.rows, self.cols, self.vals = [], [], []
-        self.pending = 0
-        self.partial = None
-
-    def add(self, dofs_row, dofs_col, block):
-        r = np.repeat(dofs_row, len(dofs_col))
-        c = np.tile(dofs_col, len(dofs_row))
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(block.ravel())
-        self.pending += block.size
-        if self.pending > _CHUNK_NNZ:
-            self._flush()
-
-    def _flush(self):
-        if not self.rows:
-            return
-        mat = sp.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(self.n, self.n)).tocsr()
-        self.partial = mat if self.partial is None else self.partial + mat
-        self.rows, self.cols, self.vals = [], [], []
-        self.pending = 0
-
-    def result(self):
-        self._flush()
-        if self.partial is None:
-            return sp.csr_matrix((self.n, self.n))
-        return self.partial
+        K = self.matrix
+        return sp.csr_matrix((K.data + curl_coeff * self.curl_matrix.data,
+                              K.indices, K.indptr), shape=K.shape)
 
 
 @lru_cache(maxsize=None)
@@ -120,8 +96,13 @@ def _hcurl_ref(space: SpaceDescriptor, quad_degree):
     return rule, vs.values, vs.curls
 
 
-def _phys_grads(inv_t, ref_grads):
-    return np.einsum("ed,qnd->qne", inv_t, ref_grads)
+def _phys_grads(mat, ref):
+    """A (dim, dim) matrix, or a stack (nc, dim, dim) of them, applied to
+    reference vectors (nq, nb, dim): J^{-T} for gradients and H(curl)
+    values, J/det J for 3D curls."""
+    nq, nb, dim = ref.shape
+    out = ref.reshape(nq * nb, dim) @ np.swapaxes(mat, -1, -2)
+    return out.reshape(np.shape(mat)[:-2] + ref.shape)
 
 
 def _default_degree(u_space, p_space=None):
@@ -131,8 +112,188 @@ def _default_degree(u_space, p_space=None):
     return 2 * p + 2
 
 
+def _layouts(mesh, spaces, n_comps):
+    """Fields named by ``spaces``, stacked in the global vector in order."""
+    fields, offset = {}, 0
+    for name, space in spaces.items():
+        dm = build_dofmap(mesh, space)
+        fields[name] = FieldLayout(name, space, dm, n_comps, offset)
+        offset += n_comps * dm.n_dofs
+    return fields
+
+
 # ---------------------------------------------------------------------------
-# antiplane shear
+# chunked driver
+
+def _chunks(n_cells, per_cell):
+    """Cell slices whose temporaries hold at most _CHUNK_NNZ entries,
+    ``per_cell`` being the largest per-cell temporary."""
+    size = max(1, _CHUNK_NNZ // per_cell)
+    for start in range(0, n_cells, size):
+        yield slice(start, min(start + size, n_cells))
+
+
+def _weights(mesh, rule, cells):
+    return rule.weights * np.abs(mesh.dets[cells])[:, None]
+
+
+def _map_points(mesh, rule, cells):
+    """Physical quadrature points (nc, nq, dim) of a cell chunk."""
+    return (mesh.origins[cells][:, None, :]
+            + rule.simplex_points @ mesh.jacs[cells].transpose(0, 2, 1))
+
+
+def _call(func, xq):
+    """A point callback on all points of a chunk, reshaped to (nc, nq, ...)."""
+    vals = np.asarray(func(xq.reshape(-1, xq.shape[-1])), dtype=float)
+    return vals.reshape(xq.shape[:2] + vals.shape[1:])
+
+
+def _values(mesh, table, cells):
+    """Basis values (nc or 1, nq, nb, dim) on a chunk: scalar tables (nq, nb)
+    with a unit trailing axis, vector tables (nq, nb, dim) mapped by J^{-T}."""
+    return (table[None, :, :, None] if table.ndim == 2
+            else _phys_grads(mesh.inv_ts[cells], table))
+
+
+def _project(w, fv, vals):
+    """(nc, n_comps, nb) integrals sum_q w <f_r, v_a> of point values fv
+    (nc, nq, n_comps, dim) against basis values from ``_values``."""
+    a = vals.transpose(0, 2, 1, 3).reshape(len(vals), vals.shape[2], -1)
+    b = (w[:, :, None, None] * fv).transpose(0, 1, 3, 2)
+    return (a @ b.reshape(len(w), a.shape[2], -1)).transpose(0, 2, 1)
+
+
+def _gram(f):
+    """Batched F F^T of (nc, rows, cols) feature stacks."""
+    return f @ f.transpose(0, 2, 1)
+
+
+def _scalar_pattern(cell_dofs, n):
+    """Sorted CSR pattern of all couplings through a cell; its data holds
+    the position of each entry."""
+    nc, nloc = cell_dofs.shape
+    incidence = sp.csr_matrix((np.ones(cell_dofs.size), cell_dofs.ravel(),
+                               np.arange(0, cell_dofs.size + 1, nloc)), shape=(nc, n))
+    product = incidence.T @ incidence   # symmetric: its CSC arrays are CSR arrays
+    pattern = sp.csr_matrix((product.data, product.indices, product.indptr),
+                            shape=(n, n))
+    pattern.sort_indices()
+    pattern.data = np.arange(pattern.nnz, dtype=float)
+    return pattern
+
+
+class _Scatter:
+    """Global CSR pattern of a system and the position of every element
+    entry in it.
+
+    All fields have k components; element matrices are ordered (r, A, s,
+    B): components outermost, then the cell's scalar dofs A of all fields.
+    The pattern is the scalar pattern S of the stacked dofmaps with each
+    entry expanded to a k x k block: global row (field f, component r,
+    dof i) lists, field by field and then component by component, the
+    columns of S row i.  So only scalar element entries are searched in S;
+    entry (r, s) of the block of scalar entry e sits at row_start +
+    base[e] + s * seg[e], seg being the length of e's field segment.
+    """
+
+    def __init__(self, layouts):
+        k = self.k = layouts[0].n_comps
+        sizes = np.array([fl.dofmap.n_dofs for fl in layouts])
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        self.gdofs = np.concatenate([fl.cell_dofs() for fl in layouts], axis=2)
+        self.scalar_dofs = np.concatenate(
+            [fl.dofmap.cell_dofs + s for fl, s in zip(layouts, starts)], axis=1)
+        S = self.S = _scalar_pattern(self.scalar_dofs, starts[-1])
+        if k == 1:   # the fields are stacked as in S
+            self.indptr, self.indices = S.indptr, S.indices
+            return
+        row = np.repeat(np.arange(starts[-1]), np.diff(S.indptr))
+        row_field, col_field = (np.searchsorted(starts, v, side="right") - 1
+                                for v in (row, S.indices))
+        seg = np.bincount(row * len(sizes) + col_field,
+                          minlength=starts[-1] * len(sizes)).reshape(-1, len(sizes))
+        before = (np.cumsum(seg, axis=1) - seg)[row, col_field]
+        self.seg = seg[row, col_field]
+        self.base = np.arange(S.nnz) - S.indptr[row] + (k - 1) * before
+        glen = np.concatenate([np.tile(k * np.diff(S.indptr[a:b + 1]), k)
+                               for a, b in zip(starts[:-1], starts[1:])])
+        self.indptr = np.concatenate([[0], np.cumsum(glen)])
+        offsets = np.array([fl.offset for fl in layouts])
+        grow0 = offsets[row_field] + row - starts[row_field]
+        gcol0 = offsets[col_field] + S.indices - starts[col_field]
+        self.indices = np.empty(self.indptr[-1], dtype=S.indices.dtype)
+        for r in range(k):
+            row_start = self.indptr[grow0 + r * sizes[row_field]] + self.base
+            for s in range(k):
+                self.indices[row_start + s * self.seg] = gcol0 + s * sizes[col_field]
+
+    def positions(self, cells):
+        """(nc, nloc, nloc) positions of the element entries of a chunk."""
+        sd = self.scalar_dofs[cells]
+        rows, cols = np.broadcast_arrays(sd[:, :, None], sd[:, None, :])
+        spos = np.asarray(self.S[rows.ravel(), cols.ravel()],
+                          dtype=np.intp).reshape(rows.shape)
+        if self.k == 1:
+            return spos
+        row_start = self.indptr[self.gdofs[cells]][:, :, :, None, None]
+        comp = np.arange(self.k)[:, None]
+        return (row_start + self.base[spos][:, None, :, None, :]
+                + comp * self.seg[spos][:, None, :, None, :])
+
+
+def _assemble(mesh, rule, fields, kernel, per_cell, loads=(), n_mats=1):
+    """Matrices from ``kernel(cells) -> [element matrices]`` and the load
+    vector of ``loads``, (field, reference table, callback or None).  The
+    ``n_mats`` matrices share one CSR pattern, every coupling through a
+    cell, also where its sum over cells vanishes: dropping those entries
+    breaks the k x k block structure that the minimum-degree ordering of
+    the factorization relies on, and raises its fill."""
+    sc = _Scatter(list(fields.values()))
+    nc, nloc = len(sc.gdofs), sc.gdofs[0].size
+    data = np.zeros((n_mats, len(sc.indices)))
+    for cells in _chunks(nc, max(per_cell, nloc * nloc)):
+        pos = sc.positions(cells).ravel()
+        for d, k in zip(data, kernel(cells)):
+            np.add.at(d, pos, k.ravel())
+    n = len(sc.indptr) - 1
+    rhs = np.zeros(n)
+    for layout, table, func in (load for load in loads if load[2] is not None):
+        for cells in _chunks(nc, per_cell):
+            w = _weights(mesh, rule, cells)
+            fv = _call(func, _map_points(mesh, rule, cells)).reshape(
+                w.shape + (layout.n_comps, -1))
+            np.add.at(rhs, layout.cell_dofs(cells),
+                      _project(w, fv, _values(mesh, table, cells)))
+
+    return [sp.csr_matrix((d, sc.indices, sc.indptr), shape=(n, n))
+            for d in data], rhs
+
+
+def _iso_blocks(G, diag, swap, trace):
+    """Element matrices K[c, r, a, s, b] of an isotropic form over fields
+    whose row r is the vector function of dof (r, a),
+        diag delta_rs sum_d G[c,a,d,b,d] + swap G[c,a,s,b,r] + trace G[c,a,r,b,s],
+    from scalar Gram blocks G[c,a,d,b,e] = sum_q w phi_a,d phi_b,e.  With
+    (diag, swap, trace) = (mu + mu_c, mu - mu_c, lam) this is
+    lam tr E tr E + 2 mu sym E : sym E + 2 mu_c skw E : skw E.
+    """
+    K = swap * G.transpose(0, 4, 1, 2, 3) + trace * G.transpose(0, 2, 1, 4, 3)
+    tr = G[:, :, 0, :, 0] + G[:, :, 1, :, 1] + G[:, :, 2, :, 2]
+    for r in range(3):
+        K[:, r, :, r, :] += diag * tr
+    return K
+
+
+def _direction_gram(vals, w):
+    """Gram blocks G[c, a, d, b, e] = sum_q w v_a,d v_b,e of (nc, nq, nb, dim)."""
+    nc, nq, nb, dim = vals.shape
+    f = (vals * np.sqrt(w)[:, :, None, None]).transpose(0, 2, 3, 1)
+    return _gram(f.reshape(nc, nb * dim, nq)).reshape(nc, nb, dim, nb, dim)
+
+
+# ---------------------------------------------------------------------------
+# forms
 
 def assemble_antiplane(mesh: Mesh, params: MaterialParams,
                        u_space: SpaceDescriptor, p_space: SpaceDescriptor,
@@ -148,108 +309,27 @@ def assemble_antiplane(mesh: Mesh, params: MaterialParams,
     qd = quad_degree or _default_degree(u_space, p_space)
     rule, uvals, ugrads = _h1_ref(u_space.degree, 2, qd)
     _, pvals, pcurls = _hcurl_ref(p_space, qd)
+    fields = _layouts(mesh, {"u": u_space, "p": p_space}, 1)
+    nbu, nb, nq = ugrads.shape[1], ugrads.shape[1] + pvals.shape[1], len(rule.weights)
+    s_e, s_m, s_c = np.sqrt([params.mu_e, params.mu_micro, params.curl_coeff])
 
-    dm_u = build_dofmap(mesh, u_space)
-    dm_p = build_dofmap(mesh, p_space)
-    fields = {
-        "u": FieldLayout("u", u_space, dm_u, 1, 0),
-        "p": FieldLayout("p", p_space, dm_p, 1, dm_u.n_dofs),
-    }
-    n = dm_u.n_dofs + dm_p.n_dofs
-    acc = _TripletAccumulator(n)
-    acc_curl = _TripletAccumulator(n)
-    rhs = np.zeros(n)
+    def kernel(cells):
+        # point features sqrt(mu_e)(grad u - p), sqrt(mu_micro) p, sqrt(cc) rot p
+        w = _weights(mesh, rule, cells)
+        gu = _phys_grads(mesh.inv_ts[cells], ugrads).swapaxes(1, 2)
+        pv = _phys_grads(mesh.inv_ts[cells], pvals).swapaxes(1, 2)
+        F = np.zeros((len(w), nb, nq, 5))
+        F[:, :nbu, :, :2] = s_e * gu
+        F[:, nbu:, :, :2] = -s_e * pv
+        F[:, nbu:, :, 2:4] = s_m * pv
+        F[:, nbu:, :, 4] = s_c * pcurls.T / mesh.dets[cells][:, None, None]
+        F *= np.sqrt(w)[:, None, :, None]
+        return [_gram(F.reshape(len(w), nb, nq * 5))]
 
-    mu_e, mu_micro = params.mu_e, params.mu_micro
-    for c in range(mesh.n_cells):
-        det = mesh.dets[c]
-        w = rule.weights * abs(det)
-        gu = _phys_grads(mesh.inv_ts[c], ugrads)
-        pv = _phys_grads(mesh.inv_ts[c], pvals)
-        rot = pcurls / det
-
-        kuu = mu_e * np.einsum("q,qae,qbe->ab", w, gu, gu)
-        kup = -mu_e * np.einsum("q,qae,qbe->ab", w, gu, pv)
-        kpp = (mu_e + mu_micro) * np.einsum("q,qae,qbe->ab", w, pv, pv)
-        kpp_curl = np.einsum("q,qa,qb->ab", w, rot, rot)
-
-        du = dm_u.cell_dofs[c]
-        dp = dm_p.cell_dofs[c] + fields["p"].offset
-        acc.add(du, du, kuu)
-        acc.add(du, dp, kup)
-        acc.add(dp, du, kup.T)
-        acc.add(dp, dp, kpp)
-        acc_curl.add(dp, dp, kpp_curl)
-
-        if f is not None or m is not None:
-            xq = mesh.map_points(c, rule.simplex_points)
-            if f is not None:
-                np.add.at(rhs, du, np.einsum("q,qa->a", w * np.asarray(f(xq)), uvals))
-            if m is not None:
-                mv = np.asarray(m(xq))
-                np.add.at(rhs, dp, np.einsum("q,qae,qe->a", w, pv, mv))
-
-    base = acc.result()
-    curl = acc_curl.result()
-    matrix = (base + params.curl_coeff * curl).tocsr()
+    (matrix,), rhs = _assemble(mesh, rule, fields, kernel, nb * nq * 5,
+                               loads=[(fields["u"], uvals, f),
+                                      (fields["p"], pvals, m)])
     return SparseSystem(matrix=matrix, rhs=rhs, fields=fields, mesh=mesh)
-
-
-# ---------------------------------------------------------------------------
-# full three-dimensional model
-
-def _pack_sym(e):
-    """Pack symmetric parts so the euclidean product equals <sym A, sym B>."""
-    s2 = np.sqrt(2.0)
-    return np.stack([e[..., 0, 0], e[..., 1, 1], e[..., 2, 2],
-                     s2 * 0.5 * (e[..., 0, 1] + e[..., 1, 0]),
-                     s2 * 0.5 * (e[..., 0, 2] + e[..., 2, 0]),
-                     s2 * 0.5 * (e[..., 1, 2] + e[..., 2, 1])], axis=-1)
-
-
-def _pack_skw(e):
-    s2 = np.sqrt(2.0)
-    return np.stack([s2 * 0.5 * (e[..., 0, 1] - e[..., 1, 0]),
-                     s2 * 0.5 * (e[..., 0, 2] - e[..., 2, 0]),
-                     s2 * 0.5 * (e[..., 1, 2] - e[..., 2, 1])], axis=-1)
-
-
-def _strain_columns(gu, pv, pc, params):
-    """Base-form and curl-form feature columns per local dof.
-
-    Returns (F_base, F_curl) with shapes (nq, ndof, 17) and (nq, ndof, 9);
-    K = sum_q w_q F F^T reproduces the micromorphic quadratic form.
-    """
-    nq, nbu = gu.shape[:2]
-    nbp = pv.shape[1]
-    ndof = 3 * (nbu + nbp)
-    E = np.zeros((nq, ndof, 3, 3))
-    P = np.zeros((nq, ndof, 3, 3))
-    C = np.zeros((nq, ndof, 3, 3))
-    for r in range(3):
-        E[:, r * nbu:(r + 1) * nbu, r, :] = gu
-    for r in range(3):
-        sl = slice(3 * nbu + r * nbp, 3 * nbu + (r + 1) * nbp)
-        E[:, sl, r, :] = -pv
-        P[:, sl, r, :] = pv
-        C[:, sl, r, :] = pc
-
-    trE = np.einsum("qnii->qn", E)
-    trP = np.einsum("qnii->qn", P)
-    cols = [np.sqrt(params.lam_e) * trE[..., None],
-            np.sqrt(2.0 * params.mu_e) * _pack_sym(E),
-            np.sqrt(2.0 * params.mu_c) * _pack_skw(E),
-            np.sqrt(params.lam_micro) * trP[..., None],
-            np.sqrt(2.0 * params.mu_micro) * _pack_sym(P)]
-    f_base = np.concatenate(cols, axis=-1)
-    f_curl = C.reshape(nq, ndof, 9)
-    return f_base, f_curl
-
-
-def _gram(f, w):
-    fw = f * np.sqrt(w)[:, None, None]
-    flat = fw.transpose(1, 0, 2).reshape(f.shape[1], -1)
-    return flat @ flat.T
 
 
 def assemble_full3d(mesh: Mesh, params: MaterialParams,
@@ -272,57 +352,42 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
     qd = quad_degree or _default_degree(u_space, p_space)
     rule, uvals, ugrads = _h1_ref(u_space.degree, 3, qd)
     _, pvals, pcurls = _hcurl_ref(p_space, qd)
+    fields = _layouts(mesh, {"u": u_space, "p": p_space}, 3)
+    nbu, nbs = ugrads.shape[1], ugrads.shape[1] + pvals.shape[1]
+    # E = Du - P enters with (mu_e, mu_c, lam_e), P alone with
+    # (mu_micro, lam_micro); see _iso_blocks
+    pr = params
+    e_coef = (pr.mu_e + pr.mu_c, pr.mu_e - pr.mu_c, pr.lam_e)
+    p_coef = (pr.mu_e + pr.mu_c + pr.mu_micro, pr.mu_e - pr.mu_c + pr.mu_micro,
+              pr.lam_e + pr.lam_micro)
 
-    dm_u = build_dofmap(mesh, u_space)
-    dm_p = build_dofmap(mesh, p_space)
-    nu, npp = dm_u.n_dofs, dm_p.n_dofs
-    fields = {
-        "u": FieldLayout("u", u_space, dm_u, 3, 0),
-        "p": FieldLayout("p", p_space, dm_p, 3, 3 * nu),
-    }
-    n = 3 * nu + 3 * npp
-    acc = _TripletAccumulator(n)
-    acc_curl = _TripletAccumulator(n)
-    rhs = np.zeros(n)
+    def kernel(cells):
+        w = _weights(mesh, rule, cells)
+        gu = _phys_grads(mesh.inv_ts[cells], ugrads)
+        pv = _phys_grads(mesh.inv_ts[cells], pvals)
+        pc = _phys_grads(mesh.jacs[cells] / mesh.dets[cells][:, None, None],
+                         pcurls)
+        G = _direction_gram(np.concatenate([gu, pv], axis=2), w)
+        u, p = slice(0, nbu), slice(nbu, nbs)
+        K = np.empty((len(w), 3, nbs, 3, nbs))
+        K[:, :, u, :, u] = _iso_blocks(G[:, u, :, u], *e_coef)
+        K[:, :, u, :, p] = -_iso_blocks(G[:, u, :, p], *e_coef)
+        K[:, :, p, :, u] = K[:, :, u, :, p].transpose(0, 3, 4, 1, 2)
+        K[:, :, p, :, p] = _iso_blocks(G[:, p, :, p], *p_coef)
+        # row-wise Curl: the same scalar block on each of the three rows
+        fc = (pc * np.sqrt(w)[:, :, None, None]).swapaxes(1, 2)
+        kc = _gram(fc.reshape(len(w), nbs - nbu, -1))
+        kc *= 1.0 if split_curl else pr.curl_coeff
+        mats = [K, np.zeros_like(K)] if split_curl else [K]
+        for r in range(3):
+            mats[-1][:, r, p, r, p] += kc
+        return mats
 
-    for c in range(mesh.n_cells):
-        det = mesh.dets[c]
-        w = rule.weights * abs(det)
-        gu = _phys_grads(mesh.inv_ts[c], ugrads)
-        pv = _phys_grads(mesh.inv_ts[c], pvals)
-        pc = np.einsum("ed,qnd->qne", mesh.jacs[c] / det, pcurls)
-
-        f_base, f_curl = _strain_columns(gu, pv, pc, params)
-        k_base = _gram(f_base, w)
-        k_curl = _gram(f_curl, w)
-
-        du = dm_u.cell_dofs[c]
-        dp = dm_p.cell_dofs[c]
-        gdofs = np.concatenate([du + r * nu for r in range(3)]
-                               + [3 * nu + dp + r * npp for r in range(3)])
-        acc.add(gdofs, gdofs, k_base)
-        acc_curl.add(gdofs, gdofs, k_curl)
-
-        if f is not None or M is not None:
-            xq = mesh.map_points(c, rule.simplex_points)
-            if f is not None:
-                fv = np.asarray(f(xq))
-                for r in range(3):
-                    np.add.at(rhs, du + r * nu,
-                              np.einsum("q,qa->a", w * fv[:, r], uvals))
-            if M is not None:
-                mv = np.asarray(M(xq))
-                for r in range(3):
-                    np.add.at(rhs, 3 * nu + dp + r * npp,
-                              np.einsum("q,qae,qe->a", w, pv, mv[:, r]))
-
-    base = acc.result()
-    curl = acc_curl.result()
-    if split_curl:
-        return SparseSystem(matrix=base.tocsr(), rhs=rhs, fields=fields,
-                            mesh=mesh, curl_matrix=curl.tocsr())
-    matrix = (base + params.curl_coeff * curl).tocsr()
-    return SparseSystem(matrix=matrix, rhs=rhs, fields=fields, mesh=mesh)
+    mats, rhs = _assemble(mesh, rule, fields, kernel, 9 * nbs * len(rule.weights),
+                          loads=[(fields["u"], uvals, f), (fields["p"], pvals, M)],
+                          n_mats=2 if split_curl else 1)
+    return SparseSystem(matrix=mats[0], rhs=rhs, fields=fields, mesh=mesh,
+                        curl_matrix=mats[1] if split_curl else None)
 
 
 def assemble_cauchy3d(mesh: Mesh, lam: float, mu: float,
@@ -334,138 +399,51 @@ def assemble_cauchy3d(mesh: Mesh, lam: float, mu: float,
         raise SpaceMismatch("cauchy3d needs a 3D H1 space")
     qd = quad_degree or 2 * u_space.degree
     rule, uvals, ugrads = _h1_ref(u_space.degree, 3, qd)
-    dm_u = build_dofmap(mesh, u_space)
-    nu = dm_u.n_dofs
-    fields = {"u": FieldLayout("u", u_space, dm_u, 3, 0)}
-    acc = _TripletAccumulator(3 * nu)
-    rhs = np.zeros(3 * nu)
+    fields = _layouts(mesh, {"u": u_space}, 3)
 
-    for c in range(mesh.n_cells):
-        det = mesh.dets[c]
-        w = rule.weights * abs(det)
-        gu = _phys_grads(mesh.inv_ts[c], ugrads)
-        nq, nbu = gu.shape[:2]
-        E = np.zeros((nq, 3 * nbu, 3, 3))
-        for r in range(3):
-            E[:, r * nbu:(r + 1) * nbu, r, :] = gu
-        F = np.concatenate([np.sqrt(lam) * np.einsum("qnii->qn", E)[..., None],
-                            np.sqrt(2.0 * mu) * _pack_sym(E)], axis=-1)
-        k = _gram(F, w)
-        du = dm_u.cell_dofs[c]
-        gdofs = np.concatenate([du + r * nu for r in range(3)])
-        acc.add(gdofs, gdofs, k)
-        if f is not None:
-            xq = mesh.map_points(c, rule.simplex_points)
-            fv = np.asarray(f(xq))
-            for r in range(3):
-                np.add.at(rhs, du + r * nu,
-                          np.einsum("q,qa->a", w * fv[:, r], uvals))
-    return SparseSystem(matrix=acc.result().tocsr(), rhs=rhs, fields=fields,
-                        mesh=mesh)
+    def kernel(cells):
+        gu = _phys_grads(mesh.inv_ts[cells], ugrads)
+        G = _direction_gram(gu, _weights(mesh, rule, cells))
+        return [_iso_blocks(G, mu, mu, lam)]
+
+    (matrix,), rhs = _assemble(mesh, rule, fields, kernel,
+                               3 * ugrads.shape[1] * len(rule.weights),
+                               loads=[(fields["u"], uvals, f)])
+    return SparseSystem(matrix=matrix, rhs=rhs, fields=fields, mesh=mesh)
 
 
 # ---------------------------------------------------------------------------
-# post-processing helpers
+# post-processing
 
-def _gather(layout: FieldLayout, x, c):
-    """Local coefficient matrix (n_comps, n_local) of cell c."""
-    dofs = layout.dofmap.cell_dofs[c]
-    return np.stack([x[layout.comp_offset(r) + dofs]
-                     for r in range(layout.n_comps)])
-
-
-def compute_energy(mesh: Mesh, params: MaterialParams, system: SparseSystem,
-                   x: np.ndarray, quad_degree=None) -> float:
-    """Quadratic energy 1/2 a(x, x) evaluated by elementwise quadrature."""
-    uf, pf = system.fields["u"], system.fields.get("p")
-    qd = quad_degree or _default_degree(uf.space, pf.space if pf else None)
-    rule, _, ugrads = _h1_ref(uf.space.degree, mesh.dim, qd)
-    if pf is not None:
-        _, pvals, pcurls = _hcurl_ref(pf.space, qd)
-
+def _l2_distance(mesh, layout, x, func, rule, table):
+    """L2 distance between a field and a callback on physical points."""
     total = 0.0
-    for c in range(mesh.n_cells):
-        det = mesh.dets[c]
-        w = rule.weights * abs(det)
-        gu = _phys_grads(mesh.inv_ts[c], ugrads)
-        cu = _gather(uf, x, c)
-        if mesh.dim == 2:
-            grad_u = np.einsum("qad,a->qd", gu, cu[0])
-            pvp = _phys_grads(mesh.inv_ts[c], pvals)
-            cp = _gather(pf, x, c)
-            pval = np.einsum("qad,a->qd", pvp, cp[0])
-            rot = (pcurls / det) @ cp[0]
-            diff = grad_u - pval
-            integrand = (params.mu_e * np.einsum("qd,qd->q", diff, diff)
-                         + params.mu_micro * np.einsum("qd,qd->q", pval, pval)
-                         + params.curl_coeff * rot ** 2)
-        else:
-            Du = np.einsum("qad,ra->qrd", gu, cu)
-            if pf is not None:
-                pvp = _phys_grads(mesh.inv_ts[c], pvals)
-                pcp = np.einsum("ed,qnd->qne", mesh.jacs[c] / det, pcurls)
-                cp = _gather(pf, x, c)
-                P = np.einsum("qad,ra->qrd", pvp, cp)
-                CurlP = np.einsum("qad,ra->qrd", pcp, cp)
-            else:
-                P = np.zeros_like(Du)
-                CurlP = np.zeros_like(Du)
-            E = Du - P
-            symE = 0.5 * (E + E.transpose(0, 2, 1))
-            skwE = E - symE
-            symP = 0.5 * (P + P.transpose(0, 2, 1))
-            trE = np.einsum("qrr->q", E)
-            trP = np.einsum("qrr->q", P)
-            integrand = (params.lam_e * trE ** 2
-                         + 2.0 * params.mu_e * np.einsum("qij,qij->q", symE, symE)
-                         + 2.0 * params.mu_c * np.einsum("qij,qij->q", skwE, skwE)
-                         + params.lam_micro * trP ** 2
-                         + 2.0 * params.mu_micro * np.einsum("qij,qij->q", symP, symP)
-                         + params.curl_coeff * np.einsum("qij,qij->q", CurlP, CurlP))
-        total += 0.5 * float(w @ integrand)
-    return total
+    for cells in _chunks(mesh.n_cells, table.size * layout.n_comps):
+        got = x[layout.cell_dofs(cells)][:, None] @ _values(mesh, table, cells)
+        exact = _call(func, _map_points(mesh, rule, cells))
+        diff = got - exact.reshape(got.shape[:2] + (-1,) + got.shape[3:])
+        sq = (diff ** 2).reshape(diff.shape[:2] + (-1,)).sum(axis=2)
+        total += float(np.sum(_weights(mesh, rule, cells) * sq))
+    return np.sqrt(total)
 
 
 def l2_error_h1(mesh: Mesh, layout: FieldLayout, x, func, quad_degree=None):
     """L2 distance between an H1 field and a callback on physical points."""
     qd = quad_degree or 2 * layout.space.degree + 2
     rule, uvals, _ = _h1_ref(layout.space.degree, mesh.dim, qd)
-    err2 = 0.0
-    for c in range(mesh.n_cells):
-        w = rule.weights * abs(mesh.dets[c])
-        cu = _gather(layout, x, c)
-        vals = np.einsum("qa,ra->qr", uvals, cu)
-        exact = np.asarray(func(mesh.map_points(c, rule.simplex_points)), dtype=float)
-        if exact.ndim == 1:
-            exact = exact[:, None]
-        err2 += float(w @ np.sum((vals - exact) ** 2, axis=1))
-    return np.sqrt(err2)
+    return _l2_distance(mesh, layout, x, func, rule, uvals)
 
 
 def l2_error_hcurl(mesh: Mesh, layout: FieldLayout, x, func, quad_degree=None):
     """L2 distance for an H(curl) field; rows stacked for tensor fields."""
     qd = quad_degree or 2 * (layout.space.degree + 1) + 2
     rule, pvals, _ = _hcurl_ref(layout.space, qd)
-    err2 = 0.0
-    for c in range(mesh.n_cells):
-        w = rule.weights * abs(mesh.dets[c])
-        pv = _phys_grads(mesh.inv_ts[c], pvals)
-        cp = _gather(layout, x, c)
-        vals = np.einsum("qad,ra->qrd", pv, cp)
-        exact = np.asarray(func(mesh.map_points(c, rule.simplex_points)), dtype=float)
-        if exact.ndim == 2:
-            exact = exact[:, None, :]
-        err2 += float(w @ np.sum((vals - exact) ** 2, axis=(1, 2)))
-    return np.sqrt(err2)
+    return _l2_distance(mesh, layout, x, func, rule, pvals)
 
 
 def rot_l2_norm(mesh: Mesh, layout: FieldLayout, x, quad_degree=None):
     """L2 norm of the 2D rot of an H(curl) field."""
     qd = quad_degree or 2 * (layout.space.degree + 1)
     rule, _, pcurls = _hcurl_ref(layout.space, qd)
-    total = 0.0
-    for c in range(mesh.n_cells):
-        w = rule.weights * abs(mesh.dets[c])
-        rot = (pcurls / mesh.dets[c]) @ _gather(layout, x, c)[0]
-        total += float(w @ rot ** 2)
-    return np.sqrt(total)
+    rot = x[layout.cell_dofs()[:, 0]] @ pcurls.T / mesh.dets[:, None]
+    return np.sqrt(float(np.sum(_weights(mesh, rule, slice(None)) * rot ** 2)))

@@ -47,7 +47,12 @@ class BenchConfig:
             raise InvalidParam("polynomial order too low for family")
 
     def material_override(self, default: MaterialParams) -> MaterialParams:
-        """Parameters from the JSON config, falling back to the default."""
+        """Parameters from the JSON config, falling back to the default.
+
+        A file that changes a meso or micro modulus but sets neither macro
+        modulus gets the macro moduli of the new set (``macro_from``);
+        macro moduli the file sets are kept as given.
+        """
         if self.params_path is None:
             return default
         import json
@@ -60,6 +65,9 @@ class BenchConfig:
         if unknown:
             raise InvalidParam(f"unknown material keys {sorted(unknown)}")
         fields.update(data)
+        if (set(data) & {"lam_e", "mu_e", "lam_micro", "mu_micro"}
+                and not set(data) & {"mu_macro", "lam_macro"}):
+            fields["mu_macro"] = fields["lam_macro"] = None
         return MaterialParams(**fields)
 
 

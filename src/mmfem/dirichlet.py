@@ -14,6 +14,7 @@ part of the prescribed displacement gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .dofmap import DofMap
 from .errors import DegenerateFace, SingularEdge
 from .mesh import Mesh
 from .nedelec import SpaceDescriptor, build_basis, eval_vector_shapes
-from .quadrature import rule_for
+from .quadrature import _gauss01, rule_for
 from .simplex import (TET_VERTICES, bezier_eval, duffy_inverse,
                       index_position, traversal_order)
 
@@ -31,18 +32,15 @@ _GAUSS_FLOOR = 24   # headroom for oscillatory boundary data on coarse meshes
 
 @dataclass
 class ConstraintSet:
-    """Ordered dof -> value map with provenance tags."""
+    """Ordered dof -> value map."""
 
     values: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
 
-    def set(self, dof, value, kind):
+    def set(self, dof, value):
         self.values[int(dof)] = float(value)
-        self.provenance[int(dof)] = kind
 
     def merge(self, other: "ConstraintSet"):
         self.values.update(other.values)
-        self.provenance.update(other.provenance)
         return self
 
     def __len__(self):
@@ -50,11 +48,6 @@ class ConstraintSet:
 
     def items(self):
         return self.values.items()
-
-
-def _gauss01(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _edge_geometry(mesh, e):
@@ -106,7 +99,14 @@ def vertex_values(mesh: Mesh, dofmap: DofMap, verts, ufunc, cons, comp_offset=0,
     for v in verts:
         val = np.asarray(ufunc(mesh.vertices[v][None, :]), dtype=float).reshape(-1)
         cons.set(comp_offset + dofmap.vertex_dof(v), val[comp] if val.size > 1
-                 else val[0], "vertex")
+                 else val[0])
+
+
+@lru_cache(maxsize=None)
+def _edge_h1_ref(q):
+    """Edge Gauss rule and Bernstein derivatives (ng, q+1) at degree q."""
+    a, w = _gauss01(max(q + 2, _GAUSS_FLOOR))
+    return a, w, eval_all(q, a).derivs
 
 
 def edge_h1_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
@@ -117,10 +117,7 @@ def edge_h1_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
     if q < 2:
         return
     xa, xb, t, nt = _edge_geometry(mesh, e)
-    ng = max(q + 2, _GAUSS_FLOOR)
-    a, w = _gauss01(ng)
-    be = eval_all(q, a)
-    dn = be.derivs                       # (ng, q+1)
+    a, w, dn = _edge_h1_ref(q)
     grads = np.asarray(gradfunc(xa[None, :] + a[:, None] * t[None, :]), dtype=float)
     if grads.ndim == 3:
         grads = grads[:, comp, :]
@@ -134,7 +131,7 @@ def edge_h1_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
     rhs = f[1:q] - k[1:q, 0] * v0 - k[1:q, q] * v1
     sol = np.linalg.solve(k[1:q, 1:q], rhs)
     for ordinal, val in enumerate(sol):
-        cons.set(comp_offset + dofmap.edge_dofs(e)[ordinal], val, "edge")
+        cons.set(comp_offset + dofmap.edge_dofs(e)[ordinal], val)
 
 
 def _face_frame(mesh, f):
@@ -155,17 +152,18 @@ def _face_frame(mesh, f):
 
 
 def _face_cell_context(mesh, f):
-    """Owning cell of a boundary face and the face chart in its reference
-    coordinates."""
-    cell = int(np.flatnonzero((mesh.cell_faces == f).any(axis=1))[0])
-    local = int(np.flatnonzero(mesh.cell_faces[cell] == f)[0])
-    cv = mesh.cells[cell]
-    loc_of = {int(g): i for i, g in enumerate(cv)}
-    fa, fb, fc = mesh.faces[f]
-    la, lb, lc = loc_of[int(fa)], loc_of[int(fb)], loc_of[int(fc)]
-    Va, Vb, Vc = TET_VERTICES[la], TET_VERTICES[lb], TET_VERTICES[lc]
-    dphi = np.stack([Vc - Va, Vb - Va], axis=1)   # (3, 2)
-    return cell, (la, lb, lc), Va, dphi
+    """Owning cell of a boundary face and the local vertices (a, b, c) of
+    the face in it."""
+    cell = mesh.face_cell(f)
+    loc_of = {int(g): i for i, g in enumerate(mesh.cells[cell])}
+    return cell, tuple(loc_of[int(v)] for v in mesh.faces[f])
+
+
+@lru_cache(maxsize=None)
+def _face_h1_ref(q):
+    """Face rule and 2D Bernstein gradients at degree q."""
+    rule = rule_for(2, min(max(2 * q + 2, 14), 20))
+    return rule, bezier_eval(q, 2, rule.points).grads
 
 
 def face_h1_projection(mesh: Mesh, dofmap: DofMap, f, gradfunc, cons,
@@ -176,10 +174,9 @@ def face_h1_projection(mesh: Mesh, dofmap: DofMap, f, gradfunc, cons,
     if q < 3:
         return
     (fa, fb, fc), xa, g1, g2, tstar, det_t = _face_frame(mesh, f)
-    rule = rule_for(2, min(max(2 * q + 2, 14), 20))
+    rule, grads2 = _face_h1_ref(q)
     pts2 = rule.simplex_points
-    sh = bezier_eval(q, 2, rule.points)
-    surf = np.einsum("de,qne->qnd", tstar, sh.grads)   # (nq, nb2, 3)
+    surf = np.einsum("de,qne->qnd", tstar, grads2)   # (nq, nb2, 3)
 
     xq = xa[None, :] + np.outer(pts2[:, 0], g1) + np.outer(pts2[:, 1], g2)
     grads = np.asarray(gradfunc(xq), dtype=float)
@@ -213,7 +210,7 @@ def face_h1_projection(mesh: Mesh, dofmap: DofMap, f, gradfunc, cons,
     sol = np.linalg.solve(k[np.ix_(interior, interior)], rhs[interior])
     fdofs = dofmap.face_dofs(f)
     for ordinal, val in enumerate(sol):
-        cons.set(comp_offset + fdofs[ordinal], val, "face")
+        cons.set(comp_offset + fdofs[ordinal], val)
 
 
 def _face_edge_map(mesh, f):
@@ -270,15 +267,19 @@ def _edge_trace_matrix(space: SpaceDescriptor, a):
     return np.stack(cols, axis=1)
 
 
+@lru_cache(maxsize=None)
+def _edge_hcurl_ref(space: SpaceDescriptor):
+    """Edge Gauss rule and tangential traces of an edge dof block."""
+    a, w = _gauss01(max(space.degree + 3, _GAUSS_FLOOR))
+    return a, w, _edge_trace_matrix(space, a)
+
+
 def edge_hcurl_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
                           comp_offset=0, comp=0):
     """All dofs of one edge from the 1D consistent-coupling problem
     <p, t> = <grad u~, t>."""
     xa, xb, t, nt = _edge_geometry(mesh, e)
-    p = dofmap.space.degree
-    ng = max(p + 3, _GAUSS_FLOOR)
-    a, w = _gauss01(ng)
-    tr = _edge_trace_matrix(dofmap.space, a)
+    a, w, tr = _edge_hcurl_ref(dofmap.space)
     grads = np.asarray(gradfunc(xa[None, :] + a[:, None] * t[None, :]), dtype=float)
     if grads.ndim == 3:
         grads = grads[:, comp, :]
@@ -289,7 +290,29 @@ def edge_hcurl_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
     sol = np.linalg.solve(k, f)
     edofs = dofmap.edge_dofs(e)
     for ordinal, val in enumerate(sol):
-        cons.set(comp_offset + edofs[ordinal], val, "edge")
+        cons.set(comp_offset + edofs[ordinal], val)
+
+
+@lru_cache(maxsize=None)
+def _face_trace_ref(space: SpaceDescriptor, face_locals, rule_degree):
+    """Reference-face traces of the basis functions supported on the face
+    with local vertices (a, b, c), identical for every face with that
+    local position.
+
+    Returns (basis functions, trace (nq, nfn, 2), rot (nq, nfn)).
+    """
+    la, lb, lc = face_locals
+    Va, Vb, Vc = TET_VERTICES[la], TET_VERTICES[lb], TET_VERTICES[lc]
+    dphi = np.stack([Vc - Va, Vb - Va], axis=1)   # (3, 2)
+    fns = build_basis(space)
+    keep = [l for l, fn in enumerate(fns)
+            if set(fn.polytope.vertices) <= set(face_locals)]
+    ref3 = Va[None, :] + rule_for(2, rule_degree).simplex_points @ dphi.T
+    vs = eval_vector_shapes(space, np.clip(duffy_inverse(ref3), 0.0, 1.0))
+    trace = np.einsum("de,qnd->qne", dphi, vs.values[:, keep])
+    normal = np.cross(dphi[:, 0], dphi[:, 1])
+    rot = np.einsum("d,qnd->qn", normal, vs.curls[:, keep])
+    return tuple(fns[l] for l in keep), trace, rot
 
 
 def _face_trace_shapes(mesh, dofmap, f, rule):
@@ -297,19 +320,12 @@ def _face_trace_shapes(mesh, dofmap, f, rule):
 
     Returns (trace (nq, nfn, 2), rot (nq, nfn), dof ids, is_face_dof).
     """
-    space = dofmap.space
-    cell, (la, lb, lc), Va, dphi = _face_cell_context(mesh, f)
-    face_locals = {la, lb, lc}
-    fns = build_basis(space)
-
-    keep, gdofs, is_face = [], [], []
+    cell, face_locals = _face_cell_context(mesh, f)
+    fns, trace, rot = _face_trace_ref(dofmap.space, face_locals, rule.degree)
+    gdofs, is_face = [], []
     edge_index = mesh.edge_lookup()
     cv = mesh.cells[cell]
-    for l, fn in enumerate(fns):
-        pv = set(fn.polytope.vertices)
-        if not pv.issubset(face_locals):
-            continue
-        keep.append(l)
+    for fn in fns:
         if fn.polytope.kind == "edge":
             ge = edge_index[tuple(sorted(int(cv[v]) for v in fn.polytope.vertices))]
             gdofs.append(dofmap.edge_dofs(ge)[fn.ordinal])
@@ -317,14 +333,6 @@ def _face_trace_shapes(mesh, dofmap, f, rule):
         else:
             gdofs.append(dofmap.face_dofs(f)[fn.ordinal])
             is_face.append(True)
-
-    ref3 = Va[None, :] + rule.simplex_points @ dphi.T
-    vs = eval_vector_shapes(space, np.clip(duffy_inverse(ref3), 0.0, 1.0))
-    vals = vs.values[:, keep]
-    curls = vs.curls[:, keep]
-    trace = np.einsum("de,qnd->qne", dphi, vals)
-    normal = np.cross(dphi[:, 0], dphi[:, 1])
-    rot = np.einsum("d,qnd->qn", normal, curls)
     return trace, rot, np.asarray(gdofs), np.asarray(is_face, dtype=bool)
 
 
@@ -359,7 +367,7 @@ def face_hcurl_projection(mesh: Mesh, dofmap: DofMap, f, gradfunc, cons,
     own = np.flatnonzero(is_face)
     sol = np.linalg.solve(k[np.ix_(own, own)], rhs[own])
     for idx, val in zip(own, sol):
-        cons.set(comp_offset + int(gdofs[idx]), val, "face")
+        cons.set(comp_offset + int(gdofs[idx]), val)
 
 
 def hcurl_dirichlet(mesh: Mesh, dofmap: DofMap, groups, n_comps=1,

@@ -26,14 +26,6 @@ _EDGE_LOCAL = {2: TRI_EDGES, 3: TET_EDGES}
 
 
 @dataclass
-class AffineMap:
-    origin: np.ndarray
-    jac: np.ndarray
-    det: float
-    inv_t: np.ndarray  # J^{-T}
-
-
-@dataclass
 class Mesh:
     dim: int
     vertices: np.ndarray          # (nv, dim)
@@ -50,6 +42,7 @@ class Mesh:
     inv_ts: np.ndarray = None     # (nc, dim, dim) J^{-T}
 
     _edge_lookup: dict = field(default=None, repr=False)
+    _face_cell: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_vertices(self):
@@ -62,6 +55,16 @@ class Mesh:
                                  for i, e in enumerate(map(tuple, self.edges))}
         return self._edge_lookup
 
+    def face_cell(self, f: int) -> int:
+        """Lowest id of a cell containing face f; the table is built lazily."""
+        if self._face_cell is None:
+            owner = np.full(self.n_faces, self.n_cells)
+            np.minimum.at(owner, self.cell_faces.ravel(),
+                          np.repeat(np.arange(self.n_cells),
+                                    self.cell_faces.shape[1]))
+            self._face_cell = owner
+        return int(self._face_cell[f])
+
     @property
     def n_cells(self):
         return self.cells.shape[0]
@@ -73,9 +76,6 @@ class Mesh:
     @property
     def n_faces(self):
         return 0 if self.faces is None else self.faces.shape[0]
-
-    def cell_map(self, c: int) -> AffineMap:
-        return AffineMap(self.origins[c], self.jacs[c], self.dets[c], self.inv_ts[c])
 
     def map_points(self, c: int, ref_pts: np.ndarray) -> np.ndarray:
         """Reference simplex coordinates -> physical coordinates."""

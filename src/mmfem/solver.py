@@ -54,11 +54,17 @@ def _reduced_system(system: SparseSystem, matrix=None):
 
 
 def _splu_spd(Kff):
-    """Cholesky-like SuperLU factorization; positive pivots certify SPD."""
+    """Cholesky-like SuperLU factorization.
+
+    A symmetric matrix is certified SPD only if no row was pivoted away
+    from the symmetric ordering (perm_r == perm_c, so the factorization
+    is P K P^T = L U with U = D L^T) and every pivot is positive.
+    """
     lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
-    spd = bool(np.all(lu.U.diagonal() > 0.0))
+    spd = bool(np.array_equal(lu.perm_r, lu.perm_c)
+               and np.all(lu.U.diagonal() > 0.0))
     return lu, spd
 
 

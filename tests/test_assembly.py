@@ -1,14 +1,222 @@
 import numpy as np
 import pytest
 
-from mmfem.assembly import (assemble_antiplane, assemble_cauchy3d,
-                            assemble_full3d, compute_energy, l2_error_h1,
-                            l2_error_hcurl)
+import mmfem.assembly as assembly
+from mmfem.assembly import (_default_degree, _h1_ref, _hcurl_ref, _phys_grads,
+                            assemble_antiplane, assemble_cauchy3d,
+                            assemble_full3d, l2_error_h1, l2_error_hcurl,
+                            rot_l2_norm)
 from mmfem.dofmap import build_dofmap
 from mmfem.errors import SpaceMismatch
 from mmfem.materials import MaterialParams
 from mmfem.mesh import build, generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor, eval_vector_values
+
+
+# ---------------------------------------------------------------------------
+# per-cell reference implementations (test oracles)
+
+def _push(mat, ref):
+    """A matrix applied to reference vectors (nq, nb, dim)."""
+    return np.einsum("ed,qnd->qne", mat, ref)
+
+
+def _cell_coeffs(layout, x, c):
+    """Local coefficients (n_comps, n_local) of cell c."""
+    dofs = layout.dofmap.cell_dofs[c]
+    return np.stack([x[layout.comp_offset(r) + dofs]
+                     for r in range(layout.n_comps)])
+
+
+def _cell_dofs(layout, c):
+    return np.concatenate([layout.comp_offset(r) + layout.dofmap.cell_dofs[c]
+                           for r in range(layout.n_comps)])
+
+
+def _pack_sym(e):
+    s2 = np.sqrt(2.0)
+    return np.stack([e[..., 0, 0], e[..., 1, 1], e[..., 2, 2],
+                     s2 * 0.5 * (e[..., 0, 1] + e[..., 1, 0]),
+                     s2 * 0.5 * (e[..., 0, 2] + e[..., 2, 0]),
+                     s2 * 0.5 * (e[..., 1, 2] + e[..., 2, 1])], axis=-1)
+
+
+def _pack_skw(e):
+    s2 = np.sqrt(2.0)
+    return np.stack([s2 * 0.5 * (e[..., 0, 1] - e[..., 1, 0]),
+                     s2 * 0.5 * (e[..., 0, 2] - e[..., 2, 0]),
+                     s2 * 0.5 * (e[..., 1, 2] - e[..., 2, 1])], axis=-1)
+
+
+def _gram(feat, w):
+    """sum_q w_q F_q F_q^T of per-dof feature columns (nq, ndof, nfeat)."""
+    return np.einsum("q,qak,qbk->ab", w, feat, feat)
+
+
+def reference_system(mesh, form, u_space, p_space=None, params=None,
+                     lam=None, mu=None, f=None, m=None, split_curl=False):
+    """Dense (K_base, K_curl, rhs) from one cell at a time, with the
+    energy written out as per-dof strain features; K_curl has unit
+    coefficient."""
+    if form == "cauchy3d":
+        qd = 2 * u_space.degree
+    else:
+        qd = _default_degree(u_space, p_space)
+    rule, uvals, ugrads = _h1_ref(u_space.degree, mesh.dim, qd)
+    dm_u = build_dofmap(mesh, u_space)
+    nc_u = 1 if form == "antiplane" else 3
+    nu = dm_u.n_dofs
+    n = nc_u * nu
+    if p_space is not None:
+        _, pvals, pcurls = _hcurl_ref(p_space, qd)
+        dm_p = build_dofmap(mesh, p_space)
+        n += nc_u * dm_p.n_dofs
+    K = np.zeros((n, n))
+    Kc = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for c in range(mesh.n_cells):
+        det = mesh.dets[c]
+        w = rule.weights * abs(det)
+        xq = mesh.map_points(c, rule.simplex_points)
+        gu = _push(mesh.inv_ts[c], ugrads)
+        du = dm_u.cell_dofs[c]
+        nq, nbu = gu.shape[:2]
+        if form == "antiplane":
+            pv = _push(mesh.inv_ts[c], pvals)
+            rot = pcurls / det
+            nbp = pv.shape[1]
+            feat = np.zeros((nq, nbu + nbp, 4))
+            feat[:, :nbu, :2] = np.sqrt(params.mu_e) * gu
+            feat[:, nbu:, :2] = -np.sqrt(params.mu_e) * pv
+            feat[:, nbu:, 2:] = np.sqrt(params.mu_micro) * pv
+            gd = np.concatenate([du, nu + dm_p.cell_dofs[c]])
+            K[np.ix_(gd, gd)] += _gram(feat, w)
+            curl = np.zeros((nq, nbu + nbp, 1))
+            curl[:, nbu:, 0] = rot
+            Kc[np.ix_(gd, gd)] += _gram(curl, w)
+            if f is not None:
+                rhs[du] += uvals.T @ (w * f(xq))
+            if m is not None:
+                rhs[gd[nbu:]] += np.einsum("q,qae,qe->a", w, pv, m(xq))
+            continue
+        E = np.zeros((nq, 3 * nbu, 3, 3))
+        for r in range(3):
+            E[:, r * nbu:(r + 1) * nbu, r, :] = gu
+        gd = np.concatenate([du + r * nu for r in range(3)])
+        if form == "cauchy3d":
+            feat = np.concatenate(
+                [np.sqrt(lam) * np.einsum("qnii->qn", E)[..., None],
+                 np.sqrt(2.0 * mu) * _pack_sym(E)], axis=-1)
+            K[np.ix_(gd, gd)] += _gram(feat, w)
+        else:
+            pv = _push(mesh.inv_ts[c], pvals)
+            pc = _push(mesh.jacs[c] / det, pcurls)
+            nbp = pv.shape[1]
+            ndof = 3 * (nbu + nbp)
+            E = np.concatenate([E, np.zeros((nq, 3 * nbp, 3, 3))], axis=1)
+            P = np.zeros((nq, ndof, 3, 3))
+            C = np.zeros((nq, ndof, 3, 3))
+            for r in range(3):
+                sl = slice(3 * nbu + r * nbp, 3 * nbu + (r + 1) * nbp)
+                E[:, sl, r, :] = -pv
+                P[:, sl, r, :] = pv
+                C[:, sl, r, :] = pc
+            pr = params
+            feat = np.concatenate(
+                [np.sqrt(pr.lam_e) * np.einsum("qnii->qn", E)[..., None],
+                 np.sqrt(2.0 * pr.mu_e) * _pack_sym(E),
+                 np.sqrt(2.0 * pr.mu_c) * _pack_skw(E),
+                 np.sqrt(pr.lam_micro) * np.einsum("qnii->qn", P)[..., None],
+                 np.sqrt(2.0 * pr.mu_micro) * _pack_sym(P)], axis=-1)
+            gd = np.concatenate([gd] + [3 * nu + r * dm_p.n_dofs
+                                        + dm_p.cell_dofs[c] for r in range(3)])
+            K[np.ix_(gd, gd)] += _gram(feat, w)
+            Kc[np.ix_(gd, gd)] += _gram(C.reshape(nq, ndof, 9), w)
+            if m is not None:
+                mv = m(xq)
+                for r in range(3):
+                    rhs[gd[3 * nbu + r * nbp:3 * nbu + (r + 1) * nbp]] += \
+                        np.einsum("q,qae,qe->a", w, pv, mv[:, r])
+        if f is not None:
+            fv = f(xq)
+            for r in range(3):
+                rhs[du + r * nu] += uvals.T @ (w * fv[:, r])
+    return K, Kc, rhs
+
+
+def compute_energy(mesh, params, system, x, quad_degree=None):
+    """Quadratic energy 1/2 a(x, x) evaluated by elementwise quadrature."""
+    uf, pf = system.fields["u"], system.fields.get("p")
+    qd = quad_degree or _default_degree(uf.space, pf.space if pf else None)
+    rule, _, ugrads = _h1_ref(uf.space.degree, mesh.dim, qd)
+    if pf is not None:
+        _, pvals, pcurls = _hcurl_ref(pf.space, qd)
+
+    total = 0.0
+    for c in range(mesh.n_cells):
+        det = mesh.dets[c]
+        w = rule.weights * abs(det)
+        gu = _push(mesh.inv_ts[c], ugrads)
+        cu = _cell_coeffs(uf, x, c)
+        if mesh.dim == 2:
+            grad_u = np.einsum("qad,a->qd", gu, cu[0])
+            pvp = _push(mesh.inv_ts[c], pvals)
+            cp = _cell_coeffs(pf, x, c)
+            pval = np.einsum("qad,a->qd", pvp, cp[0])
+            rot = (pcurls / det) @ cp[0]
+            diff = grad_u - pval
+            integrand = (params.mu_e * np.einsum("qd,qd->q", diff, diff)
+                         + params.mu_micro * np.einsum("qd,qd->q", pval, pval)
+                         + params.curl_coeff * rot ** 2)
+        else:
+            Du = np.einsum("qad,ra->qrd", gu, cu)
+            if pf is not None:
+                pvp = _push(mesh.inv_ts[c], pvals)
+                pcp = _push(mesh.jacs[c] / det, pcurls)
+                cp = _cell_coeffs(pf, x, c)
+                P = np.einsum("qad,ra->qrd", pvp, cp)
+                CurlP = np.einsum("qad,ra->qrd", pcp, cp)
+            else:
+                P = np.zeros_like(Du)
+                CurlP = np.zeros_like(Du)
+            E = Du - P
+            symE = 0.5 * (E + E.transpose(0, 2, 1))
+            skwE = E - symE
+            symP = 0.5 * (P + P.transpose(0, 2, 1))
+            trE = np.einsum("qrr->q", E)
+            trP = np.einsum("qrr->q", P)
+            integrand = (params.lam_e * trE ** 2
+                         + 2.0 * params.mu_e * np.einsum("qij,qij->q", symE, symE)
+                         + 2.0 * params.mu_c * np.einsum("qij,qij->q", skwE, skwE)
+                         + params.lam_micro * trP ** 2
+                         + 2.0 * params.mu_micro * np.einsum("qij,qij->q", symP, symP)
+                         + params.curl_coeff * np.einsum("qij,qij->q", CurlP, CurlP))
+        total += 0.5 * float(w @ integrand)
+    return total
+
+
+def reference_l2(mesh, layout, x, func, kind, quad_degree):
+    """Per-cell L2 error (kind "h1" / "hcurl") or rot norm (kind "rot")."""
+    if kind == "h1":
+        rule, vals, _ = _h1_ref(layout.space.degree, mesh.dim, quad_degree)
+    else:
+        rule, vals, curls = _hcurl_ref(layout.space, quad_degree)
+    total = 0.0
+    for c in range(mesh.n_cells):
+        w = rule.weights * abs(mesh.dets[c])
+        cu = _cell_coeffs(layout, x, c)
+        if kind == "rot":
+            total += float(w @ ((curls / mesh.dets[c]) @ cu[0]) ** 2)
+            continue
+        exact = np.asarray(func(mesh.map_points(c, rule.simplex_points)))
+        if kind == "h1":
+            diff = np.einsum("qa,ra->qr", vals, cu) - exact.reshape(len(w), -1)
+        else:
+            pv = _push(mesh.inv_ts[c], vals)
+            diff = (np.einsum("qad,ra->qrd", pv, cu)
+                    - exact.reshape(len(w), -1, mesh.dim))
+        total += float(w @ (diff ** 2).reshape(len(w), -1).sum(axis=1))
+    return np.sqrt(total)
 
 
 def unit_params(lc=1.0, mu_c=0.0):
@@ -165,7 +373,6 @@ class TestFull3D:
         v = rng.standard_normal(build_dofmap(cube, SpaceDescriptor("h1", 2, 3)).n_dofs)
         # gradient of a scalar H1 field lives in the Nedelec space; build its
         # coefficients by least squares on the curl matrix kernel property
-        from mmfem.assembly import _h1_ref, _hcurl_ref, _phys_grads
         rule, _, ugrads = _h1_ref(2, 3, 6)
         _, pvals, _ = _hcurl_ref(SpaceDescriptor("nedelec1", 1, 3), 6)
         x = np.zeros(sys_.n_dofs)
@@ -222,7 +429,6 @@ class TestL2Error:
         dm = build_dofmap(disk, u_space)
         layout = FieldLayout("u", u_space, dm, 1, 0)
         # interpolate x^2/50 via boundary machinery is overkill; use lstsq fit
-        from mmfem.assembly import _h1_ref
         rule, uvals, _ = _h1_ref(2, 2, 6)
         rows, targets = [], []
         x = np.zeros(dm.n_dofs)
@@ -249,3 +455,146 @@ class TestL2Error:
         err = l2_error_h1(mesh, layout, np.zeros(dm.n_dofs),
                           lambda pts: np.full(len(np.atleast_2d(pts)), c))
         assert abs(err - c) < 1e-12  # |c| * sqrt(area), area = 1
+
+
+# ---------------------------------------------------------------------------
+# batched assembler against the per-cell reference
+
+def _perturbed(mesh, scale, seed):
+    rng = np.random.default_rng(seed)
+    return build(mesh.vertices + scale * rng.uniform(-1.0, 1.0,
+                                                     mesh.vertices.shape),
+                 mesh.cells)
+
+
+def _assert_close(actual, expected, tol=1e-12):
+    actual = actual.toarray() if hasattr(actual, "toarray") else actual
+    scale = max(np.abs(expected).max(), 1e-300)
+    assert np.abs(actual - expected).max() <= tol * scale
+
+
+def _f2(x):
+    return np.sin(x[:, 0]) + x[:, 1] ** 2
+
+
+def _m2(x):
+    return np.stack([np.cos(x[:, 1]), x[:, 0] * x[:, 1]], axis=1)
+
+
+def _f3(x):
+    return np.stack([x[:, 0] * x[:, 1], np.sin(x[:, 2]), 1.0 + x[:, 0]], axis=1)
+
+
+def _M3(x):
+    rows = np.stack([x[:, 0], x[:, 1] ** 2, np.cos(x[:, 2])], axis=1)
+    return rows[:, :, None] * np.array([1.0, -0.5, 2.0]) + np.eye(3) * x[:, :1, None]
+
+
+def _spaces(family, p, dim):
+    return SpaceDescriptor("h1", p + 1, dim), SpaceDescriptor(family, p, dim)
+
+
+MICRO = MaterialParams(lam_e=0.8, mu_e=1.3, lam_micro=2.0, mu_micro=0.9,
+                       mu_c=0.4, lc=0.6)
+
+
+@pytest.fixture(scope="module")
+def wavy_disk():
+    return _perturbed(generate_disk(1.0, n_rings=3), 0.02, 1)
+
+
+@pytest.fixture(scope="module")
+def wavy_box():
+    return _perturbed(generate_box(((0, 1), (0, 1), (0, 1)), 2), 0.05, 2)
+
+
+class TestBatchedAgainstReference:
+    @pytest.mark.parametrize("family,p", [("nedelec1", 1), ("nedelec2", 2)])
+    def test_antiplane(self, wavy_disk, family, p):
+        u_space, p_space = _spaces(family, p, 2)
+        sys_ = assemble_antiplane(wavy_disk, MICRO, u_space, p_space, f=_f2, m=_m2)
+        K, Kc, rhs = reference_system(wavy_disk, "antiplane", u_space, p_space,
+                                      params=MICRO, f=_f2, m=_m2)
+        _assert_close(sys_.matrix, K + MICRO.curl_coeff * Kc)
+        _assert_close(sys_.rhs, rhs)
+
+    @pytest.mark.parametrize("family,p", [("nedelec1", 1), ("nedelec2", 1)])
+    def test_full3d(self, wavy_box, family, p):
+        u_space, p_space = _spaces(family, p, 3)
+        sys_ = assemble_full3d(wavy_box, MICRO, u_space, p_space, f=_f3, M=_M3)
+        K, Kc, rhs = reference_system(wavy_box, "full3d", u_space, p_space,
+                                      params=MICRO, f=_f3, m=_M3)
+        _assert_close(sys_.matrix, K + MICRO.curl_coeff * Kc)
+        _assert_close(sys_.rhs, rhs)
+
+    def test_split_curl_and_matrix_at(self, wavy_box):
+        u_space, p_space = _spaces("nedelec1", 1, 3)
+        sys_ = assemble_full3d(wavy_box, MICRO, u_space, p_space, split_curl=True)
+        K, Kc, _ = reference_system(wavy_box, "full3d", u_space, p_space,
+                                    params=MICRO)
+        _assert_close(sys_.matrix, K)
+        _assert_close(sys_.curl_matrix, Kc)
+        assert np.array_equal(sys_.matrix.indptr, sys_.curl_matrix.indptr)
+        assert np.array_equal(sys_.matrix.indices, sys_.curl_matrix.indices)
+        _assert_close(sys_.matrix_at(2.5), K + 2.5 * Kc)
+
+    def test_cauchy3d(self, wavy_box):
+        u_space = SpaceDescriptor("h1", 3, 3)
+        sys_ = assemble_cauchy3d(wavy_box, 1.7, 0.8, u_space, f=_f3)
+        K, _, rhs = reference_system(wavy_box, "cauchy3d", u_space, lam=1.7,
+                                     mu=0.8, f=_f3)
+        _assert_close(sys_.matrix, K)
+        _assert_close(sys_.rhs, rhs)
+
+    def test_l2_routines_2d(self, wavy_disk):
+        sys_ = assemble_antiplane(wavy_disk, MICRO, SpaceDescriptor("h1", 3, 2),
+                                  SpaceDescriptor("nedelec2", 2, 2))
+        uf, pf = sys_.fields["u"], sys_.fields["p"]
+        x = np.random.default_rng(4).standard_normal(sys_.n_dofs)
+        got = (l2_error_h1(wavy_disk, uf, x, _f2),
+               l2_error_hcurl(wavy_disk, pf, x, _m2), rot_l2_norm(wavy_disk, pf, x))
+        want = (reference_l2(wavy_disk, uf, x, _f2, "h1", 8),
+                reference_l2(wavy_disk, pf, x, _m2, "hcurl", 8),
+                reference_l2(wavy_disk, pf, x, None, "rot", 6))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_l2_routines_3d(self, wavy_box):
+        sys_ = assemble_full3d(wavy_box, MICRO, SpaceDescriptor("h1", 2, 3),
+                               SpaceDescriptor("nedelec1", 1, 3))
+        uf, pf = sys_.fields["u"], sys_.fields["p"]
+        x = np.random.default_rng(5).standard_normal(sys_.n_dofs)
+        got = (l2_error_h1(wavy_box, uf, x, _f3), l2_error_hcurl(wavy_box, pf, x, _M3))
+        want = (reference_l2(wavy_box, uf, x, _f3, "h1", 6),
+                reference_l2(wavy_box, pf, x, _M3, "hcurl", 6))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_chunk_size_does_not_matter(self, wavy_box, monkeypatch):
+        u_space, p_space = _spaces("nedelec2", 1, 3)
+        whole = assemble_full3d(wavy_box, MICRO, u_space, p_space, f=_f3, M=_M3)
+        x = np.random.default_rng(6).standard_normal(whole.n_dofs)
+        err = l2_error_hcurl(wavy_box, whole.fields["p"], x, _M3)
+        monkeypatch.setattr(assembly, "_CHUNK_NNZ", 5000)
+        chunked = assemble_full3d(wavy_box, MICRO, u_space, p_space, f=_f3, M=_M3)
+        _assert_close(chunked.matrix, whole.matrix.toarray(), tol=1e-14)
+        _assert_close(chunked.rhs, whole.rhs, tol=1e-14)
+        chunked_err = l2_error_hcurl(wavy_box, chunked.fields["p"], x, _M3)
+        assert abs(chunked_err - err) <= 1e-14 * err
+
+    def test_pattern_is_every_cell_coupling(self, wavy_box):
+        # all couplings through a cell, in k x k blocks, sorted, even where
+        # the sum over cells vanishes (zero Lame constants)
+        params = MaterialParams(lam_e=0.0, mu_e=1.0, lam_micro=0.0,
+                                mu_micro=1.0, mu_c=0.0, lc=1.0)
+        sys_ = assemble_full3d(wavy_box, params, SpaceDescriptor("h1", 2, 3),
+                               SpaceDescriptor("nedelec1", 1, 3))
+        expected = np.zeros((sys_.n_dofs, sys_.n_dofs), dtype=bool)
+        for c in range(wavy_box.n_cells):
+            gd = np.concatenate([_cell_dofs(sys_.fields[name], c)
+                                 for name in ("u", "p")])
+            expected[np.ix_(gd, gd)] = True
+        K = sys_.matrix
+        assert K.has_sorted_indices
+        stored = np.zeros_like(expected)
+        stored[np.repeat(np.arange(K.shape[0]), np.diff(K.indptr)), K.indices] = True
+        assert K.nnz == np.count_nonzero(expected)
+        assert np.array_equal(stored, expected)

@@ -6,7 +6,33 @@ from mmfem.benchmarks import (BenchConfig, anti_exact_grad_u, anti_exact_p,
                               bending_grad_u, bending_p11, bending_u,
                               cauchy_bound_energy, run_lc_sweep, sweep_mesh,
                               sweep_params, sweep_u, _sweep_face_funcs)
+from mmfem.benchmarks import antiplane_params
 from mmfem.errors import InvalidParam
+from mmfem.materials import macro_from
+
+
+def _override(tmp_path, data, default):
+    import json
+    pth = tmp_path / "params.json"
+    pth.write_text(json.dumps(data))
+    return BenchConfig("lc-sweep", params_path=str(pth)).material_override(default)
+
+
+def test_override_recomputes_macro_moduli(tmp_path):
+    params = _override(tmp_path, {"mu_e": 3.0}, sweep_params(1.0))
+    assert params.mu_e == 3.0
+    assert abs(params.mu_macro - 1.875) < 1e-12   # 3 * 5 / (3 + 5)
+    mu_macro, lam_macro = macro_from(3.0, params.lam_e, 5.0, 10.0)
+    assert abs(params.lam_macro - lam_macro) < 1e-12
+
+
+def test_override_keeps_explicit_macro_moduli(tmp_path):
+    # antiplane's "all constants one" set stays expressible
+    params = _override(tmp_path, {"mu_e": 1.0, "mu_macro": 1.0,
+                                  "lam_macro": 1.0}, antiplane_params())
+    assert (params.mu_macro, params.lam_macro) == (1.0, 1.0)
+    params = _override(tmp_path, {"lc": 2.0}, antiplane_params())
+    assert (params.mu_macro, params.lam_macro) == (1.0, 1.0)
 
 
 def test_config_validation():

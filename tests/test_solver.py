@@ -154,3 +154,19 @@ def test_sample_line(antiplane_solution):
     us, Ps = sample_line(antiplane_solution, pts)
     assert us.shape == (11,) and Ps.shape == (11, 2)
     assert np.all(np.isfinite(us)) and np.all(np.isfinite(Ps))
+
+
+def test_row_pivoted_factorization_not_certified_spd():
+    # positive U pivots, but SuperLU swapped rows: the matrix is indefinite
+    from mmfem.solver import _splu_spd
+    lu, spd = _splu_spd(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.all(lu.U.diagonal() > 0.0)
+    assert not spd
+    K = np.array([[0.0, 1.0, 0, 0], [1.0, 0.0, 0, 0],
+                  [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    sys_ = _toy_system(K, [1.0, 2.0, 0.0, 0.0])
+    with pytest.raises(NotPositiveDefinite):
+        solve(sys_, require_spd=True)
+    sol = solve(sys_)
+    assert not sol.spd
+    np.testing.assert_allclose(sol.x[:2], [2.0, 1.0], atol=1e-14)
