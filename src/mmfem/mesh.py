@@ -77,9 +77,12 @@ class Mesh:
     def n_faces(self):
         return 0 if self.faces is None else self.faces.shape[0]
 
-    def map_points(self, c: int, ref_pts: np.ndarray) -> np.ndarray:
-        """Reference simplex coordinates -> physical coordinates."""
-        return self.origins[c] + np.atleast_2d(ref_pts) @ self.jacs[c].T
+    def map_points(self, c, ref_pts: np.ndarray) -> np.ndarray:
+        """Reference simplex coordinates (nq, dim) -> physical coordinates,
+        (nq, dim) for one cell ``c``, (nc, nq, dim) for a slice or an
+        array of cells."""
+        return (self.origins[c][..., None, :]
+                + np.atleast_2d(ref_pts) @ np.swapaxes(self.jacs[c], -1, -2))
 
     def facet_vertices(self, f: int) -> np.ndarray:
         return self.edges[f] if self.dim == 2 else self.faces[f]

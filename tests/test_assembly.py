@@ -568,17 +568,27 @@ class TestBatchedAgainstReference:
                 reference_l2(wavy_box, pf, x, _M3, "hcurl", 6))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_chunk_size_does_not_matter(self, wavy_box, monkeypatch):
+    def test_chunk_size_does_not_matter(self, wavy_box, wavy_disk, monkeypatch):
         u_space, p_space = _spaces("nedelec2", 1, 3)
         whole = assemble_full3d(wavy_box, MICRO, u_space, p_space, f=_f3, M=_M3)
         x = np.random.default_rng(6).standard_normal(whole.n_dofs)
         err = l2_error_hcurl(wavy_box, whole.fields["p"], x, _M3)
+        sys2 = assemble_antiplane(wavy_disk, MICRO, SpaceDescriptor("h1", 3, 2),
+                                  SpaceDescriptor("nedelec2", 2, 2))
+        uf, pf = sys2.fields["u"], sys2.fields["p"]
+        x2 = np.random.default_rng(7).standard_normal(sys2.n_dofs)
+        errs_2d = lambda: (l2_error_h1(wavy_disk, uf, x2, _f2),
+                           l2_error_hcurl(wavy_disk, pf, x2, _m2),
+                           rot_l2_norm(wavy_disk, pf, x2))
+        whole_2d = errs_2d()
         monkeypatch.setattr(assembly, "_CHUNK_NNZ", 5000)
         chunked = assemble_full3d(wavy_box, MICRO, u_space, p_space, f=_f3, M=_M3)
         _assert_close(chunked.matrix, whole.matrix.toarray(), tol=1e-14)
         _assert_close(chunked.rhs, whole.rhs, tol=1e-14)
         chunked_err = l2_error_hcurl(wavy_box, chunked.fields["p"], x, _M3)
         assert abs(chunked_err - err) <= 1e-14 * err
+        monkeypatch.setattr(assembly, "_CHUNK_NNZ", 500)
+        np.testing.assert_allclose(errs_2d(), whole_2d, rtol=1e-14)
 
     def test_pattern_is_every_cell_coupling(self, wavy_box):
         # all couplings through a cell, in k x k blocks, sorted, even where

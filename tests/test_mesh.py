@@ -26,6 +26,16 @@ def test_two_triangles_shared_edge():
     assert sorted(counts) == [1, 1, 1, 1, 2]
 
 
+def test_map_points_one_cell_and_chunk():
+    mesh = generate_disk(1.0, n_rings=2)
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.3]])
+    per_cell = np.array([mesh.map_points(c, ref) for c in range(mesh.n_cells)])
+    np.testing.assert_allclose(per_cell[:, 0], mesh.vertices[mesh.cells[:, 0]])
+    np.testing.assert_allclose(mesh.map_points(slice(None), ref), per_cell, atol=1e-15)
+    np.testing.assert_allclose(mesh.map_points(np.array([3, 1]), ref),
+                               per_cell[[3, 1]], atol=1e-15)
+
+
 def test_cells_stored_sorted():
     mesh = build([[0, 0], [1, 0], [0, 1]], [[2, 0, 1]])
     np.testing.assert_array_equal(mesh.cells[0], [0, 1, 2])
