@@ -23,7 +23,7 @@ from .errors import InvalidParam
 from .materials import MaterialParams
 from .mesh import generate_box, generate_disk, io_read
 from .nedelec import SpaceDescriptor
-from .solver import sample_line, solve
+from .solver import sample_line, solve, solve_family
 
 
 @dataclass
@@ -264,7 +264,7 @@ def run_bending(cfg: BenchConfig):
     zs = np.linspace(-0.5, 0.5, 101)
     pts = np.stack([np.zeros_like(zs), np.zeros_like(zs), zs], axis=1)
     _, Ps = sample_line(sol, pts)
-    p11 = np.asarray([P[0, 0] for P in Ps])
+    p11 = Ps[:, 0, 0]
     exact = bending_p11(zs)
     amplitude = exact.max() - exact.min()
     uf, pf = sol.system.fields["u"], sol.system.fields["p"]
@@ -355,27 +355,28 @@ def default_lc_grid():
     return tuple(np.logspace(-4.0, 3.0, 16))
 
 
-def cauchy_bound_energy(mesh, lam, mu, degree):
-    """Energy of the classical Cauchy solve with the sweep Dirichlet data."""
+def cauchy_bound_energy(mesh, lam, mu, degree, constraints=None):
+    """Energy of the classical Cauchy solve with the sweep Dirichlet data.
+
+    The embedding depends only on the mesh and the degree: pass
+    ``sol.system.constraints`` of an earlier call to reuse it.
+    """
     u_space = SpaceDescriptor("h1", degree, 3)
     system = assemble_cauchy3d(mesh, lam, mu, u_space)
-    groups = [(facets, uf, gf) for facets, uf, gf in _sweep_groups(mesh)]
-    cons = h1_dirichlet(mesh, system.fields["u"].dofmap, groups, n_comps=3)
-    system.set_constraints(cons.values)
+    if constraints is None:
+        constraints = h1_dirichlet(mesh, system.fields["u"].dofmap,
+                                   _sweep_groups(mesh), n_comps=3).values
+    system.set_constraints(constraints)
     sol = solve(system)
     return 0.5 * float(sol.x @ (system.matrix @ sol.x)), sol
 
 
-def run_lc_sweep(cfg: BenchConfig):
-    """Energy table I(lc) plus internally computed Cauchy bounds."""
-    mesh = io_read(cfg.mesh_path) if cfg.mesh_path else sweep_mesh(cfg.refine)
-    lcs = tuple(cfg.lc_values) if cfg.lc_values else default_lc_grid()
-    u_space = SpaceDescriptor("h1", cfg.p + 1, 3)
-    p_space = SpaceDescriptor(cfg.family, cfg.p, 3)
-    base_params = cfg.material_override(sweep_params(1.0))
-    system = assemble_full3d(mesh, base_params, u_space, p_space,
-                             split_curl=True)
-
+def sweep_system(mesh, params, p, family):
+    """The constrained sweep system with its curl-curl part split off:
+    K(lc) = matrix + mu_macro lc^2 curl_matrix."""
+    u_space = SpaceDescriptor("h1", p + 1, 3)
+    p_space = SpaceDescriptor(family, p, 3)
+    system = assemble_full3d(mesh, params, u_space, p_space, split_curl=True)
     groups_u = _sweep_groups(mesh)
     cons = h1_dirichlet(mesh, system.fields["u"].dofmap, groups_u, n_comps=3)
     groups_p = [(facets, gf) for facets, _, gf in groups_u]
@@ -383,23 +384,46 @@ def run_lc_sweep(cfg: BenchConfig):
                             comp_offset0=system.fields["p"].offset)
     cons.merge(pcons)
     system.set_constraints(cons.values)
+    return system
 
-    def energy_at(lc):
-        K = system.matrix_at(base_params.mu_macro * lc ** 2)
-        sol = solve(system, matrix=K)
-        return float(0.5 * sol.x @ (K @ sol.x)), sol.residual
 
-    results = _run_parallel([lambda v=lc: energy_at(v) for lc in lcs])
-    energies = [r[0] for r in results]
-    residuals = [r[1] for r in results]
+def _sweep_chain(cfg, mesh, params, lcs):
+    """Energies and solver records of the sweep system over ``lcs``,
+    solved as one chain; the system and its factors die on return."""
+    system = sweep_system(mesh, params, cfg.p, cfg.family)
+    coeffs = [params.mu_macro * lc ** 2 for lc in lcs]
+    sols = solve_family(system, coeffs)
+    A, C = system.matrix, system.curl_matrix
+    energies = [0.5 * float(s.x @ (A @ s.x) + c * (s.x @ (C @ s.x)))
+                for s, c in zip(sols, coeffs)]
+    return energies, [s.info for s in sols], system.n_dofs
 
-    lower, _ = cauchy_bound_energy(mesh, base_params.lam_macro,
-                                   base_params.mu_macro, cfg.bound_degree)
+
+def run_lc_sweep(cfg: BenchConfig):
+    """Energy table I(lc) plus internally computed Cauchy bounds.
+
+    The lc values are solved as one chain (``solve_family``), whatever
+    MM_FEM_THREADS says; the two bounds share their Dirichlet embedding.
+    """
+    mesh = io_read(cfg.mesh_path) if cfg.mesh_path else sweep_mesh(cfg.refine)
+    lcs = tuple(cfg.lc_values) if cfg.lc_values else default_lc_grid()
+    base_params = cfg.material_override(sweep_params(1.0))
+    energies, infos, n_dofs = _sweep_chain(cfg, mesh, base_params, lcs)
+
+    lower, sol = cauchy_bound_energy(mesh, base_params.lam_macro,
+                                     base_params.mu_macro, cfg.bound_degree)
+    constraints = sol.system.constraints
+    del sol     # one bound system at a time
     upper, _ = cauchy_bound_energy(mesh, base_params.lam_micro,
-                                   base_params.mu_micro, cfg.bound_degree)
-    return {"lc": list(lcs), "energy": energies, "residuals": residuals,
+                                   base_params.mu_micro, cfg.bound_degree,
+                                   constraints)
+    return {"lc": list(lcs), "energy": energies,
+            "residuals": [info["residual"] for info in infos],
+            "solver_path": [info["path"] for info in infos],
+            "iterations": [info["iterations"] for info in infos],
+            "n_factorizations": sum(info["path"] == "direct" for info in infos),
             "i_macro": lower, "i_micro": upper,
             "monotone": bool(np.all(np.diff(
                 [e for _, e in sorted(zip(lcs, energies))]) >= -1e-12)),
-            "dofs": system.n_dofs, "n_cells": mesh.n_cells,
+            "dofs": n_dofs, "n_cells": mesh.n_cells,
             "p": cfg.p, "family": cfg.family}

@@ -57,8 +57,12 @@ class NotPositiveDefinite(MMFemError, RuntimeError):
     """Reduced system matrix is not symmetric positive definite."""
 
 
+class FactorizationFailed(MMFemError, RuntimeError):
+    """SuperLU could not factor the reduced system (singular matrix)."""
+
+
 class NonConvergence(MMFemError, RuntimeError):
-    """Iterative solver exceeded its iteration cap."""
+    """Solve missed the residual tolerance."""
 
 
 class PointOutsideMesh(MMFemError, ValueError):

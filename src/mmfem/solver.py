@@ -1,4 +1,17 @@
-"""Sparse symmetric solve and field post-processing."""
+"""Sparse symmetric solve and field post-processing.
+
+The constrained system is reduced to its free dofs once.  A single
+system is factored by SuperLU in symmetric mode, with one refinement
+step when the residual asks for it.  A family K(c) = A + c C (the lc
+sweep, C positive semidefinite) is walked in ascending c: the first
+value is factored, and each later one runs CG preconditioned by the
+current factor from the previous solution.  Because K(c0)^{-1} K(c) has
+its spectrum in [1, c/c0], a few iterations suffice near the anchor;
+the walk factors again at a value whose CG fails or misses the
+tolerance, and ahead of time after a CG that used more than half of
+PCG_BUDGET.  Every solution meets relative residual RESIDUAL_TOL
+against its own matrix, or the solve raises.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +21,24 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SparseSystem
-from .errors import NonConvergence, NotPositiveDefinite, PointOutsideMesh
+from .assembly import _CHUNK_NNZ, SparseSystem
+from .errors import (FactorizationFailed, NonConvergence, NotPositiveDefinite,
+                     PointOutsideMesh)
 from .nedelec import eval_vector_values
 from .simplex import bezier_values
 
 RESIDUAL_TOL = 1e-10
+PCG_BUDGET = 30     # CG iterations per value of a family solve
 
 
 @dataclass
 class FieldSolution:
-    """Global coefficients plus the space/dof metadata needed to evaluate."""
+    """Global coefficients plus the space/dof metadata needed to evaluate.
+
+    ``info`` records how the solve went: ``path`` ("direct" or "pcg"),
+    ``iterations`` (CG), ``residual``, and for direct solves
+    ``refinements`` and ``lu_fill``.
+    """
 
     system: SparseSystem
     x: np.ndarray
@@ -36,21 +56,50 @@ class FieldSolution:
         return self.x[off:off + layout.dofmap.n_dofs]
 
 
-def _reduced_system(system: SparseSystem, matrix=None):
-    K = system.matrix if matrix is None else matrix
-    n = system.n_dofs
+@dataclass
+class _Split:
+    """Free/constrained split of a system's dofs."""
+
+    system: SparseSystem
+    free_idx: np.ndarray
+    con: np.ndarray
+    vals: np.ndarray
+
+    def solution(self, xf, spd, info):
+        x = np.zeros(self.system.n_dofs)
+        x[self.con] = self.vals
+        x[self.free_idx] = xf
+        return FieldSolution(system=self.system, x=x,
+                             residual=info["residual"], spd=spd, info=info)
+
+
+def _reduce(system: SparseSystem, mats):
+    """The split of ``system`` and, for each matrix of ``mats``, its free
+    block (CSC) and rhs lift -M_fc @ vals.
+
+    Slicing depends only on the sparsity pattern, so matrices on one
+    pattern get free blocks on one pattern.
+    """
     con = np.fromiter(system.constraints.keys(), dtype=np.int64,
                       count=len(system.constraints))
     vals = np.fromiter(system.constraints.values(), dtype=float,
                        count=len(system.constraints))
-    free = np.ones(n, dtype=bool)
+    free = np.ones(system.n_dofs, dtype=bool)
     free[con] = False
     free_idx = np.flatnonzero(free)
-    Kff = K[free_idx][:, free_idx].tocsc()
-    rhs = system.rhs[free_idx]
-    if len(con):
-        rhs = rhs - K[free_idx][:, con] @ vals
-    return Kff, rhs, free_idx, con, vals
+    blocks = []
+    for M in mats:
+        rows = M[free_idx]
+        lift = -(rows[:, con] @ vals)
+        ff = rows[:, free_idx]
+        del rows    # before the CSC copy: transients raise the peak RSS
+        blocks.append((ff.tocsc(), lift))
+    return _Split(system, free_idx, con, vals), blocks
+
+
+def _relative_residual(K, xf, rhs):
+    bnorm = np.linalg.norm(rhs)
+    return float(np.linalg.norm(K @ xf - rhs) / (bnorm if bnorm > 0 else 1.0))
 
 
 def _splu_spd(Kff):
@@ -60,114 +109,172 @@ def _splu_spd(Kff):
     from the symmetric ordering (perm_r == perm_c, so the factorization
     is P K P^T = L U with U = D L^T) and every pivot is positive.
     """
-    lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    try:
+        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise FactorizationFailed(
+            f"SuperLU failed on the reduced system with {Kff.shape[0]} "
+            f"free dofs: {exc}") from exc
     spd = bool(np.array_equal(lu.perm_r, lu.perm_c)
                and np.all(lu.U.diagonal() > 0.0))
     return lu, spd
 
 
-def solve(system: SparseSystem, matrix=None, require_spd=False) -> FieldSolution:
-    """Direct sparse solve of the constrained system.
-
-    Falls back to diagonally preconditioned CG if the factorization
-    fails; either path must reach relative residual 1e-10.
-    """
-    Kff, rhs, free_idx, con, vals = _reduced_system(system, matrix)
-    n = system.n_dofs
-    x = np.zeros(n)
-    x[con] = vals
-
-    spd = False
-    xf = None
-    try:
-        lu, spd = _splu_spd(Kff)
-        if require_spd and not spd:
-            raise NotPositiveDefinite("factorization produced non-positive pivots")
-        xf = lu.solve(rhs)
+def _direct(Kff, rhs, require_spd=False):
+    """Factor, solve and refine once if needed; returns (xf, lu, spd, info)."""
+    lu, spd = _splu_spd(Kff)
+    if require_spd and not spd:
+        raise NotPositiveDefinite("factorization produced non-positive pivots")
+    xf = lu.solve(rhs)
+    res = _relative_residual(Kff, xf, rhs)
+    refinements = 0
+    if res > RESIDUAL_TOL:
         # one step of iterative refinement keeps large systems at tolerance
-        r = rhs - Kff @ xf
-        if np.linalg.norm(r) > RESIDUAL_TOL * max(np.linalg.norm(rhs), 1e-300):
-            xf = xf + lu.solve(r)
-    except NotPositiveDefinite:
-        raise
-    except Exception:
-        xf = None
+        xf = xf + lu.solve(rhs - Kff @ xf)
+        res = _relative_residual(Kff, xf, rhs)
+        refinements = 1
+    if res > RESIDUAL_TOL:
+        raise NonConvergence(
+            f"relative residual {res:.2e} > {RESIDUAL_TOL} after "
+            f"{refinements} refinement step on {Kff.shape[0]} free dofs")
+    return xf, lu, spd, {"path": "direct", "iterations": 0, "residual": res,
+                         "refinements": refinements, "lu_fill": int(lu.nnz)}
 
-    bnorm = np.linalg.norm(rhs)
-    if xf is not None:
-        res = np.linalg.norm(Kff @ xf - rhs) / (bnorm if bnorm > 0 else 1.0)
-    if xf is None or res > RESIDUAL_TOL:
-        diag = Kff.diagonal()
-        diag = np.where(np.abs(diag) > 1e-300, diag, 1.0)
-        M = sp.diags(1.0 / diag)
-        xf, info = spla.cg(Kff, rhs, rtol=RESIDUAL_TOL / 10.0, atol=0.0,
-                           maxiter=50 * Kff.shape[0], M=M,
-                           x0=xf if xf is not None else None)
-        if info != 0:
-            raise NonConvergence(f"CG failed with info={info}")
-        res = np.linalg.norm(Kff @ xf - rhs) / (bnorm if bnorm > 0 else 1.0)
-        if res > RESIDUAL_TOL:
-            raise NonConvergence(f"relative residual {res:.2e} > {RESIDUAL_TOL}")
 
-    x[free_idx] = xf
-    return FieldSolution(system=system, x=x, residual=float(res), spd=spd)
+def _pcg(K, rhs, lu, x0):
+    """CG on K preconditioned by an SPD factor, from x0, within
+    PCG_BUDGET iterations; returns (xf, iterations, converged)."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    M = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    xf, info = spla.cg(K, rhs, x0=x0, rtol=RESIDUAL_TOL / 10.0, atol=0.0,
+                       maxiter=PCG_BUDGET, M=M, callback=count)
+    return xf, iterations, info == 0
+
+
+def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
+    """Direct sparse solve of the constrained system ``system.matrix``.
+
+    A failed factorization raises FactorizationFailed, a residual above
+    RESIDUAL_TOL after one refinement step NonConvergence.
+    """
+    split, [(Kff, lift)] = _reduce(system, [system.matrix])
+    xf, _, spd, info = _direct(Kff, system.rhs[split.free_idx] + lift,
+                               require_spd)
+    return split.solution(xf, spd, info)
+
+
+def solve_family(system: SparseSystem, curl_coeffs) -> list:
+    """Solutions of (system.matrix + c system.curl_matrix) x = rhs for
+    each c in ``curl_coeffs`` (>= 0), in input order, by one chain.
+
+    See the module docstring for the walk; it depends only on iteration
+    counts, so repeated runs give identical results.
+    """
+    split, [(A, lift_a), (C, lift_c)] = _reduce(
+        system, [system.matrix, system.curl_matrix])
+    rhs_a = system.rhs[split.free_idx] + lift_a
+    # the curl matrix shares the pattern of the base matrix (SparseSystem),
+    # so C and K(c) keep only data arrays; K's is rewritten for each value
+    C = sp.csc_matrix((C.data, A.indices, A.indptr), shape=A.shape)
+    K = sp.csc_matrix((np.empty_like(A.data), A.indices, A.indptr),
+                      shape=A.shape)
+    out = [None] * len(curl_coeffs)
+    lu = xf = None
+    refactor = True
+    for i in np.argsort(curl_coeffs, kind="stable"):
+        c = float(curl_coeffs[i])
+        np.multiply(C.data, c, out=K.data)
+        K.data += A.data
+        rhs = rhs_a + c * lift_c
+        info = None
+        if not refactor:
+            x_cg, iterations, converged = _pcg(K, rhs, lu, xf)
+            res = _relative_residual(K, x_cg, rhs)
+            if converged and res <= RESIDUAL_TOL:
+                xf = x_cg
+                info = {"path": "pcg", "iterations": iterations,
+                        "residual": res}
+                refactor = iterations > PCG_BUDGET // 2
+        if info is None:
+            lu = None   # release the old factor before the new one
+            xf, lu, spd, info = _direct(K, rhs)
+            # CG needs an SPD preconditioner
+            refactor = not spd
+        # PCG runs only from an SPD factor at c0 <= c, and K(c) =
+        # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
+        out[i] = split.solution(xf, spd, info)
+    return out
+
+
+def locate_cells(mesh, points, tol=1e-12):
+    """Containing cell and reference coordinates of each of the (n, dim)
+    ``points`` by the barycentric sign test; ties resolve to the lowest
+    cell id."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, dim = points.shape
+    cells = np.empty(n, dtype=np.int64)
+    refs = np.empty((n, dim))
+    step = max(1, _CHUNK_NNZ // (mesh.n_cells * dim))
+    for s in range(0, n, step):
+        diffs = points[s:s + step, None, :] - mesh.origins
+        # inv(J) is the transpose of the stored J^{-T}
+        ref = diffs[..., 0, None] * mesh.inv_ts[:, 0]
+        for e in range(1, dim):
+            ref = ref + diffs[..., e, None] * mesh.inv_ts[:, e]
+        ok = (ref.min(axis=2) >= -tol) & (1.0 - ref.sum(axis=2) >= -tol)
+        rows = np.arange(len(ref))
+        hit = ok.argmax(axis=1)
+        outside = np.flatnonzero(~ok[rows, hit])
+        if len(outside):
+            raise PointOutsideMesh(
+                f"point {points[s + outside[0]]} not inside any cell")
+        cells[s:s + len(ref)] = hit
+        refs[s:s + len(ref)] = ref[rows, hit]
+    return cells, refs
 
 
 def locate_cell(mesh, point, tol=1e-12):
-    """Containing cell by barycentric sign test; ties resolve to the
-    lowest cell id."""
-    point = np.asarray(point, dtype=float)
-    diffs = point[None, :] - mesh.origins
-    # inv(J) is the transpose of the stored J^{-T}
-    ref = np.einsum("ced,ce->cd", mesh.inv_ts, diffs)
-    lam_last = 1.0 - ref.sum(axis=1)
-    ok = (ref.min(axis=1) >= -tol) & (lam_last >= -tol)
-    hits = np.flatnonzero(ok)
-    if len(hits) == 0:
-        raise PointOutsideMesh(f"point {point} not inside any cell")
-    c = int(hits[0])
-    return c, ref[c]
+    """``locate_cells`` for one point: (cell, reference coordinates)."""
+    cells, refs = locate_cells(mesh, np.asarray(point)[None, :], tol)
+    return int(cells[0]), refs[0]
 
 
-def eval_field(sol: FieldSolution, point):
-    """(u, P) values at one physical point.
+def sample_line(sol: FieldSolution, points):
+    """(u, P) values at an (n, dim) array of physical points.
 
-    u is a scalar (antiplane) or length-3 vector; P is a 2-vector or a
-    3x3 tensor assembled from the row fields.
+    u is (n,) for a scalar field or (n, 3) for a vector one; P is (n, 2)
+    or (n, 3, 3), assembled from the row fields, or None without a p
+    field.
     """
     mesh = sol.mesh
-    c, ref = locate_cell(mesh, point)
+    cells, ref = locate_cells(mesh, points)
     ref = np.clip(ref, 0.0, None)
-    s = ref.sum()
-    if s > 1.0:
-        ref = ref / s
+    ref = ref / np.maximum(ref.sum(axis=1, keepdims=True), 1.0)
+
     uf = sol.system.fields["u"]
-    vals_u = bezier_values(uf.space.degree, mesh.dim, ref[None, :])[0]
-    dofs_u = uf.dofmap.cell_dofs[c]
-    u = np.array([sol.x[uf.comp_offset(r) + dofs_u] @ vals_u
-                  for r in range(uf.n_comps)])
+    vals_u = bezier_values(uf.space.degree, mesh.dim, ref)
+    u = (sol.x[uf.cell_dofs(cells)] @ vals_u[:, :, None])[..., 0]
     if uf.n_comps == 1:
-        u = float(u[0])
+        u = u[:, 0]
 
     pf = sol.system.fields.get("p")
     if pf is None:
         return u, None
-    ref_vals = eval_vector_values(pf.space, ref[None, :])[0]
-    phys_vals = ref_vals @ mesh.inv_ts[c].T
-    dofs_p = pf.dofmap.cell_dofs[c]
-    rows = [sol.x[pf.comp_offset(r) + dofs_p] @ phys_vals
-            for r in range(pf.n_comps)]
-    P = rows[0] if pf.n_comps == 1 else np.stack(rows)
-    return u, P
+    # covariant Piola: J^{-T} applied to each reference value
+    phys = (eval_vector_values(pf.space, ref)
+            @ np.swapaxes(mesh.inv_ts[cells], -1, -2))
+    P = sol.x[pf.cell_dofs(cells)] @ phys
+    return u, (P[:, 0] if pf.n_comps == 1 else P)
 
 
-def sample_line(sol: FieldSolution, points):
-    """eval_field over an (n, dim) array of points; returns (us, Ps)."""
-    us, Ps = [], []
-    for pt in np.atleast_2d(points):
-        u, P = eval_field(sol, pt)
-        us.append(u)
-        Ps.append(P)
-    return np.asarray(us), np.asarray(Ps)
+def eval_field(sol: FieldSolution, point):
+    """(u, P) values at one physical point; ``sample_line`` for one point."""
+    us, Ps = sample_line(sol, np.asarray(point, dtype=float)[None, :])
+    return us[0], (None if Ps is None else Ps[0])

@@ -94,6 +94,24 @@ def test_thread_env_respected(runner, tmp_path, monkeypatch):
     assert outputs["1"] == outputs["2"]
 
 
+def test_lc_sweep_thread_invariance(runner, tmp_path, monkeypatch):
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MM_FEM_THREADS", workers)
+        out = tmp_path / f"sweep{workers}"
+        result = runner.invoke(cli, ["lc-sweep", "--p", "1", "--lc",
+                                     "1e-4,0.3,0.01,10,0.3", "--bound-degree",
+                                     "2", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs[workers] = (out / "results.csv").read_bytes()
+    # one solve chain whatever the worker count: byte-identical tables
+    assert outputs["1"] == outputs["2"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["solver_path"][0] == "direct"
+    assert len(summary["iterations"]) == 5
+    assert summary["n_factorizations"] == summary["solver_path"].count("direct")
+
+
 def test_params_override(runner, tmp_path):
     import json as _json
     pth = tmp_path / "params.json"

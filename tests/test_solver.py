@@ -9,7 +9,8 @@ from mmfem.errors import NotPositiveDefinite, PointOutsideMesh
 from mmfem.materials import MaterialParams
 from mmfem.mesh import generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor
-from mmfem.solver import eval_field, locate_cell, sample_line, solve
+from mmfem.solver import (FieldSolution, eval_field, locate_cell, sample_line,
+                          solve)
 
 
 def _toy_system(K, b):
@@ -170,3 +171,132 @@ def test_row_pivoted_factorization_not_certified_spd():
     sol = solve(sys_)
     assert not sol.spd
     np.testing.assert_allclose(sol.x[:2], [2.0, 1.0], atol=1e-14)
+
+
+def test_singular_system_raises_without_cg(monkeypatch):
+    import scipy.sparse.linalg as spla
+    from mmfem.errors import FactorizationFailed, MMFemError
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG called")
+
+    monkeypatch.setattr(spla, "cg", no_cg)
+    K = np.array([[1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0],
+                  [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    sys_ = _toy_system(K, [1.0, 0.0, 0.0, 0.0])
+    sys_.set_constraints({3: 0.0})
+    with pytest.raises(FactorizationFailed, match="3 free dofs") as exc:
+        solve(sys_)
+    assert isinstance(exc.value, MMFemError)
+
+
+def test_direct_solve_records_path():
+    sol = solve(_toy_system(np.diag([1.0, 2.0, 3.0, 4.0]), [1.0] * 4))
+    assert sol.info["path"] == "direct" and sol.info["iterations"] == 0
+    assert sol.info["residual"] == sol.residual <= 1e-10
+    assert sol.info["refinements"] == 0 and sol.info["lu_fill"] >= 4
+
+
+def _random_solution(system, seed=0):
+    x = np.random.default_rng(seed).standard_normal(system.n_dofs)
+    return FieldSolution(system=system, x=x, residual=0.0, spd=True)
+
+
+def test_sample_line_batched_equals_per_point(antiplane_solution):
+    from mmfem.assembly import assemble_full3d
+    from mmfem.benchmarks import sweep_params
+    mesh3 = generate_box(((-1, 1), (-1, 1), (-1, 1)), 2)
+    sys3 = assemble_full3d(mesh3, sweep_params(1.0), SpaceDescriptor("h1", 2, 3),
+                           SpaceDescriptor("nedelec1", 1, 3))
+    # both lines run through vertices, edges and faces of the meshes
+    t = np.linspace(-1.0, 1.0, 41)
+    cases = ((antiplane_solution, np.stack([5.0 * t, np.zeros_like(t)], axis=1)),
+             (_random_solution(sys3), np.stack([t, t, 0.5 * t], axis=1)))
+    for sol, pts in cases:
+        us, Ps = sample_line(sol, pts)
+        for i, pt in enumerate(pts):
+            u, P = eval_field(sol, pt)
+            assert np.array_equal(us[i], u) and np.array_equal(Ps[i], P)
+    assert us.shape == (41, 3) and Ps.shape == (41, 3, 3)
+
+
+# ---------------------------------------------------------------------------
+# family solve K(c) = A + c C along the lc sweep
+
+@pytest.fixture(scope="module")
+def sweep_system_small():
+    from mmfem.benchmarks import sweep_mesh, sweep_params, sweep_system
+    return sweep_system(sweep_mesh(0), sweep_params(1.0), 1, "nedelec1")
+
+
+def _direct_at(system, c):
+    fixed = SparseSystem(matrix=system.matrix_at(c), rhs=system.rhs,
+                         fields=system.fields, mesh=system.mesh,
+                         constraints=system.constraints)
+    return solve(fixed)
+
+
+def _true_residual(system, c, x):
+    K = system.matrix_at(c)
+    free = np.ones(system.n_dofs, dtype=bool)
+    free[list(system.constraints)] = False
+    x_con = np.where(free, 0.0, x)
+    return (np.linalg.norm((K @ x - system.rhs)[free])
+            / np.linalg.norm((system.rhs - K @ x_con)[free]))
+
+
+def _check_against_direct(system, coeffs, sols):
+    for c, sol in zip(coeffs, sols):
+        ref = _direct_at(system, c)
+        K = system.matrix_at(c)
+        energy, ref_energy = sol.x @ (K @ sol.x), ref.x @ (K @ ref.x)
+        assert abs(energy - ref_energy) <= 1e-10 * abs(ref_energy)
+        assert sol.residual <= 1e-10
+        assert _true_residual(system, c, sol.x) <= 1e-10
+
+
+def test_family_matches_direct_solves(sweep_system_small):
+    from mmfem.benchmarks import default_lc_grid
+    from mmfem.solver import PCG_BUDGET, solve_family
+    coeffs = [lc ** 2 for lc in default_lc_grid()]
+    sols = solve_family(sweep_system_small, coeffs)
+    _check_against_direct(sweep_system_small, coeffs, sols)
+    paths = [s.info["path"] for s in sols]
+    its = [s.info["iterations"] for s in sols]
+    assert paths[0] == "direct" and paths.count("pcg") >= 10
+    assert all(s.spd for s in sols)
+    # a CG that used more than half the budget is followed by a factor
+    assert any(its[k] > PCG_BUDGET // 2 for k in range(len(its) - 1))
+    for k in range(len(its) - 1):
+        if its[k] > PCG_BUDGET // 2:
+            assert paths[k + 1] == "direct"
+
+
+def test_family_unsorted_with_duplicate(sweep_system_small):
+    from mmfem.solver import solve_family
+    coeffs = [1.0, 1e-8, 1e4, 1.0]
+    sols = solve_family(sweep_system_small, coeffs)
+    _check_against_direct(sweep_system_small, coeffs, sols)
+    # ascending walk: the smallest value is the anchor, the repeat of a
+    # solved value starts at its solution
+    assert sols[1].info["path"] == "direct"
+    assert sols[3].info == {"path": "pcg", "iterations": 0,
+                            "residual": sols[3].residual}
+    np.testing.assert_array_equal(sols[3].x, sols[0].x)
+
+
+def test_family_refactors_on_jump(sweep_system_small, monkeypatch):
+    import mmfem.solver as solver
+    factor = solver._splu_spd
+    calls = []
+
+    def counted(K):
+        calls.append(K.shape[0])
+        return factor(K)
+
+    monkeypatch.setattr(solver, "_splu_spd", counted)
+    coeffs = [1e-8, 1e6]     # lc = 1e-4 -> 1e3: CG from the anchor fails
+    sols = solver.solve_family(sweep_system_small, coeffs)
+    assert len(calls) == 2
+    assert [s.info["path"] for s in sols] == ["direct", "direct"]
+    _check_against_direct(sweep_system_small, coeffs, sols)
