@@ -301,40 +301,36 @@ def sweep_u(x):
     return u
 
 
+def sweep_grad_u(x):
+    """Gradient of ``sweep_u``: (n, 3, 3), row i the gradient of u_i."""
+    x = np.atleast_2d(x)
+    g = np.zeros((len(x), 3, 3))
+    s = np.sin(np.pi * (1 - x[:, 2] ** 2))
+    c = np.cos(np.pi * (1 - x[:, 2] ** 2))
+    g[:, 0, 1] = -2 * x[:, 1] * s / 10.0
+    g[:, 0, 2] = (1 - x[:, 1] ** 2) * c * (-2 * np.pi * x[:, 2]) / 10.0
+    g[:, 1, 0] = -2 * x[:, 0] * s / 10.0
+    g[:, 1, 2] = (1 - x[:, 0] ** 2) * c * (-2 * np.pi * x[:, 2]) / 10.0
+    s = np.sin(np.pi * (1 - x[:, 0] ** 2))
+    c = np.cos(np.pi * (1 - x[:, 0] ** 2))
+    g[:, 2, 0] = (1 - x[:, 1] ** 2) * c * (-2 * np.pi * x[:, 0]) / 10.0
+    g[:, 2, 1] = -2 * x[:, 1] * s / 10.0
+    return g
+
+
 _FACE_COMP = {"x-": 0, "x+": 0, "y-": 1, "y+": 1, "z-": 2, "z+": 2}
 
 
 def _sweep_face_funcs(comp):
+    """Dirichlet data of the faces normal to axis ``comp``: ``sweep_u``
+    and ``sweep_grad_u`` with every other component set to zero."""
+    keep = np.arange(3) == comp
+
     def ufunc(x):
-        x = np.atleast_2d(x)
-        u = np.zeros((len(x), 3))
-        if comp == 0:
-            u[:, 0] = (1 - x[:, 1] ** 2) * np.sin(np.pi * (1 - x[:, 2] ** 2)) / 10.0
-        elif comp == 1:
-            u[:, 1] = (1 - x[:, 0] ** 2) * np.sin(np.pi * (1 - x[:, 2] ** 2)) / 10.0
-        else:
-            u[:, 2] = (1 - x[:, 1] ** 2) * np.sin(np.pi * (1 - x[:, 0] ** 2)) / 10.0
-        return u
+        return np.where(keep, sweep_u(x), 0.0)
 
     def gradfunc(x):
-        x = np.atleast_2d(x)
-        g = np.zeros((len(x), 3, 3))
-        if comp == 0:
-            s = np.sin(np.pi * (1 - x[:, 2] ** 2))
-            c = np.cos(np.pi * (1 - x[:, 2] ** 2))
-            g[:, 0, 1] = -2 * x[:, 1] * s / 10.0
-            g[:, 0, 2] = (1 - x[:, 1] ** 2) * c * (-2 * np.pi * x[:, 2]) / 10.0
-        elif comp == 1:
-            s = np.sin(np.pi * (1 - x[:, 2] ** 2))
-            c = np.cos(np.pi * (1 - x[:, 2] ** 2))
-            g[:, 1, 0] = -2 * x[:, 0] * s / 10.0
-            g[:, 1, 2] = (1 - x[:, 0] ** 2) * c * (-2 * np.pi * x[:, 2]) / 10.0
-        else:
-            s = np.sin(np.pi * (1 - x[:, 0] ** 2))
-            c = np.cos(np.pi * (1 - x[:, 0] ** 2))
-            g[:, 2, 0] = (1 - x[:, 1] ** 2) * c * (-2 * np.pi * x[:, 0]) / 10.0
-            g[:, 2, 1] = -2 * x[:, 1] * s / 10.0
-        return g
+        return np.where(keep[:, None], sweep_grad_u(x), 0.0)
 
     return ufunc, gradfunc
 
@@ -389,14 +385,12 @@ def sweep_system(mesh, params, p, family):
 
 def _sweep_chain(cfg, mesh, params, lcs):
     """Energies and solver records of the sweep system over ``lcs``,
-    solved as one chain; the system and its factors die on return."""
-    system = sweep_system(mesh, params, cfg.p, cfg.family)
+    solved as one chain.  The chain gets the only reference to the
+    system, so its full matrices go once reduced; the factors die on
+    return."""
     coeffs = [params.mu_macro * lc ** 2 for lc in lcs]
-    sols = solve_family(system, coeffs)
-    A, C = system.matrix, system.curl_matrix
-    energies = [0.5 * float(s.x @ (A @ s.x) + c * (s.x @ (C @ s.x)))
-                for s, c in zip(sols, coeffs)]
-    return energies, [s.info for s in sols], system.n_dofs
+    sols = solve_family(sweep_system(mesh, params, cfg.p, cfg.family), coeffs)
+    return [s.energy for s in sols], [s.info for s in sols], sols[0].system.n_dofs
 
 
 def run_lc_sweep(cfg: BenchConfig):
@@ -422,6 +416,9 @@ def run_lc_sweep(cfg: BenchConfig):
             "solver_path": [info["path"] for info in infos],
             "iterations": [info["iterations"] for info in infos],
             "n_factorizations": sum(info["path"] == "direct" for info in infos),
+            "factor": [info.get("factor") for info in infos],
+            "supernodes": [info.get("supernodes") for info in infos],
+            "lu_fill": [info.get("lu_fill") for info in infos],
             "i_macro": lower, "i_micro": upper,
             "monotone": bool(np.all(np.diff(
                 [e for _, e in sorted(zip(lcs, energies))]) >= -1e-12)),

@@ -58,7 +58,7 @@ class NotPositiveDefinite(MMFemError, RuntimeError):
 
 
 class FactorizationFailed(MMFemError, RuntimeError):
-    """SuperLU could not factor the reduced system (singular matrix)."""
+    """The reduced system could not be factored (a singular matrix)."""
 
 
 class NonConvergence(MMFemError, RuntimeError):

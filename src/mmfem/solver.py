@@ -1,11 +1,16 @@
 """Sparse symmetric solve and field post-processing.
 
 The constrained system is reduced to its free dofs once.  A single
-system is factored by SuperLU in symmetric mode, with one refinement
-step when the residual asks for it.  A family K(c) = A + c C (the lc
+system is factored by the supernodal Cholesky of ``cholesky``, with one
+refinement step when the residual asks for it; its memory is the stored
+factor plus, while it is computed, the update matrices of the factored
+supernodes whose parents are not factored yet.  A completed Cholesky
+certifies the system SPD; a matrix it rejects is factored by SuperLU's
+LU instead and reported not SPD.  A family K(c) = A + c C (the lc
 sweep, C positive semidefinite) is walked in ascending c: the first
 value is factored, and each later one runs CG preconditioned by the
-current factor from the previous solution.  Because K(c0)^{-1} K(c) has
+current factor from the previous solution; all its factorizations share
+one analysis of the pattern.  Because K(c0)^{-1} K(c) has
 its spectrum in [1, c/c0], a few iterations suffice near the anchor;
 the walk factors again at a value whose CG fails or misses the
 tolerance, and ahead of time after a CG that used more than half of
@@ -15,12 +20,13 @@ against its own matrix, or the solve raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import cholesky
 from .assembly import _CHUNK_NNZ, SparseSystem
 from .errors import (FactorizationFailed, NonConvergence, NotPositiveDefinite,
                      PointOutsideMesh)
@@ -37,7 +43,9 @@ class FieldSolution:
 
     ``info`` records how the solve went: ``path`` ("direct" or "pcg"),
     ``iterations`` (CG), ``residual``, and for direct solves
-    ``refinements`` and ``lu_fill``.
+    ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
+    stored factor entries) and ``supernodes`` (None for LU).  ``energy``
+    is 1/2 x^T K x where the solve computed it (``solve_family``).
     """
 
     system: SparseSystem
@@ -45,6 +53,7 @@ class FieldSolution:
     residual: float
     spd: bool
     info: dict = field(default_factory=dict)
+    energy: float = None
 
     @property
     def mesh(self):
@@ -65,12 +74,12 @@ class _Split:
     con: np.ndarray
     vals: np.ndarray
 
-    def solution(self, xf, spd, info):
+    def solution(self, xf, spd, info, energy=None):
         x = np.zeros(self.system.n_dofs)
         x[self.con] = self.vals
         x[self.free_idx] = xf
-        return FieldSolution(system=self.system, x=x,
-                             residual=info["residual"], spd=spd, info=info)
+        return FieldSolution(system=self.system, x=x, residual=info["residual"],
+                             spd=spd, info=info, energy=energy)
 
 
 def _reduce(system: SparseSystem, mats):
@@ -103,12 +112,16 @@ def _relative_residual(K, xf, rhs):
 
 
 def _splu_spd(Kff):
-    """Cholesky-like SuperLU factorization.
+    """Factor of the reduced system: (factor, spd).
 
-    A symmetric matrix is certified SPD only if no row was pivoted away
-    from the symmetric ordering (perm_r == perm_c, so the factorization
-    is P K P^T = L U with U = D L^T) and every pivot is positive.
+    The supernodal Cholesky certifies SPD by completing.  A matrix it
+    rejects is factored by SuperLU's LU (symmetric-mode ordering) and
+    reported not SPD; a failed LU raises FactorizationFailed.
     """
+    try:
+        return cholesky.factor(Kff), True
+    except NotPositiveDefinite:
+        pass
     try:
         lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
@@ -117,16 +130,16 @@ def _splu_spd(Kff):
         raise FactorizationFailed(
             f"SuperLU failed on the reduced system with {Kff.shape[0]} "
             f"free dofs: {exc}") from exc
-    spd = bool(np.array_equal(lu.perm_r, lu.perm_c)
-               and np.all(lu.U.diagonal() > 0.0))
-    return lu, spd
+    return lu, False
 
 
 def _direct(Kff, rhs, require_spd=False):
     """Factor, solve and refine once if needed; returns (xf, lu, spd, info)."""
     lu, spd = _splu_spd(Kff)
     if require_spd and not spd:
-        raise NotPositiveDefinite("factorization produced non-positive pivots")
+        raise NotPositiveDefinite(
+            f"Cholesky of the reduced system with {Kff.shape[0]} free dofs "
+            "broke down")
     xf = lu.solve(rhs)
     res = _relative_residual(Kff, xf, rhs)
     refinements = 0
@@ -140,7 +153,10 @@ def _direct(Kff, rhs, require_spd=False):
             f"relative residual {res:.2e} > {RESIDUAL_TOL} after "
             f"{refinements} refinement step on {Kff.shape[0]} free dofs")
     return xf, lu, spd, {"path": "direct", "iterations": 0, "residual": res,
-                         "refinements": refinements, "lu_fill": int(lu.nnz)}
+                         "refinements": refinements,
+                         "factor": "cholesky" if spd else "lu",
+                         "lu_fill": int(lu.nnz),
+                         "supernodes": lu.supernodes if spd else None}
 
 
 def _pcg(K, rhs, lu, x0):
@@ -175,11 +191,25 @@ def solve_family(system: SparseSystem, curl_coeffs) -> list:
     each c in ``curl_coeffs`` (>= 0), in input order, by one chain.
 
     See the module docstring for the walk; it depends only on iteration
-    counts, so repeated runs give identical results.
+    counts, so repeated runs give identical results.  The factorizations
+    share one analysis of the pattern.  Each solution records its energy
+    1/2 x^T K(c) x, computed from the reduced blocks: with x_c the
+    constrained values and lift = -K_fc x_c,
+    x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.
+    The solutions keep the system without its matrices, so a caller that
+    hands over its only reference lets the full matrices go before the
+    first factorization.
     """
     split, [(A, lift_a), (C, lift_c)] = _reduce(
         system, [system.matrix, system.curl_matrix])
+    x_con = np.zeros(system.n_dofs)
+    x_con[split.con] = split.vals
+    e_a, e_c = (float(x_con @ (M @ x_con))
+                for M in (system.matrix, system.curl_matrix))
     rhs_a = system.rhs[split.free_idx] + lift_a
+    # from here on only the reduced blocks hold matrix data
+    split.system = replace(system, matrix=None, curl_matrix=None)
+    del system
     # the curl matrix shares the pattern of the base matrix (SparseSystem),
     # so C and K(c) keep only data arrays; K's is rewritten for each value
     C = sp.csc_matrix((C.data, A.indices, A.indptr), shape=A.shape)
@@ -188,28 +218,31 @@ def solve_family(system: SparseSystem, curl_coeffs) -> list:
     out = [None] * len(curl_coeffs)
     lu = xf = None
     refactor = True
-    for i in np.argsort(curl_coeffs, kind="stable"):
-        c = float(curl_coeffs[i])
-        np.multiply(C.data, c, out=K.data)
-        K.data += A.data
-        rhs = rhs_a + c * lift_c
-        info = None
-        if not refactor:
-            x_cg, iterations, converged = _pcg(K, rhs, lu, xf)
-            res = _relative_residual(K, x_cg, rhs)
-            if converged and res <= RESIDUAL_TOL:
-                xf = x_cg
-                info = {"path": "pcg", "iterations": iterations,
-                        "residual": res}
-                refactor = iterations > PCG_BUDGET // 2
-        if info is None:
-            lu = None   # release the old factor before the new one
-            xf, lu, spd, info = _direct(K, rhs)
-            # CG needs an SPD preconditioner
-            refactor = not spd
-        # PCG runs only from an SPD factor at c0 <= c, and K(c) =
-        # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
-        out[i] = split.solution(xf, spd, info)
+    with cholesky.shared_analysis():
+        for i in np.argsort(curl_coeffs, kind="stable"):
+            c = float(curl_coeffs[i])
+            np.multiply(C.data, c, out=K.data)
+            K.data += A.data
+            rhs = rhs_a + c * lift_c
+            info = None
+            if not refactor:
+                x_cg, iterations, converged = _pcg(K, rhs, lu, xf)
+                res = _relative_residual(K, x_cg, rhs)
+                if converged and res <= RESIDUAL_TOL:
+                    xf = x_cg
+                    info = {"path": "pcg", "iterations": iterations,
+                            "residual": res}
+                    refactor = iterations > PCG_BUDGET // 2
+            if info is None:
+                lu = None   # release the old factor before the new one
+                xf, lu, spd, info = _direct(K, rhs)
+                # CG needs an SPD preconditioner
+                refactor = not spd
+            # PCG runs only from an SPD factor at c0 <= c, and K(c) =
+            # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
+            energy = 0.5 * (xf @ (K @ xf) - 2.0 * (xf @ (lift_a + c * lift_c))
+                            + e_a + c * e_c)
+            out[i] = split.solution(xf, spd, info, float(energy))
     return out
 
 

@@ -300,3 +300,159 @@ def test_family_refactors_on_jump(sweep_system_small, monkeypatch):
     assert len(calls) == 2
     assert [s.info["path"] for s in sols] == ["direct", "direct"]
     _check_against_direct(sweep_system_small, coeffs, sols)
+
+
+# ---------------------------------------------------------------------------
+# supernodal Cholesky (mmfem.cholesky) against dense solves
+
+def _block_spd(widths, density=0.3, seed=0):
+    """Random SPD matrix whose columns come in blocks of the given widths
+    with identical patterns: a random node graph, each node a dense
+    block, made strictly diagonally dominant."""
+    rng = np.random.default_rng(seed)
+    nn = len(widths)
+    G = sp.random(nn, nn, density=density, random_state=seed, format="csr")
+    G = ((G + G.T + sp.eye(nn)) != 0).astype(float)
+    node = np.repeat(np.arange(nn), widths)
+    E = sp.csr_matrix((np.ones(len(node)), (np.arange(len(node)), node)))
+    P = (E @ G @ E.T).tocoo()
+    M = sp.coo_matrix((rng.uniform(-1.0, 1.0, P.nnz), (P.row, P.col)),
+                      shape=P.shape)
+    A = (M + M.T).tocsr()
+    A = A + sp.diags(abs(A).sum(axis=1).A1 + 1.0)
+    return sp.csc_matrix(A)
+
+
+def _check_against_dense(K, seed=1):
+    from mmfem import cholesky
+    b = np.random.default_rng(seed).standard_normal(K.shape[0])
+    F = cholesky.factor(K)
+    x = F.solve(b)
+    ref = np.linalg.solve(K.toarray(), b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    return F
+
+
+@pytest.mark.parametrize("widths", [[1] * 40, [3] * 30,
+                                    [66, 3, 1, 66, 3, 1, 3, 3, 66, 1, 3, 1]])
+def test_cholesky_supervariable_blocks(widths):
+    from mmfem import cholesky
+    K = _block_spd(widths)
+    label = cholesky._supervariables(K.indptr, K.indices, K.shape[0])
+    # the columns of one block are never split across supervariables
+    node = np.repeat(np.arange(len(widths)), widths)
+    for j in range(len(widths)):
+        assert len(np.unique(label[node == j])) == 1
+    F = _check_against_dense(K)
+    assert F.supernodes <= len(widths)
+
+
+def test_cholesky_large_fronts():
+    # single fronts with more update rows than one row block of the
+    # lower-triangle product, and both extend-add paths
+    from mmfem import cholesky
+    K = _block_spd([30] * 20 + [3] * 10, density=0.2, seed=9)
+    groups = cholesky.analyse(K).groups
+    assert any(len(g.rows) == 1 and g.n - g.k > cholesky._SYRK_ROWS
+               for g in groups)
+    assert any(g.blocks for g in groups) and any(g.piv for g in groups)
+    _check_against_dense(K)
+
+
+def test_cholesky_diagonal_and_one_by_one():
+    from mmfem import cholesky
+    K = sp.csc_matrix(np.diag(np.arange(1.0, 8.0)))
+    F = _check_against_dense(K)
+    assert F.nnz == 7
+    F = cholesky.factor(sp.csc_matrix([[4.0]]))
+    np.testing.assert_allclose(F.solve(np.array([2.0])), [0.5])
+
+
+def test_cholesky_disconnected_components():
+    K = sp.block_diag([_block_spd([3] * 12, seed=2), _block_spd([1, 66, 3],
+                       seed=3), _block_spd([3] * 8, seed=4)], format="csc")
+    _check_against_dense(K)
+
+
+def test_cholesky_leaves_only_tree():
+    # dense diagonal blocks: every supernode is a leaf and a root
+    rng = np.random.default_rng(5)
+    blocks = []
+    for w in (3, 1, 5, 3, 3):
+        B = rng.standard_normal((w, w))
+        blocks.append(B @ B.T + w * np.eye(w))
+    F = _check_against_dense(sp.block_diag(blocks, format="csc"))
+    assert F.supernodes == 5
+
+
+def test_cholesky_hash_collisions_do_not_merge(monkeypatch):
+    from mmfem import cholesky
+    K = _block_spd([3, 1, 3, 1, 3, 66, 1, 1, 3], density=0.4, seed=6)
+    n = K.shape[0]
+    exact = {}
+    for j in range(n):
+        exact.setdefault(K.indices[K.indptr[j]:K.indptr[j + 1]].tobytes(), j)
+    reps = [exact[K.indices[K.indptr[j]:K.indptr[j + 1]].tobytes()]
+            for j in range(n)]
+    # all weights zero: every column of one count collides
+    monkeypatch.setattr(cholesky, "_hash_weights",
+                        lambda n: np.zeros(n, dtype=np.uint64))
+    label = cholesky._supervariables(K.indptr, K.indices, n)
+    for i in range(n):
+        for j in range(n):
+            assert (label[i] == label[j]) == (reps[i] == reps[j])
+    _check_against_dense(K)
+
+
+def test_non_spd_goes_to_lu():
+    from mmfem.solver import _splu_spd
+    K = np.array([[2.0, 1.0, 0, 0], [1.0, -3.0, 1.0, 0],
+                  [0, 1.0, 2.0, 0], [0, 0, 0, 1.0]])
+    lu, spd = _splu_spd(sp.csc_matrix(K))
+    assert not spd and hasattr(lu, "perm_r")
+    sys_ = _toy_system(K, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(NotPositiveDefinite):
+        solve(sys_, require_spd=True)
+    sol = solve(sys_)
+    assert not sol.spd and sol.info["factor"] == "lu"
+    assert sol.info["supernodes"] is None
+    np.testing.assert_allclose(sol.x, np.linalg.solve(K, [1.0, 2.0, 3.0, 4.0]),
+                               atol=1e-14)
+
+
+def test_cholesky_repeatable_bitwise():
+    from mmfem import cholesky
+    K = _block_spd([3, 66, 1, 3, 3, 1] * 3, seed=7)
+    b = np.random.default_rng(8).standard_normal(K.shape[0])
+    x1 = cholesky.factor(K).solve(b)
+    x2 = cholesky.factor(K).solve(b)
+    assert np.array_equal(x1, x2)
+
+
+def test_direct_solve_records_factor(antiplane_solution):
+    info = antiplane_solution.info
+    assert antiplane_solution.spd and info["factor"] == "cholesky"
+    assert info["supernodes"] > 0 and info["lu_fill"] > 0
+
+
+def test_family_analyses_pattern_once(sweep_system_small, monkeypatch):
+    from mmfem import cholesky
+    from mmfem.solver import solve_family
+    analyse = cholesky.analyse
+    calls = []
+
+    def counted(K):
+        calls.append(K.shape[0])
+        return analyse(K)
+
+    monkeypatch.setattr(cholesky, "analyse", counted)
+    # 1 -> 1e6 takes more than half the CG budget: 1e7 is factored again
+    coeffs = [1e-8, 1.0, 1e6, 1e7]
+    sols = solve_family(sweep_system_small, coeffs)
+    paths = [s.info["path"] for s in sols]
+    assert paths.count("direct") == 3 and len(calls) == 1
+    _check_against_direct(sweep_system_small, coeffs, sols)
+    for c, sol in zip(coeffs, sols):
+        K = sweep_system_small.matrix_at(c)
+        energy = 0.5 * sol.x @ (K @ sol.x)
+        assert abs(sol.energy - energy) <= 1e-12 * energy
