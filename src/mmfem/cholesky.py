@@ -146,8 +146,8 @@ def _supervariables(indptr, indices, n):
         for c in np.flatnonzero(np.isin(label, label[bad])).tolist():
             key = (label[c], indices[indptr[c]:indptr[c + 1]].tobytes())
             label[c] = groups.setdefault(key, n + len(groups))
-    first = np.unique(label, return_index=True)[1]
-    return np.argsort(np.argsort(first))[np.unique(label, return_inverse=True)[1]]
+    _, first, label = np.unique(label, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[label]
 
 
 def _quotient_factor(indptr, indices, label, repcol):
@@ -222,10 +222,10 @@ def _amalgamate(first, last, k, rows, nz, sparent):
         # only the last child, whose nodes end just before p's, can join p
         if p < 0 or last[s] + 1 != first[p]:
             continue
-        cols, height = k[s] + k[p], k[s] + rows[p]
-        zeros = 1.0 - (nz[s] + nz[p]) / (cols * height - cols * (cols - 1) // 2)
+        cols, nrow = k[s] + k[p], k[s] + rows[p]
+        zeros = 1.0 - (nz[s] + nz[p]) / (cols * nrow - cols * (cols - 1) // 2)
         if any(cols <= c and zeros < z for c, z in _RELAX):
-            first[p], k[p], rows[p] = first[s], cols, height
+            first[p], k[p], rows[p] = first[s], cols, nrow
             nz[p] += nz[s]
             merged[s] = True
     final = list(range(len(k)))
@@ -259,7 +259,6 @@ class _Group:
 class Symbolic:
     """Analysis of one sparsity pattern, reused by every numeric factor
     of a matrix on that pattern."""
-    n: int
     perm: np.ndarray            # perm[new] = old column
     groups: list                # _Group in factorization order
     pos: np.ndarray             # position in the factor storage of each
@@ -345,7 +344,7 @@ def analyse(K) -> Symbolic:
     K = _csc(K)
     n = K.shape[0]
     if n == 0:
-        return Symbolic(n=0, perm=np.arange(0), groups=[], size=0, nnz=0,
+        return Symbolic(perm=np.arange(0), groups=[], size=0, nnz=0,
                         pos=np.zeros(K.nnz, dtype=np.int64), supernodes=0)
     indptr, indices = K.indptr, K.indices
     counts = np.diff(indptr)
@@ -428,7 +427,9 @@ def analyse(K) -> Symbolic:
                              blocks=[], rows=srows[rptr[members][:, None]
                                                    + np.arange(nn)]))
         size += len(members) * nn * kk
-    itype = np.int32 if size < 2 ** 31 else np.int64
+    # positions in the factor storage and in the update matrices
+    largest = max([size] + [len(g.rows) * (g.n - g.k) ** 2 for g in groups])
+    itype = np.int32 if largest < 2 ** 31 else np.int64
 
     for grp, g0, g1 in zip(groups, gptr[:-1], gptr[1:]):
         members = order[g0:g1]
@@ -467,7 +468,7 @@ def analyse(K) -> Symbolic:
         pj = np.repeat(iperm[a:b], counts[a:b])
         pos[e0:e1] = np.where(key[at] >= pj, rowterm[at] + pj, size)
     nnz = int(np.sum(k * nrow - k * (k - 1) // 2))
-    return Symbolic(n=n, perm=perm, groups=groups, pos=pos, size=size,
+    return Symbolic(perm=perm, groups=groups, pos=pos, size=size,
                     nnz=nnz, supernodes=S)
 
 

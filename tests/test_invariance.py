@@ -2,10 +2,12 @@
 
 Each case solves one problem on a mesh and on random relabellings of it;
 the fill-reducing ordering then sees a different pattern every time.
-The data are chosen so that every integral is exact (polynomial data in
-3D, degree 1 in 2D): with non-polynomial data the quadrature points,
-which follow the cells' vertex order, move the L2 errors and the
-Dirichlet values at the level of the quadrature error.
+Quadrature rules above the tabulated symmetric ones (triangles to degree
+6, tetrahedra to degree 2) are collapsed tensor rules whose points follow
+the cells' vertex order, so with non-polynomial data they move the L2
+errors and the Dirichlet values at the level of the quadrature error.
+The cases therefore use degree 1 in 2D, where every rule is symmetric,
+and polynomial data that every rule integrates exactly in 3D.
 """
 
 import numpy as np
