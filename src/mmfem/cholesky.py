@@ -334,8 +334,9 @@ def _flat_plan(grp, groups, rel, pgroup, slots, pbase, itype):
     ends = np.flatnonzero(np.diff(pgroup)) + 1
     for b0, b1 in zip(np.concatenate([[0], ends]),
                       np.concatenate([ends, [len(pgroup)]])):
-        grp.upd.append((int(pgroup[b0]), src[cut[b0]:cut[b1]],
-                        dst[cut[b0]:cut[b1]]))
+        if cut[b1] > cut[b0]:
+            grp.upd.append((int(pgroup[b0]), src[cut[b0]:cut[b1]],
+                            dst[cut[b0]:cut[b1]]))
 
 
 def analyse(K) -> Symbolic:
@@ -579,6 +580,7 @@ def factor(K) -> Factor:
     factor = Factor(sym, values)
     for g, (grp, P) in enumerate(zip(sym.groups, factor.panels)):
         B, k, n = len(grp.rows), grp.k, grp.n
+        children, pending[g] = pending[g], None
         if B == 1:
             # LAPACK on the transposed (Fortran-order) views: the lower
             # triangle in C order is the upper one in Fortran order
@@ -600,19 +602,18 @@ def factor(K) -> Factor:
             continue
         V = _gram(P[:, k:])
         Vf = V.reshape(-1)
-        for item in pending[g]:
+        for item in children:
             if len(item) == 2:
                 np.add.at(Vf, item[1], item[0])
-            else:
-                # a large child: block pairs of its runs in this front
-                Vc, s, runs = item
-                for a, (i0, i1, q0) in enumerate(runs):
-                    for j0, j1, p0 in runs[:a + 1]:
-                        if p0 < k:
-                            continue
+                continue
+            # a large child: block pairs of its runs in this front
+            Vc, s, runs = item
+            for a, (i0, i1, q0) in enumerate(runs):
+                for j0, j1, p0 in runs[:a + 1]:
+                    if p0 >= k:
                         V[s, q0 - k:q0 - k + i1 - i0,
                           p0 - k:p0 - k + j1 - j0] += Vc[i0:i1, j0:j1]
-        pending[g] = None
+        children = None
         if grp.piv is not None:
             src, dst = grp.piv
             np.subtract.at(values, dst, Vf[src])
@@ -625,5 +626,6 @@ def factor(K) -> Factor:
                     if p0 < pk:
                         Pq[s, q0:q0 + i1 - i0, p0:p0 + j1 - j0] -= V[
                             b, i0:i1, j0:j1]
-            pending[q].append((V[b], s, runs))
+            if runs[-1][2] >= pk:    # the child reaches the parent's update rows
+                pending[q].append((V[b], s, runs))
     return factor
