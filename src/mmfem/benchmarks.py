@@ -390,7 +390,8 @@ def _sweep_chain(cfg, mesh, params, lcs):
     return."""
     coeffs = [params.mu_macro * lc ** 2 for lc in lcs]
     sols = solve_family(sweep_system(mesh, params, cfg.p, cfg.family), coeffs)
-    return [s.energy for s in sols], [s.info for s in sols], sols[0].system.n_dofs
+    return ([s.energy for s in sols], [s.info for s in sols],
+            sols[0].system.n_dofs)
 
 
 def run_lc_sweep(cfg: BenchConfig):

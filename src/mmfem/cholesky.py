@@ -103,7 +103,8 @@ def _column_chunks(indptr):
     least one column), so that per-entry temporaries stay small."""
     n, c0 = len(indptr) - 1, 0
     while c0 < n:
-        c1 = int(np.searchsorted(indptr, indptr[c0] + _CHUNK, side="right")) - 1
+        c1 = int(np.searchsorted(indptr, indptr[c0] + _CHUNK,
+                                 side="right")) - 1
         c1 = min(max(c1, c0 + 1), n)
         yield c0, c1
         c0 = c1
@@ -232,7 +233,8 @@ def _amalgamate(first, last, k, rows, nz, sparent):
     for s in range(len(k) - 1, -1, -1):
         if merged[s]:
             final[s] = final[sparent[s]]
-    return ~np.asarray(merged, dtype=bool), np.asarray(first), np.asarray(final)
+    kept = ~np.asarray(merged, dtype=bool)
+    return kept, np.asarray(first), np.asarray(final)
 
 
 @dataclass
@@ -458,7 +460,8 @@ def analyse(K) -> Symbolic:
     s = np.repeat(np.arange(S), last - first + 1)[J]
     rowterm = np.zeros(len(pi), dtype=np.int64)
     ok = I >= J
-    rowterm[ok] = pbase[s[ok]] - c0[s[ok]] + k[s[ok]] * front_row(s[ok], pi[ok])
+    so = s[ok]
+    rowterm[ok] = pbase[so] - c0[so] + k[so] * front_row(so, pi[ok])
     # an entry is on or below the diagonal iff key >= its column
     key = np.where(I > J, n, np.where(I == J, pi, -1))
     pos = np.empty(K.nnz, dtype=itype)
@@ -486,8 +489,9 @@ class Factor:
         self.values = values
         self.nnz = symbolic.nnz
         self.supernodes = symbolic.supernodes
-        self.panels = [values[g.offset:g.offset + len(g.rows) * g.n * g.k]
-                       .reshape(len(g.rows), g.n, g.k) for g in symbolic.groups]
+        self.panels = [
+            values[g.offset:g.offset + len(g.rows) * g.n * g.k].reshape(
+                len(g.rows), g.n, g.k) for g in symbolic.groups]
 
     def solve(self, b):
         sym = self.symbolic
@@ -506,7 +510,8 @@ class Factor:
             cols = g.rows[:, :k]
             y = x[cols] = (P[:, :k] @ x[cols][..., None])[..., 0]
             if g.n > k:
-                np.subtract.at(x, g.rows[:, k:], (P[:, k:] @ y[..., None])[..., 0])
+                np.subtract.at(x, g.rows[:, k:],
+                               (P[:, k:] @ y[..., None])[..., 0])
         for g, P in reversed(work):
             k = g.k
             if len(P) == 1:
@@ -626,6 +631,6 @@ def factor(K) -> Factor:
                     if p0 < pk:
                         Pq[s, q0:q0 + i1 - i0, p0:p0 + j1 - j0] -= V[
                             b, i0:i1, j0:j1]
-            if runs[-1][2] >= pk:    # the child reaches the parent's update rows
+            if runs[-1][2] >= pk:   # the child has rows in the update part
                 pending[q].append((V[b], s, runs))
     return factor

@@ -78,8 +78,9 @@ class _Split:
         x = np.zeros(self.system.n_dofs)
         x[self.con] = self.vals
         x[self.free_idx] = xf
-        return FieldSolution(system=self.system, x=x, residual=info["residual"],
-                             spd=spd, info=info, energy=energy)
+        return FieldSolution(system=self.system, x=x,
+                             residual=info["residual"], spd=spd, info=info,
+                             energy=energy)
 
 
 def _reduce(system: SparseSystem, mats):

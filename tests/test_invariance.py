@@ -55,7 +55,8 @@ def _linear_P(x):
 def _full3d(mesh, family):
     """Cube with the sweep moduli and the quadratic bending displacement
     on every face; L2 distances to fixed polynomials."""
-    system = assemble_full3d(mesh, sweep_params(1.0), SpaceDescriptor("h1", 2, 3),
+    system = assemble_full3d(mesh, sweep_params(1.0),
+                             SpaceDescriptor("h1", 2, 3),
                              SpaceDescriptor(family, 1, 3))
     facets = np.concatenate([mesh.tagged_facets(t) for t in
                              ("x-", "x+", "y-", "y+", "z-", "z+")])

@@ -456,3 +456,27 @@ def test_family_analyses_pattern_once(sweep_system_small, monkeypatch):
         K = sweep_system_small.matrix_at(c)
         energy = 0.5 * sol.x @ (K @ sol.x)
         assert abs(sol.energy - energy) <= 1e-12 * energy
+
+
+def test_family_releases_full_matrices(monkeypatch):
+    # a caller that hands over its only reference to the system: the full
+    # matrices are gone before the first factorization
+    import gc
+    import weakref
+    from mmfem import cholesky
+    from mmfem.benchmarks import sweep_mesh, sweep_params, sweep_system
+    from mmfem.solver import solve_family
+    holder = [sweep_system(sweep_mesh(0), sweep_params(1.0), 1, "nedelec1")]
+    refs = [weakref.ref(holder[0].matrix), weakref.ref(holder[0].curl_matrix)]
+    alive = []
+    analyse = cholesky.analyse
+
+    def record(K):
+        gc.collect()
+        alive.append([r() is not None for r in refs])
+        return analyse(K)
+
+    monkeypatch.setattr(cholesky, "analyse", record)
+    sols = solve_family(holder.pop(), [1.0, 2.0])
+    assert alive == [[False, False]]
+    assert sols[0].system.matrix is None and sols[0].system.n_dofs > 0
