@@ -75,6 +75,9 @@ class SparseSystem:
         self.constraints = dict(cons)
 
     def matrix_at(self, curl_coeff: float):
+        if self.matrix is None:
+            raise ValueError("the system carries no matrices (a solution "
+                             "of solve_family keeps it without them)")
         if self.curl_matrix is None:
             return self.matrix
         K = self.matrix

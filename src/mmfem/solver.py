@@ -46,6 +46,8 @@ class FieldSolution:
     ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
     stored factor entries) and ``supernodes`` (None for LU).  ``energy``
     is 1/2 x^T K x where the solve computed it (``solve_family``).
+    Solutions of ``solve_family`` keep their system without its matrices
+    (``matrix`` and ``curl_matrix`` are None).
     """
 
     system: SparseSystem
@@ -115,7 +117,11 @@ def _relative_residual(K, xf, rhs):
 def _splu_spd(Kff):
     """Factor of the reduced system: (factor, spd).
 
-    The supernodal Cholesky certifies SPD by completing.  A matrix it
+    ``Kff`` must be symmetric: the Cholesky reads only the entries on or
+    below the diagonal of its permuted matrix, so an unsymmetric matrix
+    is factored as if its upper part mirrored the lower one and fails
+    the residual check of ``_direct``.  The supernodal Cholesky
+    certifies SPD by completing.  A matrix it
     rejects is factored by SuperLU's LU (symmetric-mode ordering) and
     reported not SPD; a failed LU raises FactorizationFailed.
     """
@@ -176,7 +182,8 @@ def _pcg(K, rhs, lu, x0):
 
 
 def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
-    """Direct sparse solve of the constrained system ``system.matrix``.
+    """Direct sparse solve of the constrained system ``system.matrix``,
+    which must be symmetric (see ``_splu_spd``).
 
     A failed factorization raises FactorizationFailed, a residual above
     RESIDUAL_TOL after one refinement step NonConvergence.

@@ -348,12 +348,12 @@ def test_cholesky_supervariable_blocks(widths):
 
 
 def test_cholesky_large_fronts():
-    # single fronts with more update rows than one row block of the
-    # lower-triangle product, and both extend-add paths
+    # single fronts (LAPACK path) with update rows past the flat
+    # extend-add limit, and both extend-add paths
     from mmfem import cholesky
     K = _block_spd([30] * 20 + [3] * 10, density=0.2, seed=9)
     groups = cholesky.analyse(K).groups
-    assert any(len(g.rows) == 1 and g.n - g.k > cholesky._SYRK_ROWS
+    assert any(len(g.rows) == 1 and g.n - g.k > cholesky._FLAT_ROWS
                for g in groups)
     assert any(g.blocks for g in groups) and any(g.piv for g in groups)
     _check_against_dense(K)
@@ -480,3 +480,5 @@ def test_family_releases_full_matrices(monkeypatch):
     sols = solve_family(holder.pop(), [1.0, 2.0])
     assert alive == [[False, False]]
     assert sols[0].system.matrix is None and sols[0].system.n_dofs > 0
+    with pytest.raises(ValueError):
+        sols[0].system.matrix_at(1.0)
