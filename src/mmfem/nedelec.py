@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .errors import DomainError
-from .simplex import (TET_EDGES, TET_FACES, TRI_EDGES, Polytope,
-                      bezier_eval, bezier_gradients, bezier_values,
-                      duffy_forward, index_position)
+from .simplex import (TET_FACES, Polytope, bezier_eval, bezier_gradients,
+                      bezier_values, duffy_forward, index_position)
 
 E1_2D = np.array([1.0, 0.0])
 E2_2D = np.array([0.0, 1.0])
@@ -52,28 +52,48 @@ class SpaceDescriptor:
 
 @dataclass(frozen=True)
 class VectorShapeFn:
-    """One H(curl) base function on the reference simplex.
+    """One H(curl) base function on the reference simplex: the linear
+    combination ``terms`` of (primitive, coefficient) pairs.
 
-    kind:
-      "lowest"          combination of lowest-order rotational functions
-      "template"        scalar function times a constant vector
-      "lowest_template" scalar function times a lowest-order combination
-      "gradient"        gradient of a scalar function of higher degree
-      "cell_nongrad"    a*b^{p+1}*e_axis - c*grad b^{p+2} cell construction
+    Primitives are hashable tuples:
+      ("theta", c)           lowest-order rotational function theta_c
+      ("bvec", q, idx, d)    scalar b^q_idx times the unit vector e_d
+      ("btheta", q, idx, c)  scalar b^q_idx times theta_c
+      ("grad", q, idx)       gradient of the scalar b^q_idx
+
+    ``kind`` only labels the construction ("lowest", "template",
+    "lowest_template", "gradient" or "cell_nongrad"); evaluation reads
+    ``terms`` alone.
     """
 
     kind: str
     polytope: Polytope
     ordinal: int
-    scalar_degree: int = None
-    scalar_index: tuple = None
-    template: tuple = None        # constant vector
-    lowest_combo: tuple = None    # coefficients over the lowest-order set
-    axis: int = None              # cell_nongrad: unit vector index
-    value_index: tuple = None     # cell_nongrad: degree p+1 scalar index
-    grad_index: tuple = None      # cell_nongrad: degree p+2 gradient index
-    value_coeff: float = None
-    grad_coeff: float = None
+    terms: tuple
+
+
+def _lowest(poly, c):
+    return VectorShapeFn("lowest", poly, 0, ((("theta", c), 1.0),))
+
+
+def _template(poly, ordinal, q, index, vec):
+    """Scalar b^q_index times a constant vector."""
+    return VectorShapeFn("template", poly, ordinal,
+                         tuple((("bvec", q, tuple(index), d), float(t))
+                               for d, t in enumerate(vec) if t != 0.0))
+
+
+def _lowest_template(poly, ordinal, q, index, pairs):
+    """Scalar b^q_index times a combination of lowest-order functions,
+    given as (function index, coefficient) pairs."""
+    return VectorShapeFn("lowest_template", poly, ordinal,
+                         tuple((("btheta", q, tuple(index), c), coeff)
+                               for c, coeff in pairs))
+
+
+def _gradient(poly, ordinal, q, index):
+    return VectorShapeFn("gradient", poly, ordinal,
+                         ((("grad", q, tuple(index)), 1.0),))
 
 
 def lowest_order_tri(pts):
@@ -114,114 +134,17 @@ def lowest_order_tet(pts):
     return vals, curls
 
 
-def _combo(*pairs):
-    """Coefficient tuple over the lowest-order set from (index, coeff) pairs."""
-    out = [0.0] * 6
-    for idx, coeff in pairs:
-        out[idx] = coeff
-    return tuple(out)
-
-
 def _interior_1d(p):
     return range(1, p)
 
 
-# ---------------------------------------------------------------------------
-# triangle bases
-
-def nedelec2_tri(p: int):
-    """Second-type triangle basis; (p+1)(p+2) functions."""
-    if p < 1:
-        raise DomainError("nedelec2 needs p >= 1")
-    fns = []
-    e12, e13, e23 = (Polytope("edge", e) for e in TRI_EDGES)
-    cell = Polytope("cell", (0, 1, 2))
-
-    def tpl(poly, ordinal, index, vec):
-        return VectorShapeFn("template", poly, ordinal, scalar_degree=p,
-                             scalar_index=index, template=tuple(vec))
-
-    # edge blocks: ordinal = exponent of the higher vertex, 0..p
-    fns.append(tpl(e12, 0, (0, 0), E2_2D))
-    for j in _interior_1d(p):
-        fns.append(tpl(e12, j, (0, j), E2_2D))
-    fns.append(tpl(e12, p, (0, p), E1_2D + E2_2D))
-
-    fns.append(tpl(e13, 0, (0, 0), E1_2D))
-    for i in _interior_1d(p):
-        fns.append(tpl(e13, i, (i, 0), E1_2D))
-    fns.append(tpl(e13, p, (p, 0), E1_2D + E2_2D))
-
-    fns.append(tpl(e23, 0, (0, p), E1_2D))
-    for i in _interior_1d(p):
-        fns.append(tpl(e23, i, (i, p - i), 0.5 * (E1_2D - E2_2D)))
-    fns.append(tpl(e23, p, (p, 0), -E2_2D))
-
-    ordinal = 0
-    for j in _interior_1d(p):
-        fns.append(tpl(cell, ordinal, (0, j), -E1_2D)); ordinal += 1
-    for i in _interior_1d(p):
-        fns.append(tpl(cell, ordinal, (i, 0), E2_2D)); ordinal += 1
-    for i in _interior_1d(p):
-        fns.append(tpl(cell, ordinal, (i, p - i), E1_2D + E2_2D)); ordinal += 1
-    for i in _interior_1d(p):
-        for j in range(1, p - i):
-            fns.append(tpl(cell, ordinal, (i, j), E2_2D)); ordinal += 1
-    for i in _interior_1d(p):
-        for j in range(1, p - i):
-            fns.append(tpl(cell, ordinal, (i, j), E1_2D)); ordinal += 1
-    return fns
-
-
-def nedelec1_tri(p: int):
-    """First-type triangle basis; (p+1)(p+3) functions."""
-    if p < 0:
-        raise DomainError("nedelec1 needs p >= 0")
-    fns = []
-    e12, e13, e23 = (Polytope("edge", e) for e in TRI_EDGES)
-    cell = Polytope("cell", (0, 1, 2))
-
-    edge_grad_idx = {e12: lambda m: (0, m), e13: lambda m: (m, 0),
-                     e23: lambda m: (m, p + 1 - m)}
-    for edge, lowest in ((e12, 0), (e13, 1), (e23, 2)):
-        fns.append(VectorShapeFn("lowest", edge, 0,
-                                 lowest_combo=_combo((lowest, 1.0))))
-        for m in range(1, p + 1):
-            fns.append(VectorShapeFn("gradient", edge, m, scalar_degree=p + 1,
-                                     scalar_index=edge_grad_idx[edge](m)))
-    if p == 0:
-        return fns
-
-    def ltpl(ordinal, index, combo):
-        return VectorShapeFn("lowest_template", cell, ordinal, scalar_degree=p,
-                             scalar_index=index, lowest_combo=combo)
-
-    ordinal = 0
-    fns.append(ltpl(ordinal, (0, 0), _combo((2, 1.0)))); ordinal += 1
-    fns.append(ltpl(ordinal, (0, p), _combo((1, 1.0)))); ordinal += 1
-    for j in _interior_1d(p):
-        fns.append(ltpl(ordinal, (0, j), _combo((2, 1.0), (1, -1.0)))); ordinal += 1
-    for i in _interior_1d(p):
-        fns.append(ltpl(ordinal, (i, 0), _combo((0, 1.0), (2, 1.0)))); ordinal += 1
-    for i in _interior_1d(p):
-        fns.append(ltpl(ordinal, (i, p - i), _combo((0, 1.0), (1, -1.0)))); ordinal += 1
-    for i in _interior_1d(p):
-        for j in range(1, p - i):
-            fns.append(ltpl(ordinal, (i, j),
-                            _combo((0, 1.0), (1, -1.0), (2, 1.0)))); ordinal += 1
-    for i in range(1, p + 1):
-        for j in range(1, p + 1 - i):
-            fns.append(VectorShapeFn("gradient", cell, ordinal, scalar_degree=p + 1,
-                                     scalar_index=(i, j)))
-            ordinal += 1
-    return fns
-
-
-# ---------------------------------------------------------------------------
-# tetrahedral bases
-
-# per-edge metadata: scalar index of a point on the edge as a function of the
-# exponent m of the *higher* local vertex
+# scalar index of a point on an edge as a function of the exponent m of the
+# *higher* local vertex, keyed by edge in the paper's order
+_TRI_EDGE_INDEX = {
+    (0, 1): lambda p, m: (0, m),
+    (0, 2): lambda p, m: (m, 0),
+    (1, 2): lambda p, m: (m, p - m),
+}
 _TET_EDGE_INDEX = {
     (0, 1): lambda p, m: (0, 0, m),
     (0, 2): lambda p, m: (0, m, 0),
@@ -230,6 +153,31 @@ _TET_EDGE_INDEX = {
     (1, 3): lambda p, m: (m, 0, p - m),
     (2, 3): lambda p, m: (m, p - m, 0),
 }
+
+
+def _edge_templates(p, edge_vecs, edge_index):
+    """Second-type edge blocks, ordinal = exponent of the higher vertex:
+    per edge of ``edge_vecs`` the lower-vertex template at 0, the
+    interior one at 1..p-1 and the higher-vertex one at p."""
+    fns = []
+    for e, (lo, mid, hi) in edge_vecs.items():
+        poly, idx = Polytope("edge", e), edge_index[e]
+        fns.append(_template(poly, 0, p, idx(p, 0), lo))
+        fns.extend(_template(poly, m, p, idx(p, m), mid) for m in _interior_1d(p))
+        fns.append(_template(poly, p, p, idx(p, p), hi))
+    return fns
+
+
+def _edge_gradients(p, edge_index):
+    """First-type edge blocks: theta_n of the n-th edge, then at ordinals
+    1..p the gradients of the degree p+1 scalars on the edge."""
+    fns = []
+    for n, (e, idx) in enumerate(edge_index.items()):
+        poly = Polytope("edge", e)
+        fns.append(_lowest(poly, n))
+        fns.extend(_gradient(poly, m, p + 1, idx(p + 1, m)) for m in range(1, p + 1))
+    return fns
+
 
 # face scalar index from the exponents (eb, ec) of the 2nd and 3rd sorted
 # vertices of the face (exponent of the 1st is p - eb - ec)
@@ -241,39 +189,110 @@ _TET_FACE_INDEX = {
 }
 
 
+def _tri_cell_index(p, eb, ec):
+    """The triangle's cell is its one face: v2 carries eb, v3 carries ec."""
+    return (ec, eb)
+
+
 def _face_interior(p):
     """(eb, ec) exponent pairs of face-interior scalars, canonical order."""
     return [(eb, ec) for ec in range(1, p) for eb in range(1, p - ec)]
 
 
+def _face_templates(poly, p, fidx, vecs):
+    """Second-type face block (the cell block of a triangle): the edge-face
+    families of edges (a,b), (a,c), (b,c), then two pure families over the
+    face interior, with the five templates ``vecs`` in that order."""
+    vab, vac, vbc, pure1, pure2 = vecs
+    blocks = ([(fidx(p, m, 0), vab) for m in _interior_1d(p)]
+              + [(fidx(p, 0, m), vac) for m in _interior_1d(p)]
+              + [(fidx(p, p - m, m), vbc) for m in _interior_1d(p)]
+              + [(fidx(p, eb, ec), pure1) for eb, ec in _face_interior(p)]
+              + [(fidx(p, eb, ec), pure2) for eb, ec in _face_interior(p)])
+    return [_template(poly, n, p, index, vec) for n, (index, vec) in enumerate(blocks)]
+
+
+def _face_lowest_templates(poly, p, fidx, data):
+    """First-type face block (the cell block of a triangle): lowest-order
+    templates (combinations ``data``) at vertices a and b, on the edges
+    (a,b), (a,c), (b,c) and in the interior, then the gradients of the
+    degree p+1 face-interior scalars."""
+    blocks = ([(fidx(p, 0, 0), data["va"]), (fidx(p, p, 0), data["vb"])]
+              + [(fidx(p, m, 0), data["ab"]) for m in _interior_1d(p)]
+              + [(fidx(p, 0, m), data["ac"]) for m in _interior_1d(p)]
+              + [(fidx(p, p - m, m), data["bc"]) for m in _interior_1d(p)]
+              + [(fidx(p, eb, ec), data["pure"]) for eb, ec in _face_interior(p)])
+    fns = [_lowest_template(poly, n, p, index, pairs)
+           for n, (index, pairs) in enumerate(blocks)]
+    return fns + [_gradient(poly, n, p + 1, fidx(p + 1, eb, ec))
+                  for n, (eb, ec) in enumerate(_face_interior(p + 1), len(fns))]
+
+
+# first-type face data: lowest-order combinations of the vertex-a, vertex-b,
+# edge and pure families (0-based indices into theta_1..6; theta_1..3 for
+# the triangle's cell)
+_N1_TRI_CELL_DATA = {"va": [(2, 1.0)], "vb": [(1, 1.0)],
+                     "ab": [(2, 1.0), (1, -1.0)], "ac": [(0, 1.0), (2, 1.0)],
+                     "bc": [(0, 1.0), (1, -1.0)],
+                     "pure": [(0, 1.0), (1, -1.0), (2, 1.0)]}
+_N1_FACE_DATA = {
+    (0, 1, 2): {"va": [(3, 1.0)], "vb": [(1, -1.0)],
+                "ab": [(3, 1.0), (1, -1.0)], "ac": [(0, 1.0), (3, 1.0)],
+                "bc": [(0, 1.0), (1, -1.0)],
+                "pure": [(0, 1.0), (1, -1.0), (3, 1.0)]},
+    (0, 1, 3): {"va": [(4, 1.0)], "vb": [(2, -1.0)],
+                "ab": [(4, 1.0), (2, -1.0)], "ac": [(0, 1.0), (4, 1.0)],
+                "bc": [(0, 1.0), (2, -1.0)],
+                "pure": [(0, 1.0), (2, -1.0), (4, 1.0)]},
+    (0, 2, 3): {"va": [(5, 1.0)], "vb": [(2, -1.0)],
+                "ab": [(5, 1.0), (2, -1.0)], "ac": [(1, 1.0), (5, 1.0)],
+                "bc": [(1, 1.0), (2, -1.0)],
+                "pure": [(1, 1.0), (2, -1.0), (5, 1.0)]},
+    (1, 2, 3): {"va": [(5, 1.0)], "vb": [(4, -1.0)],
+                "ab": [(5, 1.0), (4, -1.0)], "ac": [(3, 1.0), (5, 1.0)],
+                "bc": [(3, 1.0), (4, -1.0)],
+                "pure": [(3, 1.0), (4, -1.0), (5, 1.0)]},
+}
+
+
+# ---------------------------------------------------------------------------
+# triangle bases
+
+def nedelec2_tri(p: int):
+    """Second-type triangle basis; (p+1)(p+2) functions."""
+    if p < 1:
+        raise DomainError("nedelec2 needs p >= 1")
+    fns = _edge_templates(p, {(0, 1): (E2_2D, E2_2D, E1_2D + E2_2D),
+                              (0, 2): (E1_2D, E1_2D, E1_2D + E2_2D),
+                              (1, 2): (E1_2D, 0.5 * (E1_2D - E2_2D), -E2_2D)},
+                          _TRI_EDGE_INDEX)
+    return fns + _face_templates(Polytope("cell", (0, 1, 2)), p, _tri_cell_index,
+                                 (-E1_2D, E2_2D, E1_2D + E2_2D, E2_2D, E1_2D))
+
+
+def nedelec1_tri(p: int):
+    """First-type triangle basis; (p+1)(p+3) functions."""
+    if p < 0:
+        raise DomainError("nedelec1 needs p >= 0")
+    fns = _edge_gradients(p, _TRI_EDGE_INDEX)
+    if p == 0:
+        return fns
+    return fns + _face_lowest_templates(Polytope("cell", (0, 1, 2)), p,
+                                        _tri_cell_index, _N1_TRI_CELL_DATA)
+
+
+# ---------------------------------------------------------------------------
+# tetrahedral bases
+
 def nedelec2_tet(p: int):
     """Second-type tetrahedral basis; (p+1)(p+2)(p+3)/2 functions."""
     if p < 1:
         raise DomainError("nedelec2 needs p >= 1")
-    fns = []
-    edges = {e: Polytope("edge", e) for e in TET_EDGES}
-    faces = {f: Polytope("face", f) for f in TET_FACES}
-    cell = Polytope("cell", (0, 1, 2, 3))
     s = E1 + E2 + E3
-
-    def tpl(poly, ordinal, index, vec):
-        return VectorShapeFn("template", poly, ordinal, scalar_degree=p,
-                             scalar_index=tuple(index), template=tuple(vec))
-
-    # edge blocks: (lower-vertex template, interior, higher-vertex template)
-    edge_vecs = {
+    fns = _edge_templates(p, {
         (0, 1): (E3, E3, s), (0, 2): (E2, E2, s), (0, 3): (E1, E1, s),
         (1, 2): (E2, E2, -E3), (1, 3): (E1, E1, -E3), (2, 3): (E1, E1, -E2),
-    }
-    for e in TET_EDGES:
-        lo, mid, hi = edge_vecs[e]
-        idx = _TET_EDGE_INDEX[e]
-        fns.append(tpl(edges[e], 0, idx(p, 0), lo))
-        for m in _interior_1d(p):
-            fns.append(tpl(edges[e], m, idx(p, m), mid))
-        fns.append(tpl(edges[e], p, idx(p, p), hi))
-
-    # face blocks: three edge-face families then two pure families
+    }, _TET_EDGE_INDEX)
     face_vecs = {
         (0, 1, 2): (-E2, E3, s, E3, E2),
         (0, 1, 3): (-E1, E3, s, E3, E1),
@@ -281,26 +300,15 @@ def nedelec2_tet(p: int):
         (1, 2, 3): (-E1, E2, -E3, E2, E1),
     }
     for f in TET_FACES:
-        vab, vac, vbc, pure1, pure2 = face_vecs[f]
-        fidx = _TET_FACE_INDEX[f]
-        ordinal = 0
-        for m in _interior_1d(p):       # edge (a,b): eb = m, ec = 0
-            fns.append(tpl(faces[f], ordinal, fidx(p, m, 0), vab)); ordinal += 1
-        for m in _interior_1d(p):       # edge (a,c): ec = m
-            fns.append(tpl(faces[f], ordinal, fidx(p, 0, m), vac)); ordinal += 1
-        for m in _interior_1d(p):       # edge (b,c): ec = m, eb = p - m
-            fns.append(tpl(faces[f], ordinal, fidx(p, p - m, m), vbc)); ordinal += 1
-        for eb, ec in _face_interior(p):
-            fns.append(tpl(faces[f], ordinal, fidx(p, eb, ec), pure1)); ordinal += 1
-        for eb, ec in _face_interior(p):
-            fns.append(tpl(faces[f], ordinal, fidx(p, eb, ec), pure2)); ordinal += 1
+        fns += _face_templates(Polytope("face", f), p, _TET_FACE_INDEX[f], face_vecs[f])
 
     # cell block: four face-cell families then three interior families
+    cell = Polytope("cell", (0, 1, 2, 3))
     ordinal = 0
 
     def ctpl(index, vec):
         nonlocal ordinal
-        fns.append(tpl(cell, ordinal, index, vec))
+        fns.append(_template(cell, ordinal, p, index, vec))
         ordinal += 1
 
     for j in _interior_1d(p):
@@ -323,70 +331,16 @@ def nedelec2_tet(p: int):
     return fns
 
 
-# first-type face data: (combo of vertex-a fn, vertex-b fn, edge families...)
-# expressed over the lowest-order functions (0-based indices into theta_1..6)
-_N1_FACE_DATA = {
-    (0, 1, 2): {"va": [(3, 1.0)], "vb": [(1, -1.0)],
-                "ab": [(3, 1.0), (1, -1.0)], "ac": [(0, 1.0), (3, 1.0)],
-                "bc": [(0, 1.0), (1, -1.0)],
-                "pure": [(0, 1.0), (1, -1.0), (3, 1.0)]},
-    (0, 1, 3): {"va": [(4, 1.0)], "vb": [(2, -1.0)],
-                "ab": [(4, 1.0), (2, -1.0)], "ac": [(0, 1.0), (4, 1.0)],
-                "bc": [(0, 1.0), (2, -1.0)],
-                "pure": [(0, 1.0), (2, -1.0), (4, 1.0)]},
-    (0, 2, 3): {"va": [(5, 1.0)], "vb": [(2, -1.0)],
-                "ab": [(5, 1.0), (2, -1.0)], "ac": [(1, 1.0), (5, 1.0)],
-                "bc": [(1, 1.0), (2, -1.0)],
-                "pure": [(1, 1.0), (2, -1.0), (5, 1.0)]},
-    (1, 2, 3): {"va": [(5, 1.0)], "vb": [(4, -1.0)],
-                "ab": [(5, 1.0), (4, -1.0)], "ac": [(3, 1.0), (5, 1.0)],
-                "bc": [(3, 1.0), (4, -1.0)],
-                "pure": [(3, 1.0), (4, -1.0), (5, 1.0)]},
-}
-
-
 def nedelec1_tet(p: int):
     """First-type tetrahedral basis; (p+4)(p+3)(p+1)/2 functions."""
     if p < 0:
         raise DomainError("nedelec1 needs p >= 0")
-    fns = []
-    edges = {e: Polytope("edge", e) for e in TET_EDGES}
-    for n, e in enumerate(TET_EDGES):
-        fns.append(VectorShapeFn("lowest", edges[e], 0, lowest_combo=_combo((n, 1.0))))
-        idx = _TET_EDGE_INDEX[e]
-        for m in range(1, p + 1):
-            fns.append(VectorShapeFn("gradient", edges[e], m, scalar_degree=p + 1,
-                                     scalar_index=idx(p + 1, m)))
+    fns = _edge_gradients(p, _TET_EDGE_INDEX)
     if p == 0:
         return fns
-
     for f in TET_FACES:
-        face = Polytope("face", f)
-        data = _N1_FACE_DATA[f]
-        fidx = _TET_FACE_INDEX[f]
-        ordinal = 0
-
-        def ltpl(index, combo_pairs):
-            nonlocal ordinal
-            fns.append(VectorShapeFn("lowest_template", face, ordinal,
-                                     scalar_degree=p, scalar_index=tuple(index),
-                                     lowest_combo=_combo(*combo_pairs)))
-            ordinal += 1
-
-        ltpl(fidx(p, 0, 0), data["va"])
-        ltpl(fidx(p, p, 0), data["vb"])
-        for m in _interior_1d(p):
-            ltpl(fidx(p, m, 0), data["ab"])
-        for m in _interior_1d(p):
-            ltpl(fidx(p, 0, m), data["ac"])
-        for m in _interior_1d(p):
-            ltpl(fidx(p, p - m, m), data["bc"])
-        for eb, ec in _face_interior(p):
-            ltpl(fidx(p, eb, ec), data["pure"])
-        for eb, ec in _face_interior(p + 1):
-            fns.append(VectorShapeFn("gradient", face, ordinal, scalar_degree=p + 1,
-                                     scalar_index=fidx(p + 1, eb, ec)))
-            ordinal += 1
+        fns += _face_lowest_templates(Polytope("face", f), p, _TET_FACE_INDEX[f],
+                                      _N1_FACE_DATA[f])
 
     cell = Polytope("cell", (0, 1, 2, 3))
     ordinal = 0
@@ -395,30 +349,26 @@ def nedelec1_tet(p: int):
         return [(i, j, k) for i in range(1, q) for j in range(1, q - i)
                 for k in range(1, q - i - j)]
 
-    # non-gradient cell families (restricted construction, degree p+2)
+    # non-gradient cell families (restricted construction, degree p+2):
+    # q b^{q-1} e_axis - c grad b^q
     q = p + 2
-    for i, j, k in interior3(q):
-        fns.append(VectorShapeFn("cell_nongrad", cell, ordinal, axis=0,
-                                 value_index=(i - 1, j, k), grad_index=(i, j, k),
-                                 value_coeff=float(q), grad_coeff=i / q,
-                                 scalar_degree=p))
+
+    def nongrad(axis, value_index, grad_index, grad_coeff):
+        nonlocal ordinal
+        fns.append(VectorShapeFn("cell_nongrad", cell, ordinal, (
+            (("bvec", q - 1, value_index, axis), float(q)),
+            (("grad", q, grad_index), -grad_coeff))))
         ordinal += 1
+
     for i, j, k in interior3(q):
-        fns.append(VectorShapeFn("cell_nongrad", cell, ordinal, axis=1,
-                                 value_index=(i, j - 1, k), grad_index=(i, j, k),
-                                 value_coeff=float(q), grad_coeff=j / q,
-                                 scalar_degree=p))
-        ordinal += 1
+        nongrad(0, (i - 1, j, k), (i, j, k), i / q)
+    for i, j, k in interior3(q):
+        nongrad(1, (i, j - 1, k), (i, j, k), j / q)
     for i, j, k in interior3(q):
         if k == 1:
-            fns.append(VectorShapeFn("cell_nongrad", cell, ordinal, axis=2,
-                                     value_index=(i, j, 0), grad_index=(i, j, 1),
-                                     value_coeff=float(q), grad_coeff=1.0 / q,
-                                     scalar_degree=p))
-            ordinal += 1
+            nongrad(2, (i, j, 0), (i, j, 1), 1.0 / q)
     for idx in interior3(p + 1):
-        fns.append(VectorShapeFn("gradient", cell, ordinal, scalar_degree=p + 1,
-                                 scalar_index=idx))
+        fns.append(_gradient(cell, ordinal, p + 1, idx))
         ordinal += 1
     return fns
 
@@ -448,11 +398,81 @@ class VectorShapeSet:
     curls: np.ndarray
 
 
-def _scalar_data(dim, degrees, cp_pts):
-    out = {}
-    for q in sorted(set(degrees)):
-        out[q] = bezier_eval(q, dim, cp_pts)
-    return out
+def _group_key(prim):
+    """Primitives of one kind and scalar degree are tabulated together."""
+    return prim[0], 0 if prim[0] == "theta" else prim[1]
+
+
+@lru_cache(maxsize=None)
+def _coefficients(space: SpaceDescriptor):
+    """Primitive groups and coefficient matrix C of the basis of ``space``.
+
+    The distinct primitives are ordered by (kind, scalar degree); each
+    group is (kind, q, cols, aux): the traversal-order columns of its
+    scalars (None for "theta") and its unit-vector or lowest-order
+    function indices (None for "grad").  Base function m is the sum over
+    k of C[k, m] times primitive k.
+    """
+    fns = build_basis(space)
+    prims = sorted(dict.fromkeys(prim for fn in fns for prim, _ in fn.terms),
+                   key=_group_key)
+    row = {prim: k for k, prim in enumerate(prims)}
+    C = np.zeros((len(prims), len(fns)))
+    for m, fn in enumerate(fns):
+        for prim, coeff in fn.terms:
+            C[row[prim], m] += coeff
+    groups = []
+    for (kind, q), members in groupby(prims, key=_group_key):
+        members = list(members)
+        aux = None if kind == "grad" else np.array([prim[-1] for prim in members])
+        if kind == "theta":
+            groups.append((kind, None, None, aux))
+            continue
+        pos = index_position(q, space.dim)
+        groups.append((kind, q, np.array([pos[prim[2]] for prim in members]), aux))
+    return tuple(groups), C
+
+
+def _cross(g, v):
+    """g x v, as (..., 1) in 2D: the curl of b v for a constant v."""
+    if g.shape[-1] == 2:
+        return (g[..., 0] * v[..., 1] - g[..., 1] * v[..., 0])[..., None]
+    return np.cross(g, v)
+
+
+def _evaluate(space: SpaceDescriptor, x, scalar):
+    """Values (n, nb, dim) and curls of the basis of ``space`` at the
+    reference points x (n, dim).
+
+    ``scalar(q)`` gives the degree-q Bezier values (n, nb_q) and
+    reference gradients (n, nb_q, dim) at x.  The primitives are
+    tabulated group by group into P (n, n_prim, dim) and their curls into
+    R; the basis is C^T P and C^T R.  Curls are (n, nb) in 2D (the scalar
+    rot) and (n, nb, 3) in 3D.
+    """
+    groups, C = _coefficients(space)
+    n, dim = x.shape
+    theta, rot = lowest_order_tri(x) if dim == 2 else lowest_order_tet(x)
+    rot = rot.reshape(len(rot), -1)       # 2D rots as (3, 1)
+    tabs = {q: scalar(q) for q in {g[1] for g in groups} - {None}}
+    P, R = [], []
+    for kind, q, cols, aux in groups:
+        if kind == "theta":
+            P.append(theta[:, aux])
+            R.append(np.broadcast_to(rot[aux], (n,) + rot[aux].shape))
+            continue
+        vals, grads = tabs[q]
+        if kind == "grad":
+            P.append(grads[:, cols])
+            R.append(np.zeros((n, len(cols), rot.shape[1])))
+            continue
+        b = vals[:, cols, None]
+        vec = np.eye(dim)[aux] if kind == "bvec" else theta[:, aux]
+        curl = _cross(grads[:, cols], vec)
+        P.append(b * vec)
+        R.append(curl if kind == "bvec" else b * rot[aux] + curl)
+    curls = C.T @ np.concatenate(R, axis=1)
+    return C.T @ np.concatenate(P, axis=1), curls[..., 0] if dim == 2 else curls
 
 
 def eval_vector_shapes(space: SpaceDescriptor, cp_pts) -> VectorShapeSet:
@@ -461,78 +481,13 @@ def eval_vector_shapes(space: SpaceDescriptor, cp_pts) -> VectorShapeSet:
     Gradient-kind functions report exactly zero curl.  Points on the
     collapse lines raise SingularCollapse via the scalar evaluation.
     """
-    fns = build_basis(space)
-    cp_pts = np.atleast_2d(np.asarray(cp_pts, dtype=float))
-    dim = space.dim
-    n = cp_pts.shape[0]
-    nb = len(fns)
-    values = np.zeros((n, nb, dim))
-    curls = np.zeros((n, nb)) if dim == 2 else np.zeros((n, nb, 3))
+    cp = np.atleast_2d(np.asarray(cp_pts, dtype=float))
 
-    simplex_pts = duffy_forward(cp_pts)
-    if dim == 2:
-        low_vals, low_rots = lowest_order_tri(simplex_pts)
-    else:
-        low_vals, low_rots = lowest_order_tet(simplex_pts)
+    def scalar(q):
+        sh = bezier_eval(q, space.dim, cp)
+        return sh.values, sh.grads
 
-    degrees = []
-    for fn in fns:
-        if fn.kind in ("template", "lowest_template", "gradient"):
-            degrees.append(fn.scalar_degree)
-        elif fn.kind == "cell_nongrad":
-            degrees.extend([fn.scalar_degree + 1, fn.scalar_degree + 2])
-    data = _scalar_data(dim, degrees, cp_pts)
-
-    def pos(q, idx):
-        return index_position(q, dim)[idx]
-
-    for m, fn in enumerate(fns):
-        if fn.kind == "lowest":
-            combo = np.asarray(fn.lowest_combo)[: low_vals.shape[1]]
-            values[:, m] = np.einsum("c,ncd->nd", combo, low_vals)
-            curls[:, m] = combo @ low_rots
-        elif fn.kind == "template":
-            sh = data[fn.scalar_degree]
-            col = pos(fn.scalar_degree, fn.scalar_index)
-            b = sh.values[:, col]
-            g = sh.grads[:, col]
-            t = np.asarray(fn.template)
-            values[:, m] = b[:, None] * t
-            if dim == 2:
-                curls[:, m] = g[:, 0] * t[1] - g[:, 1] * t[0]
-            else:
-                curls[:, m] = np.cross(g, t[None, :])
-        elif fn.kind == "lowest_template":
-            sh = data[fn.scalar_degree]
-            col = pos(fn.scalar_degree, fn.scalar_index)
-            b = sh.values[:, col]
-            g = sh.grads[:, col]
-            combo = np.asarray(fn.lowest_combo)[: low_vals.shape[1]]
-            v = np.einsum("c,ncd->nd", combo, low_vals)
-            values[:, m] = b[:, None] * v
-            if dim == 2:
-                curls[:, m] = (b * (combo @ low_rots)
-                               + g[:, 0] * v[:, 1] - g[:, 1] * v[:, 0])
-            else:
-                curls[:, m] = b[:, None] * (combo @ low_rots) + np.cross(g, v)
-        elif fn.kind == "gradient":
-            sh = data[fn.scalar_degree]
-            col = pos(fn.scalar_degree, fn.scalar_index)
-            values[:, m] = sh.grads[:, col]
-            # curl of a gradient is identically zero
-        elif fn.kind == "cell_nongrad":
-            shv = data[fn.scalar_degree + 1]
-            shg = data[fn.scalar_degree + 2]
-            colv = pos(fn.scalar_degree + 1, fn.value_index)
-            colg = pos(fn.scalar_degree + 2, fn.grad_index)
-            e_ax = np.zeros(3)
-            e_ax[fn.axis] = 1.0
-            values[:, m] = (fn.value_coeff * shv.values[:, colv][:, None] * e_ax
-                            - fn.grad_coeff * shg.grads[:, colg])
-            curls[:, m] = fn.value_coeff * np.cross(shv.grads[:, colv], e_ax)
-        else:
-            raise DomainError(f"unknown shape kind {fn.kind!r}")
-    return VectorShapeSet(values, curls)
+    return VectorShapeSet(*_evaluate(space, duffy_forward(cp), scalar))
 
 
 def eval_vector_values(space: SpaceDescriptor, simplex_pts) -> np.ndarray:
@@ -540,54 +495,8 @@ def eval_vector_values(space: SpaceDescriptor, simplex_pts) -> np.ndarray:
 
     Unlike :func:`eval_vector_shapes` this path has no collapse
     singularities: scalar values use the zero-filled collapsed map and
-    gradient-kind functions the degree-reduction identity.
+    gradients the degree-reduction identity.
     """
-    pts = np.atleast_2d(np.asarray(simplex_pts, dtype=float))
-    fns = build_basis(space)
-    dim = space.dim
-    n = pts.shape[0]
-    values = np.zeros((n, len(fns), dim))
-
-    if dim == 2:
-        low_vals, _ = lowest_order_tri(pts)
-    else:
-        low_vals, _ = lowest_order_tet(pts)
-
-    val_deg, grad_deg = set(), set()
-    for fn in fns:
-        if fn.kind in ("template", "lowest_template"):
-            val_deg.add(fn.scalar_degree)
-        elif fn.kind == "gradient":
-            grad_deg.add(fn.scalar_degree)
-        elif fn.kind == "cell_nongrad":
-            val_deg.add(fn.scalar_degree + 1)
-            grad_deg.add(fn.scalar_degree + 2)
-    vals = {q: bezier_values(q, dim, pts) for q in val_deg}
-    grads = {q: bezier_gradients(q, dim, pts) for q in grad_deg}
-
-    def pos(q, idx):
-        return index_position(q, dim)[idx]
-
-    for m, fn in enumerate(fns):
-        if fn.kind == "lowest":
-            combo = np.asarray(fn.lowest_combo)[: low_vals.shape[1]]
-            values[:, m] = np.einsum("c,ncd->nd", combo, low_vals)
-        elif fn.kind == "template":
-            b = vals[fn.scalar_degree][:, pos(fn.scalar_degree, fn.scalar_index)]
-            values[:, m] = b[:, None] * np.asarray(fn.template)
-        elif fn.kind == "lowest_template":
-            b = vals[fn.scalar_degree][:, pos(fn.scalar_degree, fn.scalar_index)]
-            combo = np.asarray(fn.lowest_combo)[: low_vals.shape[1]]
-            v = np.einsum("c,ncd->nd", combo, low_vals)
-            values[:, m] = b[:, None] * v
-        elif fn.kind == "gradient":
-            values[:, m] = grads[fn.scalar_degree][:, pos(fn.scalar_degree,
-                                                          fn.scalar_index)]
-        else:  # cell_nongrad
-            qv, qg = fn.scalar_degree + 1, fn.scalar_degree + 2
-            e_ax = np.zeros(3)
-            e_ax[fn.axis] = 1.0
-            b = vals[qv][:, pos(qv, fn.value_index)]
-            g = grads[qg][:, pos(qg, fn.grad_index)]
-            values[:, m] = fn.value_coeff * b[:, None] * e_ax - fn.grad_coeff * g
-    return values
+    x = np.atleast_2d(np.asarray(simplex_pts, dtype=float))
+    return _evaluate(space, x, lambda q: (bezier_values(q, space.dim, x),
+                                          bezier_gradients(q, space.dim, x)))[0]

@@ -15,7 +15,8 @@ dual-number sweeps supplying the univariate derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import numpy as np
 
@@ -92,23 +93,33 @@ class CollapsedPoint:
             raise DomainError(f"collapsed coordinates {self.coords} outside [0,1]")
 
 
+def _points(cp) -> np.ndarray:
+    """A CollapsedPoint or an array of points as an (n, dim) float array."""
+    return np.atleast_2d(np.asarray(cp.coords if isinstance(cp, CollapsedPoint) else cp,
+                                    dtype=float))
+
+
 def duffy_forward(cp) -> np.ndarray:
     """Collapsed coordinates -> reference simplex coordinates.
 
     Accepts a CollapsedPoint or an (n, d) array; returns matching shape.
+    Coordinate d is scaled by (1 - c_0) ... (1 - c_{d-1}).
     """
-    pts = np.atleast_2d(np.asarray(cp.coords if isinstance(cp, CollapsedPoint) else cp,
-                                   dtype=float))
-    a = pts[:, 0]
-    b = pts[:, 1]
-    if pts.shape[1] == 2:
-        out = np.stack([a, (1.0 - a) * b], axis=1)
-    else:
-        g = pts[:, 2]
-        out = np.stack([a, (1.0 - a) * b, (1.0 - a) * (1.0 - b) * g], axis=1)
+    pts = _points(cp)
+    scale = np.cumprod(np.hstack([np.ones((len(pts), 1)), 1.0 - pts[:, :-1]]), axis=1)
+    out = pts * scale
     if isinstance(cp, CollapsedPoint) or np.asarray(cp).ndim == 1:
         return out[0]
     return out
+
+
+def _collapse_denominators(pts: np.ndarray) -> np.ndarray:
+    """1, 1 - x_0, 1 - x_0 - x_1, ... (n, dim): what the inverse Duffy map
+    divides coordinate d by."""
+    dens = [np.ones(len(pts))]
+    for d in range(pts.shape[1] - 1):
+        dens.append(dens[-1] - pts[:, d])
+    return np.stack(dens, axis=1)
 
 
 def duffy_inverse(pt) -> np.ndarray:
@@ -118,20 +129,10 @@ def duffy_inverse(pt) -> np.ndarray:
     1-xi-eta in 3D) falls below 1e-14.
     """
     pts = np.atleast_2d(np.asarray(pt, dtype=float))
-    xi = pts[:, 0]
-    eta = pts[:, 1]
-    if pts.shape[1] == 2:
-        den = 1.0 - xi
-        if np.any(den < 1e-14):
-            raise SingularCollapse("duffy inverse undefined at xi = 1")
-        out = np.stack([xi, eta / den], axis=1)
-    else:
-        zeta = pts[:, 2]
-        den1 = 1.0 - xi
-        den2 = 1.0 - xi - eta
-        if np.any(den1 < 1e-14) or np.any(den2 < 1e-14):
-            raise SingularCollapse("duffy inverse undefined at xi = 1 or xi + eta = 1")
-        out = np.stack([xi, eta / den1, zeta / den2], axis=1)
+    den = _collapse_denominators(pts)
+    if np.any(den < 1e-14):
+        raise SingularCollapse("duffy inverse undefined at xi = 1 or xi + eta = 1")
+    out = pts / den
     if np.asarray(pt).ndim == 1:
         return out[0]
     return out
@@ -144,19 +145,10 @@ def collapsed_safe(simplex_pts: np.ndarray, dim: int) -> np.ndarray:
     corresponding univariate factor is constant, so the fill value is
     irrelevant.  Out-of-range round-off is clipped.
     """
-    pts = np.atleast_2d(np.asarray(simplex_pts, dtype=float))
-    xi = pts[:, 0]
-    eta = pts[:, 1]
-    den1 = 1.0 - xi
-    beta = np.where(den1 > 1e-14, eta / np.where(den1 > 1e-14, den1, 1.0), 0.0)
-    if dim == 2:
-        out = np.stack([xi, beta], axis=1)
-    else:
-        zeta = pts[:, 2]
-        den2 = 1.0 - xi - eta
-        gamma = np.where(den2 > 1e-14, zeta / np.where(den2 > 1e-14, den2, 1.0), 0.0)
-        out = np.stack([xi, beta, gamma], axis=1)
-    return np.clip(out, 0.0, 1.0)
+    pts = np.atleast_2d(np.asarray(simplex_pts, dtype=float))[:, :dim]
+    den = _collapse_denominators(pts)
+    ok = den > 1e-14
+    return np.clip(np.where(ok, pts / np.where(ok, den, 1.0), 0.0), 0.0, 1.0)
 
 
 def traversal_order(p: int, dim: int):
@@ -200,90 +192,77 @@ def n_basis(p: int, dim: int) -> int:
     return (p + 1) * (p + 2) // 2 if dim == 2 else (p + 1) * (p + 2) * (p + 3) // 6
 
 
-def _rows_all_degrees(p, t):
-    """BernsteinEval for every degree 0..p at the points t."""
-    return [eval_all(q, t) for q in range(p + 1)]
+@lru_cache(maxsize=None)
+def _sweep_columns(p: int, dim: int):
+    """Columns (dim, nb) that the sweep reads from the stacked univariate
+    tables, one row per axis, and the lowest degree (dim,) of each axis.
+
+    Axis d of the multi-index idx is a Bernstein function of degree
+    p - idx[0] - ... - idx[d-1] at position idx[d]; the tables of degrees
+    lo..p sit side by side, degree q from column (q(q+1) - lo(lo+1))/2 on.
+    """
+    idx = np.array(index_tuples(p, dim)).reshape(-1, dim)
+    deg = p - np.cumsum(idx, axis=1) + idx
+    lo = deg.min(axis=0)
+    return (deg * (deg + 1) // 2 - lo * (lo + 1) // 2 + idx).T, lo
+
+
+def _sweep(p: int, pts: np.ndarray):
+    """Values (n, nb) and collapsed-coordinate partials (n, nb, dim) of
+    the degree-``p`` basis at collapsed points (n, dim).
+
+    Each function is a product of one univariate Bernstein factor per
+    axis; ``eval_all`` supplies every factor's value and derivative in one
+    dual-number sweep per degree.
+    """
+    cols, lo = _sweep_columns(p, pts.shape[1])
+    vals, ders = [], []
+    for d, col in enumerate(cols):
+        rows = [eval_all(q, pts[:, d]) for q in range(lo[d], p + 1)]
+        vals.append(np.take(np.concatenate([r.values for r in rows], axis=1), col, axis=1))
+        ders.append(np.take(np.concatenate([r.derivs for r in rows], axis=1), col, axis=1))
+    partials = [reduce(mul, vals[:d] + [ders[d]] + vals[d + 1:])
+                for d in range(len(cols))]
+    return reduce(mul, vals), np.stack(partials, axis=-1)
+
+
+def _collapse_jacobian(pts: np.ndarray) -> np.ndarray:
+    """Jacobian (n, dim, dim) of the inverse Duffy map at collapsed points:
+    row d is the reference gradient of collapsed coordinate d."""
+    n, dim = pts.shape
+    scale = np.cumprod(np.hstack([np.ones((n, 1)), 1.0 / (1.0 - pts[:, :-1])]),
+                       axis=1)
+    rows = np.where(np.tri(dim, k=-1, dtype=bool), pts[:, :, None], np.eye(dim))
+    return rows * scale[:, :, None]
+
+
+def bezier_eval(p: int, dim: int, cp) -> H1ShapeSet:
+    """All degree-``p`` base functions of the reference triangle (dim 2)
+    or tetrahedron (dim 3) at collapsed points.
+
+    ``cp`` is a CollapsedPoint or an (n, dim) array.  Gradients are taken
+    with respect to the reference coordinates via the chain rule of the
+    Duffy map; points with a collapse coordinate (all but the last) near
+    1 are rejected.
+    """
+    pts = _points(cp)
+    if p < 1:
+        raise DomainError(f"{'triangle' if dim == 2 else 'tetrahedron'} "
+                          "basis needs p >= 1")
+    if np.any(pts[:, :-1] > 1.0 - COLLAPSE_TOL):
+        raise SingularCollapse("gradient chain rule singular on a collapse line")
+    values, partials = _sweep(p, pts)
+    return H1ShapeSet(p, values, partials @ _collapse_jacobian(pts))
 
 
 def bezier_tri_eval(p: int, cp) -> H1ShapeSet:
-    """All triangle base functions of degree ``p`` at collapsed points.
-
-    ``cp`` is a CollapsedPoint or an (n, 2) array.  Gradients are taken
-    with respect to the reference (xi, eta) coordinates via the chain
-    rule of the Duffy map; points with alpha near 1 are rejected.
-    """
-    pts = np.atleast_2d(np.asarray(cp.coords if isinstance(cp, CollapsedPoint) else cp,
-                                   dtype=float))
-    if p < 1:
-        raise DomainError("triangle basis needs p >= 1")
-    alpha, beta = pts[:, 0], pts[:, 1]
-    if np.any(alpha > 1.0 - COLLAPSE_TOL):
-        raise SingularCollapse("gradient chain rule singular at alpha = 1")
-
-    A = eval_all(p, alpha)
-    B = _rows_all_degrees(p, beta)
-    n = pts.shape[0]
-    nb = n_basis(p, 2)
-    values = np.empty((n, nb))
-    grads = np.empty((n, nb, 2))
-    inv1 = 1.0 / (1.0 - alpha)
-    idx = 0
-    for i in range(p + 1):
-        bi, dbi = A.values[:, i], A.derivs[:, i]
-        row = B[p - i]
-        for j in range(p + 1 - i):
-            bj, dbj = row.values[:, j], row.derivs[:, j]
-            values[:, idx] = bi * bj
-            da = dbi * bj
-            db = bi * dbj
-            grads[:, idx, 0] = da + beta * inv1 * db
-            grads[:, idx, 1] = inv1 * db
-            idx += 1
-    return H1ShapeSet(p, values, grads)
+    """All triangle base functions of degree ``p`` at collapsed points."""
+    return bezier_eval(p, 2, cp)
 
 
 def bezier_tet_eval(p: int, cp) -> H1ShapeSet:
     """All tetrahedron base functions of degree ``p`` at collapsed points."""
-    pts = np.atleast_2d(np.asarray(cp.coords if isinstance(cp, CollapsedPoint) else cp,
-                                   dtype=float))
-    if p < 1:
-        raise DomainError("tetrahedron basis needs p >= 1")
-    alpha, beta, gamma = pts[:, 0], pts[:, 1], pts[:, 2]
-    if np.any(alpha > 1.0 - COLLAPSE_TOL) or np.any(beta > 1.0 - COLLAPSE_TOL):
-        raise SingularCollapse("gradient chain rule singular at alpha or beta = 1")
-
-    A = eval_all(p, alpha)
-    B = _rows_all_degrees(p, beta)
-    G = _rows_all_degrees(p, gamma)
-    n = pts.shape[0]
-    nb = n_basis(p, 3)
-    values = np.empty((n, nb))
-    grads = np.empty((n, nb, 3))
-    inv1 = 1.0 / (1.0 - alpha)
-    inv2 = 1.0 / (1.0 - beta)
-    idx = 0
-    for i in range(p + 1):
-        bi, dbi = A.values[:, i], A.derivs[:, i]
-        rowB = B[p - i]
-        for j in range(p + 1 - i):
-            bj, dbj = rowB.values[:, j], rowB.derivs[:, j]
-            rowG = G[p - i - j]
-            for k in range(p + 1 - i - j):
-                bk, dbk = rowG.values[:, k], rowG.derivs[:, k]
-                values[:, idx] = bi * bj * bk
-                da = dbi * bj * bk
-                db = bi * dbj * bk
-                dc = bi * bj * dbk
-                # rows of (D_alpha xi)^{-T}
-                grads[:, idx, 0] = da + beta * inv1 * db + gamma * inv1 * inv2 * dc
-                grads[:, idx, 1] = inv1 * db + gamma * inv1 * inv2 * dc
-                grads[:, idx, 2] = inv1 * inv2 * dc
-                idx += 1
-    return H1ShapeSet(p, values, grads)
-
-
-def bezier_eval(p: int, dim: int, cp) -> H1ShapeSet:
-    return bezier_tri_eval(p, cp) if dim == 2 else bezier_tet_eval(p, cp)
+    return bezier_eval(p, 3, cp)
 
 
 def bezier_values(p: int, dim: int, simplex_pts: np.ndarray) -> np.ndarray:
@@ -292,30 +271,20 @@ def bezier_values(p: int, dim: int, simplex_pts: np.ndarray) -> np.ndarray:
     Uses the zero-filled collapsed map, which is exact for values even on
     the collapse lines; valid for p = 0 as well.
     """
-    cp = collapsed_safe(simplex_pts, dim)
-    alpha = cp[:, 0]
-    beta = cp[:, 1]
-    n = cp.shape[0]
-    A = eval_all(p, alpha)
-    B = _rows_all_degrees(p, beta)
-    values = np.empty((n, n_basis(p, dim)))
-    idx = 0
-    if dim == 2:
-        Av = A.values if p > 0 else A.values.reshape(n, 1)
-        for i in range(p + 1):
-            for j in range(p + 1 - i):
-                values[:, idx] = Av[:, i] * B[p - i].values[:, j]
-                idx += 1
-        return values
-    gamma = cp[:, 2]
-    G = _rows_all_degrees(p, gamma)
-    for i in range(p + 1):
-        for j in range(p + 1 - i):
-            for k in range(p + 1 - i - j):
-                values[:, idx] = (A.values[:, i] * B[p - i].values[:, j]
-                                  * G[p - i - j].values[:, k])
-                idx += 1
-    return values
+    return _sweep(p, collapsed_safe(simplex_pts, dim))[0]
+
+
+@lru_cache(maxsize=None)
+def _lowering(p: int, dim: int):
+    """Columns of the degree p-1 values, with a zero column appended
+    last, that the degree-reduction identity reads for each degree-p
+    function: (nb, dim) for idx - e_d and (nb,) for idx itself."""
+    pos = index_position(p - 1, dim)
+    zero = len(pos)
+    down = [[pos.get(t[:d] + (t[d] - 1,) + t[d + 1:], zero) for d in range(dim)]
+            for t in index_tuples(p, dim)]
+    same = [pos.get(t, zero) for t in index_tuples(p, dim)]
+    return np.array(down), np.array(same)
 
 
 def bezier_gradients(p: int, dim: int, simplex_pts: np.ndarray) -> np.ndarray:
@@ -327,24 +296,12 @@ def bezier_gradients(p: int, dim: int, simplex_pts: np.ndarray) -> np.ndarray:
     not.  Out-of-range lowered indices contribute zero.
     """
     pts = np.atleast_2d(np.asarray(simplex_pts, dtype=float))
-    n = pts.shape[0]
-    out = np.zeros((n, n_basis(p, dim), dim))
     if p == 0:
-        return out
+        return np.zeros((pts.shape[0], 1, dim))
     low = bezier_values(p - 1, dim, pts)
-    pos_low = index_position(p - 1, dim)
-    for col, idx in enumerate(index_tuples(p, dim)):
-        total = sum(idx)
-        t2 = low[:, pos_low[idx]] if total <= p - 1 else 0.0
-        for d in range(dim):
-            if idx[d] >= 1:
-                shifted = list(idx)
-                shifted[d] -= 1
-                t1 = low[:, pos_low[tuple(shifted)]]
-            else:
-                t1 = 0.0
-            out[:, col, d] = p * (t1 - t2)
-    return out
+    low = np.hstack([low, np.zeros((low.shape[0], 1))])
+    down, same = _lowering(p, dim)
+    return p * (np.take(low, down, axis=1) - np.take(low, same, axis=1)[:, :, None])
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
-"""Results must not depend on the numbering of vertices and cells.
+"""Results must not depend on the numbering of vertices and cells, nor
+on a rigid rotation of the mesh and its data.
 
-Each case solves one problem on a mesh and on random relabellings of it;
+Each relabelling case solves one problem on a mesh and on random relabellings of it;
 the fill-reducing ordering then sees a different pattern every time.
 Quadrature rules above the tabulated symmetric ones (triangles to degree
 6, tetrahedra to degree 2) are collapsed tensor rules whose points follow
@@ -52,18 +53,19 @@ def _linear_P(x):
     return np.eye(3) * (1.0 + x[:, 0])[:, None, None]
 
 
-def _full3d(mesh, family):
+def _full3d(mesh, family, ufunc=bending_u, gradfunc=bending_grad_u):
     """Cube with the sweep moduli and the quadratic bending displacement
-    on every face; L2 distances to fixed polynomials."""
+    (or ``ufunc``/``gradfunc``) on every face; L2 distances to fixed
+    polynomials."""
     system = assemble_full3d(mesh, sweep_params(1.0),
                              SpaceDescriptor("h1", 2, 3),
                              SpaceDescriptor(family, 1, 3))
     facets = np.concatenate([mesh.tagged_facets(t) for t in
                              ("x-", "x+", "y-", "y+", "z-", "z+")])
     cons = h1_dirichlet(mesh, system.fields["u"].dofmap,
-                        [(facets, bending_u, bending_grad_u)], n_comps=3)
+                        [(facets, ufunc, gradfunc)], n_comps=3)
     cons.merge(hcurl_dirichlet(mesh, system.fields["p"].dofmap,
-                               [(facets, bending_grad_u)], n_comps=3,
+                               [(facets, gradfunc)], n_comps=3,
                                comp_offset0=system.fields["p"].offset))
     system.set_constraints(cons.values)
     sol = solve(system, require_spd=True)
@@ -90,3 +92,37 @@ def test_relabelling_invariance(case, mesh, family):
         fills.add(sol.info["lu_fill"])
     # the relabellings reach the ordering: the factors differ
     assert len(fills) > 1
+
+
+def _rotation():
+    """A fixed proper rotation (det +1) about no coordinate axis."""
+    a, b = 0.7, -0.4
+    rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0],
+                   [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)],
+                   [0.0, np.sin(b), np.cos(b)]])
+    return rz @ rx
+
+
+@pytest.mark.parametrize("family", ["nedelec1", "nedelec2"])
+def test_rigid_motion_invariance(family):
+    """Rotating the cube by Q and its Dirichlet data by u -> Q u(Q^T x),
+    grad u -> Q grad u(Q^T x) Q^T leaves the energy of the isotropic
+    model unchanged."""
+    Q = _rotation()
+    mesh = sweep_mesh(0)
+    sol, ref = _full3d(mesh, family)
+    tags = {label: [mesh.facet_vertices(f) for f in facets]
+            for label, facets in mesh.boundary_tags.items()}
+    rotated = build(mesh.vertices @ Q.T, mesh.cells, tags=tags)
+
+    def ufunc(x):
+        return bending_u(x @ Q) @ Q.T
+
+    def gradfunc(x):
+        return Q @ bending_grad_u(x @ Q) @ Q.T
+
+    sol_rot, values = _full3d(rotated, family, ufunc, gradfunc)
+    assert sol.residual <= 1e-10
+    assert sol_rot.spd and sol_rot.residual <= 1e-10
+    np.testing.assert_allclose(values[0], ref[0], rtol=1e-12, atol=0.0)

@@ -7,7 +7,8 @@ from mmfem.nedelec import (SpaceDescriptor, build_basis, eval_vector_shapes,
                            lowest_order_tri, nedelec1_tet, nedelec1_tri,
                            nedelec2_tet, nedelec2_tri, space_dim)
 from mmfem.quadrature import rule_for
-from mmfem.simplex import bezier_eval, duffy_inverse, traversal_order
+from mmfem.simplex import (bezier_eval, bezier_gradients, bezier_values,
+                           duffy_forward, duffy_inverse, traversal_order)
 
 
 def interior_points(dim, n, rng):
@@ -240,3 +241,25 @@ class TestGram:
         d = np.sqrt(np.diag(G))
         ev = np.linalg.eigvalsh(G / np.outer(d, d))
         assert ev[0] > 1e-12
+
+
+@pytest.mark.parametrize("family,p,dim", [
+    *[("h1", p, dim) for dim in (2, 3) for p in range(1, 7)],
+    *[("nedelec1", p, dim) for dim in (2, 3) for p in range(0, 5)],
+    *[("nedelec2", p, dim) for dim in (2, 3) for p in range(1, 5)],
+])
+def test_entry_points_agree(family, p, dim):
+    # the collapsed-point and the reference-point entry points evaluate
+    # the same basis at interior points
+    rng = np.random.default_rng(7 * p + dim)
+    cp = duffy_inverse(interior_points(dim, 25, rng))
+    x = duffy_forward(cp)
+    if family == "h1":
+        sh = bezier_eval(p, dim, cp)
+        pairs = [(bezier_values(p, dim, x), sh.values),
+                 (bezier_gradients(p, dim, x), sh.grads)]
+    else:
+        sp = SpaceDescriptor(family, p, dim)
+        pairs = [(eval_vector_values(sp, x), eval_vector_shapes(sp, cp).values)]
+    for got, want in pairs:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
