@@ -247,8 +247,7 @@ def bezier_eval(p: int, dim: int, cp) -> H1ShapeSet:
     """
     pts = _points(cp)
     if p < 1:
-        raise DomainError(f"{'triangle' if dim == 2 else 'tetrahedron'} "
-                          "basis needs p >= 1")
+        raise DomainError(f"bezier_eval needs p >= 1, got {p}")
     if np.any(pts[:, :-1] > 1.0 - COLLAPSE_TOL):
         raise SingularCollapse("gradient chain rule singular on a collapse line")
     values, partials = _sweep(p, pts)
