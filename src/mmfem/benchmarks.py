@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,23 +67,6 @@ class BenchConfig:
                 and not set(data) & {"mu_macro", "lam_macro"}):
             fields["mu_macro"] = fields["lam_macro"] = None
         return MaterialParams(**fields)
-
-
-def _n_workers():
-    try:
-        return max(1, int(os.environ.get("MM_FEM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_parallel(jobs):
-    """Run callables preserving order; worker count via MM_FEM_THREADS."""
-    n = _n_workers()
-    if n == 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +142,7 @@ def run_antiplane(cfg: BenchConfig):
                 "h": 10.0 / rings, "err_u": err_u, "err_p": err_p,
                 "rot_norm": rot, "residual": sol.residual}
 
-    rows = _run_parallel([lambda lv=lv: one(lv) for lv in range(levels)])
+    rows = [one(lv) for lv in range(levels)]
     result = {"rows": rows}
     if levels >= 2:
         result["slope_u"] = fit_slope([r["h"] for r in rows],
@@ -397,8 +378,8 @@ def _sweep_chain(cfg, mesh, params, lcs):
 def run_lc_sweep(cfg: BenchConfig):
     """Energy table I(lc) plus internally computed Cauchy bounds.
 
-    The lc values are solved as one chain (``solve_family``), whatever
-    MM_FEM_THREADS says; the two bounds share their Dirichlet embedding.
+    The lc values are solved as one chain (``solve_family``); the two
+    bounds share their Dirichlet embedding.
     """
     mesh = io_read(cfg.mesh_path) if cfg.mesh_path else sweep_mesh(cfg.refine)
     lcs = tuple(cfg.lc_values) if cfg.lc_values else default_lc_grid()

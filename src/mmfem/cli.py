@@ -2,7 +2,7 @@
 
 Each subcommand writes a CSV table plus a JSON summary into --out, and
 emits a small plotting stub; outputs are deterministic for a fixed
-configuration, whatever MM_FEM_THREADS says.
+configuration.
 """
 
 from __future__ import annotations

@@ -9,6 +9,17 @@ moving the already-fixed values to the right-hand side.
 The H(curl) projections realize the consistent coupling condition: the
 tangential trace of the microdistortion row is matched to the tangential
 part of the prescribed displacement gradient.
+
+Every map is affine, so each level runs batched, once per facet group
+for all of its entities and components: one callback call on all of the
+level's points, one batched solve, and the known dofs moved to the
+right-hand side by one gather.  An edge problem is one reference matrix
+for every edge (the edge length cancels), and a face matrix is
+sqrt(det) sum_de M[d, e] G^de (+ the rot Gram block / sqrt(det) in
+H(curl)), with M the face's 2x2 metric and G^de reference Gram blocks
+of the face-supported functions of the owning cell.  Memory: levels run
+in entity chunks whose temporaries hold at most assembly's _CHUNK_NNZ
+(2 M) entries, beside one (n_comps, n_dofs) array of the values.
 """
 
 from __future__ import annotations
@@ -18,14 +29,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .assembly import _chunks
 from .bernstein import eval_all
-from .dofmap import DofMap
+from .dofmap import DofMap, local_entities
 from .errors import DegenerateFace, SingularEdge
 from .mesh import Mesh
-from .nedelec import SpaceDescriptor, build_basis, eval_vector_shapes
+from .nedelec import SpaceDescriptor, eval_vector_shapes
 from .quadrature import _gauss01, rule_for
-from .simplex import (TET_VERTICES, bezier_eval, duffy_inverse,
-                      index_position, traversal_order)
+from .simplex import TET_EDGES, TET_FACES, TET_VERTICES, bezier_eval, duffy_inverse
 
 _GAUSS_FLOOR = 24   # headroom for oscillatory boundary data on coarse meshes
 
@@ -50,175 +61,278 @@ class ConstraintSet:
         return self.values.items()
 
 
-def _edge_geometry(mesh, e):
-    va, vb = mesh.edges[e]
-    xa, xb = mesh.vertices[va], mesh.vertices[vb]
-    t = xb - xa
-    nt = np.linalg.norm(t)
-    if nt < 1e-14:
-        raise SingularEdge(f"edge {e} has zero length")
-    return xa, xb, t, nt
+def _edge_ids(mesh, a, b):
+    """Ids of the edges (a, b), a < b, in the sorted edge list."""
+    nv = mesh.n_vertices
+    return np.searchsorted(mesh.edges[:, 0] * nv + mesh.edges[:, 1], a * nv + b)
 
 
-def _collect_entities(mesh, facet_groups):
-    """Per group: facet list plus the vertices/edges they touch, each
-    entity reported once globally (first group wins)."""
-    seen_v, seen_e, seen_f = set(), set(), set()
-    lookup = mesh.edge_lookup() if mesh.dim == 3 else None
-    out = []
-    for facets, payload in facet_groups:
-        verts, edgs, fcs = [], [], []
-        for f in np.asarray(facets, dtype=int):
-            fv = [int(v) for v in mesh.facet_vertices(f)]
-            for v in fv:
-                if v not in seen_v:
-                    seen_v.add(v)
-                    verts.append(v)
-            if mesh.dim == 2:
-                if f not in seen_e:
-                    seen_e.add(f)
-                    edgs.append(int(f))
-            else:
-                if f not in seen_f:
-                    seen_f.add(f)
-                    fcs.append(int(f))
-                for pair in ((fv[0], fv[1]), (fv[0], fv[2]), (fv[1], fv[2])):
-                    e = lookup[pair]
-                    if e not in seen_e:
-                        seen_e.add(e)
-                        edgs.append(e)
-        out.append((verts, edgs, fcs, payload))
+def _entities(mesh, facet_groups):
+    """Per entity rank (0 vertices, 1 edges, 2 faces in 3D): the entities
+    of the facet groups in order of first touch and the group owning
+    each, the first that touches it."""
+    facets = [np.asarray(f, dtype=np.int64).reshape(-1) for f in facet_groups]
+    group = np.repeat(np.arange(len(facets)), [len(f) for f in facets])
+    facets = np.concatenate(facets or [np.zeros(0, np.int64)])
+    fv = mesh.facet_vertices(facets)
+    touched = {0: fv, 1: facets[:, None]}
+    if mesh.dim == 3:
+        touched[1] = _edge_ids(mesh, fv[:, [0, 0, 1]], fv[:, [1, 2, 2]])
+        touched[2] = facets[:, None]
+    out = {}
+    for rank, ids in touched.items():
+        owner = np.repeat(group, ids.shape[1])
+        _, first = np.unique(ids.ravel(), return_index=True)
+        first.sort()
+        out[rank] = ids.ravel()[first], owner[first]
     return out
 
 
-# ---------------------------------------------------------------------------
-# H1 field
+def _per_comp(rows, comps):
+    """Callback rows (n, k, ...) as (n, len(comps), ...): column c for
+    component c, or the one column for every component."""
+    return rows[:, comps if rows.shape[1] > 1 else np.zeros_like(comps)]
 
-def vertex_values(mesh: Mesh, dofmap: DofMap, verts, ufunc, cons, comp_offset=0,
-                  comp=0):
-    for v in verts:
-        val = np.asarray(ufunc(mesh.vertices[v][None, :]), dtype=float).reshape(-1)
-        cons.set(comp_offset + dofmap.vertex_dof(v), val[comp] if val.size > 1
-                 else val[0])
+
+def _gradients(gradfunc, pts, comps):
+    """gradfunc at the points (..., dim) as (..., len(comps), dim)."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    rows = np.asarray(gradfunc(flat), dtype=float).reshape(len(flat), -1, flat.shape[1])
+    return _per_comp(rows, comps).reshape(pts.shape[:-1] + (len(comps), flat.shape[1]))
+
+
+# ---------------------------------------------------------------------------
+# levels: each fixes the dofs of a batch of entities in x (n_comps, n_dofs)
+# and returns them, (n_entities, dofs per entity)
+
+def _vertices(mesh, dofmap, verts, ufunc, x, comps):
+    rows = np.asarray(ufunc(mesh.vertices[verts]), dtype=float).reshape(len(verts), -1)
+    dofs = dofmap.vertex_dof(verts)[:, None]
+    x[:, dofs[:, 0]] = _per_comp(rows, comps).T
+    return dofs
 
 
 @lru_cache(maxsize=None)
-def _edge_h1_ref(q):
-    """Edge Gauss rule and Bernstein derivatives (ng, q+1) at degree q."""
-    a, w = _gauss01(max(q + 2, _GAUSS_FLOOR))
-    return a, w, eval_all(q, a).derivs
+def _edge_ref(space: SpaceDescriptor):
+    """Edge Gauss points, the weighted tangential traces (ng, nu) of the
+    edge's own functions, and the blocks (K_uu, K_uk) of the reference
+    matrix against them and the known vertex functions (H1 only).
+
+    Traces are identical for every edge by the template construction:
+    H1 d/dalpha b^q (vertex functions first), N-II b^p, N-I
+    {1, d/dalpha b^{p+1}_m}.
+    """
+    p, h1 = space.degree, space.family == "h1"
+    nk = 2 if h1 else 0
+    a, w = _gauss01(max(p + (2 if h1 else 3), _GAUSS_FLOOR))
+    if h1:
+        trace = eval_all(p, a).derivs[:, [0, p] + list(range(1, p))]
+    elif space.family == "nedelec2":
+        trace = eval_all(p, a).values
+    else:
+        trace = np.hstack([np.ones((len(a), 1)), eval_all(p + 1, a).derivs[:, 1:p + 1]])
+    wtrace = w[:, None] * trace
+    k = wtrace.T @ trace
+    return a, wtrace[:, nk:], k[nk:, nk:], k[nk:, :nk]
 
 
-def edge_h1_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
-                       comp_offset=0, comp=0):
-    """Interior edge dofs from the 1D tangential-stiffness problem; vertex
-    dofs must already be present in ``cons``."""
-    q = dofmap.space.degree
-    if q < 2:
-        return
-    xa, xb, t, nt = _edge_geometry(mesh, e)
-    a, w, dn = _edge_h1_ref(q)
-    grads = np.asarray(gradfunc(xa[None, :] + a[:, None] * t[None, :]), dtype=float)
-    if grads.ndim == 3:
-        grads = grads[:, comp, :]
-    tgrad = grads @ t                    # <t, grad u~>
-
-    k = np.einsum("q,qa,qb->ab", w / nt, dn, dn)
-    f = np.einsum("q,qa->a", w / nt, dn * tgrad[:, None])
-    va, vb = mesh.edges[e]
-    v0 = cons.values[comp_offset + dofmap.vertex_dof(va)]
-    v1 = cons.values[comp_offset + dofmap.vertex_dof(vb)]
-    rhs = f[1:q] - k[1:q, 0] * v0 - k[1:q, q] * v1
-    sol = np.linalg.solve(k[1:q, 1:q], rhs)
-    for ordinal, val in enumerate(sol):
-        cons.set(comp_offset + dofmap.edge_dofs(e)[ordinal], val)
+def _edges(mesh, dofmap, edges, gradfunc, x, comps):
+    """<t, grad u~> in L2 along each edge: the interior dofs of an H1
+    space, every dof of an H(curl) space."""
+    a, wtrace, kuu, kuk = _edge_ref(dofmap.space)
+    ends = mesh.edges[edges]
+    xa = mesh.vertices[ends[:, 0]]
+    t = mesh.vertices[ends[:, 1]] - xa
+    short = np.linalg.norm(t, axis=1) < 1e-14
+    if short.any():
+        raise SingularEdge(f"edge {edges[np.argmax(short)]} has zero length")
+    grads = _gradients(gradfunc, xa[:, None, :] + a[:, None] * t[:, None, :], comps)
+    tgrad = np.einsum("eqcd,ed->qec", grads, t)
+    rhs = (np.tensordot(wtrace, tgrad, axes=(0, 0))
+           - np.einsum("uk,cek->uec", kuk, x[:, ends[:, :kuk.shape[1]]]))
+    sol = np.linalg.solve(kuu, rhs.reshape(len(kuu), -1)).reshape(rhs.shape)
+    own = dofmap.edge_dofs(edges[:, None])
+    x[:, own] = sol.transpose(2, 1, 0)
+    return own
 
 
 def _face_frame(mesh, f):
     """Chart x(xi2, eta2) = xa + xi2 (xc - xa) + eta2 (xb - xa) and the
-    mixed transformation data of the face."""
-    fa, fb, fc = mesh.faces[f]
-    xa, xb, xc = mesh.vertices[fa], mesh.vertices[fb], mesh.vertices[fc]
-    g1 = xc - xa
-    g2 = xb - xa
+    mixed transformation data of face f, or stacked for an array f."""
+    fa, fb, fc = mesh.faces[f].T
+    xa = mesh.vertices[fa]
+    g1 = mesh.vertices[fc] - xa
+    g2 = mesh.vertices[fb] - xa
     n = np.cross(g1, g2)
-    det_t = float(n @ n)
-    if det_t < 1e-28:
-        raise DegenerateFace(f"face {f} has zero area")
-    T = np.stack([g1, g2, n], axis=1)
-    tinv_t = np.linalg.inv(T).T
-    tstar = tinv_t[:, :2]                # [g^1, g^2]
-    return (fa, fb, fc), xa, g1, g2, tstar, det_t
+    det_t = np.sum(n * n, axis=-1)
+    flat = np.atleast_1d(det_t) < 1e-28
+    if flat.any():
+        raise DegenerateFace(f"face {np.atleast_1d(f)[np.argmax(flat)]} has zero area")
+    tinv_t = np.swapaxes(np.linalg.inv(np.stack([g1, g2, n], axis=-1)), -1, -2)
+    return (fa, fb, fc), xa, g1, g2, tinv_t[..., :2], det_t
 
 
-def _face_cell_context(mesh, f):
-    """Owning cell of a boundary face and the local vertices (a, b, c) of
-    the face in it."""
-    cell = mesh.face_cell(f)
-    loc_of = {int(g): i for i, g in enumerate(mesh.cells[cell])}
-    return cell, tuple(loc_of[int(v)] for v in mesh.faces[f])
+def _face_rule(space: SpaceDescriptor):
+    q = space.degree if space.family == "h1" else space.degree + 2
+    return rule_for(2, min(max(2 * q + 2, 14), 20))
+
+
+def _support(rank, local):
+    """Local tetrahedron vertices of the entity a base function attaches to."""
+    return (local,) if rank == 0 else (TET_EDGES, TET_FACES, ((0, 1, 2, 3),))[rank - 1][local]
 
 
 @lru_cache(maxsize=None)
-def _face_h1_ref(q):
-    """Face rule and 2D Bernstein gradients at degree q."""
-    rule = rule_for(2, min(max(2 * q + 2, 14), 20))
-    return rule, bezier_eval(q, 2, rule.points).grads
+def _face_ref(space: SpaceDescriptor, slot):
+    """Reference data of the base functions supported on local face
+    ``slot`` of a tetrahedron, identical for every face in that slot.
+
+    Returns their columns in a cell_dofs row (known vertex and edge
+    functions first, then the face's own in ordinal order), the number
+    known, the Gram blocks G (2, 2, n, n) of their tangential traces, the
+    Gram matrix of their rots (None for H1) and the weighted traces
+    (nq, n, 2) of the right-hand side.  H1 traces are surface gradients.
+    """
+    face = TET_FACES[slot]
+    ents = local_entities(space)
+    known = [l for l, (rank, local, _) in enumerate(ents)
+             if rank < 2 and set(_support(rank, local)) <= set(face)]
+    own = sorted((ordinal, l) for l, (rank, local, ordinal) in enumerate(ents)
+                 if (rank, local) == (2, slot))
+    cols = np.array(known + [l for _, l in own])
+    va, vb, vc = TET_VERTICES[list(face)]
+    dphi = np.stack([vc - va, vb - va], axis=1)   # (3, 2)
+    rule = _face_rule(space)
+    cp = np.clip(duffy_inverse(va + rule.simplex_points @ dphi.T), 0.0, 1.0)
+    rot_gram = None
+    if space.family == "h1":
+        vecs = bezier_eval(space.degree, 3, cp).grads[:, cols]
+    else:
+        vs = eval_vector_shapes(space, cp)
+        vecs = vs.values[:, cols]
+        rot = vs.curls[:, cols] @ np.cross(dphi[:, 0], dphi[:, 1])
+        rot_gram = np.einsum("q,qn,qm->nm", rule.weights, rot, rot)
+    trace = np.einsum("de,qnd->qne", dphi, vecs)
+    wtrace = rule.weights[:, None, None] * trace
+    return cols, len(known), np.einsum("qnd,qme->denm", wtrace, trace), rot_gram, wtrace
+
+
+def _faces(mesh, dofmap, faces, gradfunc, x, comps):
+    """Surface H1 / H(rot) problem of each face for its own dofs, the
+    vertex and edge dofs moved to the right-hand side."""
+    _, xa, g1, g2, tstar, det_t = _face_frame(mesh, faces)
+    cells = mesh.face_cell(faces)
+    slots = np.argmax(mesh.cell_faces[cells] == faces[:, None], axis=1)
+    pts = _face_rule(dofmap.space).simplex_points
+    grads = _gradients(gradfunc, xa[:, None, :] + pts[:, :1] * g1[:, None, :]
+                       + pts[:, 1:] * g2[:, None, :], comps)
+    gt = np.einsum("fde,fqcd->fqce", tstar, grads)
+    sq = np.sqrt(det_t)[:, None, None]
+    metric = sq * np.einsum("fde,fdg->feg", tstar, tstar)
+    refs = [_face_ref(dofmap.space, s) for s in range(len(TET_FACES))]
+    n, nk = len(refs[0][0]), refs[0][1]
+    k = np.empty((len(faces), n, n))
+    rhs = np.empty((len(faces), n, len(comps)))
+    dofs = np.empty((len(faces), n), dtype=np.int64)
+    for s, (cols, _, gram, rot_gram, wtrace) in enumerate(refs):
+        sel = slots == s
+        k[sel] = np.einsum("fde,denm->fnm", metric[sel], gram)
+        if rot_gram is not None:
+            k[sel] += rot_gram / sq[sel]
+        rhs[sel] = sq[sel] * np.einsum("qne,fqce->fnc", wtrace, gt[sel])
+        dofs[sel] = dofmap.cell_dofs[cells[sel]][:, cols]
+    rhs = rhs[:, nk:] - np.einsum("fuk,cfk->fuc", k[:, nk:, :nk], x[:, dofs[:, :nk]])
+    own = dofs[:, nk:]
+    x[:, own] = np.linalg.solve(k[:, nk:, nk:], rhs).transpose(2, 0, 1)
+    return own
+
+
+_LEVELS = (_vertices, _edges, _faces)
+
+
+def _per_entity(space, rank, n_comps):
+    """Largest per-entity temporary of a level: the callback rows, or a
+    face matrix."""
+    if rank == 0:
+        return n_comps
+    if rank == 1:
+        return len(_edge_ref(space)[0]) * n_comps * space.dim
+    return max(len(_face_rule(space).weights) * n_comps * 3,
+               len(_face_ref(space, 0)[0]) ** 2)
+
+
+def _has_dofs(dofmap, rank):
+    """Vertex levels always run (vertex_dof rejects an H(curl) space)."""
+    return (1, dofmap.per_edge, dofmap.per_face)[rank] > 0
+
+
+def _embed(mesh, dofmap, facet_groups, levels, n_comps, stride, offset):
+    """Run ``levels``, (rank, callback per group) in order, on every
+    component; the constraints are ordered level, component, group,
+    entity, ordinal."""
+    comps = np.arange(n_comps)
+    x = np.full((n_comps, dofmap.n_dofs), np.nan)
+    ents = _entities(mesh, facet_groups)
+    keys, vals = [], []
+    for rank, funcs in levels:
+        if not _has_dofs(dofmap, rank):
+            continue
+        ids, owner = ents[rank]
+        size = _per_entity(dofmap.space, rank, n_comps)
+        parts = [np.zeros(0, np.int64)]
+        for g, func in enumerate(funcs):
+            mine = ids[owner == g]
+            parts += [_LEVELS[rank](mesh, dofmap, mine[chunk], func, x, comps).ravel()
+                      for chunk in _chunks(len(mine), size)]
+        dofs = np.concatenate(parts)
+        keys.append((offset + stride * comps[:, None] + dofs).ravel())
+        vals.append(x[:, dofs].ravel())
+    return ConstraintSet(dict(zip(np.concatenate(keys).tolist(),
+                                  np.concatenate(vals).tolist())))
+
+
+def _one(rank, mesh, dofmap, ids, func, cons, comp_offset, comp):
+    """Level ``rank`` on the entities ``ids`` for component ``comp`` of the
+    callback, the dofs in ``cons`` (at ``comp_offset``) being the known
+    ones; a known dof missing from ``cons`` makes the result NaN."""
+    if not _has_dofs(dofmap, rank):
+        return
+    x = np.full((1, dofmap.n_dofs), np.nan)
+    keys = np.fromiter(cons.values, dtype=np.int64, count=len(cons)) - comp_offset
+    mine = (keys >= 0) & (keys < dofmap.n_dofs)
+    x[0, keys[mine]] = np.fromiter(cons.values.values(), dtype=float,
+                                   count=len(cons))[mine]
+    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+    dofs = _LEVELS[rank](mesh, dofmap, ids, func, x, np.array([comp])).ravel()
+    cons.values.update(zip((comp_offset + dofs).tolist(), x[0, dofs].tolist()))
+
+
+# ---------------------------------------------------------------------------
+# one-entity entry points
+
+def vertex_values(mesh: Mesh, dofmap: DofMap, verts, ufunc, cons, comp_offset=0,
+                  comp=0):
+    _one(0, mesh, dofmap, verts, ufunc, cons, comp_offset, comp)
+
+
+def edge_h1_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
+                       comp_offset=0, comp=0):
+    """Dofs of edge e from the 1D tangential problem: the interior ones
+    of an H1 space, whose vertex dofs must already be present in
+    ``cons``, or all of an H(curl) space (<p, t> = <grad u~, t>)."""
+    _one(1, mesh, dofmap, e, gradfunc, cons, comp_offset, comp)
 
 
 def face_h1_projection(mesh: Mesh, dofmap: DofMap, f, gradfunc, cons,
                        comp_offset=0, comp=0):
-    """Interior face dofs from the surface-gradient problem; vertex and
-    edge dofs must already be present."""
-    q = dofmap.space.degree
-    if q < 3:
-        return
-    (fa, fb, fc), xa, g1, g2, tstar, det_t = _face_frame(mesh, f)
-    rule, grads2 = _face_h1_ref(q)
-    pts2 = rule.simplex_points
-    surf = np.einsum("de,qne->qnd", tstar, grads2)   # (nq, nb2, 3)
-
-    xq = xa[None, :] + np.outer(pts2[:, 0], g1) + np.outer(pts2[:, 1], g2)
-    grads = np.asarray(gradfunc(xq), dtype=float)
-    if grads.ndim == 3:
-        grads = grads[:, comp, :]
-
-    w = rule.weights * np.sqrt(det_t)
-    k = np.einsum("q,qnd,qmd->nm", w, surf, surf)
-    rhs = np.einsum("q,qnd,qd->n", w, surf, grads)
-
-    # columns of the 2D basis keyed by global dof (vertices, edges, interior)
-    known, interior = [], []
-    pos2 = index_position(q, 2)
-    edge_of = _face_edge_map(mesh, f)
-    for mi in traversal_order(q, 2):
-        col = pos2[(mi.i, mi.j)]
-        exps = mi.exponents            # (a, b, c) roles on the face
-        on = tuple(v for v, e in enumerate(exps) if e > 0)
-        if len(on) == 1:
-            gdof = dofmap.vertex_dof((fa, fb, fc)[on[0]])
-            known.append((col, cons.values[comp_offset + gdof]))
-        elif len(on) == 2:
-            e = edge_of[on]
-            hi = on[1]
-            gdof = dofmap.edge_dofs(e)[exps[hi] - 1]
-            known.append((col, cons.values[comp_offset + gdof]))
-        else:
-            interior.append(col)
-    for col, val in known:
-        rhs -= k[:, col] * val
-    sol = np.linalg.solve(k[np.ix_(interior, interior)], rhs[interior])
-    fdofs = dofmap.face_dofs(f)
-    for ordinal, val in enumerate(sol):
-        cons.set(comp_offset + fdofs[ordinal], val)
+    """Own dofs of face f from the surface-gradient (H1) or surface
+    H(rot) problem; the face's vertex and edge dofs must already be
+    present and are moved to the right-hand side."""
+    _one(2, mesh, dofmap, f, gradfunc, cons, comp_offset, comp)
 
 
-def _face_edge_map(mesh, f):
-    """role pair (within a,b,c) -> global edge id for the face's edges."""
-    fa, fb, fc = (int(v) for v in mesh.faces[f])
-    lookup = mesh.edge_lookup()
-    return {(0, 1): lookup[(fa, fb)], (0, 2): lookup[(fa, fc)],
-            (1, 2): lookup[(fb, fc)]}
+edge_hcurl_projection = edge_h1_projection
+face_hcurl_projection = face_h1_projection
 
 
 def h1_dirichlet(mesh: Mesh, dofmap: DofMap, groups, n_comps=1,
@@ -231,143 +345,10 @@ def h1_dirichlet(mesh: Mesh, dofmap: DofMap, groups, n_comps=1,
     stride ``comp_stride`` (defaults to the scalar dof count).
     """
     stride = comp_stride if comp_stride is not None else dofmap.n_dofs
-    cons = ConstraintSet()
-    staged = _collect_entities(mesh, [(facets, (uf, gf)) for facets, uf, gf
-                                      in groups])
-    for comp in range(n_comps):
-        off = comp * stride
-        for verts, _, _, (uf, _) in staged:
-            vertex_values(mesh, dofmap, verts, uf, cons, off, comp)
-    for comp in range(n_comps):
-        off = comp * stride
-        for _, edgs, _, (_, gf) in staged:
-            for e in edgs:
-                edge_h1_projection(mesh, dofmap, e, gf, cons, off, comp)
-    for comp in range(n_comps):
-        off = comp * stride
-        for _, _, fcs, (_, gf) in staged:
-            for f in fcs:
-                face_h1_projection(mesh, dofmap, f, gf, cons, off, comp)
-    return cons
-
-
-# ---------------------------------------------------------------------------
-# H(curl) field: consistent coupling projections
-
-def _edge_trace_matrix(space: SpaceDescriptor, a):
-    """Tangential traces (nq, p+1) of an edge dof block at parameters a,
-    identical for every edge by the template construction."""
-    p = space.degree
-    if space.family == "nedelec2":
-        return eval_all(p, a).values
-    cols = [np.ones_like(a)]
-    dn = eval_all(p + 1, a).derivs
-    for m in range(1, p + 1):
-        cols.append(dn[:, m])
-    return np.stack(cols, axis=1)
-
-
-@lru_cache(maxsize=None)
-def _edge_hcurl_ref(space: SpaceDescriptor):
-    """Edge Gauss rule and tangential traces of an edge dof block."""
-    a, w = _gauss01(max(space.degree + 3, _GAUSS_FLOOR))
-    return a, w, _edge_trace_matrix(space, a)
-
-
-def edge_hcurl_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
-                          comp_offset=0, comp=0):
-    """All dofs of one edge from the 1D consistent-coupling problem
-    <p, t> = <grad u~, t>."""
-    xa, xb, t, nt = _edge_geometry(mesh, e)
-    a, w, tr = _edge_hcurl_ref(dofmap.space)
-    grads = np.asarray(gradfunc(xa[None, :] + a[:, None] * t[None, :]), dtype=float)
-    if grads.ndim == 3:
-        grads = grads[:, comp, :]
-    tgrad = grads @ t
-
-    k = np.einsum("q,qa,qb->ab", w * nt, tr, tr)
-    f = np.einsum("q,qa->a", w * nt, tr * tgrad[:, None])
-    sol = np.linalg.solve(k, f)
-    edofs = dofmap.edge_dofs(e)
-    for ordinal, val in enumerate(sol):
-        cons.set(comp_offset + edofs[ordinal], val)
-
-
-@lru_cache(maxsize=None)
-def _face_trace_ref(space: SpaceDescriptor, face_locals, rule_degree):
-    """Reference-face traces of the basis functions supported on the face
-    with local vertices (a, b, c), identical for every face with that
-    local position.
-
-    Returns (basis functions, trace (nq, nfn, 2), rot (nq, nfn)).
-    """
-    la, lb, lc = face_locals
-    Va, Vb, Vc = TET_VERTICES[la], TET_VERTICES[lb], TET_VERTICES[lc]
-    dphi = np.stack([Vc - Va, Vb - Va], axis=1)   # (3, 2)
-    fns = build_basis(space)
-    keep = [l for l, fn in enumerate(fns)
-            if set(fn.polytope.vertices) <= set(face_locals)]
-    ref3 = Va[None, :] + rule_for(2, rule_degree).simplex_points @ dphi.T
-    vs = eval_vector_shapes(space, np.clip(duffy_inverse(ref3), 0.0, 1.0))
-    trace = np.einsum("de,qnd->qne", dphi, vs.values[:, keep])
-    normal = np.cross(dphi[:, 0], dphi[:, 1])
-    rot = np.einsum("d,qnd->qn", normal, vs.curls[:, keep])
-    return tuple(fns[l] for l in keep), trace, rot
-
-
-def _face_trace_shapes(mesh, dofmap, f, rule):
-    """Reference-face traces of every basis function supported on face f.
-
-    Returns (trace (nq, nfn, 2), rot (nq, nfn), dof ids, is_face_dof).
-    """
-    cell, face_locals = _face_cell_context(mesh, f)
-    fns, trace, rot = _face_trace_ref(dofmap.space, face_locals, rule.degree)
-    gdofs, is_face = [], []
-    edge_index = mesh.edge_lookup()
-    cv = mesh.cells[cell]
-    for fn in fns:
-        if fn.polytope.kind == "edge":
-            ge = edge_index[tuple(sorted(int(cv[v]) for v in fn.polytope.vertices))]
-            gdofs.append(dofmap.edge_dofs(ge)[fn.ordinal])
-            is_face.append(False)
-        else:
-            gdofs.append(dofmap.face_dofs(f)[fn.ordinal])
-            is_face.append(True)
-    return trace, rot, np.asarray(gdofs), np.asarray(is_face, dtype=bool)
-
-
-def face_hcurl_projection(mesh: Mesh, dofmap: DofMap, f, gradfunc, cons,
-                          comp_offset=0, comp=0):
-    """Face dofs from the surface H(rot) problem; edge dofs must already
-    be present and are moved to the right-hand side."""
-    space = dofmap.space
-    p = space.degree
-    if dofmap.per_face == 0:
-        return
-    (fa, fb, fc), xa, g1, g2, tstar, det_t = _face_frame(mesh, f)
-    rule = rule_for(2, min(max(2 * (p + 2) + 2, 14), 20))
-    trace, rot, gdofs, is_face = _face_trace_shapes(mesh, dofmap, f, rule)
-
-    phys = np.einsum("de,qne->qnd", tstar, trace)
-    sq = np.sqrt(det_t)
-    w = rule.weights * sq
-    k = (np.einsum("q,qnd,qmd->nm", w, phys, phys)
-         + np.einsum("q,qn,qm->nm", rule.weights / sq, rot, rot))
-
-    xq = xa[None, :] + np.outer(rule.simplex_points[:, 0], g1) \
-        + np.outer(rule.simplex_points[:, 1], g2)
-    grads = np.asarray(gradfunc(xq), dtype=float)
-    if grads.ndim == 3:
-        grads = grads[:, comp, :]
-    rhs = np.einsum("q,qnd,qd->n", w, phys, grads)
-
-    known = np.flatnonzero(~is_face)
-    for idx in known:
-        rhs -= k[:, idx] * cons.values[comp_offset + int(gdofs[idx])]
-    own = np.flatnonzero(is_face)
-    sol = np.linalg.solve(k[np.ix_(own, own)], rhs[own])
-    for idx, val in zip(own, sol):
-        cons.set(comp_offset + int(gdofs[idx]), val)
+    ufuncs = [uf for _, uf, _ in groups]
+    gradfuncs = [gf for _, _, gf in groups]
+    return _embed(mesh, dofmap, [facets for facets, _, _ in groups],
+                  ((0, ufuncs), (1, gradfuncs), (2, gradfuncs)), n_comps, stride, 0)
 
 
 def hcurl_dirichlet(mesh: Mesh, dofmap: DofMap, groups, n_comps=1,
@@ -378,16 +359,6 @@ def hcurl_dirichlet(mesh: Mesh, dofmap: DofMap, groups, n_comps=1,
     prescribed displacement gradient rows, (n, dim) or (n, n_comps, dim).
     """
     stride = comp_stride if comp_stride is not None else dofmap.n_dofs
-    cons = ConstraintSet()
-    staged = _collect_entities(mesh, list(groups))
-    for comp in range(n_comps):
-        off = comp_offset0 + comp * stride
-        for _, edgs, _, gf in staged:
-            for e in edgs:
-                edge_hcurl_projection(mesh, dofmap, e, gf, cons, off, comp)
-    for comp in range(n_comps):
-        off = comp_offset0 + comp * stride
-        for _, _, fcs, gf in staged:
-            for f in fcs:
-                face_hcurl_projection(mesh, dofmap, f, gf, cons, off, comp)
-    return cons
+    gradfuncs = [gf for _, gf in groups]
+    return _embed(mesh, dofmap, [facets for facets, _ in groups],
+                  ((1, gradfuncs), (2, gradfuncs)), n_comps, stride, comp_offset0)

@@ -80,6 +80,14 @@ def _hcurl_reference(space: SpaceDescriptor):
     return tuple(out)
 
 
+def local_entities(space: SpaceDescriptor):
+    """Per local base function of ``space``, in cell_dofs column order:
+    (entity_rank, local_entity, ordinal)."""
+    if space.family == "h1":
+        return _h1_reference(space.degree, space.dim)
+    return _hcurl_reference(space)
+
+
 @dataclass
 class DofMap:
     """Scalar-space dof layout over one mesh."""
@@ -110,12 +118,8 @@ class DofMap:
 def build_dofmap(mesh: Mesh, space: SpaceDescriptor) -> DofMap:
     if space.dim != mesh.dim:
         raise SpaceMismatch(f"space dim {space.dim} != mesh dim {mesh.dim}")
-    if space.family == "h1":
-        ref = _h1_reference(space.degree, space.dim)
-        per_vertex = 1
-    else:
-        ref = _hcurl_reference(space)
-        per_vertex = 0
+    ref = local_entities(space)
+    per_vertex = int(space.family == "h1")
 
     counts = {1: 0, 2: 0, 3: 0}
     for rank, _, ordinal in ref:

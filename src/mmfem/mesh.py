@@ -55,15 +55,16 @@ class Mesh:
                                  for i, e in enumerate(map(tuple, self.edges))}
         return self._edge_lookup
 
-    def face_cell(self, f: int) -> int:
-        """Lowest id of a cell containing face f; the table is built lazily."""
+    def face_cell(self, f):
+        """Lowest id of a cell containing face f, or of each face of an
+        array f; the table is built lazily."""
         if self._face_cell is None:
             owner = np.full(self.n_faces, self.n_cells)
             np.minimum.at(owner, self.cell_faces.ravel(),
                           np.repeat(np.arange(self.n_cells),
                                     self.cell_faces.shape[1]))
             self._face_cell = owner
-        return int(self._face_cell[f])
+        return self._face_cell[f]
 
     @property
     def n_cells(self):

@@ -5,10 +5,11 @@ from mmfem.dirichlet import (ConstraintSet, edge_h1_projection,
                              edge_hcurl_projection, face_h1_projection,
                              face_hcurl_projection, h1_dirichlet,
                              hcurl_dirichlet, vertex_values, _face_frame)
-from mmfem.dofmap import build_dofmap
+from mmfem.benchmarks import _sweep_groups, sweep_mesh
+from mmfem.dofmap import _face_interior_rank, build_dofmap
 from mmfem.mesh import build, generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor, eval_vector_values
-from mmfem.simplex import bezier_values
+from mmfem.simplex import bezier_values, traversal_order
 
 
 def const_func(c):
@@ -133,14 +134,13 @@ class TestEdgeHcurl:
                                    np.ones(len(np.atleast_2d(x)))], axis=1)
         cons = ConstraintSet()
         e = int(mesh.edge_lookup()[(0, 1)])
-        # edge (0,1) runs along... vertices (0,0)->(1,0)? vertex order sorted
+        # edge (0, 1) runs from (0, 0) to (1, 0), normal to the gradient
         va, vb = mesh.edges[e]
-        t = mesh.vertices[vb] - mesh.vertices[va]
-        assert abs(t @ np.array([0.0, 1.0])) < 1e-15 or True
+        np.testing.assert_array_equal(mesh.vertices[vb] - mesh.vertices[va],
+                                      [1.0, 0.0])
         edge_hcurl_projection(mesh, dm, e, grad, cons)
         vals = [cons.values[d] for d in dm.edge_dofs(e)]
-        if abs(t @ np.array([0.0, 1.0])) < 1e-14:
-            assert np.abs(vals).max() < 1e-14
+        assert np.abs(vals).max() < 1e-14
 
     def test_lowest_order_line_integral(self):
         # u~ = x along an edge on the x-axis: single dof equals the
@@ -168,6 +168,14 @@ def _quad_grad3(x):
                      -2 * x[:, 1] + 0.2 * x[:, 2]], axis=1)
 
 
+def _face_edge_map(mesh, f):
+    """role pair (within a,b,c) -> global edge id for the face's edges."""
+    fa, fb, fc = (int(v) for v in mesh.faces[f])
+    lookup = mesh.edge_lookup()
+    return {(0, 1): lookup[(fa, fb)], (0, 2): lookup[(fa, fc)],
+            (1, 2): lookup[(fb, fc)]}
+
+
 class TestFaceH1:
     def test_frame_for_axis_aligned_face(self):
         # the reference triangle embedded in z = 0: T block-reduces and
@@ -181,14 +189,14 @@ class TestFaceH1:
         assert abs(det_t - float(n @ n)) < 1e-14
         assert abs(n[0]) < 1e-14 and abs(n[1]) < 1e-14  # normal along z
 
-    def test_quadratic_reproduction(self):
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_quadratic_reproduction(self, q):
         mesh = generate_box(((0, 1), (0, 1), (0, 1)), 1)
-        q = 3
         dm = build_dofmap(mesh, SpaceDescriptor("h1", q, 3))
         facets = mesh.boundary_facets
         cons = h1_dirichlet(mesh, dm, [(facets, _quad_u3, _quad_grad3)])
         # the embedded trace must match the quadratic at face points
-        for f in facets[:4]:
+        for f in facets:
             (fa, fb, fc), xa, g1, g2, _, _ = _face_frame(mesh, f)
             rng = np.random.default_rng(f)
             bary = rng.dirichlet(np.ones(3), size=8)
@@ -197,9 +205,7 @@ class TestFaceH1:
             # evaluate the constrained trace via 2D Bezier with role mapping
             vals2 = bezier_values(q, 2, np.stack([pts2[:, 1], pts2[:, 0]],
                                                  axis=1))
-            from mmfem.simplex import traversal_order
             trace = np.zeros(len(xq))
-            from mmfem.dirichlet import _face_edge_map
             edge_of = _face_edge_map(mesh, f)
             for col, mi in enumerate(traversal_order(q, 2)):
                 exps = mi.exponents
@@ -209,7 +215,6 @@ class TestFaceH1:
                 elif len(on) == 2:
                     dof = dm.edge_dofs(edge_of[on])[exps[on[1]] - 1]
                 else:
-                    from mmfem.dofmap import _face_interior_rank
                     dof = dm.face_dofs(f)[_face_interior_rank(q)[(exps[2],
                                                                   exps[1])]]
                 trace += vals2[:, col] * cons.values[dof]
@@ -247,37 +252,41 @@ class TestFaceHcurl:
         for d in dm.face_dofs(f):
             assert abs(cons.values[d]) < 1e-12
 
-    def test_consistent_coupling_trace_postcheck(self):
+    @pytest.mark.parametrize("family,p", [("nedelec1", 1), ("nedelec1", 2),
+                                          ("nedelec1", 3), ("nedelec2", 1),
+                                          ("nedelec2", 2), ("nedelec2", 3)])
+    def test_consistent_coupling_trace_postcheck(self, family, p):
         # after the hierarchical embedding the tangential trace of the
         # P-row matches the tangential gradient at face quadrature points
+        # (p >= 1: the linear bending gradient lies in the space)
         mesh = generate_box(((-10, 10), (-10, 10), (-0.5, 0.5)), (1, 1, 1))
-        p = 2
-        space = SpaceDescriptor("nedelec1", p, 3)
+        space = SpaceDescriptor(family, p, 3)
         dm = build_dofmap(mesh, space)
         from mmfem.benchmarks import bending_grad_u
         facets = mesh.tagged_facets("x+")
         cons = hcurl_dirichlet(mesh, dm, [(facets, bending_grad_u)], n_comps=3,
                                comp_stride=dm.n_dofs)
-        f = int(facets[0])
-        # evaluate the constrained field's tangential trace on the face
-        cell = int(np.flatnonzero((mesh.cell_faces == f).any(axis=1))[0])
-        (fa, fb, fc), xa, g1, g2, tstar, det_t = _face_frame(mesh, f)
-        rng = np.random.default_rng(0)
-        bary = rng.dirichlet(np.ones(3), size=20)
-        pts = bary @ mesh.vertices[[fa, fb, fc]]
-        ref = np.linalg.solve(mesh.jacs[cell], (pts - mesh.origins[cell]).T).T
-        shp = eval_vector_values(space, ref)
-        phys = np.einsum("ed,qnd->qne", mesh.inv_ts[cell], shp)
         x = np.zeros(3 * dm.n_dofs)
         for d, v in cons.values.items():
             x[d] = v
-        exact = bending_grad_u(pts)
-        for r in range(3):
-            coeffs = x[r * dm.n_dofs:(r + 1) * dm.n_dofs][dm.cell_dofs[cell]]
-            field = np.einsum("qne,n->qe", phys, coeffs)
-            for t in (g1, g2):
-                np.testing.assert_allclose(field @ t, exact[:, r] @ t,
-                                           atol=1e-8)
+        for f in facets:
+            # evaluate the constrained field's tangential trace on the face
+            cell = int(np.flatnonzero((mesh.cell_faces == f).any(axis=1))[0])
+            (fa, fb, fc), xa, g1, g2, tstar, det_t = _face_frame(mesh, f)
+            rng = np.random.default_rng(0)
+            bary = rng.dirichlet(np.ones(3), size=20)
+            pts = bary @ mesh.vertices[[fa, fb, fc]]
+            ref = np.linalg.solve(mesh.jacs[cell],
+                                  (pts - mesh.origins[cell]).T).T
+            shp = eval_vector_values(space, ref)
+            phys = np.einsum("ed,qnd->qne", mesh.inv_ts[cell], shp)
+            exact = bending_grad_u(pts)
+            for r in range(3):
+                coeffs = x[r * dm.n_dofs:(r + 1) * dm.n_dofs][dm.cell_dofs[cell]]
+                field = np.einsum("qne,n->qe", phys, coeffs)
+                for t in (g1, g2):
+                    np.testing.assert_allclose(field @ t, exact[:, r] @ t,
+                                               atol=1e-8)
 
 
 class TestHierarchy:
@@ -329,3 +338,69 @@ class TestOrderIndependence:
         assert set(a.values) == set(b.values)
         for dof, val in a.values.items():
             assert abs(val - b.values[dof]) <= 1e-11 * (1.0 + abs(val))
+
+
+def _counted(func, calls, key):
+    def counted(x):
+        calls[key] = calls.get(key, 0) + 1
+        return func(x)
+    return counted
+
+
+def _component(func, r):
+    """Row r of a vector callback, as a scalar-field callback."""
+    return lambda x: func(x)[:, r]
+
+
+class TestBatchedLevels:
+    def test_one_callback_call_per_group_and_level(self):
+        # vertices, edges and faces each call a group's callback once for
+        # all of its entities and components, not once per entity
+        mesh = sweep_mesh(1)
+        calls = {}
+        groups = [(facets, _counted(uf, calls, (g, "u")),
+                   _counted(gf, calls, (g, "grad")))
+                  for g, (facets, uf, gf) in enumerate(_sweep_groups(mesh))]
+        dm = build_dofmap(mesh, SpaceDescriptor("h1", 3, 3))
+        cons = h1_dirichlet(mesh, dm, groups, n_comps=3)
+        assert len(cons) > 0
+        assert max(n for (_, kind), n in calls.items() if kind == "u") <= 1
+        assert max(n for (_, kind), n in calls.items() if kind == "grad") <= 2
+
+        calls.clear()
+        dm = build_dofmap(mesh, SpaceDescriptor("nedelec1", 2, 3))
+        cons = hcurl_dirichlet(mesh, dm, [(facets, gf) for facets, _, gf in groups],
+                               n_comps=3)
+        assert len(cons) > 0
+        assert 0 < max(calls.values()) <= 2
+
+    def test_components_equal_single_component_embeddings(self):
+        mesh = sweep_mesh(0)
+        groups = _sweep_groups(mesh)
+        dm = build_dofmap(mesh, SpaceDescriptor("h1", 3, 3))
+        stride = dm.n_dofs + 5
+        multi = h1_dirichlet(mesh, dm, groups, n_comps=3, comp_stride=stride)
+        single = {}
+        for r in range(3):
+            one = h1_dirichlet(mesh, dm, [(facets, _component(uf, r),
+                                           _component(gf, r))
+                                          for facets, uf, gf in groups])
+            single.update({r * stride + d: v for d, v in one.items()})
+        self._assert_equal(multi.values, single)
+
+        dm = build_dofmap(mesh, SpaceDescriptor("nedelec1", 2, 3))
+        stride, offset = dm.n_dofs + 5, 17
+        multi = hcurl_dirichlet(mesh, dm, [(facets, gf) for facets, _, gf in groups],
+                                n_comps=3, comp_stride=stride, comp_offset0=offset)
+        single = ConstraintSet()
+        for r in range(3):
+            single.merge(hcurl_dirichlet(mesh, dm, [(facets, _component(gf, r))
+                                                    for facets, _, gf in groups],
+                                         comp_offset0=offset + r * stride))
+        self._assert_equal(multi.values, single.values)
+
+    @staticmethod
+    def _assert_equal(a, b):
+        assert set(a) == set(b)
+        scale = max(abs(v) for v in a.values())
+        assert max(abs(a[d] - b[d]) for d in a) <= 1e-14 * scale
