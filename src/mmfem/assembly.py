@@ -56,8 +56,9 @@ class FieldLayout:
 class SparseSystem:
     """Assembled symmetric system with optional Dirichlet constraints.
 
-    ``curl_matrix`` (unit-coefficient curl-curl part) shares the CSR
-    pattern of ``matrix``, so ``matrix_at`` only combines data arrays.
+    ``c_matrix``, the unit-coefficient part of K(c) = matrix + c c_matrix
+    (curl-curl of the lc sweep, div-div of the Cauchy form), shares the
+    CSR pattern of ``matrix``, so ``matrix_at`` only combines data arrays.
     """
 
     matrix: sp.csr_matrix
@@ -65,7 +66,7 @@ class SparseSystem:
     fields: dict
     mesh: Mesh
     constraints: dict = field(default_factory=dict)
-    curl_matrix: sp.csr_matrix = None
+    c_matrix: sp.csr_matrix = None
 
     @property
     def n_dofs(self):
@@ -74,14 +75,14 @@ class SparseSystem:
     def set_constraints(self, cons: dict):
         self.constraints = dict(cons)
 
-    def matrix_at(self, curl_coeff: float):
+    def matrix_at(self, c: float):
         if self.matrix is None:
             raise ValueError("the system carries no matrices (a solution "
                              "of solve_family keeps it without them)")
-        if self.curl_matrix is None:
+        if self.c_matrix is None:
             return self.matrix
         K = self.matrix
-        return sp.csr_matrix((K.data + curl_coeff * self.curl_matrix.data,
+        return sp.csr_matrix((K.data + c * self.c_matrix.data,
                               K.indices, K.indptr), shape=K.shape)
 
 
@@ -255,7 +256,7 @@ def _assemble(mesh, rule, fields, kernel, per_cell, loads=(), n_mats=1):
     sc = _Scatter(list(fields.values()))
     nc, nloc = len(sc.gdofs), sc.gdofs[0].size
     data = np.zeros((n_mats, len(sc.indices)))
-    for cells in _chunks(nc, max(per_cell, nloc * nloc)):
+    for cells in _chunks(nc, max(per_cell, n_mats * nloc * nloc)):
         pos = sc.positions(cells).ravel()
         for d, k in zip(data, kernel(cells)):
             np.add.at(d, pos, k.ravel())
@@ -390,14 +391,14 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
                           loads=[(fields["u"], uvals, f), (fields["p"], pvals, M)],
                           n_mats=2 if split_curl else 1)
     return SparseSystem(matrix=mats[0], rhs=rhs, fields=fields, mesh=mesh,
-                        curl_matrix=mats[1] if split_curl else None)
+                        c_matrix=mats[1] if split_curl else None)
 
 
-def assemble_cauchy3d(mesh: Mesh, lam: float, mu: float,
-                      u_space: SpaceDescriptor, f=None,
+def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
                       quad_degree=None) -> SparseSystem:
-    """Classical linear elasticity <sym Du, C sym Du>, used for the
-    characteristic-length energy bounds."""
+    """Classical linear elasticity for the lc energy bounds, split by
+    modulus: ``matrix`` S is its mu = 1 part and ``c_matrix`` D its
+    lam = 1 (div-div) part, so moduli (lam, mu) give mu S + lam D."""
     if mesh.dim != 3 or u_space.dim != 3 or u_space.family != "h1":
         raise SpaceMismatch("cauchy3d needs a 3D H1 space")
     qd = quad_degree or 2 * u_space.degree
@@ -407,12 +408,12 @@ def assemble_cauchy3d(mesh: Mesh, lam: float, mu: float,
     def kernel(cells):
         gu = _phys_grads(mesh.inv_ts[cells], ugrads)
         G = _direction_gram(gu, _weights(mesh, rule, cells))
-        return [_iso_blocks(G, mu, mu, lam)]
+        return [_iso_blocks(G, 1.0, 1.0, 0.0), G.transpose(0, 2, 1, 4, 3)]
 
-    (matrix,), rhs = _assemble(mesh, rule, fields, kernel,
-                               3 * ugrads.shape[1] * len(rule.weights),
-                               loads=[(fields["u"], uvals, f)])
-    return SparseSystem(matrix=matrix, rhs=rhs, fields=fields, mesh=mesh)
+    (S, D), rhs = _assemble(mesh, rule, fields, kernel,
+                            3 * ugrads.shape[1] * len(rule.weights),
+                            loads=[(fields["u"], uvals, f)], n_mats=2)
+    return SparseSystem(matrix=S, rhs=rhs, fields=fields, mesh=mesh, c_matrix=D)
 
 
 # ---------------------------------------------------------------------------

@@ -332,25 +332,30 @@ def default_lc_grid():
     return tuple(np.logspace(-4.0, 3.0, 16))
 
 
-def cauchy_bound_energy(mesh, lam, mu, degree, constraints=None):
-    """Energy of the classical Cauchy solve with the sweep Dirichlet data.
+def cauchy_system(mesh, degree):
+    """``assemble_cauchy3d`` under the sweep Dirichlet data."""
+    system = assemble_cauchy3d(mesh, SpaceDescriptor("h1", degree, 3))
+    system.set_constraints(h1_dirichlet(mesh, system.fields["u"].dofmap,
+                                        _sweep_groups(mesh), n_comps=3).values)
+    return system
 
-    The embedding depends only on the mesh and the degree: pass
-    ``sol.system.constraints`` of an earlier call to reuse it.
-    """
-    u_space = SpaceDescriptor("h1", degree, 3)
-    system = assemble_cauchy3d(mesh, lam, mu, u_space)
-    if constraints is None:
-        constraints = h1_dirichlet(mesh, system.fields["u"].dofmap,
-                                   _sweep_groups(mesh), n_comps=3).values
-    system.set_constraints(constraints)
-    sol = solve(system)
-    return 0.5 * float(sol.x @ (system.matrix @ sol.x)), sol
+
+def cauchy_bound_energy(mesh, moduli, degree):
+    """Cauchy energies under the sweep Dirichlet data, one per strongly
+    elliptic (lam, mu) of ``moduli``: mu S + lam D = mu K(lam / mu), so
+    all are one family solve (one assembly, embedding and analysis)."""
+    for lam, mu in moduli:
+        if not (mu > 0.0 and lam + 2.0 * mu > 0.0):
+            raise InvalidParam(f"Cauchy moduli lam={lam}, mu={mu}: need "
+                               "mu > 0 and lam + 2 mu > 0")
+    sols = solve_family(cauchy_system(mesh, degree),
+                        [lam / mu for lam, mu in moduli])
+    return [mu * s.energy for s, (_, mu) in zip(sols, moduli)]
 
 
 def sweep_system(mesh, params, p, family):
     """The constrained sweep system with its curl-curl part split off:
-    K(lc) = matrix + mu_macro lc^2 curl_matrix."""
+    K(lc) = matrix + mu_macro lc^2 c_matrix."""
     u_space = SpaceDescriptor("h1", p + 1, 3)
     p_space = SpaceDescriptor(family, p, 3)
     system = assemble_full3d(mesh, params, u_space, p_space, split_curl=True)
@@ -365,10 +370,8 @@ def sweep_system(mesh, params, p, family):
 
 
 def _sweep_chain(cfg, mesh, params, lcs):
-    """Energies and solver records of the sweep system over ``lcs``,
-    solved as one chain.  The chain gets the only reference to the
-    system, so its full matrices go once reduced; the factors die on
-    return."""
+    """Energies, solver records and dof count of the sweep over ``lcs``;
+    the chain gets the only reference to the system (``solve_family``)."""
     coeffs = [params.mu_macro * lc ** 2 for lc in lcs]
     sols = solve_family(sweep_system(mesh, params, cfg.p, cfg.family), coeffs)
     return ([s.energy for s in sols], [s.info for s in sols],
@@ -376,23 +379,17 @@ def _sweep_chain(cfg, mesh, params, lcs):
 
 
 def run_lc_sweep(cfg: BenchConfig):
-    """Energy table I(lc) plus internally computed Cauchy bounds.
-
-    The lc values are solved as one chain (``solve_family``); the two
-    bounds share their Dirichlet embedding.
-    """
+    """Energy table I(lc) plus internally computed Cauchy bounds: the
+    lc values are one family solve, the two bounds another."""
     mesh = io_read(cfg.mesh_path) if cfg.mesh_path else sweep_mesh(cfg.refine)
     lcs = tuple(cfg.lc_values) if cfg.lc_values else default_lc_grid()
     base_params = cfg.material_override(sweep_params(1.0))
     energies, infos, n_dofs = _sweep_chain(cfg, mesh, base_params, lcs)
 
-    lower, sol = cauchy_bound_energy(mesh, base_params.lam_macro,
-                                     base_params.mu_macro, cfg.bound_degree)
-    constraints = sol.system.constraints
-    del sol     # one bound system at a time
-    upper, _ = cauchy_bound_energy(mesh, base_params.lam_micro,
-                                   base_params.mu_micro, cfg.bound_degree,
-                                   constraints)
+    lower, upper = cauchy_bound_energy(
+        mesh, [(base_params.lam_macro, base_params.mu_macro),
+               (base_params.lam_micro, base_params.mu_micro)],
+        cfg.bound_degree)
     return {"lc": list(lcs), "energy": energies,
             "residuals": [info["residual"] for info in infos],
             "solver_path": [info["path"] for info in infos],

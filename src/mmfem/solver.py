@@ -7,15 +7,17 @@ factor plus, while it is computed, the update matrices of the factored
 supernodes whose parents are not factored yet.  A completed Cholesky
 certifies the system SPD; a matrix it rejects is factored by SuperLU's
 LU instead and reported not SPD.  A family K(c) = A + c C (the lc
-sweep, C positive semidefinite) is walked in ascending c: the first
-value is factored, and each later one runs CG preconditioned by the
-current factor from the previous solution; all its factorizations share
-one analysis of the pattern.  Because K(c0)^{-1} K(c) has
-its spectrum in [1, c/c0], a few iterations suffice near the anchor;
-the walk factors again at a value whose CG fails or misses the
-tolerance, and ahead of time after a CG that used more than half of
-PCG_BUDGET.  Every solution meets relative residual RESIDUAL_TOL
-against its own matrix, or the solve raises.
+sweep: C curl-curl, c = mu_macro lc^2; the Cauchy bounds: C div-div,
+c = lam / mu) is walked in ascending c: the first value is factored,
+and each later one runs CG preconditioned by the current factor from
+the previous solution; all its factorizations share one analysis.  The
+walk needs K at the smallest c SPD and C positive semidefinite, c of
+any sign: after an SPD factor at c0, K(c) = K(c0) + (c - c0) C is SPD
+too.  A few iterations suffice near the anchor; the walk factors again
+at a value whose CG fails or misses the tolerance, and ahead of time
+after a CG that used more than half of PCG_BUDGET.  Every solution
+meets relative residual RESIDUAL_TOL against its own matrix, or the
+solve raises.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class FieldSolution:
     stored factor entries) and ``supernodes`` (None for LU).  ``energy``
     is 1/2 x^T K x where the solve computed it (``solve_family``).
     Solutions of ``solve_family`` keep their system without its matrices
-    (``matrix`` and ``curl_matrix`` are None).
+    (``matrix`` and ``c_matrix`` are None).
     """
 
     system: SparseSystem
@@ -194,14 +196,13 @@ def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
     return split.solution(xf, spd, info)
 
 
-def solve_family(system: SparseSystem, curl_coeffs) -> list:
-    """Solutions of (system.matrix + c system.curl_matrix) x = rhs for
-    each c in ``curl_coeffs`` (>= 0), in input order, by one chain.
-
-    See the module docstring for the walk; it depends only on iteration
-    counts, so repeated runs give identical results.  The factorizations
-    share one analysis of the pattern.  Each solution records its energy
-    1/2 x^T K(c) x, computed from the reduced blocks: with x_c the
+def solve_family(system: SparseSystem, coeffs) -> list:
+    """Solutions of (system.matrix + c system.c_matrix) x = rhs for each
+    c in ``coeffs``, in input order, by one chain: the walk and its
+    contract are in the module docstring (a CG solution reports the spd
+    verdict of its factor).  The walk depends only on iteration counts,
+    so repeated runs give identical results.  Each solution records its
+    energy 1/2 x^T K(c) x, computed from the reduced blocks: with x_c the
     constrained values and lift = -K_fc x_c,
     x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.
     The solutions keep the system without its matrices, so a caller that
@@ -209,26 +210,26 @@ def solve_family(system: SparseSystem, curl_coeffs) -> list:
     first factorization.
     """
     split, [(A, lift_a), (C, lift_c)] = _reduce(
-        system, [system.matrix, system.curl_matrix])
+        system, [system.matrix, system.c_matrix])
     x_con = np.zeros(system.n_dofs)
     x_con[split.con] = split.vals
     e_a, e_c = (float(x_con @ (M @ x_con))
-                for M in (system.matrix, system.curl_matrix))
+                for M in (system.matrix, system.c_matrix))
     rhs_a = system.rhs[split.free_idx] + lift_a
     # from here on only the reduced blocks hold matrix data
-    split.system = replace(system, matrix=None, curl_matrix=None)
+    split.system = replace(system, matrix=None, c_matrix=None)
     del system
-    # the curl matrix shares the pattern of the base matrix (SparseSystem),
+    # c_matrix shares the pattern of the base matrix (SparseSystem),
     # so C and K(c) keep only data arrays; K's is rewritten for each value
     C = sp.csc_matrix((C.data, A.indices, A.indptr), shape=A.shape)
     K = sp.csc_matrix((np.empty_like(A.data), A.indices, A.indptr),
                       shape=A.shape)
-    out = [None] * len(curl_coeffs)
+    out = [None] * len(coeffs)
     lu = xf = None
     refactor = True
     with cholesky.shared_analysis():
-        for i in np.argsort(curl_coeffs, kind="stable"):
-            c = float(curl_coeffs[i])
+        for i in np.argsort(coeffs, kind="stable"):
+            c = float(coeffs[i])
             np.multiply(C.data, c, out=K.data)
             K.data += A.data
             rhs = rhs_a + c * lift_c

@@ -384,7 +384,7 @@ class TestFull3D:
             sol, *_ = np.linalg.lstsq(A, target.reshape(-1), rcond=None)
             off = sys_.fields["p"].offset
             x[off + dm_p.cell_dofs[c]] = sol
-        curl_energy = float(x @ (sys_.curl_matrix @ x))
+        curl_energy = float(x @ (sys_.c_matrix @ x))
         assert abs(curl_energy) <= 1e-12 * (1.0 + float(x @ x))
 
     def test_energy_two_paths(self, cube):
@@ -411,14 +411,16 @@ class TestFull3D:
 
 class TestCauchy:
     def test_rigid_translation_zero_energy(self, cube):
-        sys_ = assemble_cauchy3d(cube, 2.0, 1.0, SpaceDescriptor("h1", 2, 3))
+        sys_ = assemble_cauchy3d(cube, SpaceDescriptor("h1", 2, 3))
         nu = sys_.fields["u"].dofmap.n_dofs
         x = np.concatenate([np.full(nu, 0.3), np.full(nu, -0.2), np.full(nu, 1.0)])
-        assert abs(x @ (sys_.matrix @ x)) < 1e-12
+        for M in (sys_.matrix, sys_.c_matrix):
+            assert abs(x @ (M @ x)) < 1e-12
 
     def test_symmetric(self, cube):
-        sys_ = assemble_cauchy3d(cube, 2.0, 1.0, SpaceDescriptor("h1", 2, 3))
-        assert abs(sys_.matrix - sys_.matrix.T).max() <= 1e-12 * abs(sys_.matrix).max()
+        sys_ = assemble_cauchy3d(cube, SpaceDescriptor("h1", 2, 3))
+        for M in (sys_.matrix, sys_.c_matrix):
+            assert abs(M - M.T).max() <= 1e-12 * abs(M).max()
 
 
 class TestL2Error:
@@ -533,17 +535,19 @@ class TestBatchedAgainstReference:
         K, Kc, _ = reference_system(wavy_box, "full3d", u_space, p_space,
                                     params=MICRO)
         _assert_close(sys_.matrix, K)
-        _assert_close(sys_.curl_matrix, Kc)
-        assert np.array_equal(sys_.matrix.indptr, sys_.curl_matrix.indptr)
-        assert np.array_equal(sys_.matrix.indices, sys_.curl_matrix.indices)
+        _assert_close(sys_.c_matrix, Kc)
+        assert np.array_equal(sys_.matrix.indptr, sys_.c_matrix.indptr)
+        assert np.array_equal(sys_.matrix.indices, sys_.c_matrix.indices)
         _assert_close(sys_.matrix_at(2.5), K + 2.5 * Kc)
 
     def test_cauchy3d(self, wavy_box):
         u_space = SpaceDescriptor("h1", 3, 3)
-        sys_ = assemble_cauchy3d(wavy_box, 1.7, 0.8, u_space, f=_f3)
+        sys_ = assemble_cauchy3d(wavy_box, u_space, f=_f3)
         K, _, rhs = reference_system(wavy_box, "cauchy3d", u_space, lam=1.7,
                                      mu=0.8, f=_f3)
-        _assert_close(sys_.matrix, K)
+        assert np.array_equal(sys_.matrix.indptr, sys_.c_matrix.indptr)
+        assert np.array_equal(sys_.matrix.indices, sys_.c_matrix.indices)
+        _assert_close(0.8 * sys_.matrix + 1.7 * sys_.c_matrix, K)
         _assert_close(sys_.rhs, rhs)
 
     def test_l2_routines_2d(self, wavy_disk):

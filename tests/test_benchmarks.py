@@ -143,9 +143,41 @@ class TestSweepData:
     def test_cauchy_bounds_scale_by_five(self):
         # C_micro = 5 C_macro and the minimizer is invariant: energies scale
         mesh = sweep_mesh(0)
-        lower, _ = cauchy_bound_energy(mesh, 2.0, 1.0, 2)
-        upper, _ = cauchy_bound_energy(mesh, 10.0, 5.0, 2)
+        (lower,) = cauchy_bound_energy(mesh, [(2.0, 1.0)], 2)
+        (upper,) = cauchy_bound_energy(mesh, [(10.0, 5.0)], 2)
         assert abs(upper - 5.0 * lower) < 1e-9 * upper
+
+    @pytest.mark.parametrize("lam,mu", [(2.0, -1.0), (2.0, 0.0), (-2.0, 1.0),
+                                        (-3.0, 1.0)])
+    def test_cauchy_bounds_reject_non_elliptic_moduli(self, lam, mu):
+        # mu > 0 and lam + 2 mu > 0, or the "energy" may be negative or 0
+        with pytest.raises(InvalidParam):
+            cauchy_bound_energy(sweep_mesh(0), [(2.0, 1.0), (lam, mu)], 2)
+
+    def test_cauchy_bounds_one_family_solve(self, monkeypatch):
+        import mmfem.benchmarks as benchmarks
+        from mmfem import cholesky
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((benchmarks, "assemble_cauchy3d"),
+                             (benchmarks, "h1_dirichlet"),
+                             (cholesky, "analyse"), (cholesky, "factor")):
+            counted(module, name)
+        cfg = BenchConfig("lc-sweep", p=1, refine=0, family="nedelec1",
+                          lc_values=(0.01, 1.0, 100.0), bound_degree=2)
+        res = run_lc_sweep(cfg)
+        # the sweep chain takes one embedding, one analysis and
+        # n_factorizations factors; both bounds together take one of each
+        assert calls == {"assemble_cauchy3d": 1, "h1_dirichlet": 2,
+                         "analyse": 2, "factor": res["n_factorizations"] + 1}
 
     def test_small_sweep_monotone(self):
         cfg = BenchConfig("lc-sweep", p=1, refine=0, family="nedelec1",

@@ -302,6 +302,25 @@ def test_family_refactors_on_jump(sweep_system_small, monkeypatch):
     _check_against_direct(sweep_system_small, coeffs, sols)
 
 
+@pytest.mark.parametrize("moduli", [[(-1.0, 1.0), (2.0, 1.0)],
+                                    [(1.0, 1.0), (7.0, 2.0)]])
+def test_family_cauchy_moduli_match_direct(moduli):
+    # mu S + lam D = mu K(lam / mu): a negative anchor c = -1 and a PCG step
+    from mmfem.benchmarks import cauchy_system, sweep_mesh
+    from mmfem.solver import solve_family
+    system = cauchy_system(sweep_mesh(0), 2)
+    sols = solve_family(system, [lam / mu for lam, mu in moduli])
+    assert [s.info["path"] for s in sols] == ["direct", "pcg"]
+    assert all(s.spd for s in sols)
+    for (lam, mu), sol in zip(moduli, sols):
+        K = mu * system.matrix + lam * system.c_matrix
+        ref = solve(SparseSystem(matrix=K, rhs=system.rhs, fields=system.fields,
+                                 mesh=system.mesh,
+                                 constraints=system.constraints))
+        ref_energy = 0.5 * ref.x @ (K @ ref.x)
+        assert abs(mu * sol.energy - ref_energy) <= 1e-12 * ref_energy
+
+
 # ---------------------------------------------------------------------------
 # supernodal Cholesky (mmfem.cholesky) against dense solves
 
@@ -467,7 +486,7 @@ def test_family_releases_full_matrices(monkeypatch):
     from mmfem.benchmarks import sweep_mesh, sweep_params, sweep_system
     from mmfem.solver import solve_family
     holder = [sweep_system(sweep_mesh(0), sweep_params(1.0), 1, "nedelec1")]
-    refs = [weakref.ref(holder[0].matrix), weakref.ref(holder[0].curl_matrix)]
+    refs = [weakref.ref(holder[0].matrix), weakref.ref(holder[0].c_matrix)]
     alive = []
     analyse = cholesky.analyse
 
