@@ -10,8 +10,9 @@ chunk of cells at once from the cached reference tables and returns
 element matrices as batched matmuls K_c = F_c F_c^T (sqrt(w) folded into
 F, so they are exactly symmetric); the 3D forms combine scalar Gram
 blocks per pair of derivative directions with the isotropic moduli.
-Entries are added into a CSR pattern built once from the cell dofs.  Any
-temporary of a chunk holds at most _CHUNK_NNZ entries.
+Entries are added into the CSR ``Pattern`` built once from the cell dofs,
+which the system keeps for the solver.  Any temporary of a chunk holds at
+most _CHUNK_NNZ entries.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from .cholesky import _supervariables
 from .dofmap import DofMap, build_dofmap
 from .errors import SpaceMismatch
 from .materials import MaterialParams
@@ -59,6 +61,8 @@ class SparseSystem:
     ``c_matrix``, the unit-coefficient part of K(c) = matrix + c c_matrix
     (curl-curl of the lc sweep, div-div of the Cauchy form), shares the
     CSR pattern of ``matrix``, so ``matrix_at`` only combines data arrays.
+    An assembled system carries that ``Pattern`` for the solver; a system
+    built from a bare matrix has none.
     """
 
     matrix: sp.csr_matrix
@@ -67,6 +71,7 @@ class SparseSystem:
     mesh: Mesh
     constraints: dict = field(default_factory=dict)
     c_matrix: sp.csr_matrix = None
+    pattern: Pattern = None
 
     @property
     def n_dofs(self):
@@ -167,100 +172,110 @@ def _gram(f):
     return f @ f.transpose(0, 2, 1)
 
 
-def _scalar_pattern(cell_dofs, n):
-    """Sorted CSR pattern of all couplings through a cell; its data holds
-    the position of each entry."""
-    nc, nloc = cell_dofs.shape
-    incidence = sp.csr_matrix((np.ones(cell_dofs.size), cell_dofs.ravel(),
-                               np.arange(0, cell_dofs.size + 1, nloc)), shape=(nc, n))
-    product = incidence.T @ incidence   # symmetric: its CSC arrays are CSR arrays
-    pattern = sp.csr_matrix((product.data, product.indices, product.indptr),
-                            shape=(n, n))
-    pattern.sort_indices()
-    pattern.data = np.arange(pattern.nnz, dtype=float)
-    return pattern
-
-
-class _Scatter:
-    """Global CSR pattern of a system and the position of every element
-    entry in it.
+class Pattern:
+    """CSR pattern of a system's matrices (every coupling through a
+    cell), the position of every element entry in it, and the
+    supervariable of every dof.
 
     All fields have k components; element matrices are ordered (r, A, s,
     B): components outermost, then the cell's scalar dofs A of all fields.
     The pattern is the scalar pattern S of the stacked dofmaps with each
     entry expanded to a k x k block: global row (field f, component r,
     dof i) lists, field by field and then component by component, the
-    columns of S row i.  So only scalar element entries are searched in S;
-    entry (r, s) of the block of scalar entry e in row i sits at
-    p0[e] + r * rstride[i] + s * seg[e], seg[e] being the length of the
-    segment of row i in e's column field, rstride[i] k times the entries
-    of S in the rows of i's field.
+    columns of S row i.  It is sorted and symmetric, so its CSR arrays
+    are its CSC arrays.  Entry (r, s) of the block of scalar entry e in
+    row i sits at p0[e] + r * rstride[i] + s * seg[e], seg[e] being the
+    length of the segment of row i in e's column field, rstride[i] k
+    times the entries of S in the rows of i's field.
+
+    The dofs of the scalar dofs in one set of cells (a mesh entity, or
+    entities with the same cells, such as a boundary face and the
+    interior of its only cell) have one row set: ``group`` labels them
+    for the factorization.  Memory: ``indices`` 4 bytes per entry (int32
+    below 2^31 entries), ``indptr`` and ``group`` one index per dof, and
+    for k > 1 12 bytes per scalar entry (4/3 per entry at k = 3).
     """
 
     def __init__(self, layouts):
         k = self.k = layouts[0].n_comps
         sizes = np.array([fl.dofmap.n_dofs for fl in layouts])
         starts = np.concatenate([[0], np.cumsum(sizes)])
-        self.gdofs = np.concatenate([fl.cell_dofs() for fl in layouts], axis=2)
         self.scalar_dofs = np.concatenate(
             [fl.dofmap.cell_dofs + s for fl, s in zip(layouts, starts)], axis=1)
-        S = self.S = _scalar_pattern(self.scalar_dofs, starts[-1])
-        if k == 1:
-            # the pattern is S; the expansion below would reproduce it and
-            # add 0.2 s to the 0.3 s of the antiplane-fine assembly
+        nc, nloc = self.scalar_dofs.shape
+        ns = int(starts[-1])
+        incidence = sp.csr_matrix(
+            (np.ones(self.scalar_dofs.size), self.scalar_dofs.ravel(),
+             np.arange(0, nc * nloc + 1, nloc)), shape=(nc, ns))
+        cells_of = incidence.tocsc()    # the cells of each scalar dof
+        group = _supervariables(cells_of.indptr, cells_of.indices, ns)
+        S = incidence.T @ incidence     # symmetric: CSC arrays are CSR arrays
+        S = sp.csr_matrix((S.data, S.indices, S.indptr), shape=(ns, ns))
+        S.sort_indices()
+        self.s_indptr, self.s_indices = S.indptr, S.indices
+        itype = np.int32 if k * k * S.nnz < 2 ** 31 else np.int64
+        self.group = np.concatenate([np.tile(group[a:b], k)
+                                     for a, b in zip(starts[:-1], starts[1:])])
+        if k == 1:     # the pattern is S; the expansion would copy it
             self.indptr, self.indices = S.indptr, S.indices
             return
-        e = np.arange(S.nnz)
-        row = np.repeat(np.arange(starts[-1]), np.diff(S.indptr))
+        e = np.arange(S.nnz, dtype=itype)
+        row = np.repeat(np.arange(ns, dtype=itype), np.diff(S.indptr))
         col_field = np.searchsorted(starts[1:-1], S.indices, side="right")
         seg_id = row * len(sizes) + col_field
-        seg = np.bincount(seg_id, minlength=starts[-1] * len(sizes))
-        rank = e - (np.cumsum(seg) - seg)[seg_id]      # place of e in its segment
+        seg = np.bincount(seg_id, minlength=ns * len(sizes)).astype(itype)
+        rank = e - (np.cumsum(seg, dtype=itype) - seg)[seg_id]
         self.seg = seg[seg_id]
-        field_nnz = S.indptr[starts]                    # S entries before each field
+        field_nnz = S.indptr[starts].astype(itype)     # S entries before each field
         row_field = np.repeat(np.arange(len(sizes)), sizes)
         self.rstride = k * np.diff(field_nnz)[row_field]
-        self.p0 = (k * k - k) * field_nnz[row_field][row] + k * e - (k - 1) * rank
+        xpos = k * e - (k - 1) * rank   # (r, s) = (0, 0) copy, fields' r = 0 rows
+        self.p0 = xpos + (k * k - k) * field_nnz[row_field][row]
+        # a row's columns do not depend on its component r: the r = 0 rows
+        # of each field, repeated k times
+        x = np.empty(k * S.nnz, dtype=itype)
+        col0 = S.indices + (k - 1) * starts[col_field]  # global column, s = 0
+        for s in range(k):
+            x[xpos + s * self.seg] = col0 + s * sizes[col_field]
+        self.indices = np.concatenate(
+            [np.tile(x[k * a:k * b], k) for a, b in zip(field_nnz, field_nnz[1:])])
         self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(
             [np.tile(k * np.diff(S.indptr[a:b + 1]), k)
-             for a, b in zip(starts[:-1], starts[1:])]))])
-        col0 = S.indices + (k - 1) * starts[col_field]  # global column, component 0
-        self.indices = np.empty(k * k * S.nnz, dtype=S.indices.dtype)
-        for r in range(k):
-            for s in range(k):
-                self.indices[self.p0 + r * self.rstride[row] + s * self.seg] = (
-                    col0 + s * sizes[col_field])
+             for a, b in zip(starts[:-1], starts[1:])]))]).astype(itype)
 
     def positions(self, cells):
         """Positions of the element entries of a chunk, in the order of
         the element matrices."""
         sd = self.scalar_dofs[cells]
         rows, cols = np.broadcast_arrays(sd[:, :, None], sd[:, None, :])
-        e = np.asarray(self.S[rows.ravel(), cols.ravel()],
-                       dtype=np.intp).reshape(rows.shape)
+        where = sp.csr_matrix(
+            (np.arange(len(self.s_indices), dtype=self.indptr.dtype),
+             self.s_indices, self.s_indptr), shape=(len(self.s_indptr) - 1,) * 2)
+        e = np.asarray(where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
         if self.k == 1:
             return e
-        comp = np.arange(self.k)
+        comp = np.arange(self.k, dtype=e.dtype)
         return (self.p0[e][:, None, :, None, :]
                 + comp[:, None, None, None] * self.rstride[sd][:, None, :, None, None]
                 + comp[:, None] * self.seg[e][:, None, :, None, :])
 
 
 def _assemble(mesh, rule, fields, kernel, per_cell, loads=(), n_mats=1):
-    """Matrices from ``kernel(cells) -> [element matrices]`` and the load
-    vector of ``loads``, (field, reference table, callback or None).  The
+    """System of ``kernel(cells) -> [element matrices]`` (``matrix``,
+    ``c_matrix`` if n_mats = 2) and the load vector of ``loads``, (field,
+    reference table, callback or None).  The
     ``n_mats`` matrices share one CSR pattern, every coupling through a
     cell, also where its sum over cells vanishes: dropping those entries
     breaks the k x k block structure that the minimum-degree ordering of
     the factorization relies on, and raises its fill."""
-    sc = _Scatter(list(fields.values()))
-    nc, nloc = len(sc.gdofs), sc.gdofs[0].size
-    data = np.zeros((n_mats, len(sc.indices)))
+    pat = Pattern(list(fields.values()))
+    nc, nloc = len(pat.scalar_dofs), pat.k * pat.scalar_dofs.shape[1]
+    data = np.zeros((n_mats, len(pat.indices)))
     for cells in _chunks(nc, max(per_cell, n_mats * nloc * nloc)):
-        pos = sc.positions(cells).ravel()
+        pos = pat.positions(cells).ravel()
         for d, k in zip(data, kernel(cells)):
             np.add.at(d, pos, k.ravel())
-    n = len(sc.indptr) - 1
+    n = len(pat.indptr) - 1
     rhs = np.zeros(n)
     for layout, table, func in (load for load in loads if load[2] is not None):
         for cells in _chunks(nc, per_cell):
@@ -270,8 +285,10 @@ def _assemble(mesh, rule, fields, kernel, per_cell, loads=(), n_mats=1):
             np.add.at(rhs, layout.cell_dofs(cells),
                       _project(w, fv, _values(mesh, table, cells)))
 
-    return [sp.csr_matrix((d, sc.indices, sc.indptr), shape=(n, n))
-            for d in data], rhs
+    mats = [sp.csr_matrix((d, pat.indices, pat.indptr), shape=(n, n))
+            for d in data] + [None]
+    return SparseSystem(matrix=mats[0], rhs=rhs, fields=fields, mesh=mesh,
+                        c_matrix=mats[1], pattern=pat)
 
 
 def _iso_blocks(G, diag, swap, trace):
@@ -330,10 +347,8 @@ def assemble_antiplane(mesh: Mesh, params: MaterialParams,
         F *= np.sqrt(w)[:, None, :, None]
         return [_gram(F.reshape(len(w), nb, nq * 5))]
 
-    (matrix,), rhs = _assemble(mesh, rule, fields, kernel, nb * nq * 5,
-                               loads=[(fields["u"], uvals, f),
-                                      (fields["p"], pvals, m)])
-    return SparseSystem(matrix=matrix, rhs=rhs, fields=fields, mesh=mesh)
+    return _assemble(mesh, rule, fields, kernel, nb * nq * 5,
+                     loads=[(fields["u"], uvals, f), (fields["p"], pvals, m)])
 
 
 def assemble_full3d(mesh: Mesh, params: MaterialParams,
@@ -387,11 +402,9 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
             mats[-1][:, r, p, r, p] += kc
         return mats
 
-    mats, rhs = _assemble(mesh, rule, fields, kernel, 9 * nbs * len(rule.weights),
-                          loads=[(fields["u"], uvals, f), (fields["p"], pvals, M)],
-                          n_mats=2 if split_curl else 1)
-    return SparseSystem(matrix=mats[0], rhs=rhs, fields=fields, mesh=mesh,
-                        c_matrix=mats[1] if split_curl else None)
+    return _assemble(mesh, rule, fields, kernel, 9 * nbs * len(rule.weights),
+                     loads=[(fields["u"], uvals, f), (fields["p"], pvals, M)],
+                     n_mats=2 if split_curl else 1)
 
 
 def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
@@ -410,10 +423,9 @@ def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
         G = _direction_gram(gu, _weights(mesh, rule, cells))
         return [_iso_blocks(G, 1.0, 1.0, 0.0), G.transpose(0, 2, 1, 4, 3)]
 
-    (S, D), rhs = _assemble(mesh, rule, fields, kernel,
-                            3 * ugrads.shape[1] * len(rule.weights),
-                            loads=[(fields["u"], uvals, f)], n_mats=2)
-    return SparseSystem(matrix=S, rhs=rhs, fields=fields, mesh=mesh, c_matrix=D)
+    return _assemble(mesh, rule, fields, kernel,
+                     3 * ugrads.shape[1] * len(rule.weights),
+                     loads=[(fields["u"], uvals, f)], n_mats=2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,15 @@
 ``factor(K)`` computes P K P^T = L L^T for a symmetric positive definite
 K in CSC form; it reads the entries of K on or below the diagonal of
 P K P^T.  A pivot block that is not positive definite raises
-NotPositiveDefinite, so a completed factor certifies K as SPD.
+NotPositiveDefinite, so a completed factor certifies K as SPD.  The
+analysis may cover the block of K in the rows and columns of a mask
+``free``; that block is factored straight from K's data.
 
 Analysis (``analyse``), once per sparsity pattern:
 
-1. Supervariables.  Columns with identical row sets (in the finite
-   element systems: the dofs of one mesh entity) are grouped by a
-   fixed-seed hash of their row sets; every column is then compared
-   with the first of its group, and a hash collision is regrouped by
-   the exact row sets, so unequal columns are never merged.
+1. Supervariables (Ashcraft's compressed graph, SIAM J. Sci. Comput. 16,
+   1995): columns with identical row sets, from the finite element
+   pattern (``assembly.Pattern.group``) or, for a bare matrix, exact.
 2. Ordering and symbolic factor.  The quotient graph, one node per
    supervariable, is ordered by SuperLU's multiple minimum degree
    (MMD_AT_PLUS_A) and factored there with Stieltjes values
@@ -26,12 +26,13 @@ Analysis (``analyse``), once per sparsity pattern:
 4. Schedule.  Supernodes are grouped by their height in the tree
    (leaves first) and their front shape: k pivot columns, n front rows,
    m = n - k update rows.  The extend-add of each group into its
-   parents is planned here, and the position of every entry of K in
-   the factor (``Symbolic.pos``).
+   parents is planned here, and the position in the factor of every
+   entry on or below the diagonal (``Symbolic.src``/``dst``), found in
+   the first column of each supervariable and shared by the others.
 
 Numeric factorization: the factor storage holds one (n, k) panel per
-supernode; the entries of K are written into it through ``pos`` in one
-scatter.  Groups run in order of height.  Each group factors its pivot
+supernode; the entries of K are written into it in one scatter.  Groups
+run in order of height.  Each group factors its pivot
 blocks by a (batched) dense Cholesky, forms L21 = F21 L11^-T, and the
 negated update matrices V = L21 L21^T - (the children's contributions)
 with one matmul.  The parts of V in the parents' pivot columns are
@@ -42,16 +43,15 @@ of consecutive parent rows.  Forward and backward substitution run by
 the same groups.
 
 Memory: the factor, sum of n k over the supernodes (``nnz`` counts the
-entries on or below the diagonal); the analysis, one index per entry of
-K and two per lower entry of the flat extend-adds; and while the factor
-is computed, the update matrices (m x m) of the factored supernodes
-whose parents are not factored yet.
+entries on or below the diagonal); the analysis, two indices per entry
+of K on or below the diagonal (int32 below 2^31) and two per lower
+entry of the flat extend-adds; and while the factor is computed, the
+update matrices (m x m) of the factored supernodes whose parents are
+not factored yet.
 """
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +61,6 @@ from scipy.linalg import blas, lapack
 
 from .errors import FactorizationFailed, NotPositiveDefinite
 
-_HASH_SEED = 20231
 # entries per chunk of the per-entry passes of the analysis (8 MB
 # temporaries of int64)
 _CHUNK = 1 << 20
@@ -88,11 +87,6 @@ def _ranges(starts, lengths):
                         lengths))
 
 
-def _hash_weights(n):
-    return np.random.default_rng(_HASH_SEED).integers(
-        0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
-
-
 def _column_chunks(indptr):
     """Column ranges (c0, c1) holding at most _CHUNK entries each (at
     least one column), so that per-entry temporaries stay small."""
@@ -106,58 +100,32 @@ def _column_chunks(indptr):
 
 
 def _supervariables(indptr, indices, n):
-    """Label of each column's supervariable, numbered in order of their
-    first columns."""
+    """Label of each column, equal for the columns of one row set: the
+    row lists of the columns of one count, sorted as rows of one array."""
     counts = np.diff(indptr)
-    weights = _hash_weights(n)
-    h = np.zeros(n, dtype=np.uint64)
-    for c0, c1 in _column_chunks(indptr):
-        # hash of a row set: sum of its rows' weights modulo 2^64
-        w = np.append(weights[indices[indptr[c0]:indptr[c1]]], np.uint64(0))
-        h[c0:c1] = np.add.reduceat(w, indptr[c0:c1] - indptr[c0])
-    h[counts == 0] = 0
-    order = np.lexsort((h, counts))
-    new = np.ones(n, dtype=bool)
-    new[1:] = ((counts[order][1:] != counts[order][:-1])
-               | (h[order][1:] != h[order][:-1]))
+    order = np.argsort(counts, kind="stable")
     label = np.empty(n, dtype=np.int64)
-    label[order] = np.cumsum(new) - 1
-    # check every column against the first of its group (equal counts)
-    first = np.full(n, n)
-    np.minimum.at(first, label, np.arange(n))
-    rep = first[label]
-    bad = []
-    for c0, c1 in _column_chunks(indptr):
-        e0, e1 = indptr[c0], indptr[c1]
-        at_rep = np.repeat(indptr[rep[c0:c1]] - indptr[c0:c1],
-                           counts[c0:c1]) + np.arange(e0, e1)
-        differ = np.logical_or.reduceat(
-            np.append(indices[at_rep] != indices[e0:e1], False),
-            indptr[c0:c1] - e0) & (counts[c0:c1] > 0)
-        bad.append(c0 + np.flatnonzero(differ))
-    bad = np.concatenate(bad)
-    if len(bad):
-        # a hash collision: regroup those groups by their exact row sets
-        groups = {}
-        for c in np.flatnonzero(np.isin(label, label[bad])).tolist():
-            key = (label[c], indices[indptr[c]:indptr[c + 1]].tobytes())
-            label[c] = groups.setdefault(key, n + len(groups))
-    _, first, label = np.unique(label, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[label]
+    for cols in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        c = int(counts[cols[0]]) if len(cols) else 0
+        rows = indices[_ranges(indptr[cols], np.full(len(cols), c))].reshape(
+            len(cols), c)
+        o = np.lexsort(rows.T[::-1]) if c else np.arange(len(cols))
+        new = np.concatenate([[True], np.any(rows[o[1:]] != rows[o[:-1]], axis=1)])
+        label[cols[o]] = c * (n + 1) + np.cumsum(new)
+    return label
 
 
-def _quotient_factor(indptr, indices, label, repcol):
-    """Ordering and symbolic factor of the quotient graph: (perm, L)
-    with perm[new] = old supervariable and L the CSC pattern of the
-    Cholesky factor in the new order."""
+def _quotient_factor(rows, t_label, label, repcol):
+    """Ordering and symbolic factor of the quotient graph, from the
+    ``rows`` of the first column of each supervariable (``t_label``, its
+    label): (perm, L) with perm[new] = old supervariable and L the CSC
+    pattern of the Cholesky factor in the new order."""
     ns = len(repcol)
-    counts = np.diff(indptr)[repcol]
-    rows = indices[_ranges(indptr[repcol], counts)]
     keep = np.zeros(len(label), dtype=bool)
     keep[repcol] = True
     keep = keep[rows]
     qr = label[rows[keep]]
-    qc = np.repeat(np.arange(ns), counts)[keep]
+    qc = t_label[keep]
     off = qr != qc
     qc, qr = qc[off], qr[off]
     # Stieltjes values: the factor of an M-matrix has no cancellation
@@ -258,15 +226,16 @@ class Symbolic:
     of a matrix on that pattern."""
     perm: np.ndarray            # perm[new] = old column
     groups: list                # _Group in factorization order
-    pos: np.ndarray             # position in the factor storage of each
-                                # entry of K (the last slot: unused)
+    src: np.ndarray             # entries on or below the diagonal of P K
+    dst: np.ndarray             # P^T: positions in K.data, in the factor
     size: int                   # factor storage entries
     nnz: int                    # factor entries (lower trapezoids)
     supernodes: int
 
 
 def _csc(K):
-    if not (sp.issparse(K) and K.format == "csc"):
+    """K canonical, CSC or CSR (the CSC of K^T, for symmetric K the same)."""
+    if not (sp.issparse(K) and K.format in ("csc", "csr")):
         K = sp.csc_matrix(K)
     if not K.has_canonical_format:
         K = K.copy()
@@ -336,20 +305,44 @@ def _flat_plan(grp, groups, rel, pgroup, slots, pbase, itype):
                             dst[cut[b0]:cut[b1]]))
 
 
-def analyse(K) -> Symbolic:
+def analyse(K, label=None, free=None) -> Symbolic:
     """Ordering, symbolic factor, supernodes and schedule of the pattern
-    of the square matrix ``K`` (see the module docstring)."""
+    of the square matrix ``K`` (CSC, or CSR with a symmetric pattern) in
+    the rows and columns of the mask ``free`` (default all); see the
+    module docstring.  Columns of one ``label`` must have one row set
+    (``assembly.Pattern.group``); without labels, exact row sets group
+    the columns.  ``Symbolic.src`` indexes ``K.data``."""
     K = _csc(K)
-    n = K.shape[0]
-    if n == 0:
-        return Symbolic(perm=np.arange(0), groups=[], size=0, nnz=0,
-                        pos=np.zeros(K.nnz, dtype=np.int64), supernodes=0)
     indptr, indices = K.indptr, K.indices
-    counts = np.diff(indptr)
-    label = _supervariables(indptr, indices, n)
-    repcol = np.unique(label, return_index=True)[1]   # first columns
+    if free is None:
+        free = np.ones(K.shape[0], dtype=bool)
+    cols = np.flatnonzero(free)
+    n = len(cols)
+    if n == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return Symbolic(perm=none, groups=[], size=0, nnz=0, src=none,
+                        dst=none, supernodes=0)
+    counts = np.diff(indptr)[cols]
+    if label is None:
+        label = _supervariables(indptr, indices, K.shape[0])
+    # supervariables numbered in order of their first columns
+    _, repcol, label = np.unique(label[cols], return_index=True,
+                                 return_inverse=True)
+    label = np.argsort(np.argsort(repcol))[label.ravel()]
+    repcol = np.sort(repcol)
+    if np.any(counts != counts[repcol][label]):
+        raise FactorizationFailed("columns of one supervariable have "
+                                  "different row counts")
     ns = len(repcol)
-    qperm, L = _quotient_factor(indptr, indices, label, repcol)
+    # the free rows of the first column of each supervariable: offset q
+    # in the column, label, index among the free
+    rcount, r0 = counts[repcol], indptr[cols[repcol]]
+    at = _ranges(r0, rcount)
+    on = free[indices[at]]
+    q = (at - np.repeat(r0, rcount))[on]
+    t_label = np.repeat(np.arange(ns), rcount)[on]
+    rows = (np.cumsum(free) - 1)[indices[at[on]]]
+    qperm, L = _quotient_factor(rows, t_label, label, repcol)
     post = _postorder(_etree(L))
     if not np.array_equal(post, np.arange(ns)):
         qperm = qperm[post]
@@ -444,31 +437,36 @@ def analyse(K) -> Symbolic:
                           for b, (q, s, r) in enumerate(
                               zip(pgroup[members], slot_in[ps], rel))]
 
-    # position of each entry of K in the panels, found for the first
-    # column of each supervariable and shared by its other columns;
-    # entries above the diagonal of P K P^T go to the unused last slot
-    rcount = counts[repcol]
-    rstart = np.concatenate([[0], np.cumsum(rcount)[:-1]])
-    pi = iperm[indices[_ranges(indptr[repcol], rcount)]]
-    J = np.repeat(node_of_label, rcount)
-    I = node_of_row[pi]
-    s = np.repeat(np.arange(S), last - first + 1)[J]
-    rowterm = np.zeros(len(pi), dtype=np.int64)
-    ok = I >= J
-    so = s[ok]
-    rowterm[ok] = pbase[so] - c0[so] + k[so] * front_row(so, pi[ok])
-    # an entry is on or below the diagonal iff key >= its column
-    key = np.where(I > J, n, np.where(I == J, pi, -1))
-    pos = np.empty(K.nnz, dtype=itype)
-    for a, b in _column_chunks(indptr):
-        e0, e1 = indptr[a], indptr[b]
-        at = np.repeat(rstart[label[a:b]] - indptr[a:b] + e0, counts[a:b])
-        at += np.arange(e1 - e0)
-        pj = np.repeat(iperm[a:b], counts[a:b])
-        pos[e0:e1] = np.where(key[at] >= pj, rowterm[at] + pj, size)
+    # positions in the panels of the entries on or below the diagonal of
+    # P K P^T, from the first column of each supervariable: its entry at
+    # offset q serves the entry at offset q of every column of the label,
+    # if in a later node always, if in the label's own node where pi >= pj
+    pi = iperm[rows]
+    J, I = node_of_label[t_label], node_of_row[pi]
+    t = np.flatnonzero(I >= J)
+    so = np.repeat(np.arange(S), last - first + 1)[J[t]]
+    term = np.zeros(len(pi), dtype=itype)
+    term[t] = pbase[so] - c0[so] + k[so] * front_row(so, pi[t])
+    stype = np.int32 if len(indices) < 2 ** 31 else np.int64
+    src, dst = [], []
+    for own in (False, True):
+        slots = np.flatnonzero(I == J if own else I > J)
+        cnt = np.bincount(t_label[slots], minlength=ns)
+        start = np.cumsum(cnt) - cnt
+        for a, b in _column_chunks(np.concatenate([[0], np.cumsum(counts)])):
+            c = cnt[label[a:b]]
+            ts = slots[_ranges(start[label[a:b]], c)]
+            pj = np.repeat(iperm[a:b], c)
+            e = q[ts] + np.repeat(indptr[cols[a:b]], c)
+            if own:
+                keep = pi[ts] >= pj
+                ts, e, pj = ts[keep], e[keep], pj[keep]
+            src.append(e.astype(stype))
+            dst.append((term[ts] + pj).astype(itype))
     nnz = int(np.sum(k * nrow - k * (k - 1) // 2))
-    return Symbolic(perm=perm, groups=groups, pos=pos, size=size,
-                    nnz=nnz, supernodes=S)
+    return Symbolic(perm=perm, groups=groups, src=np.concatenate(src),
+                    dst=np.concatenate(dst), size=size, nnz=nnz,
+                    supernodes=S)
 
 
 class Factor:
@@ -530,39 +528,15 @@ def _breakdown(k):
     raise NotPositiveDefinite(f"Cholesky breakdown in a {k} x {k} pivot block")
 
 
-_shared = contextvars.ContextVar("cholesky_shared_analysis", default=None)
-
-
-@contextmanager
-def shared_analysis():
-    """Within the block, ``factor`` analyses each sparsity pattern (one
-    pair of index arrays) once, so a family of matrices on one pattern
-    pays the analysis at its first factorization only."""
-    token = _shared.set([])
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
-def _symbolic(K):
-    cache = _shared.get()
-    for indptr, indices, sym in cache or ():
-        if indptr is K.indptr and indices is K.indices:
-            return sym
-    sym = analyse(K)
-    if cache is not None:
-        cache.append((K.indptr, K.indices, sym))
-    return sym
-
-
-def factor(K) -> Factor:
-    """Supernodal Cholesky factor of the SPD matrix ``K``; raises
+def factor(K, sym=None) -> Factor:
+    """Supernodal Cholesky factor of the SPD matrix ``K``, or of what
+    ``sym`` analysed, read from ``K.data`` (see ``analyse``); raises
     NotPositiveDefinite where a pivot block is not positive definite."""
-    K = _csc(K)
-    sym = _symbolic(K)
-    values = np.zeros(sym.size + 1)
-    values[sym.pos] = K.data
+    if sym is None:
+        K = _csc(K)
+        sym = analyse(K)
+    values = np.zeros(sym.size)
+    values[sym.dst] = K.data[sym.src]
     pending = [[] for _ in sym.groups]
     factor = Factor(sym, values)
     for g, (grp, P) in enumerate(zip(sym.groups, factor.panels)):

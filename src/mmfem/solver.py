@@ -1,27 +1,31 @@
 """Sparse symmetric solve and field post-processing.
 
-The constrained system is reduced to its free dofs once.  A single
-system is factored by the supernodal Cholesky of ``cholesky``, with one
-refinement step when the residual asks for it; its memory is the stored
-factor plus, while it is computed, the update matrices of the factored
-supernodes whose parents are not factored yet.  A completed Cholesky
-certifies the system SPD; a matrix it rejects is factored by SuperLU's
-LU instead and reported not SPD.  A family K(c) = A + c C (the lc
-sweep: C curl-curl, c = mu_macro lc^2; the Cauchy bounds: C div-div,
-c = lam / mu) is walked in ascending c: the first value is factored,
-and each later one runs CG preconditioned by the current factor from
-the previous solution; all its factorizations share one analysis.  The
-walk needs K at the smallest c SPD and C positive semidefinite, c of
-any sign: after an SPD factor at c0, K(c) = K(c0) + (c - c0) C is SPD
-too.  A few iterations suffice near the anchor; the walk factors again
-at a value whose CG fails or misses the tolerance, and ahead of time
-after a CG that used more than half of PCG_BUDGET.  Every solution
-meets relative residual RESIDUAL_TOL against its own matrix, or the
-solve raises.
+The constrained system is reduced to its free dofs by index arrays into
+the data of its matrices, which share one symmetric CSR pattern.  A
+single system is factored by the supernodal Cholesky of ``cholesky``
+straight from that data, with one refinement step when the residual
+asks for it; memory: the matrix, two indices per free-block entry on or
+below the diagonal, the stored factor and, while it is computed, the
+update matrices of the factored supernodes whose parents are not
+factored yet.  A completed Cholesky certifies the system SPD; a matrix
+it rejects is factored by SuperLU's LU instead and reported not SPD.  A
+family K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2;
+the Cauchy bounds: C div-div, c = lam / mu) holds the free blocks of A
+and C and one K(c) data array instead of the full matrices.  It is
+walked in ascending c: the first value is factored, and each later one
+runs CG preconditioned by the current factor from the previous
+solution; all its factorizations share one analysis.  The walk needs K
+at the smallest c SPD and C positive semidefinite, c of any sign: after
+an SPD factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  The walk
+factors again at a value whose CG fails or misses the tolerance, and
+ahead of time after a CG that used more than half of PCG_BUDGET.  Every
+solution meets relative residual RESIDUAL_TOL against its own matrix,
+or the solve raises.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +41,7 @@ from .simplex import bezier_values
 
 RESIDUAL_TOL = 1e-10
 PCG_BUDGET = 30     # CG iterations per value of a family solve
+_STAGES = dict.fromkeys(("reduction", "analysis", "factor", "solve"), 0.0)
 
 
 @dataclass
@@ -46,8 +51,10 @@ class FieldSolution:
     ``info`` records how the solve went: ``path`` ("direct" or "pcg"),
     ``iterations`` (CG), ``residual``, and for direct solves
     ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
-    stored factor entries) and ``supernodes`` (None for LU).  ``energy``
-    is 1/2 x^T K x where the solve computed it (``solve_family``).
+    stored factor entries) and ``supernodes`` (None for LU); ``stages``
+    holds the wall seconds of ``reduction``, ``analysis``, numeric
+    ``factor`` and ``solve`` (triangular solves and refinement, or CG).
+    ``energy`` is 1/2 x^T K x where the solve computed it (``solve_family``).
     Solutions of ``solve_family`` keep their system without its matrices
     (``matrix`` and ``c_matrix`` are None).
     """
@@ -74,63 +81,70 @@ class _Split:
     """Free/constrained split of a system's dofs."""
 
     system: SparseSystem
-    free_idx: np.ndarray
+    free: np.ndarray
     con: np.ndarray
     vals: np.ndarray
 
+    def blocks(self, *mats):
+        """K_ff of each matrix, CSC on one pair of index arrays: the free
+        rows' entries in free columns, in CSR order, are its CSC entries."""
+        M = mats[0]
+        keep = np.repeat(self.free, np.diff(M.indptr))
+        keep &= self.free[M.indices]
+        sel = np.flatnonzero(keep).astype(M.indices.dtype)
+        counts = np.diff(np.searchsorted(sel, M.indptr))[self.free]
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(sel.dtype)
+        indices = (np.cumsum(self.free, dtype=sel.dtype) - 1)[M.indices[sel]]
+        return [sp.csc_matrix((M.data[sel], indices, indptr),
+                              shape=(len(counts),) * 2) for M in mats]
+
+    def full(self, xf, xc):
+        x = np.zeros(len(self.free))
+        x[self.free], x[self.con] = xf, xc
+        return x
+
+    def product(self, M, xf, xc=0.0):
+        """The free rows of M @ x: K_ff @ xf at xc = 0 (the zeros leave
+        every sum of the CSR product as in K_ff @ xf), and -M_fc @ vals,
+        the rhs lift, negated at xf = 0, xc = vals."""
+        return (M @ self.full(xf, xc))[self.free]
+
     def solution(self, xf, spd, info, energy=None):
-        x = np.zeros(self.system.n_dofs)
-        x[self.con] = self.vals
-        x[self.free_idx] = xf
-        return FieldSolution(system=self.system, x=x,
+        return FieldSolution(system=self.system, x=self.full(xf, self.vals),
                              residual=info["residual"], spd=spd, info=info,
                              energy=energy)
 
 
-def _reduce(system: SparseSystem, mats):
-    """The split of ``system`` and, for each matrix of ``mats``, its free
-    block (CSC) and rhs lift -M_fc @ vals.
-
-    Slicing depends only on the sparsity pattern, so matrices on one
-    pattern get free blocks on one pattern.
-    """
+def _split(system: SparseSystem) -> _Split:
+    system.matrix.sum_duplicates()      # sorted indices, as the pattern's
     con = np.fromiter(system.constraints.keys(), dtype=np.int64,
                       count=len(system.constraints))
-    vals = np.fromiter(system.constraints.values(), dtype=float,
-                       count=len(system.constraints))
     free = np.ones(system.n_dofs, dtype=bool)
     free[con] = False
-    free_idx = np.flatnonzero(free)
-    blocks = []
-    for M in mats:
-        rows = M[free_idx]
-        lift = -(rows[:, con] @ vals)
-        ff = rows[:, free_idx]
-        del rows    # before the CSC copy: transients raise the peak RSS
-        blocks.append((ff.tocsc(), lift))
-    return _Split(system, free_idx, con, vals), blocks
+    return _Split(system, free, con, np.fromiter(
+        system.constraints.values(), dtype=float, count=len(con)))
 
 
-def _relative_residual(K, xf, rhs):
+def _relative_residual(Kx, rhs):
     bnorm = np.linalg.norm(rhs)
-    return float(np.linalg.norm(K @ xf - rhs) / (bnorm if bnorm > 0 else 1.0))
+    return float(np.linalg.norm(Kx - rhs) / (bnorm if bnorm > 0 else 1.0))
 
 
-def _splu_spd(Kff):
-    """Factor of the reduced system: (factor, spd).
+def _splu_spd(K, symbolic=None, split=None):
+    """Factor of the reduced system, ``K`` (CSC) or with ``split`` its
+    free block, analysed by ``symbolic``: (factor, spd).
 
-    ``Kff`` must be symmetric: the Cholesky reads only the entries on or
-    below the diagonal of its permuted matrix, so an unsymmetric matrix
-    is factored as if its upper part mirrored the lower one and fails
-    the residual check of ``_direct``.  The supernodal Cholesky
-    certifies SPD by completing.  A matrix it
-    rejects is factored by SuperLU's LU (symmetric-mode ordering) and
-    reported not SPD; a failed LU raises FactorizationFailed.
+    It must be symmetric: the Cholesky reads only the entries on or below
+    the diagonal of its permuted matrix, so an unsymmetric matrix fails
+    the residual check of ``_direct``.  A completed Cholesky certifies
+    SPD; a matrix it rejects is factored by SuperLU's LU (symmetric-mode
+    ordering) and reported not SPD; a failed LU raises FactorizationFailed.
     """
     try:
-        return cholesky.factor(Kff), True
+        return cholesky.factor(K, symbolic), True
     except NotPositiveDefinite:
         pass
+    Kff = K if split is None else split.blocks(K)[0]
     try:
         lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
@@ -142,30 +156,38 @@ def _splu_spd(Kff):
     return lu, False
 
 
-def _direct(Kff, rhs, require_spd=False):
-    """Factor, solve and refine once if needed; returns (xf, lu, spd, info)."""
-    lu, spd = _splu_spd(Kff)
+def _direct(K, rhs, symbolic, split=None, require_spd=False):
+    """Factor, solve and refine once if needed; returns (xf, lu, spd,
+    info).  The system is ``K`` or its free block (``_splu_spd``)."""
+    def product(x):
+        return K @ x if split is None else split.product(K, x)
+
+    t0 = time.perf_counter()
+    lu, spd = _splu_spd(K, symbolic, split)
+    t1 = time.perf_counter()
     if require_spd and not spd:
         raise NotPositiveDefinite(
-            f"Cholesky of the reduced system with {Kff.shape[0]} free dofs "
+            f"Cholesky of the reduced system with {len(rhs)} free dofs "
             "broke down")
     xf = lu.solve(rhs)
-    res = _relative_residual(Kff, xf, rhs)
+    res = _relative_residual(product(xf), rhs)
     refinements = 0
     if res > RESIDUAL_TOL:
         # one step of iterative refinement keeps large systems at tolerance
-        xf = xf + lu.solve(rhs - Kff @ xf)
-        res = _relative_residual(Kff, xf, rhs)
+        xf = xf + lu.solve(rhs - product(xf))
+        res = _relative_residual(product(xf), rhs)
         refinements = 1
     if res > RESIDUAL_TOL:
         raise NonConvergence(
             f"relative residual {res:.2e} > {RESIDUAL_TOL} after "
-            f"{refinements} refinement step on {Kff.shape[0]} free dofs")
+            f"{refinements} refinement step on {len(rhs)} free dofs")
     return xf, lu, spd, {"path": "direct", "iterations": 0, "residual": res,
                          "refinements": refinements,
                          "factor": "cholesky" if spd else "lu",
                          "lu_fill": int(lu.nnz),
-                         "supernodes": lu.supernodes if spd else None}
+                         "supernodes": lu.supernodes if spd else None,
+                         "stages": {**_STAGES, "factor": t1 - t0,
+                                    "solve": time.perf_counter() - t1}}
 
 
 def _pcg(K, rhs, lu, x0):
@@ -190,9 +212,15 @@ def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
     A failed factorization raises FactorizationFailed, a residual above
     RESIDUAL_TOL after one refinement step NonConvergence.
     """
-    split, [(Kff, lift)] = _reduce(system, [system.matrix])
-    xf, _, spd, info = _direct(Kff, system.rhs[split.free_idx] + lift,
-                               require_spd)
+    t0 = time.perf_counter()
+    split, K = _split(system), system.matrix
+    rhs = system.rhs[split.free] - split.product(K, 0.0, split.vals)
+    t1 = time.perf_counter()
+    sym = cholesky.analyse(K, label=system.pattern and system.pattern.group,
+                           free=split.free)
+    t2 = time.perf_counter()
+    xf, _, spd, info = _direct(K, rhs, sym, split, require_spd)
+    info["stages"].update(reduction=t1 - t0, analysis=t2 - t1)
     return split.solution(xf, spd, info)
 
 
@@ -204,54 +232,63 @@ def solve_family(system: SparseSystem, coeffs) -> list:
     so repeated runs give identical results.  Each solution records its
     energy 1/2 x^T K(c) x, computed from the reduced blocks: with x_c the
     constrained values and lift = -K_fc x_c,
-    x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.
-    The solutions keep the system without its matrices, so a caller that
-    hands over its only reference lets the full matrices go before the
-    first factorization.
+    x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.  The
+    chain's reduction and analysis ``stages`` go on its first solution,
+    at the smallest c.  The solutions keep the system without its
+    matrices, so a caller that hands over its only reference lets the
+    full matrices go before the first factorization.
     """
-    split, [(A, lift_a), (C, lift_c)] = _reduce(
-        system, [system.matrix, system.c_matrix])
-    x_con = np.zeros(system.n_dofs)
-    x_con[split.con] = split.vals
-    e_a, e_c = (float(x_con @ (M @ x_con))
-                for M in (system.matrix, system.c_matrix))
-    rhs_a = system.rhs[split.free_idx] + lift_a
+    t0 = time.perf_counter()
+    split = _split(system)
+    # c_matrix shares the pattern of the base matrix (SparseSystem), so
+    # C and K(c) keep only data arrays; K's is rewritten for each value
+    A, C = split.blocks(system.matrix, system.c_matrix)
+    x_con = split.full(0.0, split.vals)
+    Ax, Cx = system.matrix @ x_con, system.c_matrix @ x_con
+    lift_a, lift_c = -Ax[split.free], -Cx[split.free]
+    e_a, e_c = float(x_con @ Ax), float(x_con @ Cx)
+    rhs_a = system.rhs[split.free] + lift_a
+    label = system.pattern and system.pattern.group[split.free]
     # from here on only the reduced blocks hold matrix data
-    split.system = replace(system, matrix=None, c_matrix=None)
+    split.system = replace(system, matrix=None, c_matrix=None, pattern=None)
     del system
-    # c_matrix shares the pattern of the base matrix (SparseSystem),
-    # so C and K(c) keep only data arrays; K's is rewritten for each value
-    C = sp.csc_matrix((C.data, A.indices, A.indptr), shape=A.shape)
     K = sp.csc_matrix((np.empty_like(A.data), A.indices, A.indptr),
                       shape=A.shape)
+    t1 = time.perf_counter()
+    sym = cholesky.analyse(K, label=label)
+    shared = {"reduction": t1 - t0, "analysis": time.perf_counter() - t1}
     out = [None] * len(coeffs)
     lu = xf = None
     refactor = True
-    with cholesky.shared_analysis():
-        for i in np.argsort(coeffs, kind="stable"):
-            c = float(coeffs[i])
-            np.multiply(C.data, c, out=K.data)
-            K.data += A.data
-            rhs = rhs_a + c * lift_c
-            info = None
-            if not refactor:
-                x_cg, iterations, converged = _pcg(K, rhs, lu, xf)
-                res = _relative_residual(K, x_cg, rhs)
-                if converged and res <= RESIDUAL_TOL:
-                    xf = x_cg
-                    info = {"path": "pcg", "iterations": iterations,
-                            "residual": res}
-                    refactor = iterations > PCG_BUDGET // 2
-            if info is None:
-                lu = None   # release the old factor before the new one
-                xf, lu, spd, info = _direct(K, rhs)
-                # CG needs an SPD preconditioner
-                refactor = not spd
-            # PCG runs only from an SPD factor at c0 <= c, and K(c) =
-            # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
-            energy = 0.5 * (xf @ (K @ xf) - 2.0 * (xf @ (lift_a + c * lift_c))
-                            + e_a + c * e_c)
-            out[i] = split.solution(xf, spd, info, float(energy))
+    for i in np.argsort(coeffs, kind="stable"):
+        c = float(coeffs[i])
+        np.multiply(C.data, c, out=K.data)
+        K.data += A.data
+        rhs = rhs_a + c * lift_c
+        info, cg_s = None, 0.0
+        if not refactor:
+            t = time.perf_counter()
+            x_cg, iterations, converged = _pcg(K, rhs, lu, xf)
+            res = _relative_residual(K @ x_cg, rhs)
+            cg_s = time.perf_counter() - t
+            if converged and res <= RESIDUAL_TOL:
+                xf = x_cg
+                info = {"path": "pcg", "iterations": iterations,
+                        "residual": res, "stages": {**_STAGES, "solve": cg_s}}
+                refactor = iterations > PCG_BUDGET // 2
+        if info is None:
+            lu = None   # release the old factor before the new one
+            xf, lu, spd, info = _direct(K, rhs, sym)
+            info["stages"]["solve"] += cg_s     # a failed CG first
+            # CG needs an SPD preconditioner
+            refactor = not spd
+        info["stages"].update(shared)
+        shared = {}
+        # PCG runs only from an SPD factor at c0 <= c, and K(c) =
+        # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
+        energy = 0.5 * (xf @ (K @ xf) - 2.0 * (xf @ (lift_a + c * lift_c))
+                        + e_a + c * e_c)
+        out[i] = split.solution(xf, spd, info, float(energy))
     return out
 
 

@@ -280,8 +280,10 @@ def test_family_unsorted_with_duplicate(sweep_system_small):
     # ascending walk: the smallest value is the anchor, the repeat of a
     # solved value starts at its solution
     assert sols[1].info["path"] == "direct"
-    assert sols[3].info == {"path": "pcg", "iterations": 0,
-                            "residual": sols[3].residual}
+    info = dict(sols[3].info)
+    del info["stages"]      # wall times
+    assert info == {"path": "pcg", "iterations": 0,
+                    "residual": sols[3].residual}
     np.testing.assert_array_equal(sols[3].x, sols[0].x)
 
 
@@ -290,9 +292,9 @@ def test_family_refactors_on_jump(sweep_system_small, monkeypatch):
     factor = solver._splu_spd
     calls = []
 
-    def counted(K):
+    def counted(K, *args):
         calls.append(K.shape[0])
-        return factor(K)
+        return factor(K, *args)
 
     monkeypatch.setattr(solver, "_splu_spd", counted)
     coeffs = [1e-8, 1e6]     # lc = 1e-4 -> 1e3: CG from the anchor fails
@@ -404,7 +406,7 @@ def test_cholesky_leaves_only_tree():
     assert F.supernodes == 5
 
 
-def test_cholesky_hash_collisions_do_not_merge(monkeypatch):
+def test_cholesky_supervariables_exact():
     from mmfem import cholesky
     K = _block_spd([3, 1, 3, 1, 3, 66, 1, 1, 3], density=0.4, seed=6)
     n = K.shape[0]
@@ -413,9 +415,6 @@ def test_cholesky_hash_collisions_do_not_merge(monkeypatch):
         exact.setdefault(K.indices[K.indptr[j]:K.indptr[j + 1]].tobytes(), j)
     reps = [exact[K.indices[K.indptr[j]:K.indptr[j + 1]].tobytes()]
             for j in range(n)]
-    # all weights zero: every column of one count collides
-    monkeypatch.setattr(cholesky, "_hash_weights",
-                        lambda n: np.zeros(n, dtype=np.uint64))
     label = cholesky._supervariables(K.indptr, K.indices, n)
     for i in range(n):
         for j in range(n):
@@ -460,9 +459,9 @@ def test_family_analyses_pattern_once(sweep_system_small, monkeypatch):
     analyse = cholesky.analyse
     calls = []
 
-    def counted(K):
+    def counted(K, **kwargs):
         calls.append(K.shape[0])
-        return analyse(K)
+        return analyse(K, **kwargs)
 
     monkeypatch.setattr(cholesky, "analyse", counted)
     # 1 -> 1e6 takes more than half the CG budget: 1e7 is factored again
@@ -490,10 +489,10 @@ def test_family_releases_full_matrices(monkeypatch):
     alive = []
     analyse = cholesky.analyse
 
-    def record(K):
+    def record(K, **kwargs):
         gc.collect()
         alive.append([r() is not None for r in refs])
-        return analyse(K)
+        return analyse(K, **kwargs)
 
     monkeypatch.setattr(cholesky, "analyse", record)
     sols = solve_family(holder.pop(), [1.0, 2.0])
@@ -501,3 +500,84 @@ def test_family_releases_full_matrices(monkeypatch):
     assert sols[0].system.matrix is None and sols[0].system.n_dofs > 0
     with pytest.raises(ValueError):
         sols[0].system.matrix_at(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the pattern path (reduction by index arrays, supervariables from the
+# assembled pattern) against the explicit K[free][:, free] slice
+
+@pytest.fixture(scope="module")
+def gate_systems():
+    from mmfem.benchmarks import (antiplane_params, cauchy_system,
+                                  solve_antiplane, sweep_mesh, sweep_params,
+                                  sweep_system)
+    disk, cube = generate_disk(10.0, n_rings=2), sweep_mesh(0)
+    systems = {f"antiplane {fam}": solve_antiplane(
+        disk, antiplane_params(), 1, fam).system
+        for fam in ("nedelec1", "nedelec2")}
+    systems.update({f"sweep {fam}": sweep_system(cube, sweep_params(1.0), 1, fam)
+                    for fam in ("nedelec1", "nedelec2")})
+    systems["cauchy 3"] = cauchy_system(cube, 3)
+    return systems
+
+
+def _free(system):
+    free = np.ones(system.n_dofs, dtype=bool)
+    free[list(system.constraints)] = False
+    return free
+
+
+def test_pattern_path_matches_explicit_slice(gate_systems):
+    from mmfem import cholesky
+    from mmfem.solver import _split
+    for name, system in gate_systems.items():
+        free = _free(system)
+        mats = [m for m in (system.matrix, system.c_matrix) if m is not None]
+        for M, B in zip(mats, _split(system).blocks(*mats)):
+            ref = M[free][:, free]
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(B, attr), getattr(ref, attr)), name
+        K = system.matrix_at(1.0)
+        Kff = K[free][:, free].tocsc()
+        F = cholesky.factor(K, cholesky.analyse(K, label=system.pattern.group,
+                                                free=free))
+        # one partition (test_pattern_supervariables_are_exact): one
+        # analysis, bitwise one factor
+        F_ref = cholesky.factor(Kff)
+        assert np.array_equal(F.values, F_ref.values), name
+        con = ~free
+        rhs = system.rhs[free] - K[free][:, con] @ (
+            np.array([system.constraints[i] for i in np.flatnonzero(con)]))
+        x_ref = F_ref.solve(rhs)
+        sol = solve(SparseSystem(matrix=K, rhs=system.rhs, fields=system.fields,
+                                 mesh=system.mesh, constraints=system.constraints,
+                                 pattern=system.pattern))
+        assert (np.linalg.norm(sol.x[free] - x_ref)
+                <= 1e-12 * np.linalg.norm(x_ref)), name
+        assert sol.residual <= 1e-10
+
+
+def test_pattern_supervariables_are_exact(gate_systems):
+    # dofs are grouped by the cells of their scalar dof: mesh entities,
+    # merged where they share their cells (a boundary face and the
+    # interior of its only cell, an edge and a face in the same two
+    # cells), which is the exact row-set partition of K_ff here
+    from mmfem import cholesky
+    for name, system in gate_systems.items():
+        free = _free(system)
+        Kff = system.matrix[free][:, free]
+        exact = cholesky._supervariables(Kff.indptr, Kff.indices, Kff.shape[0])
+        pairs = set(zip(system.pattern.group[free].tolist(), exact.tolist()))
+        assert len({g for g, _ in pairs}) == len(pairs), name   # no merge
+        assert len({e for _, e in pairs}) == len(pairs), name   # no split
+
+
+def test_solutions_record_stages(antiplane_solution, sweep_system_small):
+    from mmfem.solver import solve_family
+    sols = [antiplane_solution] + solve_family(sweep_system_small,
+                                               [1e-8, 1e-6, 1e6])
+    assert {"direct", "pcg"} <= {s.info["path"] for s in sols}
+    for sol in sols:
+        stages = sol.info["stages"]
+        assert set(stages) == {"reduction", "analysis", "factor", "solve"}
+        assert all(v >= 0.0 for v in stages.values())
