@@ -1,22 +1,20 @@
 """Sparse assembly of the antiplane and full 3D variational forms.
 
-Physical-element quantities follow the affine maps: H1 gradients and
-H(curl) values transform by J^{-T} (covariant Piola), the 2D rot scales
-by 1/det J and the 3D curl by J/det J, with signed determinants so that
-the quadratic forms are orientation-safe.
-
-Every form runs through one chunked driver: a per-form kernel maps a
-chunk of cells at once from the cached reference tables and returns
-element matrices as batched matmuls K_c = F_c F_c^T (sqrt(w) folded into
-F, so they are exactly symmetric); the 3D forms combine scalar Gram
-blocks per pair of derivative directions with the isotropic moduli.
-Entries are added into the CSR ``Pattern`` built once from the cell dofs,
-which the system keeps for the solver.  Any temporary of a chunk holds at
+On affine cells H1 gradients and H(curl) values map by J^{-T} (covariant
+Piola), the 2D rot by 1/det J and the 3D curl by J/det J, so with
+constant moduli an element matrix is a linear combination of reference
+Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
+2006), cached per form, spaces and rule (n_terms nb^2 doubles, n_terms 9
+or 27).  One chunked driver forms a chunk's element matrices by one GEMM
+of per-cell coefficients with them and adds the halves Y + Y^T, exactly
+symmetric as the solver needs, into the CSR ``Pattern`` built once from
+the cell dofs, which the system keeps.  Any temporary of a chunk holds at
 most _CHUNK_NNZ entries.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -61,8 +59,8 @@ class SparseSystem:
     ``c_matrix``, the unit-coefficient part of K(c) = matrix + c c_matrix
     (curl-curl of the lc sweep, div-div of the Cauchy form), shares the
     CSR pattern of ``matrix``, so ``matrix_at`` only combines data arrays.
-    An assembled system carries that ``Pattern`` for the solver; a system
-    built from a bare matrix has none.
+    An assembled system carries that ``Pattern`` for the solver and its
+    assembly wall seconds ``assembly_s`` (None and 0.0 for a bare matrix).
     """
 
     matrix: sp.csr_matrix
@@ -72,6 +70,7 @@ class SparseSystem:
     constraints: dict = field(default_factory=dict)
     c_matrix: sp.csr_matrix = None
     pattern: Pattern = None
+    assembly_s: float = 0.0
 
     @property
     def n_dofs(self):
@@ -105,10 +104,47 @@ def _hcurl_ref(space: SpaceDescriptor, quad_degree):
     return rule, vs.values, vs.curls
 
 
+def _exact_gram(w, v):
+    """Gram blocks G[(d, e), a, b] = sum_q w_q v_a,d v_b,e of a table v (nq,
+    nb, dim) rounded about once, not by the ulps of a float64 sum that add
+    up over the cells sharing them: w^(1/2) v in three slices of (53 - log2
+    nq) / 2 bits, whose products BLAS sums exactly (Ozaki et al. 2012)."""
+    nq, nb, dim = v.shape
+    f = (np.sqrt(w)[:, None, None] * v).reshape(nq, -1)
+    bits = (53 - int(np.ceil(np.log2(nq)))) // 2
+    unit, parts = 2.0 ** np.ceil(np.log2(np.abs(f).max())), []
+    for _ in range(3):
+        unit *= 2.0 ** -bits
+        parts.append(np.round(f / unit) * unit)
+        f = f - parts[-1]
+    f1, f2, f3 = parts
+    c12, c13 = f1.T @ f2, f1.T @ f3
+    g = ((f2.T @ f2 + (c13 + c13.T)) + (c12 + c12.T)) + f1.T @ f1
+    return g.reshape(nb, dim, nb, dim).transpose(1, 3, 0, 2).reshape(-1, nb, nb)
+
+
+@lru_cache(maxsize=None)
+def _form_ref(u_degree, p_space, quad_degree, dim):
+    """Halved reference tensors (n_terms, nb, nb), the Gram blocks over the
+    local basis (u, p) of the strain Du - P, of P and of curl P (the 2D
+    rot), or of Du alone.  The P-P block goes with P alone, fewer GEMM
+    terms and roundings."""
+    rule, _, vecs = _h1_ref(u_degree, dim, quad_degree)
+    tables, nq, nbu = [vecs], len(vecs), vecs.shape[1]
+    if p_space is not None:
+        _, pvals, pcurls = _hcurl_ref(p_space, quad_degree)
+        tables = [np.concatenate([vecs, -pvals], axis=1)] + [
+            np.concatenate([np.zeros((nq, nbu, v.shape[2])), v], axis=1)
+            for v in (pvals, pcurls.reshape(nq, pcurls.shape[1], -1))]
+    ref = np.concatenate([_exact_gram(rule.weights, v) for v in tables])
+    ref[:dim * dim, nbu:, nbu:] = 0.0     # empty without a p-space
+    return 0.5 * ref
+
+
 def _phys_grads(mat, ref):
     """A (dim, dim) matrix, or a stack (nc, dim, dim) of them, applied to
     reference vectors (nq, nb, dim): J^{-T} for gradients and H(curl)
-    values, J/det J for 3D curls."""
+    values."""
     nq, nb, dim = ref.shape
     out = ref.reshape(nq * nb, dim) @ np.swapaxes(mat, -1, -2)
     return out.reshape(np.shape(mat)[:-2] + ref.shape)
@@ -165,11 +201,6 @@ def _project(w, fv, vals):
     a = vals.transpose(0, 2, 1, 3).reshape(len(vals), vals.shape[2], -1)
     b = (w[:, :, None, None] * fv).transpose(0, 1, 3, 2)
     return (a @ b.reshape(len(w), a.shape[2], -1)).transpose(0, 2, 1)
-
-
-def _gram(f):
-    """Batched F F^T of (nc, rows, cols) feature stacks."""
-    return f @ f.transpose(0, 2, 1)
 
 
 class Pattern:
@@ -260,25 +291,33 @@ class Pattern:
                 + comp[:, None] * self.seg[e][:, None, :, None, :])
 
 
-def _assemble(mesh, rule, fields, kernel, per_cell, loads=(), n_mats=1):
-    """System of ``kernel(cells) -> [element matrices]`` (``matrix``,
-    ``c_matrix`` if n_mats = 2) and the load vector of ``loads``, (field,
-    reference table, callback or None).  The
-    ``n_mats`` matrices share one CSR pattern, every coupling through a
-    cell, also where its sum over cells vanishes: dropping those entries
-    breaks the k x k block structure that the minimum-degree ordering of
-    the factorization relies on, and raises its fill."""
+def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
+    """System of element matrices K[r, a, s, b] = Y[r, s, a, b] + Y[s, r,
+    b, a], Y = coeffs(|det J|^(1/2) J^{-T}, J, |det J|) @ ref on a chunk
+    (``matrix``, ``c_matrix`` if n_mats = 2), and the load vector of
+    ``loads``, (field, reference table, callback or None).  The matrices
+    share one CSR pattern, every coupling through a cell, also where its
+    sum over cells vanishes: dropping those breaks the k x k block
+    structure that the factorization's ordering relies on, raising fill."""
+    t0 = time.perf_counter()
     pat = Pattern(list(fields.values()))
-    nc, nloc = len(pat.scalar_dofs), pat.k * pat.scalar_dofs.shape[1]
+    nc, k, (n_terms, nb, _) = len(pat.scalar_dofs), pat.k, ref.shape
     data = np.zeros((n_mats, len(pat.indices)))
-    for cells in _chunks(nc, max(per_cell, n_mats * nloc * nloc)):
+    for cells in _chunks(nc, n_mats * (k * nb) ** 2):
+        adet = np.abs(mesh.dets[cells])
+        x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
+                   mesh.jacs[cells], adet)
+        y = x.reshape(-1, n_terms) @ ref.reshape(n_terms, -1)
+        y = y.reshape(n_mats, -1, k, k, nb, nb)
+        kc = y.transpose(0, 1, 3, 5, 2, 4).copy()     # Y[s, r, b, a] at [r, a, s, b]
+        kc += y.transpose(0, 1, 2, 4, 3, 5)
         pos = pat.positions(cells).ravel()
-        for d, k in zip(data, kernel(cells)):
-            np.add.at(d, pos, k.ravel())
+        for d, km in zip(data, kc):
+            np.add.at(d, pos, km.ravel())
     n = len(pat.indptr) - 1
     rhs = np.zeros(n)
     for layout, table, func in (load for load in loads if load[2] is not None):
-        for cells in _chunks(nc, per_cell):
+        for cells in _chunks(nc, table.size * layout.n_comps):
             w = _weights(mesh, rule, cells)
             xq = mesh.map_points(cells, rule.simplex_points)
             fv = _call(func, xq).reshape(w.shape + (layout.n_comps, -1))
@@ -288,29 +327,20 @@ def _assemble(mesh, rule, fields, kernel, per_cell, loads=(), n_mats=1):
     mats = [sp.csr_matrix((d, pat.indices, pat.indptr), shape=(n, n))
             for d in data] + [None]
     return SparseSystem(matrix=mats[0], rhs=rhs, fields=fields, mesh=mesh,
-                        c_matrix=mats[1], pattern=pat)
+                        c_matrix=mats[1], pattern=pat,
+                        assembly_s=time.perf_counter() - t0)
 
 
-def _iso_blocks(G, diag, swap, trace):
-    """Element matrices K[c, r, a, s, b] of an isotropic form over fields
-    whose row r is the vector function of dof (r, a),
-        diag delta_rs sum_d G[c,a,d,b,d] + swap G[c,a,s,b,r] + trace G[c,a,r,b,s],
-    from scalar Gram blocks G[c,a,d,b,e] = sum_q w phi_a,d phi_b,e.  With
-    (diag, swap, trace) = (mu + mu_c, mu - mu_c, lam) this is
-    lam tr E tr E + 2 mu sym E : sym E + 2 mu_c skw E : skw E.
-    """
-    K = swap * G.transpose(0, 4, 1, 2, 3) + trace * G.transpose(0, 2, 1, 4, 3)
-    tr = G[:, :, 0, :, 0] + G[:, :, 1, :, 1] + G[:, :, 2, :, 2]
-    for r in range(3):
-        K[:, r, :, r, :] += diag * tr
-    return K
-
-
-def _direction_gram(vals, w):
-    """Gram blocks G[c, a, d, b, e] = sum_q w v_a,d v_b,e of (nc, nq, nb, dim)."""
-    nc, nq, nb, dim = vals.shape
-    f = (vals * np.sqrt(w)[:, :, None, None]).transpose(0, 2, 3, 1)
-    return _gram(f.reshape(nc, nb * dim, nq)).reshape(nc, nb, dim, nb, dim)
+def _iso(S, diag, swap, trace):
+    """Coefficients (nc, 3, 3, 9) [r, s, (d, e)] = diag delta_rs (S^T S)_de +
+    swap S_sd S_re + trace S_rd S_se of diag delta_rs sum_t G[a,t,b,t] + swap
+    G[a,s,b,r] + trace G[a,r,b,s], G[a,r,b,s] = S_rd S_se G^de_ab, dof (r, a)
+    of row r; (mu + mu_c, mu - mu_c, lam) gives lam (tr E)^2 + 2 mu |sym
+    E|^2 + 2 mu_c |skw E|^2."""
+    ss = S[:, :, None, :, None] * S[:, None, :, None, :]    # S_rd S_se
+    x = swap * ss.transpose(0, 2, 1, 3, 4) + trace * ss
+    x[:, [0, 1, 2], [0, 1, 2]] += diag * (np.swapaxes(S, 1, 2) @ S)[:, None]
+    return x.reshape(len(S), 3, 3, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -328,27 +358,20 @@ def assemble_antiplane(mesh: Mesh, params: MaterialParams,
     if u_space.family != "h1" or p_space.family not in ("nedelec1", "nedelec2"):
         raise SpaceMismatch("need scalar H1 u-space and H(curl) p-space")
     qd = quad_degree or _default_degree(u_space, p_space)
-    rule, uvals, ugrads = _h1_ref(u_space.degree, 2, qd)
-    _, pvals, pcurls = _hcurl_ref(p_space, qd)
+    rule, uvals, _ = _h1_ref(u_space.degree, 2, qd)
+    _, pvals, _ = _hcurl_ref(p_space, qd)
     fields = _layouts(mesh, {"u": u_space, "p": p_space}, 1)
-    nbu, nb, nq = ugrads.shape[1], ugrads.shape[1] + pvals.shape[1], len(rule.weights)
-    s_e, s_m, s_c = np.sqrt([params.mu_e, params.mu_micro, params.curl_coeff])
+    pr = params
 
-    def kernel(cells):
-        # point features sqrt(mu_e)(grad u - p), sqrt(mu_micro) p, sqrt(cc) rot p
-        w = _weights(mesh, rule, cells)
-        gu = _phys_grads(mesh.inv_ts[cells], ugrads).swapaxes(1, 2)
-        pv = _phys_grads(mesh.inv_ts[cells], pvals).swapaxes(1, 2)
-        F = np.zeros((len(w), nb, nq, 5))
-        F[:, :nbu, :, :2] = s_e * gu
-        F[:, nbu:, :, :2] = -s_e * pv
-        F[:, nbu:, :, 2:4] = s_m * pv
-        F[:, nbu:, :, 4] = s_c * pcurls.T / mesh.dets[cells][:, None, None]
-        F *= np.sqrt(w)[:, None, :, None]
-        return [_gram(F.reshape(len(w), nb, nq * 5))]
+    def coeffs(S, J, adet):
+        # the Gram blocks of grad u - p and of p weigh S^T S, the rot's 1 / |det|
+        g = (np.swapaxes(S, 1, 2) @ S).reshape(-1, 4)
+        x = np.concatenate([pr.mu_e * g, (pr.mu_e + pr.mu_micro) * g,
+                            pr.curl_coeff / adet[:, None]], axis=1)
+        return x[None, :, None, None]
 
-    return _assemble(mesh, rule, fields, kernel, nb * nq * 5,
-                     loads=[(fields["u"], uvals, f), (fields["p"], pvals, m)])
+    return _assemble(mesh, rule, fields, _form_ref(u_space.degree, p_space, qd, 2),
+                     coeffs, loads=[(fields["u"], uvals, f), (fields["p"], pvals, m)])
 
 
 def assemble_full3d(mesh: Mesh, params: MaterialParams,
@@ -366,45 +389,28 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
         raise SpaceMismatch("full model is three-dimensional")
     if u_space.family != "h1" or p_space.family not in ("nedelec1", "nedelec2"):
         raise SpaceMismatch("need H1 u-space and H(curl) P-space")
-    if min(params.lam_e, params.lam_micro) < 0.0:
-        raise SpaceMismatch("factorized assembly needs lam_e, lam_micro >= 0")
     qd = quad_degree or _default_degree(u_space, p_space)
-    rule, uvals, ugrads = _h1_ref(u_space.degree, 3, qd)
-    _, pvals, pcurls = _hcurl_ref(p_space, qd)
+    rule, uvals, _ = _h1_ref(u_space.degree, 3, qd)
+    _, pvals, _ = _hcurl_ref(p_space, qd)
     fields = _layouts(mesh, {"u": u_space, "p": p_space}, 3)
-    nbu, nbs = ugrads.shape[1], ugrads.shape[1] + pvals.shape[1]
-    # E = Du - P enters with (mu_e, mu_c, lam_e), P alone with
-    # (mu_micro, lam_micro); see _iso_blocks
-    pr = params
-    e_coef = (pr.mu_e + pr.mu_c, pr.mu_e - pr.mu_c, pr.lam_e)
-    p_coef = (pr.mu_e + pr.mu_c + pr.mu_micro, pr.mu_e - pr.mu_c + pr.mu_micro,
-              pr.lam_e + pr.lam_micro)
+    # E = Du - P enters with (mu_e, mu_c, lam_e), P alone adds (mu_micro,
+    # lam_micro), see _iso and _form_ref; row-wise Curl: curl P of row r
+    # weighs (J^T J) / |det| on the diagonal blocks
+    pr, n_mats = params, 2 if split_curl else 1
+    cc = 1.0 if split_curl else pr.curl_coeff
 
-    def kernel(cells):
-        w = _weights(mesh, rule, cells)
-        gu = _phys_grads(mesh.inv_ts[cells], ugrads)
-        pv = _phys_grads(mesh.inv_ts[cells], pvals)
-        pc = _phys_grads(mesh.jacs[cells] / mesh.dets[cells][:, None, None],
-                         pcurls)
-        G = _direction_gram(np.concatenate([gu, pv], axis=2), w)
-        u, p = slice(0, nbu), slice(nbu, nbs)
-        K = np.empty((len(w), 3, nbs, 3, nbs))
-        K[:, :, u, :, u] = _iso_blocks(G[:, u, :, u], *e_coef)
-        K[:, :, u, :, p] = -_iso_blocks(G[:, u, :, p], *e_coef)
-        K[:, :, p, :, u] = K[:, :, u, :, p].transpose(0, 3, 4, 1, 2)
-        K[:, :, p, :, p] = _iso_blocks(G[:, p, :, p], *p_coef)
-        # row-wise Curl: the same scalar block on each of the three rows
-        fc = (pc * np.sqrt(w)[:, :, None, None]).swapaxes(1, 2)
-        kc = _gram(fc.reshape(len(w), nbs - nbu, -1))
-        kc *= 1.0 if split_curl else pr.curl_coeff
-        mats = [K, np.zeros_like(K)] if split_curl else [K]
-        for r in range(3):
-            mats[-1][:, r, p, r, p] += kc
-        return mats
+    def coeffs(S, J, adet):
+        x = np.zeros((n_mats, len(S), 3, 3, 27))
+        e = np.array([pr.mu_e + pr.mu_c, pr.mu_e - pr.mu_c, pr.lam_e])
+        x[0, ..., :9] = _iso(S, *e)
+        x[0, ..., 9:18] = _iso(S, *(e + [pr.mu_micro, pr.mu_micro, pr.lam_micro]))
+        curl = (np.swapaxes(J, 1, 2) @ J / adet[:, None, None]).reshape(-1, 1, 1, 9)
+        x[-1, ..., 18:] = cc * np.eye(3)[..., None] * curl
+        return x
 
-    return _assemble(mesh, rule, fields, kernel, 9 * nbs * len(rule.weights),
-                     loads=[(fields["u"], uvals, f), (fields["p"], pvals, M)],
-                     n_mats=2 if split_curl else 1)
+    return _assemble(mesh, rule, fields, _form_ref(u_space.degree, p_space, qd, 3),
+                     coeffs, loads=[(fields["u"], uvals, f), (fields["p"], pvals, M)],
+                     n_mats=n_mats)
 
 
 def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
@@ -415,17 +421,14 @@ def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
     if mesh.dim != 3 or u_space.dim != 3 or u_space.family != "h1":
         raise SpaceMismatch("cauchy3d needs a 3D H1 space")
     qd = quad_degree or 2 * u_space.degree
-    rule, uvals, ugrads = _h1_ref(u_space.degree, 3, qd)
+    rule, uvals, _ = _h1_ref(u_space.degree, 3, qd)
     fields = _layouts(mesh, {"u": u_space}, 3)
 
-    def kernel(cells):
-        gu = _phys_grads(mesh.inv_ts[cells], ugrads)
-        G = _direction_gram(gu, _weights(mesh, rule, cells))
-        return [_iso_blocks(G, 1.0, 1.0, 0.0), G.transpose(0, 2, 1, 4, 3)]
+    def coeffs(S, J, adet):
+        return np.stack([_iso(S, 1.0, 1.0, 0.0), _iso(S, 0.0, 0.0, 1.0)])
 
-    return _assemble(mesh, rule, fields, kernel,
-                     3 * ugrads.shape[1] * len(rule.weights),
-                     loads=[(fields["u"], uvals, f)], n_mats=2)
+    return _assemble(mesh, rule, fields, _form_ref(u_space.degree, None, qd, 3),
+                     coeffs, loads=[(fields["u"], uvals, f)], n_mats=2)
 
 
 # ---------------------------------------------------------------------------

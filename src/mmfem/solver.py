@@ -41,7 +41,7 @@ from .simplex import bezier_values
 
 RESIDUAL_TOL = 1e-10
 PCG_BUDGET = 30     # CG iterations per value of a family solve
-_STAGES = dict.fromkeys(("reduction", "analysis", "factor", "solve"), 0.0)
+_STAGES = dict.fromkeys(("assembly", "reduction", "analysis", "factor", "solve"), 0.0)
 
 
 @dataclass
@@ -52,8 +52,8 @@ class FieldSolution:
     ``iterations`` (CG), ``residual``, and for direct solves
     ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
     stored factor entries) and ``supernodes`` (None for LU); ``stages``
-    holds the wall seconds of ``reduction``, ``analysis``, numeric
-    ``factor`` and ``solve`` (triangular solves and refinement, or CG).
+    holds the wall seconds of ``assembly``, ``reduction``, ``analysis``,
+    numeric ``factor`` and ``solve`` (triangular solves and refinement, or CG).
     ``energy`` is 1/2 x^T K x where the solve computed it (``solve_family``).
     Solutions of ``solve_family`` keep their system without its matrices
     (``matrix`` and ``c_matrix`` are None).
@@ -220,7 +220,8 @@ def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
                            free=split.free)
     t2 = time.perf_counter()
     xf, _, spd, info = _direct(K, rhs, sym, split, require_spd)
-    info["stages"].update(reduction=t1 - t0, analysis=t2 - t1)
+    info["stages"].update(assembly=system.assembly_s, reduction=t1 - t0,
+                          analysis=t2 - t1)
     return split.solution(xf, spd, info)
 
 
@@ -233,10 +234,10 @@ def solve_family(system: SparseSystem, coeffs) -> list:
     energy 1/2 x^T K(c) x, computed from the reduced blocks: with x_c the
     constrained values and lift = -K_fc x_c,
     x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.  The
-    chain's reduction and analysis ``stages`` go on its first solution,
-    at the smallest c.  The solutions keep the system without its
-    matrices, so a caller that hands over its only reference lets the
-    full matrices go before the first factorization.
+    system's assembly and the chain's reduction and analysis ``stages``
+    go on its first solution, at the smallest c.  The solutions keep the
+    system without its matrices, so a caller that hands over its only
+    reference lets the full matrices go before the first factorization.
     """
     t0 = time.perf_counter()
     split = _split(system)
@@ -256,7 +257,8 @@ def solve_family(system: SparseSystem, coeffs) -> list:
                       shape=A.shape)
     t1 = time.perf_counter()
     sym = cholesky.analyse(K, label=label)
-    shared = {"reduction": t1 - t0, "analysis": time.perf_counter() - t1}
+    shared = {"assembly": split.system.assembly_s, "reduction": t1 - t0,
+              "analysis": time.perf_counter() - t1}
     out = [None] * len(coeffs)
     lu = xf = None
     refactor = True

@@ -612,3 +612,39 @@ class TestBatchedAgainstReference:
         stored[np.repeat(np.arange(K.shape[0]), np.diff(K.indptr)), K.indices] = True
         assert K.nnz == np.count_nonzero(expected)
         assert np.array_equal(stored, expected)
+
+
+class TestReferenceTensorKernels:
+    def test_every_matrix_exactly_symmetric(self, wavy_disk, wavy_box):
+        # the Cholesky reads only the lower triangle, and the reduction
+        # reads the CSR arrays as CSC arrays: not even rounding-level
+        # asymmetry is allowed
+        u2, p2 = _spaces("nedelec2", 2, 2)
+        u3, p3 = _spaces("nedelec1", 1, 3)
+        systems = [assemble_antiplane(wavy_disk, MICRO, u2, p2),
+                   assemble_full3d(wavy_box, MICRO, u3, p3),
+                   assemble_full3d(wavy_box, MICRO, u3, p3, split_curl=True),
+                   assemble_cauchy3d(wavy_box, SpaceDescriptor("h1", 3, 3))]
+        mats = [K for s in systems for K in (s.matrix, s.c_matrix) if K is not None]
+        assert len(mats) == 6
+        for K in mats:
+            assert (K != K.T).nnz == 0
+
+    def test_full3d_negative_lam_e(self, wavy_box):
+        # the form is linear in the moduli, so a strongly elliptic set with
+        # lam_e < 0 (2 mu_e + 3 lam_e > 0) assembles like any other
+        u_space, p_space = _spaces("nedelec1", 1, 3)
+
+        def params(lam_e):
+            return MaterialParams(lam_e=lam_e, mu_e=1.3, lam_micro=2.0,
+                                  mu_micro=0.9, mu_c=0.4, lc=0.6)
+
+        mats = {}
+        for lam_e in (0.0, 1.0):
+            mats[lam_e] = assemble_full3d(wavy_box, params(lam_e), u_space,
+                                          p_space).matrix
+            K, Kc, _ = reference_system(wavy_box, "full3d", u_space, p_space,
+                                        params=params(lam_e))
+            _assert_close(mats[lam_e], K + params(lam_e).curl_coeff * Kc)
+        got = assemble_full3d(wavy_box, params(-0.13), u_space, p_space).matrix
+        _assert_close(got, (1.13 * mats[0.0] - 0.13 * mats[1.0]).toarray())

@@ -579,5 +579,10 @@ def test_solutions_record_stages(antiplane_solution, sweep_system_small):
     assert {"direct", "pcg"} <= {s.info["path"] for s in sols}
     for sol in sols:
         stages = sol.info["stages"]
-        assert set(stages) == {"reduction", "analysis", "factor", "solve"}
+        assert set(stages) == {"assembly", "reduction", "analysis", "factor",
+                               "solve"}
         assert all(v >= 0.0 for v in stages.values())
+    # an assembled system's time goes on its solve, a family's on its
+    # first solution
+    assert sols[0].info["stages"]["assembly"] > 0.0
+    assert sum(s.info["stages"]["assembly"] > 0.0 for s in sols[1:]) == 1
