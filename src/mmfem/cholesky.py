@@ -32,22 +32,33 @@ Analysis (``analyse``), once per sparsity pattern:
 
 Numeric factorization: the factor storage holds one (n, k) panel per
 supernode; the entries of K are written into it in one scatter.  Groups
-run in order of height.  Each group factors its pivot
-blocks by a (batched) dense Cholesky, forms L21 = F21 L11^-T, and the
-negated update matrices V = L21 L21^T - (the children's contributions)
-with one matmul.  The parts of V in the parents' pivot columns are
-subtracted from the parents' panels at once; the rest waits until the
-parent has formed its own V.  Small update matrices (m <= _FLAT_ROWS)
-move by precomputed flat positions, larger ones by block pairs of runs
-of consecutive parent rows.  Forward and backward substitution run by
-the same groups.
+run in order of height.  A single front (a group of one supernode) is
+factored in place on its panel: dpotrf for L11, one dtrsm for
+L21 = F21 L11^-T, and dsyrk for V = L21 L21^T.  A batch of fronts goes
+through NumPy's batched Cholesky, inverse and matmul.  V plus the
+children's waiting parts is the negated update matrix; only its entries
+on or below the diagonal are valid, and only those are read.  The
+parts of V in the parents' pivot columns are subtracted from the
+parents' panels at once; the rest waits until the parent has formed its
+own V.  Small update matrices (m <= _FLAT_ROWS) move by precomputed
+flat positions, and their waiting part is a flat copy.  Larger ones
+move by block pairs of runs of consecutive parent rows; a child's rows
+that land in its parent's update matrix are its last ones, so only a
+copy of that trailing block waits.  Forward and backward substitution
+run by the same groups.
 
-Memory: the factor, sum of n k over the supernodes (``nnz`` counts the
-entries on or below the diagonal); the analysis, two indices per entry
-of K on or below the diagonal (int32 below 2^31) and two per lower
-entry of the flat extend-adds; and while the factor is computed, the
-update matrices (m x m) of the factored supernodes whose parents are
-not factored yet.
+Memory: the factor, ``Symbolic.size`` entries, the sum of n k over the
+supernodes (``nnz`` counts the entries on or below the diagonal); the
+analysis, two indices per entry of K on or below the diagonal (int32
+below 2^31) and two per lower entry of the flat extend-adds; and while
+the factor is computed, at most ``Symbolic.update_peak`` entries of
+update storage.  ``analyse`` finds that peak by walking the schedule:
+the waiting flat copies and trailing blocks, plus the current group's
+V (before it, a batch's pivot temporaries) and what is copied out of it.
+So ``factor`` holds 8 (size + update_peak) bytes
+(``Symbolic.factor_bytes``), beside the one-time gather of K's entries
+(8 bytes per entry on or below the diagonal) and NumPy's fixed
+iteration buffers.
 """
 
 from __future__ import annotations
@@ -205,9 +216,12 @@ class _Group:
     """Supernodes of one height and one front shape (k pivot columns, n
     front rows), stored as a (B, n, k) panel block of the factor.
 
-    The extend-add of its update matrices into the parents (on and below
-    the diagonal): update matrices up to _FLAT_ROWS rows go by flat
-    positions, larger ones by block pairs of runs of consecutive rows.
+    The extend-add of its update matrices V (B, m, m) into the parents,
+    on and below the diagonal: update matrices up to _FLAT_ROWS rows go
+    by flat positions, larger ones by block pairs of runs of consecutive
+    parent rows.  Runs ``runs[:t]`` of a large child land in the
+    parent's pivot columns; ``runs[t:]``, the child's trailing rows from
+    ``runs[t][0]`` on, in the parent's update matrix.
     """
     offset: int         # start of the panels in the factor storage
     k: int
@@ -217,7 +231,37 @@ class _Group:
                         # update matrices and in the factor storage
     upd: list           # flat (parent group, src, dst): dst in the parent
                         # group's (B, m, m) update matrices
-    blocks: list        # (parent group, child, parent slot, [(j0, j1, p0)])
+    blocks: list        # (parent group, child, parent slot, runs, t),
+                        # runs: [(j0, j1, p0)] rows j0:j1 -> p0:
+
+
+def _update_peak(groups):
+    """Peak entries of update storage while ``factor`` runs, group by
+    group: the pending flat copies and trailing blocks, plus the group's
+    update matrices V (before them, a batch's pivot temporaries: inverse
+    and Cholesky factor, then the product for L21), and while V lives,
+    the copies taken from it."""
+    pending = [0] * len(groups)
+    total = peak = 0
+    for g, grp in enumerate(groups):
+        B, k, m = len(grp.rows), grp.k, grp.n - grp.k
+        V = B * m * m
+        work = B * k * max(2 * k, m) if B > 1 else 0
+        peak = max(peak, total + max(V, work))
+        total -= pending[g]
+        if grp.piv is not None:
+            peak = max(peak, total + V + len(grp.piv[0]))
+        new = 0
+        for q, src, _ in grp.upd:
+            pending[q] += len(src)
+            new += len(src)
+        for q, _, _, runs, t in grp.blocks:
+            tail = (m - runs[t][0]) ** 2 if t < len(runs) else 0
+            pending[q] += tail
+            new += tail
+        peak = max(peak, total + V + new)
+        total += new
+    return peak
 
 
 @dataclass
@@ -231,6 +275,12 @@ class Symbolic:
     size: int                   # factor storage entries
     nnz: int                    # factor entries (lower trapezoids)
     supernodes: int
+    update_peak: int            # peak update storage entries of factor
+
+    @property
+    def factor_bytes(self):
+        """Bytes of the factor storage and the peak update storage."""
+        return 8 * (self.size + self.update_peak)
 
 
 def _csc(K):
@@ -321,7 +371,7 @@ def analyse(K, label=None, free=None) -> Symbolic:
     if n == 0:
         none = np.zeros(0, dtype=np.int64)
         return Symbolic(perm=none, groups=[], size=0, nnz=0, src=none,
-                        dst=none, supernodes=0)
+                        dst=none, supernodes=0, update_peak=0)
     counts = np.diff(indptr)[cols]
     if label is None:
         label = _supervariables(indptr, indices, K.shape[0])
@@ -433,9 +483,11 @@ def analyse(K, label=None, free=None) -> Symbolic:
             _flat_plan(grp, groups, rel, pgroup[members], slot_in[ps],
                        pbase[ps], itype)
         else:
-            grp.blocks = [(int(q), b, int(s), _runs(r, groups[q].k))
-                          for b, (q, s, r) in enumerate(
-                              zip(pgroup[members], slot_in[ps], rel))]
+            for b, (pg, s, r) in enumerate(zip(pgroup[members].tolist(),
+                                               slot_in[ps].tolist(), rel)):
+                runs = _runs(r, groups[pg].k)
+                t = sum(p0 < groups[pg].k for _, _, p0 in runs)
+                grp.blocks.append((pg, b, s, runs, t))
 
     # positions in the panels of the entries on or below the diagonal of
     # P K P^T, from the first column of each supervariable: its entry at
@@ -466,7 +518,7 @@ def analyse(K, label=None, free=None) -> Symbolic:
     nnz = int(np.sum(k * nrow - k * (k - 1) // 2))
     return Symbolic(perm=perm, groups=groups, src=np.concatenate(src),
                     dst=np.concatenate(dst), size=size, nnz=nnz,
-                    supernodes=S)
+                    supernodes=S, update_peak=_update_peak(groups))
 
 
 class Factor:
@@ -528,10 +580,64 @@ def _breakdown(k):
     raise NotPositiveDefinite(f"Cholesky breakdown in a {k} x {k} pivot block")
 
 
+def _front(P, k):
+    """Factor the (B, n, k) panels ``P`` of one group in place (pivot
+    blocks already updated) and return the update matrices
+    V = L21 L21^T as (B, m, m), valid on and below the diagonal, or None
+    if m = n - k = 0."""
+    B, n = P.shape[:2]
+    if B == 1:
+        # A single front goes through LAPACK and BLAS in place on the
+        # panel's Fortran-order view F = [L11^T, L21^T] (the lower
+        # triangle in C order is the upper one in Fortran order):
+        # dpotrf, L21^T = L11^-1 F21^T by dtrsm, and V's lower triangle
+        # by dsyrk at half the flops of a GEMM.  The batched path below
+        # would form inv(L11) by a general inverse.  On the 3D benchmark
+        # system (15.6 k free dofs, largest front k = 1527; one BLAS
+        # thread of a 2-core VM, four runs each) the numeric factor takes
+        # 0.40-0.56 s this way against 0.84-0.98 s batched only, with
+        # relative residual 2.5e-11; 2D benchmark system: 0.22-0.28 s
+        # against 0.29-0.38 s.
+        F = P[0].T
+        _, info = lapack.dpotrf(F[:, :k], lower=0, overwrite_a=1)
+        if info:
+            _breakdown(k)
+        if n == k:
+            return None
+        blas.dtrsm(1.0, F[:, :k], F[:, k:], trans_a=1, overwrite_b=1)
+        return blas.dsyrk(1.0, F[:, k:], trans=1).T[None]
+    try:
+        P[:, :k] = np.linalg.inv(np.linalg.cholesky(P[:, :k]))
+    except np.linalg.LinAlgError:
+        _breakdown(k)
+    P[:, k:] = P[:, k:] @ np.swapaxes(P[:, :k], 1, 2)
+    if n == k:
+        return None
+    return P[:, k:] @ np.swapaxes(P[:, k:], 1, 2)
+
+
+def _extend_add(V, children):
+    """Add the children's waiting parts into the update matrices V: flat
+    copies at their positions, trailing blocks by pairs of runs (on and
+    below the diagonal).  A function, so that no loop variable keeps a
+    child's part alive."""
+    Vf = V.reshape(-1)
+    for item in children:
+        if len(item) == 2:
+            np.add.at(Vf, item[1], item[0])
+            continue
+        Vc, s, runs = item
+        for a, (i0, i1, q0) in enumerate(runs):
+            for j0, j1, p0 in runs[:a + 1]:
+                V[s, q0:q0 + i1 - i0, p0:p0 + j1 - j0] += Vc[i0:i1, j0:j1]
+
+
 def factor(K, sym=None) -> Factor:
     """Supernodal Cholesky factor of the SPD matrix ``K``, or of what
     ``sym`` analysed, read from ``K.data`` (see ``analyse``); raises
-    NotPositiveDefinite where a pivot block is not positive definite."""
+    NotPositiveDefinite where a pivot block is not positive definite.
+    Beside the factor and the analysis it holds at most
+    ``sym.update_peak`` entries of update storage (module docstring)."""
     if sym is None:
         K = _csc(K)
         sym = analyse(K)
@@ -540,61 +646,28 @@ def factor(K, sym=None) -> Factor:
     pending = [[] for _ in sym.groups]
     factor = Factor(sym, values)
     for g, (grp, P) in enumerate(zip(sym.groups, factor.panels)):
-        B, k, n = len(grp.rows), grp.k, grp.n
         children, pending[g] = pending[g], None
-        if B == 1:
-            # A single front keeps L11 and goes through LAPACK's dpotrf
-            # and dtrtri; the batched path below would form inv(L11) by a
-            # general inverse.  On the 3D benchmark system (15.6 k free
-            # dofs, largest single front k = 1527; one thread of a 2-core
-            # VM) the numeric factor takes 0.60-0.91 s this way against
-            # 1.34-1.43 s batched only, with relative residual 3.2e-11
-            # against 1.7e-10 before refinement; 2D benchmark system:
-            # 0.35-0.40 s against 0.46-0.55 s.
-            # LAPACK on the transposed (Fortran-order) views: the lower
-            # triangle in C order is the upper one in Fortran order
-            L11, info = lapack.dpotrf(P[0, :k].T, lower=0, clean=1)
-            if info:
-                _breakdown(k)
-            P[0, :k] = L11.T
-            if n > k:
-                inv_t, info = lapack.dtrtri(L11, lower=0)
-                P[0, k:] = P[0, k:] @ inv_t
-        else:
-            try:
-                D = np.linalg.inv(np.linalg.cholesky(P[:, :k]))
-            except np.linalg.LinAlgError:
-                _breakdown(k)
-            P[:, k:] = P[:, k:] @ np.swapaxes(D, 1, 2)
-            P[:, :k] = D
-        if n == k:
+        V = _front(P, grp.k)
+        if V is None:
             continue
-        V = P[:, k:] @ np.swapaxes(P[:, k:], 1, 2)
-        Vf = V.reshape(-1)
-        for item in children:
-            if len(item) == 2:
-                np.add.at(Vf, item[1], item[0])
-                continue
-            # a large child: block pairs of its runs in this front
-            Vc, s, runs = item
-            for a, (i0, i1, q0) in enumerate(runs):
-                for j0, j1, p0 in runs[:a + 1]:
-                    if p0 >= k:
-                        V[s, q0 - k:q0 - k + i1 - i0,
-                          p0 - k:p0 - k + j1 - j0] += Vc[i0:i1, j0:j1]
+        _extend_add(V, children)
         children = None
+        Vf = V.reshape(-1)
         if grp.piv is not None:
             src, dst = grp.piv
             np.subtract.at(values, dst, Vf[src])
         for q, src, dst in grp.upd:
             pending[q].append((Vf[src], dst))
-        for q, b, s, runs in grp.blocks:
-            Pq, pk = factor.panels[q], sym.groups[q].k
+        for q, b, s, runs, t in grp.blocks:
+            # the pairs in the parent's pivot columns now, and a copy of
+            # the trailing block that lands in its update matrix for later
+            Pq = factor.panels[q][s]
             for a, (i0, i1, q0) in enumerate(runs):
-                for j0, j1, p0 in runs[:a + 1]:
-                    if p0 < pk:
-                        Pq[s, q0:q0 + i1 - i0, p0:p0 + j1 - j0] -= V[
-                            b, i0:i1, j0:j1]
-            if runs[-1][2] >= pk:   # the child has rows in the update part
-                pending[q].append((V[b], s, runs))
+                for j0, j1, p0 in runs[:min(a + 1, t)]:
+                    Pq[q0:q0 + i1 - i0, p0:p0 + j1 - j0] -= V[b, i0:i1, j0:j1]
+            if t < len(runs):
+                c, pk = runs[t][0], sym.groups[q].k
+                pending[q].append((V[b, c:, c:].copy(), s, [
+                    (i0 - c, i1 - c, q0 - pk) for i0, i1, q0 in runs[t:]]))
+        V = Vf = None   # before the next group forms its own
     return factor

@@ -5,9 +5,9 @@ the data of its matrices, which share one symmetric CSR pattern.  A
 single system is factored by the supernodal Cholesky of ``cholesky``
 straight from that data, with one refinement step when the residual
 asks for it; memory: the matrix, two indices per free-block entry on or
-below the diagonal, the stored factor and, while it is computed, the
-update matrices of the factored supernodes whose parents are not
-factored yet.  A completed Cholesky certifies the system SPD; a matrix
+below the diagonal, and the stored factor with, while it is computed,
+its peak update storage (``info["factor_bytes"]``, bounded by the
+analysis).  A completed Cholesky certifies the system SPD; a matrix
 it rejects is factored by SuperLU's LU instead and reported not SPD.  A
 family K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2;
 the Cauchy bounds: C div-div, c = lam / mu) holds the free blocks of A
@@ -51,7 +51,9 @@ class FieldSolution:
     ``info`` records how the solve went: ``path`` ("direct" or "pcg"),
     ``iterations`` (CG), ``residual``, and for direct solves
     ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
-    stored factor entries) and ``supernodes`` (None for LU); ``stages``
+    stored factor entries), and ``supernodes`` and ``factor_bytes`` (the
+    bytes of the factor storage plus its peak update storage,
+    ``cholesky.Symbolic.factor_bytes``), both None for LU; ``stages``
     holds the wall seconds of ``assembly``, ``reduction``, ``analysis``,
     numeric ``factor`` and ``solve`` (triangular solves and refinement, or CG).
     ``energy`` is 1/2 x^T K x where the solve computed it (``solve_family``).
@@ -186,6 +188,8 @@ def _direct(K, rhs, symbolic, split=None, require_spd=False):
                          "factor": "cholesky" if spd else "lu",
                          "lu_fill": int(lu.nnz),
                          "supernodes": lu.supernodes if spd else None,
+                         "factor_bytes": (lu.symbolic.factor_bytes if spd
+                                          else None),
                          "stages": {**_STAGES, "factor": t1 - t0,
                                     "solve": time.perf_counter() - t1}}
 

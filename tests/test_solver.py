@@ -368,16 +368,65 @@ def test_cholesky_supervariable_blocks(widths):
     assert F.supernodes <= len(widths)
 
 
+def _large_fronts():
+    return _block_spd([30] * 20 + [3] * 10, density=0.2, seed=9)
+
+
 def test_cholesky_large_fronts():
     # single fronts (LAPACK path) with update rows past the flat
     # extend-add limit, and both extend-add paths
     from mmfem import cholesky
-    K = _block_spd([30] * 20 + [3] * 10, density=0.2, seed=9)
+    K = _large_fronts()
     groups = cholesky.analyse(K).groups
     assert any(len(g.rows) == 1 and g.n - g.k > cholesky._FLAT_ROWS
                for g in groups)
     assert any(g.blocks for g in groups) and any(g.piv for g in groups)
+    # a large child with rows in its parent's pivot columns and in its
+    # parent's update matrix: a trailing block waits for the parent
+    assert any(0 < t < len(runs) and groups[q].n > groups[q].k
+               for g in groups for q, _, _, runs, t in g.blocks)
     _check_against_dense(K)
+
+
+def test_cholesky_memory_bound_and_in_place():
+    # the traced peak of a factorization stays within the stated bound
+    # (a copy of a panel by a LAPACK or BLAS wrapper would exceed it),
+    # and K's data is only read
+    import tracemalloc
+    from mmfem import cholesky
+    K = _large_fronts()
+    data = K.data.copy()
+    sym = cholesky.analyse(K)
+    assert 0 < sym.update_peak and sym.factor_bytes == 8 * (
+        sym.size + sym.update_peak)
+    tracemalloc.start()
+    try:
+        F = cholesky.factor(K, sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sym.factor_bytes + 8 * len(sym.src)    # + the gather
+    assert np.array_equal(K.data, data)
+    b = np.ones(K.shape[0])
+    assert np.linalg.norm(K @ F.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_single_front_breakdown_falls_back_to_lu():
+    # one dense indefinite block is one front, factored in place until
+    # dpotrf breaks down; the LU fallback reads the untouched matrix
+    from mmfem import cholesky
+    rng = np.random.default_rng(11)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    K = Q @ np.diag([3.0, 2.0, 1.0, -1.0, 2.5, 4.0]) @ Q.T
+    K = 0.5 * (K + K.T)
+    groups = cholesky.analyse(sp.csc_matrix(K)).groups
+    assert len(groups) == 1 and len(groups[0].rows) == 1
+    b = np.arange(1.0, 7.0)
+    sol = solve(_toy_system(K, b))
+    assert not sol.spd and sol.info["factor"] == "lu"
+    assert sol.info["factor_bytes"] is None
+    ref = np.linalg.solve(K, b)
+    assert np.linalg.norm(sol.x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_cholesky_diagonal_and_one_by_one():
@@ -451,6 +500,7 @@ def test_direct_solve_records_factor(antiplane_solution):
     info = antiplane_solution.info
     assert antiplane_solution.spd and info["factor"] == "cholesky"
     assert info["supernodes"] > 0 and info["lu_fill"] > 0
+    assert info["factor_bytes"] > 8 * info["lu_fill"]
 
 
 def test_family_analyses_pattern_once(sweep_system_small, monkeypatch):
