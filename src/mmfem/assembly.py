@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .cholesky import _supervariables
 from .dofmap import DofMap, build_dofmap
-from .errors import SpaceMismatch
+from .errors import InvalidParam, SpaceMismatch
 from .materials import MaterialParams
 from .mesh import Mesh
 from .nedelec import SpaceDescriptor, eval_vector_shapes
@@ -76,12 +76,9 @@ class SparseSystem:
     def n_dofs(self):
         return self.rhs.shape[0]
 
-    def set_constraints(self, cons: dict):
-        self.constraints = dict(cons)
-
     def matrix_at(self, c: float):
         if self.matrix is None:
-            raise ValueError("the system carries no matrices (a solution "
+            raise InvalidParam("the system carries no matrices (a solution "
                              "of solve_family keeps it without them)")
         if self.c_matrix is None:
             return self.matrix

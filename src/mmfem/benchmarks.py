@@ -102,6 +102,18 @@ def antiplane_params(lc=1.0):
                           mu_c=0.0, lc=lc, mu_macro=1.0, lam_macro=1.0)
 
 
+def _constrain(system, groups, coupled=True):
+    """Set the constraints of ``system``: the Dirichlet data ``groups``,
+    (facet_ids, ufunc, gradfunc), embedded in u and, if ``coupled``, by
+    the consistent coupling condition in p."""
+    cons = h1_dirichlet(system.mesh, system.fields["u"], groups)
+    if coupled:
+        cons.update(hcurl_dirichlet(system.mesh, system.fields["p"],
+                                    [(facets, gf) for facets, _, gf in groups]))
+    system.constraints = cons
+    return system
+
+
 def solve_antiplane(mesh, params, p, family, ufunc=anti_exact_u,
                     gradfunc=anti_exact_grad_u, f=anti_load_f, m=anti_load_m,
                     tag="boundary"):
@@ -109,16 +121,9 @@ def solve_antiplane(mesh, params, p, family, ufunc=anti_exact_u,
     u_space = SpaceDescriptor("h1", p + 1, 2)
     p_space = SpaceDescriptor(family, p, 2)
     system = assemble_antiplane(mesh, params, u_space, p_space, f=f, m=m)
-    facets = mesh.tagged_facets(tag)
-    cons = h1_dirichlet(mesh, system.fields["u"].dofmap,
-                        [(facets, ufunc, gradfunc)])
-    if params.lc > 0.0:
-        # consistent coupling only enters through the curvature term
-        pcons = hcurl_dirichlet(mesh, system.fields["p"].dofmap,
-                                [(facets, gradfunc)],
-                                comp_offset0=system.fields["p"].offset)
-        cons.merge(pcons)
-    system.set_constraints(cons.values)
+    # consistent coupling only enters through the curvature term
+    _constrain(system, [(mesh.tagged_facets(tag), ufunc, gradfunc)],
+               coupled=params.lc > 0.0)
     return solve(system)
 
 
@@ -227,13 +232,7 @@ def solve_bending(mesh, p, family, params=None):
     p_space = SpaceDescriptor(family, p, 3)
     system = assemble_full3d(mesh, params, u_space, p_space)
     facets = np.concatenate([mesh.tagged_facets("x-"), mesh.tagged_facets("x+")])
-    cons = h1_dirichlet(mesh, system.fields["u"].dofmap,
-                        [(facets, bending_u, bending_grad_u)], n_comps=3)
-    pcons = hcurl_dirichlet(mesh, system.fields["p"].dofmap,
-                            [(facets, bending_grad_u)], n_comps=3,
-                            comp_offset0=system.fields["p"].offset)
-    cons.merge(pcons)
-    system.set_constraints(cons.values)
+    _constrain(system, [(facets, bending_u, bending_grad_u)])
     return solve(system, require_spd=True)
 
 
@@ -259,7 +258,7 @@ def run_bending(cfg: BenchConfig):
             "err_u": err_u, "err_p": err_p, "dofs": sol.system.n_dofs,
             "n_cells": mesh.n_cells, "spd": sol.spd,
             "residual": sol.residual, "oscillations": sign_flips,
-            "p": cfg.p, "family": cfg.family}
+            "stages": sol.info["stages"], "p": cfg.p, "family": cfg.family}
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +334,7 @@ def default_lc_grid():
 def cauchy_system(mesh, degree):
     """``assemble_cauchy3d`` under the sweep Dirichlet data."""
     system = assemble_cauchy3d(mesh, SpaceDescriptor("h1", degree, 3))
-    system.set_constraints(h1_dirichlet(mesh, system.fields["u"].dofmap,
-                                        _sweep_groups(mesh), n_comps=3).values)
-    return system
+    return _constrain(system, _sweep_groups(mesh), coupled=False)
 
 
 def cauchy_bound_energy(mesh, moduli, degree):
@@ -359,14 +356,7 @@ def sweep_system(mesh, params, p, family):
     u_space = SpaceDescriptor("h1", p + 1, 3)
     p_space = SpaceDescriptor(family, p, 3)
     system = assemble_full3d(mesh, params, u_space, p_space, split_curl=True)
-    groups_u = _sweep_groups(mesh)
-    cons = h1_dirichlet(mesh, system.fields["u"].dofmap, groups_u, n_comps=3)
-    groups_p = [(facets, gf) for facets, _, gf in groups_u]
-    pcons = hcurl_dirichlet(mesh, system.fields["p"].dofmap, groups_p, n_comps=3,
-                            comp_offset0=system.fields["p"].offset)
-    cons.merge(pcons)
-    system.set_constraints(cons.values)
-    return system
+    return _constrain(system, _sweep_groups(mesh))
 
 
 def _sweep_chain(cfg, mesh, params, lcs):

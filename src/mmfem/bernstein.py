@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .dual import Dual, seed
-from .errors import DomainError
+from .errors import BadIndex, DomainError
 
 # Below this distance from xi = 1 the recursion (which divides by 1 - xi)
 # is bypassed in favour of the exact limit values.
@@ -80,6 +80,6 @@ def eval_all(p: int, xi) -> BernsteinEval:
 def eval_single(p: int, i: int, xi: float) -> Dual:
     """One base function b_i^p from the closed form, as a dual number."""
     if not 0 <= i <= p:
-        raise IndexError(f"index {i} outside 0..{p}")
+        raise BadIndex(f"index {i} outside 0..{p}")
     x = seed(xi)
     return comb(p, i) * x ** i * (1.0 - x) ** (p - i)

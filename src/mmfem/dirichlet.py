@@ -1,5 +1,9 @@
 """Hierarchical embedding of Dirichlet data.
 
+One call per field: ``h1_dirichlet`` or ``hcurl_dirichlet`` takes the
+field's ``assembly.FieldLayout`` (dofmap, components, offset) and returns
+the global {dof: value} dict that ``SparseSystem.constraints`` holds.
+
 Vertices are evaluated directly; edges solve small 1D problems against
 the known univariate traces; faces solve surface problems in the mixed
 tangent frame T = [g1, g2, n].  Because the Bernstein basis is not
@@ -24,14 +28,13 @@ in entity chunks whose temporaries hold at most assembly's _CHUNK_NNZ
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .assembly import _chunks
+from .assembly import FieldLayout, _chunks
 from .bernstein import eval_all
-from .dofmap import DofMap, local_entities
+from .dofmap import local_entities
 from .errors import DegenerateFace, SingularEdge
 from .mesh import Mesh
 from .nedelec import SpaceDescriptor, eval_vector_shapes
@@ -39,32 +42,6 @@ from .quadrature import _gauss01, rule_for
 from .simplex import TET_EDGES, TET_FACES, TET_VERTICES, bezier_eval, duffy_inverse
 
 _GAUSS_FLOOR = 24   # headroom for oscillatory boundary data on coarse meshes
-
-
-@dataclass
-class ConstraintSet:
-    """Ordered dof -> value map."""
-
-    values: dict = field(default_factory=dict)
-
-    def set(self, dof, value):
-        self.values[int(dof)] = float(value)
-
-    def merge(self, other: "ConstraintSet"):
-        self.values.update(other.values)
-        return self
-
-    def __len__(self):
-        return len(self.values)
-
-    def items(self):
-        return self.values.items()
-
-
-def _edge_ids(mesh, a, b):
-    """Ids of the edges (a, b), a < b, in the sorted edge list."""
-    nv = mesh.n_vertices
-    return np.searchsorted(mesh.edges[:, 0] * nv + mesh.edges[:, 1], a * nv + b)
 
 
 def _entities(mesh, facet_groups):
@@ -77,7 +54,7 @@ def _entities(mesh, facet_groups):
     fv = mesh.facet_vertices(facets)
     touched = {0: fv, 1: facets[:, None]}
     if mesh.dim == 3:
-        touched[1] = _edge_ids(mesh, fv[:, [0, 0, 1]], fv[:, [1, 2, 2]])
+        touched[1] = mesh.edge_ids(fv[:, [0, 0, 1]], fv[:, [1, 2, 2]])
         touched[2] = facets[:, None]
     out = {}
     for rank, ids in touched.items():
@@ -266,99 +243,50 @@ def _has_dofs(dofmap, rank):
     return (1, dofmap.per_edge, dofmap.per_face)[rank] > 0
 
 
-def _embed(mesh, dofmap, facet_groups, levels, n_comps, stride, offset):
+def _embed(mesh, layout, facet_groups, levels):
     """Run ``levels``, (rank, callback per group) in order, on every
-    component; the constraints are ordered level, component, group,
-    entity, ordinal."""
-    comps = np.arange(n_comps)
-    x = np.full((n_comps, dofmap.n_dofs), np.nan)
+    component of ``layout``; the constraints are ordered level,
+    component, group, entity, ordinal."""
+    dofmap, comps = layout.dofmap, np.arange(layout.n_comps)
+    x = np.full((layout.n_comps, dofmap.n_dofs), np.nan)
     ents = _entities(mesh, facet_groups)
     keys, vals = [], []
     for rank, funcs in levels:
         if not _has_dofs(dofmap, rank):
             continue
         ids, owner = ents[rank]
-        size = _per_entity(dofmap.space, rank, n_comps)
+        size = _per_entity(dofmap.space, rank, layout.n_comps)
         parts = [np.zeros(0, np.int64)]
         for g, func in enumerate(funcs):
             mine = ids[owner == g]
             parts += [_LEVELS[rank](mesh, dofmap, mine[chunk], func, x, comps).ravel()
                       for chunk in _chunks(len(mine), size)]
         dofs = np.concatenate(parts)
-        keys.append((offset + stride * comps[:, None] + dofs).ravel())
+        keys.append((layout.comp_offset(comps)[:, None] + dofs).ravel())
         vals.append(x[:, dofs].ravel())
-    return ConstraintSet(dict(zip(np.concatenate(keys).tolist(),
-                                  np.concatenate(vals).tolist())))
+    return dict(zip(np.concatenate(keys).tolist(), np.concatenate(vals).tolist()))
 
 
-def _one(rank, mesh, dofmap, ids, func, cons, comp_offset, comp):
-    """Level ``rank`` on the entities ``ids`` for component ``comp`` of the
-    callback, the dofs in ``cons`` (at ``comp_offset``) being the known
-    ones; a known dof missing from ``cons`` makes the result NaN."""
-    if not _has_dofs(dofmap, rank):
-        return
-    x = np.full((1, dofmap.n_dofs), np.nan)
-    keys = np.fromiter(cons.values, dtype=np.int64, count=len(cons)) - comp_offset
-    mine = (keys >= 0) & (keys < dofmap.n_dofs)
-    x[0, keys[mine]] = np.fromiter(cons.values.values(), dtype=float,
-                                   count=len(cons))[mine]
-    ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-    dofs = _LEVELS[rank](mesh, dofmap, ids, func, x, np.array([comp])).ravel()
-    cons.values.update(zip((comp_offset + dofs).tolist(), x[0, dofs].tolist()))
-
-
-# ---------------------------------------------------------------------------
-# one-entity entry points
-
-def vertex_values(mesh: Mesh, dofmap: DofMap, verts, ufunc, cons, comp_offset=0,
-                  comp=0):
-    _one(0, mesh, dofmap, verts, ufunc, cons, comp_offset, comp)
-
-
-def edge_h1_projection(mesh: Mesh, dofmap: DofMap, e, gradfunc, cons,
-                       comp_offset=0, comp=0):
-    """Dofs of edge e from the 1D tangential problem: the interior ones
-    of an H1 space, whose vertex dofs must already be present in
-    ``cons``, or all of an H(curl) space (<p, t> = <grad u~, t>)."""
-    _one(1, mesh, dofmap, e, gradfunc, cons, comp_offset, comp)
-
-
-def face_h1_projection(mesh: Mesh, dofmap: DofMap, f, gradfunc, cons,
-                       comp_offset=0, comp=0):
-    """Own dofs of face f from the surface-gradient (H1) or surface
-    H(rot) problem; the face's vertex and edge dofs must already be
-    present and are moved to the right-hand side."""
-    _one(2, mesh, dofmap, f, gradfunc, cons, comp_offset, comp)
-
-
-edge_hcurl_projection = edge_h1_projection
-face_hcurl_projection = face_h1_projection
-
-
-def h1_dirichlet(mesh: Mesh, dofmap: DofMap, groups, n_comps=1,
-                 comp_stride=None) -> ConstraintSet:
-    """Hierarchical H1 embedding.
+def h1_dirichlet(mesh: Mesh, layout: FieldLayout, groups) -> dict:
+    """Hierarchical H1 embedding of the field ``layout``: {dof: value}.
 
     ``groups`` is a list of (facet_ids, ufunc, gradfunc); for vector
     fields the callbacks return (n, n_comps) values and (n, n_comps, dim)
-    gradients and each component is constrained independently with
-    stride ``comp_stride`` (defaults to the scalar dof count).
+    gradients and each component is constrained independently.
     """
-    stride = comp_stride if comp_stride is not None else dofmap.n_dofs
     ufuncs = [uf for _, uf, _ in groups]
     gradfuncs = [gf for _, _, gf in groups]
-    return _embed(mesh, dofmap, [facets for facets, _, _ in groups],
-                  ((0, ufuncs), (1, gradfuncs), (2, gradfuncs)), n_comps, stride, 0)
+    return _embed(mesh, layout, [facets for facets, _, _ in groups],
+                  ((0, ufuncs), (1, gradfuncs), (2, gradfuncs)))
 
 
-def hcurl_dirichlet(mesh: Mesh, dofmap: DofMap, groups, n_comps=1,
-                    comp_stride=None, comp_offset0=0) -> ConstraintSet:
-    """Consistent-coupling embedding for an H(curl) space.
+def hcurl_dirichlet(mesh: Mesh, layout: FieldLayout, groups) -> dict:
+    """Consistent-coupling embedding of the H(curl) field ``layout``:
+    {dof: value}.
 
     ``groups`` is a list of (facet_ids, gradfunc); gradfunc returns the
     prescribed displacement gradient rows, (n, dim) or (n, n_comps, dim).
     """
-    stride = comp_stride if comp_stride is not None else dofmap.n_dofs
     gradfuncs = [gf for _, gf in groups]
-    return _embed(mesh, dofmap, [facets for facets, _ in groups],
-                  ((1, gradfuncs), (2, gradfuncs)), n_comps, stride, comp_offset0)
+    return _embed(mesh, layout, [facets for facets, _ in groups],
+                  ((1, gradfuncs), (2, gradfuncs)))

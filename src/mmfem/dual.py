@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroDual
+from .errors import DivisionByZeroDual, DomainError
 
 _NUMBERS = (int, float, np.integer, np.floating, np.ndarray)
 
@@ -86,7 +86,7 @@ class Dual:
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
+            raise DomainError("only non-negative integer powers are defined")
         if isinstance(self.val, np.ndarray):
             out = Dual(np.ones_like(self.val), np.zeros_like(self.val))
         else:

@@ -22,7 +22,7 @@ class DegenerateCell(MMFemError, ValueError):
 
 
 class BadIndex(MMFemError, IndexError):
-    """Connectivity references a nonexistent vertex or entity."""
+    """Index outside its range: a nonexistent vertex, entity or basis function."""
 
 
 class InvalidParam(MMFemError, ValueError):

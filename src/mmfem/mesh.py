@@ -41,19 +41,16 @@ class Mesh:
     dets: np.ndarray = None       # signed
     inv_ts: np.ndarray = None     # (nc, dim, dim) J^{-T}
 
-    _edge_lookup: dict = field(default=None, repr=False)
     _face_cell: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_vertices(self):
         return self.vertices.shape[0]
 
-    def edge_lookup(self) -> dict:
-        """Sorted vertex pair -> edge id, built lazily."""
-        if self._edge_lookup is None:
-            self._edge_lookup = {tuple(e): i
-                                 for i, e in enumerate(map(tuple, self.edges))}
-        return self._edge_lookup
+    def edge_ids(self, a, b):
+        """Ids of the edges (a, b), a < b, in the sorted edge list."""
+        nv = self.n_vertices
+        return np.searchsorted(self.edges[:, 0] * nv + self.edges[:, 1], a * nv + b)
 
     def face_cell(self, f):
         """Lowest id of a cell containing face f, or of each face of an

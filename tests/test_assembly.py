@@ -257,11 +257,9 @@ class TestAntiplane:
         zero = lambda x: np.zeros(len(np.atleast_2d(x)))
         gzero = lambda x: np.zeros((len(np.atleast_2d(x)), 2))
         facets = disk.tagged_facets("boundary")
-        cons = h1_dirichlet(disk, sys_.fields["u"].dofmap, [(facets, zero, gzero)])
-        cons.merge(hcurl_dirichlet(disk, sys_.fields["p"].dofmap,
-                                   [(facets, gzero)],
-                                   comp_offset0=sys_.fields["p"].offset))
-        sys_.set_constraints(cons.values)
+        sys_.constraints = {
+            **h1_dirichlet(disk, sys_.fields["u"], [(facets, zero, gzero)]),
+            **hcurl_dirichlet(disk, sys_.fields["p"], [(facets, gzero)])}
         sol = solve(sys_)
         assert np.abs(sol.x).max() < 1e-12
 
@@ -353,7 +351,6 @@ class TestFull3D:
         sys_ = assemble_full3d(cube, params, u_space, p_space, split_curl=True)
         # build P-row coefficients representing grad(x^2 + y z) etc. by
         # solving the exact-sequence interpolation on each row
-        from mmfem.dirichlet import hcurl_dirichlet
         from mmfem.dofmap import build_dofmap
 
         def gradfunc(x):

@@ -109,3 +109,22 @@ def test_params_override(runner, tmp_path):
     result = runner.invoke(cli, ["antiplane", "--p", "0", "--refine", "0",
                                  "--params", str(bad), "--out", str(out)])
     assert result.exit_code != 0
+
+
+def test_bending_outputs(runner, tmp_path):
+    from mmfem.benchmarks import BENDING_ZGRID
+    from mmfem.mesh import generate_box, io_write
+    mesh_path = tmp_path / "plate.json"
+    io_write(generate_box(((-10.0, 10.0), (-10.0, 10.0), (-0.5, 0.5)),
+                          (2, 2, np.asarray(BENDING_ZGRID))), mesh_path)
+    out = tmp_path / "bend"
+    result = runner.invoke(cli, ["bending", "--p", "1", "--mesh", str(mesh_path),
+                                 "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = list(csv.DictReader(open(out / "results.csv")))
+    assert len(rows) == 101
+    summary = json.load(open(out / "summary.json"))
+    assert summary["benchmark"] == "bending"
+    # the solver's stage timings reach the summary; their values are not checked
+    assert set(summary["stages"]) == {"assembly", "reduction", "analysis",
+                                      "factor", "solve"}

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from mmfem.dirichlet import (ConstraintSet, edge_h1_projection,
-                             edge_hcurl_projection, face_h1_projection,
-                             face_hcurl_projection, h1_dirichlet,
-                             hcurl_dirichlet, vertex_values, _face_frame)
+from mmfem.assembly import FieldLayout
+from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet, _face_frame
 from mmfem.benchmarks import _sweep_groups, sweep_mesh
+from mmfem.bernstein import eval_all
 from mmfem.dofmap import _face_interior_rank, build_dofmap
 from mmfem.mesh import build, generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor, eval_vector_values
 from mmfem.simplex import bezier_values, traversal_order
+
+
+def _layout(mesh, space, n_comps=1, offset=0):
+    return FieldLayout("f", space, build_dofmap(mesh, space), n_comps, offset)
 
 
 def const_func(c):
@@ -25,64 +28,71 @@ def linear_func(a):
     return u, grad
 
 
+def _edge_trace(mesh, dm, cons, e, ts):
+    """Embedded trace on edge e at the edge parameters ``ts``, with the
+    edge's end points."""
+    va, vb = mesh.edges[e]
+    coeffs = np.array([cons[dm.vertex_dof(va)]]
+                      + [cons[d] for d in dm.edge_dofs(e)]
+                      + [cons[dm.vertex_dof(vb)]])
+    xa, xb = mesh.vertices[va], mesh.vertices[vb]
+    pts = xa[None, :] + ts[:, None] * (xb - xa)[None, :]
+    return eval_all(len(coeffs) - 1, ts).values @ coeffs, pts
+
+
 class TestVertexValues:
     def test_constant(self):
         mesh = generate_disk(10.0, n_rings=1)
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", 2, 2))
-        cons = ConstraintSet()
-        verts = sorted({int(v) for f in mesh.tagged_facets("boundary")
-                        for v in mesh.facet_vertices(f)})
-        vertex_values(mesh, dm, verts, const_func(3.25), cons)
-        assert all(abs(v - 3.25) < 1e-15 for v in cons.values.values())
-        assert len(cons) == len(verts)
+        layout = _layout(mesh, SpaceDescriptor("h1", 2, 2))
+        dm = layout.dofmap
+        facets = mesh.tagged_facets("boundary")
+        verts = sorted({int(v) for f in facets for v in mesh.facet_vertices(f)})
+        cons = h1_dirichlet(mesh, layout, [(facets, const_func(3.25),
+                                            linear_func([0.0, 0.0])[1])])
+        vdofs = dm.vertex_dof(np.array(verts))
+        assert all(abs(cons[d] - 3.25) < 1e-15 for d in vdofs)
+        # exactly the boundary vertices are constrained among the vertices
+        all_vdofs = set(dm.vertex_dof(np.arange(mesh.n_vertices)).tolist())
+        assert set(cons) & all_vdofs == set(vdofs.tolist())
 
     def test_coordinate_function(self):
         mesh = build([[0, 0], [2, 0], [0, 1]], [[0, 1, 2]])
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", 1, 2))
-        cons = ConstraintSet()
-        u, _ = linear_func([1.0, 0.0])
-        vertex_values(mesh, dm, [1], u, cons)
-        assert abs(cons.values[dm.vertex_dof(1)] - 2.0) < 1e-15
+        layout = _layout(mesh, SpaceDescriptor("h1", 1, 2))
+        u, grad = linear_func([1.0, 0.0])
+        # facet edge (0, 1) holds vertex 1
+        cons = h1_dirichlet(mesh, layout, [([mesh.edge_ids(0, 1)], u, grad)])
+        assert abs(cons[layout.dofmap.vertex_dof(1)] - 2.0) < 1e-15
 
     def test_disk_boundary_value(self):
         # u~ = sin((x^2+y^2)/5) at (10, 0) evaluates to sin(20)
         mesh = generate_disk(10.0, n_rings=1)
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", 1, 2))
-        cons = ConstraintSet()
+        layout = _layout(mesh, SpaceDescriptor("h1", 1, 2))
         vid = int(np.argmin(np.linalg.norm(mesh.vertices - [10, 0], axis=1)))
+        facets = [f for f in mesh.tagged_facets("boundary")
+                  if vid in mesh.facet_vertices(f)]
         func = lambda x: np.sin((np.atleast_2d(x) ** 2).sum(axis=1) / 5.0)
-        vertex_values(mesh, dm, [vid], func, cons)
-        assert abs(cons.values[vid] - np.sin(20.0)) < 1e-14
+        grad = lambda x: (0.4 * np.cos((np.atleast_2d(x) ** 2).sum(axis=1) / 5.0)[:, None]
+                          * np.atleast_2d(x))
+        cons = h1_dirichlet(mesh, layout, [(facets, func, grad)])
+        assert abs(cons[layout.dofmap.vertex_dof(vid)] - np.sin(20.0)) < 1e-14
 
 
 class TestEdgeH1:
     def test_linear_reproduction(self):
         mesh = build([[0, 0], [3, 1], [0, 2]], [[0, 1, 2]])
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", 3, 2))
+        layout = _layout(mesh, SpaceDescriptor("h1", 3, 2))
         u, grad = linear_func([0.5, -0.25])
-        cons = ConstraintSet()
-        vertex_values(mesh, dm, [0, 1, 2], u, cons)
-        for e in range(mesh.n_edges):
-            edge_h1_projection(mesh, dm, e, grad, cons)
+        cons = h1_dirichlet(mesh, layout, [(np.arange(mesh.n_edges), u, grad)])
         # interior dofs must reproduce the Bezier coefficients of the
-        # linear exactly: check the trace at edge midpoints
+        # linear exactly: check the trace along every edge
         for e in range(mesh.n_edges):
-            va, vb = mesh.edges[e]
-            xa, xb = mesh.vertices[va], mesh.vertices[vb]
-            ts = np.linspace(0, 1, 7)
-            from mmfem.bernstein import eval_all
-            bern = eval_all(3, ts).values
-            coeffs = np.array([cons.values[dm.vertex_dof(va)]]
-                              + [cons.values[d] for d in dm.edge_dofs(e)]
-                              + [cons.values[dm.vertex_dof(vb)]])
-            trace = bern @ coeffs
-            exact = u(xa[None, :] + ts[:, None] * (xb - xa)[None, :])
-            np.testing.assert_allclose(trace, exact, atol=1e-13)
+            trace, pts = _edge_trace(mesh, layout.dofmap, cons, e,
+                                     np.linspace(0, 1, 7))
+            np.testing.assert_allclose(trace, u(pts), atol=1e-13)
 
     def test_unit_edge_stiffness_entry(self):
         # interior stiffness for quadratic on a unit edge: integral of
         # (d/da 2a(1-a))^2 = 4/3
-        from mmfem.bernstein import eval_all
         a = np.polynomial.legendre.leggauss(6)
         x = 0.5 * (a[0] + 1)
         w = 0.5 * a[1]
@@ -95,30 +105,20 @@ class TestEdgeH1:
         u = lambda x: np.sin(3.0 * np.atleast_2d(x)[:, 0])
         grad = lambda x: np.stack([3.0 * np.cos(3.0 * np.atleast_2d(x)[:, 0]),
                                    np.zeros(len(np.atleast_2d(x)))], axis=1)
+        e = mesh.edge_ids(0, 1)
         errs = []
         for q in (2, 4, 6, 8):
-            dm = build_dofmap(mesh, SpaceDescriptor("h1", q, 2))
-            cons = ConstraintSet()
-            vertex_values(mesh, dm, [0, 1, 2], u, cons)
-            e = int(mesh.edge_lookup()[(0, 1)])
-            edge_h1_projection(mesh, dm, e, grad, cons)
-            ts = np.linspace(0, 1, 101)
-            from mmfem.bernstein import eval_all
-            bern = eval_all(q, ts).values
-            va, vb = mesh.edges[e]
-            coeffs = np.array([cons.values[dm.vertex_dof(va)]]
-                              + [cons.values[d] for d in dm.edge_dofs(e)]
-                              + [cons.values[dm.vertex_dof(vb)]])
-            xa, xb = mesh.vertices[va], mesh.vertices[vb]
-            exact = u(xa[None, :] + ts[:, None] * (xb - xa)[None, :])
-            errs.append(np.abs(bern @ coeffs - exact).max())
+            layout = _layout(mesh, SpaceDescriptor("h1", q, 2))
+            cons = h1_dirichlet(mesh, layout, [([e], u, grad)])
+            trace, pts = _edge_trace(mesh, layout.dofmap, cons, e,
+                                     np.linspace(0, 1, 101))
+            errs.append(np.abs(trace - u(pts)).max())
         assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
 
 
 class TestEdgeHcurl:
     def test_unit_edge_mass_matrix(self):
         # N_II p=1 mass matrix on a unit edge is [[1/3,1/6],[1/6,1/3]]
-        from mmfem.bernstein import eval_all
         g = np.polynomial.legendre.leggauss(4)
         x = 0.5 * (g[0] + 1)
         w = 0.5 * g[1]
@@ -129,30 +129,28 @@ class TestEdgeHcurl:
 
     def test_zero_tangential_gradient(self):
         mesh = build([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        dm = build_dofmap(mesh, SpaceDescriptor("nedelec2", 2, 2))
+        layout = _layout(mesh, SpaceDescriptor("nedelec2", 2, 2))
         grad = lambda x: np.stack([np.zeros(len(np.atleast_2d(x))),
                                    np.ones(len(np.atleast_2d(x)))], axis=1)
-        cons = ConstraintSet()
-        e = int(mesh.edge_lookup()[(0, 1)])
+        e = mesh.edge_ids(0, 1)
         # edge (0, 1) runs from (0, 0) to (1, 0), normal to the gradient
         va, vb = mesh.edges[e]
         np.testing.assert_array_equal(mesh.vertices[vb] - mesh.vertices[va],
                                       [1.0, 0.0])
-        edge_hcurl_projection(mesh, dm, e, grad, cons)
-        vals = [cons.values[d] for d in dm.edge_dofs(e)]
+        cons = hcurl_dirichlet(mesh, layout, [([e], grad)])
+        vals = [cons[d] for d in layout.dofmap.edge_dofs(e)]
         assert np.abs(vals).max() < 1e-14
 
     def test_lowest_order_line_integral(self):
         # u~ = x along an edge on the x-axis: single dof equals the
         # potential difference, giving an exact constant tangential trace
         mesh = build([[0, 0], [2, 0], [0, 2]], [[0, 1, 2]])
-        dm = build_dofmap(mesh, SpaceDescriptor("nedelec1", 0, 2))
+        layout = _layout(mesh, SpaceDescriptor("nedelec1", 0, 2))
         _, grad = linear_func([1.0, 0.0])
-        cons = ConstraintSet()
-        e = int(mesh.edge_lookup()[(0, 1)])
-        edge_hcurl_projection(mesh, dm, e, grad, cons)
+        e = mesh.edge_ids(0, 1)
+        cons = hcurl_dirichlet(mesh, layout, [([e], grad)])
         # <t, theta_lowest> = 1 on the edge, t = (2,0), <t, grad u~> = 2
-        assert abs(cons.values[dm.edge_dofs(e)[0]] - 2.0) < 1e-13
+        assert abs(cons[layout.dofmap.edge_dofs(e)[0]] - 2.0) < 1e-13
 
 
 def _quad_u3(x):
@@ -171,9 +169,8 @@ def _quad_grad3(x):
 def _face_edge_map(mesh, f):
     """role pair (within a,b,c) -> global edge id for the face's edges."""
     fa, fb, fc = (int(v) for v in mesh.faces[f])
-    lookup = mesh.edge_lookup()
-    return {(0, 1): lookup[(fa, fb)], (0, 2): lookup[(fa, fc)],
-            (1, 2): lookup[(fb, fc)]}
+    return {(0, 1): mesh.edge_ids(fa, fb), (0, 2): mesh.edge_ids(fa, fc),
+            (1, 2): mesh.edge_ids(fb, fc)}
 
 
 class TestFaceH1:
@@ -192,9 +189,10 @@ class TestFaceH1:
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_quadratic_reproduction(self, q):
         mesh = generate_box(((0, 1), (0, 1), (0, 1)), 1)
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", q, 3))
+        layout = _layout(mesh, SpaceDescriptor("h1", q, 3))
+        dm = layout.dofmap
         facets = mesh.boundary_facets
-        cons = h1_dirichlet(mesh, dm, [(facets, _quad_u3, _quad_grad3)])
+        cons = h1_dirichlet(mesh, layout, [(facets, _quad_u3, _quad_grad3)])
         # the embedded trace must match the quadratic at face points
         for f in facets:
             (fa, fb, fc), xa, g1, g2, _, _ = _face_frame(mesh, f)
@@ -217,40 +215,33 @@ class TestFaceH1:
                 else:
                     dof = dm.face_dofs(f)[_face_interior_rank(q)[(exps[2],
                                                                   exps[1])]]
-                trace += vals2[:, col] * cons.values[dof]
+                trace += vals2[:, col] * cons[dof]
             np.testing.assert_allclose(trace, _quad_u3(xq), atol=1e-12)
 
 
 class TestFaceHcurl:
     def test_zero_tangential_data(self):
         mesh = generate_box(((0, 1), (0, 1), (0, 1)), 1)
-        dm = build_dofmap(mesh, SpaceDescriptor("nedelec2", 2, 3))
+        layout = _layout(mesh, SpaceDescriptor("nedelec2", 2, 3))
+        dm = layout.dofmap
         # gradient normal to the z- face: zero tangential part
         f = int(mesh.tagged_facets("z-")[0])
         grad = lambda x: np.tile([0.0, 0.0, 1.0], (len(np.atleast_2d(x)), 1))
-        cons = ConstraintSet()
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            fv = [int(v) for v in mesh.faces[f]]
-            e = mesh.edge_lookup()[(fv[pair[0]], fv[pair[1]])]
-            edge_hcurl_projection(mesh, dm, e, grad, cons)
-        face_hcurl_projection(mesh, dm, f, grad, cons)
-        assert max(abs(v) for v in cons.values.values()) < 1e-13
+        cons = hcurl_dirichlet(mesh, layout, [([f], grad)])
+        # the face's three edges and the face itself
+        assert len(cons) == 3 * dm.per_edge + dm.per_face
+        assert max(abs(v) for v in cons.values()) < 1e-13
 
     def test_linear_data_face_interior_zero(self):
         # for linear u~ the tangential trace is constant: the lowest-order
         # edge dofs capture it exactly and face interiors vanish
         mesh = generate_box(((0, 1), (0, 1), (0, 1)), 1)
-        dm = build_dofmap(mesh, SpaceDescriptor("nedelec1", 1, 3))
+        layout = _layout(mesh, SpaceDescriptor("nedelec1", 1, 3))
         _, grad = linear_func([0.3, -0.2, 0.5])
         f = int(mesh.tagged_facets("x+")[0])
-        cons = ConstraintSet()
-        fv = [int(v) for v in mesh.faces[f]]
-        for pair in ((0, 1), (0, 2), (1, 2)):
-            e = mesh.edge_lookup()[(fv[pair[0]], fv[pair[1]])]
-            edge_hcurl_projection(mesh, dm, e, grad, cons)
-        face_hcurl_projection(mesh, dm, f, grad, cons)
-        for d in dm.face_dofs(f):
-            assert abs(cons.values[d]) < 1e-12
+        cons = hcurl_dirichlet(mesh, layout, [([f], grad)])
+        for d in layout.dofmap.face_dofs(f):
+            assert abs(cons[d]) < 1e-12
 
     @pytest.mark.parametrize("family,p", [("nedelec1", 1), ("nedelec1", 2),
                                           ("nedelec1", 3), ("nedelec2", 1),
@@ -261,13 +252,13 @@ class TestFaceHcurl:
         # (p >= 1: the linear bending gradient lies in the space)
         mesh = generate_box(((-10, 10), (-10, 10), (-0.5, 0.5)), (1, 1, 1))
         space = SpaceDescriptor(family, p, 3)
-        dm = build_dofmap(mesh, space)
+        layout = _layout(mesh, space, n_comps=3)
+        dm = layout.dofmap
         from mmfem.benchmarks import bending_grad_u
         facets = mesh.tagged_facets("x+")
-        cons = hcurl_dirichlet(mesh, dm, [(facets, bending_grad_u)], n_comps=3,
-                               comp_stride=dm.n_dofs)
+        cons = hcurl_dirichlet(mesh, layout, [(facets, bending_grad_u)])
         x = np.zeros(3 * dm.n_dofs)
-        for d, v in cons.values.items():
+        for d, v in cons.items():
             x[d] = v
         for f in facets:
             # evaluate the constrained field's tangential trace on the face
@@ -293,7 +284,8 @@ class TestHierarchy:
     def test_vector_h1_embedding_matches_callback(self):
         mesh = generate_box(((0, 1), (0, 1), (0, 1)), 1)
         q = 2
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", q, 3))
+        layout = _layout(mesh, SpaceDescriptor("h1", q, 3), n_comps=3)
+        dm = layout.dofmap
 
         def u(x):
             x = np.atleast_2d(x)
@@ -310,8 +302,7 @@ class TestHierarchy:
             g[:, 2, 2] = x[:, 0]
             return g
 
-        cons = h1_dirichlet(mesh, dm, [(mesh.boundary_facets, u, grad)],
-                            n_comps=3)
+        cons = h1_dirichlet(mesh, layout, [(mesh.boundary_facets, u, grad)])
         # quadratic data reproduced exactly: sample via vertex dofs of all
         # boundary vertices and edge midpoood traces through bezier_values
         for comp in range(3):
@@ -319,7 +310,7 @@ class TestHierarchy:
                 for v in mesh.facet_vertices(f):
                     dof = comp * dm.n_dofs + dm.vertex_dof(int(v))
                     exact = u(mesh.vertices[int(v)][None, :])[0, comp]
-                    assert abs(cons.values[dof] - exact) < 1e-12
+                    assert abs(cons[dof] - exact) < 1e-12
 
 
 class TestOrderIndependence:
@@ -328,16 +319,16 @@ class TestOrderIndependence:
         # must reproduce the same constraint values
         from mmfem.benchmarks import sweep_mesh, _sweep_face_funcs, _FACE_COMP
         mesh = sweep_mesh(0)
-        dm = build_dofmap(mesh, SpaceDescriptor("nedelec1", 1, 3))
+        layout = _layout(mesh, SpaceDescriptor("nedelec1", 1, 3), n_comps=3)
         groups = []
         for tag, comp in _FACE_COMP.items():
             _, gf = _sweep_face_funcs(comp)
             groups.append((mesh.tagged_facets(tag), gf))
-        a = hcurl_dirichlet(mesh, dm, groups, n_comps=3)
-        b = hcurl_dirichlet(mesh, dm, groups[::-1], n_comps=3)
-        assert set(a.values) == set(b.values)
-        for dof, val in a.values.items():
-            assert abs(val - b.values[dof]) <= 1e-11 * (1.0 + abs(val))
+        a = hcurl_dirichlet(mesh, layout, groups)
+        b = hcurl_dirichlet(mesh, layout, groups[::-1])
+        assert set(a) == set(b)
+        for dof, val in a.items():
+            assert abs(val - b[dof]) <= 1e-11 * (1.0 + abs(val))
 
 
 def _counted(func, calls, key):
@@ -361,43 +352,42 @@ class TestBatchedLevels:
         groups = [(facets, _counted(uf, calls, (g, "u")),
                    _counted(gf, calls, (g, "grad")))
                   for g, (facets, uf, gf) in enumerate(_sweep_groups(mesh))]
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", 3, 3))
-        cons = h1_dirichlet(mesh, dm, groups, n_comps=3)
+        layout = _layout(mesh, SpaceDescriptor("h1", 3, 3), n_comps=3)
+        cons = h1_dirichlet(mesh, layout, groups)
         assert len(cons) > 0
         assert max(n for (_, kind), n in calls.items() if kind == "u") <= 1
         assert max(n for (_, kind), n in calls.items() if kind == "grad") <= 2
 
         calls.clear()
-        dm = build_dofmap(mesh, SpaceDescriptor("nedelec1", 2, 3))
-        cons = hcurl_dirichlet(mesh, dm, [(facets, gf) for facets, _, gf in groups],
-                               n_comps=3)
+        layout = _layout(mesh, SpaceDescriptor("nedelec1", 2, 3), n_comps=3)
+        cons = hcurl_dirichlet(mesh, layout, [(facets, gf) for facets, _, gf in groups])
         assert len(cons) > 0
         assert 0 < max(calls.values()) <= 2
 
     def test_components_equal_single_component_embeddings(self):
+        # the 3-component layout against three 1-component layouts at
+        # offset + r * n_dofs
         mesh = sweep_mesh(0)
         groups = _sweep_groups(mesh)
-        dm = build_dofmap(mesh, SpaceDescriptor("h1", 3, 3))
-        stride = dm.n_dofs + 5
-        multi = h1_dirichlet(mesh, dm, groups, n_comps=3, comp_stride=stride)
+        space = SpaceDescriptor("h1", 3, 3)
+        multi = _layout(mesh, space, n_comps=3)
         single = {}
         for r in range(3):
-            one = h1_dirichlet(mesh, dm, [(facets, _component(uf, r),
-                                           _component(gf, r))
-                                          for facets, uf, gf in groups])
-            single.update({r * stride + d: v for d, v in one.items()})
-        self._assert_equal(multi.values, single)
+            single.update(h1_dirichlet(
+                mesh, _layout(mesh, space, offset=multi.comp_offset(r)),
+                [(facets, _component(uf, r), _component(gf, r))
+                 for facets, uf, gf in groups]))
+        self._assert_equal(h1_dirichlet(mesh, multi, groups), single)
 
-        dm = build_dofmap(mesh, SpaceDescriptor("nedelec1", 2, 3))
-        stride, offset = dm.n_dofs + 5, 17
-        multi = hcurl_dirichlet(mesh, dm, [(facets, gf) for facets, _, gf in groups],
-                                n_comps=3, comp_stride=stride, comp_offset0=offset)
-        single = ConstraintSet()
+        space = SpaceDescriptor("nedelec1", 2, 3)
+        multi = _layout(mesh, space, n_comps=3, offset=17)
+        single = {}
         for r in range(3):
-            single.merge(hcurl_dirichlet(mesh, dm, [(facets, _component(gf, r))
-                                                    for facets, _, gf in groups],
-                                         comp_offset0=offset + r * stride))
-        self._assert_equal(multi.values, single.values)
+            single.update(hcurl_dirichlet(
+                mesh, _layout(mesh, space, offset=multi.comp_offset(r)),
+                [(facets, _component(gf, r)) for facets, _, gf in groups]))
+        groups_p = [(facets, gf) for facets, _, gf in groups]
+        self._assert_equal(hcurl_dirichlet(mesh, multi, groups_p), single)
 
     @staticmethod
     def _assert_equal(a, b):

@@ -62,12 +62,9 @@ def _full3d(mesh, family, ufunc=bending_u, gradfunc=bending_grad_u):
                              SpaceDescriptor(family, 1, 3))
     facets = np.concatenate([mesh.tagged_facets(t) for t in
                              ("x-", "x+", "y-", "y+", "z-", "z+")])
-    cons = h1_dirichlet(mesh, system.fields["u"].dofmap,
-                        [(facets, ufunc, gradfunc)], n_comps=3)
-    cons.merge(hcurl_dirichlet(mesh, system.fields["p"].dofmap,
-                               [(facets, gradfunc)], n_comps=3,
-                               comp_offset0=system.fields["p"].offset))
-    system.set_constraints(cons.values)
+    system.constraints = {
+        **h1_dirichlet(mesh, system.fields["u"], [(facets, ufunc, gradfunc)]),
+        **hcurl_dirichlet(mesh, system.fields["p"], [(facets, gradfunc)])}
     sol = solve(system, require_spd=True)
     uf, pf = system.fields["u"], system.fields["p"]
     return sol, [0.5 * sol.x @ (system.matrix @ sol.x),

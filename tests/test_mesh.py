@@ -26,6 +26,17 @@ def test_two_triangles_shared_edge():
     assert sorted(counts) == [1, 1, 1, 1, 2]
 
 
+def test_edge_ids_invert_the_edge_list():
+    mesh = generate_box(((0, 1), (0, 1), (0, 1)), 2)
+    np.testing.assert_array_equal(mesh.edge_ids(mesh.edges[:, 0], mesh.edges[:, 1]),
+                                  np.arange(mesh.n_edges))
+    # the face's edges, stacked as the Dirichlet embedding asks for them
+    fv = mesh.faces[:3]
+    ids = mesh.edge_ids(fv[:, [0, 0, 1]], fv[:, [1, 2, 2]])
+    np.testing.assert_array_equal(mesh.edges[ids][..., 0], fv[:, [0, 0, 1]])
+    np.testing.assert_array_equal(mesh.edges[ids][..., 1], fv[:, [1, 2, 2]])
+
+
 def test_map_points_one_cell_and_chunk():
     mesh = generate_disk(1.0, n_rings=2)
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.3]])

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from mmfem.assembly import SparseSystem, FieldLayout, assemble_antiplane
-from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
 from mmfem.dofmap import build_dofmap
 from mmfem.errors import NotPositiveDefinite, PointOutsideMesh
 from mmfem.materials import MaterialParams
@@ -47,7 +46,7 @@ def test_not_positive_definite_detected():
 def test_constraints_respected():
     K = np.diag([1.0, 2.0, 3.0, 4.0])
     sys_ = _toy_system(K, [0.0, 0.0, 0.0, 0.0])
-    sys_.set_constraints({0: 5.0, 3: -1.0})
+    sys_.constraints = {0: 5.0, 3: -1.0}
     sol = solve(sys_)
     assert sol.x[0] == 5.0 and sol.x[3] == -1.0
     np.testing.assert_allclose(sol.x[1:3], 0.0)
@@ -184,7 +183,7 @@ def test_singular_system_raises_without_cg(monkeypatch):
     K = np.array([[1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0],
                   [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     sys_ = _toy_system(K, [1.0, 0.0, 0.0, 0.0])
-    sys_.set_constraints({3: 0.0})
+    sys_.constraints = {3: 0.0}
     with pytest.raises(FactorizationFailed, match="3 free dofs") as exc:
         solve(sys_)
     assert isinstance(exc.value, MMFemError)
