@@ -1,0 +1,41 @@
+"""Time acceptance criterion 8's lc sweep once, outside the benchmark.
+
+The configuration is that of ``tests/test_acceptance.py``: p = 3 N-I on
+the refine-1 cube, the six lc values 1e-4 ... 1e3 and degree-6 Cauchy
+bounds, run as one ``run_lc_sweep`` call with the BLAS threads of the
+environment (set ``OPENBLAS_NUM_THREADS=1`` for one thread).  It prints
+one JSON line: the wall seconds of the call, the solver ``stages`` of the
+sweep and bound chains (each summed over its solutions), the number of
+factorizations and the process's peak RSS (``ru_maxrss``, MB).
+
+    PYTHONPATH=src python scripts/time_criterion8.py
+
+About a minute and 1.8 GB of memory on a 2-core machine.
+"""
+
+import json
+import resource
+import time
+
+from mmfem.benchmarks import BenchConfig, run_lc_sweep
+
+LC_VALUES = (1e-4, 1e-2, 1e-1, 1.0, 10.0, 1e3)
+
+
+def main():
+    cfg = BenchConfig("lc-sweep", p=3, refine=1, family="nedelec1",
+                      lc_values=LC_VALUES, bound_degree=6)
+    t0 = time.perf_counter()
+    result = run_lc_sweep(cfg)
+    wall = time.perf_counter() - t0
+    print(json.dumps({
+        "wall_s": round(wall, 3),
+        "stages": {chain: {k: round(v, 3) for k, v in stages.items()}
+                   for chain, stages in result["stages"].items()},
+        "n_factorizations": result["n_factorizations"],
+        "ru_maxrss_mb": round(resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+
+
+if __name__ == "__main__":
+    main()

@@ -8,8 +8,10 @@ Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
 or 27).  One chunked driver forms a chunk's element matrices by one GEMM
 of per-cell coefficients with them and adds the halves Y + Y^T, exactly
 symmetric as the solver needs, into the CSR ``Pattern`` built once from
-the cell dofs, which the system keeps.  Any temporary of a chunk holds at
-most _CHUNK_NNZ entries.
+the cell dofs, which the system keeps.  Memory beside data and pattern:
+the positions of all element scalar entries, found once (4 bytes each),
+then per chunk Y of all matrices (at most _CHUNK_NNZ doubles) and one
+matrix's K and the positions (8 + 4 bytes per element entry).
 """
 
 from __future__ import annotations
@@ -148,10 +150,7 @@ def _phys_grads(mat, ref):
 
 
 def _default_degree(u_space, p_space=None):
-    p = u_space.degree - 1
-    if p_space is not None:
-        p = max(p, p_space.degree)
-    return 2 * p + 2
+    return 2 * max(u_space.degree - 1, p_space.degree if p_space is not None else 0) + 2
 
 
 def _layouts(mesh, spaces, n_comps):
@@ -202,10 +201,10 @@ def _project(w, fv, vals):
 
 class Pattern:
     """CSR pattern of a system's matrices (every coupling through a
-    cell), the position of every element entry in it, and the
-    supervariable of every dof.
+    cell), the supervariable of every dof, and the tables that place the
+    element entries in it (``positions``; no positions are kept).
 
-    All fields have k components; element matrices are ordered (r, A, s,
+    All fields have k components; element matrices are ordered (r, s, A,
     B): components outermost, then the cell's scalar dofs A of all fields.
     The pattern is the scalar pattern S of the stacked dofmaps with each
     entry expanded to a k x k block: global row (field f, component r,
@@ -230,15 +229,13 @@ class Pattern:
         starts = np.concatenate([[0], np.cumsum(sizes)])
         self.scalar_dofs = np.concatenate(
             [fl.dofmap.cell_dofs + s for fl, s in zip(layouts, starts)], axis=1)
-        nc, nloc = self.scalar_dofs.shape
-        ns = int(starts[-1])
+        (nc, nloc), ns = self.scalar_dofs.shape, int(starts[-1])
         incidence = sp.csr_matrix(
-            (np.ones(self.scalar_dofs.size), self.scalar_dofs.ravel(),
+            (np.ones(self.scalar_dofs.size, dtype=bool), self.scalar_dofs.ravel(),
              np.arange(0, nc * nloc + 1, nloc)), shape=(nc, ns))
         cells_of = incidence.tocsc()    # the cells of each scalar dof
         group = _supervariables(cells_of.indptr, cells_of.indices, ns)
-        S = incidence.T @ incidence     # symmetric: CSC arrays are CSR arrays
-        S = sp.csr_matrix((S.data, S.indices, S.indptr), shape=(ns, ns))
+        S = cells_of.T @ incidence      # CSR; symmetric: also its CSC arrays
         S.sort_indices()
         self.s_indptr, self.s_indices = S.indptr, S.indices
         itype = np.int32 if k * k * S.nnz < 2 ** 31 else np.int64
@@ -249,7 +246,7 @@ class Pattern:
             return
         e = np.arange(S.nnz, dtype=itype)
         row = np.repeat(np.arange(ns, dtype=itype), np.diff(S.indptr))
-        col_field = np.searchsorted(starts[1:-1], S.indices, side="right")
+        col_field = (S.indices[:, None] >= starts[1:-1]).sum(1, dtype=itype)
         seg_id = row * len(sizes) + col_field
         seg = np.bincount(seg_id, minlength=ns * len(sizes)).astype(itype)
         rank = e - (np.cumsum(seg, dtype=itype) - seg)[seg_id]
@@ -257,35 +254,38 @@ class Pattern:
         field_nnz = S.indptr[starts].astype(itype)     # S entries before each field
         row_field = np.repeat(np.arange(len(sizes)), sizes)
         self.rstride = k * np.diff(field_nnz)[row_field]
-        xpos = k * e - (k - 1) * rank   # (r, s) = (0, 0) copy, fields' r = 0 rows
-        self.p0 = xpos + (k * k - k) * field_nnz[row_field][row]
-        # a row's columns do not depend on its component r: the r = 0 rows
-        # of each field, repeated k times
-        x = np.empty(k * S.nnz, dtype=itype)
-        col0 = S.indices + (k - 1) * starts[col_field]  # global column, s = 0
+        # (r, s) = (0, 0) copy: k e - (k - 1) rank in the fields' r = 0 rows
+        self.p0 = k * e - (k - 1) * rank + (k * k - k) * field_nnz[row_field][row]
+        # a row's columns do not depend on r: the fields' r = 0 rows, then copies
+        self.indices = np.empty(k * k * S.nnz, dtype=itype)
+        col0 = S.indices + ((k - 1) * starts[:-1]).astype(itype)[col_field]  # s = 0
+        step = sizes.astype(itype)[col_field]
         for s in range(k):
-            x[xpos + s * self.seg] = col0 + s * sizes[col_field]
-        self.indices = np.concatenate(
-            [np.tile(x[k * a:k * b], k) for a, b in zip(field_nnz, field_nnz[1:])])
+            self.indices[self.p0 + s * self.seg] = col0 + s * step
+        for a, b in zip(k * k * field_nnz, k * k * field_nnz[1:]):
+            self.indices[a:b].reshape(k, -1)[1:] = self.indices[a:a + (b - a) // k]
         self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(
             [np.tile(k * np.diff(S.indptr[a:b + 1]), k)
              for a, b in zip(starts[:-1], starts[1:])]))]).astype(itype)
 
-    def positions(self, cells):
-        """Positions of the element entries of a chunk, in the order of
-        the element matrices."""
-        sd = self.scalar_dofs[cells]
-        rows, cols = np.broadcast_arrays(sd[:, :, None], sd[:, None, :])
-        where = sp.csr_matrix(
-            (np.arange(len(self.s_indices), dtype=self.indptr.dtype),
-             self.s_indices, self.s_indptr), shape=(len(self.s_indptr) - 1,) * 2)
-        e = np.asarray(where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-        if self.k == 1:
-            return e
-        comp = np.arange(self.k, dtype=e.dtype)
-        return (self.p0[e][:, None, :, None, :]
-                + comp[:, None, None, None] * self.rstride[sd][:, None, :, None, None]
-                + comp[:, None] * self.seg[e][:, None, :, None, :])
+    def positions(self, per_cell):
+        """Chunks of ``_chunks(n_cells, per_cell)`` and their element entry
+        positions, from those in S of all scalar element entries (4 bytes
+        each), looked up in batches SciPy binary-searches (> S.nnz / 10)."""
+        (nc, nloc), k = self.scalar_dofs.shape, self.k
+        where = sp.csr_matrix((np.arange(len(self.s_indices), dtype=self.indptr.dtype),
+                               self.s_indices, self.s_indptr))   # S, holding positions
+        e = np.empty((nc, nloc, nloc), dtype=where.dtype)
+        for cells in _chunks(nc, nloc * nloc):
+            sd = self.scalar_dofs[cells].astype(where.indices.dtype)
+            rows, cols = np.broadcast_arrays(sd[:, :, None], sd[:, None, :])
+            e[cells] = np.asarray(where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+        del where       # 4 bytes per S entry; e is all the chunks need
+        comp = np.arange(k, dtype=e.dtype)[:, None, None]
+        for cells in _chunks(nc, per_cell):
+            ec, sd = e[cells][:, None, None], self.scalar_dofs[cells]
+            yield cells, (e[cells] if k == 1 else self.p0[ec] + comp[..., None]
+                          * self.rstride[sd][:, None, None, :, None] + comp * self.seg[ec])
 
 
 def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
@@ -300,17 +300,17 @@ def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
     pat = Pattern(list(fields.values()))
     nc, k, (n_terms, nb, _) = len(pat.scalar_dofs), pat.k, ref.shape
     data = np.zeros((n_mats, len(pat.indices)))
-    for cells in _chunks(nc, n_mats * (k * nb) ** 2):
+    for cells, pos in pat.positions(n_mats * (k * nb) ** 2):
         adet = np.abs(mesh.dets[cells])
         x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
                    mesh.jacs[cells], adet)
+        # one GEMM for all (one per matrix rounds BLAS's edge rows otherwise)
         y = x.reshape(-1, n_terms) @ ref.reshape(n_terms, -1)
-        y = y.reshape(n_mats, -1, k, k, nb, nb)
-        kc = y.transpose(0, 1, 3, 5, 2, 4).copy()     # Y[s, r, b, a] at [r, a, s, b]
-        kc += y.transpose(0, 1, 2, 4, 3, 5)
-        pos = pat.positions(cells).ravel()
-        for d, km in zip(data, kc):
-            np.add.at(d, pos, km.ravel())
+        y, kc = y.reshape(x.shape[:4] + (nb, nb)), np.empty(x.shape[1:4] + (nb, nb))
+        for d, ym in zip(data, y):      # K[r, s, a, b] of one matrix at a time
+            np.add(ym, ym.transpose(0, 2, 1, 4, 3), out=kc)
+            np.add.at(d, pos.ravel(), kc.ravel())
+        del x, y, ym, kc, pos       # before the next chunk's
     n = len(pat.indptr) - 1
     rhs = np.zeros(n)
     for layout, table, func in (load for load in loads if load[2] is not None):

@@ -145,10 +145,11 @@ def run_antiplane(cfg: BenchConfig):
         return {"level": level, "p": cfg.p, "family": cfg.family,
                 "n_cells": mesh.n_cells, "dofs": sol.system.n_dofs,
                 "h": 10.0 / rings, "err_u": err_u, "err_p": err_p,
-                "rot_norm": rot, "residual": sol.residual}
+                "rot_norm": rot, "residual": sol.residual}, sol.info["stages"]
 
-    rows = [one(lv) for lv in range(levels)]
-    result = {"rows": rows}
+    rows, stages = zip(*[one(lv) for lv in range(levels)])
+    # the solver stages of each level stay out of the rows (the CSV table)
+    result = {"rows": list(rows), "stages": list(stages)}
     if levels >= 2:
         result["slope_u"] = fit_slope([r["h"] for r in rows],
                                       [r["err_u"] for r in rows])
@@ -337,17 +338,25 @@ def cauchy_system(mesh, degree):
     return _constrain(system, _sweep_groups(mesh), coupled=False)
 
 
+def _stage_sums(infos):
+    """The solver ``stages`` of a solve family, summed over its solutions."""
+    return {key: sum(info["stages"][key] for info in infos)
+            for key in infos[0]["stages"]}
+
+
 def cauchy_bound_energy(mesh, moduli, degree):
     """Cauchy energies under the sweep Dirichlet data, one per strongly
     elliptic (lam, mu) of ``moduli``: mu S + lam D = mu K(lam / mu), so
-    all are one family solve (one assembly, embedding and analysis)."""
+    all are one family solve (one assembly, embedding and analysis).
+    Returns the energies and the family's ``stages`` summed."""
     for lam, mu in moduli:
         if not (mu > 0.0 and lam + 2.0 * mu > 0.0):
             raise InvalidParam(f"Cauchy moduli lam={lam}, mu={mu}: need "
                                "mu > 0 and lam + 2 mu > 0")
     sols = solve_family(cauchy_system(mesh, degree),
                         [lam / mu for lam, mu in moduli])
-    return [mu * s.energy for s, (_, mu) in zip(sols, moduli)]
+    return ([mu * s.energy for s, (_, mu) in zip(sols, moduli)],
+            _stage_sums([s.info for s in sols]))
 
 
 def sweep_system(mesh, params, p, family):
@@ -376,7 +385,7 @@ def run_lc_sweep(cfg: BenchConfig):
     base_params = cfg.material_override(sweep_params(1.0))
     energies, infos, n_dofs = _sweep_chain(cfg, mesh, base_params, lcs)
 
-    lower, upper = cauchy_bound_energy(
+    (lower, upper), bound_stages = cauchy_bound_energy(
         mesh, [(base_params.lam_macro, base_params.mu_macro),
                (base_params.lam_micro, base_params.mu_micro)],
         cfg.bound_degree)
@@ -389,6 +398,7 @@ def run_lc_sweep(cfg: BenchConfig):
             "supernodes": [info.get("supernodes") for info in infos],
             "lu_fill": [info.get("lu_fill") for info in infos],
             "i_macro": lower, "i_micro": upper,
+            "stages": {"sweep": _stage_sums(infos), "bound": bound_stages},
             "monotone": bool(np.all(np.diff(
                 [e for _, e in sorted(zip(lcs, energies))]) >= -1e-12)),
             "dofs": n_dofs, "n_cells": mesh.n_cells,

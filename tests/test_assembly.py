@@ -645,3 +645,27 @@ class TestReferenceTensorKernels:
             _assert_close(mats[lam_e], K + params(lam_e).curl_coeff * Kc)
         got = assemble_full3d(wavy_box, params(-0.13), u_space, p_space).matrix
         _assert_close(got, (1.13 * mats[0.0] - 0.13 * mats[1.0]).toarray())
+
+
+def test_assembly_memory_bound(wavy_box, monkeypatch):
+    # the traced peak of a two-matrix assembly in four chunks is at most
+    # what the system keeps, the scalar positions of all cells and one
+    # chunk's temporaries: Y of both matrices (_CHUNK_NNZ doubles), then
+    # one matrix's K and positions (8 + 4 bytes per entry), never two
+    # chunks' at once
+    import tracemalloc
+    space = SpaceDescriptor("h1", 4, 3)
+    nb = 35     # degree-4 polynomials on a tetrahedron
+    chunk = 2 * (3 * nb) ** 2 * (wavy_box.n_cells // 4)
+    monkeypatch.setattr(assembly, "_CHUNK_NNZ", chunk)
+    assemble_cauchy3d(wavy_box, space)      # the cached reference tables
+    tracemalloc.start()
+    try:
+        sys_ = assemble_cauchy3d(wavy_box, space)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scalar_positions = 4 * wavy_box.n_cells * nb ** 2
+    small = 256 * 1024      # coefficients, Python objects
+    assert peak <= kept + scalar_positions + 8 * chunk + 12 * chunk // 2 + small
+    assert kept >= 8 * (sys_.matrix.nnz + sys_.c_matrix.nnz)

@@ -143,8 +143,8 @@ class TestSweepData:
     def test_cauchy_bounds_scale_by_five(self):
         # C_micro = 5 C_macro and the minimizer is invariant: energies scale
         mesh = sweep_mesh(0)
-        (lower,) = cauchy_bound_energy(mesh, [(2.0, 1.0)], 2)
-        (upper,) = cauchy_bound_energy(mesh, [(10.0, 5.0)], 2)
+        (lower,), _ = cauchy_bound_energy(mesh, [(2.0, 1.0)], 2)
+        (upper,), _ = cauchy_bound_energy(mesh, [(10.0, 5.0)], 2)
         assert abs(upper - 5.0 * lower) < 1e-9 * upper
 
     @pytest.mark.parametrize("lam,mu", [(2.0, -1.0), (2.0, 0.0), (-2.0, 1.0),

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 from mmfem.cli import cli
 
+STAGES = {"assembly", "reduction", "analysis", "factor", "solve"}
+
 
 @pytest.fixture()
 def runner():
@@ -32,6 +34,9 @@ def test_antiplane_outputs(runner, tmp_path):
     assert float(rows[1]["err_u"]) < float(rows[0]["err_u"])
     summary = json.load(open(out / "summary.json"))
     assert "slope_u" in summary
+    # one record of solver stages per level, not in the table; values unchecked
+    assert "stages" not in rows[0]
+    assert [set(st) for st in summary["stages"]] == [STAGES] * 2
     assert (out / "plot_results.py").exists()
 
 
@@ -58,6 +63,10 @@ def test_lc_sweep_outputs(runner, tmp_path):
     summary = json.load(open(out / "summary.json"))
     assert summary["monotone"] is True
     assert summary["i_micro"] > summary["i_macro"]
+    # the stages of both solve chains, each summed over its solutions
+    assert set(rows[0]) == {"lc", "energy"}
+    assert {k: set(v) for k, v in summary["stages"].items()} == {
+        "sweep": STAGES, "bound": STAGES}
 
 
 def test_mesh_override(runner, tmp_path):
@@ -126,5 +135,4 @@ def test_bending_outputs(runner, tmp_path):
     summary = json.load(open(out / "summary.json"))
     assert summary["benchmark"] == "bending"
     # the solver's stage timings reach the summary; their values are not checked
-    assert set(summary["stages"]) == {"assembly", "reduction", "analysis",
-                                      "factor", "solve"}
+    assert set(summary["stages"]) == STAGES
