@@ -7,9 +7,8 @@ benchmark CLI (`bench`).
 
 from .dual import Dual, seed, constant
 from .bernstein import BernsteinEval, eval_all, eval_single
-from .simplex import (CollapsedPoint, MultiIndex2, MultiIndex3, Polytope,
-                      bezier_tet_eval, bezier_tri_eval, classify,
-                      duffy_forward, duffy_inverse, traversal_order)
+from .simplex import (MultiIndex2, MultiIndex3, Polytope, bezier_eval,
+                      classify, traversal_order)
 from .quadrature import QuadratureRule, rule_for
 from .materials import MaterialParams
 from .mesh import Mesh, generate_box, generate_disk, io_read, io_write
@@ -17,9 +16,8 @@ from .mesh import Mesh, generate_box, generate_disk, io_read, io_write
 __all__ = [
     "Dual", "seed", "constant",
     "BernsteinEval", "eval_all", "eval_single",
-    "CollapsedPoint", "MultiIndex2", "MultiIndex3", "Polytope",
-    "bezier_tri_eval", "bezier_tet_eval", "classify",
-    "duffy_forward", "duffy_inverse", "traversal_order",
+    "MultiIndex2", "MultiIndex3", "Polytope", "bezier_eval", "classify",
+    "traversal_order",
     "QuadratureRule", "rule_for",
     "MaterialParams",
     "Mesh", "generate_box", "generate_disk", "io_read", "io_write",

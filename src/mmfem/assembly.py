@@ -92,14 +92,14 @@ class SparseSystem:
 @lru_cache(maxsize=None)
 def _h1_ref(degree, dim, quad_degree):
     rule = rule_for(dim, quad_degree)
-    sh = bezier_eval(degree, dim, rule.points)
+    sh = bezier_eval(degree, dim, rule.simplex_points)
     return rule, sh.values, sh.grads
 
 
 @lru_cache(maxsize=None)
 def _hcurl_ref(space: SpaceDescriptor, quad_degree):
     rule = rule_for(space.dim, quad_degree)
-    vs = eval_vector_shapes(space, rule.points)
+    vs = eval_vector_shapes(space, rule.simplex_points)
     return rule, vs.values, vs.curls
 
 

@@ -31,7 +31,6 @@ class BenchConfig:
     refine: int = 0
     family: str = "nedelec1"
     lc_values: tuple = None
-    out_dir: str = None
     mesh_path: str = None
     params_path: str = None         # JSON file overriding material parameters
     bound_degree: int = 6

@@ -93,8 +93,7 @@ def _with_common(cmd):
 def antiplane(p, refine, family, out_dir, mesh_path, params_path):
     """Manufactured-solution convergence ladder on the disk."""
     cfg = BenchConfig("antiplane", p=p, refine=refine, family=family,
-                      out_dir=out_dir, mesh_path=mesh_path,
-                      params_path=params_path)
+                      mesh_path=mesh_path, params_path=params_path)
     result = run_antiplane(cfg)
     rows = [{k: _fmt(v) for k, v in r.items()} for r in result["rows"]]
     summary = {k: v for k, v in result.items() if k != "rows"}
@@ -109,8 +108,7 @@ def antiplane(p, refine, family, out_dir, mesh_path, params_path):
 def bending(p, refine, family, out_dir, mesh_path, params_path):
     """Cylindrical bending of the plate; emits the P11(z) profile."""
     cfg = BenchConfig("bending", p=p, refine=refine, family=family,
-                      out_dir=out_dir, mesh_path=mesh_path,
-                      params_path=params_path)
+                      mesh_path=mesh_path, params_path=params_path)
     result = run_bending(cfg)
     rows = [{"z": _fmt(z), "p11": _fmt(v), "p11_exact": _fmt(e)}
             for z, v, e in zip(result["z"], result["p11"], result["p11_exact"])]
@@ -133,7 +131,7 @@ def lc_sweep(p, refine, family, out_dir, mesh_path, params_path, lc_list,
     """Energy versus characteristic length with Cauchy bounds."""
     lcs = tuple(float(v) for v in lc_list.split(",")) if lc_list else None
     cfg = BenchConfig("lc-sweep", p=p, refine=refine, family=family,
-                      out_dir=out_dir, mesh_path=mesh_path, lc_values=lcs,
+                      mesh_path=mesh_path, lc_values=lcs,
                       params_path=params_path, bound_degree=bound_degree)
     result = run_lc_sweep(cfg)
     rows = [{"lc": _fmt(lc), "energy": _fmt(e)}

@@ -39,7 +39,7 @@ from .errors import DegenerateFace, SingularEdge
 from .mesh import Mesh
 from .nedelec import SpaceDescriptor, eval_vector_shapes
 from .quadrature import _gauss01, rule_for
-from .simplex import TET_EDGES, TET_FACES, TET_VERTICES, bezier_eval, duffy_inverse
+from .simplex import TET_EDGES, TET_FACES, TET_VERTICES, bezier_eval
 
 _GAUSS_FLOOR = 24   # headroom for oscillatory boundary data on coarse meshes
 
@@ -180,12 +180,12 @@ def _face_ref(space: SpaceDescriptor, slot):
     va, vb, vc = TET_VERTICES[list(face)]
     dphi = np.stack([vc - va, vb - va], axis=1)   # (3, 2)
     rule = _face_rule(space)
-    cp = np.clip(duffy_inverse(va + rule.simplex_points @ dphi.T), 0.0, 1.0)
+    x = va + rule.simplex_points @ dphi.T
     rot_gram = None
     if space.family == "h1":
-        vecs = bezier_eval(space.degree, 3, cp).grads[:, cols]
+        vecs = bezier_eval(space.degree, 3, x).grads[:, cols]
     else:
-        vs = eval_vector_shapes(space, cp)
+        vs = eval_vector_shapes(space, x)
         vecs = vs.values[:, cols]
         rot = vs.curls[:, cols] @ np.cross(dphi[:, 0], dphi[:, 1])
         rot_gram = np.einsum("q,qn,qm->nm", rule.weights, rot, rot)

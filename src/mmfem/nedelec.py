@@ -9,6 +9,11 @@ ordinal inside that polytope's dof block; ordinals are canonical across
 elements sharing the polytope (ascending-vertex orientation), which is
 what makes the tangential trace globally continuous.
 
+``eval_vector_shapes`` is the one evaluator: it tabulates the scalar
+primitives with ``bezier_eval`` at reference points, so it is exact on
+the closed simplex, and combines them by one coefficient matrix per
+space.
+
 Trace conventions used throughout: on an edge from lower to higher local
 vertex with reference tangent t, second-type edge functions satisfy
 <t, theta> = b_m^p(alpha) where m is the exponent of the higher vertex;
@@ -24,8 +29,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DomainError
-from .simplex import (TET_FACES, Polytope, bezier_eval, bezier_gradients,
-                      bezier_values, duffy_forward, index_position)
+from .simplex import TET_FACES, Polytope, bezier_eval, index_position
 
 E1_2D = np.array([1.0, 0.0])
 E2_2D = np.array([0.0, 1.0])
@@ -440,28 +444,28 @@ def _cross(g, v):
     return np.cross(g, v)
 
 
-def _evaluate(space: SpaceDescriptor, x, scalar):
-    """Values (n, nb, dim) and curls of the basis of ``space`` at the
-    reference points x (n, dim).
+def eval_vector_shapes(space: SpaceDescriptor, x) -> VectorShapeSet:
+    """Values (n, nb, dim) and reference curls of the basis of ``space``
+    at the reference points x (n, dim), anywhere on the closed simplex.
 
-    ``scalar(q)`` gives the degree-q Bezier values (n, nb_q) and
-    reference gradients (n, nb_q, dim) at x.  The primitives are
-    tabulated group by group into P (n, n_prim, dim) and their curls into
-    R; the basis is C^T P and C^T R.  Curls are (n, nb) in 2D (the scalar
-    rot) and (n, nb, 3) in 3D.
+    The primitives are tabulated group by group from ``bezier_eval`` into
+    P (n, n_prim, dim) and their curls into R; the basis is C^T P and
+    C^T R.  Curls are (n, nb) in 2D (the scalar rot) and (n, nb, 3) in
+    3D; gradient-kind functions report exactly zero curl.
     """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     groups, C = _coefficients(space)
     n, dim = x.shape
     theta, rot = lowest_order_tri(x) if dim == 2 else lowest_order_tet(x)
     rot = rot.reshape(len(rot), -1)       # 2D rots as (3, 1)
-    tabs = {q: scalar(q) for q in {g[1] for g in groups} - {None}}
+    tabs = {q: bezier_eval(q, dim, x) for q in {g[1] for g in groups} - {None}}
     P, R = [], []
     for kind, q, cols, aux in groups:
         if kind == "theta":
             P.append(theta[:, aux])
             R.append(np.broadcast_to(rot[aux], (n,) + rot[aux].shape))
             continue
-        vals, grads = tabs[q]
+        vals, grads = tabs[q].values, tabs[q].grads
         if kind == "grad":
             P.append(grads[:, cols])
             R.append(np.zeros((n, len(cols), rot.shape[1])))
@@ -472,31 +476,5 @@ def _evaluate(space: SpaceDescriptor, x, scalar):
         P.append(b * vec)
         R.append(curl if kind == "bvec" else b * rot[aux] + curl)
     curls = C.T @ np.concatenate(R, axis=1)
-    return C.T @ np.concatenate(P, axis=1), curls[..., 0] if dim == 2 else curls
-
-
-def eval_vector_shapes(space: SpaceDescriptor, cp_pts) -> VectorShapeSet:
-    """Evaluate all base functions of ``space`` at collapsed points.
-
-    Gradient-kind functions report exactly zero curl.  Points on the
-    collapse lines raise SingularCollapse via the scalar evaluation.
-    """
-    cp = np.atleast_2d(np.asarray(cp_pts, dtype=float))
-
-    def scalar(q):
-        sh = bezier_eval(q, space.dim, cp)
-        return sh.values, sh.grads
-
-    return VectorShapeSet(*_evaluate(space, duffy_forward(cp), scalar))
-
-
-def eval_vector_values(space: SpaceDescriptor, simplex_pts) -> np.ndarray:
-    """Base-function values (n, nb, dim) at arbitrary reference points.
-
-    Unlike :func:`eval_vector_shapes` this path has no collapse
-    singularities: scalar values use the zero-filled collapsed map and
-    gradients the degree-reduction identity.
-    """
-    x = np.atleast_2d(np.asarray(simplex_pts, dtype=float))
-    return _evaluate(space, x, lambda q: (bezier_values(q, space.dim, x),
-                                          bezier_gradients(q, space.dim, x)))[0]
+    return VectorShapeSet(C.T @ np.concatenate(P, axis=1),
+                          curls[..., 0] if dim == 2 else curls)

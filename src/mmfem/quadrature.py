@@ -1,11 +1,11 @@
 """Interior-point quadrature on the reference triangle and tetrahedron.
 
-Rules are stored in collapsed coordinates so basis evaluation can
-consume them directly.  Low degrees use tabulated symmetric rules with
-strictly interior points and positive weights; beyond the tables a
-tensorized Gauss-Legendre rule on the collapsed square/cube is used,
-with the collapse Jacobian (1-alpha in 2D, (1-alpha)²(1-beta) in 3D)
-folded into the weights.
+Rules hold their points in reference simplex coordinates, which is what
+the basis evaluators take.  Low degrees use tabulated symmetric rules
+with strictly interior points and positive weights; beyond the tables a
+tensorized Gauss-Legendre rule on the collapsed square/cube is mapped
+onto the simplex, with the collapse Jacobian (1-alpha in 2D,
+(1-alpha)²(1-beta) in 3D) folded into the weights.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnsupportedDegree
-from .simplex import duffy_forward, duffy_inverse
+from .simplex import duffy_forward
 
 MAX_DEGREE = 20
 
@@ -25,9 +25,8 @@ MAX_DEGREE = 20
 class QuadratureRule:
     dim: int
     degree: int
-    points: np.ndarray          # (n, dim) collapsed coordinates
     weights: np.ndarray         # (n,), sum = 1/2 (tri) or 1/6 (tet)
-    simplex_points: np.ndarray  # (n, dim) the same points in simplex coordinates
+    simplex_points: np.ndarray  # (n, dim) reference simplex coordinates
 
 
 def _orbit3(a):
@@ -123,8 +122,7 @@ def rule_for(dim: int, degree: int) -> QuadratureRule:
         weights = np.asarray(table[1], dtype=float)
         if np.any(weights <= 0.0):
             raise UnsupportedDegree("tabulated rule with non-positive weight rejected")
-        points = np.atleast_2d(duffy_inverse(simplex_pts))
     else:
         points, weights = _tensor_rule(dim, degree)
-        simplex_pts = np.atleast_2d(duffy_forward(points))
-    return QuadratureRule(dim, degree, points, weights, simplex_pts)
+        simplex_pts = duffy_forward(points)
+    return QuadratureRule(dim, degree, weights, simplex_pts)

@@ -8,8 +8,14 @@ the mesh module):
 * tetrahedron: v1=(0,0,0), v2=(0,0,1), v3=(0,1,0), v4=(1,0,0);
   multi-index (i, j, k) carries exponents v1: p-i-j-k, v2: k, v3: j, v4: i.
 
-Evaluation is factorized through the collapsed (Duffy) coordinates, with
-dual-number sweeps supplying the univariate derivatives.
+``bezier_eval`` is the one entry point: it takes reference points and
+is exact on the whole closed simplex, vertices and collapse lines
+included.  Internally each base function factorizes into univariate
+Bernstein functions of the collapsed (Duffy) coordinates, with
+dual-number sweeps supplying their derivatives.  The chain rule's
+1/(1 - c) is absorbed by the scaled-factor identity
+B^n_i(c)/(1 - c) = n/(n - i) B^{n-1}_i(c), so no point is singular.
+Collapsed coordinates stay private to this module and the quadrature.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ import numpy as np
 
 from .bernstein import eval_all
 from .errors import DomainError, SingularCollapse
-
-COLLAPSE_TOL = 1e-12
 
 TRI_VERTICES = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 TET_VERTICES = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
@@ -93,19 +97,14 @@ class CollapsedPoint:
             raise DomainError(f"collapsed coordinates {self.coords} outside [0,1]")
 
 
-def _points(cp) -> np.ndarray:
-    """A CollapsedPoint or an array of points as an (n, dim) float array."""
-    return np.atleast_2d(np.asarray(cp.coords if isinstance(cp, CollapsedPoint) else cp,
-                                    dtype=float))
-
-
 def duffy_forward(cp) -> np.ndarray:
     """Collapsed coordinates -> reference simplex coordinates.
 
     Accepts a CollapsedPoint or an (n, d) array; returns matching shape.
     Coordinate d is scaled by (1 - c_0) ... (1 - c_{d-1}).
     """
-    pts = _points(cp)
+    pts = np.atleast_2d(np.asarray(cp.coords if isinstance(cp, CollapsedPoint) else cp,
+                                   dtype=float))
     scale = np.cumprod(np.hstack([np.ones((len(pts), 1)), 1.0 - pts[:, :-1]]), axis=1)
     out = pts * scale
     if isinstance(cp, CollapsedPoint) or np.asarray(cp).ndim == 1:
@@ -141,8 +140,9 @@ def duffy_inverse(pt) -> np.ndarray:
 def collapsed_safe(simplex_pts: np.ndarray, dim: int) -> np.ndarray:
     """Inverse Duffy map with singular denominators filled by zero.
 
-    Exact for base-function *values*: wherever a denominator vanishes the
-    corresponding univariate factor is constant, so the fill value is
+    Exact for ``bezier_eval``: its values and gradients are polynomials
+    in the collapsed coordinates that, where a denominator vanishes, do
+    not depend on the coordinate it divides, so the fill value is
     irrelevant.  Out-of-range round-off is clipped.
     """
     pts = np.atleast_2d(np.asarray(simplex_pts, dtype=float))[:, :dim]
@@ -194,113 +194,60 @@ def n_basis(p: int, dim: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sweep_columns(p: int, dim: int):
-    """Columns (dim, nb) that the sweep reads from the stacked univariate
-    tables, one row per axis, and the lowest degree (dim,) of each axis.
+    """Where the sweep reads each function's univariate factors: per axis
+    (rows of the (dim, nb) arrays) the column of its factor B^n_i, the
+    column of B^{n-1}_i and the scale n/(n - i) (0 where i = n) that make
+    B^n_i/(1 - c), and the lowest degree (dim,) tabulated.
 
     Axis d of the multi-index idx is a Bernstein function of degree
-    p - idx[0] - ... - idx[d-1] at position idx[d]; the tables of degrees
-    lo..p sit side by side, degree q from column (q(q+1) - lo(lo+1))/2 on.
+    n = p - idx[0] - ... - idx[d-1] at position i = idx[d]; the tables of
+    degrees lo..p sit side by side, degree q from column
+    (q(q+1) - lo(lo+1))/2 on.
     """
     idx = np.array(index_tuples(p, dim)).reshape(-1, dim)
     deg = p - np.cumsum(idx, axis=1) + idx
-    lo = deg.min(axis=0)
-    return (deg * (deg + 1) // 2 - lo * (lo + 1) // 2 + idx).T, lo
+    lo = np.maximum(deg.min(axis=0) - 1, 0)
+    start = deg * (deg + 1) // 2 - lo * (lo + 1) // 2
+    top = deg > idx
+    lowered = np.where(top, start - deg + idx, 0)
+    scale = np.where(top, deg / np.maximum(deg - idx, 1), 0.0)
+    return (start + idx).T, lowered.T, scale.T, lo
 
 
-def _sweep(p: int, pts: np.ndarray):
-    """Values (n, nb) and collapsed-coordinate partials (n, nb, dim) of
-    the degree-``p`` basis at collapsed points (n, dim).
-
-    Each function is a product of one univariate Bernstein factor per
-    axis; ``eval_all`` supplies every factor's value and derivative in one
-    dual-number sweep per degree.
-    """
-    cols, lo = _sweep_columns(p, pts.shape[1])
-    vals, ders = [], []
-    for d, col in enumerate(cols):
-        rows = [eval_all(q, pts[:, d]) for q in range(lo[d], p + 1)]
-        vals.append(np.take(np.concatenate([r.values for r in rows], axis=1), col, axis=1))
-        ders.append(np.take(np.concatenate([r.derivs for r in rows], axis=1), col, axis=1))
-    partials = [reduce(mul, vals[:d] + [ders[d]] + vals[d + 1:])
-                for d in range(len(cols))]
-    return reduce(mul, vals), np.stack(partials, axis=-1)
-
-
-def _collapse_jacobian(pts: np.ndarray) -> np.ndarray:
-    """Jacobian (n, dim, dim) of the inverse Duffy map at collapsed points:
-    row d is the reference gradient of collapsed coordinate d."""
-    n, dim = pts.shape
-    scale = np.cumprod(np.hstack([np.ones((n, 1)), 1.0 / (1.0 - pts[:, :-1])]),
-                       axis=1)
-    rows = np.where(np.tri(dim, k=-1, dtype=bool), pts[:, :, None], np.eye(dim))
-    return rows * scale[:, :, None]
-
-
-def bezier_eval(p: int, dim: int, cp) -> H1ShapeSet:
+def bezier_eval(p: int, dim: int, x) -> H1ShapeSet:
     """All degree-``p`` base functions of the reference triangle (dim 2)
-    or tetrahedron (dim 3) at collapsed points.
+    or tetrahedron (dim 3) and their reference gradients at the
+    reference points ``x`` (n, dim), anywhere on the closed simplex.
 
-    ``cp`` is a CollapsedPoint or an (n, dim) array.  Gradients are taken
-    with respect to the reference coordinates via the chain rule of the
-    Duffy map; points with a collapse coordinate (all but the last) near
-    1 are rejected.
+    Each function is a product of univariate Bernstein factors B_d of the
+    collapsed coordinates c_d, whose values and derivatives B'_d come
+    from one dual-number sweep per degree.  The chain rule through the
+    Duffy map is folded into the factors, so nothing is divided:
+
+        grad b = sum_d prod_{e<d} B~_e B'_d prod_{e>d} B_e (c_d, .., c_d, 1, 0, ..)
+
+    with the 1 in slot d and the scaled factor
+    B~_e = B^n_i(c_e)/(1 - c_e) = n/(n - i) B^{n-1}_i(c_e), set to 0 for
+    i = n, where every later factor is constant.
     """
-    pts = _points(cp)
     if p < 1:
         raise DomainError(f"bezier_eval needs p >= 1, got {p}")
-    if np.any(pts[:, :-1] > 1.0 - COLLAPSE_TOL):
-        raise SingularCollapse("gradient chain rule singular on a collapse line")
-    values, partials = _sweep(p, pts)
-    return H1ShapeSet(p, values, partials @ _collapse_jacobian(pts))
-
-
-def bezier_tri_eval(p: int, cp) -> H1ShapeSet:
-    """All triangle base functions of degree ``p`` at collapsed points."""
-    return bezier_eval(p, 2, cp)
-
-
-def bezier_tet_eval(p: int, cp) -> H1ShapeSet:
-    """All tetrahedron base functions of degree ``p`` at collapsed points."""
-    return bezier_eval(p, 3, cp)
-
-
-def bezier_values(p: int, dim: int, simplex_pts: np.ndarray) -> np.ndarray:
-    """Base-function values (n, nb) at arbitrary reference points.
-
-    Uses the zero-filled collapsed map, which is exact for values even on
-    the collapse lines; valid for p = 0 as well.
-    """
-    return _sweep(p, collapsed_safe(simplex_pts, dim))[0]
-
-
-@lru_cache(maxsize=None)
-def _lowering(p: int, dim: int):
-    """Columns of the degree p-1 values, with a zero column appended
-    last, that the degree-reduction identity reads for each degree-p
-    function: (nb, dim) for idx - e_d and (nb,) for idx itself."""
-    pos = index_position(p - 1, dim)
-    zero = len(pos)
-    down = [[pos.get(t[:d] + (t[d] - 1,) + t[d + 1:], zero) for d in range(dim)]
-            for t in index_tuples(p, dim)]
-    same = [pos.get(t, zero) for t in index_tuples(p, dim)]
-    return np.array(down), np.array(same)
-
-
-def bezier_gradients(p: int, dim: int, simplex_pts: np.ndarray) -> np.ndarray:
-    """Reference gradients (n, nb, dim) at arbitrary reference points.
-
-    Uses the degree-reduction identity (the xi-derivative of b^p_{ijk} is
-    p (b^{p-1}_{i-1,j,k} - b^{p-1}_{ijk}), analogously for eta and zeta),
-    so it is exact on the collapse lines where the Duffy chain rule is
-    not.  Out-of-range lowered indices contribute zero.
-    """
-    pts = np.atleast_2d(np.asarray(simplex_pts, dtype=float))
-    if p == 0:
-        return np.zeros((pts.shape[0], 1, dim))
-    low = bezier_values(p - 1, dim, pts)
-    low = np.hstack([low, np.zeros((low.shape[0], 1))])
-    down, same = _lowering(p, dim)
-    return p * (np.take(low, down, axis=1) - np.take(low, same, axis=1)[:, :, None])
+    c = collapsed_safe(x, dim)
+    cols, lowered, scale, lo = _sweep_columns(p, dim)
+    vals, ders, scaled = [], [], []
+    for d in range(dim):
+        rows = [eval_all(q, c[:, d]) for q in range(lo[d], p + 1)]
+        table = np.concatenate([r.values for r in rows], axis=1)
+        vals.append(np.take(table, cols[d], axis=1))
+        ders.append(np.take(np.concatenate([r.derivs for r in rows], axis=1),
+                            cols[d], axis=1))
+        scaled.append(np.take(table, lowered[d], axis=1) * scale[d])
+    grads = np.zeros(vals[0].shape + (dim,))
+    for d in range(dim):
+        term = reduce(mul, scaled[:d] + [ders[d]] + vals[d + 1:])
+        grads[:, :, :d] += term[:, :, None] * c[:, None, d:d + 1]
+        grads[:, :, d] += term
+    return H1ShapeSet(p, reduce(mul, vals), grads)
 
 
 @lru_cache(maxsize=None)

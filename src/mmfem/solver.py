@@ -36,8 +36,8 @@ from . import cholesky
 from .assembly import _CHUNK_NNZ, SparseSystem
 from .errors import (FactorizationFailed, NonConvergence, NotPositiveDefinite,
                      PointOutsideMesh)
-from .nedelec import eval_vector_values
-from .simplex import bezier_values
+from .nedelec import eval_vector_shapes
+from .simplex import bezier_eval
 
 RESIDUAL_TOL = 1e-10
 PCG_BUDGET = 30     # CG iterations per value of a family solve
@@ -344,7 +344,7 @@ def sample_line(sol: FieldSolution, points):
     ref = ref / np.maximum(ref.sum(axis=1, keepdims=True), 1.0)
 
     uf = sol.system.fields["u"]
-    vals_u = bezier_values(uf.space.degree, mesh.dim, ref)
+    vals_u = bezier_eval(uf.space.degree, mesh.dim, ref).values
     u = (sol.x[uf.cell_dofs(cells)] @ vals_u[:, :, None])[..., 0]
     if uf.n_comps == 1:
         u = u[:, 0]
@@ -353,7 +353,7 @@ def sample_line(sol: FieldSolution, points):
     if pf is None:
         return u, None
     # covariant Piola: J^{-T} applied to each reference value
-    phys = (eval_vector_values(pf.space, ref)
+    phys = (eval_vector_shapes(pf.space, ref).values
             @ np.swapaxes(mesh.inv_ts[cells], -1, -2))
     P = sol.x[pf.cell_dofs(cells)] @ phys
     return u, (P[:, 0] if pf.n_comps == 1 else P)

@@ -21,11 +21,9 @@ from mmfem.dofmap import build_dofmap
 from mmfem.dual import seed
 from mmfem.materials import MaterialParams
 from mmfem.mesh import build, generate_disk
-from mmfem.nedelec import (SpaceDescriptor, eval_vector_shapes,
-                           eval_vector_values, nedelec1_tet, nedelec1_tri,
-                           nedelec2_tet, nedelec2_tri)
-from mmfem.simplex import (bezier_eval, bezier_tet_eval, bezier_tri_eval,
-                           duffy_inverse)
+from mmfem.nedelec import (SpaceDescriptor, eval_vector_shapes, nedelec1_tet,
+                           nedelec1_tri, nedelec2_tet, nedelec2_tri)
+from mmfem.simplex import bezier_eval
 
 PAPER_LOWEST_PAIR_POINT = (6060, 1.7411559824707534)
 PAPER_I_MACRO = 0.16946198431835743
@@ -48,10 +46,9 @@ def test_criterion_1_basis_correctness():
     rng = np.random.default_rng(101)
     # partition of unity on both simplices
     for dim in (2, 3):
-        eval_fn = bezier_tri_eval if dim == 2 else bezier_tet_eval
         for p in range(1, 9):
             pts = _interior(dim, 100, rng)
-            sh = eval_fn(p, duffy_inverse(pts))
+            sh = bezier_eval(p, dim, pts)
             assert np.abs(sh.values.sum(axis=1) - 1.0).max() <= 1e-12
     # recursion against the closed form
     for p in range(13):
@@ -97,10 +94,9 @@ def test_criterion_3_exact_sequence():
         for p in range(0, 4):
             sp = SpaceDescriptor("nedelec1", p, dim)
             pts = _interior(dim, 50, rng)
-            cp = duffy_inverse(pts)
-            A = eval_vector_shapes(sp, cp).values.transpose(0, 2, 1)
+            A = eval_vector_shapes(sp, pts).values.transpose(0, 2, 1)
             A = A.reshape(50 * dim, -1)
-            sh = bezier_eval(p + 1, dim, cp)
+            sh = bezier_eval(p + 1, dim, pts)
             for col in range(sh.grads.shape[1]):
                 b = sh.grads[:, col].reshape(-1)
                 sol, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -140,7 +136,7 @@ def test_criterion_4_conformity():
                 ref = np.linalg.solve(mesh2.jacs[c],
                                       (pts2 - mesh2.origins[c]).T).T
                 phys = np.einsum("ed,qnd->qne", mesh2.inv_ts[c],
-                                 eval_vector_values(sp, ref))
+                                 eval_vector_shapes(sp, ref).values)
                 traces.append(np.einsum("qne,n->qe", phys,
                                         x[dm.cell_dofs[c]]) @ t)
             worst = max(worst, float(np.abs(traces[0] - traces[1]).max()))
@@ -154,7 +150,7 @@ def test_criterion_4_conformity():
                 ref = np.linalg.solve(mesh3.jacs[c],
                                       (pts3 - mesh3.origins[c]).T).T
                 phys = np.einsum("ed,qnd->qne", mesh3.inv_ts[c],
-                                 eval_vector_values(sp3, ref))
+                                 eval_vector_shapes(sp3, ref).values)
                 f = np.einsum("qne,n->qe", phys, x3[dm3.cell_dofs[c]])
                 comps.append(np.stack([f @ t1, f @ t2], axis=1))
             worst = max(worst, float(np.abs(comps[0] - comps[1]).max()))

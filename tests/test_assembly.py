@@ -10,7 +10,7 @@ from mmfem.dofmap import build_dofmap
 from mmfem.errors import SpaceMismatch
 from mmfem.materials import MaterialParams
 from mmfem.mesh import build, generate_box, generate_disk
-from mmfem.nedelec import SpaceDescriptor, eval_vector_values
+from mmfem.nedelec import SpaceDescriptor, eval_vector_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ class TestTangentialContinuity:
         traces = []
         for c in range(mesh.n_cells):
             ref = np.linalg.solve(mesh.jacs[c], (pts - mesh.origins[c]).T).T
-            shp = eval_vector_values(sp, ref)
+            shp = eval_vector_shapes(sp, ref).values
             phys = np.einsum("ed,qnd->qne", mesh.inv_ts[c], shp)
             traces.append(np.einsum("qne,n->qe", phys, x[dm.cell_dofs[c]]) @ t)
         assert np.abs(traces[0] - traces[1]).max() <= 1e-11
@@ -323,7 +323,7 @@ class TestTangentialContinuity:
         traces = []
         for c in range(mesh.n_cells):
             ref = np.linalg.solve(mesh.jacs[c], (pts - mesh.origins[c]).T).T
-            shp = eval_vector_values(sp, ref)
+            shp = eval_vector_shapes(sp, ref).values
             phys = np.einsum("ed,qnd->qne", mesh.inv_ts[c], shp)
             f = np.einsum("qne,n->qe", phys, x[dm.cell_dofs[c]])
             traces.append(np.stack([f @ t1, f @ t2], axis=1))

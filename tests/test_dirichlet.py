@@ -7,8 +7,8 @@ from mmfem.benchmarks import _sweep_groups, sweep_mesh
 from mmfem.bernstein import eval_all
 from mmfem.dofmap import _face_interior_rank, build_dofmap
 from mmfem.mesh import build, generate_box, generate_disk
-from mmfem.nedelec import SpaceDescriptor, eval_vector_values
-from mmfem.simplex import bezier_values, traversal_order
+from mmfem.nedelec import SpaceDescriptor, eval_vector_shapes
+from mmfem.simplex import bezier_eval, traversal_order
 
 
 def _layout(mesh, space, n_comps=1, offset=0):
@@ -201,8 +201,8 @@ class TestFaceH1:
             pts2 = bary[:, 1:]
             xq = xa[None, :] + np.outer(pts2[:, 1], g1) + np.outer(pts2[:, 0], g2)
             # evaluate the constrained trace via 2D Bezier with role mapping
-            vals2 = bezier_values(q, 2, np.stack([pts2[:, 1], pts2[:, 0]],
-                                                 axis=1))
+            vals2 = bezier_eval(q, 2, np.stack([pts2[:, 1], pts2[:, 0]],
+                                               axis=1)).values
             trace = np.zeros(len(xq))
             edge_of = _face_edge_map(mesh, f)
             for col, mi in enumerate(traversal_order(q, 2)):
@@ -269,7 +269,7 @@ class TestFaceHcurl:
             pts = bary @ mesh.vertices[[fa, fb, fc]]
             ref = np.linalg.solve(mesh.jacs[cell],
                                   (pts - mesh.origins[cell]).T).T
-            shp = eval_vector_values(space, ref)
+            shp = eval_vector_shapes(space, ref).values
             phys = np.einsum("ed,qnd->qne", mesh.inv_ts[cell], shp)
             exact = bending_grad_u(pts)
             for r in range(3):
@@ -304,7 +304,7 @@ class TestHierarchy:
 
         cons = h1_dirichlet(mesh, layout, [(mesh.boundary_facets, u, grad)])
         # quadratic data reproduced exactly: sample via vertex dofs of all
-        # boundary vertices and edge midpoood traces through bezier_values
+        # boundary vertices and edge midpoood traces through bezier_eval
         for comp in range(3):
             for f in mesh.boundary_facets[:6]:
                 for v in mesh.facet_vertices(f):

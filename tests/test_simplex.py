@@ -1,10 +1,14 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import mmfem
 from mmfem.errors import SingularCollapse
-from mmfem.simplex import (CollapsedPoint, MultiIndex2, MultiIndex3,
-                           bezier_gradients, bezier_tet_eval, bezier_tri_eval,
-                           bezier_values, classify, duffy_forward,
+from mmfem.simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES,
+                           TRI_VERTICES, CollapsedPoint, MultiIndex2,
+                           MultiIndex3, bezier_eval, classify, duffy_forward,
                            duffy_inverse, n_basis, traversal_order)
 
 
@@ -44,6 +48,20 @@ class TestDuffy:
             duffy_inverse(np.array([1.0, 0.0]))
         with pytest.raises(SingularCollapse):
             duffy_inverse(np.array([0.5, 0.5, 0.0]))
+
+
+def test_collapsed_coordinates_stay_private():
+    # only the evaluator and the quadrature see collapsed coordinates: no
+    # other module imports or reaches for the Duffy maps
+    private = {"duffy_forward", "duffy_inverse", "collapsed_safe"}
+    leaks = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(mmfem.__file__).parent.glob("*.py"))
+             if path.name not in ("simplex.py", "quadrature.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.ImportFrom)
+                 and private & {alias.name for alias in node.names})
+             or (isinstance(node, ast.Attribute) and node.attr in private)]
+    assert not leaks, leaks
 
 
 class TestClassification:
@@ -118,20 +136,18 @@ def closed_form_tet(p, i, j, k, pts):
 
 class TestBezierTriangle:
     def test_vertex_value(self):
-        sh = bezier_tri_eval(1, duffy_inverse(np.array([[1e-9, 1e-9]])))
+        sh = bezier_eval(1, 2, np.array([[1e-9, 1e-9]]))
         assert abs(sh.values[0, 0] - 1.0) < 1e-8
 
     def test_quarter_point_value(self):
         # b_{11}^2 = 2 eta xi = 0.125 at (0.25, 0.25)
-        cp = duffy_inverse(np.array([[0.25, 0.25]]))
-        sh = bezier_tri_eval(2, cp)
+        sh = bezier_eval(2, 2, np.array([[0.25, 0.25]]))
         cols = [(mi.i, mi.j) for mi in traversal_order(2, 2)]
         assert abs(sh.values[0, cols.index((1, 1))] - 0.125) < 1e-14
 
     def test_gradient_of_eta(self):
         # b_{01}^1 = eta has reference gradient (0, 1)
-        cp = duffy_inverse(np.array([[0.2, 0.3]]))
-        sh = bezier_tri_eval(1, cp)
+        sh = bezier_eval(1, 2, np.array([[0.2, 0.3]]))
         cols = [(mi.i, mi.j) for mi in traversal_order(1, 2)]
         np.testing.assert_allclose(sh.grads[0, cols.index((0, 1))], [0.0, 1.0],
                                    atol=1e-14)
@@ -140,29 +156,23 @@ class TestBezierTriangle:
     def test_matches_closed_form(self, p):
         rng = np.random.default_rng(p)
         pts = interior_points(2, 40, rng)
-        sh = bezier_tri_eval(p, duffy_inverse(pts))
+        sh = bezier_eval(p, 2, pts)
         for col, mi in enumerate(traversal_order(p, 2)):
             np.testing.assert_allclose(sh.values[:, col],
                                        closed_form_tri(p, mi.i, mi.j, pts),
                                        atol=1e-12)
 
-    def test_collapse_guard(self):
-        with pytest.raises(SingularCollapse):
-            bezier_tri_eval(2, np.array([[1.0 - 1e-14, 0.5]]))
-
 
 class TestBezierTet:
     def test_interior_value(self):
         # b_{111}^3 = 6 zeta eta xi = 0.09375 at (1/4,1/4,1/4)
-        cp = duffy_inverse(np.array([[0.25, 0.25, 0.25]]))
-        sh = bezier_tet_eval(3, cp)
+        sh = bezier_eval(3, 3, np.array([[0.25, 0.25, 0.25]]))
         cols = [(mi.i, mi.j, mi.k) for mi in traversal_order(3, 3)]
         assert abs(sh.values[0, cols.index((1, 1, 1))] - 0.09375) < 1e-14
 
     def test_vertex_gradient(self):
         # lambda_1 = 1 - xi - eta - zeta: gradient (-1, -1, -1)
-        cp = duffy_inverse(np.array([[0.01, 0.01, 0.01]]))
-        sh = bezier_tet_eval(1, cp)
+        sh = bezier_eval(1, 3, np.array([[0.01, 0.01, 0.01]]))
         np.testing.assert_allclose(sh.grads[0, 0], [-1, -1, -1], atol=1e-12)
         assert abs(sh.values[0, 0] - 0.97) < 1e-12
 
@@ -170,7 +180,7 @@ class TestBezierTet:
     def test_matches_closed_form(self, p):
         rng = np.random.default_rng(p)
         pts = interior_points(3, 30, rng)
-        sh = bezier_tet_eval(p, duffy_inverse(pts))
+        sh = bezier_eval(p, 3, pts)
         for col, mi in enumerate(traversal_order(p, 3)):
             np.testing.assert_allclose(
                 sh.values[:, col], closed_form_tet(p, mi.i, mi.j, mi.k, pts),
@@ -182,8 +192,7 @@ class TestBezierTet:
 def test_partition_of_unity(dim, p):
     rng = np.random.default_rng(dim * 10 + p)
     pts = interior_points(dim, 100, rng)
-    eval_fn = bezier_tri_eval if dim == 2 else bezier_tet_eval
-    sh = eval_fn(p, duffy_inverse(pts))
+    sh = bezier_eval(p, dim, pts)
     np.testing.assert_allclose(sh.values.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(sh.grads.sum(axis=1), 0.0, atol=1e-11)
 
@@ -194,14 +203,13 @@ def test_gradients_match_finite_differences(dim, p):
     # away from the collapse lines (alpha, beta <= 0.9)
     rng = np.random.default_rng(p + dim)
     pts = interior_points(dim, 20, rng, margin=0.05, shrink=0.7)
-    eval_fn = bezier_tri_eval if dim == 2 else bezier_tet_eval
     h = 1e-6
-    sh = eval_fn(p, duffy_inverse(pts))
+    sh = bezier_eval(p, dim, pts)
     for d in range(dim):
         step = np.zeros(dim)
         step[d] = h
-        vp = eval_fn(p, duffy_inverse(pts + step)).values
-        vm = eval_fn(p, duffy_inverse(pts - step)).values
+        vp = bezier_eval(p, dim, pts + step).values
+        vm = bezier_eval(p, dim, pts - step).values
         fd = (vp - vm) / (2 * h)
         scale = np.maximum(np.abs(sh.grads[:, :, d]), 1.0)
         assert (np.abs(sh.grads[:, :, d] - fd) / scale).max() < 1e-5
@@ -209,39 +217,64 @@ def test_gradients_match_finite_differences(dim, p):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_values_safe_on_boundary(dim):
-    # the fill-zero collapsed path is exact on faces and edges
+    # exact on faces and edges
     p = 3
     if dim == 2:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.7], [0.0, 0.4]])
     else:
         pts = np.array([[1.0, 0.0, 0.0], [0.3, 0.7, 0.0], [0.2, 0.3, 0.5],
                         [0.0, 0.0, 0.0]])
-    vals = bezier_values(p, dim, pts)
+    vals = bezier_eval(p, dim, pts).values
     close = closed_form_tri if dim == 2 else closed_form_tet
     for col, mi in enumerate(traversal_order(p, dim)):
         idx = (mi.i, mi.j) if dim == 2 else (mi.i, mi.j, mi.k)
         np.testing.assert_allclose(vals[:, col], close(p, *idx, pts), atol=1e-13)
 
 
+def closed_simplex_points(dim):
+    """The vertices, three points on every edge and, in 3D, three on every
+    face of the reference simplex: all collapse lines and points."""
+    verts = TRI_VERTICES if dim == 2 else TET_VERTICES
+    t = np.array([[0.25], [0.5], [0.75]])
+    pts = [verts] + [verts[a] + t * (verts[b] - verts[a])
+                     for a, b in (TRI_EDGES if dim == 2 else TET_EDGES)]
+    if dim == 3:
+        s = np.array([[0.2, 0.3], [0.6, 0.1], [0.25, 0.5]])
+        pts += [verts[a] + s[:, :1] * (verts[b] - verts[a])
+                + s[:, 1:] * (verts[c] - verts[a]) for a, b, c in TET_FACES]
+    return np.vstack(pts)
+
+
+def closed_form_gradient(p, idx, pts):
+    """Reference gradient (n, dim) of the closed form: each barycentric
+    factor differentiated in turn."""
+    from math import comb
+    dim = pts.shape[1]
+    lam = np.hstack([1.0 - pts.sum(axis=1, keepdims=True), pts[:, ::-1]])
+    exps = (p - sum(idx),) + tuple(idx[::-1])
+    coef = comb(p, idx[0]) * comb(p - idx[0], idx[1])
+    if dim == 3:
+        coef *= comb(p - idx[0] - idx[1], idx[2])
+    dlam = np.vstack([-np.ones(dim), np.eye(dim)[::-1]])
+    grad = np.zeros_like(pts)
+    for v, e in enumerate(exps):
+        if e:
+            rest = np.prod([lam[:, w] ** exps[w] for w in range(dim + 1) if w != v],
+                           axis=0)
+            grad += (coef * e * lam[:, v] ** (e - 1) * rest)[:, None] * dlam[v]
+    return grad
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-def test_degree_reduction_gradients_on_boundary(dim):
-    # exact where the chain rule is singular
-    p = 4
-    if dim == 2:
-        pts = np.array([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]])
-    else:
-        pts = np.array([[0.5, 0.5, 0.0], [0.3, 0.3, 0.4], [1.0, 0.0, 0.0]])
-    grads = bezier_gradients(p, dim, pts)
-    h = 1e-6
-    # compare against interior finite differences of the closed form
+@pytest.mark.parametrize("p", range(1, 7))
+def test_exact_on_closed_simplex(dim, p):
+    # vertices, edges and faces, where the Duffy chain rule is singular
+    pts = closed_simplex_points(dim)
+    sh = bezier_eval(p, dim, pts)
     close = closed_form_tri if dim == 2 else closed_form_tet
-    inner = pts * 0.98 + 0.002
-    g_in = bezier_gradients(p, dim, inner)
     for col, mi in enumerate(traversal_order(p, dim)):
         idx = (mi.i, mi.j) if dim == 2 else (mi.i, mi.j, mi.k)
-        for d in range(dim):
-            step = np.zeros(dim)
-            step[d] = h
-            fd = (close(p, *idx, inner + step) - close(p, *idx, inner - step)) / (2 * h)
-            np.testing.assert_allclose(g_in[:, col, d], fd, atol=1e-5)
-    assert np.all(np.isfinite(grads))
+        np.testing.assert_allclose(sh.values[:, col], close(p, *idx, pts), atol=1e-13)
+        want = closed_form_gradient(p, idx, pts)
+        np.testing.assert_allclose(sh.grads[:, col], want,
+                                   atol=1e-12 * max(1.0, np.abs(want).max()))

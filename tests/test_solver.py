@@ -126,9 +126,9 @@ def test_h1_continuity_across_edges(antiplane_solution):
         vals = []
         for c in cells:
             ref = np.linalg.solve(mesh.jacs[c], mid - mesh.origins[c])
-            from mmfem.simplex import bezier_values
+            from mmfem.simplex import bezier_eval
             uf = sol.system.fields["u"]
-            v = bezier_values(uf.space.degree, 2, ref[None, :])[0]
+            v = bezier_eval(uf.space.degree, 2, ref[None, :]).values[0]
             vals.append(float(sol.x[uf.dofmap.cell_dofs[c]] @ v))
         assert abs(vals[0] - vals[1]) <= 1e-10
 
