@@ -26,9 +26,12 @@ Analysis (``analyse``), once per sparsity pattern:
 4. Schedule.  Supernodes are grouped by their height in the tree
    (leaves first) and their front shape: k pivot columns, n front rows,
    m = n - k update rows.  The extend-add of each group into its
-   parents is planned here, and the position in the factor of every
-   entry on or below the diagonal (``Symbolic.src``/``dst``), found in
-   the first column of each supervariable and shared by the others.
+   parents is planned here: for a small child, the positions of its
+   update rows in its parent's front (relative rows, one index per
+   row); for a large one, runs of consecutive parent rows.  Then the
+   position in the factor of every entry on or below the diagonal
+   (``Symbolic.src``/``dst``), found in the first column of each
+   supervariable and shared by the others.
 
 Numeric factorization: the factor storage holds one (n, k) panel per
 supernode; the entries of K are written into it in one scatter.  Groups
@@ -40,25 +43,28 @@ children's waiting parts is the negated update matrix; only its entries
 on or below the diagonal are valid, and only those are read.  The
 parts of V in the parents' pivot columns are subtracted from the
 parents' panels at once; the rest waits until the parent has formed its
-own V.  Small update matrices (m <= _FLAT_ROWS) move by precomputed
-flat positions, and their waiting part is a flat copy.  Larger ones
-move by block pairs of runs of consecutive parent rows; a child's rows
-that land in its parent's update matrix are its last ones, so only a
-copy of that trailing block waits.  Forward and backward substitution
+own V.  Small update matrices (m <= _FLAT_ROWS) move by flat positions
+that ``factor`` computes from the relative rows, a piece of children at
+a time; their waiting part is a flat copy with its positions.  Larger
+ones move by block pairs of runs of consecutive parent rows.  A child's
+rows that land in its parent's update matrix are its last ones, so only
+a copy of that trailing block waits.  Forward and backward substitution
 run by the same groups.
 
 Memory: the factor, ``Symbolic.size`` entries, the sum of n k over the
 supernodes (``nnz`` counts the entries on or below the diagonal); the
-analysis, two indices per entry of K on or below the diagonal (int32
-below 2^31) and two per lower entry of the flat extend-adds; and while
-the factor is computed, at most ``Symbolic.update_peak`` entries of
-update storage.  ``analyse`` finds that peak by walking the schedule:
-the waiting flat copies and trailing blocks, plus the current group's
-V (before it, a batch's pivot temporaries) and what is copied out of it.
-So ``factor`` holds 8 (size + update_peak) bytes
-(``Symbolic.factor_bytes``), beside the one-time gather of K's entries
-(8 bytes per entry on or below the diagonal) and NumPy's fixed
-iteration buffers.
+analysis, ``Symbolic.nbytes``: two indices per entry of K on or below
+the diagonal (int32 below 2^31), the front rows and one index per
+update row of each small child; and while the factor is computed, at
+most ``Symbolic.update_peak`` 8-byte words of update storage.
+``analyse`` finds that peak by walking the schedule: the waiting flat
+copies with their positions and the trailing blocks, plus the current
+group's V (before it, a batch's pivot temporaries) and what is copied
+out of it, with a piece's position temporaries.  So ``factor`` holds
+8 (size + update_peak) bytes (``Symbolic.factor_bytes``), beside the
+one-time gather of K's entries (8 bytes per entry on or below the
+diagonal) and NumPy's fixed iteration buffers.  The analysis itself
+peaks below nbytes plus 24 bytes per stored entry of K (``analyse``).
 """
 
 from __future__ import annotations
@@ -72,16 +78,16 @@ from scipy.linalg import blas, lapack
 
 from .errors import FactorizationFailed, NotPositiveDefinite
 
-# entries per chunk of the per-entry passes of the analysis (8 MB
-# temporaries of int64)
+# entries per chunk of the per-entry passes of the analysis (4 MB
+# temporaries of int32)
 _CHUNK = 1 << 20
-# Update matrices of up to _FLAT_ROWS rows move by precomputed flat
-# positions (8 bytes per lower entry), larger ones by block pairs of
-# runs (one Python step per pair).  Measured on the 2D benchmark system
-# (73 k free dofs; one thread of a 2-core VM): numeric factorization
-# 0.44 s at 64, 0.36 s at 128, 0.29 s at 256, with 24, 38 and 54 MB of
-# flat positions.
+# Update matrices of up to _FLAT_ROWS rows move by flat positions,
+# computed in ``factor`` from 4 bytes per row, larger ones by block
+# pairs of runs (one Python step per pair).
 _FLAT_ROWS = 128
+# lower entries per piece of a group's flat extend-adds (about 2 MB of
+# temporaries, counted by _update_peak)
+_PIECE = _CHUNK // 8
 # Relaxed amalgamation, CHOLMOD's defaults (Chen, Davis, Hager &
 # Rajamanickam, ACM TOMS 35, 2008): a child merges into its parent when
 # the merged supernode has at most `cols` columns and a fraction of
@@ -89,13 +95,13 @@ _FLAT_ROWS = 128
 _RELAX = ((4, 1.0), (16, 0.8), (48, 0.1), (np.inf, 0.05))
 
 
-def _ranges(starts, lengths):
+def _ranges(starts, lengths, dtype=np.int64):
     """Concatenation of arange(s, s + l) over the pairs (s, l)."""
     lengths = np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(lengths)
-    return (np.arange(ends[-1] if len(ends) else 0)
-            + np.repeat(np.asarray(starts, dtype=np.int64) - ends + lengths,
-                        lengths))
+    return (np.arange(ends[-1] if len(ends) else 0, dtype=dtype)
+            + np.repeat((np.asarray(starts, dtype=np.int64) - ends
+                         + lengths).astype(dtype), lengths))
 
 
 def _column_chunks(indptr):
@@ -218,48 +224,69 @@ class _Group:
 
     The extend-add of its update matrices V (B, m, m) into the parents,
     on and below the diagonal: update matrices up to _FLAT_ROWS rows go
-    by flat positions, larger ones by block pairs of runs of consecutive
-    parent rows.  Runs ``runs[:t]`` of a large child land in the
-    parent's pivot columns; ``runs[t:]``, the child's trailing rows from
-    ``runs[t][0]`` on, in the parent's update matrix.
+    by flat positions that ``factor`` derives from ``flat``, larger ones
+    by block pairs of runs of consecutive parent rows.  A child's rows
+    that land in its parent's pivot columns come first: ``t`` of them,
+    from ``rel`` for a small child; runs ``runs[:t]`` of a large child,
+    whose ``runs[t:]``, its trailing rows from ``runs[t][0]`` on, land in
+    the parent's update matrix.
     """
     offset: int         # start of the panels in the factor storage
     k: int
     n: int
     rows: np.ndarray    # (B, n) front rows in the factor's order
-    piv: tuple          # flat (src, dst): positions in the (B, m, m)
-                        # update matrices and in the factor storage
-    upd: list           # flat (parent group, src, dst): dst in the parent
-                        # group's (B, m, m) update matrices
+    flat: tuple         # small children (rel, pgroup, slot, pbase): the
+                        # (B, m) rows of each in its parent's front, the
+                        # parent's group, index in it and panel offset
     blocks: list        # (parent group, child, parent slot, runs, t),
                         # runs: [(j0, j1, p0)] rows j0:j1 -> p0:
 
 
-def _update_peak(groups):
-    """Peak entries of update storage while ``factor`` runs, group by
-    group: the pending flat copies and trailing blocks, plus the group's
-    update matrices V (before them, a batch's pivot temporaries: inverse
-    and Cholesky factor, then the product for L21), and while V lives,
-    the copies taken from it."""
+def _pieces(pgroup, t, L):
+    """A group's small children in runs of one parent group and one t,
+    each cut into pieces of at most _PIECE lower entries (at least one
+    child of ``L`` entries): (c0, c1)."""
+    size = max(1, _PIECE // L)
+    cuts = np.flatnonzero((np.diff(pgroup) != 0) | (np.diff(t) != 0)) + 1
+    for r0, r1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(t)]):
+        for c0 in range(r0, r1, size):
+            yield c0, min(c0 + size, r1)
+
+
+def _update_peak(groups, pos):
+    """Peak bytes of update storage while ``factor`` runs, group by
+    group: the pending flat copies (a value and a ``pos``-byte position
+    per entry) and trailing blocks, plus the group's update matrices V
+    (before them, a batch's pivot temporaries: inverse and Cholesky
+    factor, then the product for L21), and while V lives, the copies
+    taken from it and the temporaries of ``_flat_moves``: (4 pos + 1) m
+    + 32 bytes per child, and for one piece of children (2 pos + 8) L
+    each, L = m (m + 1) / 2 its lower entries."""
+    gk = np.asarray([g.k for g in groups])
     pending = [0] * len(groups)
     total = peak = 0
     for g, grp in enumerate(groups):
         B, k, m = len(grp.rows), grp.k, grp.n - grp.k
-        V = B * m * m
-        work = B * k * max(2 * k, m) if B > 1 else 0
+        V = 8 * B * m * m
+        work = 8 * B * k * max(2 * k, m) if B > 1 else 0
         peak = max(peak, total + max(V, work))
         total -= pending[g]
-        if grp.piv is not None:
-            peak = max(peak, total + V + len(grp.piv[0]))
-        new = 0
-        for q, src, _ in grp.upd:
-            pending[q] += len(src)
-            new += len(src)
+        new = temp = 0
+        if grp.flat is not None:
+            pgroup, L = grp.flat[1], m * (m + 1) // 2
+            t = np.sum(grp.flat[0] < gk[pgroup][:, None], axis=1)
+            wait = (8 + pos) * (m - t) * (m - t + 1) // 2
+            qs, at = np.unique(pgroup, return_index=True)
+            for q, w in zip(qs.tolist(), np.add.reduceat(wait, at).tolist()):
+                pending[q] += w
+                new += w
+            temp = ((4 * pos + 1) * B * m + 32 * B
+                    + (2 * pos + 8) * L * min(B, max(1, _PIECE // L)))
         for q, _, _, runs, t in grp.blocks:
-            tail = (m - runs[t][0]) ** 2 if t < len(runs) else 0
+            tail = 8 * (m - runs[t][0]) ** 2 if t < len(runs) else 0
             pending[q] += tail
             new += tail
-        peak = max(peak, total + V + new)
+        peak = max(peak, total + V + new + temp)
         total += new
     return peak
 
@@ -275,12 +302,20 @@ class Symbolic:
     size: int                   # factor storage entries
     nnz: int                    # factor entries (lower trapezoids)
     supernodes: int
-    update_peak: int            # peak update storage entries of factor
+    update_peak: int            # peak update storage of factor, 8-byte words
 
     @property
     def factor_bytes(self):
         """Bytes of the factor storage and the peak update storage."""
         return 8 * (self.size + self.update_peak)
+
+    @property
+    def nbytes(self):
+        """Bytes of the arrays the analysis keeps."""
+        arrays = [self.perm, self.src, self.dst]
+        for g in self.groups:
+            arrays += [g.rows, *(g.flat or ())]
+        return sum(a.nbytes for a in arrays)
 
 
 def _csc(K):
@@ -324,44 +359,19 @@ def _supernodes(parent, qcount, Lp, Li, sz, qoff):
     return first[kept], last[kept], sparent
 
 
-def _flat_plan(grp, groups, rel, pgroup, slots, pbase, itype):
-    """Flat extend-add of a group with small update matrices: pair
-    (i, j), i >= j, of child b goes to base[b, j] + rel[b, i] stride[b, j],
-    in the parent's panel (row stride k) if rel[b, j] < k, else in its
-    update matrix (row stride m)."""
-    m = grp.n - grp.k
-    i, j = (a.astype(itype) for a in np.tril_indices(m))
-    rel = rel.astype(itype)
-    pk = np.asarray([groups[q].k for q in pgroup])[:, None]
-    pm = np.asarray([groups[q].n for q in pgroup])[:, None] - pk
-    piv = rel < pk
-    stride = np.where(piv, pk, pm).astype(itype)
-    base = (np.where(piv, pbase[:, None], (slots[:, None] * pm - pk) * pm - pk)
-            + rel).astype(itype)
-    dst = base[:, j] + rel[:, i] * stride[:, j]
-    src = np.arange(0, len(rel) * m * m, m * m, dtype=itype)[:, None] + (
-        i * m + j)
-    piv = piv[:, j]
-    grp.piv = (src[piv], dst[piv])
-    upd = ~piv
-    cut = np.concatenate([[0], np.cumsum(upd.sum(axis=1))])
-    src, dst = src[upd], dst[upd]
-    # children are sorted by parent group: one (src, dst) per parent group
-    ends = np.flatnonzero(np.diff(pgroup)) + 1
-    for b0, b1 in zip(np.concatenate([[0], ends]),
-                      np.concatenate([ends, [len(pgroup)]])):
-        if cut[b1] > cut[b0]:
-            grp.upd.append((int(pgroup[b0]), src[cut[b0]:cut[b1]],
-                            dst[cut[b0]:cut[b1]]))
-
-
 def analyse(K, label=None, free=None) -> Symbolic:
     """Ordering, symbolic factor, supernodes and schedule of the pattern
     of the square matrix ``K`` (CSC, or CSR with a symmetric pattern) in
     the rows and columns of the mask ``free`` (default all); see the
     module docstring.  Columns of one ``label`` must have one row set
     (``assembly.Pattern.group``); without labels, exact row sets group
-    the columns.  ``Symbolic.src`` indexes ``K.data``."""
+    the columns.  ``Symbolic.src`` indexes ``K.data``.
+
+    Its traced peak stays below ``Symbolic.nbytes`` plus 24 bytes per
+    stored entry of K; the per-entry passes run in chunks of _CHUNK
+    entries.  On the 2D benchmark system (2.5 M stored entries) that
+    peak is 37 MB, nbytes plus 9 bytes per entry.
+    """
     K = _csc(K)
     indptr, indices = K.indptr, K.indices
     if free is None:
@@ -385,13 +395,16 @@ def analyse(K, label=None, free=None) -> Symbolic:
                                   "different row counts")
     ns = len(repcol)
     # the free rows of the first column of each supervariable: offset q
-    # in the column, label, index among the free
+    # in the column, label, index among the free (stype: below the
+    # entries and the columns of K)
+    stype = np.int32 if max(len(indices), K.shape[0]) < 2 ** 31 else np.int64
     rcount, r0 = counts[repcol], indptr[cols[repcol]]
-    at = _ranges(r0, rcount)
+    at = _ranges(r0, rcount, stype)
     on = free[indices[at]]
-    q = (at - np.repeat(r0, rcount))[on]
-    t_label = np.repeat(np.arange(ns), rcount)[on]
-    rows = (np.cumsum(free) - 1)[indices[at[on]]]
+    q = (at - np.repeat(r0.astype(stype), rcount))[on]
+    t_label = np.repeat(np.arange(ns, dtype=stype), rcount)[on]
+    rows = (np.cumsum(free, dtype=stype) - 1)[indices[at[on]]]
+    del at, on
     qperm, L = _quotient_factor(rows, t_label, label, repcol)
     post = _postorder(_etree(L))
     if not np.array_equal(post, np.arange(ns)):
@@ -406,12 +419,12 @@ def analyse(K, label=None, free=None) -> Symbolic:
     # in ascending original order
     sz = np.bincount(label, minlength=ns)[qperm]
     qoff = np.concatenate([[0], np.cumsum(sz)])
-    node_of_label = np.empty(ns, dtype=np.int64)
+    node_of_label = np.empty(ns, dtype=stype)
     node_of_label[qperm] = np.arange(ns)
     perm = np.argsort(node_of_label[label], kind="stable")
     iperm = np.empty(n, dtype=np.int64)
     iperm[perm] = np.arange(n)
-    node_of_row = np.repeat(np.arange(ns), sz)
+    node_of_row = np.repeat(np.arange(ns, dtype=stype), sz)
 
     first, last, sparent = _supernodes(parent, qcount, Lp, Li, sz, qoff)
     S = len(first)
@@ -425,6 +438,7 @@ def analyse(K, label=None, free=None) -> Symbolic:
     qrows = np.empty(qptr[-1], dtype=np.int64)
     qrows[_ranges(qptr[:-1], own)] = _ranges(first, own)
     qrows[_ranges(qptr[:-1] + own, below)] = Li[_ranges(Lp[last] + 1, below)]
+    del L, Lp, Li
     qfront = np.cumsum(sz[qrows]) - sz[qrows]
     qfront -= np.repeat(qfront[qptr[:-1]], own + below)
     qkeys = np.repeat(np.arange(S), own + below) * ns + qrows     # sorted
@@ -435,7 +449,7 @@ def analyse(K, label=None, free=None) -> Symbolic:
     def front_row(s, rows):
         """Position of each scalar row in the front of supernode s."""
         nodes = node_of_row[rows]
-        q = s * ns + nodes
+        q = np.asarray(s, dtype=np.int64) * ns + nodes
         at = np.minimum(np.searchsorted(qkeys, q), len(qkeys) - 1)
         if np.any(qkeys[at] != q):
             raise FactorizationFailed("symbolic factor misses an entry")
@@ -464,7 +478,7 @@ def analyse(K, label=None, free=None) -> Symbolic:
         kk, nn = int(k[members[0]]), int(nrow[members[0]])
         slot_in[members] = np.arange(len(members))
         pbase[members] = size + np.arange(len(members)) * nn * kk
-        groups.append(_Group(offset=size, k=kk, n=nn, piv=None, upd=[],
+        groups.append(_Group(offset=size, k=kk, n=nn, flat=None,
                              blocks=[], rows=srows[rptr[members][:, None]
                                                    + np.arange(nn)]))
         size += len(members) * nn * kk
@@ -480,8 +494,8 @@ def analyse(K, label=None, free=None) -> Symbolic:
         rel = front_row(np.repeat(ps, m), grp.rows[:, grp.k:].ravel()
                         ).reshape(len(members), m)
         if m <= _FLAT_ROWS:
-            _flat_plan(grp, groups, rel, pgroup[members], slot_in[ps],
-                       pbase[ps], itype)
+            grp.flat = (rel.astype(itype), pgroup[members],
+                        slot_in[ps].astype(itype), pbase[ps].astype(itype))
         else:
             for b, (pg, s, r) in enumerate(zip(pgroup[members].tolist(),
                                                slot_in[ps].tolist(), rel)):
@@ -491,34 +505,56 @@ def analyse(K, label=None, free=None) -> Symbolic:
 
     # positions in the panels of the entries on or below the diagonal of
     # P K P^T, from the first column of each supervariable: its entry at
-    # offset q serves the entry at offset q of every column of the label,
-    # if in a later node always, if in the label's own node where pi >= pj
+    # offset q serves the entry at offset q of every column pj of the
+    # label, at node level I >= J where pi >= pj.  A label's columns have
+    # one row set, so its own diagonal block is full (or empty).  Each
+    # label's slots are reordered to put those in its own node first, in
+    # the order of their rows (so of pi): column r of the node then
+    # starts at slot r
+    iperm = iperm.astype(itype)
     pi = iperm[rows]
-    J, I = node_of_label[t_label], node_of_row[pi]
-    t = np.flatnonzero(I >= J)
-    so = np.repeat(np.arange(S), last - first + 1)[J[t]]
-    term = np.zeros(len(pi), dtype=itype)
-    term[t] = pbase[so] - c0[so] + k[so] * front_row(so, pi[t])
-    stype = np.int32 if len(indices) < 2 ** 31 else np.int64
+    J = node_of_label[t_label]
+    I = node_of_row[pi]
+    keep = I >= J
+    own = (I == J)[keep]
+    q, t_label, pi = q[keep], t_label[keep], pi[keep]
+    so = np.repeat(np.arange(S, dtype=itype), last - first + 1)[J[keep]]
+    del rows, I, J, keep
+    term = ((pbase - c0).astype(itype)[so]
+            + k.astype(itype)[so] * front_row(so, pi).astype(itype))
+    del so, pi
+    cnt = np.bincount(t_label, minlength=ns)
+    start = np.cumsum(cnt) - cnt
+    cown = np.bincount(t_label[own], minlength=ns)
+    if np.any((cown != 0) & (cown != np.bincount(label, minlength=ns))):
+        raise FactorizationFailed("columns of one supervariable have "
+                                  "different row sets")
+    # new place of each slot: own slots from the label's start, then the
+    # others (``before``: own slots of the earlier labels)
+    before = np.cumsum(cown) - cown
+    co = np.cumsum(own, dtype=itype)
+    at = np.where(own, (start - 1 - before).astype(itype)[t_label] + co,
+                  np.arange(len(co), dtype=itype)
+                  + (cown + before).astype(itype)[t_label] - co)
+    del t_label, own, co
+    q[at] = q.copy()
+    term[at] = term.copy()
+    del at
     src, dst = [], []
-    for own in (False, True):
-        slots = np.flatnonzero(I == J if own else I > J)
-        cnt = np.bincount(t_label[slots], minlength=ns)
-        start = np.cumsum(cnt) - cnt
-        for a, b in _column_chunks(np.concatenate([[0], np.cumsum(counts)])):
-            c = cnt[label[a:b]]
-            ts = slots[_ranges(start[label[a:b]], c)]
-            pj = np.repeat(iperm[a:b], c)
-            e = q[ts] + np.repeat(indptr[cols[a:b]], c)
-            if own:
-                keep = pi[ts] >= pj
-                ts, e, pj = ts[keep], e[keep], pj[keep]
-            src.append(e.astype(stype))
-            dst.append((term[ts] + pj).astype(itype))
+    for a, b in _column_chunks(np.concatenate([[0], np.cumsum(counts)])):
+        lab = label[a:b]
+        r = np.minimum(iperm[a:b] - qoff[node_of_label[lab]], cown[lab])
+        c = cnt[lab] - r
+        ts = _ranges(start[lab] + r, c, itype)
+        src.append(q[ts] + np.repeat(indptr[cols[a:b]].astype(stype), c))
+        dst.append(term[ts] + np.repeat(iperm[a:b], c))
+    del q, term
+    src = np.concatenate(src)
+    dst = np.concatenate(dst)
     nnz = int(np.sum(k * nrow - k * (k - 1) // 2))
-    return Symbolic(perm=perm, groups=groups, src=np.concatenate(src),
-                    dst=np.concatenate(dst), size=size, nnz=nnz,
-                    supernodes=S, update_peak=_update_peak(groups))
+    peak = _update_peak(groups, np.dtype(itype).itemsize)
+    return Symbolic(perm=perm, groups=groups, src=src, dst=dst, size=size,
+                    nnz=nnz, supernodes=S, update_peak=-(-peak // 8))
 
 
 class Factor:
@@ -616,6 +652,51 @@ def _front(P, k):
     return P[:, k:] @ np.swapaxes(P[:, k:], 1, 2)
 
 
+_TRIL = {}
+
+
+def _tril(m):
+    """The entries on and below the diagonal of an m x m matrix, column
+    by column: (flat positions i m + j, rows i, columns j), int32,
+    cached per m.  The first t m - t (t - 1) / 2 lie in the first t
+    columns."""
+    if m not in _TRIL:
+        j, i = np.triu_indices(m)
+        _TRIL[m] = tuple(a.astype(np.int32) for a in (i * m + j, i, j))
+    return _TRIL[m]
+
+
+def _flat_moves(V, grp, gk, gm, values, pending):
+    """Extend-add of a group's small update matrices V (B, m, m), on and
+    below the diagonal (``gk``, ``gm``: k and m of each group).  Entry
+    (i, j) of a child with t rows in its parent's pivot columns goes,
+    for j < t, to the parent's panel at pbase + rel[i] k + rel[j],
+    subtracted now; else to the parent group's update matrices at
+    (slot m - k) m - k + rel[i] m + rel[j], waiting as (values,
+    positions).  In a piece of children with one parent group and one
+    t, those are the first t m - t (t - 1) / 2 entries of ``_tril`` and
+    the rest."""
+    rel, pgroup, slot, pbase = grp.flat
+    B, m = rel.shape
+    tri, it, jt = _tril(m)
+    k, mq = gk[pgroup][:, None], gm[pgroup][:, None]
+    t = np.sum(rel < k, axis=1).tolist()
+    now_j, now_i = pbase[:, None] + rel, k * rel
+    wait_j, wait_i = (slot[:, None] * mq - k) * mq - k + rel, mq * rel
+    V = V.reshape(B, m * m)
+    for c0, c1 in _pieces(pgroup, t, len(tri)):
+        P = t[c0] * m - t[c0] * (t[c0] - 1) // 2
+        dst = np.take(now_j[c0:c1], jt[:P], axis=1)
+        dst += np.take(now_i[c0:c1], it[:P], axis=1)
+        np.subtract.at(values, dst.ravel(),
+                       np.take(V[c0:c1], tri[:P], axis=1).ravel())
+        if P < len(tri):
+            dst = np.take(wait_j[c0:c1], jt[P:], axis=1)
+            dst += np.take(wait_i[c0:c1], it[P:], axis=1)
+            pending[pgroup[c0]].append((
+                np.take(V[c0:c1], tri[P:], axis=1).ravel(), dst.ravel()))
+
+
 def _extend_add(V, children):
     """Add the children's waiting parts into the update matrices V: flat
     copies at their positions, trailing blocks by pairs of runs (on and
@@ -637,13 +718,16 @@ def factor(K, sym=None) -> Factor:
     ``sym`` analysed, read from ``K.data`` (see ``analyse``); raises
     NotPositiveDefinite where a pivot block is not positive definite.
     Beside the factor and the analysis it holds at most
-    ``sym.update_peak`` entries of update storage (module docstring)."""
+    ``sym.update_peak`` words of update storage (module docstring)."""
     if sym is None:
         K = _csc(K)
         sym = analyse(K)
     values = np.zeros(sym.size)
     values[sym.dst] = K.data[sym.src]
     pending = [[] for _ in sym.groups]
+    itype = sym.dst.dtype
+    gk = np.asarray([g.k for g in sym.groups], dtype=itype)
+    gm = np.asarray([g.n - g.k for g in sym.groups], dtype=itype)
     factor = Factor(sym, values)
     for g, (grp, P) in enumerate(zip(sym.groups, factor.panels)):
         children, pending[g] = pending[g], None
@@ -652,12 +736,8 @@ def factor(K, sym=None) -> Factor:
             continue
         _extend_add(V, children)
         children = None
-        Vf = V.reshape(-1)
-        if grp.piv is not None:
-            src, dst = grp.piv
-            np.subtract.at(values, dst, Vf[src])
-        for q, src, dst in grp.upd:
-            pending[q].append((Vf[src], dst))
+        if grp.flat is not None:
+            _flat_moves(V, grp, gk, gm, values, pending)
         for q, b, s, runs, t in grp.blocks:
             # the pairs in the parent's pivot columns now, and a copy of
             # the trailing block that lands in its update matrix for later
@@ -669,5 +749,5 @@ def factor(K, sym=None) -> Factor:
                 c, pk = runs[t][0], sym.groups[q].k
                 pending[q].append((V[b, c:, c:].copy(), s, [
                     (i0 - c, i1 - c, q0 - pk) for i0, i1, q0 in runs[t:]]))
-        V = Vf = None   # before the next group forms its own
+        V = None    # before the next group forms its own
     return factor

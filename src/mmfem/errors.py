@@ -13,10 +13,6 @@ class DomainError(MMFemError, ValueError):
     """Evaluation point outside the admissible parameter domain."""
 
 
-class SingularCollapse(MMFemError, ValueError):
-    """Collapsed-coordinate map evaluated where its denominator vanishes."""
-
-
 class DegenerateCell(MMFemError, ValueError):
     """Cell with (numerically) zero volume."""
 

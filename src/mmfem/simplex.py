@@ -27,7 +27,7 @@ from operator import mul
 import numpy as np
 
 from .bernstein import eval_all
-from .errors import DomainError, SingularCollapse
+from .errors import DomainError
 
 TRI_VERTICES = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 TET_VERTICES = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
@@ -86,30 +86,12 @@ class Polytope:
         return tag + "".join(str(v + 1) for v in self.vertices)
 
 
-@dataclass(frozen=True)
-class CollapsedPoint:
-    """Point in the collapsed unit square/cube, components in [0, 1]."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        if any(c < 0.0 or c > 1.0 for c in self.coords):
-            raise DomainError(f"collapsed coordinates {self.coords} outside [0,1]")
-
-
-def duffy_forward(cp) -> np.ndarray:
-    """Collapsed coordinates -> reference simplex coordinates.
-
-    Accepts a CollapsedPoint or an (n, d) array; returns matching shape.
-    Coordinate d is scaled by (1 - c_0) ... (1 - c_{d-1}).
-    """
-    pts = np.atleast_2d(np.asarray(cp.coords if isinstance(cp, CollapsedPoint) else cp,
-                                   dtype=float))
+def duffy_forward(pts) -> np.ndarray:
+    """Collapsed coordinates (n, d) -> reference simplex coordinates:
+    coordinate d is scaled by (1 - c_0) ... (1 - c_{d-1})."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     scale = np.cumprod(np.hstack([np.ones((len(pts), 1)), 1.0 - pts[:, :-1]]), axis=1)
-    out = pts * scale
-    if isinstance(cp, CollapsedPoint) or np.asarray(cp).ndim == 1:
-        return out[0]
-    return out
+    return pts * scale
 
 
 def _collapse_denominators(pts: np.ndarray) -> np.ndarray:
@@ -119,22 +101,6 @@ def _collapse_denominators(pts: np.ndarray) -> np.ndarray:
     for d in range(pts.shape[1] - 1):
         dens.append(dens[-1] - pts[:, d])
     return np.stack(dens, axis=1)
-
-
-def duffy_inverse(pt) -> np.ndarray:
-    """Reference simplex coordinates -> collapsed coordinates.
-
-    Raises SingularCollapse when a collapse denominator (1-xi, or
-    1-xi-eta in 3D) falls below 1e-14.
-    """
-    pts = np.atleast_2d(np.asarray(pt, dtype=float))
-    den = _collapse_denominators(pts)
-    if np.any(den < 1e-14):
-        raise SingularCollapse("duffy inverse undefined at xi = 1 or xi + eta = 1")
-    out = pts / den
-    if np.asarray(pt).ndim == 1:
-        return out[0]
-    return out
 
 
 def collapsed_safe(simplex_pts: np.ndarray, dim: int) -> np.ndarray:

@@ -4,14 +4,16 @@ The constrained system is reduced to its free dofs by index arrays into
 the data of its matrices, which share one symmetric CSR pattern.  A
 single system is factored by the supernodal Cholesky of ``cholesky``
 straight from that data, with one refinement step when the residual
-asks for it; memory: the matrix, two indices per free-block entry on or
-below the diagonal, and the stored factor with, while it is computed,
-its peak update storage (``info["factor_bytes"]``, bounded by the
-analysis).  A completed Cholesky certifies the system SPD; a matrix
-it rejects is factored by SuperLU's LU instead and reported not SPD.  A
-family K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2;
-the Cauchy bounds: C div-div, c = lam / mu) holds the free blocks of A
-and C and one K(c) data array instead of the full matrices.  It is
+asks for it; memory: the matrix, the analysis
+(``info["analysis_bytes"]``: two indices per free-block entry on or
+below the diagonal, and the schedule), and the stored factor with, while
+it is computed, its peak update storage (``info["factor_bytes"]``,
+bounded by the analysis).  A completed Cholesky certifies the system
+SPD; a matrix it rejects is factored by SuperLU's LU instead and
+reported not SPD.  A family K(c) = A + c C (the lc sweep: C curl-curl,
+c = mu_macro lc^2; the Cauchy bounds: C div-div, c = lam / mu) holds
+the free blocks of A and C and one K(c) data array instead of the full
+matrices.  It is
 walked in ascending c: the first value is factored, and each later one
 runs CG preconditioned by the current factor from the previous
 solution; all its factorizations share one analysis.  The walk needs K
@@ -51,11 +53,13 @@ class FieldSolution:
     ``info`` records how the solve went: ``path`` ("direct" or "pcg"),
     ``iterations`` (CG), ``residual``, and for direct solves
     ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
-    stored factor entries), and ``supernodes`` and ``factor_bytes`` (the
+    stored factor entries), and ``supernodes``, ``factor_bytes`` (the
     bytes of the factor storage plus its peak update storage,
-    ``cholesky.Symbolic.factor_bytes``), both None for LU; ``stages``
-    holds the wall seconds of ``assembly``, ``reduction``, ``analysis``,
-    numeric ``factor`` and ``solve`` (triangular solves and refinement, or CG).
+    ``cholesky.Symbolic.factor_bytes``) and ``analysis_bytes`` (the bytes
+    the analysis keeps, ``cholesky.Symbolic.nbytes``), all None for LU;
+    ``stages`` holds the wall seconds of ``assembly``, ``reduction``,
+    ``analysis``, numeric ``factor`` and ``solve`` (triangular solves and
+    refinement, or CG).
     ``energy`` is 1/2 x^T K x where the solve computed it (``solve_family``).
     Solutions of ``solve_family`` keep their system without its matrices
     (``matrix`` and ``c_matrix`` are None).
@@ -190,6 +194,8 @@ def _direct(K, rhs, symbolic, split=None, require_spd=False):
                          "supernodes": lu.supernodes if spd else None,
                          "factor_bytes": (lu.symbolic.factor_bytes if spd
                                           else None),
+                         "analysis_bytes": (lu.symbolic.nbytes if spd
+                                            else None),
                          "stages": {**_STAGES, "factor": t1 - t0,
                                     "solve": time.perf_counter() - t1}}
 

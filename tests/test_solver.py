@@ -367,6 +367,16 @@ def test_cholesky_supervariable_blocks(widths):
     assert F.supernodes <= len(widths)
 
 
+def test_cholesky_labels_need_one_row_set():
+    # columns 0 and 1 have two entries each but different row sets: a
+    # label joining them is refused, not factored into a wrong result
+    from mmfem import cholesky
+    from mmfem.errors import FactorizationFailed
+    K = sp.csc_matrix(np.array([[4.0, 0, -1], [0, 4, -1], [-1, -1, 4]]))
+    with pytest.raises(FactorizationFailed, match="row sets"):
+        cholesky.analyse(K, label=np.array([0, 0, 1]))
+
+
 def _large_fronts():
     return _block_spd([30] * 20 + [3] * 10, density=0.2, seed=9)
 
@@ -379,7 +389,11 @@ def test_cholesky_large_fronts():
     groups = cholesky.analyse(K).groups
     assert any(len(g.rows) == 1 and g.n - g.k > cholesky._FLAT_ROWS
                for g in groups)
-    assert any(g.blocks for g in groups) and any(g.piv for g in groups)
+    assert any(g.blocks for g in groups)
+    # a small child with rows in its parent's pivot columns and in its
+    # parent's update matrix: flat moves now and a flat copy that waits
+    assert any(r[0] < groups[q].k <= r[-1] for g in groups
+               if g.flat is not None for r, q in zip(*g.flat[:2]))
     # a large child with rows in its parent's pivot columns and in its
     # parent's update matrix: a trailing block waits for the parent
     assert any(0 < t < len(runs) and groups[q].n > groups[q].k
@@ -410,6 +424,35 @@ def test_cholesky_memory_bound_and_in_place():
     assert np.linalg.norm(K @ F.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def _analysis_peak(K, **kwargs):
+    """(traced peak of ``analyse``, its Symbolic)."""
+    import tracemalloc
+    from mmfem import cholesky
+    cholesky.analyse(K, **kwargs)
+    tracemalloc.start()
+    try:
+        sym = cholesky.analyse(K, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sym
+
+
+def test_cholesky_analysis_memory_bound(antiplane_solution):
+    # the analysis peaks below what it keeps plus 24 bytes per stored
+    # entry of K (analyse's docstring), and it keeps positions for the
+    # entries on or below the diagonal only
+    from mmfem.solver import _split
+    system = antiplane_solution.system
+    for K, kwargs in [(_large_fronts(), {}),
+                      (system.matrix, {"label": system.pattern.group,
+                                       "free": _split(system).free})]:
+        peak, sym = _analysis_peak(K, **kwargs)
+        assert peak <= sym.nbytes + 24 * len(K.indices)
+        free = kwargs.get("free", np.ones(K.shape[0], dtype=bool))
+        assert len(sym.src) == sp.tril(K[free][:, free]).nnz
+
+
 def test_single_front_breakdown_falls_back_to_lu():
     # one dense indefinite block is one front, factored in place until
     # dpotrf breaks down; the LU fallback reads the untouched matrix
@@ -424,6 +467,7 @@ def test_single_front_breakdown_falls_back_to_lu():
     sol = solve(_toy_system(K, b))
     assert not sol.spd and sol.info["factor"] == "lu"
     assert sol.info["factor_bytes"] is None
+    assert sol.info["analysis_bytes"] is None
     ref = np.linalg.solve(K, b)
     assert np.linalg.norm(sol.x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -500,6 +544,9 @@ def test_direct_solve_records_factor(antiplane_solution):
     assert antiplane_solution.spd and info["factor"] == "cholesky"
     assert info["supernodes"] > 0 and info["lu_fill"] > 0
     assert info["factor_bytes"] > 8 * info["lu_fill"]
+    # the entry positions (8 bytes per entry on or below the diagonal)
+    # and the schedule, much less than the factor
+    assert 0 < info["analysis_bytes"] < info["factor_bytes"] // 2
 
 
 def test_family_analyses_pattern_once(sweep_system_small, monkeypatch):
