@@ -44,8 +44,9 @@ on or below the diagonal are valid, and only those are read.  The
 parts of V in the parents' pivot columns are subtracted from the
 parents' panels at once; the rest waits until the parent has formed its
 own V.  Small update matrices (m <= _FLAT_ROWS) move by flat positions
-that ``factor`` computes from the relative rows, a piece of children at
-a time; their waiting part is a flat copy with its positions.  Larger
+that ``factor`` computes from the relative rows and a lower-triangle
+template per m, a piece of children with one parent group at a time;
+their waiting part is a flat copy with its positions.  Larger
 ones move by block pairs of runs of consecutive parent rows.  A child's
 rows that land in its parent's update matrix are its last ones, so only
 a copy of that trailing block waits.  Forward and backward substitution
@@ -60,11 +61,12 @@ most ``Symbolic.update_peak`` 8-byte words of update storage.
 ``analyse`` finds that peak by walking the schedule: the waiting flat
 copies with their positions and the trailing blocks, plus the current
 group's V (before it, a batch's pivot temporaries) and what is copied
-out of it, with a piece's position temporaries.  So ``factor`` holds
-8 (size + update_peak) bytes (``Symbolic.factor_bytes``), beside the
-one-time gather of K's entries (8 bytes per entry on or below the
-diagonal) and NumPy's fixed iteration buffers.  The analysis itself
-peaks below nbytes plus 24 bytes per stored entry of K (``analyse``).
+out of it, with a piece's position temporaries, and the templates.  So
+``factor`` holds 8 (size + update_peak) bytes
+(``Symbolic.factor_bytes``), beside the one-time gather of K's entries
+(8 bytes per entry on or below the diagonal) and NumPy's fixed
+iteration buffers.  The analysis itself peaks below nbytes plus 24
+bytes per stored entry of K (``analyse``).
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ _CHUNK = 1 << 20
 # computed in ``factor`` from 4 bytes per row, larger ones by block
 # pairs of runs (one Python step per pair).
 _FLAT_ROWS = 128
-# lower entries per piece of a group's flat extend-adds (about 2 MB of
+# lower entries per piece of a group's flat extend-adds (about 3 MB of
 # temporaries, counted by _update_peak)
 _PIECE = _CHUNK // 8
 # Relaxed amalgamation, CHOLMOD's defaults (Chen, Davis, Hager &
@@ -242,13 +244,13 @@ class _Group:
                         # runs: [(j0, j1, p0)] rows j0:j1 -> p0:
 
 
-def _pieces(pgroup, t, L):
-    """A group's small children in runs of one parent group and one t,
-    each cut into pieces of at most _PIECE lower entries (at least one
-    child of ``L`` entries): (c0, c1)."""
+def _pieces(pgroup, L):
+    """A group's small children in runs of one parent group, each cut
+    into pieces of at most _PIECE lower entries (at least one child of
+    ``L`` entries): (c0, c1)."""
     size = max(1, _PIECE // L)
-    cuts = np.flatnonzero((np.diff(pgroup) != 0) | (np.diff(t) != 0)) + 1
-    for r0, r1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(t)]):
+    cuts = (np.flatnonzero(np.diff(pgroup)) + 1).tolist()
+    for r0, r1 in zip([0, *cuts], [*cuts, len(pgroup)]):
         for c0 in range(r0, r1, size):
             yield c0, min(c0 + size, r1)
 
@@ -260,11 +262,15 @@ def _update_peak(groups, pos):
     (before them, a batch's pivot temporaries: inverse and Cholesky
     factor, then the product for L21), and while V lives, the copies
     taken from it and the temporaries of ``_flat_moves``: (4 pos + 1) m
-    + 32 bytes per child, and for one piece of children (2 pos + 8) L
-    each, L = m (m + 1) / 2 its lower entries."""
+    + 32 bytes per child, and for one piece of children (2 pos + 17) L
+    each and 8 L, L = m (m + 1) / 2 its lower entries.  Throughout, the
+    lower-triangle templates of the small update matrices' sizes: 12 L
+    bytes per size."""
     gk = np.asarray([g.k for g in groups])
     pending = [0] * len(groups)
-    total = peak = 0
+    total = peak = tril = 0
+    for m in {g.n - g.k for g in groups if g.flat is not None}:
+        tril += 12 * (m * (m + 1) // 2)
     for g, grp in enumerate(groups):
         B, k, m = len(grp.rows), grp.k, grp.n - grp.k
         V = 8 * B * m * m
@@ -280,15 +286,15 @@ def _update_peak(groups, pos):
             for q, w in zip(qs.tolist(), np.add.reduceat(wait, at).tolist()):
                 pending[q] += w
                 new += w
-            temp = ((4 * pos + 1) * B * m + 32 * B
-                    + (2 * pos + 8) * L * min(B, max(1, _PIECE // L)))
+            temp = ((4 * pos + 1) * B * m + 32 * B + 8 * L
+                    + (2 * pos + 17) * L * min(B, max(1, _PIECE // L)))
         for q, _, _, runs, t in grp.blocks:
             tail = 8 * (m - runs[t][0]) ** 2 if t < len(runs) else 0
             pending[q] += tail
             new += tail
         peak = max(peak, total + V + new + temp)
         total += new
-    return peak
+    return peak + tril
 
 
 @dataclass
@@ -652,49 +658,57 @@ def _front(P, k):
     return P[:, k:] @ np.swapaxes(P[:, k:], 1, 2)
 
 
-_TRIL = {}
-
-
 def _tril(m):
     """The entries on and below the diagonal of an m x m matrix, column
-    by column: (flat positions i m + j, rows i, columns j), int32,
-    cached per m.  The first t m - t (t - 1) / 2 lie in the first t
-    columns."""
-    if m not in _TRIL:
-        j, i = np.triu_indices(m)
-        _TRIL[m] = tuple(a.astype(np.int32) for a in (i * m + j, i, j))
-    return _TRIL[m]
+    by column: (flat positions i m + j, rows i, columns j), int32.  The
+    first t m - t (t - 1) / 2 lie in the first t columns."""
+    j, i = np.triu_indices(m)
+    return tuple(a.astype(np.int32) for a in (i * m + j, i, j))
 
 
-def _flat_moves(V, grp, gk, gm, values, pending):
+def _entries(V, j, i, tril, e0, e1, keep):
+    """(positions, values) of the entries e0:e1 of ``tril`` in the flat
+    update matrices V: the position of entry (row r, column c) of child
+    b is j[b, c] + i[b, r]; only where ``keep`` (b, e), if given."""
+    tri, it, jt = tril
+    dst = np.take(j, jt[e0:e1], axis=1)
+    dst += np.take(i, it[e0:e1], axis=1)
+    v = np.take(V, tri[e0:e1], axis=1)
+    if keep is None:
+        return dst.ravel(), v.ravel()
+    return dst[keep], v[keep]
+
+
+def _flat_moves(V, grp, gk, gm, values, pending, tril):
     """Extend-add of a group's small update matrices V (B, m, m), on and
-    below the diagonal (``gk``, ``gm``: k and m of each group).  Entry
-    (i, j) of a child with t rows in its parent's pivot columns goes,
-    for j < t, to the parent's panel at pbase + rel[i] k + rel[j],
-    subtracted now; else to the parent group's update matrices at
-    (slot m - k) m - k + rel[i] m + rel[j], waiting as (values,
-    positions).  In a piece of children with one parent group and one
-    t, those are the first t m - t (t - 1) / 2 entries of ``_tril`` and
-    the rest."""
+    below the diagonal (``gk``, ``gm``: k and m of each group; ``tril``:
+    ``_tril(m)``).  Entry (i, j) of a child with t rows in its parent's
+    pivot columns goes, for j < t, to the parent's panel at pbase +
+    rel[i] k + rel[j], subtracted now; else to the parent group's update
+    matrices at (slot m - k) m - k + rel[i] m + rel[j], waiting as
+    (positions, values).  Those are the first t m - t (t - 1) / 2
+    entries of ``tril`` and the rest; where the t of a piece's children
+    differ, a mask picks each child's part."""
     rel, pgroup, slot, pbase = grp.flat
     B, m = rel.shape
-    tri, it, jt = _tril(m)
+    L = len(tril[0])
     k, mq = gk[pgroup][:, None], gm[pgroup][:, None]
-    t = np.sum(rel < k, axis=1).tolist()
+    t = np.sum(rel < k, axis=1)
+    now = t * m - t * (t - 1) // 2
     now_j, now_i = pbase[:, None] + rel, k * rel
     wait_j, wait_i = (slot[:, None] * mq - k) * mq - k + rel, mq * rel
     V = V.reshape(B, m * m)
-    for c0, c1 in _pieces(pgroup, t, len(tri)):
-        P = t[c0] * m - t[c0] * (t[c0] - 1) // 2
-        dst = np.take(now_j[c0:c1], jt[:P], axis=1)
-        dst += np.take(now_i[c0:c1], it[:P], axis=1)
-        np.subtract.at(values, dst.ravel(),
-                       np.take(V[c0:c1], tri[:P], axis=1).ravel())
-        if P < len(tri):
-            dst = np.take(wait_j[c0:c1], jt[P:], axis=1)
-            dst += np.take(wait_i[c0:c1], it[P:], axis=1)
-            pending[pgroup[c0]].append((
-                np.take(V[c0:c1], tri[P:], axis=1).ravel(), dst.ravel()))
+    for c0, c1 in _pieces(pgroup, L):
+        p = now[c0:c1, None]
+        lo, hi = int(p.min()), int(p.max())
+        if hi:
+            keep = np.arange(hi) < p if lo < hi else None
+            np.subtract.at(values, *_entries(V[c0:c1], now_j[c0:c1],
+                                             now_i[c0:c1], tril, 0, hi, keep))
+        if lo < L:
+            keep = np.arange(lo, L) >= p if lo < hi else None
+            pending[pgroup[c0]].append(_entries(
+                V[c0:c1], wait_j[c0:c1], wait_i[c0:c1], tril, lo, L, keep))
 
 
 def _extend_add(V, children):
@@ -705,7 +719,7 @@ def _extend_add(V, children):
     Vf = V.reshape(-1)
     for item in children:
         if len(item) == 2:
-            np.add.at(Vf, item[1], item[0])
+            np.add.at(Vf, *item)
             continue
         Vc, s, runs = item
         for a, (i0, i1, q0) in enumerate(runs):
@@ -728,6 +742,8 @@ def factor(K, sym=None) -> Factor:
     itype = sym.dst.dtype
     gk = np.asarray([g.k for g in sym.groups], dtype=itype)
     gm = np.asarray([g.n - g.k for g in sym.groups], dtype=itype)
+    tril = {m: _tril(m) for m in {g.n - g.k for g in sym.groups
+                                  if g.flat is not None}}
     factor = Factor(sym, values)
     for g, (grp, P) in enumerate(zip(sym.groups, factor.panels)):
         children, pending[g] = pending[g], None
@@ -737,7 +753,8 @@ def factor(K, sym=None) -> Factor:
         _extend_add(V, children)
         children = None
         if grp.flat is not None:
-            _flat_moves(V, grp, gk, gm, values, pending)
+            _flat_moves(V, grp, gk, gm, values, pending,
+                        tril[grp.n - grp.k])
         for q, b, s, runs, t in grp.blocks:
             # the pairs in the parent's pivot columns now, and a copy of
             # the trailing block that lands in its update matrix for later

@@ -401,6 +401,27 @@ def test_cholesky_large_fronts():
     _check_against_dense(K)
 
 
+def test_cholesky_flat_pieces_with_different_t(monkeypatch):
+    # a piece of small children whose numbers t of rows in their
+    # parent's pivot columns differ: a mask picks each child's part, and
+    # the factor is bitwise the one of one child per piece
+    from mmfem import cholesky
+    K = _block_spd([1] * 60, density=0.05, seed=0)
+    groups = cholesky.analyse(K).groups
+    gk = np.array([g.k for g in groups])
+    spreads = []
+    for g in groups:
+        if g.flat is not None:
+            m, (rel, pgroup) = g.n - g.k, g.flat[:2]
+            t = np.sum(rel < gk[pgroup][:, None], axis=1)
+            spreads += [np.ptp(t[c0:c1]) for c0, c1
+                        in cholesky._pieces(pgroup, m * (m + 1) // 2)]
+    assert max(spreads) > 0
+    F = _check_against_dense(K)
+    monkeypatch.setattr(cholesky, "_PIECE", 1)
+    assert np.array_equal(cholesky.factor(K).values, F.values)
+
+
 def test_cholesky_memory_bound_and_in_place():
     # the traced peak of a factorization stays within the stated bound
     # (a copy of a panel by a LAPACK or BLAS wrapper would exceed it),
