@@ -8,7 +8,8 @@ Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
 or 27).  One chunked driver forms a chunk's element matrices by one GEMM
 of per-cell coefficients with them and adds the halves Y + Y^T, exactly
 symmetric as the solver needs, into the CSR ``Pattern`` built once from
-the cell dofs, which the system keeps.  Memory beside data and pattern:
+the node-major cell dofs (``FieldLayout``); the system keeps its
+supervariable labels.  Memory beside data and pattern:
 the positions of all element scalar entries, found once (4 bytes each),
 then per chunk Y of all matrices (at most _CHUNK_NNZ doubles) and one
 matrix's K and the positions (8 + 4 bytes per element entry).
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .cholesky import _supervariables
+from .cholesky import _ranges, _supervariables
 from .dofmap import DofMap, build_dofmap
 from .errors import InvalidParam, SpaceMismatch
 from .materials import MaterialParams
@@ -37,7 +38,8 @@ _CHUNK_NNZ = 2_000_000
 
 @dataclass
 class FieldLayout:
-    """One physical field inside the global dof vector."""
+    """One physical field inside the global dof vector, numbered node-major:
+    component r of scalar dof i is global dof offset + n_comps i + r."""
 
     name: str
     space: SpaceDescriptor
@@ -45,13 +47,15 @@ class FieldLayout:
     n_comps: int          # components (vector H1) or tensor rows (H(curl))
     offset: int
 
-    def comp_offset(self, r):
-        return self.offset + r * self.dofmap.n_dofs
+    def dofs(self, comp, scalar):
+        """Global dofs of components ``comp`` of scalar dofs ``scalar``
+        (broadcast)."""
+        return self.offset + self.n_comps * np.asarray(scalar) + comp
 
     def cell_dofs(self, cells=slice(None)):
         """Global dofs (nc, n_comps, n_local) of a cell chunk."""
-        comps = self.comp_offset(np.arange(self.n_comps))
-        return comps[:, None] + self.dofmap.cell_dofs[cells][:, None, :]
+        return self.dofs(np.arange(self.n_comps)[:, None],
+                         self.dofmap.cell_dofs[cells][:, None, :])
 
 
 @dataclass
@@ -61,8 +65,9 @@ class SparseSystem:
     ``c_matrix``, the unit-coefficient part of K(c) = matrix + c c_matrix
     (curl-curl of the lc sweep, div-div of the Cauchy form), shares the
     CSR pattern of ``matrix``, so ``matrix_at`` only combines data arrays.
-    An assembled system carries that ``Pattern`` for the solver and its
-    assembly wall seconds ``assembly_s`` (None and 0.0 for a bare matrix).
+    An assembled system carries the supervariable label of every dof
+    (``Pattern.group``) for the solver and its assembly wall seconds
+    ``assembly_s`` (None and 0.0 for a bare matrix).
     """
 
     matrix: sp.csr_matrix
@@ -71,7 +76,7 @@ class SparseSystem:
     mesh: Mesh
     constraints: dict = field(default_factory=dict)
     c_matrix: sp.csr_matrix = None
-    pattern: Pattern = None
+    group: np.ndarray = None
     assembly_s: float = 0.0
 
     @property
@@ -201,32 +206,32 @@ def _project(w, fv, vals):
 
 class Pattern:
     """CSR pattern of a system's matrices (every coupling through a
-    cell), the supervariable of every dof, and the tables that place the
-    element entries in it (``positions``; no positions are kept).
+    cell), the supervariable of every dof, and the positions in S (below)
+    of all element scalar entries, from which ``positions`` places the
+    element entries chunk by chunk.
 
-    All fields have k components; element matrices are ordered (r, s, A,
-    B): components outermost, then the cell's scalar dofs A of all fields.
-    The pattern is the scalar pattern S of the stacked dofmaps with each
-    entry expanded to a k x k block: global row (field f, component r,
-    dof i) lists, field by field and then component by component, the
-    columns of S row i.  It is sorted and symmetric, so its CSR arrays
-    are its CSC arrays.  Entry (r, s) of the block of scalar entry e in
-    row i sits at p0[e] + r * rstride[i] + s * seg[e], seg[e] being the
-    length of the segment of row i in e's column field, rstride[i] k
-    times the entries of S in the rows of i's field.
+    All fields have k components, numbered node-major (``FieldLayout``):
+    global dof k i + r is component r of scalar dof i of the stacked
+    dofmaps.  The pattern is their scalar pattern S with every entry
+    replaced by a k x k block: row k i + r holds the columns k j + s,
+    j in S row i and s < k, so entry (r, s) of the block of scalar entry
+    e in row i sits at indptr[k i + r] + k (e - S.indptr[i]) + s.
+    It is sorted and symmetric, so its CSR arrays are its CSC arrays.
+    Element matrices are ordered (r, s, A, B): components outermost, then
+    the cell's scalar dofs A of all fields.
 
     The dofs of the scalar dofs in one set of cells (a mesh entity, or
     entities with the same cells, such as a boundary face and the
     interior of its only cell) have one row set: ``group`` labels them
     for the factorization.  Memory: ``indices`` 4 bytes per entry (int32
-    below 2^31 entries), ``indptr`` and ``group`` one index per dof, and
-    for k > 1 12 bytes per scalar entry (4/3 per entry at k = 3).
+    below 2^31 entries), ``indptr``, ``group`` and S.indptr one index per
+    (scalar) dof, and the scalar positions 4 bytes per element scalar
+    entry.
     """
 
     def __init__(self, layouts):
         k = self.k = layouts[0].n_comps
-        sizes = np.array([fl.dofmap.n_dofs for fl in layouts])
-        starts = np.concatenate([[0], np.cumsum(sizes)])
+        starts = np.cumsum([0] + [fl.dofmap.n_dofs for fl in layouts])
         self.scalar_dofs = np.concatenate(
             [fl.dofmap.cell_dofs + s for fl, s in zip(layouts, starts)], axis=1)
         (nc, nloc), ns = self.scalar_dofs.shape, int(starts[-1])
@@ -234,58 +239,43 @@ class Pattern:
             (np.ones(self.scalar_dofs.size, dtype=bool), self.scalar_dofs.ravel(),
              np.arange(0, nc * nloc + 1, nloc)), shape=(nc, ns))
         cells_of = incidence.tocsc()    # the cells of each scalar dof
-        group = _supervariables(cells_of.indptr, cells_of.indices, ns)
+        self.group = np.repeat(_supervariables(cells_of.indptr, cells_of.indices, ns), k)
         S = cells_of.T @ incidence      # CSR; symmetric: also its CSC arrays
         S.sort_indices()
-        self.s_indptr, self.s_indices = S.indptr, S.indices
         itype = np.int32 if k * k * S.nnz < 2 ** 31 else np.int64
-        self.group = np.concatenate([np.tile(group[a:b], k)
-                                     for a, b in zip(starts[:-1], starts[1:])])
-        if k == 1:     # the pattern is S; the expansion would copy it
-            self.indptr, self.indices = S.indptr, S.indices
-            return
-        e = np.arange(S.nnz, dtype=itype)
-        row = np.repeat(np.arange(ns, dtype=itype), np.diff(S.indptr))
-        col_field = (S.indices[:, None] >= starts[1:-1]).sum(1, dtype=itype)
-        seg_id = row * len(sizes) + col_field
-        seg = np.bincount(seg_id, minlength=ns * len(sizes)).astype(itype)
-        rank = e - (np.cumsum(seg, dtype=itype) - seg)[seg_id]
-        self.seg = seg[seg_id]
-        field_nnz = S.indptr[starts].astype(itype)     # S entries before each field
-        row_field = np.repeat(np.arange(len(sizes)), sizes)
-        self.rstride = k * np.diff(field_nnz)[row_field]
-        # (r, s) = (0, 0) copy: k e - (k - 1) rank in the fields' r = 0 rows
-        self.p0 = k * e - (k - 1) * rank + (k * k - k) * field_nnz[row_field][row]
-        # a row's columns do not depend on r: the fields' r = 0 rows, then copies
-        self.indices = np.empty(k * k * S.nnz, dtype=itype)
-        col0 = S.indices + ((k - 1) * starts[:-1]).astype(itype)[col_field]  # s = 0
-        step = sizes.astype(itype)[col_field]
-        for s in range(k):
-            self.indices[self.p0 + s * self.seg] = col0 + s * step
-        for a, b in zip(k * k * field_nnz, k * k * field_nnz[1:]):
-            self.indices[a:b].reshape(k, -1)[1:] = self.indices[a:a + (b - a) // k]
-        self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(
-            [np.tile(k * np.diff(S.indptr[a:b + 1]), k)
-             for a, b in zip(starts[:-1], starts[1:])]))]).astype(itype)
-
-    def positions(self, per_cell):
-        """Chunks of ``_chunks(n_cells, per_cell)`` and their element entry
-        positions, from those in S of all scalar element entries (4 bytes
-        each), looked up in batches SciPy binary-searches (> S.nnz / 10)."""
-        (nc, nloc), k = self.scalar_dofs.shape, self.k
-        where = sp.csr_matrix((np.arange(len(self.s_indices), dtype=self.indptr.dtype),
-                               self.s_indices, self.s_indptr))   # S, holding positions
-        e = np.empty((nc, nloc, nloc), dtype=where.dtype)
+        # scalar positions, looked up in batches SciPy binary-searches (> S.nnz / 10)
+        where = sp.csr_matrix((np.arange(S.nnz, dtype=itype), S.indices, S.indptr))
+        self.scalar_pos = np.empty((nc, nloc, nloc), dtype=itype)
         for cells in _chunks(nc, nloc * nloc):
             sd = self.scalar_dofs[cells].astype(where.indices.dtype)
             rows, cols = np.broadcast_arrays(sd[:, :, None], sd[:, None, :])
-            e[cells] = np.asarray(where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-        del where       # 4 bytes per S entry; e is all the chunks need
-        comp = np.arange(k, dtype=e.dtype)[:, None, None]
-        for cells in _chunks(nc, per_cell):
-            ec, sd = e[cells][:, None, None], self.scalar_dofs[cells]
-            yield cells, (e[cells] if k == 1 else self.p0[ec] + comp[..., None]
-                          * self.rstride[sd][:, None, None, :, None] + comp * self.seg[ec])
+            self.scalar_pos[cells] = np.asarray(
+                where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+        del where
+        self.s_indptr = S.indptr
+        if k == 1:     # the pattern is S; the expansion would copy it
+            self.indptr, self.indices = S.indptr, S.indices
+            return
+        # row k i + r holds the k-blocks of the entries of S row i
+        blocks = k * S.indices.astype(itype)[:, None] + np.arange(k, dtype=itype)
+        lens = np.repeat(np.diff(S.indptr), k)
+        self.indices = blocks[_ranges(np.repeat(S.indptr[:-1], k), lens, itype)].ravel()
+        self.indptr = np.concatenate([[0], np.cumsum(k * lens)]).astype(itype)
+
+    def positions(self, per_cell):
+        """Chunks of ``_chunks(n_cells, per_cell)`` and the positions of
+        their element entries, (nc, k, k, n_local, n_local)."""
+        k, e = self.k, self.scalar_pos
+        comp = np.arange(k, dtype=e.dtype)
+        for cells in _chunks(len(e), per_cell):
+            if k == 1:
+                yield cells, e[cells]
+                continue
+            sd = self.scalar_dofs[cells]
+            first = self.indptr[k * sd[:, None, :] + comp[:, None]]     # (nc, r, A)
+            rank = e[cells] - self.s_indptr[sd][:, :, None]
+            yield cells, (first[:, :, None, :, None] + (k * rank)[:, None, None]
+                          + comp[:, None, None])
 
 
 def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
@@ -324,7 +314,7 @@ def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
     mats = [sp.csr_matrix((d, pat.indices, pat.indptr), shape=(n, n))
             for d in data] + [None]
     return SparseSystem(matrix=mats[0], rhs=rhs, fields=fields, mesh=mesh,
-                        c_matrix=mats[1], pattern=pat,
+                        c_matrix=mats[1], group=pat.group,
                         assembly_s=time.perf_counter() - t0)
 
 
@@ -345,7 +335,7 @@ def _iso(S, diag, swap, trace):
 
 def assemble_antiplane(mesh: Mesh, params: MaterialParams,
                        u_space: SpaceDescriptor, p_space: SpaceDescriptor,
-                       f=None, m=None, quad_degree=None) -> SparseSystem:
+                       f=None, m=None) -> SparseSystem:
     """System for the antiplane form
     mu_e <grad u - p, grad du - dp> + mu_micro <p, dp>
     + mu_macro lc^2 rot p rot dp  -  (f, du) - (m, dp).
@@ -354,7 +344,7 @@ def assemble_antiplane(mesh: Mesh, params: MaterialParams,
         raise SpaceMismatch("antiplane model is two-dimensional")
     if u_space.family != "h1" or p_space.family not in ("nedelec1", "nedelec2"):
         raise SpaceMismatch("need scalar H1 u-space and H(curl) p-space")
-    qd = quad_degree or _default_degree(u_space, p_space)
+    qd = _default_degree(u_space, p_space)
     rule, uvals, _ = _h1_ref(u_space.degree, 2, qd)
     _, pvals, _ = _hcurl_ref(p_space, qd)
     fields = _layouts(mesh, {"u": u_space, "p": p_space}, 1)
@@ -373,8 +363,7 @@ def assemble_antiplane(mesh: Mesh, params: MaterialParams,
 
 def assemble_full3d(mesh: Mesh, params: MaterialParams,
                     u_space: SpaceDescriptor, p_space: SpaceDescriptor,
-                    f=None, M=None, quad_degree=None,
-                    split_curl: bool = False) -> SparseSystem:
+                    f=None, M=None, split_curl: bool = False) -> SparseSystem:
     """System for the relaxed micromorphic form with [H1]^3 displacement
     and one H(curl) space per microdistortion row (row-wise Curl).
 
@@ -386,7 +375,7 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
         raise SpaceMismatch("full model is three-dimensional")
     if u_space.family != "h1" or p_space.family not in ("nedelec1", "nedelec2"):
         raise SpaceMismatch("need H1 u-space and H(curl) P-space")
-    qd = quad_degree or _default_degree(u_space, p_space)
+    qd = _default_degree(u_space, p_space)
     rule, uvals, _ = _h1_ref(u_space.degree, 3, qd)
     _, pvals, _ = _hcurl_ref(p_space, qd)
     fields = _layouts(mesh, {"u": u_space, "p": p_space}, 3)
@@ -410,14 +399,13 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
                      n_mats=n_mats)
 
 
-def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
-                      quad_degree=None) -> SparseSystem:
+def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None) -> SparseSystem:
     """Classical linear elasticity for the lc energy bounds, split by
     modulus: ``matrix`` S is its mu = 1 part and ``c_matrix`` D its
     lam = 1 (div-div) part, so moduli (lam, mu) give mu S + lam D."""
     if mesh.dim != 3 or u_space.dim != 3 or u_space.family != "h1":
         raise SpaceMismatch("cauchy3d needs a 3D H1 space")
-    qd = quad_degree or 2 * u_space.degree
+    qd = 2 * u_space.degree
     rule, uvals, _ = _h1_ref(u_space.degree, 3, qd)
     fields = _layouts(mesh, {"u": u_space}, 3)
 
@@ -443,24 +431,21 @@ def _l2_distance(mesh, layout, x, func, rule, table):
     return np.sqrt(total)
 
 
-def l2_error_h1(mesh: Mesh, layout: FieldLayout, x, func, quad_degree=None):
+def l2_error_h1(mesh: Mesh, layout: FieldLayout, x, func):
     """L2 distance between an H1 field and a callback on physical points."""
-    qd = quad_degree or 2 * layout.space.degree + 2
-    rule, uvals, _ = _h1_ref(layout.space.degree, mesh.dim, qd)
+    rule, uvals, _ = _h1_ref(layout.space.degree, mesh.dim, 2 * layout.space.degree + 2)
     return _l2_distance(mesh, layout, x, func, rule, uvals)
 
 
-def l2_error_hcurl(mesh: Mesh, layout: FieldLayout, x, func, quad_degree=None):
+def l2_error_hcurl(mesh: Mesh, layout: FieldLayout, x, func):
     """L2 distance for an H(curl) field; rows stacked for tensor fields."""
-    qd = quad_degree or 2 * (layout.space.degree + 1) + 2
-    rule, pvals, _ = _hcurl_ref(layout.space, qd)
+    rule, pvals, _ = _hcurl_ref(layout.space, 2 * layout.space.degree + 4)
     return _l2_distance(mesh, layout, x, func, rule, pvals)
 
 
-def rot_l2_norm(mesh: Mesh, layout: FieldLayout, x, quad_degree=None):
+def rot_l2_norm(mesh: Mesh, layout: FieldLayout, x):
     """L2 norm of the 2D rot of an H(curl) field."""
-    qd = quad_degree or 2 * (layout.space.degree + 1)
-    rule, _, pcurls = _hcurl_ref(layout.space, qd)
+    rule, _, pcurls = _hcurl_ref(layout.space, 2 * layout.space.degree + 2)
     total = 0.0
     for cells in _chunks(mesh.n_cells, pcurls.size):
         rot = x[layout.cell_dofs(cells)[:, 0]] @ pcurls.T / mesh.dets[cells, None]

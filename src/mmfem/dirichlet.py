@@ -262,7 +262,7 @@ def _embed(mesh, layout, facet_groups, levels):
             parts += [_LEVELS[rank](mesh, dofmap, mine[chunk], func, x, comps).ravel()
                       for chunk in _chunks(len(mine), size)]
         dofs = np.concatenate(parts)
-        keys.append((layout.comp_offset(comps)[:, None] + dofs).ravel())
+        keys.append(layout.dofs(comps[:, None], dofs).ravel())
         vals.append(x[:, dofs].ravel())
     return dict(zip(np.concatenate(keys).tolist(), np.concatenate(vals).tolist()))
 

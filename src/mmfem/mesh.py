@@ -99,8 +99,8 @@ class Mesh:
 def build(vertices, cells, tags=None) -> Mesh:
     """Assemble a mesh from raw arrays.
 
-    ``tags`` maps a label either to a list of boundary facet vertex-id
-    tuples or to an array of facet indices (internal use).
+    ``tags`` maps a label to a list of boundary facet vertex-id tuples;
+    an entry that is not one raises BadIndex naming the label.
     """
     vertices = np.asarray(vertices, dtype=float)
     cells = np.asarray(cells, dtype=np.int64)
@@ -155,13 +155,9 @@ def build(vertices, cells, tags=None) -> Mesh:
         facet_lookup = {tuple(mesh.facet_vertices(f)): f for f in boundary}
         resolved = {}
         for label, facets in tags.items():
-            facets = list(facets)
-            if facets and np.isscalar(facets[0]):
-                resolved[label] = np.asarray(facets, dtype=np.int64)
-                continue
             ids = []
             for fv in facets:
-                key = tuple(sorted(int(v) for v in fv))
+                key = tuple(sorted(int(v) for v in np.atleast_1d(fv)))
                 if key not in facet_lookup:
                     raise BadIndex(f"tag {label!r}: {key} is not a boundary facet")
                 ids.append(facet_lookup[key])

@@ -62,7 +62,7 @@ class FieldSolution:
     refinement, or CG).
     ``energy`` is 1/2 x^T K x where the solve computed it (``solve_family``).
     Solutions of ``solve_family`` keep their system without its matrices
-    (``matrix`` and ``c_matrix`` are None).
+    (``matrix``, ``c_matrix`` and ``group`` are None).
     """
 
     system: SparseSystem
@@ -75,11 +75,6 @@ class FieldSolution:
     @property
     def mesh(self):
         return self.system.mesh
-
-    def coeffs(self, name, comp=0):
-        layout = self.system.fields[name]
-        off = layout.comp_offset(comp)
-        return self.x[off:off + layout.dofmap.n_dofs]
 
 
 @dataclass
@@ -226,8 +221,7 @@ def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
     split, K = _split(system), system.matrix
     rhs = system.rhs[split.free] - split.product(K, 0.0, split.vals)
     t1 = time.perf_counter()
-    sym = cholesky.analyse(K, label=system.pattern and system.pattern.group,
-                           free=split.free)
+    sym = cholesky.analyse(K, label=system.group, free=split.free)
     t2 = time.perf_counter()
     xf, _, spd, info = _direct(K, rhs, sym, split, require_spd)
     info["stages"].update(assembly=system.assembly_s, reduction=t1 - t0,
@@ -259,9 +253,9 @@ def solve_family(system: SparseSystem, coeffs) -> list:
     lift_a, lift_c = -Ax[split.free], -Cx[split.free]
     e_a, e_c = float(x_con @ Ax), float(x_con @ Cx)
     rhs_a = system.rhs[split.free] + lift_a
-    label = system.pattern and system.pattern.group[split.free]
+    label = None if system.group is None else system.group[split.free]
     # from here on only the reduced blocks hold matrix data
-    split.system = replace(system, matrix=None, c_matrix=None, pattern=None)
+    split.system = replace(system, matrix=None, c_matrix=None, group=None)
     del system
     K = sp.csc_matrix((np.empty_like(A.data), A.indices, A.indptr),
                       shape=A.shape)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mmfem.assembly as assembly
-from mmfem.assembly import (_default_degree, _h1_ref, _hcurl_ref, _phys_grads,
-                            assemble_antiplane, assemble_cauchy3d,
-                            assemble_full3d, l2_error_h1, l2_error_hcurl,
-                            rot_l2_norm)
+from mmfem.assembly import (FieldLayout, _default_degree, _h1_ref,
+                            _hcurl_ref, _phys_grads, assemble_antiplane,
+                            assemble_cauchy3d, assemble_full3d, l2_error_h1,
+                            l2_error_hcurl, rot_l2_norm)
 from mmfem.dofmap import build_dofmap
 from mmfem.errors import SpaceMismatch
 from mmfem.materials import MaterialParams
@@ -23,14 +24,12 @@ def _push(mat, ref):
 
 def _cell_coeffs(layout, x, c):
     """Local coefficients (n_comps, n_local) of cell c."""
-    dofs = layout.dofmap.cell_dofs[c]
-    return np.stack([x[layout.comp_offset(r) + dofs]
-                     for r in range(layout.n_comps)])
+    return x[layout.cell_dofs([c])[0]]
 
 
 def _cell_dofs(layout, c):
-    return np.concatenate([layout.comp_offset(r) + layout.dofmap.cell_dofs[c]
-                           for r in range(layout.n_comps)])
+    """Global dofs of cell c, components outermost."""
+    return layout.cell_dofs([c]).ravel()
 
 
 def _pack_sym(e):
@@ -67,9 +66,11 @@ def reference_system(mesh, form, u_space, p_space=None, params=None,
     nc_u = 1 if form == "antiplane" else 3
     nu = dm_u.n_dofs
     n = nc_u * nu
+    uf = FieldLayout("u", u_space, dm_u, nc_u, 0)
     if p_space is not None:
         _, pvals, pcurls = _hcurl_ref(p_space, qd)
         dm_p = build_dofmap(mesh, p_space)
+        pf = FieldLayout("p", p_space, dm_p, nc_u, n)
         n += nc_u * dm_p.n_dofs
     K = np.zeros((n, n))
     Kc = np.zeros((n, n))
@@ -102,7 +103,7 @@ def reference_system(mesh, form, u_space, p_space=None, params=None,
         E = np.zeros((nq, 3 * nbu, 3, 3))
         for r in range(3):
             E[:, r * nbu:(r + 1) * nbu, r, :] = gu
-        gd = np.concatenate([du + r * nu for r in range(3)])
+        gd = _cell_dofs(uf, c)
         if form == "cauchy3d":
             feat = np.concatenate(
                 [np.sqrt(lam) * np.einsum("qnii->qn", E)[..., None],
@@ -128,8 +129,7 @@ def reference_system(mesh, form, u_space, p_space=None, params=None,
                  np.sqrt(2.0 * pr.mu_c) * _pack_skw(E),
                  np.sqrt(pr.lam_micro) * np.einsum("qnii->qn", P)[..., None],
                  np.sqrt(2.0 * pr.mu_micro) * _pack_sym(P)], axis=-1)
-            gd = np.concatenate([gd] + [3 * nu + r * dm_p.n_dofs
-                                        + dm_p.cell_dofs[c] for r in range(3)])
+            gd = np.concatenate([gd, _cell_dofs(pf, c)])
             K[np.ix_(gd, gd)] += _gram(feat, w)
             Kc[np.ix_(gd, gd)] += _gram(C.reshape(nq, ndof, 9), w)
             if m is not None:
@@ -140,7 +140,7 @@ def reference_system(mesh, form, u_space, p_space=None, params=None,
         if f is not None:
             fv = f(xq)
             for r in range(3):
-                rhs[du + r * nu] += uvals.T @ (w * fv[:, r])
+                rhs[uf.dofs(r, du)] += uvals.T @ (w * fv[:, r])
     return K, Kc, rhs
 
 
@@ -379,8 +379,7 @@ class TestFull3D:
             target = np.einsum("qad,a->qd", gu, v[dm_u.cell_dofs[c]])
             A = pv.transpose(0, 2, 1).reshape(-1, pv.shape[1])
             sol, *_ = np.linalg.lstsq(A, target.reshape(-1), rcond=None)
-            off = sys_.fields["p"].offset
-            x[off + dm_p.cell_dofs[c]] = sol
+            x[sys_.fields["p"].dofs(0, dm_p.cell_dofs[c])] = sol
         curl_energy = float(x @ (sys_.c_matrix @ x))
         assert abs(curl_energy) <= 1e-12 * (1.0 + float(x @ x))
 
@@ -409,8 +408,10 @@ class TestFull3D:
 class TestCauchy:
     def test_rigid_translation_zero_energy(self, cube):
         sys_ = assemble_cauchy3d(cube, SpaceDescriptor("h1", 2, 3))
-        nu = sys_.fields["u"].dofmap.n_dofs
-        x = np.concatenate([np.full(nu, 0.3), np.full(nu, -0.2), np.full(nu, 1.0)])
+        uf = sys_.fields["u"]
+        x = np.zeros(sys_.n_dofs)
+        for r, v in enumerate((0.3, -0.2, 1.0)):
+            x[uf.dofs(r, np.arange(uf.dofmap.n_dofs))] = v
         for M in (sys_.matrix, sys_.c_matrix):
             assert abs(x @ (M @ x)) < 1e-12
 
@@ -609,6 +610,43 @@ class TestBatchedAgainstReference:
         stored[np.repeat(np.arange(K.shape[0]), np.diff(K.indptr)), K.indices] = True
         assert K.nnz == np.count_nonzero(expected)
         assert np.array_equal(stored, expected)
+
+    def test_node_major_pattern_is_scalar_pattern_in_blocks(self, wavy_box):
+        # global dof = k (stacked scalar dof) + component: the pattern is
+        # the scalar pattern with every entry a k x k block, the k dofs of
+        # a scalar dof are adjacent in one group, and the Dirichlet keys
+        # are the layout's dofs
+        from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
+        u_space, p_space = _spaces("nedelec1", 1, 3)
+        sys_ = assemble_full3d(wavy_box, MICRO, u_space, p_space)
+        layouts = [sys_.fields["u"], sys_.fields["p"]]
+        start = np.cumsum([0] + [fl.dofmap.n_dofs for fl in layouts])
+        scalar = np.concatenate([fl.dofmap.cell_dofs + s
+                                 for fl, s in zip(layouts, start)], axis=1)
+        nc, nloc = scalar.shape
+        incidence = sp.csr_matrix((np.ones(scalar.size), scalar.ravel(),
+                                   np.arange(0, scalar.size + 1, nloc)),
+                                  shape=(nc, start[-1]))
+        blocks = sp.kron(incidence.T @ incidence, np.ones((3, 3))).tocsr()
+        blocks.sort_indices()
+        K = sys_.matrix
+        assert np.array_equal(K.indptr, blocks.indptr)
+        assert np.array_equal(K.indices, blocks.indices)
+        for fl, s in zip(layouts, start):
+            cells = fl.dofmap.cell_dofs + s
+            assert np.array_equal(fl.cell_dofs(),
+                                  3 * cells[:, None, :] + np.arange(3)[:, None])
+        group = sys_.group.reshape(-1, 3)
+        assert np.all(group == group[:, :1])
+        for fl, embed, funcs in [(layouts[0], h1_dirichlet, (_f3, _M3)),
+                                 (layouts[1], hcurl_dirichlet, (_M3,))]:
+            facets = [(wavy_box.boundary_facets,) + funcs]
+            one = FieldLayout("f", fl.space, fl.dofmap, 1, 0)
+            scalar_keys = np.array(list(embed(wavy_box, one, facets)))
+            keys = list(embed(wavy_box, fl, facets))
+            assert len(keys) == 3 * len(scalar_keys)
+            assert set(keys) == set(fl.dofs(np.arange(3)[:, None],
+                                            scalar_keys).ravel().tolist())
 
 
 class TestReferenceTensorKernels:

@@ -273,7 +273,7 @@ class TestFaceHcurl:
             phys = np.einsum("ed,qnd->qne", mesh.inv_ts[cell], shp)
             exact = bending_grad_u(pts)
             for r in range(3):
-                coeffs = x[r * dm.n_dofs:(r + 1) * dm.n_dofs][dm.cell_dofs[cell]]
+                coeffs = x[layout.dofs(r, dm.cell_dofs[cell])]
                 field = np.einsum("qne,n->qe", phys, coeffs)
                 for t in (g1, g2):
                     np.testing.assert_allclose(field @ t, exact[:, r] @ t,
@@ -308,7 +308,7 @@ class TestHierarchy:
         for comp in range(3):
             for f in mesh.boundary_facets[:6]:
                 for v in mesh.facet_vertices(f):
-                    dof = comp * dm.n_dofs + dm.vertex_dof(int(v))
+                    dof = int(layout.dofs(comp, dm.vertex_dof(int(v))))
                     exact = u(mesh.vertices[int(v)][None, :])[0, comp]
                     assert abs(cons[dof] - exact) < 1e-12
 
@@ -365,29 +365,34 @@ class TestBatchedLevels:
         assert 0 < max(calls.values()) <= 2
 
     def test_components_equal_single_component_embeddings(self):
-        # the 3-component layout against three 1-component layouts at
-        # offset + r * n_dofs
+        # the 3-component layout against three 1-component layouts, scalar
+        # dof i of component r at the layout's dofs(r, i)
         mesh = sweep_mesh(0)
         groups = _sweep_groups(mesh)
         space = SpaceDescriptor("h1", 3, 3)
         multi = _layout(mesh, space, n_comps=3)
         single = {}
         for r in range(3):
-            single.update(h1_dirichlet(
-                mesh, _layout(mesh, space, offset=multi.comp_offset(r)),
+            single.update(self._at_comp(multi, r, h1_dirichlet(
+                mesh, _layout(mesh, space),
                 [(facets, _component(uf, r), _component(gf, r))
-                 for facets, uf, gf in groups]))
+                 for facets, uf, gf in groups])))
         self._assert_equal(h1_dirichlet(mesh, multi, groups), single)
 
         space = SpaceDescriptor("nedelec1", 2, 3)
         multi = _layout(mesh, space, n_comps=3, offset=17)
         single = {}
         for r in range(3):
-            single.update(hcurl_dirichlet(
-                mesh, _layout(mesh, space, offset=multi.comp_offset(r)),
-                [(facets, _component(gf, r)) for facets, _, gf in groups]))
+            single.update(self._at_comp(multi, r, hcurl_dirichlet(
+                mesh, _layout(mesh, space),
+                [(facets, _component(gf, r)) for facets, _, gf in groups])))
         groups_p = [(facets, gf) for facets, _, gf in groups]
         self._assert_equal(hcurl_dirichlet(mesh, multi, groups_p), single)
+
+    @staticmethod
+    def _at_comp(layout, r, cons):
+        """Constraints of scalar dofs, moved to component r of ``layout``."""
+        return {int(layout.dofs(r, i)): v for i, v in cons.items()}
 
     @staticmethod
     def _assert_equal(a, b):

@@ -167,6 +167,17 @@ class TestIO:
         with pytest.raises(ParseError, match="cells"):
             io_read(path)
 
+    def test_facet_index_tag_entries_rejected(self, tmp_path):
+        # tag entries are facet vertex lists; bare integers (facet
+        # indices) are no facets and must not pass unvalidated
+        path = tmp_path / "indices.json"
+        path.write_text('{"dim": 2, "vertices": [[0,0],[1,0],[0,1]], '
+                        '"cells": [[0,1,2]], "boundary_tags": {"b": [0, 99]}}')
+        with pytest.raises(ParseError, match="tag 'b'"):
+            io_read(path)
+        with pytest.raises(BadIndex, match="tag 'b'"):
+            build([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], tags={"b": [0]})
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2,,}')

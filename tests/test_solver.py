@@ -466,7 +466,7 @@ def test_cholesky_analysis_memory_bound(antiplane_solution):
     from mmfem.solver import _split
     system = antiplane_solution.system
     for K, kwargs in [(_large_fronts(), {}),
-                      (system.matrix, {"label": system.pattern.group,
+                      (system.matrix, {"label": system.group,
                                        "free": _split(system).free})]:
         peak, sym = _analysis_peak(K, **kwargs)
         assert peak <= sym.nbytes + 24 * len(K.indices)
@@ -656,7 +656,7 @@ def test_pattern_path_matches_explicit_slice(gate_systems):
                 assert np.array_equal(getattr(B, attr), getattr(ref, attr)), name
         K = system.matrix_at(1.0)
         Kff = K[free][:, free].tocsc()
-        F = cholesky.factor(K, cholesky.analyse(K, label=system.pattern.group,
+        F = cholesky.factor(K, cholesky.analyse(K, label=system.group,
                                                 free=free))
         # one partition (test_pattern_supervariables_are_exact): one
         # analysis, bitwise one factor
@@ -668,7 +668,7 @@ def test_pattern_path_matches_explicit_slice(gate_systems):
         x_ref = F_ref.solve(rhs)
         sol = solve(SparseSystem(matrix=K, rhs=system.rhs, fields=system.fields,
                                  mesh=system.mesh, constraints=system.constraints,
-                                 pattern=system.pattern))
+                                 group=system.group))
         assert (np.linalg.norm(sol.x[free] - x_ref)
                 <= 1e-12 * np.linalg.norm(x_ref)), name
         assert sol.residual <= 1e-10
@@ -684,7 +684,7 @@ def test_pattern_supervariables_are_exact(gate_systems):
         free = _free(system)
         Kff = system.matrix[free][:, free]
         exact = cholesky._supervariables(Kff.indptr, Kff.indices, Kff.shape[0])
-        pairs = set(zip(system.pattern.group[free].tolist(), exact.tolist()))
+        pairs = set(zip(system.group[free].tolist(), exact.tolist()))
         assert len({g for g, _ in pairs}) == len(pairs), name   # no merge
         assert len({e for _, e in pairs}) == len(pairs), name   # no split
 
