@@ -5,20 +5,25 @@ Piola), the 2D rot by 1/det J and the 3D curl by J/det J, so with
 constant moduli an element matrix is a linear combination of reference
 Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
 2006), cached per form, spaces and rule (n_terms nb^2 doubles, n_terms 9
-or 27).  One chunked driver forms a chunk's element matrices by one GEMM
-of per-cell coefficients with them and adds the halves Y + Y^T, exactly
-symmetric as the solver needs, into the CSR ``Pattern`` built once from
-the node-major cell dofs (``FieldLayout``); the system keeps its
-supervariable labels.  Memory beside data and pattern:
-the positions of all element scalar entries, found once (4 bytes each),
-then per chunk Y of all matrices (at most _CHUNK_NNZ doubles) and one
-matrix's K and the positions (8 + 4 bytes per element entry).
+or 27).  One chunked driver embeds the Dirichlet data, then forms a
+chunk's element matrices by one GEMM of per-cell coefficients with them
+and adds the halves Y + Y^T, exactly symmetric as the solver needs, into
+the CSR ``Pattern`` of the free dofs, built once from the node-major cell
+dofs (``FieldLayout``).  Entries in a constrained row or column go to a
+spare slot that is dropped, and the element matrices give the lift
+-K_fc x_c and x_c^T K_cc x_c (deal.II's distribute_local_to_global;
+Bangerth, Hartmann & Kanschat, ACM TOMS 33, 2007): no matrix on all dofs
+exists.  Memory beside the free blocks, the lifts, the constrained values
+and the pattern: the positions of all element scalar entries, found once
+(4 bytes each), then per chunk Y of all matrices (at most _CHUNK_NNZ
+doubles) and one matrix's K and the positions (8 + 4 bytes per element
+entry).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,28 +65,48 @@ class FieldLayout:
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric system with optional Dirichlet constraints.
-
-    ``c_matrix``, the unit-coefficient part of K(c) = matrix + c c_matrix
-    (curl-curl of the lc sweep, div-div of the Cauchy form), shares the
-    CSR pattern of ``matrix``, so ``matrix_at`` only combines data arrays.
-    An assembled system carries the supervariable label of every dof
-    (``Pattern.group``) for the solver and its assembly wall seconds
-    ``assembly_s`` (None and 0.0 for a bare matrix).
+    """Assembled symmetric system on its free dofs: ``matrix`` K_ff and
+    ``rhs`` the free load plus the lift -K_fc x_c of the constrained
+    values x_c.  ``c_matrix``, the free block of the unit-coefficient
+    part of K(c) = matrix + c c_matrix (curl-curl of the lc sweep,
+    div-div of the Cauchy form), shares its CSR pattern, so
+    ``matrix_at`` only combines data arrays.  ``free`` masks the free
+    dofs of all ``n_dofs``, ``x_con`` is x_c (zero at the free dofs),
+    ``lift`` (n_mats, n_free) and ``con_energy`` (n_mats) hold -M_fc x_c
+    and x_c^T M_cc x_c of both matrices; a bare system (matrix and rhs)
+    has every dof free.  An assembled one carries the supervariable
+    labels of its free dofs (``Pattern.group``) and the wall seconds of
+    its Dirichlet embedding ``dirichlet_s`` and of the rest ``assembly_s``.
     """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     fields: dict
     mesh: Mesh
-    constraints: dict = field(default_factory=dict)
     c_matrix: sp.csr_matrix = None
+    free: np.ndarray = None
+    x_con: np.ndarray = None
+    lift: np.ndarray = None
+    con_energy: np.ndarray = None
     group: np.ndarray = None
     assembly_s: float = 0.0
+    dirichlet_s: float = 0.0
+
+    def __post_init__(self):
+        if self.free is None:
+            n, n_mats = len(self.rhs), 1 if self.c_matrix is None else 2
+            self.free, self.x_con = np.ones(n, dtype=bool), np.zeros(n)
+            self.lift, self.con_energy = np.zeros((n_mats, n)), np.zeros(n_mats)
 
     @property
     def n_dofs(self):
-        return self.rhs.shape[0]
+        return len(self.free)
+
+    def full(self, xf):
+        """Values of all dofs from those of the free ones."""
+        x = self.x_con.copy()
+        x[self.free] = xf
+        return x
 
     def matrix_at(self, c: float):
         if self.matrix is None:
@@ -204,53 +229,87 @@ def _project(w, fv, vals):
     return (a @ b.reshape(len(w), a.shape[2], -1)).transpose(0, 2, 1)
 
 
+def _constraints(mesh, fields, groups, coupled):
+    """Free-dof mask and constrained values (zero at the free dofs) of the
+    Dirichlet data ``groups``, (facet_ids, ufunc, gradfunc), embedded in
+    u and, if ``coupled``, by the consistent coupling condition in p."""
+    from .dirichlet import h1_dirichlet, hcurl_dirichlet    # imports this module
+    cons = h1_dirichlet(mesh, fields["u"], groups)
+    if coupled:
+        cons.update(hcurl_dirichlet(mesh, fields["p"],
+                                    [(facets, gf) for facets, _, gf in groups]))
+    n = sum(fl.n_comps * fl.dofmap.n_dofs for fl in fields.values())
+    free, x_con = np.ones(n, dtype=bool), np.zeros(n)
+    con = np.fromiter(cons, dtype=np.int64, count=len(cons))
+    free[con] = False
+    x_con[con] = np.fromiter(cons.values(), dtype=float, count=len(cons))
+    return free, x_con
+
+
 class Pattern:
-    """CSR pattern of a system's matrices (every coupling through a
-    cell), the supervariable of every dof, and the positions in S (below)
-    of all element scalar entries, from which ``positions`` places the
-    element entries chunk by chunk.
+    """CSR pattern of a system's free blocks (every coupling of two free
+    dofs through a cell), the supervariable of every free dof, and the
+    positions in S (below) of all element scalar entries, from which
+    ``positions`` places the element entries chunk by chunk.
 
     All fields have k components, numbered node-major (``FieldLayout``):
     global dof k i + r is component r of scalar dof i of the stacked
-    dofmaps.  The pattern is their scalar pattern S with every entry
-    replaced by a k x k block: row k i + r holds the columns k j + s,
-    j in S row i and s < k, so entry (r, s) of the block of scalar entry
-    e in row i sits at indptr[k i + r] + k (e - S.indptr[i]) + s.
-    It is sorted and symmetric, so its CSR arrays are its CSC arrays.
-    Element matrices are ordered (r, s, A, B): components outermost, then
-    the cell's scalar dofs A of all fields.
+    dofmaps.  The constraints fix all k components of a scalar dof or
+    none, so the pattern is the scalar pattern S of the free scalar dofs
+    (numbered in order) with every entry replaced by a k x k block: row
+    k i + r holds the columns k j + s, j in S row i and s < k, so entry
+    (r, s) of the block of scalar entry e in row i sits at
+    indptr[k i + r] + k (e - S.indptr[i]) + s.  It is sorted and
+    symmetric, so its CSR arrays are its CSC arrays.  Element matrices
+    are ordered (r, s, A, B): components outermost, then the cell's
+    scalar dofs A of all fields.  An element entry in a constrained row
+    or column goes to the spare slot len(indices), one past the pattern.
 
-    The dofs of the scalar dofs in one set of cells (a mesh entity, or
-    entities with the same cells, such as a boundary face and the
+    The free dofs of the scalar dofs in one set of cells (a mesh entity,
+    or entities with the same cells, such as a boundary face and the
     interior of its only cell) have one row set: ``group`` labels them
     for the factorization.  Memory: ``indices`` 4 bytes per entry (int32
     below 2^31 entries), ``indptr``, ``group`` and S.indptr one index per
-    (scalar) dof, and the scalar positions 4 bytes per element scalar
-    entry.
+    free (scalar) dof, and the scalar positions 4 bytes per element
+    scalar entry.
     """
 
-    def __init__(self, layouts):
+    def __init__(self, layouts, free):
         k = self.k = layouts[0].n_comps
         starts = np.cumsum([0] + [fl.dofmap.n_dofs for fl in layouts])
         self.scalar_dofs = np.concatenate(
             [fl.dofmap.cell_dofs + s for fl, s in zip(layouts, starts)], axis=1)
-        (nc, nloc), ns = self.scalar_dofs.shape, int(starts[-1])
+        node_free = free.reshape(-1, k)
+        if np.any(node_free != node_free[:, :1]):
+            raise InvalidParam(f"the Dirichlet constraints fix some of the {k} "
+                               "components of a scalar dof, not all")
+        node_free = node_free[:, 0]
+        on = node_free[self.scalar_dofs]        # the free element scalar dofs
+        self.cut = ~on.all(axis=1)              # cells with a constrained dof
+        # free scalar numbering; 0 for constrained ones, whose entries are masked
+        self.free_dofs = np.where(on, (np.cumsum(node_free) - 1)[self.scalar_dofs], 0)
+        (nc, nloc), ns = on.shape, int(np.count_nonzero(node_free))
         incidence = sp.csr_matrix(
-            (np.ones(self.scalar_dofs.size, dtype=bool), self.scalar_dofs.ravel(),
-             np.arange(0, nc * nloc + 1, nloc)), shape=(nc, ns))
-        cells_of = incidence.tocsc()    # the cells of each scalar dof
+            (np.ones(np.count_nonzero(on), dtype=bool), self.free_dofs[on],
+             np.concatenate([[0], np.cumsum(on.sum(axis=1))])), shape=(nc, ns))
+        cells_of = incidence.tocsc()    # the cells of each free scalar dof
         self.group = np.repeat(_supervariables(cells_of.indptr, cells_of.indices, ns), k)
         S = cells_of.T @ incidence      # CSR; symmetric: also its CSC arrays
         S.sort_indices()
-        itype = np.int32 if k * k * S.nnz < 2 ** 31 else np.int64
+        itype = np.int32 if k * k * S.nnz < 2 ** 31 - 1 else np.int64
         # scalar positions, looked up in batches SciPy binary-searches (> S.nnz / 10)
-        where = sp.csr_matrix((np.arange(S.nnz, dtype=itype), S.indices, S.indptr))
+        where = sp.csr_matrix((np.arange(S.nnz, dtype=itype), S.indices, S.indptr),
+                              shape=(ns, ns))
         self.scalar_pos = np.empty((nc, nloc, nloc), dtype=itype)
         for cells in _chunks(nc, nloc * nloc):
-            sd = self.scalar_dofs[cells].astype(where.indices.dtype)
+            sd = self.free_dofs[cells].astype(where.indices.dtype)
             rows, cols = np.broadcast_arrays(sd[:, :, None], sd[:, None, :])
-            self.scalar_pos[cells] = np.asarray(
-                where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+            pos = np.asarray(where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+            span = self.span(cells)
+            if span is not None:    # the spare slot if k = 1
+                m = on[cells][span]
+                np.copyto(pos[span], S.nnz, where=~(m[:, :, None] & m[:, None, :]))
+            self.scalar_pos[cells] = pos
         del where
         self.s_indptr = S.indptr
         if k == 1:     # the pattern is S; the expansion would copy it
@@ -265,31 +324,55 @@ class Pattern:
     def positions(self, per_cell):
         """Chunks of ``_chunks(n_cells, per_cell)`` and the positions of
         their element entries, (nc, k, k, n_local, n_local)."""
-        k, e = self.k, self.scalar_pos
+        for cells in _chunks(len(self.scalar_pos), per_cell):
+            yield cells, (self.scalar_pos[cells] if self.k == 1
+                          else self._block_positions(cells))
+
+    def _block_positions(self, cells):
+        """``positions`` of one chunk for k > 1, in a frame of its own so
+        that its temporaries are gone before the chunk's Y is formed."""
+        k, e = self.k, self.scalar_pos[cells]
         comp = np.arange(k, dtype=e.dtype)
-        for cells in _chunks(len(e), per_cell):
-            if k == 1:
-                yield cells, e[cells]
-                continue
-            sd = self.scalar_dofs[cells]
-            first = self.indptr[k * sd[:, None, :] + comp[:, None]]     # (nc, r, A)
-            rank = e[cells] - self.s_indptr[sd][:, :, None]
-            yield cells, (first[:, :, None, :, None] + (k * rank)[:, None, None]
-                          + comp[:, None, None])
+        sd = self.free_dofs[cells]
+        first = self.indptr[k * sd[:, None, :] + comp[:, None]]     # (nc, r, A)
+        rank = e - self.s_indptr[sd][:, :, None]
+        pos = (first[:, :, None, :, None] + (k * rank)[:, None, None]
+               + comp[:, None, None])
+        span = self.span(cells)
+        if span is not None:
+            masked = e[span] == self.s_indptr[-1]
+            np.copyto(pos[span], len(self.indices), where=masked[:, None, None])
+        return pos
+
+    def span(self, cells):
+        """The slice of a chunk from its first to its last cell with a
+        constrained dof (boundary cells tend to be adjacent), or None."""
+        hit = np.flatnonzero(self.cut[cells])
+        return slice(hit[0], hit[-1] + 1) if len(hit) else None
 
 
-def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
+def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1,
+              dirichlet=(), coupled=True):
     """System of element matrices K[r, a, s, b] = Y[r, s, a, b] + Y[s, r,
     b, a], Y = coeffs(|det J|^(1/2) J^{-T}, J, |det J|) @ ref on a chunk
     (``matrix``, ``c_matrix`` if n_mats = 2), and the load vector of
-    ``loads``, (field, reference table, callback or None).  The matrices
+    ``loads``, (field, reference table, callback or None), on the free
+    dofs of the Dirichlet data ``dirichlet`` (``_constraints``), with the
+    lifts from one matmul over the (k, k, nb, nb) blocks.  The matrices
     share one CSR pattern, every coupling through a cell, also where its
     sum over cells vanishes: dropping those breaks the k x k block
     structure that the factorization's ordering relies on, raising fill."""
     t0 = time.perf_counter()
-    pat = Pattern(list(fields.values()))
+    free, x_con = _constraints(mesh, fields, dirichlet, coupled)
+    t1 = time.perf_counter()
+    pat = Pattern(list(fields.values()), free)
     nc, k, (n_terms, nb, _) = len(pat.scalar_dofs), pat.k, ref.shape
-    data = np.zeros((n_mats, len(pat.indices)))
+    nnz, comp = len(pat.indices), np.arange(k)
+    # one array per matrix, so that SciPy keeps views without the last
+    # entry, the spare slot, instead of copying them
+    data = [np.zeros(nnz + 1) for _ in range(n_mats)]
+    ax = np.zeros((n_mats, len(free)))      # M x_con of each matrix
+    x_node = x_con.reshape(-1, k)
     for cells, pos in pat.positions(n_mats * (k * nb) ** 2):
         adet = np.abs(mesh.dets[cells])
         x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
@@ -297,12 +380,18 @@ def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
         # one GEMM for all (one per matrix rounds BLAS's edge rows otherwise)
         y = x.reshape(-1, n_terms) @ ref.reshape(n_terms, -1)
         y, kc = y.reshape(x.shape[:4] + (nb, nb)), np.empty(x.shape[1:4] + (nb, nb))
-        for d, ym in zip(data, y):      # K[r, s, a, b] of one matrix at a time
+        span = pat.span(cells)
+        if span is not None:    # x_con on the span's cells, (nc, 1, s, b, 1)
+            sd = pat.scalar_dofs[cells][span]
+            xe = x_node[sd].transpose(0, 2, 1)[:, None, :, :, None]
+        for d, a, ym in zip(data, ax, y):   # K[r, s, a, b] of one matrix at a time
             np.add(ym, ym.transpose(0, 2, 1, 4, 3), out=kc)
             np.add.at(d, pos.ravel(), kc.ravel())
+            if span is not None:
+                np.add.at(a, k * sd[:, None, :] + comp[:, None],
+                          (kc[span] @ xe).sum(axis=2)[..., 0])
         del x, y, ym, kc, pos       # before the next chunk's
-    n = len(pat.indptr) - 1
-    rhs = np.zeros(n)
+    rhs = np.zeros(len(free))
     for layout, table, func in (load for load in loads if load[2] is not None):
         for cells in _chunks(nc, table.size * layout.n_comps):
             w = _weights(mesh, rule, cells)
@@ -311,11 +400,13 @@ def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1):
             np.add.at(rhs, layout.cell_dofs(cells),
                       _project(w, fv, _values(mesh, table, cells)))
 
-    mats = [sp.csr_matrix((d, pat.indices, pat.indptr), shape=(n, n))
+    n, lift = len(pat.indptr) - 1, -ax[:, free]
+    mats = [sp.csr_matrix((d[:nnz], pat.indices, pat.indptr), shape=(n, n))
             for d in data] + [None]
-    return SparseSystem(matrix=mats[0], rhs=rhs, fields=fields, mesh=mesh,
-                        c_matrix=mats[1], group=pat.group,
-                        assembly_s=time.perf_counter() - t0)
+    return SparseSystem(matrix=mats[0], rhs=rhs[free] + lift[0], fields=fields,
+                        mesh=mesh, c_matrix=mats[1], free=free, x_con=x_con,
+                        lift=lift, con_energy=ax @ x_con, group=pat.group,
+                        assembly_s=time.perf_counter() - t1, dirichlet_s=t1 - t0)
 
 
 def _iso(S, diag, swap, trace):
@@ -335,10 +426,12 @@ def _iso(S, diag, swap, trace):
 
 def assemble_antiplane(mesh: Mesh, params: MaterialParams,
                        u_space: SpaceDescriptor, p_space: SpaceDescriptor,
-                       f=None, m=None) -> SparseSystem:
+                       f=None, m=None, dirichlet=()) -> SparseSystem:
     """System for the antiplane form
     mu_e <grad u - p, grad du - dp> + mu_micro <p, dp>
-    + mu_macro lc^2 rot p rot dp  -  (f, du) - (m, dp).
+    + mu_macro lc^2 rot p rot dp  -  (f, du) - (m, dp) under the
+    Dirichlet groups ``dirichlet``, (facet_ids, ufunc, gradfunc); the
+    coupling condition enters p through the curvature term, so lc > 0.
     """
     if mesh.dim != 2 or u_space.dim != 2 or p_space.dim != 2:
         raise SpaceMismatch("antiplane model is two-dimensional")
@@ -358,14 +451,17 @@ def assemble_antiplane(mesh: Mesh, params: MaterialParams,
         return x[None, :, None, None]
 
     return _assemble(mesh, rule, fields, _form_ref(u_space.degree, p_space, qd, 2),
-                     coeffs, loads=[(fields["u"], uvals, f), (fields["p"], pvals, m)])
+                     coeffs, loads=[(fields["u"], uvals, f), (fields["p"], pvals, m)],
+                     dirichlet=dirichlet, coupled=pr.lc > 0.0)
 
 
 def assemble_full3d(mesh: Mesh, params: MaterialParams,
                     u_space: SpaceDescriptor, p_space: SpaceDescriptor,
-                    f=None, M=None, split_curl: bool = False) -> SparseSystem:
+                    f=None, M=None, split_curl: bool = False,
+                    dirichlet=()) -> SparseSystem:
     """System for the relaxed micromorphic form with [H1]^3 displacement
-    and one H(curl) space per microdistortion row (row-wise Curl).
+    and one H(curl) space per microdistortion row (row-wise Curl) under
+    the Dirichlet groups ``dirichlet`` (in P by the coupling condition).
 
     With ``split_curl`` the curl-curl part is kept as a separate matrix
     with unit coefficient so characteristic-length sweeps can recombine
@@ -396,13 +492,15 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
 
     return _assemble(mesh, rule, fields, _form_ref(u_space.degree, p_space, qd, 3),
                      coeffs, loads=[(fields["u"], uvals, f), (fields["p"], pvals, M)],
-                     n_mats=n_mats)
+                     n_mats=n_mats, dirichlet=dirichlet)
 
 
-def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None) -> SparseSystem:
+def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
+                      dirichlet=()) -> SparseSystem:
     """Classical linear elasticity for the lc energy bounds, split by
     modulus: ``matrix`` S is its mu = 1 part and ``c_matrix`` D its
-    lam = 1 (div-div) part, so moduli (lam, mu) give mu S + lam D."""
+    lam = 1 (div-div) part, so moduli (lam, mu) give mu S + lam D; under
+    the Dirichlet groups ``dirichlet``."""
     if mesh.dim != 3 or u_space.dim != 3 or u_space.family != "h1":
         raise SpaceMismatch("cauchy3d needs a 3D H1 space")
     qd = 2 * u_space.degree
@@ -413,7 +511,8 @@ def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None) -> SparseSys
         return np.stack([_iso(S, 1.0, 1.0, 0.0), _iso(S, 0.0, 0.0, 1.0)])
 
     return _assemble(mesh, rule, fields, _form_ref(u_space.degree, None, qd, 3),
-                     coeffs, loads=[(fields["u"], uvals, f)], n_mats=2)
+                     coeffs, loads=[(fields["u"], uvals, f)], n_mats=2,
+                     dirichlet=dirichlet, coupled=False)
 
 
 # ---------------------------------------------------------------------------

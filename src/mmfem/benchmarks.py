@@ -16,7 +16,6 @@ import numpy as np
 
 from .assembly import (assemble_antiplane, assemble_cauchy3d, assemble_full3d,
                        l2_error_h1, l2_error_hcurl, rot_l2_norm)
-from .dirichlet import h1_dirichlet, hcurl_dirichlet
 from .errors import InvalidParam
 from .materials import MaterialParams
 from .mesh import generate_box, generate_disk, io_read
@@ -101,29 +100,15 @@ def antiplane_params(lc=1.0):
                           mu_c=0.0, lc=lc, mu_macro=1.0, lam_macro=1.0)
 
 
-def _constrain(system, groups, coupled=True):
-    """Set the constraints of ``system``: the Dirichlet data ``groups``,
-    (facet_ids, ufunc, gradfunc), embedded in u and, if ``coupled``, by
-    the consistent coupling condition in p."""
-    cons = h1_dirichlet(system.mesh, system.fields["u"], groups)
-    if coupled:
-        cons.update(hcurl_dirichlet(system.mesh, system.fields["p"],
-                                    [(facets, gf) for facets, _, gf in groups]))
-    system.constraints = cons
-    return system
-
-
 def solve_antiplane(mesh, params, p, family, ufunc=anti_exact_u,
                     gradfunc=anti_exact_grad_u, f=anti_load_f, m=anti_load_m,
                     tag="boundary"):
-    """Assemble, constrain and solve one antiplane configuration."""
+    """Assemble and solve one antiplane configuration."""
     u_space = SpaceDescriptor("h1", p + 1, 2)
     p_space = SpaceDescriptor(family, p, 2)
-    system = assemble_antiplane(mesh, params, u_space, p_space, f=f, m=m)
-    # consistent coupling only enters through the curvature term
-    _constrain(system, [(mesh.tagged_facets(tag), ufunc, gradfunc)],
-               coupled=params.lc > 0.0)
-    return solve(system)
+    return solve(assemble_antiplane(
+        mesh, params, u_space, p_space, f=f, m=m,
+        dirichlet=[(mesh.tagged_facets(tag), ufunc, gradfunc)]))
 
 
 def run_antiplane(cfg: BenchConfig):
@@ -230,9 +215,9 @@ def solve_bending(mesh, p, family, params=None):
     params = params or bending_params()
     u_space = SpaceDescriptor("h1", p + 1, 3)
     p_space = SpaceDescriptor(family, p, 3)
-    system = assemble_full3d(mesh, params, u_space, p_space)
     facets = np.concatenate([mesh.tagged_facets("x-"), mesh.tagged_facets("x+")])
-    _constrain(system, [(facets, bending_u, bending_grad_u)])
+    system = assemble_full3d(mesh, params, u_space, p_space,
+                             dirichlet=[(facets, bending_u, bending_grad_u)])
     return solve(system, require_spd=True)
 
 
@@ -333,8 +318,8 @@ def default_lc_grid():
 
 def cauchy_system(mesh, degree):
     """``assemble_cauchy3d`` under the sweep Dirichlet data."""
-    system = assemble_cauchy3d(mesh, SpaceDescriptor("h1", degree, 3))
-    return _constrain(system, _sweep_groups(mesh), coupled=False)
+    return assemble_cauchy3d(mesh, SpaceDescriptor("h1", degree, 3),
+                             dirichlet=_sweep_groups(mesh))
 
 
 def _stage_sums(infos):
@@ -363,17 +348,8 @@ def sweep_system(mesh, params, p, family):
     K(lc) = matrix + mu_macro lc^2 c_matrix."""
     u_space = SpaceDescriptor("h1", p + 1, 3)
     p_space = SpaceDescriptor(family, p, 3)
-    system = assemble_full3d(mesh, params, u_space, p_space, split_curl=True)
-    return _constrain(system, _sweep_groups(mesh))
-
-
-def _sweep_chain(cfg, mesh, params, lcs):
-    """Energies, solver records and dof count of the sweep over ``lcs``;
-    the chain gets the only reference to the system (``solve_family``)."""
-    coeffs = [params.mu_macro * lc ** 2 for lc in lcs]
-    sols = solve_family(sweep_system(mesh, params, cfg.p, cfg.family), coeffs)
-    return ([s.energy for s in sols], [s.info for s in sols],
-            sols[0].system.n_dofs)
+    return assemble_full3d(mesh, params, u_space, p_space, split_curl=True,
+                           dirichlet=_sweep_groups(mesh))
 
 
 def run_lc_sweep(cfg: BenchConfig):
@@ -382,7 +358,9 @@ def run_lc_sweep(cfg: BenchConfig):
     mesh = io_read(cfg.mesh_path) if cfg.mesh_path else sweep_mesh(cfg.refine)
     lcs = tuple(cfg.lc_values) if cfg.lc_values else default_lc_grid()
     base_params = cfg.material_override(sweep_params(1.0))
-    energies, infos, n_dofs = _sweep_chain(cfg, mesh, base_params, lcs)
+    sols = solve_family(sweep_system(mesh, base_params, cfg.p, cfg.family),
+                        [base_params.mu_macro * lc ** 2 for lc in lcs])
+    energies, infos = [s.energy for s in sols], [s.info for s in sols]
 
     (lower, upper), bound_stages = cauchy_bound_energy(
         mesh, [(base_params.lam_macro, base_params.mu_macro),
@@ -400,5 +378,5 @@ def run_lc_sweep(cfg: BenchConfig):
             "stages": {"sweep": _stage_sums(infos), "bound": bound_stages},
             "monotone": bool(np.all(np.diff(
                 [e for _, e in sorted(zip(lcs, energies))]) >= -1e-12)),
-            "dofs": n_dofs, "n_cells": mesh.n_cells,
+            "dofs": sols[0].system.n_dofs, "n_cells": mesh.n_cells,
             "p": cfg.p, "family": cfg.family}

@@ -3,9 +3,7 @@
 ``factor(K)`` computes P K P^T = L L^T for a symmetric positive definite
 K in CSC form; it reads the entries of K on or below the diagonal of
 P K P^T.  A pivot block that is not positive definite raises
-NotPositiveDefinite, so a completed factor certifies K as SPD.  The
-analysis may cover the block of K in the rows and columns of a mask
-``free``; that block is factored straight from K's data.
+NotPositiveDefinite, so a completed factor certifies K as SPD.
 
 Analysis (``analyse``), once per sparsity pattern:
 
@@ -365,13 +363,12 @@ def _supernodes(parent, qcount, Lp, Li, sz, qoff):
     return first[kept], last[kept], sparent
 
 
-def analyse(K, label=None, free=None) -> Symbolic:
+def analyse(K, label=None) -> Symbolic:
     """Ordering, symbolic factor, supernodes and schedule of the pattern
-    of the square matrix ``K`` (CSC, or CSR with a symmetric pattern) in
-    the rows and columns of the mask ``free`` (default all); see the
-    module docstring.  Columns of one ``label`` must have one row set
-    (``assembly.Pattern.group``); without labels, exact row sets group
-    the columns.  ``Symbolic.src`` indexes ``K.data``.
+    of the square matrix ``K`` (CSC, or CSR with a symmetric pattern);
+    see the module docstring.  Columns of one ``label`` must have one
+    row set (``assembly.Pattern.group``); without labels, exact row sets
+    group the columns.  ``Symbolic.src`` indexes ``K.data``.
 
     Its traced peak stays below ``Symbolic.nbytes`` plus 24 bytes per
     stored entry of K; the per-entry passes run in chunks of _CHUNK
@@ -379,20 +376,16 @@ def analyse(K, label=None, free=None) -> Symbolic:
     peak is 37 MB, nbytes plus 9 bytes per entry.
     """
     K = _csc(K)
-    indptr, indices = K.indptr, K.indices
-    if free is None:
-        free = np.ones(K.shape[0], dtype=bool)
-    cols = np.flatnonzero(free)
-    n = len(cols)
+    indptr, indices, n = K.indptr, K.indices, K.shape[0]
     if n == 0:
         none = np.zeros(0, dtype=np.int64)
         return Symbolic(perm=none, groups=[], size=0, nnz=0, src=none,
                         dst=none, supernodes=0, update_peak=0)
-    counts = np.diff(indptr)[cols]
+    counts = np.diff(indptr)
     if label is None:
-        label = _supervariables(indptr, indices, K.shape[0])
+        label = _supervariables(indptr, indices, n)
     # supervariables numbered in order of their first columns
-    _, repcol, label = np.unique(label[cols], return_index=True,
+    _, repcol, label = np.unique(label, return_index=True,
                                  return_inverse=True)
     label = np.argsort(np.argsort(repcol))[label.ravel()]
     repcol = np.sort(repcol)
@@ -400,17 +393,15 @@ def analyse(K, label=None, free=None) -> Symbolic:
         raise FactorizationFailed("columns of one supervariable have "
                                   "different row counts")
     ns = len(repcol)
-    # the free rows of the first column of each supervariable: offset q
-    # in the column, label, index among the free (stype: below the
-    # entries and the columns of K)
-    stype = np.int32 if max(len(indices), K.shape[0]) < 2 ** 31 else np.int64
-    rcount, r0 = counts[repcol], indptr[cols[repcol]]
+    # the rows of the first column of each supervariable: offset q in
+    # the column and label (stype: below the entries and the columns of K)
+    stype = np.int32 if max(len(indices), n) < 2 ** 31 else np.int64
+    rcount, r0 = counts[repcol], indptr[repcol]
     at = _ranges(r0, rcount, stype)
-    on = free[indices[at]]
-    q = (at - np.repeat(r0.astype(stype), rcount))[on]
-    t_label = np.repeat(np.arange(ns, dtype=stype), rcount)[on]
-    rows = (np.cumsum(free, dtype=stype) - 1)[indices[at[on]]]
-    del at, on
+    q = at - np.repeat(r0.astype(stype), rcount)
+    t_label = np.repeat(np.arange(ns, dtype=stype), rcount)
+    rows = indices[at].astype(stype)
+    del at
     qperm, L = _quotient_factor(rows, t_label, label, repcol)
     post = _postorder(_etree(L))
     if not np.array_equal(post, np.arange(ns)):
@@ -552,7 +543,7 @@ def analyse(K, label=None, free=None) -> Symbolic:
         r = np.minimum(iperm[a:b] - qoff[node_of_label[lab]], cown[lab])
         c = cnt[lab] - r
         ts = _ranges(start[lab] + r, c, itype)
-        src.append(q[ts] + np.repeat(indptr[cols[a:b]].astype(stype), c))
+        src.append(q[ts] + np.repeat(indptr[a:b].astype(stype), c))
         dst.append(term[ts] + np.repeat(iperm[a:b], c))
     del q, term
     src = np.concatenate(src)

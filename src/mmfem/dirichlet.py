@@ -2,7 +2,8 @@
 
 One call per field: ``h1_dirichlet`` or ``hcurl_dirichlet`` takes the
 field's ``assembly.FieldLayout`` (dofmap, components, offset) and returns
-the global {dof: value} dict that ``SparseSystem.constraints`` holds.
+the global {dof: value} dict, from which the assembler leaves the
+constrained dofs out of the system.
 
 Vertices are evaluated directly; edges solve small 1D problems against
 the known univariate traces; faces solve surface problems in the mixed

@@ -1,20 +1,19 @@
 """Sparse symmetric solve and field post-processing.
 
-The constrained system is reduced to its free dofs by index arrays into
-the data of its matrices, which share one symmetric CSR pattern.  A
-single system is factored by the supernodal Cholesky of ``cholesky``
-straight from that data, with one refinement step when the residual
-asks for it; memory: the matrix, the analysis
-(``info["analysis_bytes"]``: two indices per free-block entry on or
-below the diagonal, and the schedule), and the stored factor with, while
+A system holds only its free dofs (``assembly`` leaves the Dirichlet
+dofs out), and its matrices share one symmetric CSR pattern.  A single
+system is factored by the supernodal Cholesky of ``cholesky`` straight
+from that data, with one refinement step when the residual asks for
+it; memory: the free block, the analysis
+(``info["analysis_bytes"]``: two indices per entry on or below the
+diagonal, and the schedule), and the stored factor with, while
 it is computed, its peak update storage (``info["factor_bytes"]``,
 bounded by the analysis).  A completed Cholesky certifies the system
 SPD; a matrix it rejects is factored by SuperLU's LU instead and
 reported not SPD.  A family K(c) = A + c C (the lc sweep: C curl-curl,
 c = mu_macro lc^2; the Cauchy bounds: C div-div, c = lam / mu) holds
-the free blocks of A and C and one K(c) data array instead of the full
-matrices.  It is
-walked in ascending c: the first value is factored, and each later one
+the free blocks of A and C and one K(c) data array.  It is walked in
+ascending c: the first value is factored, and each later one
 runs CG preconditioned by the current factor from the previous
 solution; all its factorizations share one analysis.  The walk needs K
 at the smallest c SPD and C positive semidefinite, c of any sign: after
@@ -43,7 +42,7 @@ from .simplex import bezier_eval
 
 RESIDUAL_TOL = 1e-10
 PCG_BUDGET = 30     # CG iterations per value of a family solve
-_STAGES = dict.fromkeys(("assembly", "reduction", "analysis", "factor", "solve"), 0.0)
+_STAGES = dict.fromkeys(("assembly", "dirichlet", "analysis", "factor", "solve"), 0.0)
 
 
 @dataclass
@@ -57,9 +56,9 @@ class FieldSolution:
     bytes of the factor storage plus its peak update storage,
     ``cholesky.Symbolic.factor_bytes``) and ``analysis_bytes`` (the bytes
     the analysis keeps, ``cholesky.Symbolic.nbytes``), all None for LU;
-    ``stages`` holds the wall seconds of ``assembly``, ``reduction``,
-    ``analysis``, numeric ``factor`` and ``solve`` (triangular solves and
-    refinement, or CG).
+    ``stages`` holds the wall seconds of ``assembly``, of its Dirichlet
+    embedding ``dirichlet``, ``analysis``, numeric ``factor`` and
+    ``solve`` (triangular solves and refinement, or CG).
     ``energy`` is 1/2 x^T K x where the solve computed it (``solve_family``).
     Solutions of ``solve_family`` keep their system without its matrices
     (``matrix``, ``c_matrix`` and ``group`` are None).
@@ -77,63 +76,14 @@ class FieldSolution:
         return self.system.mesh
 
 
-@dataclass
-class _Split:
-    """Free/constrained split of a system's dofs."""
-
-    system: SparseSystem
-    free: np.ndarray
-    con: np.ndarray
-    vals: np.ndarray
-
-    def blocks(self, *mats):
-        """K_ff of each matrix, CSC on one pair of index arrays: the free
-        rows' entries in free columns, in CSR order, are its CSC entries."""
-        M = mats[0]
-        keep = np.repeat(self.free, np.diff(M.indptr))
-        keep &= self.free[M.indices]
-        sel = np.flatnonzero(keep).astype(M.indices.dtype)
-        counts = np.diff(np.searchsorted(sel, M.indptr))[self.free]
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(sel.dtype)
-        indices = (np.cumsum(self.free, dtype=sel.dtype) - 1)[M.indices[sel]]
-        return [sp.csc_matrix((M.data[sel], indices, indptr),
-                              shape=(len(counts),) * 2) for M in mats]
-
-    def full(self, xf, xc):
-        x = np.zeros(len(self.free))
-        x[self.free], x[self.con] = xf, xc
-        return x
-
-    def product(self, M, xf, xc=0.0):
-        """The free rows of M @ x: K_ff @ xf at xc = 0 (the zeros leave
-        every sum of the CSR product as in K_ff @ xf), and -M_fc @ vals,
-        the rhs lift, negated at xf = 0, xc = vals."""
-        return (M @ self.full(xf, xc))[self.free]
-
-    def solution(self, xf, spd, info, energy=None):
-        return FieldSolution(system=self.system, x=self.full(xf, self.vals),
-                             residual=info["residual"], spd=spd, info=info,
-                             energy=energy)
-
-
-def _split(system: SparseSystem) -> _Split:
-    system.matrix.sum_duplicates()      # sorted indices, as the pattern's
-    con = np.fromiter(system.constraints.keys(), dtype=np.int64,
-                      count=len(system.constraints))
-    free = np.ones(system.n_dofs, dtype=bool)
-    free[con] = False
-    return _Split(system, free, con, np.fromiter(
-        system.constraints.values(), dtype=float, count=len(con)))
-
-
 def _relative_residual(Kx, rhs):
     bnorm = np.linalg.norm(rhs)
     return float(np.linalg.norm(Kx - rhs) / (bnorm if bnorm > 0 else 1.0))
 
 
-def _splu_spd(K, symbolic=None, split=None):
-    """Factor of the reduced system, ``K`` (CSC) or with ``split`` its
-    free block, analysed by ``symbolic``: (factor, spd).
+def _splu_spd(K, symbolic=None):
+    """Factor of the free block ``K`` (CSR or CSC), analysed by
+    ``symbolic``: (factor, spd).
 
     It must be symmetric: the Cholesky reads only the entries on or below
     the diagonal of its permuted matrix, so an unsymmetric matrix fails
@@ -145,38 +95,35 @@ def _splu_spd(K, symbolic=None, split=None):
         return cholesky.factor(K, symbolic), True
     except NotPositiveDefinite:
         pass
-    Kff = K if split is None else split.blocks(K)[0]
     try:
-        lu = spla.splu(Kff, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0,
+        # symmetric: its CSR arrays are its CSC arrays
+        lu = spla.splu(sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationFailed(
-            f"SuperLU failed on the reduced system with {Kff.shape[0]} "
+            f"SuperLU failed on the reduced system with {K.shape[0]} "
             f"free dofs: {exc}") from exc
     return lu, False
 
 
-def _direct(K, rhs, symbolic, split=None, require_spd=False):
+def _direct(K, rhs, symbolic, require_spd=False):
     """Factor, solve and refine once if needed; returns (xf, lu, spd,
-    info).  The system is ``K`` or its free block (``_splu_spd``)."""
-    def product(x):
-        return K @ x if split is None else split.product(K, x)
-
+    info) of the free block ``K`` (``_splu_spd``)."""
     t0 = time.perf_counter()
-    lu, spd = _splu_spd(K, symbolic, split)
+    lu, spd = _splu_spd(K, symbolic)
     t1 = time.perf_counter()
     if require_spd and not spd:
         raise NotPositiveDefinite(
             f"Cholesky of the reduced system with {len(rhs)} free dofs "
             "broke down")
     xf = lu.solve(rhs)
-    res = _relative_residual(product(xf), rhs)
+    res = _relative_residual(K @ xf, rhs)
     refinements = 0
     if res > RESIDUAL_TOL:
         # one step of iterative refinement keeps large systems at tolerance
-        xf = xf + lu.solve(rhs - product(xf))
-        res = _relative_residual(product(xf), rhs)
+        xf = xf + lu.solve(rhs - K @ xf)
+        res = _relative_residual(K @ xf, rhs)
         refinements = 1
     if res > RESIDUAL_TOL:
         raise NonConvergence(
@@ -211,22 +158,20 @@ def _pcg(K, rhs, lu, x0):
 
 
 def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
-    """Direct sparse solve of the constrained system ``system.matrix``,
-    which must be symmetric (see ``_splu_spd``).
+    """Direct sparse solve of the free block ``system.matrix``, which must
+    be symmetric (see ``_splu_spd``).
 
     A failed factorization raises FactorizationFailed, a residual above
     RESIDUAL_TOL after one refinement step NonConvergence.
     """
     t0 = time.perf_counter()
-    split, K = _split(system), system.matrix
-    rhs = system.rhs[split.free] - split.product(K, 0.0, split.vals)
+    sym = cholesky.analyse(system.matrix, label=system.group)
     t1 = time.perf_counter()
-    sym = cholesky.analyse(K, label=system.group, free=split.free)
-    t2 = time.perf_counter()
-    xf, _, spd, info = _direct(K, rhs, sym, split, require_spd)
-    info["stages"].update(assembly=system.assembly_s, reduction=t1 - t0,
-                          analysis=t2 - t1)
-    return split.solution(xf, spd, info)
+    xf, _, spd, info = _direct(system.matrix, system.rhs, sym, require_spd)
+    info["stages"].update(assembly=system.assembly_s,
+                          dirichlet=system.dirichlet_s, analysis=t1 - t0)
+    return FieldSolution(system=system, x=system.full(xf),
+                         residual=info["residual"], spd=spd, info=info)
 
 
 def solve_family(system: SparseSystem, coeffs) -> list:
@@ -235,34 +180,25 @@ def solve_family(system: SparseSystem, coeffs) -> list:
     contract are in the module docstring (a CG solution reports the spd
     verdict of its factor).  The walk depends only on iteration counts,
     so repeated runs give identical results.  Each solution records its
-    energy 1/2 x^T K(c) x, computed from the reduced blocks: with x_c the
-    constrained values and lift = -K_fc x_c,
+    energy 1/2 x^T K(c) x from the free blocks and the system's lifts
+    and constants (``SparseSystem``):
     x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.  The
-    system's assembly and the chain's reduction and analysis ``stages``
-    go on its first solution, at the smallest c.  The solutions keep the
-    system without its matrices, so a caller that hands over its only
-    reference lets the full matrices go before the first factorization.
+    system's assembly and Dirichlet stages and the chain's analysis go on
+    its first solution, at the smallest c.  The solutions keep the system
+    without its matrices.
     """
-    t0 = time.perf_counter()
-    split = _split(system)
+    A, C = system.matrix, system.c_matrix
+    (lift_a, lift_c), (e_a, e_c) = system.lift, system.con_energy
     # c_matrix shares the pattern of the base matrix (SparseSystem), so
-    # C and K(c) keep only data arrays; K's is rewritten for each value
-    A, C = split.blocks(system.matrix, system.c_matrix)
-    x_con = split.full(0.0, split.vals)
-    Ax, Cx = system.matrix @ x_con, system.c_matrix @ x_con
-    lift_a, lift_c = -Ax[split.free], -Cx[split.free]
-    e_a, e_c = float(x_con @ Ax), float(x_con @ Cx)
-    rhs_a = system.rhs[split.free] + lift_a
-    label = None if system.group is None else system.group[split.free]
-    # from here on only the reduced blocks hold matrix data
-    split.system = replace(system, matrix=None, c_matrix=None, group=None)
-    del system
+    # K(c) keeps only a data array, rewritten for each value; its CSR
+    # arrays are its CSC arrays
     K = sp.csc_matrix((np.empty_like(A.data), A.indices, A.indptr),
                       shape=A.shape)
-    t1 = time.perf_counter()
-    sym = cholesky.analyse(K, label=label)
-    shared = {"assembly": split.system.assembly_s, "reduction": t1 - t0,
-              "analysis": time.perf_counter() - t1}
+    t0 = time.perf_counter()
+    sym = cholesky.analyse(K, label=system.group)
+    shared = {"assembly": system.assembly_s, "dirichlet": system.dirichlet_s,
+              "analysis": time.perf_counter() - t0}
+    kept = replace(system, matrix=None, c_matrix=None, group=None)
     out = [None] * len(coeffs)
     lu = xf = None
     refactor = True
@@ -270,7 +206,7 @@ def solve_family(system: SparseSystem, coeffs) -> list:
         c = float(coeffs[i])
         np.multiply(C.data, c, out=K.data)
         K.data += A.data
-        rhs = rhs_a + c * lift_c
+        rhs = system.rhs + c * lift_c
         info, cg_s = None, 0.0
         if not refactor:
             t = time.perf_counter()
@@ -294,7 +230,9 @@ def solve_family(system: SparseSystem, coeffs) -> list:
         # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
         energy = 0.5 * (xf @ (K @ xf) - 2.0 * (xf @ (lift_a + c * lift_c))
                         + e_a + c * e_c)
-        out[i] = split.solution(xf, spd, info, float(energy))
+        out[i] = FieldSolution(system=kept, x=kept.full(xf),
+                               residual=info["residual"], spd=spd, info=info,
+                               energy=float(energy))
     return out
 
 
@@ -325,12 +263,6 @@ def locate_cells(mesh, points, tol=1e-12):
     return cells, refs
 
 
-def locate_cell(mesh, point, tol=1e-12):
-    """``locate_cells`` for one point: (cell, reference coordinates)."""
-    cells, refs = locate_cells(mesh, np.asarray(point)[None, :], tol)
-    return int(cells[0]), refs[0]
-
-
 def sample_line(sol: FieldSolution, points):
     """(u, P) values at an (n, dim) array of physical points.
 
@@ -357,9 +289,3 @@ def sample_line(sol: FieldSolution, points):
             @ np.swapaxes(mesh.inv_ts[cells], -1, -2))
     P = sol.x[pf.cell_dofs(cells)] @ phys
     return u, (P[:, 0] if pf.n_comps == 1 else P)
-
-
-def eval_field(sol: FieldSolution, point):
-    """(u, P) values at one physical point; ``sample_line`` for one point."""
-    us, Ps = sample_line(sol, np.asarray(point, dtype=float)[None, :])
-    return us[0], (None if Ps is None else Ps[0])

@@ -250,17 +250,14 @@ class TestAntiplane:
 
     def test_zero_data_zero_solution(self, disk):
         from mmfem.solver import solve
-        from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
+        from oracles import constrain, embed
 
         sys_ = assemble_antiplane(disk, unit_params(), SpaceDescriptor("h1", 2, 2),
                                   SpaceDescriptor("nedelec1", 1, 2))
         zero = lambda x: np.zeros(len(np.atleast_2d(x)))
         gzero = lambda x: np.zeros((len(np.atleast_2d(x)), 2))
         facets = disk.tagged_facets("boundary")
-        sys_.constraints = {
-            **h1_dirichlet(disk, sys_.fields["u"], [(facets, zero, gzero)]),
-            **hcurl_dirichlet(disk, sys_.fields["p"], [(facets, gzero)])}
-        sol = solve(sys_)
+        sol = solve(constrain(sys_, embed(sys_, [(facets, zero, gzero)])))
         assert np.abs(sol.x).max() < 1e-12
 
     def test_lc_zero_algebraic_limit(self, disk):
@@ -651,7 +648,7 @@ class TestBatchedAgainstReference:
 
 class TestReferenceTensorKernels:
     def test_every_matrix_exactly_symmetric(self, wavy_disk, wavy_box):
-        # the Cholesky reads only the lower triangle, and the reduction
+        # the Cholesky reads only the lower triangle, and the solver
         # reads the CSR arrays as CSC arrays: not even rounding-level
         # asymmetry is allowed
         u2, p2 = _spaces("nedelec2", 2, 2)
@@ -690,20 +687,35 @@ def test_assembly_memory_bound(wavy_box, monkeypatch):
     # what the system keeps, the scalar positions of all cells and one
     # chunk's temporaries: Y of both matrices (_CHUNK_NNZ doubles), then
     # one matrix's K and positions (8 + 4 bytes per entry), never two
-    # chunks' at once
+    # chunks' at once; under Dirichlet data on the whole boundary too, so
+    # the lifts and the spare slot add no chunk-sized temporaries
     import tracemalloc
     space = SpaceDescriptor("h1", 4, 3)
     nb = 35     # degree-4 polynomials on a tetrahedron
     chunk = 2 * (3 * nb) ** 2 * (wavy_box.n_cells // 4)
     monkeypatch.setattr(assembly, "_CHUNK_NNZ", chunk)
-    assemble_cauchy3d(wavy_box, space)      # the cached reference tables
-    tracemalloc.start()
-    try:
-        sys_ = assemble_cauchy3d(wavy_box, space)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    scalar_positions = 4 * wavy_box.n_cells * nb ** 2
-    small = 256 * 1024      # coefficients, Python objects
-    assert peak <= kept + scalar_positions + 8 * chunk + 12 * chunk // 2 + small
-    assert kept >= 8 * (sys_.matrix.nnz + sys_.c_matrix.nnz)
+    for groups in ((), [(wavy_box.boundary_facets, _f3, _M3)]):
+        assemble_cauchy3d(wavy_box, space, dirichlet=groups)   # cached tables
+        tracemalloc.start()
+        try:
+            sys_ = assemble_cauchy3d(wavy_box, space, dirichlet=groups)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scalar_positions = 4 * wavy_box.n_cells * nb ** 2
+        small = 256 * 1024      # coefficients, Python objects
+        assert peak <= kept + scalar_positions + 8 * chunk + 12 * chunk // 2 + small
+        assert kept >= 8 * (sys_.matrix.nnz + sys_.c_matrix.nnz)
+    assert 0 < np.count_nonzero(sys_.free) < sys_.n_dofs
+
+
+def test_constraints_splitting_a_block_raise(wavy_box, monkeypatch):
+    # the free pattern is the scalar pattern in k x k blocks, so the
+    # constraints fix all components of a scalar dof or none
+    from mmfem import dirichlet
+    from mmfem.errors import InvalidParam
+    monkeypatch.setattr(dirichlet, "h1_dirichlet",
+                        lambda mesh, layout, groups: {layout.dofs(1, 0): 0.5})
+    with pytest.raises(InvalidParam, match="components"):
+        assemble_cauchy3d(wavy_box, SpaceDescriptor("h1", 1, 3),
+                          dirichlet=[(wavy_box.boundary_facets, _f3, _M3)])

@@ -156,7 +156,7 @@ class TestSweepData:
 
     def test_cauchy_bounds_one_family_solve(self, monkeypatch):
         import mmfem.benchmarks as benchmarks
-        from mmfem import cholesky
+        from mmfem import cholesky, dirichlet
         calls = {}
 
         def counted(module, name):
@@ -168,7 +168,7 @@ class TestSweepData:
             monkeypatch.setattr(module, name, wrapper)
 
         for module, name in ((benchmarks, "assemble_cauchy3d"),
-                             (benchmarks, "h1_dirichlet"),
+                             (dirichlet, "h1_dirichlet"),
                              (cholesky, "analyse"), (cholesky, "factor")):
             counted(module, name)
         cfg = BenchConfig("lc-sweep", p=1, refine=0, family="nedelec1",

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from mmfem.cli import cli
 
-STAGES = {"assembly", "reduction", "analysis", "factor", "solve"}
+STAGES = {"assembly", "dirichlet", "analysis", "factor", "solve"}
 
 
 @pytest.fixture()

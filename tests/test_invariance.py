@@ -14,14 +14,16 @@ and polynomial data that every rule integrates exactly in 3D.
 import numpy as np
 import pytest
 
-from mmfem.assembly import assemble_full3d, l2_error_h1, l2_error_hcurl
-from mmfem.benchmarks import (anti_exact_p, anti_exact_u, antiplane_params,
-                              bending_grad_u, bending_u, solve_antiplane,
-                              sweep_mesh, sweep_params)
-from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
+from mmfem.assembly import (assemble_antiplane, assemble_full3d, l2_error_h1,
+                            l2_error_hcurl)
+from mmfem.benchmarks import (anti_exact_grad_u, anti_exact_p, anti_exact_u,
+                              anti_load_f, anti_load_m, antiplane_params,
+                              bending_grad_u, bending_u, sweep_mesh,
+                              sweep_params)
 from mmfem.mesh import build, generate_disk
 from mmfem.nedelec import SpaceDescriptor
 from mmfem.solver import solve
+from oracles import constrain, embed
 
 SEEDS = (1, 2, 3)
 
@@ -38,9 +40,15 @@ def _relabel(mesh, seed):
 
 
 def _antiplane(mesh, family):
-    sol = solve_antiplane(mesh, antiplane_params(), 1, family)
-    uf, pf = sol.system.fields["u"], sol.system.fields["p"]
-    return sol, [0.5 * sol.x @ (sol.system.matrix @ sol.x),
+    """The antiplane benchmark problem (``solve_antiplane``) on ``mesh``,
+    constrained from the full matrix, which gives its energy."""
+    full = assemble_antiplane(mesh, antiplane_params(), SpaceDescriptor("h1", 2, 2),
+                              SpaceDescriptor(family, 1, 2), f=anti_load_f,
+                              m=anti_load_m)
+    sol = solve(constrain(full, embed(full, [(mesh.tagged_facets("boundary"),
+                                              anti_exact_u, anti_exact_grad_u)])))
+    uf, pf = full.fields["u"], full.fields["p"]
+    return sol, [0.5 * sol.x @ (full.matrix @ sol.x),
                  l2_error_h1(mesh, uf, sol.x, anti_exact_u),
                  l2_error_hcurl(mesh, pf, sol.x, anti_exact_p)]
 
@@ -62,10 +70,8 @@ def _full3d(mesh, family, ufunc=bending_u, gradfunc=bending_grad_u):
                              SpaceDescriptor(family, 1, 3))
     facets = np.concatenate([mesh.tagged_facets(t) for t in
                              ("x-", "x+", "y-", "y+", "z-", "z+")])
-    system.constraints = {
-        **h1_dirichlet(mesh, system.fields["u"], [(facets, ufunc, gradfunc)]),
-        **hcurl_dirichlet(mesh, system.fields["p"], [(facets, gradfunc)])}
-    sol = solve(system, require_spd=True)
+    sol = solve(constrain(system, embed(system, [(facets, ufunc, gradfunc)])),
+                require_spd=True)
     uf, pf = system.fields["u"], system.fields["p"]
     return sol, [0.5 * sol.x @ (system.matrix @ sol.x),
                  l2_error_h1(mesh, uf, sol.x, _quad_u),

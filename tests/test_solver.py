@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmfem.assembly import SparseSystem, FieldLayout, assemble_antiplane
+from mmfem.assembly import (SparseSystem, FieldLayout, assemble_antiplane,
+                            assemble_cauchy3d, assemble_full3d)
 from mmfem.dofmap import build_dofmap
 from mmfem.errors import NotPositiveDefinite, PointOutsideMesh
 from mmfem.materials import MaterialParams
 from mmfem.mesh import generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor
-from mmfem.solver import (FieldSolution, eval_field, locate_cell, sample_line,
-                          solve)
+from mmfem.solver import FieldSolution, sample_line, solve
+from oracles import constrain, embed, eval_field, locate_cell
 
 
 def _toy_system(K, b):
@@ -45,8 +46,7 @@ def test_not_positive_definite_detected():
 
 def test_constraints_respected():
     K = np.diag([1.0, 2.0, 3.0, 4.0])
-    sys_ = _toy_system(K, [0.0, 0.0, 0.0, 0.0])
-    sys_.constraints = {0: 5.0, 3: -1.0}
+    sys_ = constrain(_toy_system(K, [0.0, 0.0, 0.0, 0.0]), {0: 5.0, 3: -1.0})
     sol = solve(sys_)
     assert sol.x[0] == 5.0 and sol.x[3] == -1.0
     np.testing.assert_allclose(sol.x[1:3], 0.0)
@@ -182,8 +182,7 @@ def test_singular_system_raises_without_cg(monkeypatch):
     monkeypatch.setattr(spla, "cg", no_cg)
     K = np.array([[1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0],
                   [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
-    sys_ = _toy_system(K, [1.0, 0.0, 0.0, 0.0])
-    sys_.constraints = {3: 0.0}
+    sys_ = constrain(_toy_system(K, [1.0, 0.0, 0.0, 0.0]), {3: 0.0})
     with pytest.raises(FactorizationFailed, match="3 free dofs") as exc:
         solve(sys_)
     assert isinstance(exc.value, MMFemError)
@@ -228,38 +227,49 @@ def sweep_system_small():
     return sweep_system(sweep_mesh(0), sweep_params(1.0), 1, "nedelec1")
 
 
-def _direct_at(system, c):
-    fixed = SparseSystem(matrix=system.matrix_at(c), rhs=system.rhs,
-                         fields=system.fields, mesh=system.mesh,
-                         constraints=system.constraints)
-    return solve(fixed)
+@pytest.fixture(scope="module")
+def sweep_full_small():
+    """``sweep_system_small`` assembled without its Dirichlet data, and the
+    constraints of that data."""
+    from mmfem.benchmarks import _sweep_groups, sweep_mesh, sweep_params
+    mesh = sweep_mesh(0)
+    full = assemble_full3d(mesh, sweep_params(1.0), SpaceDescriptor("h1", 2, 3),
+                           SpaceDescriptor("nedelec1", 1, 3), split_curl=True)
+    return full, embed(full, _sweep_groups(mesh))
 
 
-def _true_residual(system, c, x):
-    K = system.matrix_at(c)
-    free = np.ones(system.n_dofs, dtype=bool)
-    free[list(system.constraints)] = False
+def _direct_at(full, cons, c):
+    return solve(constrain(SparseSystem(matrix=full.matrix_at(c), rhs=full.rhs,
+                                        fields=full.fields, mesh=full.mesh),
+                           cons))
+
+
+def _true_residual(full, cons, c, x):
+    K = full.matrix_at(c)
+    free = np.ones(full.n_dofs, dtype=bool)
+    free[list(cons)] = False
     x_con = np.where(free, 0.0, x)
-    return (np.linalg.norm((K @ x - system.rhs)[free])
-            / np.linalg.norm((system.rhs - K @ x_con)[free]))
+    return (np.linalg.norm((K @ x - full.rhs)[free])
+            / np.linalg.norm((full.rhs - K @ x_con)[free]))
 
 
-def _check_against_direct(system, coeffs, sols):
+def _check_against_direct(full_small, coeffs, sols):
+    full, cons = full_small
     for c, sol in zip(coeffs, sols):
-        ref = _direct_at(system, c)
-        K = system.matrix_at(c)
+        ref = _direct_at(full, cons, c)
+        K = full.matrix_at(c)
         energy, ref_energy = sol.x @ (K @ sol.x), ref.x @ (K @ ref.x)
         assert abs(energy - ref_energy) <= 1e-10 * abs(ref_energy)
         assert sol.residual <= 1e-10
-        assert _true_residual(system, c, sol.x) <= 1e-10
+        assert _true_residual(full, cons, c, sol.x) <= 1e-10
 
 
-def test_family_matches_direct_solves(sweep_system_small):
+def test_family_matches_direct_solves(sweep_system_small, sweep_full_small):
     from mmfem.benchmarks import default_lc_grid
     from mmfem.solver import PCG_BUDGET, solve_family
     coeffs = [lc ** 2 for lc in default_lc_grid()]
     sols = solve_family(sweep_system_small, coeffs)
-    _check_against_direct(sweep_system_small, coeffs, sols)
+    _check_against_direct(sweep_full_small, coeffs, sols)
     paths = [s.info["path"] for s in sols]
     its = [s.info["iterations"] for s in sols]
     assert paths[0] == "direct" and paths.count("pcg") >= 10
@@ -271,11 +281,11 @@ def test_family_matches_direct_solves(sweep_system_small):
             assert paths[k + 1] == "direct"
 
 
-def test_family_unsorted_with_duplicate(sweep_system_small):
+def test_family_unsorted_with_duplicate(sweep_system_small, sweep_full_small):
     from mmfem.solver import solve_family
     coeffs = [1.0, 1e-8, 1e4, 1.0]
     sols = solve_family(sweep_system_small, coeffs)
-    _check_against_direct(sweep_system_small, coeffs, sols)
+    _check_against_direct(sweep_full_small, coeffs, sols)
     # ascending walk: the smallest value is the anchor, the repeat of a
     # solved value starts at its solution
     assert sols[1].info["path"] == "direct"
@@ -286,7 +296,8 @@ def test_family_unsorted_with_duplicate(sweep_system_small):
     np.testing.assert_array_equal(sols[3].x, sols[0].x)
 
 
-def test_family_refactors_on_jump(sweep_system_small, monkeypatch):
+def test_family_refactors_on_jump(sweep_system_small, sweep_full_small,
+                                  monkeypatch):
     import mmfem.solver as solver
     factor = solver._splu_spd
     calls = []
@@ -300,24 +311,26 @@ def test_family_refactors_on_jump(sweep_system_small, monkeypatch):
     sols = solver.solve_family(sweep_system_small, coeffs)
     assert len(calls) == 2
     assert [s.info["path"] for s in sols] == ["direct", "direct"]
-    _check_against_direct(sweep_system_small, coeffs, sols)
+    _check_against_direct(sweep_full_small, coeffs, sols)
 
 
 @pytest.mark.parametrize("moduli", [[(-1.0, 1.0), (2.0, 1.0)],
                                     [(1.0, 1.0), (7.0, 2.0)]])
 def test_family_cauchy_moduli_match_direct(moduli):
     # mu S + lam D = mu K(lam / mu): a negative anchor c = -1 and a PCG step
-    from mmfem.benchmarks import cauchy_system, sweep_mesh
+    from mmfem.benchmarks import _sweep_groups, cauchy_system, sweep_mesh
     from mmfem.solver import solve_family
-    system = cauchy_system(sweep_mesh(0), 2)
+    mesh = sweep_mesh(0)
+    system = cauchy_system(mesh, 2)
+    full = assemble_cauchy3d(mesh, SpaceDescriptor("h1", 2, 3))
+    cons = embed(full, _sweep_groups(mesh), coupled=False)
     sols = solve_family(system, [lam / mu for lam, mu in moduli])
     assert [s.info["path"] for s in sols] == ["direct", "pcg"]
     assert all(s.spd for s in sols)
     for (lam, mu), sol in zip(moduli, sols):
-        K = mu * system.matrix + lam * system.c_matrix
-        ref = solve(SparseSystem(matrix=K, rhs=system.rhs, fields=system.fields,
-                                 mesh=system.mesh,
-                                 constraints=system.constraints))
+        K = mu * full.matrix + lam * full.c_matrix
+        ref = solve(constrain(SparseSystem(matrix=K, rhs=full.rhs,
+                                           fields=full.fields, mesh=mesh), cons))
         ref_energy = 0.5 * ref.x @ (K @ ref.x)
         assert abs(mu * sol.energy - ref_energy) <= 1e-12 * ref_energy
 
@@ -459,19 +472,21 @@ def _analysis_peak(K, **kwargs):
     return peak, sym
 
 
-def test_cholesky_analysis_memory_bound(antiplane_solution):
+def test_cholesky_analysis_memory_bound():
     # the analysis peaks below what it keeps plus 24 bytes per stored
     # entry of K (analyse's docstring), and it keeps positions for the
-    # entries on or below the diagonal only
-    from mmfem.solver import _split
-    system = antiplane_solution.system
+    # entries on or below the diagonal only; K is also the matrix of the
+    # antiplane_solution problem assembled without its Dirichlet data
+    from mmfem.benchmarks import anti_load_f, anti_load_m, antiplane_params
+    system = assemble_antiplane(generate_disk(10.0, n_rings=2), antiplane_params(),
+                                SpaceDescriptor("h1", 2, 2),
+                                SpaceDescriptor("nedelec1", 1, 2),
+                                f=anti_load_f, m=anti_load_m)
     for K, kwargs in [(_large_fronts(), {}),
-                      (system.matrix, {"label": system.group,
-                                       "free": _split(system).free})]:
+                      (system.matrix, {"label": system.group})]:
         peak, sym = _analysis_peak(K, **kwargs)
         assert peak <= sym.nbytes + 24 * len(K.indices)
-        free = kwargs.get("free", np.ones(K.shape[0], dtype=bool))
-        assert len(sym.src) == sp.tril(K[free][:, free]).nnz
+        assert len(sym.src) == sp.tril(K).nnz
 
 
 def test_single_front_breakdown_falls_back_to_lu():
@@ -570,7 +585,8 @@ def test_direct_solve_records_factor(antiplane_solution):
     assert 0 < info["analysis_bytes"] < info["factor_bytes"] // 2
 
 
-def test_family_analyses_pattern_once(sweep_system_small, monkeypatch):
+def test_family_analyses_pattern_once(sweep_system_small, sweep_full_small,
+                                     monkeypatch):
     from mmfem import cholesky
     from mmfem.solver import solve_family
     analyse = cholesky.analyse
@@ -586,91 +602,99 @@ def test_family_analyses_pattern_once(sweep_system_small, monkeypatch):
     sols = solve_family(sweep_system_small, coeffs)
     paths = [s.info["path"] for s in sols]
     assert paths.count("direct") == 3 and len(calls) == 1
-    _check_against_direct(sweep_system_small, coeffs, sols)
+    _check_against_direct(sweep_full_small, coeffs, sols)
     for c, sol in zip(coeffs, sols):
-        K = sweep_system_small.matrix_at(c)
+        K = sweep_full_small[0].matrix_at(c)
         energy = 0.5 * sol.x @ (K @ sol.x)
         assert abs(sol.energy - energy) <= 1e-12 * energy
 
 
-def test_family_releases_full_matrices(monkeypatch):
-    # a caller that hands over its only reference to the system: the full
-    # matrices are gone before the first factorization
-    import gc
-    import weakref
-    from mmfem import cholesky
-    from mmfem.benchmarks import sweep_mesh, sweep_params, sweep_system
+def test_family_holds_no_full_matrices(sweep_system_small):
+    # the assembled system holds only its free blocks, and the solutions
+    # keep it without matrices
     from mmfem.solver import solve_family
-    holder = [sweep_system(sweep_mesh(0), sweep_params(1.0), 1, "nedelec1")]
-    refs = [weakref.ref(holder[0].matrix), weakref.ref(holder[0].c_matrix)]
-    alive = []
-    analyse = cholesky.analyse
-
-    def record(K, **kwargs):
-        gc.collect()
-        alive.append([r() is not None for r in refs])
-        return analyse(K, **kwargs)
-
-    monkeypatch.setattr(cholesky, "analyse", record)
-    sols = solve_family(holder.pop(), [1.0, 2.0])
-    assert alive == [[False, False]]
-    assert sols[0].system.matrix is None and sols[0].system.n_dofs > 0
+    system = sweep_system_small
+    n_free = int(np.count_nonzero(system.free))
+    assert 0 < n_free < system.n_dofs
+    for M in (system.matrix, system.c_matrix):
+        assert M.shape == (n_free, n_free)
+    sols = solve_family(system, [1.0, 2.0])
+    for sol in sols:
+        kept = sol.system
+        assert kept.matrix is None and kept.c_matrix is None
+        assert kept.group is None
+        assert kept.n_dofs == len(sol.x) == system.n_dofs
     with pytest.raises(ValueError):
         sols[0].system.matrix_at(1.0)
 
 
 # ---------------------------------------------------------------------------
-# the pattern path (reduction by index arrays, supervariables from the
-# assembled pattern) against the explicit K[free][:, free] slice
+# the free blocks assembled under Dirichlet data (supervariables from the
+# assembled pattern) against the explicit K[free][:, free] slice of the
+# form assembled without it
 
 @pytest.fixture(scope="module")
 def gate_systems():
-    from mmfem.benchmarks import (antiplane_params, cauchy_system,
-                                  solve_antiplane, sweep_mesh, sweep_params,
-                                  sweep_system)
+    """(system, full, constraints) of each gate system: assembled under its
+    Dirichlet data and without it, and the constraints of that data."""
+    from mmfem.benchmarks import (_sweep_groups, anti_exact_grad_u, anti_exact_u,
+                                  anti_load_f, anti_load_m, antiplane_params,
+                                  cauchy_system, solve_antiplane, sweep_mesh,
+                                  sweep_params, sweep_system)
     disk, cube = generate_disk(10.0, n_rings=2), sweep_mesh(0)
-    systems = {f"antiplane {fam}": solve_antiplane(
-        disk, antiplane_params(), 1, fam).system
-        for fam in ("nedelec1", "nedelec2")}
-    systems.update({f"sweep {fam}": sweep_system(cube, sweep_params(1.0), 1, fam)
-                    for fam in ("nedelec1", "nedelec2")})
-    systems["cauchy 3"] = cauchy_system(cube, 3)
+    anti = [(disk.tagged_facets("boundary"), anti_exact_u, anti_exact_grad_u)]
+    systems = {}
+    for fam in ("nedelec1", "nedelec2"):
+        full = assemble_antiplane(disk, antiplane_params(), SpaceDescriptor("h1", 2, 2),
+                                  SpaceDescriptor(fam, 1, 2), f=anti_load_f,
+                                  m=anti_load_m)
+        systems[f"antiplane {fam}"] = (
+            solve_antiplane(disk, antiplane_params(), 1, fam).system, full,
+            embed(full, anti))
+        full = assemble_full3d(cube, sweep_params(1.0), SpaceDescriptor("h1", 2, 3),
+                               SpaceDescriptor(fam, 1, 3), split_curl=True)
+        systems[f"sweep {fam}"] = (sweep_system(cube, sweep_params(1.0), 1, fam),
+                                   full, embed(full, _sweep_groups(cube)))
+    full = assemble_cauchy3d(cube, SpaceDescriptor("h1", 3, 3))
+    systems["cauchy 3"] = (cauchy_system(cube, 3), full,
+                           embed(full, _sweep_groups(cube), coupled=False))
     return systems
 
 
-def _free(system):
-    free = np.ones(system.n_dofs, dtype=bool)
-    free[list(system.constraints)] = False
-    return free
-
-
 def test_pattern_path_matches_explicit_slice(gate_systems):
+    from dataclasses import replace
     from mmfem import cholesky
-    from mmfem.solver import _split
-    for name, system in gate_systems.items():
-        free = _free(system)
-        mats = [m for m in (system.matrix, system.c_matrix) if m is not None]
-        for M, B in zip(mats, _split(system).blocks(*mats)):
-            ref = M[free][:, free]
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(B, attr), getattr(ref, attr)), name
+    for name, (system, full, cons) in gate_systems.items():
+        ref = constrain(full, cons)
+        assert np.array_equal(system.free, ref.free), name
+        assert np.array_equal(system.x_con, ref.x_con), name
+        for M, B in [(ref.matrix, system.matrix), (ref.c_matrix, system.c_matrix)]:
+            assert (M is None) == (B is None), name
+            for attr in ("indptr", "indices", "data") if M is not None else ():
+                assert np.array_equal(getattr(B, attr), getattr(M, attr)), name
+        # the lifts and constants sum the element terms in another order
+        # than the CSR products
+        for got, want in [(system.rhs, ref.rhs), (system.lift, ref.lift),
+                          (system.con_energy, ref.con_energy)]:
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+        # K(1) and its rhs
         K = system.matrix_at(1.0)
-        Kff = K[free][:, free].tocsc()
-        F = cholesky.factor(K, cholesky.analyse(K, label=system.group,
-                                                free=free))
+        at_1 = replace(system, matrix=K, c_matrix=None, rhs=system.rhs + (
+            0.0 if system.c_matrix is None else system.lift[1]))
+        ref = constrain(SparseSystem(matrix=full.matrix_at(1.0), rhs=full.rhs,
+                                     fields=full.fields, mesh=full.mesh), cons)
+        F = cholesky.factor(K, cholesky.analyse(K, label=system.group))
         # one partition (test_pattern_supervariables_are_exact): one
         # analysis, bitwise one factor
-        F_ref = cholesky.factor(Kff)
+        F_ref = cholesky.factor(ref.matrix.tocsc())
         assert np.array_equal(F.values, F_ref.values), name
-        con = ~free
-        rhs = system.rhs[free] - K[free][:, con] @ (
-            np.array([system.constraints[i] for i in np.flatnonzero(con)]))
-        x_ref = F_ref.solve(rhs)
-        sol = solve(SparseSystem(matrix=K, rhs=system.rhs, fields=system.fields,
-                                 mesh=system.mesh, constraints=system.constraints,
-                                 group=system.group))
+        x_ref = F_ref.solve(ref.rhs)
+        sol = solve(at_1)
+        free = system.free
         assert (np.linalg.norm(sol.x[free] - x_ref)
                 <= 1e-12 * np.linalg.norm(x_ref)), name
+        assert np.array_equal(sol.x[~free], ref.x_con[~free]), name
         assert sol.residual <= 1e-10
 
 
@@ -680,11 +704,10 @@ def test_pattern_supervariables_are_exact(gate_systems):
     # interior of its only cell, an edge and a face in the same two
     # cells), which is the exact row-set partition of K_ff here
     from mmfem import cholesky
-    for name, system in gate_systems.items():
-        free = _free(system)
-        Kff = system.matrix[free][:, free]
+    for name, (system, _, _) in gate_systems.items():
+        Kff = system.matrix
         exact = cholesky._supervariables(Kff.indptr, Kff.indices, Kff.shape[0])
-        pairs = set(zip(system.group[free].tolist(), exact.tolist()))
+        pairs = set(zip(system.group.tolist(), exact.tolist()))
         assert len({g for g, _ in pairs}) == len(pairs), name   # no merge
         assert len({e for _, e in pairs}) == len(pairs), name   # no split
 
@@ -696,10 +719,11 @@ def test_solutions_record_stages(antiplane_solution, sweep_system_small):
     assert {"direct", "pcg"} <= {s.info["path"] for s in sols}
     for sol in sols:
         stages = sol.info["stages"]
-        assert set(stages) == {"assembly", "reduction", "analysis", "factor",
+        assert set(stages) == {"assembly", "dirichlet", "analysis", "factor",
                                "solve"}
         assert all(v >= 0.0 for v in stages.values())
     # an assembled system's time goes on its solve, a family's on its
     # first solution
-    assert sols[0].info["stages"]["assembly"] > 0.0
-    assert sum(s.info["stages"]["assembly"] > 0.0 for s in sols[1:]) == 1
+    for key in ("assembly", "dirichlet"):
+        assert sols[0].info["stages"][key] > 0.0
+        assert sum(s.info["stages"][key] > 0.0 for s in sols[1:]) == 1
