@@ -6,8 +6,10 @@ bounds, run as one ``run_lc_sweep`` call with the BLAS threads of the
 environment (set ``OPENBLAS_NUM_THREADS=1`` for one thread).  It prints
 one JSON line: the wall seconds of the call, the solver ``stages`` of the
 sweep and bound chains (each summed over its solutions), the number of
-factorizations, the stored entries (``lu_fill``) and supernodes of each
-sweep factorization, and the process's peak RSS (``ru_maxrss``, MB).
+factorizations, the stored entries (``lu_fill``), supernodes and bytes
+of each sweep factorization (``factor_bytes``, ``analysis_bytes`` and
+``matrix_bytes``: the factor with its update storage, the analysis, and
+the chain's matrices), and the process's peak RSS (``ru_maxrss``, MB).
 
     PYTHONPATH=src python scripts/time_criterion8.py
 
@@ -35,7 +37,8 @@ def main():
                    for chain, stages in result["stages"].items()},
         "n_factorizations": result["n_factorizations"],
         **{key: [n for n in result[key] if n is not None]
-           for key in ("lu_fill", "supernodes")},
+           for key in ("lu_fill", "supernodes", "factor_bytes",
+                       "analysis_bytes", "matrix_bytes")},
         "ru_maxrss_mb": round(resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
 

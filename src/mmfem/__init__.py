@@ -6,7 +6,7 @@ benchmark CLI (`bench`).
 """
 
 from .dual import Dual, seed, constant
-from .bernstein import BernsteinEval, eval_all, eval_single
+from .bernstein import BernsteinEval, eval_all
 from .simplex import (MultiIndex2, MultiIndex3, Polytope, bezier_eval,
                       classify, traversal_order)
 from .quadrature import QuadratureRule, rule_for
@@ -15,7 +15,7 @@ from .mesh import Mesh, generate_box, generate_disk, io_read, io_write
 
 __all__ = [
     "Dual", "seed", "constant",
-    "BernsteinEval", "eval_all", "eval_single",
+    "BernsteinEval", "eval_all",
     "MultiIndex2", "MultiIndex3", "Polytope", "bezier_eval", "classify",
     "traversal_order",
     "QuadratureRule", "rule_for",

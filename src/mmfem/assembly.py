@@ -7,17 +7,18 @@ Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
 2006), cached per form, spaces and rule (n_terms nb^2 doubles, n_terms 9
 or 27).  One chunked driver embeds the Dirichlet data, then forms a
 chunk's element matrices by one GEMM of per-cell coefficients with them
-and adds the halves Y + Y^T, exactly symmetric as the solver needs, into
-the CSR ``Pattern`` of the free dofs, built once from the node-major cell
-dofs (``FieldLayout``).  Entries in a constrained row or column go to a
-spare slot that is dropped, and the element matrices give the lift
--K_fc x_c and x_c^T K_cc x_c (deal.II's distribute_local_to_global;
-Bangerth, Hartmann & Kanschat, ACM TOMS 33, 2007): no matrix on all dofs
-exists.  Memory beside the free blocks, the lifts, the constrained values
-and the pattern: the positions of all element scalar entries, found once
-(4 bytes each), then per chunk Y of all matrices (at most _CHUNK_NNZ
-doubles) and one matrix's K and the positions (8 + 4 bytes per element
-entry).
+and adds the local lower half of Y + Y^T, exactly symmetric, into the
+lower triangle of the CSR ``Pattern`` of the free dofs, built once from
+the node-major cell dofs (``FieldLayout``): every matrix is stored as
+the entries on or below its diagonal.  Entries in a constrained row or
+column go to a spare slot that is dropped, and the element matrices give
+the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
+distribute_local_to_global; Bangerth, Hartmann & Kanschat, ACM TOMS 33,
+2007): no matrix on all dofs exists.  Memory beside the triangles, the
+lifts, the constrained values and the pattern: the positions of the
+lower element scalar entries, found once (4 bytes each), then per chunk
+Y of all matrices (at most _CHUNK_NNZ doubles) and one matrix's lower
+half and its positions (8 + 4 bytes per entry of the half).
 """
 
 from __future__ import annotations
@@ -65,12 +66,14 @@ class FieldLayout:
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric system on its free dofs: ``matrix`` K_ff and
-    ``rhs`` the free load plus the lift -K_fc x_c of the constrained
-    values x_c.  ``c_matrix``, the free block of the unit-coefficient
-    part of K(c) = matrix + c c_matrix (curl-curl of the lc sweep,
-    div-div of the Cauchy form), shares its CSR pattern, so
-    ``matrix_at`` only combines data arrays.  ``free`` masks the free
+    """Assembled symmetric system on its free dofs: ``matrix`` the lower
+    triangle of K_ff (CSR rows with sorted columns, the diagonal last)
+    and ``rhs`` the free load plus the lift -K_fc x_c of the constrained
+    values x_c.  ``c_matrix``, the triangle of the free block of the
+    unit-coefficient part of K(c) = matrix + c c_matrix (curl-curl of the
+    lc sweep, div-div of the Cauchy form), shares its CSR pattern, so
+    ``matrix_at`` only combines data arrays.  A bare system is built
+    with such triangles too (``solver`` reads T + T^T - diag(T)).  ``free`` masks the free
     dofs of all ``n_dofs``, ``x_con`` is x_c (zero at the free dofs),
     ``lift`` (n_mats, n_free) and ``con_energy`` (n_mats) hold -M_fc x_c
     and x_c^T M_cc x_c of both matrices; a bare system (matrix and rhs)
@@ -247,30 +250,37 @@ def _constraints(mesh, fields, groups, coupled):
 
 
 class Pattern:
-    """CSR pattern of a system's free blocks (every coupling of two free
-    dofs through a cell), the supervariable of every free dof, and the
-    positions in S (below) of all element scalar entries, from which
-    ``positions`` places the element entries chunk by chunk.
+    """CSR pattern of the lower triangles of a system's free blocks (every
+    coupling of two free dofs through a cell, column <= row), the
+    supervariable of every free dof, and the positions in S (below) of
+    the lower scalar entries of all elements, from which ``positions``
+    places the element entries chunk by chunk.
 
     All fields have k components, numbered node-major (``FieldLayout``):
     global dof k i + r is component r of scalar dof i of the stacked
     dofmaps.  The constraints fix all k components of a scalar dof or
-    none, so the pattern is the scalar pattern S of the free scalar dofs
-    (numbered in order) with every entry replaced by a k x k block: row
-    k i + r holds the columns k j + s, j in S row i and s < k, so entry
-    (r, s) of the block of scalar entry e in row i sits at
-    indptr[k i + r] + k (e - S.indptr[i]) + s.  It is sorted and
-    symmetric, so its CSR arrays are its CSC arrays.  Element matrices
-    are ordered (r, s, A, B): components outermost, then the cell's
-    scalar dofs A of all fields.  An element entry in a constrained row
-    or column goes to the spare slot len(indices), one past the pattern.
+    none, so the pattern is the lower scalar pattern S of the free scalar
+    dofs (numbered in order) with every entry replaced by a k x k block,
+    lower on the diagonal: row k i + r holds the columns k j + s, j in S
+    row i and s < k, but s <= r where j = i, so entry (r, s) of the block
+    of scalar entry e in row i sits at
+    indptr[k i + r] + k (e - S.indptr[i]) + s.  Rows are sorted with
+    the diagonal last.
+
+    An element matrix, ordered (r, s, A, B) (components outermost, then
+    the cell's scalar dofs A of all fields), is exactly symmetric, so only
+    its local lower half is scattered: ``half`` indexes the entries with
+    A > B, then those with A = B and r >= s, and ``mirror`` their
+    transposes (s, r, B, A).  Each goes to the lower entry of its global
+    pair; an entry in a constrained row or column goes to the spare slot
+    len(indices), one past the pattern.
 
     The free dofs of the scalar dofs in one set of cells (a mesh entity,
     or entities with the same cells, such as a boundary face and the
     interior of its only cell) have one row set: ``group`` labels them
     for the factorization.  Memory: ``indices`` 4 bytes per entry (int32
     below 2^31 entries), ``indptr``, ``group`` and S.indptr one index per
-    free (scalar) dof, and the scalar positions 4 bytes per element
+    free (scalar) dof, and the scalar positions 4 bytes per lower element
     scalar entry.
     """
 
@@ -294,55 +304,85 @@ class Pattern:
              np.concatenate([[0], np.cumsum(on.sum(axis=1))])), shape=(nc, ns))
         cells_of = incidence.tocsc()    # the cells of each free scalar dof
         self.group = np.repeat(_supervariables(cells_of.indptr, cells_of.indices, ns), k)
-        S = cells_of.T @ incidence      # CSR; symmetric: also its CSC arrays
+        S = cells_of.T @ incidence      # CSR, every row with its diagonal
         S.sort_indices()
         itype = np.int32 if k * k * S.nnz < 2 ** 31 - 1 else np.int64
+        row = np.repeat(np.arange(ns, dtype=S.indices.dtype), np.diff(S.indptr))
+        low, ends = S.indices <= row, np.flatnonzero(S.indices == row) + 1
+        S = sp.csr_matrix((S.data[low], S.indices[low], np.concatenate(
+            [[0], np.cumsum(ends - S.indptr[:-1])])), shape=(ns, ns))
+        del row, low
+        # the local lower half: pairs A > B, then the diagonal A = B
+        self.pairs, diag = np.tril_indices(nloc, -1), np.arange(nloc)
+        a, b = (np.concatenate([p, diag]) for p in self.pairs)
         # scalar positions, looked up in batches SciPy binary-searches (> S.nnz / 10)
         where = sp.csr_matrix((np.arange(S.nnz, dtype=itype), S.indices, S.indptr),
                               shape=(ns, ns))
-        self.scalar_pos = np.empty((nc, nloc, nloc), dtype=itype)
-        for cells in _chunks(nc, nloc * nloc):
+        self.scalar_pos = np.empty((nc, len(a)), dtype=itype)
+        for cells in _chunks(nc, len(a)):
             sd = self.free_dofs[cells].astype(where.indices.dtype)
-            rows, cols = np.broadcast_arrays(sd[:, :, None], sd[:, None, :])
-            pos = np.asarray(where[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+            sa, sb = sd[:, a], sd[:, b]
+            pos = np.asarray(where[np.maximum(sa, sb).ravel(),
+                                   np.minimum(sa, sb).ravel()]).reshape(sa.shape)
             span = self.span(cells)
             if span is not None:    # the spare slot if k = 1
                 m = on[cells][span]
-                np.copyto(pos[span], S.nnz, where=~(m[:, :, None] & m[:, None, :]))
+                np.copyto(pos[span], S.nnz, where=~(m[:, a] & m[:, b]))
             self.scalar_pos[cells] = pos
         del where
         self.s_indptr = S.indptr
+
+        def flat(r, s, a, b):     # index of (r, s, A, B) in an element matrix
+            return ((r[:, None] * k + s[:, None]) * nloc + a) * nloc + b
+
+        (r, s), (rd, sd) = np.divmod(np.arange(k * k), k), np.tril_indices(k)
+        self.half = np.concatenate([flat(r, s, *self.pairs),
+                                    flat(rd, sd, diag, diag)], axis=None)
+        self.mirror = np.concatenate([flat(s, r, *self.pairs[::-1]),
+                                      flat(sd, rd, diag, diag)], axis=None)
         if k == 1:     # the pattern is S; the expansion would copy it
             self.indptr, self.indices = S.indptr, S.indices
             return
-        # row k i + r holds the k-blocks of the entries of S row i
-        blocks = k * S.indices.astype(itype)[:, None] + np.arange(k, dtype=itype)
-        lens = np.repeat(np.diff(S.indptr), k)
-        self.indices = blocks[_ranges(np.repeat(S.indptr[:-1], k), lens, itype)].ravel()
-        self.indptr = np.concatenate([[0], np.cumsum(k * lens)]).astype(itype)
+        # row k i + r: the k-blocks of S row i, of its diagonal block the first r + 1
+        lens = (k * np.diff(S.indptr) - k)[:, None] + np.arange(1, k + 1)
+        blocks = (k * S.indices.astype(itype)[:, None] + np.arange(k, dtype=itype)).ravel()
+        self.indices = blocks[_ranges(np.repeat(k * S.indptr[:-1].astype(np.int64), k),
+                                      lens.ravel(), itype)]
+        self.indptr = np.concatenate([[0], np.cumsum(lens)]).astype(itype)
 
     def positions(self, per_cell):
         """Chunks of ``_chunks(n_cells, per_cell)`` and the positions of
-        their element entries, (nc, k, k, n_local, n_local)."""
+        the ``half`` entries of their element matrices, (nc, len(half))."""
         for cells in _chunks(len(self.scalar_pos), per_cell):
             yield cells, (self.scalar_pos[cells] if self.k == 1
                           else self._block_positions(cells))
 
     def _block_positions(self, cells):
         """``positions`` of one chunk for k > 1, in a frame of its own so
-        that its temporaries are gone before the chunk's Y is formed."""
-        k, e = self.k, self.scalar_pos[cells]
-        comp = np.arange(k, dtype=e.dtype)
+        that its temporaries are gone before the chunk's Y is formed.  A
+        pair A > B whose global order is reversed (scalar dof of A below
+        that of B) swaps the components of row and column."""
+        k, (a, b), e = self.k, self.pairs, self.scalar_pos[cells]
+        po, comp = len(a), np.arange(k, dtype=e.dtype)
         sd = self.free_dofs[cells]
-        first = self.indptr[k * sd[:, None, :] + comp[:, None]]     # (nc, r, A)
-        rank = e - self.s_indptr[sd][:, :, None]
-        pos = (first[:, :, None, :, None] + (k * rank)[:, None, None]
-               + comp[:, None, None])
+        sa, sb = sd[:, a], sd[:, b]
+        row = np.maximum(sa, sb)
+        first = self.indptr[k * row[:, None] + comp[:, None]]         # (nc, r, pair)
+        off = (k * (e[:, :po] - self.s_indptr[row]))[:, None, None]
+        pos = first[:, :, None] + off + comp[:, None]                # (nc, r, s, pair)
+        np.copyto(pos, first[:, None] + off + comp[:, None, None],
+                  where=(sa < sb)[:, None, None])
+        # entry (r, s) of a diagonal block, s <= r, ends row k i + r at r - s
+        r, s = np.tril_indices(k)
+        diag = (self.indptr[k * sd[:, None] + r[:, None] + 1]
+                - (r - s + 1)[:, None].astype(e.dtype))              # (nc, rs, A)
         span = self.span(cells)
         if span is not None:
             masked = e[span] == self.s_indptr[-1]
-            np.copyto(pos[span], len(self.indices), where=masked[:, None, None])
-        return pos
+            np.copyto(pos[span], len(self.indices), where=masked[:, None, None, :po])
+            np.copyto(diag[span], len(self.indices), where=masked[:, None, po:])
+        return np.concatenate([pos.reshape(len(pos), -1), diag.reshape(len(pos), -1)],
+                              axis=1)
 
     def span(self, cells):
         """The slice of a chunk from its first to its last cell with a
@@ -359,9 +399,13 @@ def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1,
     ``loads``, (field, reference table, callback or None), on the free
     dofs of the Dirichlet data ``dirichlet`` (``_constraints``), with the
     lifts from one matmul over the (k, k, nb, nb) blocks.  The matrices
-    share one CSR pattern, every coupling through a cell, also where its
-    sum over cells vanishes: dropping those breaks the k x k block
-    structure that the factorization's ordering relies on, raising fill."""
+    share one CSR pattern of lower triangles (``Pattern``), every
+    coupling through a cell, also where its sum over cells vanishes:
+    dropping those breaks the k x k block structure that the
+    factorization's ordering relies on, raising fill.  K is exactly
+    symmetric and each lower entry receives one element entry per cell,
+    in cell order, so each matrix is the lower triangle of the symmetric
+    matrix that both halves would give."""
     t0 = time.perf_counter()
     free, x_con = _constraints(mesh, fields, dirichlet, coupled)
     t1 = time.perf_counter()
@@ -379,18 +423,22 @@ def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1,
                    mesh.jacs[cells], adet)
         # one GEMM for all (one per matrix rounds BLAS's edge rows otherwise)
         y = x.reshape(-1, n_terms) @ ref.reshape(n_terms, -1)
-        y, kc = y.reshape(x.shape[:4] + (nb, nb)), np.empty(x.shape[1:4] + (nb, nb))
+        y = y.reshape(x.shape[:4] + (nb, nb))
         span = pat.span(cells)
         if span is not None:    # x_con on the span's cells, (nc, 1, s, b, 1)
             sd = pat.scalar_dofs[cells][span]
             xe = x_node[sd].transpose(0, 2, 1)[:, None, :, :, None]
-        for d, a, ym in zip(data, ax, y):   # K[r, s, a, b] of one matrix at a time
-            np.add(ym, ym.transpose(0, 2, 1, 4, 3), out=kc)
-            np.add.at(d, pos.ravel(), kc.ravel())
-            if span is not None:
+        for d, a, ym in zip(data, ax, y):   # one matrix at a time
+            kh = np.take(ym.reshape(len(ym), -1), pat.half, axis=1)
+            kh += np.take(ym.reshape(len(ym), -1), pat.mirror, axis=1)
+            np.add.at(d, pos.ravel(), kh.ravel())
+            del kh
+            if span is not None:    # K[r, s, a, b] of the span's cells
+                kc = ym[span] + ym[span].transpose(0, 2, 1, 4, 3)
                 np.add.at(a, k * sd[:, None, :] + comp[:, None],
-                          (kc[span] @ xe).sum(axis=2)[..., 0])
-        del x, y, ym, kc, pos       # before the next chunk's
+                          (kc @ xe).sum(axis=2)[..., 0])
+                del kc
+        del x, y, ym, pos       # before the next chunk's
     rhs = np.zeros(len(free))
     for layout, table, func in (load for load in loads if load[2] is not None):
         for cells in _chunks(nc, table.size * layout.n_comps):

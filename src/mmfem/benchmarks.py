@@ -373,7 +373,9 @@ def run_lc_sweep(cfg: BenchConfig):
             "n_factorizations": sum(info["path"] == "direct" for info in infos),
             "factor": [info.get("factor") for info in infos],
             "supernodes": [info.get("supernodes") for info in infos],
-            "lu_fill": [info.get("lu_fill") for info in infos],
+            **{key: [info.get(key) for info in infos]
+               for key in ("lu_fill", "factor_bytes", "analysis_bytes",
+                           "matrix_bytes")},
             "i_macro": lower, "i_micro": upper,
             "stages": {"sweep": _stage_sums(infos), "bound": bound_stages},
             "monotone": bool(np.all(np.diff(

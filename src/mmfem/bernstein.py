@@ -2,20 +2,17 @@
 
 ``eval_all`` runs the multiplicative recursion seeded at ``(1-xi)**p``
 with dual-number arithmetic, so values and first derivatives of all
-``p+1`` base functions come out of a single sweep.  ``eval_single``
-evaluates one base function from the closed binomial form and serves as
-the independent oracle for the recursion.
+``p+1`` base functions come out of a single sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .dual import Dual, seed
-from .errors import BadIndex, DomainError
+from .dual import seed
+from .errors import DomainError
 
 # Below this distance from xi = 1 the recursion (which divides by 1 - xi)
 # is bypassed in favour of the exact limit values.
@@ -75,11 +72,3 @@ def eval_all(p: int, xi) -> BernsteinEval:
     if scalar_in:
         return BernsteinEval(p, values[0], derivs[0])
     return BernsteinEval(p, values, derivs)
-
-
-def eval_single(p: int, i: int, xi: float) -> Dual:
-    """One base function b_i^p from the closed form, as a dual number."""
-    if not 0 <= i <= p:
-        raise BadIndex(f"index {i} outside 0..{p}")
-    x = seed(xi)
-    return comb(p, i) * x ** i * (1.0 - x) ** (p - i)

@@ -1,8 +1,10 @@
 """Supernodal multifrontal Cholesky factorization of sparse SPD matrices.
 
 ``factor(K)`` computes P K P^T = L L^T for a symmetric positive definite
-K in CSC form; it reads the entries of K on or below the diagonal of
-P K P^T.  A pivot block that is not positive definite raises
+K given by its lower triangle (``lower``: CSR rows with sorted columns,
+the diagonal last, as ``assembly`` stores its matrices; of any other
+sparse matrix only the entries on or below the diagonal are read, from
+a copy).  A pivot block that is not positive definite raises
 NotPositiveDefinite, so a completed factor certifies K as SPD.
 
 Analysis (``analyse``), once per sparsity pattern:
@@ -27,12 +29,14 @@ Analysis (``analyse``), once per sparsity pattern:
    parents is planned here: for a small child, the positions of its
    update rows in its parent's front (relative rows, one index per
    row); for a large one, runs of consecutive parent rows.  Then the
-   position in the factor of every entry on or below the diagonal
-   (``Symbolic.src``/``dst``), found in the first column of each
-   supervariable and shared by the others.
+   position in the factor of every stored entry (``Symbolic.dst``, in
+   storage order), linear in the new index of its row for a fixed
+   column: found once per supervariable, in the row of its last column,
+   which holds every column that the rows of the others hold.
 
 Numeric factorization: the factor storage holds one (n, k) panel per
-supernode; the entries of K are written into it in one scatter.  Groups
+supernode; the stored entries of K are written into it in one scatter,
+``values[dst] = K.data``.  Groups
 run in order of height.  A single front (a group of one supernode) is
 factored in place on its panel: dpotrf for L11, one dtrsm for
 L21 = F21 L11^-T, and dsyrk for V = L21 L21^T.  A batch of fronts goes
@@ -52,19 +56,19 @@ run by the same groups.
 
 Memory: the factor, ``Symbolic.size`` entries, the sum of n k over the
 supernodes (``nnz`` counts the entries on or below the diagonal); the
-analysis, ``Symbolic.nbytes``: two indices per entry of K on or below
-the diagonal (int32 below 2^31), the front rows and one index per
-update row of each small child; and while the factor is computed, at
-most ``Symbolic.update_peak`` 8-byte words of update storage.
+analysis, ``Symbolic.nbytes``: one index per stored entry of K (int32
+below 2^31), the front rows and one index per update row of each small
+child; and while the factor is computed, at most
+``Symbolic.update_peak`` 8-byte words of update storage.
 ``analyse`` finds that peak by walking the schedule: the waiting flat
 copies with their positions and the trailing blocks, plus the current
 group's V (before it, a batch's pivot temporaries) and what is copied
 out of it, with a piece's position temporaries, and the templates.  So
-``factor`` holds 8 (size + update_peak) bytes
-(``Symbolic.factor_bytes``), beside the one-time gather of K's entries
-(8 bytes per entry on or below the diagonal) and NumPy's fixed
-iteration buffers.  The analysis itself peaks below nbytes plus 24
-bytes per stored entry of K (``analyse``).
+``factor`` holds at most 8 (size + update_peak) bytes
+(``Symbolic.factor_bytes``; Python objects and NumPy's iteration
+buffers included), with no gather or copy of K's entries.  The analysis
+itself peaks below nbytes, a fixed term and 24 bytes per stored entry
+of K (``analyse``).
 """
 
 from __future__ import annotations
@@ -78,16 +82,26 @@ from scipy.linalg import blas, lapack
 
 from .errors import FactorizationFailed, NotPositiveDefinite
 
-# entries per chunk of the per-entry passes of the analysis (4 MB
-# temporaries of int32)
-_CHUNK = 1 << 20
+# entries per chunk of the per-entry passes of the analysis (at most
+# 0.66 MB of temporaries)
+_CHUNK = 1 << 13
+# the fixed term of the traced peak of ``analyse``
+_FIXED_BYTES = 1 << 20
+# Python objects and NumPy's iteration buffers in ``factor``: per group
+# (a panel view), per waiting part (its tuple, array headers and list)
+# and per run of a waiting trailing block (a tuple of three ints), and
+# in one step: an in-place add of strided blocks buffers its three
+# operands, getbufsize() doubles each (``ufunc.at`` buffers less), with
+# the step's own small objects
+_OBJ_GROUP, _OBJ_PART, _OBJ_RUN = 256, 384, 160
+_OBJ_STEP = 3 * 8 * np.getbufsize() + (16 << 10)
 # Update matrices of up to _FLAT_ROWS rows move by flat positions,
 # computed in ``factor`` from 4 bytes per row, larger ones by block
 # pairs of runs (one Python step per pair).
 _FLAT_ROWS = 128
 # lower entries per piece of a group's flat extend-adds (about 3 MB of
 # temporaries, counted by _update_peak)
-_PIECE = _CHUNK // 8
+_PIECE = 1 << 17
 # Relaxed amalgamation, CHOLMOD's defaults (Chen, Davis, Hager &
 # Rajamanickam, ACM TOMS 35, 2008): a child merges into its parent when
 # the merged supernode has at most `cols` columns and a fraction of
@@ -132,25 +146,27 @@ def _supervariables(indptr, indices, n):
     return label
 
 
-def _quotient_factor(rows, t_label, label, repcol):
+def _quotient_factor(rows, t_label, label, lastcol):
     """Ordering and symbolic factor of the quotient graph, from the
-    ``rows`` of the first column of each supervariable (``t_label``, its
-    label): (perm, L) with perm[new] = old supervariable and L the CSC
-    pattern of the Cholesky factor in the new order."""
-    ns = len(repcol)
+    ``rows`` on or above the diagonal of the last column of each
+    supervariable (``t_label``, its label), which meet every neighbour
+    whose last column comes first, at that column: (perm, L) with
+    perm[new] = old supervariable and L the CSC pattern of the Cholesky
+    factor in the new order."""
+    ns = len(lastcol)
     keep = np.zeros(len(label), dtype=bool)
-    keep[repcol] = True
+    keep[lastcol] = True
     keep = keep[rows]
     qr = label[rows[keep]]
     qc = t_label[keep]
     off = qr != qc
     qc, qr = qc[off], qr[off]
     # Stieltjes values: the factor of an M-matrix has no cancellation
-    degree = np.bincount(qc, minlength=ns)
+    degree = np.bincount(qc, minlength=ns) + np.bincount(qr, minlength=ns)
     Q = sp.csc_matrix(
-        (np.concatenate([-np.ones(len(qr)), degree + 1.0]),
-         (np.concatenate([qr, np.arange(ns)]),
-          np.concatenate([qc, np.arange(ns)]))), shape=(ns, ns))
+        (np.concatenate([-np.ones(2 * len(qr)), degree + 1.0]),
+         (np.concatenate([qr, qc, np.arange(ns)]),
+          np.concatenate([qc, qr, np.arange(ns)]))), shape=(ns, ns))
     lu = spla.splu(Q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -263,12 +279,16 @@ def _update_peak(groups, pos):
     + 32 bytes per child, and for one piece of children (2 pos + 17) L
     each and 8 L, L = m (m + 1) / 2 its lower entries.  Throughout, the
     lower-triangle templates of the small update matrices' sizes: 12 L
-    bytes per size."""
+    bytes per size.  Python objects and NumPy's buffers: _OBJ_GROUP per
+    group, _OBJ_PART per waiting part (a piece of flat copies or a
+    trailing block) and _OBJ_RUN per run of a trailing block, and
+    _OBJ_STEP throughout."""
     gk = np.asarray([g.k for g in groups])
     pending = [0] * len(groups)
-    total = peak = tril = 0
+    total = peak = 0
+    fixed = _OBJ_GROUP * len(groups) + _OBJ_STEP
     for m in {g.n - g.k for g in groups if g.flat is not None}:
-        tril += 12 * (m * (m + 1) // 2)
+        fixed += 12 * (m * (m + 1) // 2)
     for g, grp in enumerate(groups):
         B, k, m = len(grp.rows), grp.k, grp.n - grp.k
         V = 8 * B * m * m
@@ -284,15 +304,21 @@ def _update_peak(groups, pos):
             for q, w in zip(qs.tolist(), np.add.reduceat(wait, at).tolist()):
                 pending[q] += w
                 new += w
+            for c0, _ in _pieces(pgroup, L):
+                pending[pgroup[c0]] += _OBJ_PART
+                new += _OBJ_PART
             temp = ((4 * pos + 1) * B * m + 32 * B + 8 * L
                     + (2 * pos + 17) * L * min(B, max(1, _PIECE // L)))
         for q, _, _, runs, t in grp.blocks:
-            tail = 8 * (m - runs[t][0]) ** 2 if t < len(runs) else 0
+            tail = 0
+            if t < len(runs):
+                tail = (8 * (m - runs[t][0]) ** 2 + _OBJ_PART
+                        + _OBJ_RUN * (len(runs) - t))
             pending[q] += tail
             new += tail
         peak = max(peak, total + V + new + temp)
         total += new
-    return peak + tril
+    return peak + fixed
 
 
 @dataclass
@@ -301,8 +327,7 @@ class Symbolic:
     of a matrix on that pattern."""
     perm: np.ndarray            # perm[new] = old column
     groups: list                # _Group in factorization order
-    src: np.ndarray             # entries on or below the diagonal of P K
-    dst: np.ndarray             # P^T: positions in K.data, in the factor
+    dst: np.ndarray             # factor position of each stored entry
     size: int                   # factor storage entries
     nnz: int                    # factor entries (lower trapezoids)
     supernodes: int
@@ -316,19 +341,24 @@ class Symbolic:
     @property
     def nbytes(self):
         """Bytes of the arrays the analysis keeps."""
-        arrays = [self.perm, self.src, self.dst]
+        arrays = [self.perm, self.dst]
         for g in self.groups:
             arrays += [g.rows, *(g.flat or ())]
         return sum(a.nbytes for a in arrays)
 
 
-def _csc(K):
-    """K canonical, CSC or CSR (the CSC of K^T, for symmetric K the same)."""
-    if not (sp.issparse(K) and K.format in ("csc", "csr")):
-        K = sp.csc_matrix(K)
+def lower(K):
+    """The entries of the square matrix ``K`` on or below its diagonal as
+    canonical CSR: rows with sorted columns, the diagonal last.  Such a
+    triangle comes back as it is, after a check of one entry per row."""
+    if not (sp.issparse(K) and K.format == "csr"):
+        K = sp.csr_matrix(K)
     if not K.has_canonical_format:
         K = K.copy()
         K.sum_duplicates()
+    rows = np.flatnonzero(np.diff(K.indptr))
+    if np.any(K.indices[K.indptr[rows + 1] - 1] > rows):
+        K = sp.tril(K, format="csr")
     return K
 
 
@@ -365,44 +395,69 @@ def _supernodes(parent, qcount, Lp, Li, sz, qoff):
 
 def analyse(K, label=None) -> Symbolic:
     """Ordering, symbolic factor, supernodes and schedule of the pattern
-    of the square matrix ``K`` (CSC, or CSR with a symmetric pattern);
-    see the module docstring.  Columns of one ``label`` must have one
-    row set (``assembly.Pattern.group``); without labels, exact row sets
-    group the columns.  ``Symbolic.src`` indexes ``K.data``.
+    of the symmetric matrix whose lower triangle is that of ``K``
+    (``lower``); see the module docstring.  Columns of one ``label`` must
+    have one row set in that symmetric pattern
+    (``assembly.Pattern.group``); without labels, exact row sets group
+    the columns.  ``Symbolic.dst`` holds the factor position of each
+    stored entry of the triangle, in storage order.
 
-    Its traced peak stays below ``Symbolic.nbytes`` plus 24 bytes per
-    stored entry of K; the per-entry passes run in chunks of _CHUNK
-    entries.  On the 2D benchmark system (2.5 M stored entries) that
-    peak is 37 MB, nbytes plus 9 bytes per entry.
+    Row i of the triangle holds the rows <= i of column i of the
+    symmetric matrix, and the columns of a supervariable share their row
+    set, so the row of its last column holds every row that any of its
+    stored entries needs: the analysis reads that row once per
+    supervariable and the symmetric pattern is never formed (for a
+    bare matrix without labels, only transiently to find them).
+
+    The traced peak of the analysis of a triangle stays below
+    ``Symbolic.nbytes`` + _FIXED_BYTES (1 MiB) + 24 bytes per stored
+    entry.  The fixed term covers the temporaries of the per-entry
+    passes (chunks of _CHUNK entries, at most 0.66 MB), the schedule's
+    Python objects and SciPy's temporaries of the quotient ordering
+    (about 100 KB on a 145-dof matrix).  The per-entry term holds for
+    finite element patterns, whose supervariable graph has a symbolic
+    factor of few entries beside the stored ones (each takes about 100
+    bytes here).  Measured above nbytes: 12.6 bytes per stored entry on
+    the 2D benchmark system (peak 25.4 MB), 1.7 on the 3D one (15.4 MB).
     """
-    K = _csc(K)
+    K = lower(K)
     indptr, indices, n = K.indptr, K.indices, K.shape[0]
     if n == 0:
         none = np.zeros(0, dtype=np.int64)
-        return Symbolic(perm=none, groups=[], size=0, nnz=0, src=none,
-                        dst=none, supernodes=0, update_peak=0)
-    counts = np.diff(indptr)
-    if label is None:
-        label = _supervariables(indptr, indices, n)
+        return Symbolic(perm=none, groups=[], size=0, nnz=0, dst=none,
+                        supernodes=0, update_peak=0)
+    stype = np.int32 if max(len(indices), n) < 2 ** 31 else np.int64
+    if label is None:   # exact row sets of the symmetric pattern
+        P = sp.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr),
+                          shape=(n, n))
+        P = P + P.T
+        label = _supervariables(P.indptr, P.indices, n)
+        del P
+    # counts of the symmetric pattern's columns: the row of the triangle
+    # (``up``, the diagonal last if stored) and the column below it
+    up = np.diff(indptr)
+    has = np.flatnonzero(up)
+    diag = np.zeros(n, dtype=np.int64)
+    diag[has] = indices[indptr[has + 1] - 1] == has
+    counts = up - diag
+    for a, b in _column_chunks(indptr):     # bincount copies to int64
+        counts += np.bincount(indices[indptr[a]:indptr[b]], minlength=n)
     # supervariables numbered in order of their first columns
     _, repcol, label = np.unique(label, return_index=True,
                                  return_inverse=True)
-    label = np.argsort(np.argsort(repcol))[label.ravel()]
+    label = np.argsort(np.argsort(repcol))[label.ravel()].astype(stype)
     repcol = np.sort(repcol)
     if np.any(counts != counts[repcol][label]):
         raise FactorizationFailed("columns of one supervariable have "
                                   "different row counts")
     ns = len(repcol)
-    # the rows of the first column of each supervariable: offset q in
-    # the column and label (stype: below the entries and the columns of K)
-    stype = np.int32 if max(len(indices), n) < 2 ** 31 else np.int64
-    rcount, r0 = counts[repcol], indptr[repcol]
-    at = _ranges(r0, rcount, stype)
-    q = at - np.repeat(r0.astype(stype), rcount)
-    t_label = np.repeat(np.arange(ns, dtype=stype), rcount)
-    rows = indices[at].astype(stype)
-    del at
-    qperm, L = _quotient_factor(rows, t_label, label, repcol)
+    size_of = np.bincount(label, minlength=ns)
+    lastcol = np.argsort(label, kind="stable")[np.cumsum(size_of) - 1]
+    # the rows <= the last column of each supervariable, and its label
+    tptr = np.concatenate([[0], np.cumsum(up[lastcol])]).astype(stype)
+    rows = indices[_ranges(indptr[lastcol], up[lastcol], stype)].astype(stype)
+    t_label = np.repeat(np.arange(ns, dtype=stype), up[lastcol])
+    qperm, L = _quotient_factor(rows, t_label, label, lastcol)
     post = _postorder(_etree(L))
     if not np.array_equal(post, np.arange(ns)):
         qperm = qperm[post]
@@ -414,7 +469,7 @@ def analyse(K, label=None) -> Symbolic:
 
     # scalar order: supervariables in the new order, the columns of one
     # in ascending original order
-    sz = np.bincount(label, minlength=ns)[qperm]
+    sz = size_of[qperm]
     qoff = np.concatenate([[0], np.cumsum(sz)])
     node_of_label = np.empty(ns, dtype=stype)
     node_of_label[qperm] = np.arange(ns)
@@ -500,58 +555,48 @@ def analyse(K, label=None) -> Symbolic:
                 t = sum(p0 < groups[pg].k for _, _, p0 in runs)
                 grp.blocks.append((pg, b, s, runs, t))
 
-    # positions in the panels of the entries on or below the diagonal of
-    # P K P^T, from the first column of each supervariable: its entry at
-    # offset q serves the entry at offset q of every column pj of the
-    # label, at node level I >= J where pi >= pj.  A label's columns have
-    # one row set, so its own diagonal block is full (or empty).  Each
-    # label's slots are reordered to put those in its own node first, in
-    # the order of their rows (so of pi): column r of the node then
-    # starts at slot r
+    # positions in the factor.  The stored entry (i, j), j <= i, is entry
+    # (p[i], p[j]) of P K P^T (p: the new order).  Row i of the triangle
+    # is a prefix of the row of the last column of i's supervariable L,
+    # which holds j at the same offset, and for that j the position is
+    # term + coef p[i], linear in p[i]:
+    #   j's node after L's: column p[i], row p[j], coef 1;
+    #   otherwise column p[j], row p[i] (in L's own node the columns keep
+    #   their order, so p[j] <= p[i]), coef the k of p[j]'s supernode,
+    #   whose front holds the rows of L's node in order.
+    # L's own diagonal block is full (or empty): its columns share a row set
     iperm = iperm.astype(itype)
-    pi = iperm[rows]
-    J = node_of_label[t_label]
-    I = node_of_row[pi]
-    keep = I >= J
-    own = (I == J)[keep]
-    q, t_label, pi = q[keep], t_label[keep], pi[keep]
-    so = np.repeat(np.arange(S, dtype=itype), last - first + 1)[J[keep]]
-    del rows, I, J, keep
-    term = ((pbase - c0).astype(itype)[so]
-            + k.astype(itype)[so] * front_row(so, pi).astype(itype))
-    del so, pi
-    cnt = np.bincount(t_label, minlength=ns)
-    start = np.cumsum(cnt) - cnt
-    cown = np.bincount(t_label[own], minlength=ns)
-    if np.any((cown != 0) & (cown != np.bincount(label, minlength=ns))):
+    so = np.repeat(np.arange(S, dtype=itype), last - first + 1)    # of a node
+    base, ks = (pbase - c0).astype(itype), k.astype(itype)
+    term = np.empty(len(rows), dtype=itype)
+    coef = np.empty(len(rows), dtype=itype)
+    cown = np.zeros(ns, dtype=np.int64)
+    for a, b in _column_chunks(tptr):
+        at = slice(tptr[a], tptr[b])
+        pj, t = iperm[rows[at]], t_label[at]
+        J, I = node_of_label[t], node_of_row[pj]
+        cown += np.bincount(t[I == J], minlength=ns)
+        after = I > J
+        s = so[np.minimum(I, J)]        # the supernode of the factor's column
+        pl = iperm[lastcol[t]]
+        term[at] = base[s] + ks[s] * front_row(s, np.where(after, pj, pl)).astype(itype)
+        coef[at] = np.where(after, 1, ks[s])
+        term[at] += np.where(after, 0, pj - ks[s] * pl)
+    del rows, t_label
+    if np.any((cown != 0) & (cown != size_of)):
         raise FactorizationFailed("columns of one supervariable have "
                                   "different row sets")
-    # new place of each slot: own slots from the label's start, then the
-    # others (``before``: own slots of the earlier labels)
-    before = np.cumsum(cown) - cown
-    co = np.cumsum(own, dtype=itype)
-    at = np.where(own, (start - 1 - before).astype(itype)[t_label] + co,
-                  np.arange(len(co), dtype=itype)
-                  + (cown + before).astype(itype)[t_label] - co)
-    del t_label, own, co
-    q[at] = q.copy()
-    term[at] = term.copy()
-    del at
-    src, dst = [], []
-    for a, b in _column_chunks(np.concatenate([[0], np.cumsum(counts)])):
-        lab = label[a:b]
-        r = np.minimum(iperm[a:b] - qoff[node_of_label[lab]], cown[lab])
-        c = cnt[lab] - r
-        ts = _ranges(start[lab] + r, c, itype)
-        src.append(q[ts] + np.repeat(indptr[a:b].astype(stype), c))
-        dst.append(term[ts] + np.repeat(iperm[a:b], c))
-    del q, term
-    src = np.concatenate(src)
-    dst = np.concatenate(dst)
+    dst = np.empty(len(indices), dtype=itype)
+    for a, b in _column_chunks(indptr):
+        at = _ranges(tptr[label[a:b]], up[a:b], stype)
+        d = coef[at]
+        d *= np.repeat(iperm[a:b], up[a:b])
+        d += term[at]
+        dst[indptr[a]:indptr[b]] = d
     nnz = int(np.sum(k * nrow - k * (k - 1) // 2))
     peak = _update_peak(groups, np.dtype(itype).itemsize)
-    return Symbolic(perm=perm, groups=groups, src=src, dst=dst, size=size,
-                    nnz=nnz, supernodes=S, update_peak=-(-peak // 8))
+    return Symbolic(perm=perm, groups=groups, dst=dst, size=size, nnz=nnz,
+                    supernodes=S, update_peak=-(-peak // 8))
 
 
 class Factor:
@@ -724,11 +769,11 @@ def factor(K, sym=None) -> Factor:
     NotPositiveDefinite where a pivot block is not positive definite.
     Beside the factor and the analysis it holds at most
     ``sym.update_peak`` words of update storage (module docstring)."""
+    K = lower(K)
     if sym is None:
-        K = _csc(K)
         sym = analyse(K)
     values = np.zeros(sym.size)
-    values[sym.dst] = K.data[sym.src]
+    values[sym.dst] = K.data
     pending = [[] for _ in sym.groups]
     itype = sym.dst.dtype
     gk = np.asarray([g.k for g in sym.groups], dtype=itype)

@@ -111,9 +111,6 @@ class DofMap:
     def edge_dofs(self, e: int) -> np.ndarray:
         return self.edge_base + self.per_edge * e + np.arange(self.per_edge)
 
-    def face_dofs(self, f: int) -> np.ndarray:
-        return self.face_base + self.per_face * f + np.arange(self.per_face)
-
 
 def build_dofmap(mesh: Mesh, space: SpaceDescriptor) -> DofMap:
     if space.dim != mesh.dim:

@@ -86,8 +86,3 @@ def apply_isotropic(lam, mu, s):
     s = np.asarray(s, dtype=float)
     return lam * np.trace(s) * np.eye(s.shape[0]) + 2.0 * mu * s
 
-
-def apply_tensors(params: MaterialParams, sym_part, skw_part):
-    """Elastic and Cosserat stress contributions (C_e sym, C_c skw)."""
-    return (apply_isotropic(params.lam_e, params.mu_e, sym_part),
-            2.0 * params.mu_c * np.asarray(skw_part, dtype=float))

@@ -389,10 +389,6 @@ def build_basis(space: SpaceDescriptor):
     raise DomainError("build_basis handles H(curl) families only")
 
 
-def space_dim(space: SpaceDescriptor) -> int:
-    return len(build_basis(space))
-
-
 @dataclass
 class VectorShapeSet:
     """Vector basis data at a batch of points: values (n, nb, dim) and

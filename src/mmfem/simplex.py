@@ -154,10 +154,6 @@ class H1ShapeSet:
     grads: np.ndarray
 
 
-def n_basis(p: int, dim: int) -> int:
-    return (p + 1) * (p + 2) // 2 if dim == 2 else (p + 1) * (p + 2) * (p + 3) // 6
-
-
 @lru_cache(maxsize=None)
 def _sweep_columns(p: int, dim: int):
     """Where the sweep reads each function's univariate factors: per axis

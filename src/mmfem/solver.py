@@ -1,27 +1,30 @@
 """Sparse symmetric solve and field post-processing.
 
 A system holds only its free dofs (``assembly`` leaves the Dirichlet
-dofs out), and its matrices share one symmetric CSR pattern.  A single
-system is factored by the supernodal Cholesky of ``cholesky`` straight
-from that data, with one refinement step when the residual asks for
-it; memory: the free block, the analysis
-(``info["analysis_bytes"]``: two indices per entry on or below the
-diagonal, and the schedule), and the stored factor with, while
-it is computed, its peak update storage (``info["factor_bytes"]``,
-bounded by the analysis).  A completed Cholesky certifies the system
-SPD; a matrix it rejects is factored by SuperLU's LU instead and
-reported not SPD.  A family K(c) = A + c C (the lc sweep: C curl-curl,
-c = mu_macro lc^2; the Cauchy bounds: C div-div, c = lam / mu) holds
-the free blocks of A and C and one K(c) data array.  It is walked in
-ascending c: the first value is factored, and each later one
-runs CG preconditioned by the current factor from the previous
-solution; all its factorizations share one analysis.  The walk needs K
-at the smallest c SPD and C positive semidefinite, c of any sign: after
-an SPD factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  The walk
-factors again at a value whose CG fails or misses the tolerance, and
-ahead of time after a CG that used more than half of PCG_BUDGET.  Every
-solution meets relative residual RESIDUAL_TOL against its own matrix,
-or the solve raises.
+dofs out), and its matrices are the lower triangles of symmetric
+matrices on one CSR pattern.  Every product with such a matrix K is the
+one triangle product of ``_product``, T x + T^T x - d x (T the stored
+triangle, d its diagonal), in the residual checks, refinement, CG and
+the energies; only SuperLU's fallback below forms the whole matrix.  A
+single system is factored by the supernodal Cholesky of ``cholesky``
+straight from the triangle's data, with one refinement step when the
+residual asks for it; memory: the triangle (``info["matrix_bytes"]``),
+the analysis (``info["analysis_bytes"]``: one index per stored entry,
+and the schedule), and the stored factor with, while it is computed,
+its peak update storage (``info["factor_bytes"]``, bounded by the
+analysis).  A completed Cholesky certifies the system SPD; a matrix it
+rejects is factored by SuperLU's LU instead and reported not SPD.  A
+family K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2;
+the Cauchy bounds: C div-div, c = lam / mu) holds the triangles of A
+and C and one K(c) data array.  It is walked in ascending c: the first
+value is factored, and each later one runs CG preconditioned by the
+current factor from the previous solution; all its factorizations share
+one analysis.  The walk needs K at the smallest c SPD and C positive
+semidefinite, c of any sign: after an SPD factor at c0, K(c) = K(c0) +
+(c - c0) C is SPD too.  The walk factors again at a value whose CG fails
+or misses the tolerance, and ahead of time after a CG that used more
+than half of PCG_BUDGET.  Every solution meets relative residual
+RESIDUAL_TOL against its own matrix, or the solve raises.
 """
 
 from __future__ import annotations
@@ -52,10 +55,12 @@ class FieldSolution:
     ``info`` records how the solve went: ``path`` ("direct" or "pcg"),
     ``iterations`` (CG), ``residual``, and for direct solves
     ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
-    stored factor entries), and ``supernodes``, ``factor_bytes`` (the
-    bytes of the factor storage plus its peak update storage,
-    ``cholesky.Symbolic.factor_bytes``) and ``analysis_bytes`` (the bytes
-    the analysis keeps, ``cholesky.Symbolic.nbytes``), all None for LU;
+    stored factor entries), ``matrix_bytes`` (the data and index arrays
+    of the matrices the solve holds), and ``supernodes``,
+    ``factor_bytes`` (the bytes of the factor storage plus its peak
+    update storage, ``cholesky.Symbolic.factor_bytes``) and
+    ``analysis_bytes`` (the bytes the analysis keeps,
+    ``cholesky.Symbolic.nbytes``), all None for LU;
     ``stages`` holds the wall seconds of ``assembly``, of its Dirichlet
     embedding ``dirichlet``, ``analysis``, numeric ``factor`` and
     ``solve`` (triangular solves and refinement, or CG).
@@ -81,23 +86,41 @@ def _relative_residual(Kx, rhs):
     return float(np.linalg.norm(Kx - rhs) / (bnorm if bnorm > 0 else 1.0))
 
 
-def _splu_spd(K, symbolic=None):
-    """Factor of the free block ``K`` (CSR or CSC), analysed by
-    ``symbolic``: (factor, spd).
+def _product(T):
+    """x -> K x for the symmetric K whose lower triangle is the canonical
+    CSR matrix ``T``: T x + T^T x - d x, at about the cost of one K x.
+    The diagonal d is read where it is stored, last in its row."""
+    last, rows = T.indptr[1:] - 1, np.flatnonzero(np.diff(T.indptr))
+    rows = rows[T.indices[last[rows]] == rows]
+    d = np.zeros(T.shape[0])
+    d[rows] = T.data[last[rows]]
+    Tt = T.T
+    return lambda x: T @ x + Tt @ x - d * x
 
-    It must be symmetric: the Cholesky reads only the entries on or below
-    the diagonal of its permuted matrix, so an unsymmetric matrix fails
-    the residual check of ``_direct``.  A completed Cholesky certifies
-    SPD; a matrix it rejects is factored by SuperLU's LU (symmetric-mode
-    ordering) and reported not SPD; a failed LU raises FactorizationFailed.
+
+def _matrix_bytes(mats):
+    """Bytes of the data arrays of ``mats``, matrices on one pattern, and
+    of that pattern's index arrays."""
+    return (sum(M.data.nbytes for M in mats) + mats[0].indices.nbytes
+            + mats[0].indptr.nbytes)
+
+
+def _splu_spd(K, symbolic=None):
+    """Factor of the symmetric matrix whose lower triangle is that of
+    ``K`` (``cholesky.lower``), analysed by ``symbolic``: (factor, spd).
+
+    A completed Cholesky certifies SPD; a matrix it rejects is factored
+    by SuperLU's LU (symmetric-mode ordering) on the full matrix, formed
+    for that only, and reported not SPD; a failed LU raises
+    FactorizationFailed.
     """
+    T = cholesky.lower(K)
     try:
-        return cholesky.factor(K, symbolic), True
+        return cholesky.factor(T, symbolic), True
     except NotPositiveDefinite:
         pass
     try:
-        # symmetric: its CSR arrays are its CSC arrays
-        lu = spla.splu(sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape),
+        lu = spla.splu((T + T.T - sp.diags(T.diagonal())).tocsc(),
                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
@@ -109,7 +132,9 @@ def _splu_spd(K, symbolic=None):
 
 def _direct(K, rhs, symbolic, require_spd=False):
     """Factor, solve and refine once if needed; returns (xf, lu, spd,
-    info) of the free block ``K`` (``_splu_spd``)."""
+    info) of the free block whose lower triangle is that of ``K``
+    (``_splu_spd``)."""
+    K = cholesky.lower(K)
     t0 = time.perf_counter()
     lu, spd = _splu_spd(K, symbolic)
     t1 = time.perf_counter()
@@ -117,13 +142,14 @@ def _direct(K, rhs, symbolic, require_spd=False):
         raise NotPositiveDefinite(
             f"Cholesky of the reduced system with {len(rhs)} free dofs "
             "broke down")
+    Kx = _product(K)
     xf = lu.solve(rhs)
-    res = _relative_residual(K @ xf, rhs)
+    res = _relative_residual(Kx(xf), rhs)
     refinements = 0
     if res > RESIDUAL_TOL:
         # one step of iterative refinement keeps large systems at tolerance
-        xf = xf + lu.solve(rhs - K @ xf)
-        res = _relative_residual(K @ xf, rhs)
+        xf = xf + lu.solve(rhs - Kx(xf))
+        res = _relative_residual(Kx(xf), rhs)
         refinements = 1
     if res > RESIDUAL_TOL:
         raise NonConvergence(
@@ -142,24 +168,27 @@ def _direct(K, rhs, symbolic, require_spd=False):
                                     "solve": time.perf_counter() - t1}}
 
 
-def _pcg(K, rhs, lu, x0):
-    """CG on K preconditioned by an SPD factor, from x0, within
-    PCG_BUDGET iterations; returns (xf, iterations, converged)."""
+def _pcg(Kx, rhs, lu, x0):
+    """CG on K, applied by ``Kx``, preconditioned by an SPD factor, from
+    x0, within PCG_BUDGET iterations; returns (xf, iterations,
+    converged)."""
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    M = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
-    xf, info = spla.cg(K, rhs, x0=x0, rtol=RESIDUAL_TOL / 10.0, atol=0.0,
+    n = len(rhs)
+    A = spla.LinearOperator((n, n), matvec=Kx, dtype=float)
+    M = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    xf, info = spla.cg(A, rhs, x0=x0, rtol=RESIDUAL_TOL / 10.0, atol=0.0,
                        maxiter=PCG_BUDGET, M=M, callback=count)
     return xf, iterations, info == 0
 
 
 def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
-    """Direct sparse solve of the free block ``system.matrix``, which must
-    be symmetric (see ``_splu_spd``).
+    """Direct sparse solve of the free block whose lower triangle is
+    ``system.matrix`` (see ``_splu_spd``).
 
     A failed factorization raises FactorizationFailed, a residual above
     RESIDUAL_TOL after one refinement step NonConvergence.
@@ -170,6 +199,8 @@ def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
     xf, _, spd, info = _direct(system.matrix, system.rhs, sym, require_spd)
     info["stages"].update(assembly=system.assembly_s,
                           dirichlet=system.dirichlet_s, analysis=t1 - t0)
+    info["matrix_bytes"] = _matrix_bytes(
+        [M for M in (system.matrix, system.c_matrix) if M is not None])
     return FieldSolution(system=system, x=system.full(xf),
                          residual=info["residual"], spd=spd, info=info)
 
@@ -190,14 +221,14 @@ def solve_family(system: SparseSystem, coeffs) -> list:
     A, C = system.matrix, system.c_matrix
     (lift_a, lift_c), (e_a, e_c) = system.lift, system.con_energy
     # c_matrix shares the pattern of the base matrix (SparseSystem), so
-    # K(c) keeps only a data array, rewritten for each value; its CSR
-    # arrays are its CSC arrays
-    K = sp.csc_matrix((np.empty_like(A.data), A.indices, A.indptr),
+    # K(c) keeps only a data array, rewritten for each value
+    K = sp.csr_matrix((np.empty_like(A.data), A.indices, A.indptr),
                       shape=A.shape)
     t0 = time.perf_counter()
     sym = cholesky.analyse(K, label=system.group)
     shared = {"assembly": system.assembly_s, "dirichlet": system.dirichlet_s,
               "analysis": time.perf_counter() - t0}
+    matrix_bytes = _matrix_bytes([A, C, K])
     kept = replace(system, matrix=None, c_matrix=None, group=None)
     out = [None] * len(coeffs)
     lu = xf = None
@@ -206,12 +237,13 @@ def solve_family(system: SparseSystem, coeffs) -> list:
         c = float(coeffs[i])
         np.multiply(C.data, c, out=K.data)
         K.data += A.data
+        Kx = _product(K)
         rhs = system.rhs + c * lift_c
         info, cg_s = None, 0.0
         if not refactor:
             t = time.perf_counter()
-            x_cg, iterations, converged = _pcg(K, rhs, lu, xf)
-            res = _relative_residual(K @ x_cg, rhs)
+            x_cg, iterations, converged = _pcg(Kx, rhs, lu, xf)
+            res = _relative_residual(Kx(x_cg), rhs)
             cg_s = time.perf_counter() - t
             if converged and res <= RESIDUAL_TOL:
                 xf = x_cg
@@ -222,13 +254,14 @@ def solve_family(system: SparseSystem, coeffs) -> list:
             lu = None   # release the old factor before the new one
             xf, lu, spd, info = _direct(K, rhs, sym)
             info["stages"]["solve"] += cg_s     # a failed CG first
+            info["matrix_bytes"] = matrix_bytes
             # CG needs an SPD preconditioner
             refactor = not spd
         info["stages"].update(shared)
         shared = {}
         # PCG runs only from an SPD factor at c0 <= c, and K(c) =
         # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
-        energy = 0.5 * (xf @ (K @ xf) - 2.0 * (xf @ (lift_a + c * lift_c))
+        energy = 0.5 * (xf @ Kx(xf) - 2.0 * (xf @ (lift_a + c * lift_c))
                         + e_a + c * e_c)
         out[i] = FieldSolution(system=kept, x=kept.full(xf),
                                residual=info["residual"], spd=spd, info=info,

@@ -1,16 +1,78 @@
-"""Test oracles: constrained systems formed from full matrices, and
-one-point field evaluation.
+"""Test oracles: full matrices, constrained systems formed from them,
+one-point field evaluation, and closed forms that only tests use.
 
-``constrain`` forms a free system the way the assembler does not: the
-free blocks sliced from the matrices of a system assembled without
-Dirichlet data, the lifts and constants from CSR products.
+The assembler stores the lower triangle of each matrix.  ``symmetric``
+forms the whole matrix from it, and ``assemble_full`` assembles the
+whole matrix on all dofs directly.  ``constrain`` forms a free system
+the way the assembler does not: the free blocks sliced from the matrices
+of a system assembled without Dirichlet data, the lifts and constants
+from CSR products with the whole matrices.
 """
 
-import numpy as np
+from dataclasses import replace
+from math import comb
 
+import numpy as np
+import scipy.sparse as sp
+
+from mmfem import assembly
 from mmfem.assembly import SparseSystem
 from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
+from mmfem.dual import seed
+from mmfem.errors import BadIndex
+from mmfem.materials import apply_isotropic
 from mmfem.solver import locate_cells, sample_line
+
+
+def symmetric(T):
+    """T + T^T - diag(T), the symmetric CSR matrix whose lower triangle is
+    ``T``, with every stored entry of T kept (also exact zeros)."""
+    T = sp.coo_matrix(T)
+    off = T.row != T.col
+    return sp.csr_matrix((np.concatenate([T.data, T.data[off]]),
+                          (np.concatenate([T.row, T.col[off]]),
+                           np.concatenate([T.col, T.row[off]]))), shape=T.shape)
+
+
+def assemble_full(form, *args, **kwargs):
+    """``form(*args, **kwargs)``, an ``assemble_*`` call without Dirichlet
+    data, with its matrices whole: every element matrix of the
+    assembler's chunks added entry by entry, both triangles, in cell
+    order, on the pattern of every coupling through a cell."""
+    seen, real = {}, assembly._assemble
+
+    def spy(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1, **rest):
+        seen.update(mesh=mesh, fields=fields, ref=ref, coeffs=coeffs, n_mats=n_mats)
+        return real(mesh, rule, fields, ref, coeffs, loads, n_mats, **rest)
+
+    assembly._assemble = spy
+    try:
+        system = form(*args, **kwargs)
+    finally:
+        assembly._assemble = real
+    mesh, ref, coeffs, n_mats = seen["mesh"], seen["ref"], seen["coeffs"], seen["n_mats"]
+    dofs = np.concatenate([fl.cell_dofs() for fl in seen["fields"].values()], axis=2)
+    (nc, k, nb), n_terms, n = dofs.shape, len(ref), system.n_dofs
+    keys, vals = [], [[] for _ in range(n_mats)]
+    for cells in assembly._chunks(nc, n_mats * (k * nb) ** 2):
+        adet = np.abs(mesh.dets[cells])
+        x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
+                   mesh.jacs[cells], adet)
+        y = (x.reshape(-1, n_terms) @ ref.reshape(n_terms, -1)).reshape(
+            x.shape[:4] + (nb, nb))
+        kc = y + y.transpose(0, 1, 3, 2, 5, 4)          # (mats, c, r, s, A, B)
+        g = dofs[cells]
+        keys.append((g[:, :, None, :, None] * n + g[:, None, :, None, :]).ravel())
+        for v, km in zip(vals, kc):
+            v.append(km.ravel())
+    entries, at = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.searchsorted(entries, np.arange(n + 1) * n)
+    mats = []
+    for v in vals:
+        data = np.zeros(len(entries))
+        np.add.at(data, at.ravel(), np.concatenate(v))
+        mats.append(sp.csr_matrix((data, entries % n, indptr), shape=(n, n)))
+    return replace(system, matrix=mats[0], c_matrix=mats[1] if n_mats == 2 else None)
 
 
 def embed(system, groups, coupled=True):
@@ -26,15 +88,16 @@ def embed(system, groups, coupled=True):
 
 def constrain(system, constraints):
     """The free system of ``system``, every dof free (a bare or unconstrained
-    assembled system), under ``constraints`` {dof: value}; ``matrix`` and
-    ``c_matrix`` are its blocks M[free][:, free]."""
+    assembled system, lower triangles), under ``constraints`` {dof:
+    value}; ``matrix`` and ``c_matrix`` are the lower triangles of its
+    blocks M[free][:, free]."""
     free = np.ones(system.n_dofs, dtype=bool)
     x_con = np.zeros(system.n_dofs)
     con = np.array(list(constraints), dtype=np.int64)
     free[con] = False
     x_con[con] = [constraints[i] for i in con.tolist()]
     mats = [M for M in (system.matrix, system.c_matrix) if M is not None]
-    mx = [M @ x_con for M in mats]
+    mx = [symmetric(M) @ x_con for M in mats]
     lift = np.array([-v[free] for v in mx])
     blocks = [M[free][:, free] for M in mats] + [None]
     return SparseSystem(
@@ -42,6 +105,31 @@ def constrain(system, constraints):
         mesh=system.mesh, c_matrix=blocks[1], free=free, x_con=x_con,
         lift=lift, con_energy=np.array([x_con @ v for v in mx]),
         group=None if system.group is None else system.group[free])
+
+
+def eval_single(p, i, xi):
+    """One Bernstein base function b_i^p from the closed form, as a dual
+    number: the oracle of ``bernstein.eval_all``'s recursion."""
+    if not 0 <= i <= p:
+        raise BadIndex(f"index {i} outside 0..{p}")
+    x = seed(xi)
+    return comb(p, i) * x ** i * (1.0 - x) ** (p - i)
+
+
+def n_basis(p, dim):
+    """Number of degree-p Bernstein polynomials on a triangle or tetrahedron."""
+    return (p + 1) * (p + 2) // 2 if dim == 2 else (p + 1) * (p + 2) * (p + 3) // 6
+
+
+def face_dofs(dofmap, f):
+    """The interior dofs of face f in a 3D dofmap."""
+    return dofmap.face_base + dofmap.per_face * f + np.arange(dofmap.per_face)
+
+
+def apply_tensors(params, sym_part, skw_part):
+    """Elastic and Cosserat stress contributions (C_e sym, C_c skw)."""
+    return (apply_isotropic(params.lam_e, params.mu_e, sym_part),
+            2.0 * params.mu_c * np.asarray(skw_part, dtype=float))
 
 
 def locate_cell(mesh, point, tol=1e-12):

@@ -3,7 +3,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from mmfem.bernstein import eval_all, eval_single
+from mmfem.bernstein import eval_all
+from oracles import eval_single
 from mmfem.errors import DomainError
 
 

@@ -67,6 +67,10 @@ def test_lc_sweep_outputs(runner, tmp_path):
     assert set(rows[0]) == {"lc", "energy"}
     assert {k: set(v) for k, v in summary["stages"].items()} == {
         "sweep": STAGES, "bound": STAGES}
+    # the memory of each factorization, none for PCG values
+    direct = [path == "direct" for path in summary["solver_path"]]
+    for key in ("factor_bytes", "analysis_bytes", "matrix_bytes"):
+        assert [v is not None and v > 0 for v in summary[key]] == direct
 
 
 def test_mesh_override(runner, tmp_path):

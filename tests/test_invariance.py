@@ -23,7 +23,7 @@ from mmfem.benchmarks import (anti_exact_grad_u, anti_exact_p, anti_exact_u,
 from mmfem.mesh import build, generate_disk
 from mmfem.nedelec import SpaceDescriptor
 from mmfem.solver import solve
-from oracles import constrain, embed
+from oracles import constrain, embed, symmetric
 
 SEEDS = (1, 2, 3)
 
@@ -48,7 +48,7 @@ def _antiplane(mesh, family):
     sol = solve(constrain(full, embed(full, [(mesh.tagged_facets("boundary"),
                                               anti_exact_u, anti_exact_grad_u)])))
     uf, pf = full.fields["u"], full.fields["p"]
-    return sol, [0.5 * sol.x @ (full.matrix @ sol.x),
+    return sol, [0.5 * sol.x @ (symmetric(full.matrix) @ sol.x),
                  l2_error_h1(mesh, uf, sol.x, anti_exact_u),
                  l2_error_hcurl(mesh, pf, sol.x, anti_exact_p)]
 
@@ -73,7 +73,7 @@ def _full3d(mesh, family, ufunc=bending_u, gradfunc=bending_grad_u):
     sol = solve(constrain(system, embed(system, [(facets, ufunc, gradfunc)])),
                 require_spd=True)
     uf, pf = system.fields["u"], system.fields["p"]
-    return sol, [0.5 * sol.x @ (system.matrix @ sol.x),
+    return sol, [0.5 * sol.x @ (symmetric(system.matrix) @ sol.x),
                  l2_error_h1(mesh, uf, sol.x, _quad_u),
                  l2_error_hcurl(mesh, pf, sol.x, _linear_P)]
 

@@ -10,15 +10,15 @@ from mmfem.materials import MaterialParams
 from mmfem.mesh import generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor
 from mmfem.solver import FieldSolution, sample_line, solve
-from oracles import constrain, embed, eval_field, locate_cell
+from oracles import constrain, embed, eval_field, locate_cell, symmetric
 
 
 def _toy_system(K, b):
     mesh = generate_box(((0, 1), (0, 1)), 1)
     dm = build_dofmap(mesh, SpaceDescriptor("h1", 1, 2))
     fields = {"u": FieldLayout("u", SpaceDescriptor("h1", 1, 2), dm, 1, 0)}
-    return SparseSystem(matrix=sp.csr_matrix(K), rhs=np.asarray(b, dtype=float),
-                        fields=fields, mesh=mesh)
+    return SparseSystem(matrix=sp.tril(K, format="csr"),
+                        rhs=np.asarray(b, dtype=float), fields=fields, mesh=mesh)
 
 
 def test_identity_solve():
@@ -245,7 +245,7 @@ def _direct_at(full, cons, c):
 
 
 def _true_residual(full, cons, c, x):
-    K = full.matrix_at(c)
+    K = symmetric(full.matrix_at(c))
     free = np.ones(full.n_dofs, dtype=bool)
     free[list(cons)] = False
     x_con = np.where(free, 0.0, x)
@@ -257,7 +257,7 @@ def _check_against_direct(full_small, coeffs, sols):
     full, cons = full_small
     for c, sol in zip(coeffs, sols):
         ref = _direct_at(full, cons, c)
-        K = full.matrix_at(c)
+        K = symmetric(full.matrix_at(c))
         energy, ref_energy = sol.x @ (K @ sol.x), ref.x @ (K @ ref.x)
         assert abs(energy - ref_energy) <= 1e-10 * abs(ref_energy)
         assert sol.residual <= 1e-10
@@ -331,7 +331,7 @@ def test_family_cauchy_moduli_match_direct(moduli):
         K = mu * full.matrix + lam * full.c_matrix
         ref = solve(constrain(SparseSystem(matrix=K, rhs=full.rhs,
                                            fields=full.fields, mesh=mesh), cons))
-        ref_energy = 0.5 * ref.x @ (K @ ref.x)
+        ref_energy = 0.5 * ref.x @ (symmetric(K) @ ref.x)
         assert abs(mu * sol.energy - ref_energy) <= 1e-12 * ref_energy
 
 
@@ -436,12 +436,12 @@ def test_cholesky_flat_pieces_with_different_t(monkeypatch):
 
 
 def test_cholesky_memory_bound_and_in_place():
-    # the traced peak of a factorization stays within the stated bound
-    # (a copy of a panel by a LAPACK or BLAS wrapper would exceed it),
-    # and K's data is only read
+    # the traced peak of a factorization of a stored triangle stays
+    # within the stated bound (a copy of a panel by a LAPACK or BLAS
+    # wrapper would exceed it), and K's data is only read
     import tracemalloc
     from mmfem import cholesky
-    K = _large_fronts()
+    K = sp.tril(_large_fronts(), format="csr")
     data = K.data.copy()
     sym = cholesky.analyse(K)
     assert 0 < sym.update_peak and sym.factor_bytes == 8 * (
@@ -452,10 +452,11 @@ def test_cholesky_memory_bound_and_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= sym.factor_bytes + 8 * len(sym.src)    # + the gather
+    assert peak <= sym.factor_bytes
     assert np.array_equal(K.data, data)
     b = np.ones(K.shape[0])
-    assert np.linalg.norm(K @ F.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+    assert (np.linalg.norm(_large_fronts() @ F.solve(b) - b)
+            <= 1e-12 * np.linalg.norm(b))
 
 
 def _analysis_peak(K, **kwargs):
@@ -472,21 +473,27 @@ def _analysis_peak(K, **kwargs):
     return peak, sym
 
 
-def test_cholesky_analysis_memory_bound():
-    # the analysis peaks below what it keeps plus 24 bytes per stored
-    # entry of K (analyse's docstring), and it keeps positions for the
-    # entries on or below the diagonal only; K is also the matrix of the
-    # antiplane_solution problem assembled without its Dirichlet data
+def test_cholesky_analysis_memory_bound(antiplane_solution):
+    # the analysis of a stored triangle peaks below what it keeps, a
+    # fixed term and 24 bytes per stored entry (analyse's docstring), and
+    # it keeps one factor position per stored entry; the triangles are
+    # the test matrix with large fronts, the antiplane_solution problem
+    # assembled without its Dirichlet data (193 dofs) and its free block
+    # (145 dofs)
+    from mmfem import cholesky
     from mmfem.benchmarks import anti_load_f, anti_load_m, antiplane_params
     system = assemble_antiplane(generate_disk(10.0, n_rings=2), antiplane_params(),
                                 SpaceDescriptor("h1", 2, 2),
                                 SpaceDescriptor("nedelec1", 1, 2),
                                 f=anti_load_f, m=anti_load_m)
-    for K, kwargs in [(_large_fronts(), {}),
-                      (system.matrix, {"label": system.group})]:
+    free = antiplane_solution.system
+    assert free.matrix.shape == (145, 145) and system.matrix.shape == (193, 193)
+    for K, kwargs in [(sp.tril(_large_fronts(), format="csr"), {}),
+                      (system.matrix, {"label": system.group}),
+                      (free.matrix, {"label": free.group})]:
         peak, sym = _analysis_peak(K, **kwargs)
-        assert peak <= sym.nbytes + 24 * len(K.indices)
-        assert len(sym.src) == sp.tril(K).nnz
+        assert peak <= sym.nbytes + cholesky._FIXED_BYTES + 24 * K.nnz
+        assert len(sym.dst) == K.nnz
 
 
 def test_single_front_breakdown_falls_back_to_lu():
@@ -580,9 +587,19 @@ def test_direct_solve_records_factor(antiplane_solution):
     assert antiplane_solution.spd and info["factor"] == "cholesky"
     assert info["supernodes"] > 0 and info["lu_fill"] > 0
     assert info["factor_bytes"] > 8 * info["lu_fill"]
-    # the entry positions (8 bytes per entry on or below the diagonal)
-    # and the schedule, much less than the factor
+    # the entry positions (4 bytes per stored entry) and the schedule,
+    # much less than the factor
     assert 0 < info["analysis_bytes"] < info["factor_bytes"] // 2
+
+
+def test_direct_solve_records_matrix_bytes(antiplane_solution):
+    # the data and index arrays of the stored triangle, beside the
+    # factor and analysis bytes
+    K = antiplane_solution.system.matrix
+    assert antiplane_solution.system.c_matrix is None
+    assert antiplane_solution.info["matrix_bytes"] == (
+        K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+    assert sp.triu(K, 1).nnz == 0
 
 
 def test_family_analyses_pattern_once(sweep_system_small, sweep_full_small,
@@ -604,7 +621,7 @@ def test_family_analyses_pattern_once(sweep_system_small, sweep_full_small,
     assert paths.count("direct") == 3 and len(calls) == 1
     _check_against_direct(sweep_full_small, coeffs, sols)
     for c, sol in zip(coeffs, sols):
-        K = sweep_full_small[0].matrix_at(c)
+        K = symmetric(sweep_full_small[0].matrix_at(c))
         energy = 0.5 * sol.x @ (K @ sol.x)
         assert abs(sol.energy - energy) <= 1e-12 * energy
 
@@ -687,7 +704,7 @@ def test_pattern_path_matches_explicit_slice(gate_systems):
         F = cholesky.factor(K, cholesky.analyse(K, label=system.group))
         # one partition (test_pattern_supervariables_are_exact): one
         # analysis, bitwise one factor
-        F_ref = cholesky.factor(ref.matrix.tocsc())
+        F_ref = cholesky.factor(ref.matrix)
         assert np.array_equal(F.values, F_ref.values), name
         x_ref = F_ref.solve(ref.rhs)
         sol = solve(at_1)
@@ -705,7 +722,7 @@ def test_pattern_supervariables_are_exact(gate_systems):
     # cells), which is the exact row-set partition of K_ff here
     from mmfem import cholesky
     for name, (system, _, _) in gate_systems.items():
-        Kff = system.matrix
+        Kff = symmetric(system.matrix)
         exact = cholesky._supervariables(Kff.indptr, Kff.indices, Kff.shape[0])
         pairs = set(zip(system.group.tolist(), exact.tolist()))
         assert len({g for g, _ in pairs}) == len(pairs), name   # no merge
