@@ -72,14 +72,15 @@ class SparseSystem:
     values x_c.  ``c_matrix``, the triangle of the free block of the
     unit-coefficient part of K(c) = matrix + c c_matrix (curl-curl of the
     lc sweep, div-div of the Cauchy form), shares its CSR pattern, so
-    ``matrix_at`` only combines data arrays.  A bare system is built
-    with such triangles too (``solver`` reads T + T^T - diag(T)).  ``free`` masks the free
-    dofs of all ``n_dofs``, ``x_con`` is x_c (zero at the free dofs),
-    ``lift`` (n_mats, n_free) and ``con_energy`` (n_mats) hold -M_fc x_c
-    and x_c^T M_cc x_c of both matrices; a bare system (matrix and rhs)
-    has every dof free.  An assembled one carries the supervariable
-    labels of its free dofs (``Pattern.group``) and the wall seconds of
-    its Dirichlet embedding ``dirichlet_s`` and of the rest ``assembly_s``.
+    K(c) only combines data arrays.  A bare system is built with such
+    triangles too (``solver`` reads T + T^T - diag(T)).  ``free`` masks
+    the free dofs of all ``n_dofs``, ``x_con`` is x_c (zero at the free
+    dofs), ``lift`` (n_mats, n_free) and ``con_energy`` (n_mats) hold
+    -M_fc x_c and x_c^T M_cc x_c of each matrix; a bare system (matrix
+    and rhs) has every dof free.  An assembled one carries the
+    supervariable labels of its free dofs (``Pattern.group``) and the
+    wall seconds of its Dirichlet embedding ``dirichlet_s`` and of the
+    rest ``assembly_s``.
     """
 
     matrix: sp.csr_matrix
@@ -110,16 +111,6 @@ class SparseSystem:
         x = self.x_con.copy()
         x[self.free] = xf
         return x
-
-    def matrix_at(self, c: float):
-        if self.matrix is None:
-            raise InvalidParam("the system carries no matrices (a solution "
-                             "of solve_family keeps it without them)")
-        if self.c_matrix is None:
-            return self.matrix
-        K = self.matrix
-        return sp.csr_matrix((K.data + c * self.c_matrix.data,
-                              K.indices, K.indptr), shape=K.shape)
 
 
 @lru_cache(maxsize=None)

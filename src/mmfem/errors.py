@@ -50,11 +50,11 @@ class DegenerateFace(MMFemError, ValueError):
 
 
 class NotPositiveDefinite(MMFemError, RuntimeError):
-    """Reduced system matrix is not symmetric positive definite."""
+    """The free block of a system is not symmetric positive definite."""
 
 
 class FactorizationFailed(MMFemError, RuntimeError):
-    """The reduced system could not be factored (a singular matrix)."""
+    """The free block of a system could not be factored (a singular matrix)."""
 
 
 class NonConvergence(MMFemError, RuntimeError):

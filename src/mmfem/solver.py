@@ -5,26 +5,29 @@ dofs out), and its matrices are the lower triangles of symmetric
 matrices on one CSR pattern.  Every product with such a matrix K is the
 one triangle product of ``_product``, T x + T^T x - d x (T the stored
 triangle, d its diagonal), in the residual checks, refinement, CG and
-the energies; only SuperLU's fallback below forms the whole matrix.  A
-single system is factored by the supernodal Cholesky of ``cholesky``
-straight from the triangle's data, with one refinement step when the
-residual asks for it; memory: the triangle (``info["matrix_bytes"]``),
-the analysis (``info["analysis_bytes"]``: one index per stored entry,
-and the schedule), and the stored factor with, while it is computed,
-its peak update storage (``info["factor_bytes"]``, bounded by the
-analysis).  A completed Cholesky certifies the system SPD; a matrix it
-rejects is factored by SuperLU's LU instead and reported not SPD.  A
-family K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2;
-the Cauchy bounds: C div-div, c = lam / mu) holds the triangles of A
-and C and one K(c) data array.  It is walked in ascending c: the first
-value is factored, and each later one runs CG preconditioned by the
-current factor from the previous solution; all its factorizations share
-one analysis.  The walk needs K at the smallest c SPD and C positive
-semidefinite, c of any sign: after an SPD factor at c0, K(c) = K(c0) +
-(c - c0) C is SPD too.  The walk factors again at a value whose CG fails
-or misses the tolerance, and ahead of time after a CG that used more
-than half of PCG_BUDGET.  Every solution meets relative residual
-RESIDUAL_TOL against its own matrix, or the solve raises.
+the energies; only SuperLU's fallback below forms the whole matrix.
+
+There is one solve path, the walk of ``solve_family`` over the values c
+of K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2; the
+Cauchy bounds: C div-div, c = lam / mu); ``solve`` is the walk at one
+value, and a system without ``c_matrix`` is its own K(c) for every c.
+The walk goes in ascending c.  The first value is factored by the
+supernodal Cholesky of ``cholesky`` straight from the triangle's data,
+with one refinement step when the residual asks for it; each later one
+runs CG preconditioned by the current factor from the previous
+solution, and all factorizations share one analysis.  A completed
+Cholesky certifies K(c) SPD; a matrix it rejects is factored by
+SuperLU's LU instead and reported not SPD.  The walk needs K at the
+smallest c SPD and C positive semidefinite, c of any sign: after an SPD
+factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  It factors again at
+a value whose CG fails or misses the tolerance, and ahead of time after
+a CG that used more than half of PCG_BUDGET.  Every solution meets
+relative residual RESIDUAL_TOL against its own matrix, or the walk
+raises.  Memory: the triangles and one K(c) data array
+(``info["matrix_bytes"]``), the analysis (``info["analysis_bytes"]``:
+one index per stored entry, and the schedule), and the stored factor
+with, while it is computed, its peak update storage
+(``info["factor_bytes"]``, bounded by the analysis).
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import scipy.sparse.linalg as spla
 
 from . import cholesky
 from .assembly import _CHUNK_NNZ, SparseSystem
-from .errors import (FactorizationFailed, NonConvergence, NotPositiveDefinite,
-                     PointOutsideMesh)
+from .errors import (FactorizationFailed, InvalidParam, NonConvergence,
+                     NotPositiveDefinite, PointOutsideMesh)
 from .nedelec import eval_vector_shapes
 from .simplex import bezier_eval
 
@@ -50,23 +53,22 @@ _STAGES = dict.fromkeys(("assembly", "dirichlet", "analysis", "factor", "solve")
 
 @dataclass
 class FieldSolution:
-    """Global coefficients plus the space/dof metadata needed to evaluate.
+    """Global coefficients plus the space/dof metadata needed to evaluate:
+    one value of the walk of ``solve_family``.
 
-    ``info`` records how the solve went: ``path`` ("direct" or "pcg"),
-    ``iterations`` (CG), ``residual``, and for direct solves
-    ``refinements``, ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the
-    stored factor entries), ``matrix_bytes`` (the data and index arrays
-    of the matrices the solve holds), and ``supernodes``,
-    ``factor_bytes`` (the bytes of the factor storage plus its peak
-    update storage, ``cholesky.Symbolic.factor_bytes``) and
-    ``analysis_bytes`` (the bytes the analysis keeps,
-    ``cholesky.Symbolic.nbytes``), all None for LU;
-    ``stages`` holds the wall seconds of ``assembly``, of its Dirichlet
-    embedding ``dirichlet``, ``analysis``, numeric ``factor`` and
-    ``solve`` (triangular solves and refinement, or CG).
-    ``energy`` is 1/2 x^T K x where the solve computed it (``solve_family``).
-    Solutions of ``solve_family`` keep their system without its matrices
-    (``matrix``, ``c_matrix`` and ``group`` are None).
+    ``info`` records how the walk reached it: ``path`` ("direct" or
+    "pcg"), ``iterations`` (CG), ``residual``, ``stages`` (the wall
+    seconds of ``assembly``, of its Dirichlet embedding ``dirichlet``,
+    ``analysis``, numeric ``factor`` and ``solve``: triangular solves and
+    refinement, or CG), and on the direct path ``refinements``,
+    ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the stored factor
+    entries), ``matrix_bytes`` (the data and index arrays of the matrices
+    the walk holds), and ``supernodes``, ``factor_bytes`` (the bytes of
+    the factor storage plus its peak update storage,
+    ``cholesky.Symbolic.factor_bytes``) and ``analysis_bytes`` (the bytes
+    the analysis keeps, ``cholesky.Symbolic.nbytes``), all None for LU.
+    ``energy`` is 1/2 x^T K x.  The solution keeps its system without its
+    matrices (``matrix``, ``c_matrix`` and ``group`` are None).
     """
 
     system: SparseSystem
@@ -125,12 +127,12 @@ def _splu_spd(K, symbolic=None):
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationFailed(
-            f"SuperLU failed on the reduced system with {K.shape[0]} "
+            f"SuperLU failed on the free block with {K.shape[0]} "
             f"free dofs: {exc}") from exc
     return lu, False
 
 
-def _direct(K, rhs, symbolic, require_spd=False):
+def _direct(K, rhs, symbolic, require_spd):
     """Factor, solve and refine once if needed; returns (xf, lu, spd,
     info) of the free block whose lower triangle is that of ``K``
     (``_splu_spd``)."""
@@ -140,7 +142,7 @@ def _direct(K, rhs, symbolic, require_spd=False):
     t1 = time.perf_counter()
     if require_spd and not spd:
         raise NotPositiveDefinite(
-            f"Cholesky of the reduced system with {len(rhs)} free dofs "
+            f"Cholesky of the free block with {len(rhs)} free dofs "
             "broke down")
     Kx = _product(K)
     xf = lu.solve(rhs)
@@ -187,58 +189,56 @@ def _pcg(Kx, rhs, lu, x0):
 
 
 def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
-    """Direct sparse solve of the free block whose lower triangle is
-    ``system.matrix`` (see ``_splu_spd``).
-
-    A failed factorization raises FactorizationFailed, a residual above
-    RESIDUAL_TOL after one refinement step NonConvergence.
-    """
-    t0 = time.perf_counter()
-    sym = cholesky.analyse(system.matrix, label=system.group)
-    t1 = time.perf_counter()
-    xf, _, spd, info = _direct(system.matrix, system.rhs, sym, require_spd)
-    info["stages"].update(assembly=system.assembly_s,
-                          dirichlet=system.dirichlet_s, analysis=t1 - t0)
-    info["matrix_bytes"] = _matrix_bytes(
-        [M for M in (system.matrix, system.c_matrix) if M is not None])
-    return FieldSolution(system=system, x=system.full(xf),
-                         residual=info["residual"], spd=spd, info=info)
+    """The solution of K x = rhs for K = system.matrix: the walk of
+    ``solve_family`` at the one value c = 0."""
+    return solve_family(system, [0.0], require_spd)[0]
 
 
-def solve_family(system: SparseSystem, coeffs) -> list:
-    """Solutions of (system.matrix + c system.c_matrix) x = rhs for each
-    c in ``coeffs``, in input order, by one chain: the walk and its
-    contract are in the module docstring (a CG solution reports the spd
-    verdict of its factor).  The walk depends only on iteration counts,
-    so repeated runs give identical results.  Each solution records its
-    energy 1/2 x^T K(c) x from the free blocks and the system's lifts
-    and constants (``SparseSystem``):
+def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
+    """Solutions of K(c) x = rhs for each c in ``coeffs``, in input
+    order, by the walk of the module docstring (a CG solution reports the
+    spd verdict of its factor; repeated runs give identical results).
+    With ``require_spd`` a factor that is not SPD raises
+    NotPositiveDefinite; a failed factorization raises
+    FactorizationFailed, a residual above RESIDUAL_TOL after one
+    refinement step NonConvergence.  Each energy comes from the free
+    blocks and the system's lifts and constants (``SparseSystem``):
     x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.  The
-    system's assembly and Dirichlet stages and the chain's analysis go on
-    its first solution, at the smallest c.  The solutions keep the system
-    without its matrices.
+    system's assembly and Dirichlet stages and the analysis go on the
+    first solution, at the smallest c.
     """
     A, C = system.matrix, system.c_matrix
-    (lift_a, lift_c), (e_a, e_c) = system.lift, system.con_energy
-    # c_matrix shares the pattern of the base matrix (SparseSystem), so
-    # K(c) keeps only a data array, rewritten for each value
-    K = sp.csr_matrix((np.empty_like(A.data), A.indices, A.indptr),
-                      shape=A.shape)
+    mats = [A] if C is None else [A, C]
+    if len(system.lift) != len(mats):
+        raise InvalidParam(f"expected {len(mats)} lift rows (one per "
+                           f"matrix), got {len(system.lift)}")
+    lift_a, e_a = system.lift[0], system.con_energy[0]
+    K = A       # a system without c_matrix is its own K(c) for every c
+    if C is not None:
+        lift_c, e_c = system.lift[1], system.con_energy[1]
+        # c_matrix shares the pattern of the base matrix (SparseSystem),
+        # so K(c) keeps only a data array, rewritten for each value
+        K = sp.csr_matrix((np.empty_like(A.data), A.indices, A.indptr),
+                          shape=A.shape)
+        mats.append(K)
     t0 = time.perf_counter()
     sym = cholesky.analyse(K, label=system.group)
     shared = {"assembly": system.assembly_s, "dirichlet": system.dirichlet_s,
               "analysis": time.perf_counter() - t0}
-    matrix_bytes = _matrix_bytes([A, C, K])
+    matrix_bytes = _matrix_bytes(mats)
     kept = replace(system, matrix=None, c_matrix=None, group=None)
     out = [None] * len(coeffs)
     lu = xf = None
     refactor = True
     for i in np.argsort(coeffs, kind="stable"):
         c = float(coeffs[i])
-        np.multiply(C.data, c, out=K.data)
-        K.data += A.data
+        rhs, lift, con_c = system.rhs, lift_a, 0.0
+        if C is not None:
+            np.multiply(C.data, c, out=K.data)
+            K.data += A.data
+            rhs, lift, con_c = (system.rhs + c * lift_c, lift_a + c * lift_c,
+                                c * e_c)
         Kx = _product(K)
-        rhs = system.rhs + c * lift_c
         info, cg_s = None, 0.0
         if not refactor:
             t = time.perf_counter()
@@ -252,7 +252,7 @@ def solve_family(system: SparseSystem, coeffs) -> list:
                 refactor = iterations > PCG_BUDGET // 2
         if info is None:
             lu = None   # release the old factor before the new one
-            xf, lu, spd, info = _direct(K, rhs, sym)
+            xf, lu, spd, info = _direct(K, rhs, sym, require_spd)
             info["stages"]["solve"] += cg_s     # a failed CG first
             info["matrix_bytes"] = matrix_bytes
             # CG needs an SPD preconditioner
@@ -261,8 +261,7 @@ def solve_family(system: SparseSystem, coeffs) -> list:
         shared = {}
         # PCG runs only from an SPD factor at c0 <= c, and K(c) =
         # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
-        energy = 0.5 * (xf @ Kx(xf) - 2.0 * (xf @ (lift_a + c * lift_c))
-                        + e_a + c * e_c)
+        energy = 0.5 * (xf @ Kx(xf) - 2.0 * (xf @ lift) + e_a + con_c)
         out[i] = FieldSolution(system=kept, x=kept.full(xf),
                                residual=info["residual"], spd=spd, info=info,
                                energy=float(energy))

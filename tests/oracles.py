@@ -1,5 +1,6 @@
 """Test oracles: full matrices, constrained systems formed from them,
-one-point field evaluation, and closed forms that only tests use.
+the matrix K(c) of a family, one-point field evaluation, and closed
+forms that only tests use.
 
 The assembler stores the lower triangle of each matrix.  ``symmetric``
 forms the whole matrix from it, and ``assemble_full`` assembles the
@@ -19,7 +20,7 @@ from mmfem import assembly
 from mmfem.assembly import SparseSystem
 from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
 from mmfem.dual import seed
-from mmfem.errors import BadIndex
+from mmfem.errors import BadIndex, InvalidParam
 from mmfem.materials import apply_isotropic
 from mmfem.solver import locate_cells, sample_line
 
@@ -32,6 +33,19 @@ def symmetric(T):
     return sp.csr_matrix((np.concatenate([T.data, T.data[off]]),
                           (np.concatenate([T.row, T.col[off]]),
                            np.concatenate([T.col, T.row[off]]))), shape=T.shape)
+
+
+def matrix_at(system, c):
+    """The lower triangle of K(c) = matrix + c c_matrix of ``system`` on
+    their shared pattern; the matrix of a system without c_matrix."""
+    if system.matrix is None:
+        raise InvalidParam("the system carries no matrices (a solution "
+                           "of solve_family keeps it without them)")
+    if system.c_matrix is None:
+        return system.matrix
+    K = system.matrix
+    return sp.csr_matrix((K.data + c * system.c_matrix.data,
+                          K.indices, K.indptr), shape=K.shape)
 
 
 def assemble_full(form, *args, **kwargs):

@@ -12,7 +12,7 @@ from mmfem.errors import SpaceMismatch
 from mmfem.materials import MaterialParams
 from mmfem.mesh import build, generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor, eval_vector_shapes
-from oracles import assemble_full, symmetric
+from oracles import assemble_full, matrix_at, symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +532,7 @@ class TestBatchedAgainstReference:
         _assert_close(symmetric(sys_.c_matrix), Kc)
         assert np.array_equal(sys_.matrix.indptr, sys_.c_matrix.indptr)
         assert np.array_equal(sys_.matrix.indices, sys_.c_matrix.indices)
-        _assert_close(symmetric(sys_.matrix_at(2.5)), K + 2.5 * Kc)
+        _assert_close(symmetric(matrix_at(sys_, 2.5)), K + 2.5 * Kc)
 
     def test_cauchy3d(self, wavy_box):
         u_space = SpaceDescriptor("h1", 3, 3)

@@ -10,7 +10,8 @@ from mmfem.materials import MaterialParams
 from mmfem.mesh import generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor
 from mmfem.solver import FieldSolution, sample_line, solve
-from oracles import constrain, embed, eval_field, locate_cell, symmetric
+from oracles import (constrain, embed, eval_field, locate_cell, matrix_at,
+                     symmetric)
 
 
 def _toy_system(K, b):
@@ -53,10 +54,21 @@ def test_constraints_respected():
 
 
 @pytest.fixture(scope="module")
-def antiplane_solution():
-    from mmfem.benchmarks import antiplane_params, solve_antiplane
+def antiplane_system():
+    """The n_rings = 2 antiplane problem of ``solve_antiplane`` (k = 1,
+    N-I) assembled under its Dirichlet data."""
+    from mmfem.benchmarks import (anti_exact_grad_u, anti_exact_u, anti_load_f,
+                                  anti_load_m, antiplane_params)
     mesh = generate_disk(10.0, n_rings=2)
-    return solve_antiplane(mesh, antiplane_params(), 1, "nedelec1")
+    anti = [(mesh.tagged_facets("boundary"), anti_exact_u, anti_exact_grad_u)]
+    return assemble_antiplane(mesh, antiplane_params(), SpaceDescriptor("h1", 2, 2),
+                              SpaceDescriptor("nedelec1", 1, 2), f=anti_load_f,
+                              m=anti_load_m, dirichlet=anti)
+
+
+@pytest.fixture(scope="module")
+def antiplane_solution(antiplane_system):
+    return solve(antiplane_system)
 
 
 def test_manufactured_polynomial_recovery():
@@ -188,6 +200,27 @@ def test_singular_system_raises_without_cg(monkeypatch):
     assert isinstance(exc.value, MMFemError)
 
 
+def test_family_of_one_matrix():
+    # a system without c_matrix is its own K(c) for every c: the walk takes
+    # the one lift and constant of its matrix, and solve is its walk at c = 0
+    from dataclasses import replace
+    from mmfem.errors import InvalidParam
+    from mmfem.solver import solve_family
+    K = np.array([[4.0, 1.0, 0, 1.0], [1.0, 3.0, 1.0, 0],
+                  [0, 1.0, 2.0, 0.5], [1.0, 0, 0.5, 3.0]])
+    bare = _toy_system(K, [1.0, -2.0, 0.5, 0.0])
+    system = constrain(bare, {0: 5.0, 3: -1.0})
+    sols = solve_family(system, [2.0, 0.0])
+    ref = solve(system)
+    assert ref.system.matrix is None and ref.info["path"] == "direct"
+    for sol in [ref] + sols:
+        assert np.array_equal(sol.x, ref.x)
+        energy = 0.5 * sol.x @ (symmetric(bare.matrix) @ sol.x)
+        assert abs(sol.energy - energy) <= 1e-12 * abs(energy)
+    with pytest.raises(InvalidParam, match="expected 1 lift rows"):
+        solve(replace(system, lift=np.zeros((2, 2))))
+
+
 def test_direct_solve_records_path():
     sol = solve(_toy_system(np.diag([1.0, 2.0, 3.0, 4.0]), [1.0] * 4))
     assert sol.info["path"] == "direct" and sol.info["iterations"] == 0
@@ -239,13 +272,13 @@ def sweep_full_small():
 
 
 def _direct_at(full, cons, c):
-    return solve(constrain(SparseSystem(matrix=full.matrix_at(c), rhs=full.rhs,
+    return solve(constrain(SparseSystem(matrix=matrix_at(full, c), rhs=full.rhs,
                                         fields=full.fields, mesh=full.mesh),
                            cons))
 
 
 def _true_residual(full, cons, c, x):
-    K = symmetric(full.matrix_at(c))
+    K = symmetric(matrix_at(full, c))
     free = np.ones(full.n_dofs, dtype=bool)
     free[list(cons)] = False
     x_con = np.where(free, 0.0, x)
@@ -257,7 +290,7 @@ def _check_against_direct(full_small, coeffs, sols):
     full, cons = full_small
     for c, sol in zip(coeffs, sols):
         ref = _direct_at(full, cons, c)
-        K = symmetric(full.matrix_at(c))
+        K = symmetric(matrix_at(full, c))
         energy, ref_energy = sol.x @ (K @ sol.x), ref.x @ (K @ ref.x)
         assert abs(energy - ref_energy) <= 1e-10 * abs(ref_energy)
         assert sol.residual <= 1e-10
@@ -473,11 +506,11 @@ def _analysis_peak(K, **kwargs):
     return peak, sym
 
 
-def test_cholesky_analysis_memory_bound(antiplane_solution):
+def test_cholesky_analysis_memory_bound(antiplane_system):
     # the analysis of a stored triangle peaks below what it keeps, a
     # fixed term and 24 bytes per stored entry (analyse's docstring), and
     # it keeps one factor position per stored entry; the triangles are
-    # the test matrix with large fronts, the antiplane_solution problem
+    # the test matrix with large fronts, the antiplane_system problem
     # assembled without its Dirichlet data (193 dofs) and its free block
     # (145 dofs)
     from mmfem import cholesky
@@ -486,7 +519,7 @@ def test_cholesky_analysis_memory_bound(antiplane_solution):
                                 SpaceDescriptor("h1", 2, 2),
                                 SpaceDescriptor("nedelec1", 1, 2),
                                 f=anti_load_f, m=anti_load_m)
-    free = antiplane_solution.system
+    free = antiplane_system
     assert free.matrix.shape == (145, 145) and system.matrix.shape == (193, 193)
     for K, kwargs in [(sp.tril(_large_fronts(), format="csr"), {}),
                       (system.matrix, {"label": system.group}),
@@ -592,11 +625,11 @@ def test_direct_solve_records_factor(antiplane_solution):
     assert 0 < info["analysis_bytes"] < info["factor_bytes"] // 2
 
 
-def test_direct_solve_records_matrix_bytes(antiplane_solution):
+def test_direct_solve_records_matrix_bytes(antiplane_system, antiplane_solution):
     # the data and index arrays of the stored triangle, beside the
-    # factor and analysis bytes
-    K = antiplane_solution.system.matrix
-    assert antiplane_solution.system.c_matrix is None
+    # factor and analysis bytes: no K(c) array beside a single matrix
+    K = antiplane_system.matrix
+    assert antiplane_system.c_matrix is None
     assert antiplane_solution.info["matrix_bytes"] == (
         K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
     assert sp.triu(K, 1).nnz == 0
@@ -621,7 +654,7 @@ def test_family_analyses_pattern_once(sweep_system_small, sweep_full_small,
     assert paths.count("direct") == 3 and len(calls) == 1
     _check_against_direct(sweep_full_small, coeffs, sols)
     for c, sol in zip(coeffs, sols):
-        K = symmetric(sweep_full_small[0].matrix_at(c))
+        K = symmetric(matrix_at(sweep_full_small[0], c))
         energy = 0.5 * sol.x @ (K @ sol.x)
         assert abs(sol.energy - energy) <= 1e-12 * energy
 
@@ -641,8 +674,6 @@ def test_family_holds_no_full_matrices(sweep_system_small):
         assert kept.matrix is None and kept.c_matrix is None
         assert kept.group is None
         assert kept.n_dofs == len(sol.x) == system.n_dofs
-    with pytest.raises(ValueError):
-        sols[0].system.matrix_at(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -656,18 +687,18 @@ def gate_systems():
     Dirichlet data and without it, and the constraints of that data."""
     from mmfem.benchmarks import (_sweep_groups, anti_exact_grad_u, anti_exact_u,
                                   anti_load_f, anti_load_m, antiplane_params,
-                                  cauchy_system, solve_antiplane, sweep_mesh,
+                                  cauchy_system, sweep_mesh,
                                   sweep_params, sweep_system)
     disk, cube = generate_disk(10.0, n_rings=2), sweep_mesh(0)
     anti = [(disk.tagged_facets("boundary"), anti_exact_u, anti_exact_grad_u)]
     systems = {}
     for fam in ("nedelec1", "nedelec2"):
-        full = assemble_antiplane(disk, antiplane_params(), SpaceDescriptor("h1", 2, 2),
-                                  SpaceDescriptor(fam, 1, 2), f=anti_load_f,
-                                  m=anti_load_m)
+        args = (disk, antiplane_params(), SpaceDescriptor("h1", 2, 2),
+                SpaceDescriptor(fam, 1, 2))
+        full = assemble_antiplane(*args, f=anti_load_f, m=anti_load_m)
         systems[f"antiplane {fam}"] = (
-            solve_antiplane(disk, antiplane_params(), 1, fam).system, full,
-            embed(full, anti))
+            assemble_antiplane(*args, f=anti_load_f, m=anti_load_m, dirichlet=anti),
+            full, embed(full, anti))
         full = assemble_full3d(cube, sweep_params(1.0), SpaceDescriptor("h1", 2, 3),
                                SpaceDescriptor(fam, 1, 3), split_curl=True)
         systems[f"sweep {fam}"] = (sweep_system(cube, sweep_params(1.0), 1, fam),
@@ -681,6 +712,7 @@ def gate_systems():
 def test_pattern_path_matches_explicit_slice(gate_systems):
     from dataclasses import replace
     from mmfem import cholesky
+    from mmfem.solver import solve_family
     for name, (system, full, cons) in gate_systems.items():
         ref = constrain(full, cons)
         assert np.array_equal(system.free, ref.free), name
@@ -695,11 +727,13 @@ def test_pattern_path_matches_explicit_slice(gate_systems):
                           (system.con_energy, ref.con_energy)]:
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
-        # K(1) and its rhs
-        K = system.matrix_at(1.0)
+        # K(1), its rhs, lift and constant
+        K = matrix_at(system, 1.0)
         at_1 = replace(system, matrix=K, c_matrix=None, rhs=system.rhs + (
-            0.0 if system.c_matrix is None else system.lift[1]))
-        ref = constrain(SparseSystem(matrix=full.matrix_at(1.0), rhs=full.rhs,
+            0.0 if system.c_matrix is None else system.lift[1]),
+            lift=system.lift.sum(axis=0, keepdims=True),
+            con_energy=system.con_energy.sum(keepdims=True))
+        ref = constrain(SparseSystem(matrix=matrix_at(full, 1.0), rhs=full.rhs,
                                      fields=full.fields, mesh=full.mesh), cons)
         F = cholesky.factor(K, cholesky.analyse(K, label=system.group))
         # one partition (test_pattern_supervariables_are_exact): one
@@ -713,6 +747,14 @@ def test_pattern_path_matches_explicit_slice(gate_systems):
                 <= 1e-12 * np.linalg.norm(x_ref)), name
         assert np.array_equal(sol.x[~free], ref.x_con[~free]), name
         assert sol.residual <= 1e-10
+        # the walk at c = 1 gives the single solve's solution; both
+        # energies are those of the form assembled without Dirichlet data
+        fam = solve_family(system, [1.0])[0]
+        assert np.array_equal(fam.x, sol.x), name
+        K_full = symmetric(matrix_at(full, 1.0))
+        energy = 0.5 * sol.x @ (K_full @ sol.x)
+        for s in (sol, fam):
+            assert abs(s.energy - energy) <= 1e-12 * abs(energy), name
 
 
 def test_pattern_supervariables_are_exact(gate_systems):
