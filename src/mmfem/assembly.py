@@ -70,17 +70,19 @@ class SparseSystem:
     triangle of K_ff (CSR rows with sorted columns, the diagonal last)
     and ``rhs`` the free load plus the lift -K_fc x_c of the constrained
     values x_c.  ``c_matrix``, the triangle of the free block of the
-    unit-coefficient part of K(c) = matrix + c c_matrix (curl-curl of the
-    lc sweep, div-div of the Cauchy form), shares its CSR pattern, so
-    K(c) only combines data arrays.  A bare system is built with such
-    triangles too (``solver`` reads T + T^T - diag(T)).  ``free`` masks
-    the free dofs of all ``n_dofs``, ``x_con`` is x_c (zero at the free
-    dofs), ``lift`` (n_mats, n_free) and ``con_energy`` (n_mats) hold
-    -M_fc x_c and x_c^T M_cc x_c of each matrix; a bare system (matrix
-    and rhs) has every dof free.  An assembled one carries the
-    supervariable labels of its free dofs (``Pattern.group``) and the
-    wall seconds of its Dirichlet embedding ``dirichlet_s`` and of the
-    rest ``assembly_s``.
+    unit-coefficient part of K(c) = matrix + c c_matrix (curl-curl of
+    the lc sweep, div-div of the Cauchy form), shares its CSR pattern,
+    so K(c) only combines data arrays.  A bare system is built with such
+    triangles too; the walk of ``solver.solve_family`` checks this
+    contract once at its entry (canonical CSR, no entry above the
+    diagonal, ``c_matrix`` on the same ``indptr`` and ``indices``).
+    ``free`` masks the free dofs of all ``n_dofs``, ``x_con`` is x_c
+    (zero at the free dofs), ``lift`` (n_mats, n_free) and
+    ``con_energy`` (n_mats) hold -M_fc x_c and x_c^T M_cc x_c of each
+    matrix; a bare system (matrix and rhs) has every dof free.  An
+    assembled one carries the supervariable labels of its free dofs
+    (``Pattern.group``) and the wall seconds of its Dirichlet embedding
+    ``dirichlet_s`` and of the rest ``assembly_s``.
     """
 
     matrix: sp.csr_matrix
@@ -310,7 +312,7 @@ class Pattern:
         where = sp.csr_matrix((np.arange(S.nnz, dtype=itype), S.indices, S.indptr),
                               shape=(ns, ns))
         self.scalar_pos = np.empty((nc, len(a)), dtype=itype)
-        for cells in _chunks(nc, len(a)):
+        for cells in _chunks(nc, len(a)) if ns else ():     # (positions)
             sd = self.free_dofs[cells].astype(where.indices.dtype)
             sa, sb = sd[:, a], sd[:, b]
             pos = np.asarray(where[np.maximum(sa, sb).ravel(),
@@ -343,10 +345,15 @@ class Pattern:
 
     def positions(self, per_cell):
         """Chunks of ``_chunks(n_cells, per_cell)`` and the positions of
-        the ``half`` entries of their element matrices, (nc, len(half))."""
+        the ``half`` entries of their element matrices, (nc, len(half));
+        without free dofs, all the spare slot 0 (no scalar positions)."""
         for cells in _chunks(len(self.scalar_pos), per_cell):
-            yield cells, (self.scalar_pos[cells] if self.k == 1
-                          else self._block_positions(cells))
+            if not len(self.indices):
+                yield cells, np.zeros((cells.stop - cells.start, len(self.half)),
+                                      dtype=self.scalar_pos.dtype)
+            else:
+                yield cells, (self.scalar_pos[cells] if self.k == 1
+                              else self._block_positions(cells))
 
     def _block_positions(self, cells):
         """``positions`` of one chunk for k > 1, in a frame of its own so

@@ -1,11 +1,11 @@
 """Supernodal multifrontal Cholesky factorization of sparse SPD matrices.
 
 ``factor(K)`` computes P K P^T = L L^T for a symmetric positive definite
-K given by its lower triangle (``lower``: CSR rows with sorted columns,
-the diagonal last, as ``assembly`` stores its matrices; of any other
-sparse matrix only the entries on or below the diagonal are read, from
-a copy).  A pivot block that is not positive definite raises
-NotPositiveDefinite, so a completed factor certifies K as SPD.
+K given by its lower triangle, canonical CSR (rows with sorted columns,
+the diagonal last), as ``assembly`` stores its matrices and
+``solver.solve_family`` checks them.  A pivot block that is not positive
+definite raises NotPositiveDefinite, so a completed factor certifies K
+as SPD.
 
 Analysis (``analyse``), once per sparsity pattern:
 
@@ -347,21 +347,6 @@ class Symbolic:
         return sum(a.nbytes for a in arrays)
 
 
-def lower(K):
-    """The entries of the square matrix ``K`` on or below its diagonal as
-    canonical CSR: rows with sorted columns, the diagonal last.  Such a
-    triangle comes back as it is, after a check of one entry per row."""
-    if not (sp.issparse(K) and K.format == "csr"):
-        K = sp.csr_matrix(K)
-    if not K.has_canonical_format:
-        K = K.copy()
-        K.sum_duplicates()
-    rows = np.flatnonzero(np.diff(K.indptr))
-    if np.any(K.indices[K.indptr[rows + 1] - 1] > rows):
-        K = sp.tril(K, format="csr")
-    return K
-
-
 def _runs(rel, k):
     """Maximal runs of consecutive positions in ``rel`` that do not cross
     position k: (j0, j1, rel[j0])."""
@@ -395,8 +380,8 @@ def _supernodes(parent, qcount, Lp, Li, sz, qoff):
 
 def analyse(K, label=None) -> Symbolic:
     """Ordering, symbolic factor, supernodes and schedule of the pattern
-    of the symmetric matrix whose lower triangle is that of ``K``
-    (``lower``); see the module docstring.  Columns of one ``label`` must
+    of the symmetric matrix whose lower triangle is the canonical CSR
+    ``K``; see the module docstring.  Columns of one ``label`` must
     have one row set in that symmetric pattern
     (``assembly.Pattern.group``); without labels, exact row sets group
     the columns.  ``Symbolic.dst`` holds the factor position of each
@@ -420,7 +405,6 @@ def analyse(K, label=None) -> Symbolic:
     bytes here).  Measured above nbytes: 12.6 bytes per stored entry on
     the 2D benchmark system (peak 25.4 MB), 1.7 on the 3D one (15.4 MB).
     """
-    K = lower(K)
     indptr, indices, n = K.indptr, K.indices, K.shape[0]
     if n == 0:
         none = np.zeros(0, dtype=np.int64)
@@ -764,12 +748,12 @@ def _extend_add(V, children):
 
 
 def factor(K, sym=None) -> Factor:
-    """Supernodal Cholesky factor of the SPD matrix ``K``, or of what
-    ``sym`` analysed, read from ``K.data`` (see ``analyse``); raises
-    NotPositiveDefinite where a pivot block is not positive definite.
+    """Supernodal Cholesky factor of the SPD matrix whose lower triangle
+    is the canonical CSR ``K``, analysed by ``sym`` (see ``analyse``),
+    read from ``K.data``; raises NotPositiveDefinite where a pivot block
+    is not positive definite.
     Beside the factor and the analysis it holds at most
     ``sym.update_peak`` words of update storage (module docstring)."""
-    K = lower(K)
     if sym is None:
         sym = analyse(K)
     values = np.zeros(sym.size)

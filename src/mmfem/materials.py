@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParam, SingularLimit
 
 
@@ -79,10 +77,4 @@ class MaterialParams:
     def curl_coeff(self):
         """Coefficient of the curvature term, mu_macro * lc**2."""
         return self.mu_macro * self.lc ** 2
-
-
-def apply_isotropic(lam, mu, s):
-    """Isotropic fourth-order tensor action lam*tr(S)*I + 2*mu*S."""
-    s = np.asarray(s, dtype=float)
-    return lam * np.trace(s) * np.eye(s.shape[0]) + 2.0 * mu * s
 

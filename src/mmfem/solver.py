@@ -4,26 +4,32 @@ A system holds only its free dofs (``assembly`` leaves the Dirichlet
 dofs out), and its matrices are the lower triangles of symmetric
 matrices on one CSR pattern.  Every product with such a matrix K is the
 one triangle product of ``_product``, T x + T^T x - d x (T the stored
-triangle, d its diagonal), in the residual checks, refinement, CG and
-the energies; only SuperLU's fallback below forms the whole matrix.
+triangle, d its diagonal), in the residual checks, CG and the energies;
+only SuperLU's fallback below forms the whole matrix.
 
 There is one solve path, the walk of ``solve_family`` over the values c
 of K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2; the
 Cauchy bounds: C div-div, c = lam / mu); ``solve`` is the walk at one
 value, and a system without ``c_matrix`` is its own K(c) for every c.
-The walk goes in ascending c.  The first value is factored by the
-supernodal Cholesky of ``cholesky`` straight from the triangle's data,
-with one refinement step when the residual asks for it; each later one
-runs CG preconditioned by the current factor from the previous
-solution, and all factorizations share one analysis.  A completed
-Cholesky certifies K(c) SPD; a matrix it rejects is factored by
-SuperLU's LU instead and reported not SPD.  The walk needs K at the
+The walk checks its input once, at its entry (else InvalidParam):
+``matrix`` canonical CSR with no entry above the diagonal, ``c_matrix``
+on its ``indptr`` and ``indices``, one ``lift`` row per matrix.  It goes
+in ascending c.  The first value is factored by the supernodal Cholesky
+of ``cholesky`` straight from the triangle's data and solved once; each
+later one runs CG preconditioned by the current factor from the
+previous solution, and all factorizations share one analysis.  A
+completed Cholesky certifies K(c) SPD; a matrix it rejects is factored
+by SuperLU's LU instead and reported not SPD.  The walk needs K at the
 smallest c SPD and C positive semidefinite, c of any sign: after an SPD
-factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  It factors again at
-a value whose CG fails or misses the tolerance, and ahead of time after
-a CG that used more than half of PCG_BUDGET.  Every solution meets
-relative residual RESIDUAL_TOL against its own matrix, or the walk
-raises.  Memory: the triangles and one K(c) data array
+factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  It factors again
+at a value whose CG fails or misses the tolerance, and ahead of time
+after a CG that used more than half of PCG_BUDGET.  Every solution
+meets relative residual RESIDUAL_TOL against its own matrix, or the walk
+raises: Cholesky is backward stable, so a larger residual is the
+conditioning's, which a correction step in working precision cannot
+lower (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+2002, sections 10.1, 12.1).  The K x_f of the residual check gives the energy.
+Memory: the triangles and one K(c) data array
 (``info["matrix_bytes"]``), the analysis (``info["analysis_bytes"]``:
 one index per stored entry, and the schedule), and the stored factor
 with, while it is computed, its peak update storage
@@ -60,11 +66,11 @@ class FieldSolution:
     "pcg"), ``iterations`` (CG), ``residual``, ``stages`` (the wall
     seconds of ``assembly``, of its Dirichlet embedding ``dirichlet``,
     ``analysis``, numeric ``factor`` and ``solve``: triangular solves and
-    refinement, or CG), and on the direct path ``refinements``,
-    ``factor`` ("cholesky" or "lu"), ``lu_fill`` (the stored factor
-    entries), ``matrix_bytes`` (the data and index arrays of the matrices
-    the walk holds), and ``supernodes``, ``factor_bytes`` (the bytes of
-    the factor storage plus its peak update storage,
+    the residual check, or CG), and on the direct path ``factor``
+    ("cholesky" or "lu"), ``lu_fill`` (the stored factor entries),
+    ``matrix_bytes`` (the data and index arrays of the matrices the walk
+    holds), and ``supernodes``, ``factor_bytes`` (the bytes of the factor
+    storage plus its peak update storage,
     ``cholesky.Symbolic.factor_bytes``) and ``analysis_bytes`` (the bytes
     the analysis keeps, ``cholesky.Symbolic.nbytes``), all None for LU.
     ``energy`` is 1/2 x^T K x.  The solution keeps its system without its
@@ -107,16 +113,12 @@ def _matrix_bytes(mats):
             + mats[0].indptr.nbytes)
 
 
-def _splu_spd(K, symbolic=None):
-    """Factor of the symmetric matrix whose lower triangle is that of
-    ``K`` (``cholesky.lower``), analysed by ``symbolic``: (factor, spd).
-
-    A completed Cholesky certifies SPD; a matrix it rejects is factored
-    by SuperLU's LU (symmetric-mode ordering) on the full matrix, formed
-    for that only, and reported not SPD; a failed LU raises
-    FactorizationFailed.
-    """
-    T = cholesky.lower(K)
+def _splu_spd(T, symbolic=None):
+    """(factor, spd) of the symmetric matrix whose lower triangle is
+    ``T``, analysed by ``symbolic``.  A completed Cholesky certifies SPD;
+    a matrix it rejects is factored by SuperLU's LU (symmetric-mode
+    ordering) on the full matrix, formed for that only, and reported not
+    SPD; a failed LU raises FactorizationFailed."""
     try:
         return cholesky.factor(T, symbolic), True
     except NotPositiveDefinite:
@@ -127,16 +129,15 @@ def _splu_spd(K, symbolic=None):
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationFailed(
-            f"SuperLU failed on the free block with {K.shape[0]} "
+            f"SuperLU failed on the free block with {T.shape[0]} "
             f"free dofs: {exc}") from exc
     return lu, False
 
 
-def _direct(K, rhs, symbolic, require_spd):
-    """Factor, solve and refine once if needed; returns (xf, lu, spd,
-    info) of the free block whose lower triangle is that of ``K``
-    (``_splu_spd``)."""
-    K = cholesky.lower(K)
+def _direct(K, Kx, rhs, symbolic, require_spd):
+    """Factor the free block whose lower triangle is ``K`` (``_splu_spd``)
+    and solve once; returns (xf, K xf, lu, spd, info), K applied by
+    ``Kx``.  A residual above RESIDUAL_TOL raises NonConvergence."""
     t0 = time.perf_counter()
     lu, spd = _splu_spd(K, symbolic)
     t1 = time.perf_counter()
@@ -144,30 +145,20 @@ def _direct(K, rhs, symbolic, require_spd):
         raise NotPositiveDefinite(
             f"Cholesky of the free block with {len(rhs)} free dofs "
             "broke down")
-    Kx = _product(K)
     xf = lu.solve(rhs)
-    res = _relative_residual(Kx(xf), rhs)
-    refinements = 0
+    kx = Kx(xf)
+    res = _relative_residual(kx, rhs)
     if res > RESIDUAL_TOL:
-        # one step of iterative refinement keeps large systems at tolerance
-        xf = xf + lu.solve(rhs - Kx(xf))
-        res = _relative_residual(Kx(xf), rhs)
-        refinements = 1
-    if res > RESIDUAL_TOL:
-        raise NonConvergence(
-            f"relative residual {res:.2e} > {RESIDUAL_TOL} after "
-            f"{refinements} refinement step on {len(rhs)} free dofs")
-    return xf, lu, spd, {"path": "direct", "iterations": 0, "residual": res,
-                         "refinements": refinements,
-                         "factor": "cholesky" if spd else "lu",
-                         "lu_fill": int(lu.nnz),
-                         "supernodes": lu.supernodes if spd else None,
-                         "factor_bytes": (lu.symbolic.factor_bytes if spd
-                                          else None),
-                         "analysis_bytes": (lu.symbolic.nbytes if spd
-                                            else None),
-                         "stages": {**_STAGES, "factor": t1 - t0,
-                                    "solve": time.perf_counter() - t1}}
+        raise NonConvergence(f"relative residual {res:.2e} > {RESIDUAL_TOL} "
+                             f"on {len(rhs)} free dofs")
+    return xf, kx, lu, spd, {
+        "path": "direct", "iterations": 0, "residual": res,
+        "factor": "cholesky" if spd else "lu", "lu_fill": int(lu.nnz),
+        "supernodes": lu.supernodes if spd else None,
+        "factor_bytes": lu.symbolic.factor_bytes if spd else None,
+        "analysis_bytes": lu.symbolic.nbytes if spd else None,
+        "stages": {**_STAGES, "factor": t1 - t0,
+                   "solve": time.perf_counter() - t1}}
 
 
 def _pcg(Kx, rhs, lu, x0):
@@ -198,11 +189,11 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
     """Solutions of K(c) x = rhs for each c in ``coeffs``, in input
     order, by the walk of the module docstring (a CG solution reports the
     spd verdict of its factor; repeated runs give identical results).
-    With ``require_spd`` a factor that is not SPD raises
-    NotPositiveDefinite; a failed factorization raises
-    FactorizationFailed, a residual above RESIDUAL_TOL after one
-    refinement step NonConvergence.  Each energy comes from the free
-    blocks and the system's lifts and constants (``SparseSystem``):
+    A system outside the contract raises InvalidParam; with
+    ``require_spd`` a factor that is not SPD raises NotPositiveDefinite;
+    a failed factorization raises FactorizationFailed, a residual above
+    RESIDUAL_TOL NonConvergence.  Each energy comes from the free blocks
+    and the system's lifts and constants (``SparseSystem``):
     x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.  The
     system's assembly and Dirichlet stages and the analysis go on the
     first solution, at the smallest c.
@@ -212,12 +203,21 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
     if len(system.lift) != len(mats):
         raise InvalidParam(f"expected {len(mats)} lift rows (one per "
                            f"matrix), got {len(system.lift)}")
+    if not (sp.issparse(A) and A.format == "csr" and A.has_canonical_format):
+        raise InvalidParam("matrix is not canonical CSR (sorted, no duplicates)")
+    rows = np.flatnonzero(np.diff(A.indptr))
+    if np.any(A.indices[A.indptr[rows + 1] - 1] > rows):
+        raise InvalidParam("matrix has entries above the diagonal")
+    if C is not None and not (sp.issparse(C) and C.format == "csr" and all(
+            u is v or np.array_equal(u, v)
+            for u, v in ((C.indptr, A.indptr), (C.indices, A.indices)))):
+        raise InvalidParam("c_matrix is not CSR on the pattern of matrix")
     lift_a, e_a = system.lift[0], system.con_energy[0]
     K = A       # a system without c_matrix is its own K(c) for every c
     if C is not None:
         lift_c, e_c = system.lift[1], system.con_energy[1]
-        # c_matrix shares the pattern of the base matrix (SparseSystem),
-        # so K(c) keeps only a data array, rewritten for each value
+        # K(c) on the pattern both share keeps only a data array,
+        # rewritten for each value
         K = sp.csr_matrix((np.empty_like(A.data), A.indices, A.indptr),
                           shape=A.shape)
         mats.append(K)
@@ -243,7 +243,8 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
         if not refactor:
             t = time.perf_counter()
             x_cg, iterations, converged = _pcg(Kx, rhs, lu, xf)
-            res = _relative_residual(Kx(x_cg), rhs)
+            kx = Kx(x_cg)
+            res = _relative_residual(kx, rhs)
             cg_s = time.perf_counter() - t
             if converged and res <= RESIDUAL_TOL:
                 xf = x_cg
@@ -252,7 +253,7 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
                 refactor = iterations > PCG_BUDGET // 2
         if info is None:
             lu = None   # release the old factor before the new one
-            xf, lu, spd, info = _direct(K, rhs, sym, require_spd)
+            xf, kx, lu, spd, info = _direct(K, Kx, rhs, sym, require_spd)
             info["stages"]["solve"] += cg_s     # a failed CG first
             info["matrix_bytes"] = matrix_bytes
             # CG needs an SPD preconditioner
@@ -261,7 +262,7 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
         shared = {}
         # PCG runs only from an SPD factor at c0 <= c, and K(c) =
         # K(c0) + (c - c0) C with C a Gram matrix, so K(c) is SPD too
-        energy = 0.5 * (xf @ Kx(xf) - 2.0 * (xf @ lift) + e_a + con_c)
+        energy = 0.5 * (xf @ kx - 2.0 * (xf @ lift) + e_a + con_c)
         out[i] = FieldSolution(system=kept, x=kept.full(xf),
                                residual=info["residual"], spd=spd, info=info,
                                energy=float(energy))

@@ -21,7 +21,6 @@ from mmfem.assembly import SparseSystem
 from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
 from mmfem.dual import seed
 from mmfem.errors import BadIndex, InvalidParam
-from mmfem.materials import apply_isotropic
 from mmfem.solver import locate_cells, sample_line
 
 
@@ -138,6 +137,12 @@ def n_basis(p, dim):
 def face_dofs(dofmap, f):
     """The interior dofs of face f in a 3D dofmap."""
     return dofmap.face_base + dofmap.per_face * f + np.arange(dofmap.per_face)
+
+
+def apply_isotropic(lam, mu, s):
+    """Isotropic fourth-order tensor action lam*tr(S)*I + 2*mu*S."""
+    s = np.asarray(s, dtype=float)
+    return lam * np.trace(s) * np.eye(s.shape[0]) + 2.0 * mu * s
 
 
 def apply_tensors(params, sym_part, skw_part):

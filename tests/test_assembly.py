@@ -416,6 +416,42 @@ class TestCauchy:
         for M in (sys_.matrix, sys_.c_matrix):
             assert sp.triu(M, 1).nnz == 0
 
+    def test_no_free_dofs(self, cube):
+        # degree 1 on one hex: every dof is on the boundary, so the free
+        # blocks are 0 x 0 and the energy is 1/2 x_c^T K x_c of the whole
+        # matrix, from the lifts and constants of the element matrices
+        from mmfem.solver import solve_family
+        G = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [0.5, 0.0, 1.0]])
+        facets = np.concatenate(list(cube.boundary_tags.values()))
+        data = [(facets, lambda x: np.atleast_2d(x) @ G.T,
+                 lambda x: np.broadcast_to(G, (len(np.atleast_2d(x)), 3, 3)))]
+        space = SpaceDescriptor("h1", 1, 3)
+        system = assemble_cauchy3d(cube, space, dirichlet=data)
+        assert system.matrix.shape == system.c_matrix.shape == (0, 0)
+        assert not system.free.any() and system.lift.shape == (2, 0)
+        full = assemble_full(assemble_cauchy3d, cube, space)
+        coeffs = [0.5, 2.0]
+        for c, sol in zip(coeffs, solve_family(system, coeffs)):
+            assert np.array_equal(sol.x, system.x_con) and sol.residual == 0.0
+            x = system.x_con
+            energy = 0.5 * x @ ((full.matrix + c * full.c_matrix) @ x)
+            assert energy > 0.0
+            assert abs(sol.energy - energy) <= 1e-12 * energy
+
+
+def test_space_mismatch_guards(disk, cube):
+    h1_2, h1_3 = SpaceDescriptor("h1", 1, 2), SpaceDescriptor("h1", 1, 3)
+    ned_2, ned_3 = SpaceDescriptor("nedelec1", 1, 2), SpaceDescriptor("nedelec1", 1, 3)
+    for form, args, match in [
+            (assemble_antiplane, (cube, unit_params(), h1_2, ned_2), "two-dim"),
+            (assemble_full3d, (disk, unit_params(), h1_3, ned_3), "three-dim"),
+            (assemble_full3d, (cube, unit_params(), ned_3, ned_3), "H1 u-space"),
+            (assemble_full3d, (cube, unit_params(), h1_3, h1_3), "H1 u-space"),
+            (assemble_cauchy3d, (disk, h1_3), "3D H1"),
+            (assemble_cauchy3d, (cube, ned_3), "3D H1")]:
+        with pytest.raises(SpaceMismatch, match=match):
+            form(*args)
+
 
 class TestL2Error:
     def test_reproduction(self, disk):

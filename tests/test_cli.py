@@ -85,11 +85,38 @@ def test_mesh_override(runner, tmp_path):
     assert int(rows[0]["n_cells"]) == 24
 
 
-def test_error_exit_code():
-    proc = subprocess.run([sys.executable, "-m", "mmfem.cli", "antiplane",
-                           "--p", "-3"], capture_output=True, text=True,
-                          cwd=os.path.dirname(os.path.dirname(__file__)))
-    assert proc.returncode != 0
+def _bench(*args):
+    """``python -m mmfem.cli``, the console script's ``main``, with this
+    source tree first on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mmfem.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_error_exit_code(tmp_path):
+    proc = _bench("antiplane", "--p", "-3", "--out", str(tmp_path))
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ")
+
+
+def test_bench_entry_point(tmp_path):
+    # a library error exits 2 with one line on stderr and no traceback; a
+    # one-hex cube, whose degree-1 bound systems have no free dofs, runs
+    from mmfem.mesh import generate_box, io_write
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"nonsense": 1.0}))
+    proc = _bench("lc-sweep", "--params", str(bad), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: unknown material keys")
+    assert "Traceback" not in proc.stderr
+    mesh_path = tmp_path / "hex.json"
+    io_write(generate_box(((-1, 1),) * 3, 1), mesh_path)
+    out = tmp_path / "hex"
+    proc = _bench("lc-sweep", "--p", "0", "--bound-degree", "1", "--mesh",
+                  str(mesh_path), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(csv.DictReader(open(out / "results.csv")))) == 16
 
 
 def test_lc_sweep_deterministic(runner, tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mmfem.errors import InvalidParam, SingularLimit
-from mmfem.materials import MaterialParams, apply_isotropic, macro_from, meso_from
-from oracles import apply_tensors
+from mmfem.materials import MaterialParams, macro_from, meso_from
+from oracles import apply_isotropic, apply_tensors
 
 
 def test_symmetric_harmonic_mean():

@@ -171,7 +171,7 @@ def test_sample_line(antiplane_solution):
 def test_row_pivoted_factorization_not_certified_spd():
     # positive U pivots, but SuperLU swapped rows: the matrix is indefinite
     from mmfem.solver import _splu_spd
-    lu, spd = _splu_spd(sp.csc_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    lu, spd = _splu_spd(sp.tril([[0.0, 1.0], [1.0, 0.0]], format="csr"))
     assert np.all(lu.U.diagonal() > 0.0)
     assert not spd
     K = np.array([[0.0, 1.0, 0, 0], [1.0, 0.0, 0, 0],
@@ -221,11 +221,56 @@ def test_family_of_one_matrix():
         solve(replace(system, lift=np.zeros((2, 2))))
 
 
+def test_walk_checks_its_input():
+    # the walk takes canonical lower triangles and a c_matrix on the pattern
+    # of matrix; a c_matrix of the same nnz on another pattern would combine
+    # data arrays of two patterns into a wrong K(c) whose residual still passes
+    from dataclasses import replace
+    from mmfem.errors import InvalidParam
+    from mmfem.solver import solve_family
+    K = np.array([[4.0, 1.0, 0, 0], [1.0, 3.0, 0, 0],
+                  [0, 0, 2.0, 0], [0, 0, 0, 1.0]])
+    C = np.array([[1.0, 0, 1.0, 0], [0, 1.0, 0, 0],
+                  [1.0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    bare = _toy_system(K, [1.0, 1.0, 1.0, 1.0])
+    other = sp.tril(C, format="csr")
+    assert other.nnz == bare.matrix.nnz
+    system = SparseSystem(matrix=bare.matrix, c_matrix=other, rhs=bare.rhs,
+                          fields=bare.fields, mesh=bare.mesh)
+    with pytest.raises(InvalidParam, match="c_matrix"):
+        solve_family(system, [1.0])
+    T = bare.matrix
+    unsorted = sp.csr_matrix((T.data[[0, 2, 1, 3, 4]], T.indices[[0, 2, 1, 3, 4]],
+                              T.indptr), shape=T.shape)
+    for M, match in [(sp.csr_matrix(K), "above the diagonal"),
+                     (sp.csc_matrix(T), "canonical CSR"),
+                     (unsorted, "canonical CSR"), (K, "canonical CSR")]:
+        with pytest.raises(InvalidParam, match=match):
+            solve(replace(bare, matrix=M))
+    # the same pattern in other arrays is accepted
+    same = replace(system, c_matrix=sp.csr_matrix(
+        (np.ones(T.nnz), T.indices.copy(), T.indptr.copy()), shape=T.shape))
+    sol = solve_family(same, [1.0])[0]
+    np.testing.assert_allclose(symmetric(matrix_at(same, 1.0)) @ sol.x, bare.rhs,
+                               atol=1e-12)
+
+
+def test_sample_line_without_p_field():
+    from mmfem.benchmarks import cauchy_system, sweep_mesh
+    from mmfem.solver import solve_family
+    sol = solve_family(cauchy_system(sweep_mesh(0), 1), [1.0])[0]
+    pts = np.stack([np.linspace(-1, 1, 5)] * 3, axis=1)
+    us, Ps = sample_line(sol, pts)
+    assert Ps is None and us.shape == (5, 3)
+    for pt, u in zip(pts, us):
+        assert np.array_equal(eval_field(sol, pt)[0], u)
+
+
 def test_direct_solve_records_path():
     sol = solve(_toy_system(np.diag([1.0, 2.0, 3.0, 4.0]), [1.0] * 4))
     assert sol.info["path"] == "direct" and sol.info["iterations"] == 0
     assert sol.info["residual"] == sol.residual <= 1e-10
-    assert sol.info["refinements"] == 0 and sol.info["lu_fill"] >= 4
+    assert sol.info["lu_fill"] >= 4
 
 
 def _random_solution(system, seed=0):
@@ -392,7 +437,7 @@ def _block_spd(widths, density=0.3, seed=0):
 def _check_against_dense(K, seed=1):
     from mmfem import cholesky
     b = np.random.default_rng(seed).standard_normal(K.shape[0])
-    F = cholesky.factor(K)
+    F = cholesky.factor(sp.tril(K, format="csr"))
     x = F.solve(b)
     ref = np.linalg.solve(K.toarray(), b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -420,7 +465,7 @@ def test_cholesky_labels_need_one_row_set():
     from mmfem.errors import FactorizationFailed
     K = sp.csc_matrix(np.array([[4.0, 0, -1], [0, 4, -1], [-1, -1, 4]]))
     with pytest.raises(FactorizationFailed, match="row sets"):
-        cholesky.analyse(K, label=np.array([0, 0, 1]))
+        cholesky.analyse(sp.tril(K, format="csr"), label=np.array([0, 0, 1]))
 
 
 def _large_fronts():
@@ -432,7 +477,7 @@ def test_cholesky_large_fronts():
     # extend-add limit, and both extend-add paths
     from mmfem import cholesky
     K = _large_fronts()
-    groups = cholesky.analyse(K).groups
+    groups = cholesky.analyse(sp.tril(K, format="csr")).groups
     assert any(len(g.rows) == 1 and g.n - g.k > cholesky._FLAT_ROWS
                for g in groups)
     assert any(g.blocks for g in groups)
@@ -453,7 +498,7 @@ def test_cholesky_flat_pieces_with_different_t(monkeypatch):
     # the factor is bitwise the one of one child per piece
     from mmfem import cholesky
     K = _block_spd([1] * 60, density=0.05, seed=0)
-    groups = cholesky.analyse(K).groups
+    groups = cholesky.analyse(sp.tril(K, format="csr")).groups
     gk = np.array([g.k for g in groups])
     spreads = []
     for g in groups:
@@ -465,7 +510,8 @@ def test_cholesky_flat_pieces_with_different_t(monkeypatch):
     assert max(spreads) > 0
     F = _check_against_dense(K)
     monkeypatch.setattr(cholesky, "_PIECE", 1)
-    assert np.array_equal(cholesky.factor(K).values, F.values)
+    assert np.array_equal(cholesky.factor(sp.tril(K, format="csr")).values,
+                          F.values)
 
 
 def test_cholesky_memory_bound_and_in_place():
@@ -537,7 +583,7 @@ def test_single_front_breakdown_falls_back_to_lu():
     Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     K = Q @ np.diag([3.0, 2.0, 1.0, -1.0, 2.5, 4.0]) @ Q.T
     K = 0.5 * (K + K.T)
-    groups = cholesky.analyse(sp.csc_matrix(K)).groups
+    groups = cholesky.analyse(sp.tril(K, format="csr")).groups
     assert len(groups) == 1 and len(groups[0].rows) == 1
     b = np.arange(1.0, 7.0)
     sol = solve(_toy_system(K, b))
@@ -553,7 +599,7 @@ def test_cholesky_diagonal_and_one_by_one():
     K = sp.csc_matrix(np.diag(np.arange(1.0, 8.0)))
     F = _check_against_dense(K)
     assert F.nnz == 7
-    F = cholesky.factor(sp.csc_matrix([[4.0]]))
+    F = cholesky.factor(sp.csr_matrix([[4.0]]))
     np.testing.assert_allclose(F.solve(np.array([2.0])), [0.5])
 
 
@@ -594,7 +640,7 @@ def test_non_spd_goes_to_lu():
     from mmfem.solver import _splu_spd
     K = np.array([[2.0, 1.0, 0, 0], [1.0, -3.0, 1.0, 0],
                   [0, 1.0, 2.0, 0], [0, 0, 0, 1.0]])
-    lu, spd = _splu_spd(sp.csc_matrix(K))
+    lu, spd = _splu_spd(sp.tril(K, format="csr"))
     assert not spd and hasattr(lu, "perm_r")
     sys_ = _toy_system(K, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(NotPositiveDefinite):
@@ -608,7 +654,7 @@ def test_non_spd_goes_to_lu():
 
 def test_cholesky_repeatable_bitwise():
     from mmfem import cholesky
-    K = _block_spd([3, 66, 1, 3, 3, 1] * 3, seed=7)
+    K = sp.tril(_block_spd([3, 66, 1, 3, 3, 1] * 3, seed=7), format="csr")
     b = np.random.default_rng(8).standard_normal(K.shape[0])
     x1 = cholesky.factor(K).solve(b)
     x2 = cholesky.factor(K).solve(b)
