@@ -41,6 +41,8 @@ class BenchConfig:
             raise InvalidParam(f"unknown family {self.family!r}")
         if self.p < (0 if self.family == "nedelec1" else 1):
             raise InvalidParam("polynomial order too low for family")
+        if self.refine < 0:
+            raise InvalidParam(f"refine must be >= 0, got {self.refine}")
 
     def material_override(self, default: MaterialParams) -> MaterialParams:
         """Parameters from the JSON config, falling back to the default.

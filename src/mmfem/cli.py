@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from .benchmarks import BenchConfig, run_antiplane, run_bending, run_lc_sweep
-from .errors import MMFemError
+from .errors import InvalidParam, MMFemError
 
 _PLOT_STUB = """\
 # Minimal plotting helper for the benchmark outputs in this directory.
@@ -82,6 +82,16 @@ _common = [
 ]
 
 
+def _lc_values(text):
+    """The --lc list as floats, None if not given."""
+    if not text:
+        return None
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise InvalidParam(f"--lc: {exc}") from None
+
+
 def _with_common(cmd):
     for opt in reversed(_common):
         cmd = opt(cmd)
@@ -129,9 +139,8 @@ def bending(p, refine, family, out_dir, mesh_path, params_path):
 def lc_sweep(p, refine, family, out_dir, mesh_path, params_path, lc_list,
              bound_degree):
     """Energy versus characteristic length with Cauchy bounds."""
-    lcs = tuple(float(v) for v in lc_list.split(",")) if lc_list else None
     cfg = BenchConfig("lc-sweep", p=p, refine=refine, family=family,
-                      mesh_path=mesh_path, lc_values=lcs,
+                      mesh_path=mesh_path, lc_values=_lc_values(lc_list),
                       params_path=params_path, bound_degree=bound_degree)
     result = run_lc_sweep(cfg)
     rows = [{"lc": _fmt(lc), "energy": _fmt(e)}

@@ -5,11 +5,13 @@ field's ``assembly.FieldLayout`` (dofmap, components, offset) and returns
 the global {dof: value} dict, from which the assembler leaves the
 constrained dofs out of the system.
 
-Vertices are evaluated directly; edges solve small 1D problems against
-the known univariate traces; faces solve surface problems in the mixed
-tangent frame T = [g1, g2, n].  Because the Bernstein basis is not
-hierarchical the levels must run vertex -> edge -> face, with each level
-moving the already-fixed values to the right-hand side.
+Vertices are evaluated directly.  Edges and faces are one projection,
+parametrized by the entity rank: on each entity the tangential traces of
+the owning cell's base functions (H1: of their gradients), read from the
+basis evaluators, are matched in L2 to the tangential part of grad u~.
+Because the Bernstein basis is not hierarchical the levels must run
+vertex -> edge -> face, with each level moving the already-fixed values
+to the right-hand side.
 
 The H(curl) projections realize the consistent coupling condition: the
 tangential trace of the microdistortion row is matched to the tangential
@@ -18,13 +20,14 @@ part of the prescribed displacement gradient.
 Every map is affine, so each level runs batched, once per facet group
 for all of its entities and components: one callback call on all of the
 level's points, one batched solve, and the known dofs moved to the
-right-hand side by one gather.  An edge problem is one reference matrix
-for every edge (the edge length cancels), and a face matrix is
-sqrt(det) sum_de M[d, e] G^de (+ the rot Gram block / sqrt(det) in
-H(curl)), with M the face's 2x2 metric and G^de reference Gram blocks
-of the face-supported functions of the owning cell.  Memory: levels run
-in entity chunks whose temporaries hold at most assembly's _CHUNK_NNZ
-(2 M) entries, beside one (n_comps, n_dofs) array of the values.
+right-hand side by one gather.  An entity's matrix is
+sqrt(det) sum_de M[d, e] G^de (+ the rot Gram block / sqrt(det) on an
+H(curl) face), with M the metric of its dual tangents (t / |t|^2 on an
+edge, the mixed frame inv([g1, g2, n])^T on a face) and G^de reference
+Gram blocks of the traces on the entity's slot in its owning cell.
+Memory: levels run in entity chunks whose temporaries hold at most
+assembly's _CHUNK_NNZ (2 M) entries, beside one (n_comps, n_dofs) array
+of the values.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import FieldLayout, _chunks
-from .bernstein import eval_all
 from .dofmap import local_entities
 from .errors import DegenerateFace, SingularEdge
 from .mesh import Mesh
 from .nedelec import SpaceDescriptor, eval_vector_shapes
 from .quadrature import _gauss01, rule_for
-from .simplex import TET_EDGES, TET_FACES, TET_VERTICES, bezier_eval
+from .simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES, TRI_VERTICES,
+                      bezier_eval)
 
 _GAUSS_FLOOR = 24   # headroom for oscillatory boundary data on coarse meshes
 
@@ -83,137 +86,119 @@ def _gradients(gradfunc, pts, comps):
 # levels: each fixes the dofs of a batch of entities in x (n_comps, n_dofs)
 # and returns them, (n_entities, dofs per entity)
 
-def _vertices(mesh, dofmap, verts, ufunc, x, comps):
+def _vertices(mesh, dofmap, _rank, verts, ufunc, x, comps):
     rows = np.asarray(ufunc(mesh.vertices[verts]), dtype=float).reshape(len(verts), -1)
     dofs = dofmap.vertex_dof(verts)[:, None]
     x[:, dofs[:, 0]] = _per_comp(rows, comps).T
     return dofs
 
 
-@lru_cache(maxsize=None)
-def _edge_ref(space: SpaceDescriptor):
-    """Edge Gauss points, the weighted tangential traces (ng, nu) of the
-    edge's own functions, and the blocks (K_uu, K_uk) of the reference
-    matrix against them and the known vertex functions (H1 only).
-
-    Traces are identical for every edge by the template construction:
-    H1 d/dalpha b^q (vertex functions first), N-II b^p, N-I
-    {1, d/dalpha b^{p+1}_m}.
-    """
-    p, h1 = space.degree, space.family == "h1"
-    nk = 2 if h1 else 0
-    a, w = _gauss01(max(p + (2 if h1 else 3), _GAUSS_FLOOR))
-    if h1:
-        trace = eval_all(p, a).derivs[:, [0, p] + list(range(1, p))]
-    elif space.family == "nedelec2":
-        trace = eval_all(p, a).values
-    else:
-        trace = np.hstack([np.ones((len(a), 1)), eval_all(p + 1, a).derivs[:, 1:p + 1]])
-    wtrace = w[:, None] * trace
-    k = wtrace.T @ trace
-    return a, wtrace[:, nk:], k[nk:, nk:], k[nk:, :nk]
-
-
-def _edges(mesh, dofmap, edges, gradfunc, x, comps):
-    """<t, grad u~> in L2 along each edge: the interior dofs of an H1
-    space, every dof of an H(curl) space."""
-    a, wtrace, kuu, kuk = _edge_ref(dofmap.space)
-    ends = mesh.edges[edges]
-    xa = mesh.vertices[ends[:, 0]]
-    t = mesh.vertices[ends[:, 1]] - xa
-    short = np.linalg.norm(t, axis=1) < 1e-14
-    if short.any():
-        raise SingularEdge(f"edge {edges[np.argmax(short)]} has zero length")
-    grads = _gradients(gradfunc, xa[:, None, :] + a[:, None] * t[:, None, :], comps)
-    tgrad = np.einsum("eqcd,ed->qec", grads, t)
-    rhs = (np.tensordot(wtrace, tgrad, axes=(0, 0))
-           - np.einsum("uk,cek->uec", kuk, x[:, ends[:, :kuk.shape[1]]]))
-    sol = np.linalg.solve(kuu, rhs.reshape(len(kuu), -1)).reshape(rhs.shape)
-    own = dofmap.edge_dofs(edges[:, None])
-    x[:, own] = sol.transpose(2, 1, 0)
-    return own
-
-
-def _face_frame(mesh, f):
-    """Chart x(xi2, eta2) = xa + xi2 (xc - xa) + eta2 (xb - xa) and the
-    mixed transformation data of face f, or stacked for an array f."""
-    fa, fb, fc = mesh.faces[f].T
-    xa = mesh.vertices[fa]
-    g1 = mesh.vertices[fc] - xa
-    g2 = mesh.vertices[fb] - xa
-    n = np.cross(g1, g2)
-    det_t = np.sum(n * n, axis=-1)
-    flat = np.atleast_1d(det_t) < 1e-28
-    if flat.any():
-        raise DegenerateFace(f"face {np.atleast_1d(f)[np.argmax(flat)]} has zero area")
-    tinv_t = np.swapaxes(np.linalg.inv(np.stack([g1, g2, n], axis=-1)), -1, -2)
-    return (fa, fb, fc), xa, g1, g2, tinv_t[..., :2], det_t
-
-
-def _face_rule(space: SpaceDescriptor):
-    q = space.degree if space.family == "h1" else space.degree + 2
-    return rule_for(2, min(max(2 * q + 2, 14), 20))
-
-
-def _support(rank, local):
-    """Local tetrahedron vertices of the entity a base function attaches to."""
-    return (local,) if rank == 0 else (TET_EDGES, TET_FACES, ((0, 1, 2, 3),))[rank - 1][local]
+# local edges and faces of a cell, by (cell dim, entity rank)
+_SLOTS = {(2, 1): TRI_EDGES, (3, 1): TET_EDGES, (3, 2): TET_FACES}
 
 
 @lru_cache(maxsize=None)
-def _face_ref(space: SpaceDescriptor, slot):
-    """Reference data of the base functions supported on local face
-    ``slot`` of a tetrahedron, identical for every face in that slot.
+def _rule(space: SpaceDescriptor, rank):
+    """Points (nq, rank) and weights on the reference edge or face."""
+    h1 = space.family == "h1"
+    if rank == 1:
+        a, w = _gauss01(max(space.degree + (2 if h1 else 3), _GAUSS_FLOOR))
+        return a[:, None], w
+    rule = rule_for(2, min(max(2 * (space.degree + (0 if h1 else 2)) + 2, 14), 20))
+    return rule.simplex_points, rule.weights
 
-    Returns their columns in a cell_dofs row (known vertex and edge
-    functions first, then the face's own in ordinal order), the number
-    known, the Gram blocks G (2, 2, n, n) of their tangential traces, the
-    Gram matrix of their rots (None for H1) and the weighted traces
-    (nq, n, 2) of the right-hand side.  H1 traces are surface gradients.
+
+@lru_cache(maxsize=None)
+def _reference(space: SpaceDescriptor, rank):
+    """Per local slot of the rank-``rank`` entities of a cell: reference
+    data of the base functions supported on it, identical for every
+    entity in that slot.
+
+    Each slot gives their columns in a cell_dofs row (known lower-rank
+    functions first, then the entity's own in ordinal order), the number
+    known, the Gram blocks G (rank, rank, n, n) of their tangential
+    traces, the Gram matrix of their rots (H(curl) faces only, else None)
+    and the weighted traces (nq, n, rank) of the right-hand side.  Traces
+    are taken along the slot's tangents (v_last - v_0, ..., v_1 - v_0);
+    H1 traces are of the gradients.  All slots come from one evaluator
+    call.
     """
-    face = TET_FACES[slot]
-    ents = local_entities(space)
-    known = [l for l, (rank, local, _) in enumerate(ents)
-             if rank < 2 and set(_support(rank, local)) <= set(face)]
-    own = sorted((ordinal, l) for l, (rank, local, ordinal) in enumerate(ents)
-                 if (rank, local) == (2, slot))
-    cols = np.array(known + [l for _, l in own])
-    va, vb, vc = TET_VERTICES[list(face)]
-    dphi = np.stack([vc - va, vb - va], axis=1)   # (3, 2)
-    rule = _face_rule(space)
-    x = va + rule.simplex_points @ dphi.T
-    rot_gram = None
+    slots, ents = _SLOTS[space.dim, rank], local_entities(space)
+    corners = (TRI_VERTICES if space.dim == 2 else TET_VERTICES)[np.array(slots)]
+    dphis = np.swapaxes(corners[:, :0:-1] - corners[:, :1], 1, 2)   # (slot, dim, rank)
+    pts, w = _rule(space, rank)
+    x = (corners[:, None, 0] + pts @ np.swapaxes(dphis, 1, 2)).reshape(-1, space.dim)
+    shape = (len(slots), len(w), -1, space.dim)
     if space.family == "h1":
-        vecs = bezier_eval(space.degree, 3, x).grads[:, cols]
+        vecs, curls = bezier_eval(space.degree, space.dim, x).grads, None
     else:
         vs = eval_vector_shapes(space, x)
-        vecs = vs.values[:, cols]
-        rot = vs.curls[:, cols] @ np.cross(dphi[:, 0], dphi[:, 1])
-        rot_gram = np.einsum("q,qn,qm->nm", rule.weights, rot, rot)
-    trace = np.einsum("de,qnd->qne", dphi, vecs)
-    wtrace = rule.weights[:, None, None] * trace
-    return cols, len(known), np.einsum("qnd,qme->denm", wtrace, trace), rot_gram, wtrace
+        vecs, curls = vs.values, vs.curls.reshape(shape) if rank == 2 else None
+    vecs = vecs.reshape(shape)
+    refs = []
+    for s, dphi in enumerate(dphis):
+        known = [l for l, (r, local, _) in enumerate(ents) if r < rank and set(
+            [local] if r == 0 else _SLOTS[space.dim, r][local]) <= set(slots[s])]
+        own = sorted((ordinal, l) for l, (r, local, ordinal) in enumerate(ents)
+                     if (r, local) == (rank, s))
+        cols = np.array(known + [l for _, l in own])
+        trace = np.einsum("de,qnd->qne", dphi, vecs[s][:, cols])
+        wtrace = w[:, None, None] * trace
+        rot_gram = None
+        if curls is not None:
+            rot = curls[s][:, cols] @ np.cross(dphi[:, 0], dphi[:, 1])
+            rot_gram = np.einsum("q,qn,qm->nm", w, rot, rot)
+        refs.append((cols, len(known), np.einsum("qnd,qme->denm", wtrace, trace),
+                     rot_gram, wtrace))
+    return tuple(refs)
 
 
-def _faces(mesh, dofmap, faces, gradfunc, x, comps):
-    """Surface H1 / H(rot) problem of each face for its own dofs, the
-    vertex and edge dofs moved to the right-hand side."""
-    _, xa, g1, g2, tstar, det_t = _face_frame(mesh, faces)
-    cells = mesh.face_cell(faces)
-    slots = np.argmax(mesh.cell_faces[cells] == faces[:, None], axis=1)
-    pts = _face_rule(dofmap.space).simplex_points
-    grads = _gradients(gradfunc, xa[:, None, :] + pts[:, :1] * g1[:, None, :]
-                       + pts[:, 1:] * g2[:, None, :], comps)
-    gt = np.einsum("fde,fqcd->fqce", tstar, grads)
-    sq = np.sqrt(det_t)[:, None, None]
-    metric = sq * np.einsum("fde,fdg->feg", tstar, tstar)
-    refs = [_face_ref(dofmap.space, s) for s in range(len(TET_FACES))]
+def _frame(mesh, rank, ids):
+    """First vertex xa (n, dim), tangents g (n, dim, rank) = (x_last - xa,
+    ..., x_1 - xa), dual tangents and det(g^T g) of the edges (rank 1) or
+    faces (rank 2) ``ids``.  The dual of an edge's t is t / |t|^2; a
+    face's are the first two columns of inv([g1, g2, n])^T."""
+    verts = (mesh.edges, mesh.faces)[rank - 1][ids]
+    xa = mesh.vertices[verts[:, 0]]
+    g = np.swapaxes(mesh.vertices[verts[:, :0:-1]] - xa[:, None], 1, 2)
+    if rank == 1:
+        det = np.sum(g[..., 0] ** 2, axis=1)
+        short = det < 1e-28
+        if short.any():
+            raise SingularEdge(f"edge {ids[np.argmax(short)]} has zero length")
+        return xa, g, g / det[:, None, None], det
+    n = np.cross(g[..., 0], g[..., 1])
+    det = np.sum(n * n, axis=1)
+    flat = det < 1e-28
+    if flat.any():
+        raise DegenerateFace(f"face {ids[np.argmax(flat)]} has zero area")
+    dual = np.swapaxes(np.linalg.inv(np.concatenate([g, n[..., None]], axis=2)), 1, 2)
+    return xa, g, dual[..., :2], det
+
+
+def _project(mesh, dofmap, rank, ids, gradfunc, x, comps):
+    """Surface H1 / H(rot) problem of each edge (rank 1) or face (rank 2)
+    for its own dofs: the tangential trace of grad u~ matched in L2, the
+    lower-rank dofs moved to the right-hand side.  Fixes the interior
+    dofs of an H1 space, every edge and face dof of an H(curl) space."""
+    xa, g, dual, det = _frame(mesh, rank, ids)
+    cells = mesh.entity_cell(rank, ids)
+    slots = np.argmax((mesh.cell_edges, mesh.cell_faces)[rank - 1][cells]
+                      == ids[:, None], axis=1)
+    pts = _rule(dofmap.space, rank)[0]
+    grads = _gradients(gradfunc, xa[:, None] + np.einsum("qe,nde->nqd", pts, g), comps)
+    gt = np.einsum("nde,nqcd->nqce", dual, grads)
+    sq = np.sqrt(det)[:, None, None]
+    metric = sq * np.einsum("nde,ndg->neg", dual, dual)
+    refs = _reference(dofmap.space, rank)
     n, nk = len(refs[0][0]), refs[0][1]
-    k = np.empty((len(faces), n, n))
-    rhs = np.empty((len(faces), n, len(comps)))
-    dofs = np.empty((len(faces), n), dtype=np.int64)
+    k = np.empty((len(ids), n, n))
+    rhs = np.empty((len(ids), n, len(comps)))
+    dofs = np.empty((len(ids), n), dtype=np.int64)
     for s, (cols, _, gram, rot_gram, wtrace) in enumerate(refs):
         sel = slots == s
+        if not sel.any():
+            continue
         k[sel] = np.einsum("fde,denm->fnm", metric[sel], gram)
         if rot_gram is not None:
             k[sel] += rot_gram / sq[sel]
@@ -225,18 +210,13 @@ def _faces(mesh, dofmap, faces, gradfunc, x, comps):
     return own
 
 
-_LEVELS = (_vertices, _edges, _faces)
-
-
 def _per_entity(space, rank, n_comps):
-    """Largest per-entity temporary of a level: the callback rows, or a
-    face matrix."""
+    """Largest per-entity temporary of a level: the callback rows, or an
+    entity matrix."""
     if rank == 0:
         return n_comps
-    if rank == 1:
-        return len(_edge_ref(space)[0]) * n_comps * space.dim
-    return max(len(_face_rule(space).weights) * n_comps * 3,
-               len(_face_ref(space, 0)[0]) ** 2)
+    return max(len(_rule(space, rank)[1]) * n_comps * space.dim,
+               len(_reference(space, rank)[0][0]) ** 2)
 
 
 def _has_dofs(dofmap, rank):
@@ -257,10 +237,11 @@ def _embed(mesh, layout, facet_groups, levels):
             continue
         ids, owner = ents[rank]
         size = _per_entity(dofmap.space, rank, layout.n_comps)
+        level = _vertices if rank == 0 else _project
         parts = [np.zeros(0, np.int64)]
         for g, func in enumerate(funcs):
             mine = ids[owner == g]
-            parts += [_LEVELS[rank](mesh, dofmap, mine[chunk], func, x, comps).ravel()
+            parts += [level(mesh, dofmap, rank, mine[chunk], func, x, comps).ravel()
                       for chunk in _chunks(len(mine), size)]
         dofs = np.concatenate(parts)
         keys.append(layout.dofs(comps[:, None], dofs).ravel())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import SpaceMismatch
 from .mesh import Mesh
-from .nedelec import SpaceDescriptor, build_basis
+from .nedelec import SpaceDescriptor, _face_interior, build_basis
 from .simplex import TET_EDGES, TET_FACES, TRI_EDGES, classify, traversal_order
 
 _LOCAL_EDGE_POS = {
@@ -29,14 +29,9 @@ _LOCAL_FACE_POS = {f: n for n, f in enumerate(TET_FACES)}
 
 @lru_cache(maxsize=None)
 def _face_interior_rank(p):
-    """(ec, eb) -> ordinal for face-interior scalar exponents at degree p."""
-    rank = {}
-    n = 0
-    for ec in range(1, p):
-        for eb in range(1, p - ec):
-            rank[(ec, eb)] = n
-            n += 1
-    return rank
+    """(ec, eb) -> ordinal for face-interior scalar exponents at degree p,
+    in the canonical order of ``nedelec._face_interior``."""
+    return {(ec, eb): n for n, (eb, ec) in enumerate(_face_interior(p))}
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ class Mesh:
     dets: np.ndarray = None       # signed
     inv_ts: np.ndarray = None     # (nc, dim, dim) J^{-T}
 
-    _face_cell: np.ndarray = field(default=None, repr=False)
+    _owner: dict = field(default_factory=dict, repr=False)   # see entity_cell
 
     @property
     def n_vertices(self):
@@ -52,16 +52,16 @@ class Mesh:
         nv = self.n_vertices
         return np.searchsorted(self.edges[:, 0] * nv + self.edges[:, 1], a * nv + b)
 
-    def face_cell(self, f):
-        """Lowest id of a cell containing face f, or of each face of an
-        array f; the table is built lazily."""
-        if self._face_cell is None:
-            owner = np.full(self.n_faces, self.n_cells)
-            np.minimum.at(owner, self.cell_faces.ravel(),
-                          np.repeat(np.arange(self.n_cells),
-                                    self.cell_faces.shape[1]))
-            self._face_cell = owner
-        return self._face_cell[f]
+    def entity_cell(self, rank, ids):
+        """Lowest id of a cell containing each edge (rank 1) or face
+        (rank 2) of ``ids``; the tables are built lazily."""
+        if rank not in self._owner:
+            local = (self.cell_edges, self.cell_faces)[rank - 1]
+            owner = np.full((self.n_edges, self.n_faces)[rank - 1], self.n_cells)
+            np.minimum.at(owner, local.ravel(),
+                          np.repeat(np.arange(self.n_cells), local.shape[1]))
+            self._owner[rank] = owner
+        return self._owner[rank][ids]
 
     @property
     def n_cells(self):
@@ -116,13 +116,7 @@ def build(vertices, cells, tags=None) -> Mesh:
 
     # reference role assignment: J columns follow the xi, eta(, zeta) directions
     x1 = vertices[cells[:, 0]]
-    if dim == 2:
-        jacs = np.stack([vertices[cells[:, 2]] - x1,
-                         vertices[cells[:, 1]] - x1], axis=2)
-    else:
-        jacs = np.stack([vertices[cells[:, 3]] - x1,
-                         vertices[cells[:, 2]] - x1,
-                         vertices[cells[:, 1]] - x1], axis=2)
+    jacs = np.swapaxes(vertices[cells[:, :0:-1]] - x1[:, None], 1, 2).copy()
     dets = np.linalg.det(jacs)
     scale = max(vertices.max(axis=0).max() - vertices.min(axis=0).min(), 1.0)
     if np.any(np.abs(dets) < 1e-14 * scale ** dim):
@@ -140,11 +134,9 @@ def build(vertices, cells, tags=None) -> Mesh:
         rawf = np.concatenate([cells[:, lf] for lf in TET_FACES], axis=0)
         faces, finv = np.unique(rawf, axis=0, return_inverse=True)
         cell_faces = finv.reshape(len(TET_FACES), -1).T.copy()
-        counts = np.bincount(cell_faces.ravel(), minlength=len(faces))
-        boundary = np.flatnonzero(counts == 1)
-    else:
-        counts = np.bincount(cell_edges.ravel(), minlength=len(edges))
-        boundary = np.flatnonzero(counts == 1)
+    # every facet lies in some cell, so the counts cover all facets
+    counts = np.bincount((cell_edges if dim == 2 else cell_faces).ravel())
+    boundary = np.flatnonzero(counts == 1)
 
     mesh = Mesh(dim=dim, vertices=vertices, cells=cells, edges=edges,
                 cell_edges=cell_edges, faces=faces, cell_faces=cell_faces,
@@ -198,6 +190,8 @@ def generate_box(bounds, n) -> Mesh:
     """
     bounds = [tuple(map(float, b)) for b in bounds]
     dim = len(bounds)
+    if dim not in (2, 3):
+        raise InvalidParam(f"box needs 2 or 3 axes, got {dim}")
     axes, n = _box_axes(bounds, n, dim)
 
     if dim == 2:
@@ -285,6 +279,8 @@ def generate_disk(radius: float, target_h: float = None, n_rings: int = None) ->
         if target_h is None or target_h <= 0.0:
             raise InvalidParam("need target_h > 0 or n_rings")
         n_rings = max(1, int(np.ceil(radius / target_h)))
+    if n_rings < 1:
+        raise InvalidParam(f"n_rings must be >= 1, got {n_rings}")
 
     verts = [(0.0, 0.0)]
     rings = [[0]]

@@ -29,7 +29,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DomainError
-from .simplex import TET_FACES, Polytope, bezier_eval, index_position
+from .simplex import TET_EDGES, TET_FACES, TRI_EDGES, Polytope, bezier_eval, index_position
 
 E1_2D = np.array([1.0, 0.0])
 E2_2D = np.array([0.0, 1.0])
@@ -216,47 +216,28 @@ def _face_templates(poly, p, fidx, vecs):
     return [_template(poly, n, p, index, vec) for n, (index, vec) in enumerate(blocks)]
 
 
-def _face_lowest_templates(poly, p, fidx, data):
+def _face_lowest_templates(poly, p, fidx, edges, vb=-1.0):
     """First-type face block (the cell block of a triangle): lowest-order
-    templates (combinations ``data``) at vertices a and b, on the edges
-    (a,b), (a,c), (b,c) and in the interior, then the gradients of the
-    degree p+1 face-interior scalars."""
-    blocks = ([(fidx(p, 0, 0), data["va"]), (fidx(p, p, 0), data["vb"])]
-              + [(fidx(p, m, 0), data["ab"]) for m in _interior_1d(p)]
-              + [(fidx(p, 0, m), data["ac"]) for m in _interior_1d(p)]
-              + [(fidx(p, p - m, m), data["bc"]) for m in _interior_1d(p)]
-              + [(fidx(p, eb, ec), data["pure"]) for eb, ec in _face_interior(p)])
+    templates at vertices a and b, on the edges (a,b), (a,c), (b,c) and in
+    the interior, then the gradients of the degree p+1 face-interior
+    scalars.  With x, y, z the positions in ``edges`` of the face's edges
+    (a,b), (a,c), (b,c), the templates are theta_z at a, vb theta_y at b
+    (vb = +1 only for the triangle's cell), theta_z - theta_y,
+    theta_x + theta_z and theta_x - theta_y on the edges and
+    theta_x - theta_y + theta_z inside."""
+    a, b, c = poly.vertices
+    x, y, z = (edges.index(e) for e in ((a, b), (a, c), (b, c)))
+    ab, ac, bc = [(z, 1.0), (y, -1.0)], [(x, 1.0), (z, 1.0)], [(x, 1.0), (y, -1.0)]
+    blocks = ([(fidx(p, 0, 0), [(z, 1.0)]), (fidx(p, p, 0), [(y, vb)])]
+              + [(fidx(p, m, 0), ab) for m in _interior_1d(p)]
+              + [(fidx(p, 0, m), ac) for m in _interior_1d(p)]
+              + [(fidx(p, p - m, m), bc) for m in _interior_1d(p)]
+              + [(fidx(p, eb, ec), [(x, 1.0), (y, -1.0), (z, 1.0)])
+                 for eb, ec in _face_interior(p)])
     fns = [_lowest_template(poly, n, p, index, pairs)
            for n, (index, pairs) in enumerate(blocks)]
     return fns + [_gradient(poly, n, p + 1, fidx(p + 1, eb, ec))
                   for n, (eb, ec) in enumerate(_face_interior(p + 1), len(fns))]
-
-
-# first-type face data: lowest-order combinations of the vertex-a, vertex-b,
-# edge and pure families (0-based indices into theta_1..6; theta_1..3 for
-# the triangle's cell)
-_N1_TRI_CELL_DATA = {"va": [(2, 1.0)], "vb": [(1, 1.0)],
-                     "ab": [(2, 1.0), (1, -1.0)], "ac": [(0, 1.0), (2, 1.0)],
-                     "bc": [(0, 1.0), (1, -1.0)],
-                     "pure": [(0, 1.0), (1, -1.0), (2, 1.0)]}
-_N1_FACE_DATA = {
-    (0, 1, 2): {"va": [(3, 1.0)], "vb": [(1, -1.0)],
-                "ab": [(3, 1.0), (1, -1.0)], "ac": [(0, 1.0), (3, 1.0)],
-                "bc": [(0, 1.0), (1, -1.0)],
-                "pure": [(0, 1.0), (1, -1.0), (3, 1.0)]},
-    (0, 1, 3): {"va": [(4, 1.0)], "vb": [(2, -1.0)],
-                "ab": [(4, 1.0), (2, -1.0)], "ac": [(0, 1.0), (4, 1.0)],
-                "bc": [(0, 1.0), (2, -1.0)],
-                "pure": [(0, 1.0), (2, -1.0), (4, 1.0)]},
-    (0, 2, 3): {"va": [(5, 1.0)], "vb": [(2, -1.0)],
-                "ab": [(5, 1.0), (2, -1.0)], "ac": [(1, 1.0), (5, 1.0)],
-                "bc": [(1, 1.0), (2, -1.0)],
-                "pure": [(1, 1.0), (2, -1.0), (5, 1.0)]},
-    (1, 2, 3): {"va": [(5, 1.0)], "vb": [(4, -1.0)],
-                "ab": [(5, 1.0), (4, -1.0)], "ac": [(3, 1.0), (5, 1.0)],
-                "bc": [(3, 1.0), (4, -1.0)],
-                "pure": [(3, 1.0), (4, -1.0), (5, 1.0)]},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +263,7 @@ def nedelec1_tri(p: int):
     if p == 0:
         return fns
     return fns + _face_lowest_templates(Polytope("cell", (0, 1, 2)), p,
-                                        _tri_cell_index, _N1_TRI_CELL_DATA)
+                                        _tri_cell_index, TRI_EDGES, vb=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +325,7 @@ def nedelec1_tet(p: int):
         return fns
     for f in TET_FACES:
         fns += _face_lowest_templates(Polytope("face", f), p, _TET_FACE_INDEX[f],
-                                      _N1_FACE_DATA[f])
+                                      TET_EDGES)
 
     cell = Polytope("cell", (0, 1, 2, 3))
     ordinal = 0

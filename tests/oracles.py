@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from mmfem import assembly
 from mmfem.assembly import SparseSystem
+from mmfem.bernstein import eval_all
 from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
 from mmfem.dual import seed
 from mmfem.errors import BadIndex, InvalidParam
@@ -132,6 +133,19 @@ def eval_single(p, i, xi):
 def n_basis(p, dim):
     """Number of degree-p Bernstein polynomials on a triangle or tetrahedron."""
     return (p + 1) * (p + 2) // 2 if dim == 2 else (p + 1) * (p + 2) * (p + 3) // 6
+
+
+def edge_traces(space, a):
+    """Tangential traces (na, n) at the edge parameters ``a`` of the base
+    functions on an edge, in closed form: H1 d/dalpha b^p (the two vertex
+    functions first, then the interior ones), N-II b^p, N-I
+    {1, d/dalpha b^{p+1}_m}."""
+    p = space.degree
+    if space.family == "h1":
+        return eval_all(p, a).derivs[:, [0, p] + list(range(1, p))]
+    if space.family == "nedelec2":
+        return eval_all(p, a).values
+    return np.hstack([np.ones((len(a), 1)), eval_all(p + 1, a).derivs[:, 1:p + 1]])
 
 
 def face_dofs(dofmap, f):

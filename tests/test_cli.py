@@ -100,6 +100,18 @@ def test_error_exit_code(tmp_path):
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("args,message", [
+    (("antiplane", "--refine", "-1"), "refine must be >= 0"),
+    (("lc-sweep", "--refine", "-1"), "refine must be >= 0"),
+    (("lc-sweep", "--lc", "0.1,abc"), "'abc'"),
+])
+def test_bad_bench_input_is_a_typed_error(tmp_path, args, message):
+    proc = _bench(*args, "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bench_entry_point(tmp_path):
     # a library error exits 2 with one line on stderr and no traceback; a
     # one-hex cube, whose degree-1 bound systems have no free dofs, runs

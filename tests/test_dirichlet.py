@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from mmfem.assembly import FieldLayout
-from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet, _face_frame
+from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet, _frame, _reference, _rule
 from mmfem.benchmarks import _sweep_groups, sweep_mesh
 from mmfem.bernstein import eval_all
 from mmfem.dofmap import _face_interior_rank, build_dofmap
 from mmfem.mesh import build, generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor, eval_vector_shapes
 from mmfem.simplex import bezier_eval, traversal_order
-from oracles import face_dofs
+from oracles import edge_traces, face_dofs
 
 
 def _layout(mesh, space, n_comps=1, offset=0):
@@ -117,6 +117,28 @@ class TestEdgeH1:
         assert errs[1] < errs[0] and errs[2] < errs[1] and errs[3] < errs[2]
 
 
+class TestEdgeTraces:
+    @pytest.mark.parametrize("family,p", [("h1", 1), ("h1", 3), ("h1", 6),
+                                          ("nedelec1", 0), ("nedelec1", 2),
+                                          ("nedelec2", 1), ("nedelec2", 3)])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_edge_slot_has_the_univariate_traces(self, family, p, dim):
+        # the tangential traces of the functions on an edge slot (vertex
+        # functions first for H1) are the same univariate functions on
+        # every slot: their Gram blocks agree with each other and with
+        # the Gram of the closed-form traces
+        space = SpaceDescriptor(family, p, dim)
+        a, w = _rule(space, 1)
+        trace = edge_traces(space, a[:, 0])
+        expected = (w[:, None] * trace).T @ trace
+        scale = np.abs(expected).max()
+        grams = [gram[0, 0] for _, _, gram, _, _ in _reference(space, 1)]
+        assert len(grams) == (3 if dim == 2 else 6)
+        for gram in grams:
+            assert np.abs(gram - grams[0]).max() <= 1e-14 * scale
+            assert np.abs(gram - expected).max() <= 1e-14 * scale
+
+
 class TestEdgeHcurl:
     def test_unit_edge_mass_matrix(self):
         # N_II p=1 mass matrix on a unit edge is [[1/3,1/6],[1/6,1/3]]
@@ -182,9 +204,9 @@ class TestFaceH1:
                      [[0, 1, 2, 3]])
         # face (0, 2, 3) is the z = 0 plane
         f = [i for i in range(4) if tuple(mesh.faces[i]) == (0, 2, 3)][0]
-        _, xa, g1, g2, tstar, det_t = _face_frame(mesh, f)
-        n = np.cross(g1, g2)
-        assert abs(det_t - float(n @ n)) < 1e-14
+        _, g, _, det_t = _frame(mesh, 2, np.array([f]))
+        n = np.cross(g[0, :, 0], g[0, :, 1])
+        assert abs(det_t[0] - float(n @ n)) < 1e-14
         assert abs(n[0]) < 1e-14 and abs(n[1]) < 1e-14  # normal along z
 
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -196,7 +218,9 @@ class TestFaceH1:
         cons = h1_dirichlet(mesh, layout, [(facets, _quad_u3, _quad_grad3)])
         # the embedded trace must match the quadratic at face points
         for f in facets:
-            (fa, fb, fc), xa, g1, g2, _, _ = _face_frame(mesh, f)
+            fa, fb, fc = mesh.faces[f]
+            xa, g, _, _ = _frame(mesh, 2, np.array([f]))
+            xa, (g1, g2) = xa[0], g[0].T
             rng = np.random.default_rng(f)
             bary = rng.dirichlet(np.ones(3), size=8)
             pts2 = bary[:, 1:]
@@ -264,7 +288,8 @@ class TestFaceHcurl:
         for f in facets:
             # evaluate the constrained field's tangential trace on the face
             cell = int(np.flatnonzero((mesh.cell_faces == f).any(axis=1))[0])
-            (fa, fb, fc), xa, g1, g2, tstar, det_t = _face_frame(mesh, f)
+            fa, fb, fc = mesh.faces[f]
+            g1, g2 = _frame(mesh, 2, np.array([f]))[1][0].T
             rng = np.random.default_rng(0)
             bary = rng.dirichlet(np.ones(3), size=20)
             pts = bary @ mesh.vertices[[fa, fb, fc]]

@@ -57,6 +57,18 @@ def test_degenerate_cell_rejected():
         build([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("n_rings", [0, -2])
+def test_disk_without_rings_rejected(n_rings):
+    with pytest.raises(InvalidParam, match="n_rings"):
+        generate_disk(10.0, n_rings=n_rings)
+
+
+@pytest.mark.parametrize("bounds", [((0, 1),), ((0, 1),) * 4])
+def test_box_needs_two_or_three_axes(bounds):
+    with pytest.raises(InvalidParam, match="2 or 3 axes"):
+        generate_box(bounds, 1)
+
+
 def test_bad_vertex_index():
     with pytest.raises(BadIndex):
         build([[0, 0], [1, 0], [0, 1]], [[0, 1, 7]])
