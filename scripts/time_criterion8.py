@@ -13,7 +13,8 @@ the chain's matrices), and the process's peak RSS (``ru_maxrss``, MB).
 
     PYTHONPATH=src python scripts/time_criterion8.py
 
-About a minute and 1.8 GB of memory on a 2-core machine.
+About 25 s and 1.3 GB of memory on a 2-core machine at its default
+two BLAS threads (the sweep's four factorizations about 10.5 s).
 """
 
 import json

@@ -38,7 +38,7 @@ def eval_all(p: int, xi) -> BernsteinEval:
         raise DomainError(f"degree must be >= 0, got {p}")
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     scalar_in = np.isscalar(xi) or np.asarray(xi).ndim == 0
-    if np.any((xi_arr < 0.0) | (xi_arr > 1.0)):
+    if not np.all((xi_arr >= 0.0) & (xi_arr <= 1.0)):
         raise DomainError("xi outside [0, 1]")
 
     n = xi_arr.shape[0]

@@ -25,47 +25,44 @@ Analysis (``analyse``), once per sparsity pattern:
    (CHOLMOD's default thresholds, ``_RELAX``).
 4. Schedule.  Supernodes are grouped by their height in the tree
    (leaves first) and their front shape: k pivot columns, n front rows,
-   m = n - k update rows.  The extend-add of each group into its
-   parents is planned here: for a small child, the positions of its
-   update rows in its parent's front (relative rows, one index per
-   row); for a large one, runs of consecutive parent rows.  Then the
-   position in the factor of every stored entry (``Symbolic.dst``, in
-   storage order), linear in the new index of its row for a fixed
-   column: found once per supervariable, in the row of its last column,
-   which holds every column that the rows of the others hold.
+   m = n - k update rows; a large front (m > _FLAT_ROWS) is a group of
+   its own.  The extend-add of each group into its parents is planned
+   here: for a small child, the positions of its update rows in its
+   parent's front (relative rows, one index per row); for a large one,
+   runs of consecutive parent rows.  Then the position in the factor of
+   every stored entry (``Symbolic.dst``, in storage order), linear in the
+   new index of its row for a fixed column: found once per supervariable,
+   in the row of its last column, which holds every column that the rows
+   of the others hold.
 
-Numeric factorization: the factor storage holds one (n, k) panel per
-supernode; the stored entries of K are written into it in one scatter,
-``values[dst] = K.data``.  Groups
-run in order of height.  A single front (a group of one supernode) is
-factored in place on its panel: dpotrf for L11, one dtrsm for
-L21 = F21 L11^-T, and dsyrk for V = L21 L21^T.  A batch of fronts goes
-through NumPy's batched Cholesky, inverse and matmul.  V plus the
-children's waiting parts is the negated update matrix; only its entries
-on or below the diagonal are valid, and only those are read.  The
-parts of V in the parents' pivot columns are subtracted from the
-parents' panels at once; the rest waits until the parent has formed its
-own V.  Small update matrices (m <= _FLAT_ROWS) move by flat positions
-that ``factor`` computes from the relative rows and a lower-triangle
-template per m, a piece of children with one parent group at a time;
-their waiting part is a flat copy with its positions.  Larger
-ones move by block pairs of runs of consecutive parent rows.  A child's
-rows that land in its parent's update matrix are its last ones, so only
-a copy of that trailing block waits.  Forward and backward substitution
-run by the same groups.
+Numeric factorization: one (n, k) panel per supernode holds the factor;
+K's stored entries go into it in one scatter, ``values[dst] = K.data``.
+Groups run in order of height.  A single front is factored in place on
+its panel by LAPACK and BLAS-3: dpotrf for L11, L21 = F21 L11^-T by
+dtrtri into a k x k temporary and an in-place dtrmm, and dsyrk for
+V = L21 L21^T (``_front``); a batch of small fronts by NumPy's batched
+Cholesky, inverse and matmul.  V plus the children's waiting parts is
+the negated update matrix, valid and read on and below the diagonal
+only.  Its parts in the parents' pivot columns are subtracted from their
+panels at once; the rest waits until the parent has formed its own V.
+Small update matrices (m <= _FLAT_ROWS) move by flat positions computed
+from the relative rows and a lower-triangle template per m, a piece of
+children of one parent group at a time, and their waiting part is a
+flat copy with its positions.  Larger ones move by block pairs of runs
+of consecutive parent rows; a child's rows that land in its parent's
+update matrix are its last ones, and what waits of them is a staircase:
+per trailing run, a copy of its rows up to the run's end (the pairs on
+and below the diagonal read no more).  Forward and backward
+substitution run by the same groups.
 
 Memory: the factor, ``Symbolic.size`` entries, the sum of n k over the
 supernodes (``nnz`` counts the entries on or below the diagonal); the
 analysis, ``Symbolic.nbytes``: one index per stored entry of K (int32
 below 2^31), the front rows and one index per update row of each small
-child; and while the factor is computed, at most
-``Symbolic.update_peak`` 8-byte words of update storage.
-``analyse`` finds that peak by walking the schedule: the waiting flat
-copies with their positions and the trailing blocks, plus the current
-group's V (before it, a batch's pivot temporaries) and what is copied
-out of it, with a piece's position temporaries, and the templates.  So
-``factor`` holds at most 8 (size + update_peak) bytes
-(``Symbolic.factor_bytes``; Python objects and NumPy's iteration
+child; and while the factor is computed, at most ``Symbolic.update_peak``
+8-byte words of update storage, found by walking the schedule
+(``_update_peak``).  So ``factor`` holds at most 8 (size + update_peak)
+bytes (``Symbolic.factor_bytes``; Python objects and NumPy's iteration
 buffers included), with no gather or copy of K's entries.  The analysis
 itself peaks below nbytes, a fixed term and 24 bytes per stored entry
 of K (``analyse``).
@@ -88,16 +85,15 @@ _CHUNK = 1 << 13
 # the fixed term of the traced peak of ``analyse``
 _FIXED_BYTES = 1 << 20
 # Python objects and NumPy's iteration buffers in ``factor``: per group
-# (a panel view), per waiting part (its tuple, array headers and list)
-# and per run of a waiting trailing block (a tuple of three ints), and
-# in one step: an in-place add of strided blocks buffers its three
-# operands, getbufsize() doubles each (``ufunc.at`` buffers less), with
-# the step's own small objects
-_OBJ_GROUP, _OBJ_PART, _OBJ_RUN = 256, 384, 160
+# (a panel view), per waiting part (its tuple, array headers and lists),
+# per run of a waiting staircase (three ints and a piece), and in one
+# step: an in-place add of strided blocks buffers its three operands,
+# getbufsize() doubles each (``ufunc.at`` less), and small objects
+_OBJ_GROUP, _OBJ_PART, _OBJ_RUN = 256, 384, 352
 _OBJ_STEP = 3 * 8 * np.getbufsize() + (16 << 10)
 # Update matrices of up to _FLAT_ROWS rows move by flat positions,
 # computed in ``factor`` from 4 bytes per row, larger ones by block
-# pairs of runs (one Python step per pair).
+# pairs of runs (one Python step per pair), and their fronts go alone.
 _FLAT_ROWS = 128
 # lower entries per piece of a group's flat extend-adds (about 3 MB of
 # temporaries, counted by _update_peak)
@@ -236,7 +232,7 @@ def _amalgamate(first, last, k, rows, nz, sparent):
 @dataclass
 class _Group:
     """Supernodes of one height and one front shape (k pivot columns, n
-    front rows), stored as a (B, n, k) panel block of the factor.
+    front rows; a large front alone), stored as a (B, n, k) panel block.
 
     The extend-add of its update matrices V (B, m, m) into the parents,
     on and below the diagonal: update matrices up to _FLAT_ROWS rows go
@@ -272,17 +268,18 @@ def _pieces(pgroup, L):
 def _update_peak(groups, pos):
     """Peak bytes of update storage while ``factor`` runs, group by
     group: the pending flat copies (a value and a ``pos``-byte position
-    per entry) and trailing blocks, plus the group's update matrices V
-    (before them, a batch's pivot temporaries: inverse and Cholesky
-    factor, then the product for L21), and while V lives, the copies
-    taken from it and the temporaries of ``_flat_moves``: (4 pos + 1) m
-    + 32 bytes per child, and for one piece of children (2 pos + 17) L
-    each and 8 L, L = m (m + 1) / 2 its lower entries.  Throughout, the
+    per entry) and staircases, plus the group's update matrices V (before
+    them, a batch's pivot temporaries: inverse and Cholesky factor, then
+    the product for L21; a single front's inverse of L11), and while V
+    lives, the copies taken from it and the temporaries of
+    ``_flat_moves``: (4 pos + 1) m + 32 bytes per child, and for one piece
+    of children (2 pos + 17) L each and 8 L, L = m (m + 1) / 2 its lower
+    entries.  Throughout, the
     lower-triangle templates of the small update matrices' sizes: 12 L
     bytes per size.  Python objects and NumPy's buffers: _OBJ_GROUP per
     group, _OBJ_PART per waiting part (a piece of flat copies or a
-    trailing block) and _OBJ_RUN per run of a trailing block, and
-    _OBJ_STEP throughout."""
+    staircase) and _OBJ_RUN per run of a staircase, and _OBJ_STEP
+    throughout."""
     gk = np.asarray([g.k for g in groups])
     pending = [0] * len(groups)
     total = peak = 0
@@ -292,7 +289,7 @@ def _update_peak(groups, pos):
     for g, grp in enumerate(groups):
         B, k, m = len(grp.rows), grp.k, grp.n - grp.k
         V = 8 * B * m * m
-        work = 8 * B * k * max(2 * k, m) if B > 1 else 0
+        work = 8 * B * k * max(2 * k, m) if B > 1 else 8 * k * k * (m > 0)
         peak = max(peak, total + max(V, work))
         total -= pending[g]
         new = temp = 0
@@ -310,12 +307,11 @@ def _update_peak(groups, pos):
             temp = ((4 * pos + 1) * B * m + 32 * B + 8 * L
                     + (2 * pos + 17) * L * min(B, max(1, _PIECE // L)))
         for q, _, _, runs, t in grp.blocks:
-            tail = 0
             if t < len(runs):
-                tail = (8 * (m - runs[t][0]) ** 2 + _OBJ_PART
-                        + _OBJ_RUN * (len(runs) - t))
-            pending[q] += tail
-            new += tail
+                tail = _OBJ_PART + sum(8 * (i1 - i0) * (i1 - runs[t][0])
+                                       + _OBJ_RUN for i0, i1, _ in runs[t:])
+                pending[q] += tail
+                new += tail
         peak = max(peak, total + V + new + temp)
         total += new
     return peak + fixed
@@ -491,13 +487,15 @@ def analyse(K, label=None) -> Symbolic:
             raise FactorizationFailed("symbolic factor misses an entry")
         return qfront[at] + rows - qoff[nodes]
 
-    # groups of one (height, k, n), heights from the leaves up; within
-    # a group the supernodes are sorted by the group of their parent
+    # groups of one (height, k, n), heights from the leaves up, a large
+    # front (m > _FLAT_ROWS) alone; within a group the supernodes are
+    # sorted by the group of their parent
     hl = [0] * S
     for s, p in enumerate(sparent.tolist()):
         if p >= 0 and hl[p] <= hl[s]:
             hl[p] = hl[s] + 1
-    shape = np.stack([hl, k, nrow])
+    shape = np.stack([hl, k, nrow, np.where(nrow - k > _FLAT_ROWS,
+                                            np.arange(1, S + 1), 0)])
     order = np.lexsort(shape[::-1])
     new = np.concatenate([[True], np.any(np.diff(shape[:, order]) != 0,
                                          axis=0)])
@@ -584,7 +582,8 @@ def analyse(K, label=None) -> Symbolic:
 
 
 class Factor:
-    """Numeric supernodal Cholesky factor; ``solve(b)`` solves K x = b.
+    """Numeric supernodal Cholesky factor; ``solve(b)`` solves K x = b
+    for b of shape (n,), or (n, r) column by column.
 
     Group g's panels are ``values[offset:offset + B n k]`` as (B, n, k):
     rows :k hold the pivot block (L11 for a single supernode, its inverse
@@ -601,8 +600,10 @@ class Factor:
                 len(g.rows), g.n, g.k) for g in symbolic.groups]
 
     def solve(self, b):
-        sym = self.symbolic
-        x = np.asarray(b, dtype=float)[sym.perm]
+        sym, b = self.symbolic, np.asarray(b, dtype=float)
+        if b.ndim == 2:
+            return np.array([self.solve(c) for c in b.T]).reshape(b.T.shape).T
+        x = b[sym.perm]
         work = list(zip(sym.groups, self.panels))
         for g, P in work:
             k = g.k
@@ -649,24 +650,23 @@ def _front(P, k):
     if m = n - k = 0."""
     B, n = P.shape[:2]
     if B == 1:
-        # A single front goes through LAPACK and BLAS in place on the
-        # panel's Fortran-order view F = [L11^T, L21^T] (the lower
-        # triangle in C order is the upper one in Fortran order):
-        # dpotrf, L21^T = L11^-1 F21^T by dtrsm, and V's lower triangle
-        # by dsyrk at half the flops of a GEMM.  The batched path below
-        # would form inv(L11) by a general inverse.  On the 3D benchmark
-        # system (15.6 k free dofs, largest front k = 1527; one BLAS
-        # thread of a 2-core VM, four runs each) the numeric factor takes
-        # 0.40-0.56 s this way against 0.84-0.98 s batched only, with
-        # relative residual 2.5e-11; 2D benchmark system: 0.22-0.28 s
-        # against 0.29-0.38 s.
+        # In place on the panel's Fortran-order view F = [L11^T, L21^T]
+        # (C order's lower triangle is Fortran order's upper one): dpotrf;
+        # L21^T = L11^-1 F21^T by dtrtri and an in-place dtrmm, k^3 / 3
+        # flops more than dtrsm but about twice as fast on these panels
+        # (one thread: k = 396, m = 1257 13.7 -> 8.6 ms; k = 291, m = 1239
+        # 9.4 -> 4.4 ms); V's lower triangle by dsyrk.  Numeric factor with
+        # large fronts batched (about 6.5 GF/s) -> alone, one thread: 3D
+        # benchmark system 0.43-0.54 -> 0.35-0.43 s, criterion 8's sweep
+        # system 4.2-4.8 -> 3.5-3.6 s (two threads: 4.8-5.3 -> 2.8-3.2 s).
         F = P[0].T
         _, info = lapack.dpotrf(F[:, :k], lower=0, overwrite_a=1)
         if info:
             _breakdown(k)
         if n == k:
             return None
-        blas.dtrsm(1.0, F[:, :k], F[:, k:], trans_a=1, overwrite_b=1)
+        blas.dtrmm(1.0, lapack.dtrtri(F[:, :k], lower=0)[0], F[:, k:],
+                   trans_a=1, overwrite_b=1)
         return blas.dsyrk(1.0, F[:, k:], trans=1).T[None]
     try:
         P[:, :k] = np.linalg.inv(np.linalg.cholesky(P[:, :k]))
@@ -733,18 +733,18 @@ def _flat_moves(V, grp, gk, gm, values, pending, tril):
 
 def _extend_add(V, children):
     """Add the children's waiting parts into the update matrices V: flat
-    copies at their positions, trailing blocks by pairs of runs (on and
-    below the diagonal).  A function, so that no loop variable keeps a
-    child's part alive."""
+    copies at their positions, staircases by pairs of runs (on and below
+    the diagonal: run a's piece holds the columns of runs 0..a).  A
+    function, so that no loop variable keeps a child's part alive."""
     Vf = V.reshape(-1)
     for item in children:
         if len(item) == 2:
             np.add.at(Vf, *item)
             continue
-        Vc, s, runs = item
-        for a, (i0, i1, q0) in enumerate(runs):
+        pieces, s, runs = item
+        for a, (Vc, (i0, i1, q0)) in enumerate(zip(pieces, runs)):
             for j0, j1, p0 in runs[:a + 1]:
-                V[s, q0:q0 + i1 - i0, p0:p0 + j1 - j0] += Vc[i0:i1, j0:j1]
+                V[s, q0:q0 + i1 - i0, p0:p0 + j1 - j0] += Vc[:, j0:j1]
 
 
 def factor(K, sym=None) -> Factor:
@@ -776,15 +776,15 @@ def factor(K, sym=None) -> Factor:
             _flat_moves(V, grp, gk, gm, values, pending,
                         tril[grp.n - grp.k])
         for q, b, s, runs, t in grp.blocks:
-            # the pairs in the parent's pivot columns now, and a copy of
-            # the trailing block that lands in its update matrix for later
+            # the pairs in the parent's pivot columns now, and for later
+            # the staircase of the trailing rows, per run up to its end
             Pq = factor.panels[q][s]
             for a, (i0, i1, q0) in enumerate(runs):
                 for j0, j1, p0 in runs[:min(a + 1, t)]:
                     Pq[q0:q0 + i1 - i0, p0:p0 + j1 - j0] -= V[b, i0:i1, j0:j1]
             if t < len(runs):
-                c, pk = runs[t][0], sym.groups[q].k
-                pending[q].append((V[b, c:, c:].copy(), s, [
-                    (i0 - c, i1 - c, q0 - pk) for i0, i1, q0 in runs[t:]]))
+                c, pk, tail = runs[t][0], sym.groups[q].k, runs[t:]
+                pending[q].append(([V[b, i0:i1, c:i1].copy() for i0, i1, _ in tail],
+                                   s, [(i0 - c, i1 - c, q0 - pk) for i0, i1, q0 in tail]))
         V = None    # before the next group forms its own
     return factor

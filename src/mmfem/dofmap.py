@@ -103,9 +103,6 @@ class DofMap:
             raise SpaceMismatch("space has no vertex dofs")
         return v
 
-    def edge_dofs(self, e: int) -> np.ndarray:
-        return self.edge_base + self.per_edge * e + np.arange(self.per_edge)
-
 
 def build_dofmap(mesh: Mesh, space: SpaceDescriptor) -> DofMap:
     if space.dim != mesh.dim:

@@ -8,6 +8,7 @@ relations; directly constructed sets are stored as given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParam, SingularLimit
@@ -15,8 +16,9 @@ from .errors import InvalidParam, SingularLimit
 
 def macro_from(mu_e, lam_e, mu_micro, lam_micro):
     """(mu_macro, lam_macro) from meso and micro parameters."""
-    if mu_e + mu_micro <= 0.0:
-        raise SingularLimit("mu_e + mu_micro must be positive")
+    if not mu_e + mu_micro > 0.0:
+        raise SingularLimit(f"mu_e + mu_micro must be positive, got "
+                            f"{mu_e + mu_micro}")
     mu_macro = mu_e * mu_micro / (mu_e + mu_micro)
     he = 2.0 * mu_e + 3.0 * lam_e
     hm = 2.0 * mu_micro + 3.0 * lam_micro
@@ -55,10 +57,14 @@ class MaterialParams:
     lam_macro: float = None
 
     def __post_init__(self):
-        if self.mu_e <= 0.0 or self.mu_micro <= 0.0:
-            raise InvalidParam("mu_e and mu_micro must be positive")
-        if self.mu_c < 0.0 or self.lc < 0.0:
-            raise InvalidParam("mu_c and lc must be non-negative")
+        for name in ("lam_e", "lam_micro", "mu_e", "mu_micro", "mu_c", "lc"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParam(f"{name} must be finite, got {value}")
+            if name in ("mu_e", "mu_micro") and not value > 0.0:
+                raise InvalidParam(f"{name} must be positive, got {value}")
+            if name in ("mu_c", "lc") and not value >= 0.0:
+                raise InvalidParam(f"{name} must be non-negative, got {value}")
         if self.mu_macro is None or self.lam_macro is None:
             mu_macro, lam_macro = macro_from(self.mu_e, self.lam_e,
                                              self.mu_micro, self.lam_micro)

@@ -111,6 +111,10 @@ def build(vertices, cells, tags=None) -> Mesh:
         raise InvalidParam("cells must be (nc, dim+1)")
     if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
         raise BadIndex("cell references vertex outside range")
+    bad = np.flatnonzero(~np.all(np.isfinite(vertices), axis=1))
+    if len(bad):
+        raise InvalidParam(f"vertex {bad[0]} has non-finite coordinates "
+                           f"{vertices[bad[0]].tolist()}")
 
     cells = np.sort(cells, axis=1)
 
@@ -119,7 +123,7 @@ def build(vertices, cells, tags=None) -> Mesh:
     jacs = np.swapaxes(vertices[cells[:, :0:-1]] - x1[:, None], 1, 2).copy()
     dets = np.linalg.det(jacs)
     scale = max(vertices.max(axis=0).max() - vertices.min(axis=0).min(), 1.0)
-    if np.any(np.abs(dets) < 1e-14 * scale ** dim):
+    if not np.all(np.abs(dets) >= 1e-14 * scale ** dim):
         bad = int(np.argmin(np.abs(dets)))
         raise DegenerateCell(f"cell {bad} has |det J| = {abs(dets[bad]):.3e}")
     inv_ts = np.transpose(np.linalg.inv(jacs), (0, 2, 1))
@@ -167,7 +171,7 @@ def _box_axes(bounds, n, dim):
         raise InvalidParam("n must match the number of axes")
     axes = []
     for (lo, hi), spec in zip(bounds, n):
-        if hi <= lo:
+        if not hi > lo:
             raise InvalidParam("box bounds must be increasing")
         if np.isscalar(spec):
             if int(spec) < 1:
@@ -175,9 +179,9 @@ def _box_axes(bounds, n, dim):
             axes.append(np.linspace(lo, hi, int(spec) + 1))
         else:
             pts = np.asarray(spec, dtype=float)
-            if pts.ndim != 1 or len(pts) < 2 or np.any(np.diff(pts) <= 0):
+            if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) > 0):
                 raise InvalidParam("axis breakpoints must be increasing")
-            if abs(pts[0] - lo) > 1e-12 or abs(pts[-1] - hi) > 1e-12:
+            if not (abs(pts[0] - lo) <= 1e-12 and abs(pts[-1] - hi) <= 1e-12):
                 raise InvalidParam("axis breakpoints must span the bounds")
             axes.append(pts)
     return axes, tuple(len(a) - 1 for a in axes)
@@ -273,10 +277,10 @@ def generate_disk(radius: float, target_h: float = None, n_rings: int = None) ->
     the tag "boundary".  Either ``target_h`` or ``n_rings`` selects the
     resolution.
     """
-    if radius <= 0.0:
-        raise InvalidParam("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise InvalidParam(f"radius must be positive and finite, got {radius}")
     if n_rings is None:
-        if target_h is None or target_h <= 0.0:
+        if target_h is None or not target_h > 0.0:
             raise InvalidParam("need target_h > 0 or n_rings")
         n_rings = max(1, int(np.ceil(radius / target_h)))
     if n_rings < 1:

@@ -120,7 +120,7 @@ def rule_for(dim: int, degree: int) -> QuadratureRule:
     if table is not None:
         simplex_pts = np.asarray(table[0], dtype=float)
         weights = np.asarray(table[1], dtype=float)
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):
             raise UnsupportedDegree("tabulated rule with non-positive weight rejected")
     else:
         points, weights = _tensor_rule(dim, degree)

@@ -11,22 +11,22 @@ There is one solve path, the walk of ``solve_family`` over the values c
 of K(c) = A + c C (the lc sweep: C curl-curl, c = mu_macro lc^2; the
 Cauchy bounds: C div-div, c = lam / mu); ``solve`` is the walk at one
 value, and a system without ``c_matrix`` is its own K(c) for every c.
-The walk checks its input once, at its entry (else InvalidParam):
-``matrix`` canonical CSR with no entry above the diagonal, ``c_matrix``
-on its ``indptr`` and ``indices``, one ``lift`` row per matrix.  It goes
-in ascending c.  The first value is factored by the supernodal Cholesky
-of ``cholesky`` straight from the triangle's data and solved once; each
-later one runs CG preconditioned by the current factor from the
-previous solution, and all factorizations share one analysis.  A
-completed Cholesky certifies K(c) SPD; a matrix it rejects is factored
-by SuperLU's LU instead and reported not SPD.  The walk needs K at the
-smallest c SPD and C positive semidefinite, c of any sign: after an SPD
-factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  It factors again
-at a value whose CG fails or misses the tolerance, and ahead of time
-after a CG that used more than half of PCG_BUDGET.  Every solution
-meets relative residual RESIDUAL_TOL against its own matrix, or the walk
-raises: Cholesky is backward stable, so a larger residual is the
-conditioning's, which a correction step in working precision cannot
+The walk checks its input once, at its entry (else InvalidParam): finite
+coefficients, ``matrix`` canonical CSR with no entry above the diagonal,
+``c_matrix`` on its ``indptr`` and ``indices``, one ``lift`` row per
+matrix.  It goes in ascending c.  The first value is factored by the
+supernodal Cholesky of ``cholesky`` straight from the triangle's data
+and solved once; each later one runs CG preconditioned by the current
+factor from the previous solution, and all factorizations share one
+analysis.  A completed Cholesky certifies K(c) SPD; a matrix it rejects
+is factored by SuperLU's LU instead and reported not SPD.  The walk needs
+K at the smallest c SPD and C positive semidefinite, c of any sign:
+after an SPD factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  It
+factors again at a value whose CG fails or misses the tolerance, and
+ahead of time after a CG that used more than half of PCG_BUDGET.  Every
+solution meets relative residual RESIDUAL_TOL against its own matrix, or
+the walk raises: Cholesky is backward stable, so a larger residual is
+the conditioning's, which a correction step in working precision cannot
 lower (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 2002, sections 10.1, 12.1).  The K x_f of the residual check gives the energy.
 Memory: the triangles and one K(c) data array
@@ -148,7 +148,7 @@ def _direct(K, Kx, rhs, symbolic, require_spd):
     xf = lu.solve(rhs)
     kx = Kx(xf)
     res = _relative_residual(kx, rhs)
-    if res > RESIDUAL_TOL:
+    if not res <= RESIDUAL_TOL:     # a NaN residual fails too
         raise NonConvergence(f"relative residual {res:.2e} > {RESIDUAL_TOL} "
                              f"on {len(rhs)} free dofs")
     return xf, kx, lu, spd, {
@@ -200,6 +200,10 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
     """
     A, C = system.matrix, system.c_matrix
     mats = [A] if C is None else [A, C]
+    bad = [c for c in np.asarray(coeffs, dtype=float).ravel()
+           if not np.isfinite(c)]
+    if bad:
+        raise InvalidParam(f"coefficient {bad[0]} is not finite")
     if len(system.lift) != len(mats):
         raise InvalidParam(f"expected {len(mats)} lift rows (one per "
                            f"matrix), got {len(system.lift)}")

@@ -148,6 +148,11 @@ def edge_traces(space, a):
     return np.hstack([np.ones((len(a), 1)), eval_all(p + 1, a).derivs[:, 1:p + 1]])
 
 
+def edge_dofs(dofmap, e):
+    """The interior dofs of edge e."""
+    return dofmap.edge_base + dofmap.per_edge * e + np.arange(dofmap.per_edge)
+
+
 def face_dofs(dofmap, f):
     """The interior dofs of face f in a 3D dofmap."""
     return dofmap.face_base + dofmap.per_face * f + np.arange(dofmap.per_face)

@@ -86,6 +86,8 @@ def test_domain_error():
         eval_all(2, -0.01)
     with pytest.raises(DomainError):
         eval_all(2, 1.01)
+    with pytest.raises(DomainError):
+        eval_all(2, [0.5, np.nan])
 
 
 def test_derivatives_match_closed_form_derivative():

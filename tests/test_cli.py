@@ -104,6 +104,10 @@ def test_error_exit_code(tmp_path):
     (("antiplane", "--refine", "-1"), "refine must be >= 0"),
     (("lc-sweep", "--refine", "-1"), "refine must be >= 0"),
     (("lc-sweep", "--lc", "0.1,abc"), "'abc'"),
+    (("lc-sweep", "--p", "0", "--bound-degree", "1", "--lc", "nan"),
+     "coefficient nan is not finite"),
+    (("lc-sweep", "--p", "0", "--bound-degree", "1", "--lc", "1,inf"),
+     "coefficient inf is not finite"),
 ])
 def test_bad_bench_input_is_a_typed_error(tmp_path, args, message):
     proc = _bench(*args, "--out", str(tmp_path))

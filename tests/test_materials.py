@@ -67,6 +67,29 @@ def test_validation():
                        mu_c=-0.1, lc=0.0)
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("mu_e", np.nan, "mu_e must be finite, got nan"),
+    ("mu_micro", np.nan, "mu_micro must be finite, got nan"),
+    ("mu_c", np.nan, "mu_c must be finite, got nan"),
+    ("lc", np.nan, "lc must be finite, got nan"),
+    ("lam_e", np.inf, "lam_e must be finite, got inf"),
+    ("mu_micro", 0.0, "mu_micro must be positive, got 0.0"),
+    ("lc", -1.0, "lc must be non-negative, got -1.0"),
+])
+def test_validation_names_the_value(name, value, message):
+    # every check fails closed: NaN raises like any other bad value
+    fields = dict(lam_e=0.0, mu_e=1.0, lam_micro=0.0, mu_micro=1.0,
+                  mu_c=0.0, lc=0.0)
+    fields[name] = value
+    with pytest.raises(InvalidParam, match=message):
+        MaterialParams(**fields)
+
+
+def test_macro_from_rejects_nan():
+    with pytest.raises(SingularLimit, match="got nan"):
+        macro_from(np.nan, 0.0, 1.0, 0.0)
+
+
 class TestTensorActions:
     def test_identity(self):
         out = apply_isotropic(0.0, 1.0, np.eye(3))

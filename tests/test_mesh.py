@@ -69,6 +69,28 @@ def test_box_needs_two_or_three_axes(bounds):
         generate_box(bounds, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_rejected(bad):
+    # a NaN coordinate would give NaN determinants that no tolerance test
+    # rejects
+    with pytest.raises(InvalidParam, match="vertex 2 has non-finite"):
+        build([[0, 0], [1, 0], [0, bad]], [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0])
+def test_disk_radius_rejected(radius):
+    with pytest.raises(InvalidParam, match=f"radius .* got {radius}"):
+        generate_disk(radius, n_rings=2)
+
+
+@pytest.mark.parametrize("bounds,n", [(((0, np.nan), (0, 1)), 2),
+                                      (((0, 1), (0, 1)), (2, [0.0, np.nan, 1.0])),
+                                      (((0, 1), (0, 1)), (2, [np.nan, 0.5, 1.0]))])
+def test_box_rejects_nan(bounds, n):
+    with pytest.raises(InvalidParam):
+        generate_box(bounds, n)
+
+
 def test_bad_vertex_index():
     with pytest.raises(BadIndex):
         build([[0, 0], [1, 0], [0, 1]], [[0, 1, 7]])

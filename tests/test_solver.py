@@ -255,6 +255,19 @@ def test_walk_checks_its_input():
                                atol=1e-12)
 
 
+def test_walk_fails_closed_on_nan():
+    # a non-finite coefficient is refused at the walk's entry, and a NaN
+    # residual fails the residual certificate
+    from mmfem.errors import InvalidParam, NonConvergence
+    from mmfem.solver import solve_family
+    K = np.array([[4.0, 1.0], [1.0, 3.0]])
+    for c in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParam, match=f"coefficient {c} is not finite"):
+            solve_family(_toy_system(K, [1.0, 1.0]), [0.0, c])
+    with pytest.raises(NonConvergence, match="nan"):
+        solve(_toy_system(K, [np.nan, 1.0]))
+
+
 def test_sample_line_without_p_field():
     from mmfem.benchmarks import cauchy_system, sweep_mesh
     from mmfem.solver import solve_family
@@ -490,6 +503,37 @@ def test_cholesky_large_fronts():
     assert any(0 < t < len(runs) and groups[q].n > groups[q].k
                for g in groups for q, _, _, runs, t in g.blocks)
     _check_against_dense(K)
+
+
+def test_cholesky_large_fronts_alone():
+    # two copies of the large-front matrix have equal large fronts at
+    # one height, which one batch would hold: each is a group of its own
+    # (the LAPACK path), and small fronts are still batched
+    from mmfem import cholesky
+    K = sp.block_diag([_large_fronts()] * 2, format="csc")
+    groups = cholesky.analyse(sp.tril(K, format="csr")).groups
+    large = [g for g in groups if g.n - g.k > cholesky._FLAT_ROWS]
+    assert len(large) >= 2 and all(len(g.rows) == 1 for g in large)
+    assert any(len(g.rows) > 1 for g in groups)
+    # a staircase of more than one trailing run waits for a parent
+    assert any(len(runs) - t > 1 and groups[q].n > groups[q].k
+               for g in groups for q, _, _, runs, t in g.blocks)
+    _check_against_dense(K)
+
+
+def test_cholesky_solve_blocks():
+    # an (n, r) block is solved column by column: each column is bitwise
+    # the solve of that column alone
+    from mmfem import cholesky
+    K = _large_fronts()
+    F = cholesky.factor(sp.tril(K, format="csr"))
+    B = np.random.default_rng(3).standard_normal((K.shape[0], 3))
+    X = F.solve(B)
+    assert X.shape == B.shape
+    for j in range(3):
+        assert np.array_equal(X[:, j], F.solve(B[:, j]))
+    assert F.solve(B[:, :1]).shape == (K.shape[0], 1)
+    assert F.solve(B[:, :0]).shape == (K.shape[0], 0)
 
 
 def test_cholesky_flat_pieces_with_different_t(monkeypatch):
