@@ -5,20 +5,20 @@ Piola), the 2D rot by 1/det J and the 3D curl by J/det J, so with
 constant moduli an element matrix is a linear combination of reference
 Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
 2006), cached per form, spaces and rule (n_terms nb^2 doubles, n_terms 9
-or 27).  One chunked driver embeds the Dirichlet data, then forms a
-chunk's element matrices by one GEMM of per-cell coefficients with them
-and adds the local lower half of Y + Y^T, exactly symmetric, into the
-lower triangle of the CSR ``Pattern`` of the free dofs, built once from
-the node-major cell dofs (``FieldLayout``): every matrix is stored as
-the entries on or below its diagonal.  Entries in a constrained row or
-column go to a spare slot that is dropped, and the element matrices give
-the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
+or 27).  One chunked driver embeds the system's one Dirichlet datum,
+then forms a chunk's element matrices by one GEMM of per-cell
+coefficients with them and adds the local lower half of Y + Y^T, exactly
+symmetric, into the lower triangle of the CSR ``Pattern`` of the free
+dofs, built once from the node-major cell dofs (``FieldLayout``): every
+matrix is stored as the entries on or below its diagonal.  Entries in a
+constrained row or column go to a spare slot that is dropped, and the
+element matrices give the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
 distribute_local_to_global; Bangerth, Hartmann & Kanschat, ACM TOMS 33,
 2007): no matrix on all dofs exists.  Memory beside the triangles, the
 lifts, the constrained values and the pattern: the positions of the
 lower element scalar entries, found once (4 bytes each), then per chunk
-Y of all matrices (at most _CHUNK_NNZ doubles) and one matrix's lower
-half and its positions (8 + 4 bytes per entry of the half).
+Y of all matrices (at most mesh._CHUNK_NNZ doubles) and one matrix's
+lower half and its positions (8 + 4 bytes per entry of the half).
 """
 
 from __future__ import annotations
@@ -30,39 +30,15 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from . import dirichlet
 from .cholesky import _ranges, _supervariables
-from .dofmap import DofMap, build_dofmap
+from .dofmap import FieldLayout, build_dofmap
 from .errors import InvalidParam, SpaceMismatch
 from .materials import MaterialParams
-from .mesh import Mesh
+from .mesh import Mesh, _chunks
 from .nedelec import SpaceDescriptor, eval_vector_shapes
 from .quadrature import rule_for
 from .simplex import bezier_eval
-
-_CHUNK_NNZ = 2_000_000
-
-
-@dataclass
-class FieldLayout:
-    """One physical field inside the global dof vector, numbered node-major:
-    component r of scalar dof i is global dof offset + n_comps i + r."""
-
-    name: str
-    space: SpaceDescriptor
-    dofmap: DofMap
-    n_comps: int          # components (vector H1) or tensor rows (H(curl))
-    offset: int
-
-    def dofs(self, comp, scalar):
-        """Global dofs of components ``comp`` of scalar dofs ``scalar``
-        (broadcast)."""
-        return self.offset + self.n_comps * np.asarray(scalar) + comp
-
-    def cell_dofs(self, cells=slice(None)):
-        """Global dofs (nc, n_comps, n_local) of a cell chunk."""
-        return self.dofs(np.arange(self.n_comps)[:, None],
-                         self.dofmap.cell_dofs[cells][:, None, :])
-
 
 @dataclass
 class SparseSystem:
@@ -192,14 +168,6 @@ def _layouts(mesh, spaces, n_comps):
 # ---------------------------------------------------------------------------
 # chunked driver
 
-def _chunks(n_cells, per_cell):
-    """Cell slices whose temporaries hold at most _CHUNK_NNZ entries,
-    ``per_cell`` being the largest per-cell temporary."""
-    size = max(1, _CHUNK_NNZ // per_cell)
-    for start in range(0, n_cells, size):
-        yield slice(start, min(start + size, n_cells))
-
-
 def _weights(mesh, rule, cells):
     return rule.weights * np.abs(mesh.dets[cells])[:, None]
 
@@ -225,20 +193,20 @@ def _project(w, fv, vals):
     return (a @ b.reshape(len(w), a.shape[2], -1)).transpose(0, 2, 1)
 
 
-def _constraints(mesh, fields, groups, coupled):
+def _constraints(mesh, fields, data, coupled):
     """Free-dof mask and constrained values (zero at the free dofs) of the
-    Dirichlet data ``groups``, (facet_ids, ufunc, gradfunc), embedded in
-    u and, if ``coupled``, by the consistent coupling condition in p."""
-    from .dirichlet import h1_dirichlet, hcurl_dirichlet    # imports this module
-    cons = h1_dirichlet(mesh, fields["u"], groups)
-    if coupled:
-        cons.update(hcurl_dirichlet(mesh, fields["p"],
-                                    [(facets, gf) for facets, _, gf in groups]))
+    Dirichlet datum ``data``, (facet_ids, ufunc, gradfunc) or None,
+    embedded in u and, if ``coupled``, by the consistent coupling
+    condition in p."""
     n = sum(fl.n_comps * fl.dofmap.n_dofs for fl in fields.values())
     free, x_con = np.ones(n, dtype=bool), np.zeros(n)
-    con = np.fromiter(cons, dtype=np.int64, count=len(cons))
-    free[con] = False
-    x_con[con] = np.fromiter(cons.values(), dtype=float, count=len(cons))
+    if data is not None:
+        facets, ufunc, gradfunc = data
+        cons = [dirichlet.h1_dirichlet(mesh, fields["u"], facets, ufunc, gradfunc)]
+        if coupled:
+            cons.append(dirichlet.hcurl_dirichlet(mesh, fields["p"], facets, gradfunc))
+        for dofs, values in cons:
+            free[dofs], x_con[dofs] = False, values
     return free, x_con
 
 
@@ -390,12 +358,12 @@ class Pattern:
 
 
 def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1,
-              dirichlet=(), coupled=True):
+              dirichlet=None, coupled=True):
     """System of element matrices K[r, a, s, b] = Y[r, s, a, b] + Y[s, r,
     b, a], Y = coeffs(|det J|^(1/2) J^{-T}, J, |det J|) @ ref on a chunk
     (``matrix``, ``c_matrix`` if n_mats = 2), and the load vector of
     ``loads``, (field, reference table, callback or None), on the free
-    dofs of the Dirichlet data ``dirichlet`` (``_constraints``), with the
+    dofs of the Dirichlet datum ``dirichlet`` (``_constraints``), with the
     lifts from one matmul over the (k, k, nb, nb) blocks.  The matrices
     share one CSR pattern of lower triangles (``Pattern``), every
     coupling through a cell, also where its sum over cells vanishes:
@@ -472,12 +440,12 @@ def _iso(S, diag, swap, trace):
 
 def assemble_antiplane(mesh: Mesh, params: MaterialParams,
                        u_space: SpaceDescriptor, p_space: SpaceDescriptor,
-                       f=None, m=None, dirichlet=()) -> SparseSystem:
+                       f=None, m=None, dirichlet=None) -> SparseSystem:
     """System for the antiplane form
     mu_e <grad u - p, grad du - dp> + mu_micro <p, dp>
     + mu_macro lc^2 rot p rot dp  -  (f, du) - (m, dp) under the
-    Dirichlet groups ``dirichlet``, (facet_ids, ufunc, gradfunc); the
-    coupling condition enters p through the curvature term, so lc > 0.
+    Dirichlet datum ``dirichlet``, (facet_ids, ufunc, gradfunc) or None;
+    the coupling condition enters p through the curvature term, so lc > 0.
     """
     if mesh.dim != 2 or u_space.dim != 2 or p_space.dim != 2:
         raise SpaceMismatch("antiplane model is two-dimensional")
@@ -504,10 +472,10 @@ def assemble_antiplane(mesh: Mesh, params: MaterialParams,
 def assemble_full3d(mesh: Mesh, params: MaterialParams,
                     u_space: SpaceDescriptor, p_space: SpaceDescriptor,
                     f=None, M=None, split_curl: bool = False,
-                    dirichlet=()) -> SparseSystem:
+                    dirichlet=None) -> SparseSystem:
     """System for the relaxed micromorphic form with [H1]^3 displacement
     and one H(curl) space per microdistortion row (row-wise Curl) under
-    the Dirichlet groups ``dirichlet`` (in P by the coupling condition).
+    the Dirichlet datum ``dirichlet`` (in P by the coupling condition).
 
     With ``split_curl`` the curl-curl part is kept as a separate matrix
     with unit coefficient so characteristic-length sweeps can recombine
@@ -542,11 +510,11 @@ def assemble_full3d(mesh: Mesh, params: MaterialParams,
 
 
 def assemble_cauchy3d(mesh: Mesh, u_space: SpaceDescriptor, f=None,
-                      dirichlet=()) -> SparseSystem:
+                      dirichlet=None) -> SparseSystem:
     """Classical linear elasticity for the lc energy bounds, split by
     modulus: ``matrix`` S is its mu = 1 part and ``c_matrix`` D its
     lam = 1 (div-div) part, so moduli (lam, mu) give mu S + lam D; under
-    the Dirichlet groups ``dirichlet``."""
+    the Dirichlet datum ``dirichlet``."""
     if mesh.dim != 3 or u_space.dim != 3 or u_space.family != "h1":
         raise SpaceMismatch("cauchy3d needs a 3D H1 space")
     qd = 2 * u_space.degree

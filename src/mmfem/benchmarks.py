@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import (assemble_antiplane, assemble_cauchy3d, assemble_full3d,
                        l2_error_h1, l2_error_hcurl, rot_l2_norm)
-from .errors import InvalidParam
+from .errors import InvalidParam, ParseError
 from .materials import MaterialParams
 from .mesh import generate_box, generate_disk, io_read
 from .nedelec import SpaceDescriptor
@@ -43,6 +43,9 @@ class BenchConfig:
             raise InvalidParam("polynomial order too low for family")
         if self.refine < 0:
             raise InvalidParam(f"refine must be >= 0, got {self.refine}")
+        if self.mesh_path is not None and self.refine > 0:
+            raise InvalidParam("a mesh file is used as given: refine must be 0, "
+                               f"got {self.refine}")
 
     def material_override(self, default: MaterialParams) -> MaterialParams:
         """Parameters from the JSON config, falling back to the default.
@@ -55,13 +58,23 @@ class BenchConfig:
             return default
         import json
         with open(self.params_path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{self.params_path}: invalid JSON at line "
+                                 f"{exc.lineno}: {exc.msg}") from None
+        if not isinstance(data, dict):
+            raise ParseError(f"{self.params_path}: not a JSON object")
         fields = {k: getattr(default, k) for k in
                   ("lam_e", "mu_e", "lam_micro", "mu_micro", "mu_c", "lc",
                    "mu_macro", "lam_macro")}
         unknown = set(data) - set(fields)
         if unknown:
             raise InvalidParam(f"unknown material keys {sorted(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidParam(f"material key {key!r} must be a number, "
+                                   f"got {value!r}")
         fields.update(data)
         if (set(data) & {"lam_e", "mu_e", "lam_micro", "mu_micro"}
                 and not set(data) & {"mu_macro", "lam_macro"}):
@@ -110,7 +123,7 @@ def solve_antiplane(mesh, params, p, family, ufunc=anti_exact_u,
     p_space = SpaceDescriptor(family, p, 2)
     return solve(assemble_antiplane(
         mesh, params, u_space, p_space, f=f, m=m,
-        dirichlet=[(mesh.tagged_facets(tag), ufunc, gradfunc)]))
+        dirichlet=(mesh.tagged_facets(tag), ufunc, gradfunc)))
 
 
 def run_antiplane(cfg: BenchConfig):
@@ -121,7 +134,7 @@ def run_antiplane(cfg: BenchConfig):
 
     def one(level):
         rings = base_rings * 2 ** level
-        mesh = (io_read(cfg.mesh_path) if cfg.mesh_path and levels == 1
+        mesh = (io_read(cfg.mesh_path) if cfg.mesh_path
                 else generate_disk(10.0, n_rings=rings))
         sol = solve_antiplane(mesh, params, cfg.p, cfg.family)
         uf, pf = sol.system.fields["u"], sol.system.fields["p"]
@@ -219,7 +232,7 @@ def solve_bending(mesh, p, family, params=None):
     p_space = SpaceDescriptor(family, p, 3)
     facets = np.concatenate([mesh.tagged_facets("x-"), mesh.tagged_facets("x+")])
     system = assemble_full3d(mesh, params, u_space, p_space,
-                             dirichlet=[(facets, bending_u, bending_grad_u)])
+                             dirichlet=(facets, bending_u, bending_grad_u))
     return solve(system, require_spd=True)
 
 
@@ -258,8 +271,9 @@ def sweep_params(lc):
 
 
 def sweep_u(x):
-    """Dirichlet displacement of the cube benchmark; each face pair
-    carries one nonzero component, all zero on the cube edges."""
+    """Dirichlet displacement of the cube benchmark: on the faces normal
+    to axis i only component i is nonzero, and all vanish on the cube
+    edges, so the whole boundary takes it as one datum."""
     x = np.atleast_2d(x)
     u = np.zeros((len(x), 3))
     u[:, 0] = (1.0 - x[:, 1] ** 2) * np.sin(np.pi * (1.0 - x[:, 2] ** 2)) / 10.0
@@ -285,33 +299,8 @@ def sweep_grad_u(x):
     return g
 
 
-_FACE_COMP = {"x-": 0, "x+": 0, "y-": 1, "y+": 1, "z-": 2, "z+": 2}
-
-
-def _sweep_face_funcs(comp):
-    """Dirichlet data of the faces normal to axis ``comp``: ``sweep_u``
-    and ``sweep_grad_u`` with every other component set to zero."""
-    keep = np.arange(3) == comp
-
-    def ufunc(x):
-        return np.where(keep, sweep_u(x), 0.0)
-
-    def gradfunc(x):
-        return np.where(keep[:, None], sweep_grad_u(x), 0.0)
-
-    return ufunc, gradfunc
-
-
 def sweep_mesh(refine=0):
     return generate_box(((-1.0, 1.0),) * 3, 2 * 2 ** refine)
-
-
-def _sweep_groups(mesh):
-    groups = []
-    for tag, comp in _FACE_COMP.items():
-        uf, gf = _sweep_face_funcs(comp)
-        groups.append((mesh.tagged_facets(tag), uf, gf))
-    return groups
 
 
 def default_lc_grid():
@@ -321,7 +310,7 @@ def default_lc_grid():
 def cauchy_system(mesh, degree):
     """``assemble_cauchy3d`` under the sweep Dirichlet data."""
     return assemble_cauchy3d(mesh, SpaceDescriptor("h1", degree, 3),
-                             dirichlet=_sweep_groups(mesh))
+                             dirichlet=(mesh.boundary_facets, sweep_u, sweep_grad_u))
 
 
 def _stage_sums(infos):
@@ -351,7 +340,7 @@ def sweep_system(mesh, params, p, family):
     u_space = SpaceDescriptor("h1", p + 1, 3)
     p_space = SpaceDescriptor(family, p, 3)
     return assemble_full3d(mesh, params, u_space, p_space, split_curl=True,
-                           dirichlet=_sweep_groups(mesh))
+                           dirichlet=(mesh.boundary_facets, sweep_u, sweep_grad_u))
 
 
 def run_lc_sweep(cfg: BenchConfig):

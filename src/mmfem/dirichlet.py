@@ -1,9 +1,11 @@
 """Hierarchical embedding of Dirichlet data.
 
-One call per field: ``h1_dirichlet`` or ``hcurl_dirichlet`` takes the
-field's ``assembly.FieldLayout`` (dofmap, components, offset) and returns
-the global {dof: value} dict, from which the assembler leaves the
-constrained dofs out of the system.
+A system has one Dirichlet datum: the boundary facets and the callbacks
+of the prescribed displacement u~ (and its gradient).  One call per
+field: ``h1_dirichlet`` or ``hcurl_dirichlet`` takes the field's
+``dofmap.FieldLayout`` (dofmap, components, offset) and that datum and
+returns the constrained global dofs and their values, two arrays, which
+the assembler leaves out of the system.
 
 Vertices are evaluated directly.  Edges and faces are one projection,
 parametrized by the entity rank: on each entity the tangential traces of
@@ -17,16 +19,16 @@ The H(curl) projections realize the consistent coupling condition: the
 tangential trace of the microdistortion row is matched to the tangential
 part of the prescribed displacement gradient.
 
-Every map is affine, so each level runs batched, once per facet group
-for all of its entities and components: one callback call on all of the
-level's points, one batched solve, and the known dofs moved to the
-right-hand side by one gather.  An entity's matrix is
+Every map is affine, so each level runs batched for all of its entities
+and components: one callback call on all of the level's points, one
+batched solve, and the known dofs moved to the right-hand side by one
+gather.  An entity's matrix is
 sqrt(det) sum_de M[d, e] G^de (+ the rot Gram block / sqrt(det) on an
 H(curl) face), with M the metric of its dual tangents (t / |t|^2 on an
 edge, the mixed frame inv([g1, g2, n])^T on a face) and G^de reference
 Gram blocks of the traces on the entity's slot in its owning cell.
 Memory: levels run in entity chunks whose temporaries hold at most
-assembly's _CHUNK_NNZ (2 M) entries, beside one (n_comps, n_dofs) array
+mesh._CHUNK_NNZ (2 M) entries, beside one (n_comps, n_dofs) array
 of the values.
 """
 
@@ -36,10 +38,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assembly import FieldLayout, _chunks
-from .dofmap import local_entities
+from .dofmap import FieldLayout, local_entities
 from .errors import DegenerateFace, SingularEdge
-from .mesh import Mesh
+from .mesh import Mesh, _chunks
 from .nedelec import SpaceDescriptor, eval_vector_shapes
 from .quadrature import _gauss01, rule_for
 from .simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES, TRI_VERTICES,
@@ -48,48 +49,35 @@ from .simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES, TRI_VERTICE
 _GAUSS_FLOOR = 24   # headroom for oscillatory boundary data on coarse meshes
 
 
-def _entities(mesh, facet_groups):
-    """Per entity rank (0 vertices, 1 edges, 2 faces in 3D): the entities
-    of the facet groups in order of first touch and the group owning
-    each, the first that touches it."""
-    facets = [np.asarray(f, dtype=np.int64).reshape(-1) for f in facet_groups]
-    group = np.repeat(np.arange(len(facets)), [len(f) for f in facets])
-    facets = np.concatenate(facets or [np.zeros(0, np.int64)])
+def _entities(mesh, facets):
+    """Per entity rank (0 vertices, 1 edges, 2 faces in 3D): the sorted
+    unique entities of the facets."""
+    facets = np.asarray(facets, dtype=np.int64).reshape(-1)
     fv = mesh.facet_vertices(facets)
-    touched = {0: fv, 1: facets[:, None]}
+    touched = [fv, facets]
     if mesh.dim == 3:
-        touched[1] = mesh.edge_ids(fv[:, [0, 0, 1]], fv[:, [1, 2, 2]])
-        touched[2] = facets[:, None]
-    out = {}
-    for rank, ids in touched.items():
-        owner = np.repeat(group, ids.shape[1])
-        _, first = np.unique(ids.ravel(), return_index=True)
-        first.sort()
-        out[rank] = ids.ravel()[first], owner[first]
-    return out
+        touched[1:] = [mesh.edge_ids(fv[:, [0, 0, 1]], fv[:, [1, 2, 2]]), facets]
+    return [np.unique(ids) for ids in touched]
 
 
-def _per_comp(rows, comps):
-    """Callback rows (n, k, ...) as (n, len(comps), ...): column c for
-    component c, or the one column for every component."""
-    return rows[:, comps if rows.shape[1] > 1 else np.zeros_like(comps)]
-
-
-def _gradients(gradfunc, pts, comps):
-    """gradfunc at the points (..., dim) as (..., len(comps), dim)."""
+def _gradients(gradfunc, pts, n_comps):
+    """gradfunc at the points (..., dim) as (..., n_comps, dim), stored one
+    component after another: the rounding of the einsums that read it
+    depends on that memory layout."""
     flat = pts.reshape(-1, pts.shape[-1])
-    rows = np.asarray(gradfunc(flat), dtype=float).reshape(len(flat), -1, flat.shape[1])
-    return _per_comp(rows, comps).reshape(pts.shape[:-1] + (len(comps), flat.shape[1]))
+    rows = np.asarray(gradfunc(flat), dtype=float).reshape(len(flat), n_comps, -1)
+    rows = np.ascontiguousarray(rows.swapaxes(0, 1)).swapaxes(0, 1)
+    return rows.reshape(pts.shape[:-1] + rows.shape[1:])
 
 
 # ---------------------------------------------------------------------------
 # levels: each fixes the dofs of a batch of entities in x (n_comps, n_dofs)
 # and returns them, (n_entities, dofs per entity)
 
-def _vertices(mesh, dofmap, _rank, verts, ufunc, x, comps):
-    rows = np.asarray(ufunc(mesh.vertices[verts]), dtype=float).reshape(len(verts), -1)
+def _vertices(mesh, dofmap, _rank, verts, ufunc, x):
+    rows = np.asarray(ufunc(mesh.vertices[verts]), dtype=float)
     dofs = dofmap.vertex_dof(verts)[:, None]
-    x[:, dofs[:, 0]] = _per_comp(rows, comps).T
+    x[:, dofs[:, 0]] = rows.reshape(len(verts), len(x)).T
     return dofs
 
 
@@ -176,7 +164,7 @@ def _frame(mesh, rank, ids):
     return xa, g, dual[..., :2], det
 
 
-def _project(mesh, dofmap, rank, ids, gradfunc, x, comps):
+def _project(mesh, dofmap, rank, ids, gradfunc, x):
     """Surface H1 / H(rot) problem of each edge (rank 1) or face (rank 2)
     for its own dofs: the tangential trace of grad u~ matched in L2, the
     lower-rank dofs moved to the right-hand side.  Fixes the interior
@@ -186,14 +174,14 @@ def _project(mesh, dofmap, rank, ids, gradfunc, x, comps):
     slots = np.argmax((mesh.cell_edges, mesh.cell_faces)[rank - 1][cells]
                       == ids[:, None], axis=1)
     pts = _rule(dofmap.space, rank)[0]
-    grads = _gradients(gradfunc, xa[:, None] + np.einsum("qe,nde->nqd", pts, g), comps)
+    grads = _gradients(gradfunc, xa[:, None] + np.einsum("qe,nde->nqd", pts, g), len(x))
     gt = np.einsum("nde,nqcd->nqce", dual, grads)
     sq = np.sqrt(det)[:, None, None]
     metric = sq * np.einsum("nde,ndg->neg", dual, dual)
     refs = _reference(dofmap.space, rank)
     n, nk = len(refs[0][0]), refs[0][1]
     k = np.empty((len(ids), n, n))
-    rhs = np.empty((len(ids), n, len(comps)))
+    rhs = np.empty((len(ids), n, len(x)))
     dofs = np.empty((len(ids), n), dtype=np.int64)
     for s, (cols, _, gram, rot_gram, wtrace) in enumerate(refs):
         sel = slots == s
@@ -219,56 +207,40 @@ def _per_entity(space, rank, n_comps):
                len(_reference(space, rank)[0][0]) ** 2)
 
 
-def _has_dofs(dofmap, rank):
-    """Vertex levels always run (vertex_dof rejects an H(curl) space)."""
-    return (1, dofmap.per_edge, dofmap.per_face)[rank] > 0
+def _embed(mesh, layout, facets, funcs):
+    """Run the levels vertex -> edge -> face on the entities of ``facets``,
+    each with its callback of ``funcs``, on every component of
+    ``layout``: the constrained global dofs and their values, ordered
+    component, level, entity, ordinal.  A level without dofs is skipped."""
+    dofmap, n_comps = layout.dofmap, layout.n_comps
+    x = np.full((n_comps, dofmap.n_dofs), np.nan)
+    parts = [np.zeros(0, np.int64)]
+    for rank, ids in enumerate(_entities(mesh, facets)):
+        if (dofmap.per_vertex, dofmap.per_edge, dofmap.per_face)[rank]:
+            level = _vertices if rank == 0 else _project
+            size = _per_entity(dofmap.space, rank, n_comps)
+            parts += [level(mesh, dofmap, rank, ids[chunk], funcs[rank], x).ravel()
+                      for chunk in _chunks(len(ids), size)]
+    dofs = np.concatenate(parts)
+    return layout.dofs(np.arange(n_comps)[:, None], dofs).ravel(), x[:, dofs].ravel()
 
 
-def _embed(mesh, layout, facet_groups, levels):
-    """Run ``levels``, (rank, callback per group) in order, on every
-    component of ``layout``; the constraints are ordered level,
-    component, group, entity, ordinal."""
-    dofmap, comps = layout.dofmap, np.arange(layout.n_comps)
-    x = np.full((layout.n_comps, dofmap.n_dofs), np.nan)
-    ents = _entities(mesh, facet_groups)
-    keys, vals = [], []
-    for rank, funcs in levels:
-        if not _has_dofs(dofmap, rank):
-            continue
-        ids, owner = ents[rank]
-        size = _per_entity(dofmap.space, rank, layout.n_comps)
-        level = _vertices if rank == 0 else _project
-        parts = [np.zeros(0, np.int64)]
-        for g, func in enumerate(funcs):
-            mine = ids[owner == g]
-            parts += [level(mesh, dofmap, rank, mine[chunk], func, x, comps).ravel()
-                      for chunk in _chunks(len(mine), size)]
-        dofs = np.concatenate(parts)
-        keys.append(layout.dofs(comps[:, None], dofs).ravel())
-        vals.append(x[:, dofs].ravel())
-    return dict(zip(np.concatenate(keys).tolist(), np.concatenate(vals).tolist()))
+def h1_dirichlet(mesh: Mesh, layout: FieldLayout, facets, ufunc, gradfunc):
+    """Hierarchical H1 embedding of the field ``layout`` on ``facets``:
+    the constrained global dofs and their values.
 
-
-def h1_dirichlet(mesh: Mesh, layout: FieldLayout, groups) -> dict:
-    """Hierarchical H1 embedding of the field ``layout``: {dof: value}.
-
-    ``groups`` is a list of (facet_ids, ufunc, gradfunc); for vector
-    fields the callbacks return (n, n_comps) values and (n, n_comps, dim)
-    gradients and each component is constrained independently.
+    For vector fields the callbacks return (n, n_comps) values and (n,
+    n_comps, dim) gradients and each component is constrained
+    independently.
     """
-    ufuncs = [uf for _, uf, _ in groups]
-    gradfuncs = [gf for _, _, gf in groups]
-    return _embed(mesh, layout, [facets for facets, _, _ in groups],
-                  ((0, ufuncs), (1, gradfuncs), (2, gradfuncs)))
+    return _embed(mesh, layout, facets, (ufunc, gradfunc, gradfunc))
 
 
-def hcurl_dirichlet(mesh: Mesh, layout: FieldLayout, groups) -> dict:
-    """Consistent-coupling embedding of the H(curl) field ``layout``:
-    {dof: value}.
+def hcurl_dirichlet(mesh: Mesh, layout: FieldLayout, facets, gradfunc):
+    """Consistent-coupling embedding of the H(curl) field ``layout`` on
+    ``facets``: the constrained global dofs and their values.
 
-    ``groups`` is a list of (facet_ids, gradfunc); gradfunc returns the
-    prescribed displacement gradient rows, (n, dim) or (n, n_comps, dim).
+    gradfunc returns the prescribed displacement gradient rows, (n,
+    n_comps, dim).
     """
-    gradfuncs = [gf for _, gf in groups]
-    return _embed(mesh, layout, [facets for facets, _ in groups],
-                  ((1, gradfuncs), (2, gradfuncs)))
+    return _embed(mesh, layout, facets, (None, gradfunc, gradfunc))

@@ -6,6 +6,8 @@ to its global entity is enough to glue shared dofs: ordinals along an
 edge count from the lower to the higher vertex, face ordinals follow
 the canonical (higher-vertex exponent outer, middle inner) traversal.
 Global ids are blocked vertex / edge / face / cell, each contiguous.
+``FieldLayout`` places a field of k components in the global vector of
+a system node-major: the k dofs of one scalar dof are adjacent.
 """
 
 from __future__ import annotations
@@ -102,6 +104,28 @@ class DofMap:
         if self.per_vertex == 0:
             raise SpaceMismatch("space has no vertex dofs")
         return v
+
+
+@dataclass
+class FieldLayout:
+    """One physical field inside the global dof vector, numbered node-major:
+    component r of scalar dof i is global dof offset + n_comps i + r."""
+
+    name: str
+    space: SpaceDescriptor
+    dofmap: DofMap
+    n_comps: int          # components (vector H1) or tensor rows (H(curl))
+    offset: int
+
+    def dofs(self, comp, scalar):
+        """Global dofs of components ``comp`` of scalar dofs ``scalar``
+        (broadcast)."""
+        return self.offset + self.n_comps * np.asarray(scalar) + comp
+
+    def cell_dofs(self, cells=slice(None)):
+        """Global dofs (nc, n_comps, n_local) of a cell chunk."""
+        return self.dofs(np.arange(self.n_comps)[:, None],
+                         self.dofmap.cell_dofs[cells][:, None, :])
 
 
 def build_dofmap(mesh: Mesh, space: SpaceDescriptor) -> DofMap:

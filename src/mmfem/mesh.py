@@ -23,6 +23,15 @@ from .errors import BadIndex, DegenerateCell, InvalidParam, ParseError
 from .simplex import TET_EDGES, TET_FACES, TRI_EDGES
 
 _EDGE_LOCAL = {2: TRI_EDGES, 3: TET_EDGES}
+_CHUNK_NNZ = 2_000_000
+
+
+def _chunks(n, per_item):
+    """Slices of ``n`` cells or entities whose temporaries hold at most
+    _CHUNK_NNZ entries, ``per_item`` being the largest per-item temporary."""
+    size = max(1, _CHUNK_NNZ // per_item)
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 
 @dataclass

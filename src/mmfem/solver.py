@@ -46,9 +46,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import cholesky
-from .assembly import _CHUNK_NNZ, SparseSystem
+from .assembly import SparseSystem
 from .errors import (FactorizationFailed, InvalidParam, NonConvergence,
                      NotPositiveDefinite, PointOutsideMesh)
+from .mesh import _CHUNK_NNZ
 from .nedelec import eval_vector_shapes
 from .simplex import bezier_eval
 

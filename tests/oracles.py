@@ -22,6 +22,7 @@ from mmfem.bernstein import eval_all
 from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
 from mmfem.dual import seed
 from mmfem.errors import BadIndex, InvalidParam
+from mmfem.mesh import _chunks
 from mmfem.solver import locate_cells, sample_line
 
 
@@ -68,7 +69,7 @@ def assemble_full(form, *args, **kwargs):
     dofs = np.concatenate([fl.cell_dofs() for fl in seen["fields"].values()], axis=2)
     (nc, k, nb), n_terms, n = dofs.shape, len(ref), system.n_dofs
     keys, vals = [], [[] for _ in range(n_mats)]
-    for cells in assembly._chunks(nc, n_mats * (k * nb) ** 2):
+    for cells in _chunks(nc, n_mats * (k * nb) ** 2):
         adet = np.abs(mesh.dets[cells])
         x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
                    mesh.jacs[cells], adet)
@@ -89,27 +90,27 @@ def assemble_full(form, *args, **kwargs):
     return replace(system, matrix=mats[0], c_matrix=mats[1] if n_mats == 2 else None)
 
 
-def embed(system, groups, coupled=True):
-    """{dof: value} of the Dirichlet data ``groups``, (facet_ids, ufunc,
+def embed(system, data, coupled=True):
+    """(dofs, values) of the Dirichlet datum ``data``, (facet_ids, ufunc,
     gradfunc), embedded in u and, if ``coupled``, by the consistent
     coupling condition in p."""
-    cons = h1_dirichlet(system.mesh, system.fields["u"], groups)
+    facets, ufunc, gradfunc = data
+    parts = [h1_dirichlet(system.mesh, system.fields["u"], facets, ufunc, gradfunc)]
     if coupled:
-        cons.update(hcurl_dirichlet(system.mesh, system.fields["p"],
-                                    [(facets, gf) for facets, _, gf in groups]))
-    return cons
+        parts.append(hcurl_dirichlet(system.mesh, system.fields["p"], facets, gradfunc))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def constrain(system, constraints):
     """The free system of ``system``, every dof free (a bare or unconstrained
-    assembled system, lower triangles), under ``constraints`` {dof:
-    value}; ``matrix`` and ``c_matrix`` are the lower triangles of its
+    assembled system, lower triangles), under ``constraints`` (dofs,
+    values); ``matrix`` and ``c_matrix`` are the lower triangles of its
     blocks M[free][:, free]."""
     free = np.ones(system.n_dofs, dtype=bool)
     x_con = np.zeros(system.n_dofs)
-    con = np.array(list(constraints), dtype=np.int64)
-    free[con] = False
-    x_con[con] = [constraints[i] for i in con.tolist()]
+    dofs, values = constraints
+    free[dofs] = False
+    x_con[dofs] = values
     mats = [M for M in (system.matrix, system.c_matrix) if M is not None]
     mx = [symmetric(M) @ x_con for M in mats]
     lift = np.array([-v[free] for v in mx])

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import mmfem.assembly as assembly
-from mmfem.assembly import (FieldLayout, _default_degree, _h1_ref,
-                            _hcurl_ref, _phys_grads, assemble_antiplane,
-                            assemble_cauchy3d, assemble_full3d, l2_error_h1,
-                            l2_error_hcurl, rot_l2_norm)
-from mmfem.dofmap import build_dofmap
+import mmfem.mesh
+from mmfem.assembly import (_default_degree, _h1_ref, _hcurl_ref, _phys_grads,
+                            assemble_antiplane, assemble_cauchy3d, assemble_full3d,
+                            l2_error_h1, l2_error_hcurl, rot_l2_norm)
+from mmfem.dofmap import FieldLayout, build_dofmap
 from mmfem.errors import SpaceMismatch
 from mmfem.materials import MaterialParams
 from mmfem.mesh import build, generate_box, generate_disk
@@ -257,7 +256,7 @@ class TestAntiplane:
         zero = lambda x: np.zeros(len(np.atleast_2d(x)))
         gzero = lambda x: np.zeros((len(np.atleast_2d(x)), 2))
         facets = disk.tagged_facets("boundary")
-        sol = solve(constrain(sys_, embed(sys_, [(facets, zero, gzero)])))
+        sol = solve(constrain(sys_, embed(sys_, (facets, zero, gzero))))
         assert np.abs(sol.x).max() < 1e-12
 
     def test_lc_zero_algebraic_limit(self, disk):
@@ -423,8 +422,8 @@ class TestCauchy:
         from mmfem.solver import solve_family
         G = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [0.5, 0.0, 1.0]])
         facets = np.concatenate(list(cube.boundary_tags.values()))
-        data = [(facets, lambda x: np.atleast_2d(x) @ G.T,
-                 lambda x: np.broadcast_to(G, (len(np.atleast_2d(x)), 3, 3)))]
+        data = (facets, lambda x: np.atleast_2d(x) @ G.T,
+                lambda x: np.broadcast_to(G, (len(np.atleast_2d(x)), 3, 3)))
         space = SpaceDescriptor("h1", 1, 3)
         system = assemble_cauchy3d(cube, space, dirichlet=data)
         assert system.matrix.shape == system.c_matrix.shape == (0, 0)
@@ -456,7 +455,6 @@ def test_space_mismatch_guards(disk, cube):
 class TestL2Error:
     def test_reproduction(self, disk):
         # a polynomial inside the space evaluates to zero error
-        from mmfem.assembly import FieldLayout
         u_space = SpaceDescriptor("h1", 2, 2)
         dm = build_dofmap(disk, u_space)
         layout = FieldLayout("u", u_space, dm, 1, 0)
@@ -480,7 +478,6 @@ class TestL2Error:
     def test_constant_field_error(self):
         mesh = generate_box(((0, 1), (0, 1)), 2)
         u_space = SpaceDescriptor("h1", 1, 2)
-        from mmfem.assembly import FieldLayout
         dm = build_dofmap(mesh, u_space)
         layout = FieldLayout("u", u_space, dm, 1, 0)
         c = 0.7
@@ -615,13 +612,13 @@ class TestBatchedAgainstReference:
                            l2_error_hcurl(wavy_disk, pf, x2, _m2),
                            rot_l2_norm(wavy_disk, pf, x2))
         whole_2d = errs_2d()
-        monkeypatch.setattr(assembly, "_CHUNK_NNZ", 5000)
+        monkeypatch.setattr(mmfem.mesh, "_CHUNK_NNZ", 5000)
         chunked = assemble_full3d(wavy_box, MICRO, u_space, p_space, f=_f3, M=_M3)
         _assert_close(chunked.matrix, whole.matrix.toarray(), tol=1e-14)
         _assert_close(chunked.rhs, whole.rhs, tol=1e-14)
         chunked_err = l2_error_hcurl(wavy_box, chunked.fields["p"], x, _M3)
         assert abs(chunked_err - err) <= 1e-14 * err
-        monkeypatch.setattr(assembly, "_CHUNK_NNZ", 500)
+        monkeypatch.setattr(mmfem.mesh, "_CHUNK_NNZ", 500)
         np.testing.assert_allclose(errs_2d(), whole_2d, rtol=1e-14)
 
     def test_pattern_is_every_cell_coupling(self, wavy_box):
@@ -671,15 +668,19 @@ class TestBatchedAgainstReference:
                                   3 * cells[:, None, :] + np.arange(3)[:, None])
         group = sys_.group.reshape(-1, 3)
         assert np.all(group == group[:, :1])
+
+        def row0(func):
+            return lambda x: func(x)[:, 0]
+
         for fl, embed, funcs in [(layouts[0], h1_dirichlet, (_f3, _M3)),
                                  (layouts[1], hcurl_dirichlet, (_M3,))]:
-            facets = [(wavy_box.boundary_facets,) + funcs]
             one = FieldLayout("f", fl.space, fl.dofmap, 1, 0)
-            scalar_keys = np.array(list(embed(wavy_box, one, facets)))
-            keys = list(embed(wavy_box, fl, facets))
+            scalar_keys, _ = embed(wavy_box, one, wavy_box.boundary_facets,
+                                   *map(row0, funcs))
+            keys, _ = embed(wavy_box, fl, wavy_box.boundary_facets, *funcs)
             assert len(keys) == 3 * len(scalar_keys)
-            assert set(keys) == set(fl.dofs(np.arange(3)[:, None],
-                                            scalar_keys).ravel().tolist())
+            assert set(keys.tolist()) == set(fl.dofs(np.arange(3)[:, None],
+                                                     scalar_keys).ravel().tolist())
 
 
 class TestReferenceTensorKernels:
@@ -724,13 +725,13 @@ def _grad_f2(x):
 
 
 def _form_call(form, wavy_disk, wavy_box):
-    """(assemble call taking ``dirichlet``, its Dirichlet groups)."""
+    """(assemble call taking ``dirichlet``, its Dirichlet datum)."""
     u3, p3 = _spaces("nedelec1", 1, 3)
-    box = [(wavy_box.boundary_facets, _f3, _M3)]
+    box = (wavy_box.boundary_facets, _f3, _M3)
     return {
         "antiplane": (lambda **kw: assemble_antiplane(
             wavy_disk, MICRO, *_spaces("nedelec2", 2, 2), f=_f2, m=_m2, **kw),
-            [(wavy_disk.boundary_facets, _f2, _grad_f2)]),
+            (wavy_disk.boundary_facets, _f2, _grad_f2)),
         "full3d": (lambda **kw: assemble_full3d(wavy_box, MICRO, u3, p3, f=_f3,
                                                 M=_M3, **kw), box),
         "full3d split_curl": (lambda **kw: assemble_full3d(
@@ -749,8 +750,8 @@ def test_triangle_contract(form, constrained, wavy_disk, wavy_box):
     # block of the whole matrix assembled on all dofs, and the solver's
     # triangle product applies it to a few eps of |K| |x|
     from mmfem.solver import _product
-    call, groups = _form_call(form, wavy_disk, wavy_box)
-    system = call(dirichlet=groups if constrained else ())
+    call, data = _form_call(form, wavy_disk, wavy_box)
+    system = call(dirichlet=data if constrained else None)
     full = assemble_full(call)
     free = system.free
     assert 0 < np.count_nonzero(free) < len(free) if constrained else free.all()
@@ -782,12 +783,12 @@ def test_assembly_memory_bound(wavy_box, monkeypatch):
     space = SpaceDescriptor("h1", 4, 3)
     nb = 35     # degree-4 polynomials on a tetrahedron
     chunk = 2 * (3 * nb) ** 2 * (wavy_box.n_cells // 4)
-    monkeypatch.setattr(assembly, "_CHUNK_NNZ", chunk)
-    for groups in ((), [(wavy_box.boundary_facets, _f3, _M3)]):
-        assemble_cauchy3d(wavy_box, space, dirichlet=groups)   # cached tables
+    monkeypatch.setattr(mmfem.mesh, "_CHUNK_NNZ", chunk)
+    for data in (None, (wavy_box.boundary_facets, _f3, _M3)):
+        assemble_cauchy3d(wavy_box, space, dirichlet=data)   # cached tables
         tracemalloc.start()
         try:
-            sys_ = assemble_cauchy3d(wavy_box, space, dirichlet=groups)
+            sys_ = assemble_cauchy3d(wavy_box, space, dirichlet=data)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -803,8 +804,8 @@ def test_constraints_splitting_a_block_raise(wavy_box, monkeypatch):
     # constraints fix all components of a scalar dof or none
     from mmfem import dirichlet
     from mmfem.errors import InvalidParam
-    monkeypatch.setattr(dirichlet, "h1_dirichlet",
-                        lambda mesh, layout, groups: {layout.dofs(1, 0): 0.5})
+    monkeypatch.setattr(dirichlet, "h1_dirichlet", lambda mesh, layout, *datum: (
+        np.array([layout.dofs(1, 0)]), np.array([0.5])))
     with pytest.raises(InvalidParam, match="components"):
         assemble_cauchy3d(wavy_box, SpaceDescriptor("h1", 1, 3),
-                          dirichlet=[(wavy_box.boundary_facets, _f3, _M3)])
+                          dirichlet=(wavy_box.boundary_facets, _f3, _M3))

@@ -4,8 +4,8 @@ import pytest
 from mmfem.benchmarks import (BenchConfig, anti_exact_grad_u, anti_exact_p,
                               anti_exact_u, anti_load_f, anti_load_m,
                               bending_grad_u, bending_p11, bending_u,
-                              cauchy_bound_energy, run_lc_sweep, sweep_mesh,
-                              sweep_params, sweep_u, _sweep_face_funcs)
+                              cauchy_bound_energy, run_lc_sweep, sweep_grad_u,
+                              sweep_mesh, sweep_params, sweep_u)
 from mmfem.benchmarks import antiplane_params
 from mmfem.errors import InvalidParam
 from mmfem.materials import macro_from
@@ -42,6 +42,8 @@ def test_config_validation():
         BenchConfig("antiplane", family="lagrange")
     with pytest.raises(InvalidParam):
         BenchConfig("antiplane", p=0, family="nedelec2")
+    with pytest.raises(InvalidParam, match="refine must be 0"):
+        BenchConfig("lc-sweep", refine=1, mesh_path="mesh.json")
 
 
 class TestAntiplaneData:
@@ -116,24 +118,60 @@ class TestSweepData:
         for x in (-1.0, 1.0):
             for y in (-1.0, 1.0):
                 pts = np.array([[x, y, 0.3], [x, 0.2, y], [0.1, x, y]])
-                assert np.abs(sweep_u(pts)).max() < 1e-14 or True
+                assert np.abs(sweep_u(pts)).max() < 1e-14
         pts = np.array([[1.0, 1.0, 0.3]])
         u = sweep_u(pts)
         assert abs(u[0, 0]) < 1e-14  # (1-y^2) factor kills component 0
 
     def test_face_funcs_match_global(self):
+        # on the faces normal to axis i every component but i of sweep_u is
+        # exactly zero, so the six face data are one datum; sweep_grad_u is
+        # its gradient
         rng = np.random.default_rng(1)
-        for tag, comp in (("x+", 0), ("y-", 1), ("z+", 2)):
-            uf, gf = _sweep_face_funcs(comp)
-            pts = rng.uniform(-1, 1, (10, 3))
-            np.testing.assert_allclose(uf(pts)[:, comp], sweep_u(pts)[:, comp])
-            h = 1e-6
-            g = gf(pts)
-            for d in range(3):
-                e = np.zeros(3)
-                e[d] = h
-                fd = (uf(pts + e) - uf(pts - e)) / (2 * h)
-                np.testing.assert_allclose(g[:, :, d], fd, atol=1e-8)
+        for axis in range(3):
+            for side in (-1.0, 1.0):
+                pts = rng.uniform(-1, 1, (10, 3))
+                pts[:, axis] = side
+                assert np.all(sweep_u(pts)[:, np.arange(3) != axis] == 0.0)
+        pts = rng.uniform(-1, 1, (10, 3))
+        h = 1e-6
+        g = sweep_grad_u(pts)
+        for d in range(3):
+            e = np.zeros(3)
+            e[d] = h
+            fd = (sweep_u(pts + e) - sweep_u(pts - e)) / (2 * h)
+            np.testing.assert_allclose(g[:, :, d], fd, atol=1e-8)
+
+    @pytest.mark.parametrize("family,degree", [("h1", 3), ("nedelec1", 2), ("h1", 6)])
+    def test_one_datum_is_the_six_face_data(self, family, degree):
+        # u at H1 p = 3, P at N-I p = 2 and the degree-6 Cauchy u: the
+        # union of the six single-face embeddings, each with the sweep
+        # callbacks masked to its face's component, is exactly the
+        # embedding of the one datum on the whole boundary
+        from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
+        from mmfem.dofmap import FieldLayout, build_dofmap
+        from mmfem.nedelec import SpaceDescriptor
+        mesh = sweep_mesh(0)
+        space = SpaceDescriptor(family, degree, 3)
+        layout = FieldLayout("f", space, build_dofmap(mesh, space), 3, 0)
+
+        def embed(facets, u, grad):
+            if family == "h1":
+                return h1_dirichlet(mesh, layout, facets, u, grad)
+            return hcurl_dirichlet(mesh, layout, facets, grad)
+
+        union = {}
+        for tag in ("x-", "x+", "y-", "y+", "z-", "z+"):
+            keep = np.arange(3) == "xyz".index(tag[0])
+            dofs, values = embed(
+                mesh.tagged_facets(tag),
+                lambda x, keep=keep: np.where(keep, sweep_u(x), 0.0),
+                lambda x, keep=keep: np.where(keep[:, None], sweep_grad_u(x), 0.0))
+            for dof, value in zip(dofs.tolist(), values.tolist()):
+                assert union.setdefault(dof, value) == value    # shared entities
+        dofs, values = embed(mesh.boundary_facets, sweep_u, sweep_grad_u)
+        assert sorted(union) == sorted(dofs.tolist())
+        assert [union[d] for d in dofs.tolist()] == values.tolist()
 
     def test_meso_parameters(self):
         mp = sweep_params(1.0)

@@ -100,6 +100,10 @@ def test_error_exit_code(tmp_path):
     assert proc.returncode == 2 and proc.stderr.startswith("error: ")
 
 
+_PARAMS_FILES = {"bad_json": '{"lc": 1.0,\n "mu_e": }', "string_modulus": '{"lc": "2"}',
+                 "null_modulus": '{"mu_e": null}', "not_an_object": "[1.0, 2.0]"}
+
+
 @pytest.mark.parametrize("args,message", [
     (("antiplane", "--refine", "-1"), "refine must be >= 0"),
     (("lc-sweep", "--refine", "-1"), "refine must be >= 0"),
@@ -108,12 +112,34 @@ def test_error_exit_code(tmp_path):
      "coefficient nan is not finite"),
     (("lc-sweep", "--p", "0", "--bound-degree", "1", "--lc", "1,inf"),
      "coefficient inf is not finite"),
+    (("antiplane", "--params", "{bad_json}"), "bad_json.json: invalid JSON at line 2"),
+    (("bending", "--params", "{string_modulus}"), "material key 'lc' must be a number"),
+    (("lc-sweep", "--params", "{null_modulus}"), "material key 'mu_e' must be a number"),
+    (("lc-sweep", "--params", "{not_an_object}"), "not_an_object.json: not a JSON object"),
 ])
 def test_bad_bench_input_is_a_typed_error(tmp_path, args, message):
-    proc = _bench(*args, "--out", str(tmp_path))
+    # "{name}" in args stands for a --params file of _PARAMS_FILES
+    paths = {name: str(tmp_path / f"{name}.json") for name in _PARAMS_FILES}
+    for name, text in _PARAMS_FILES.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    proc = _bench(*(arg.format(**paths) for arg in args), "--out", str(tmp_path))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["antiplane", "bending", "lc-sweep"])
+def test_mesh_file_with_refine_is_a_typed_error(tmp_path, name):
+    # a mesh file is used as given: refine > 0 with one is rejected, not
+    # ignored
+    from mmfem.mesh import generate_box, io_write
+    mesh_path = tmp_path / "box.json"
+    io_write(generate_box(((-1, 1),) * 3, 1), mesh_path)
+    proc = _bench(name, "--p", "1", "--refine", "1", "--mesh", str(mesh_path),
+                  "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "refine must be 0" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
 
 
 def test_bench_entry_point(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mmfem.assembly import FieldLayout
-from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet, _frame, _reference, _rule
-from mmfem.benchmarks import _sweep_groups, sweep_mesh
+from mmfem import dirichlet
+from mmfem.dirichlet import _frame, _reference, _rule
+from mmfem.benchmarks import sweep_grad_u, sweep_mesh, sweep_u
 from mmfem.bernstein import eval_all
-from mmfem.dofmap import _face_interior_rank, build_dofmap
+from mmfem.dofmap import FieldLayout, _face_interior_rank, build_dofmap
 from mmfem.mesh import build, generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor, eval_vector_shapes
 from mmfem.simplex import bezier_eval, traversal_order
@@ -14,6 +14,21 @@ from oracles import edge_dofs, edge_traces, face_dofs
 
 def _layout(mesh, space, n_comps=1, offset=0):
     return FieldLayout("f", space, build_dofmap(mesh, space), n_comps, offset)
+
+
+def _as_dict(dofs, values):
+    """{dof: value} of an embedding, each dof constrained once."""
+    cons = dict(zip(dofs.tolist(), values.tolist()))
+    assert len(cons) == len(dofs) == len(values)
+    return cons
+
+
+def h1_dirichlet(*args):
+    return _as_dict(*dirichlet.h1_dirichlet(*args))
+
+
+def hcurl_dirichlet(*args):
+    return _as_dict(*dirichlet.hcurl_dirichlet(*args))
 
 
 def const_func(c):
@@ -48,8 +63,8 @@ class TestVertexValues:
         dm = layout.dofmap
         facets = mesh.tagged_facets("boundary")
         verts = sorted({int(v) for f in facets for v in mesh.facet_vertices(f)})
-        cons = h1_dirichlet(mesh, layout, [(facets, const_func(3.25),
-                                            linear_func([0.0, 0.0])[1])])
+        cons = h1_dirichlet(mesh, layout, facets, const_func(3.25),
+                            linear_func([0.0, 0.0])[1])
         vdofs = dm.vertex_dof(np.array(verts))
         assert all(abs(cons[d] - 3.25) < 1e-15 for d in vdofs)
         # exactly the boundary vertices are constrained among the vertices
@@ -61,7 +76,7 @@ class TestVertexValues:
         layout = _layout(mesh, SpaceDescriptor("h1", 1, 2))
         u, grad = linear_func([1.0, 0.0])
         # facet edge (0, 1) holds vertex 1
-        cons = h1_dirichlet(mesh, layout, [([mesh.edge_ids(0, 1)], u, grad)])
+        cons = h1_dirichlet(mesh, layout, [mesh.edge_ids(0, 1)], u, grad)
         assert abs(cons[layout.dofmap.vertex_dof(1)] - 2.0) < 1e-15
 
     def test_disk_boundary_value(self):
@@ -74,7 +89,7 @@ class TestVertexValues:
         func = lambda x: np.sin((np.atleast_2d(x) ** 2).sum(axis=1) / 5.0)
         grad = lambda x: (0.4 * np.cos((np.atleast_2d(x) ** 2).sum(axis=1) / 5.0)[:, None]
                           * np.atleast_2d(x))
-        cons = h1_dirichlet(mesh, layout, [(facets, func, grad)])
+        cons = h1_dirichlet(mesh, layout, facets, func, grad)
         assert abs(cons[layout.dofmap.vertex_dof(vid)] - np.sin(20.0)) < 1e-14
 
 
@@ -83,7 +98,7 @@ class TestEdgeH1:
         mesh = build([[0, 0], [3, 1], [0, 2]], [[0, 1, 2]])
         layout = _layout(mesh, SpaceDescriptor("h1", 3, 2))
         u, grad = linear_func([0.5, -0.25])
-        cons = h1_dirichlet(mesh, layout, [(np.arange(mesh.n_edges), u, grad)])
+        cons = h1_dirichlet(mesh, layout, np.arange(mesh.n_edges), u, grad)
         # interior dofs must reproduce the Bezier coefficients of the
         # linear exactly: check the trace along every edge
         for e in range(mesh.n_edges):
@@ -110,7 +125,7 @@ class TestEdgeH1:
         errs = []
         for q in (2, 4, 6, 8):
             layout = _layout(mesh, SpaceDescriptor("h1", q, 2))
-            cons = h1_dirichlet(mesh, layout, [([e], u, grad)])
+            cons = h1_dirichlet(mesh, layout, [e], u, grad)
             trace, pts = _edge_trace(mesh, layout.dofmap, cons, e,
                                      np.linspace(0, 1, 101))
             errs.append(np.abs(trace - u(pts)).max())
@@ -160,7 +175,7 @@ class TestEdgeHcurl:
         va, vb = mesh.edges[e]
         np.testing.assert_array_equal(mesh.vertices[vb] - mesh.vertices[va],
                                       [1.0, 0.0])
-        cons = hcurl_dirichlet(mesh, layout, [([e], grad)])
+        cons = hcurl_dirichlet(mesh, layout, [e], grad)
         vals = [cons[d] for d in edge_dofs(layout.dofmap, e)]
         assert np.abs(vals).max() < 1e-14
 
@@ -171,7 +186,7 @@ class TestEdgeHcurl:
         layout = _layout(mesh, SpaceDescriptor("nedelec1", 0, 2))
         _, grad = linear_func([1.0, 0.0])
         e = mesh.edge_ids(0, 1)
-        cons = hcurl_dirichlet(mesh, layout, [([e], grad)])
+        cons = hcurl_dirichlet(mesh, layout, [e], grad)
         # <t, theta_lowest> = 1 on the edge, t = (2,0), <t, grad u~> = 2
         assert abs(cons[edge_dofs(layout.dofmap, e)[0]] - 2.0) < 1e-13
 
@@ -215,7 +230,7 @@ class TestFaceH1:
         layout = _layout(mesh, SpaceDescriptor("h1", q, 3))
         dm = layout.dofmap
         facets = mesh.boundary_facets
-        cons = h1_dirichlet(mesh, layout, [(facets, _quad_u3, _quad_grad3)])
+        cons = h1_dirichlet(mesh, layout, facets, _quad_u3, _quad_grad3)
         # the embedded trace must match the quadratic at face points
         for f in facets:
             fa, fb, fc = mesh.faces[f]
@@ -252,7 +267,7 @@ class TestFaceHcurl:
         # gradient normal to the z- face: zero tangential part
         f = int(mesh.tagged_facets("z-")[0])
         grad = lambda x: np.tile([0.0, 0.0, 1.0], (len(np.atleast_2d(x)), 1))
-        cons = hcurl_dirichlet(mesh, layout, [([f], grad)])
+        cons = hcurl_dirichlet(mesh, layout, [f], grad)
         # the face's three edges and the face itself
         assert len(cons) == 3 * dm.per_edge + dm.per_face
         assert max(abs(v) for v in cons.values()) < 1e-13
@@ -264,7 +279,7 @@ class TestFaceHcurl:
         layout = _layout(mesh, SpaceDescriptor("nedelec1", 1, 3))
         _, grad = linear_func([0.3, -0.2, 0.5])
         f = int(mesh.tagged_facets("x+")[0])
-        cons = hcurl_dirichlet(mesh, layout, [([f], grad)])
+        cons = hcurl_dirichlet(mesh, layout, [f], grad)
         for d in face_dofs(layout.dofmap, f):
             assert abs(cons[d]) < 1e-12
 
@@ -281,7 +296,7 @@ class TestFaceHcurl:
         dm = layout.dofmap
         from mmfem.benchmarks import bending_grad_u
         facets = mesh.tagged_facets("x+")
-        cons = hcurl_dirichlet(mesh, layout, [(facets, bending_grad_u)])
+        cons = hcurl_dirichlet(mesh, layout, facets, bending_grad_u)
         x = np.zeros(3 * dm.n_dofs)
         for d, v in cons.items():
             x[d] = v
@@ -328,7 +343,7 @@ class TestHierarchy:
             g[:, 2, 2] = x[:, 0]
             return g
 
-        cons = h1_dirichlet(mesh, layout, [(mesh.boundary_facets, u, grad)])
+        cons = h1_dirichlet(mesh, layout, mesh.boundary_facets, u, grad)
         # quadratic data reproduced exactly: sample via vertex dofs of all
         # boundary vertices and edge midpoood traces through bezier_eval
         for comp in range(3):
@@ -337,24 +352,6 @@ class TestHierarchy:
                     dof = int(layout.dofs(comp, dm.vertex_dof(int(v))))
                     exact = u(mesh.vertices[int(v)][None, :])[0, comp]
                     assert abs(cons[dof] - exact) < 1e-12
-
-
-class TestOrderIndependence:
-    def test_group_permutation_invariance(self):
-        # edge solves commute within their level: permuting the tag groups
-        # must reproduce the same constraint values
-        from mmfem.benchmarks import sweep_mesh, _sweep_face_funcs, _FACE_COMP
-        mesh = sweep_mesh(0)
-        layout = _layout(mesh, SpaceDescriptor("nedelec1", 1, 3), n_comps=3)
-        groups = []
-        for tag, comp in _FACE_COMP.items():
-            _, gf = _sweep_face_funcs(comp)
-            groups.append((mesh.tagged_facets(tag), gf))
-        a = hcurl_dirichlet(mesh, layout, groups)
-        b = hcurl_dirichlet(mesh, layout, groups[::-1])
-        assert set(a) == set(b)
-        for dof, val in a.items():
-            assert abs(val - b[dof]) <= 1e-11 * (1.0 + abs(val))
 
 
 def _counted(func, calls, key):
@@ -370,50 +367,43 @@ def _component(func, r):
 
 
 class TestBatchedLevels:
-    def test_one_callback_call_per_group_and_level(self):
-        # vertices, edges and faces each call a group's callback once for
-        # all of its entities and components, not once per entity
+    def test_one_callback_call_per_level(self):
+        # vertices, edges and faces each call the datum's callback once for
+        # all of their entities and components, not once per entity
         mesh = sweep_mesh(1)
         calls = {}
-        groups = [(facets, _counted(uf, calls, (g, "u")),
-                   _counted(gf, calls, (g, "grad")))
-                  for g, (facets, uf, gf) in enumerate(_sweep_groups(mesh))]
+        u, grad = _counted(sweep_u, calls, "u"), _counted(sweep_grad_u, calls, "grad")
         layout = _layout(mesh, SpaceDescriptor("h1", 3, 3), n_comps=3)
-        cons = h1_dirichlet(mesh, layout, groups)
-        assert len(cons) > 0
-        assert max(n for (_, kind), n in calls.items() if kind == "u") <= 1
-        assert max(n for (_, kind), n in calls.items() if kind == "grad") <= 2
+        assert len(h1_dirichlet(mesh, layout, mesh.boundary_facets, u, grad)) > 0
+        assert calls == {"u": 1, "grad": 2}
 
         calls.clear()
         layout = _layout(mesh, SpaceDescriptor("nedelec1", 2, 3), n_comps=3)
-        cons = hcurl_dirichlet(mesh, layout, [(facets, gf) for facets, _, gf in groups])
-        assert len(cons) > 0
-        assert 0 < max(calls.values()) <= 2
+        assert len(hcurl_dirichlet(mesh, layout, mesh.boundary_facets, grad)) > 0
+        assert calls == {"grad": 2}
 
     def test_components_equal_single_component_embeddings(self):
         # the 3-component layout against three 1-component layouts, scalar
         # dof i of component r at the layout's dofs(r, i)
         mesh = sweep_mesh(0)
-        groups = _sweep_groups(mesh)
+        facets = mesh.boundary_facets
         space = SpaceDescriptor("h1", 3, 3)
         multi = _layout(mesh, space, n_comps=3)
         single = {}
         for r in range(3):
             single.update(self._at_comp(multi, r, h1_dirichlet(
-                mesh, _layout(mesh, space),
-                [(facets, _component(uf, r), _component(gf, r))
-                 for facets, uf, gf in groups])))
-        self._assert_equal(h1_dirichlet(mesh, multi, groups), single)
+                mesh, _layout(mesh, space), facets, _component(sweep_u, r),
+                _component(sweep_grad_u, r))))
+        self._assert_equal(h1_dirichlet(mesh, multi, facets, sweep_u, sweep_grad_u),
+                           single)
 
         space = SpaceDescriptor("nedelec1", 2, 3)
         multi = _layout(mesh, space, n_comps=3, offset=17)
         single = {}
         for r in range(3):
             single.update(self._at_comp(multi, r, hcurl_dirichlet(
-                mesh, _layout(mesh, space),
-                [(facets, _component(gf, r)) for facets, _, gf in groups])))
-        groups_p = [(facets, gf) for facets, _, gf in groups]
-        self._assert_equal(hcurl_dirichlet(mesh, multi, groups_p), single)
+                mesh, _layout(mesh, space), facets, _component(sweep_grad_u, r))))
+        self._assert_equal(hcurl_dirichlet(mesh, multi, facets, sweep_grad_u), single)
 
     @staticmethod
     def _at_comp(layout, r, cons):

@@ -9,8 +9,8 @@ import pytest
 import scipy.sparse as sp
 
 import mmfem
-from mmfem.assembly import FieldLayout, SparseSystem
-from mmfem.dofmap import build_dofmap
+from mmfem.assembly import SparseSystem
+from mmfem.dofmap import FieldLayout, build_dofmap
 from mmfem.errors import MMFemError, NonConvergence
 from mmfem.mesh import generate_box
 from mmfem.nedelec import SpaceDescriptor

@@ -45,8 +45,8 @@ def _antiplane(mesh, family):
     full = assemble_antiplane(mesh, antiplane_params(), SpaceDescriptor("h1", 2, 2),
                               SpaceDescriptor(family, 1, 2), f=anti_load_f,
                               m=anti_load_m)
-    sol = solve(constrain(full, embed(full, [(mesh.tagged_facets("boundary"),
-                                              anti_exact_u, anti_exact_grad_u)])))
+    sol = solve(constrain(full, embed(full, (mesh.tagged_facets("boundary"),
+                                             anti_exact_u, anti_exact_grad_u))))
     uf, pf = full.fields["u"], full.fields["p"]
     return sol, [0.5 * sol.x @ (symmetric(full.matrix) @ sol.x),
                  l2_error_h1(mesh, uf, sol.x, anti_exact_u),
@@ -70,7 +70,7 @@ def _full3d(mesh, family, ufunc=bending_u, gradfunc=bending_grad_u):
                              SpaceDescriptor(family, 1, 3))
     facets = np.concatenate([mesh.tagged_facets(t) for t in
                              ("x-", "x+", "y-", "y+", "z-", "z+")])
-    sol = solve(constrain(system, embed(system, [(facets, ufunc, gradfunc)])),
+    sol = solve(constrain(system, embed(system, (facets, ufunc, gradfunc))),
                 require_spd=True)
     uf, pf = system.fields["u"], system.fields["p"]
     return sol, [0.5 * sol.x @ (symmetric(system.matrix) @ sol.x),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmfem.assembly import (SparseSystem, FieldLayout, assemble_antiplane,
-                            assemble_cauchy3d, assemble_full3d)
-from mmfem.dofmap import build_dofmap
+from mmfem.assembly import (SparseSystem, assemble_antiplane, assemble_cauchy3d,
+                            assemble_full3d)
+from mmfem.dofmap import FieldLayout, build_dofmap
 from mmfem.errors import NotPositiveDefinite, PointOutsideMesh
 from mmfem.materials import MaterialParams
 from mmfem.mesh import generate_box, generate_disk
@@ -47,7 +47,7 @@ def test_not_positive_definite_detected():
 
 def test_constraints_respected():
     K = np.diag([1.0, 2.0, 3.0, 4.0])
-    sys_ = constrain(_toy_system(K, [0.0, 0.0, 0.0, 0.0]), {0: 5.0, 3: -1.0})
+    sys_ = constrain(_toy_system(K, [0.0, 0.0, 0.0, 0.0]), ([0, 3], [5.0, -1.0]))
     sol = solve(sys_)
     assert sol.x[0] == 5.0 and sol.x[3] == -1.0
     np.testing.assert_allclose(sol.x[1:3], 0.0)
@@ -60,7 +60,7 @@ def antiplane_system():
     from mmfem.benchmarks import (anti_exact_grad_u, anti_exact_u, anti_load_f,
                                   anti_load_m, antiplane_params)
     mesh = generate_disk(10.0, n_rings=2)
-    anti = [(mesh.tagged_facets("boundary"), anti_exact_u, anti_exact_grad_u)]
+    anti = (mesh.tagged_facets("boundary"), anti_exact_u, anti_exact_grad_u)
     return assemble_antiplane(mesh, antiplane_params(), SpaceDescriptor("h1", 2, 2),
                               SpaceDescriptor("nedelec1", 1, 2), f=anti_load_f,
                               m=anti_load_m, dirichlet=anti)
@@ -194,7 +194,7 @@ def test_singular_system_raises_without_cg(monkeypatch):
     monkeypatch.setattr(spla, "cg", no_cg)
     K = np.array([[1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0],
                   [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
-    sys_ = constrain(_toy_system(K, [1.0, 0.0, 0.0, 0.0]), {3: 0.0})
+    sys_ = constrain(_toy_system(K, [1.0, 0.0, 0.0, 0.0]), ([3], [0.0]))
     with pytest.raises(FactorizationFailed, match="3 free dofs") as exc:
         solve(sys_)
     assert isinstance(exc.value, MMFemError)
@@ -209,7 +209,7 @@ def test_family_of_one_matrix():
     K = np.array([[4.0, 1.0, 0, 1.0], [1.0, 3.0, 1.0, 0],
                   [0, 1.0, 2.0, 0.5], [1.0, 0, 0.5, 3.0]])
     bare = _toy_system(K, [1.0, -2.0, 0.5, 0.0])
-    system = constrain(bare, {0: 5.0, 3: -1.0})
+    system = constrain(bare, ([0, 3], [5.0, -1.0]))
     sols = solve_family(system, [2.0, 0.0])
     ref = solve(system)
     assert ref.system.matrix is None and ref.info["path"] == "direct"
@@ -322,11 +322,11 @@ def sweep_system_small():
 def sweep_full_small():
     """``sweep_system_small`` assembled without its Dirichlet data, and the
     constraints of that data."""
-    from mmfem.benchmarks import _sweep_groups, sweep_mesh, sweep_params
+    from mmfem.benchmarks import sweep_grad_u, sweep_mesh, sweep_params, sweep_u
     mesh = sweep_mesh(0)
     full = assemble_full3d(mesh, sweep_params(1.0), SpaceDescriptor("h1", 2, 3),
                            SpaceDescriptor("nedelec1", 1, 3), split_curl=True)
-    return full, embed(full, _sweep_groups(mesh))
+    return full, embed(full, (mesh.boundary_facets, sweep_u, sweep_grad_u))
 
 
 def _direct_at(full, cons, c):
@@ -338,7 +338,7 @@ def _direct_at(full, cons, c):
 def _true_residual(full, cons, c, x):
     K = symmetric(matrix_at(full, c))
     free = np.ones(full.n_dofs, dtype=bool)
-    free[list(cons)] = False
+    free[cons[0]] = False
     x_con = np.where(free, 0.0, x)
     return (np.linalg.norm((K @ x - full.rhs)[free])
             / np.linalg.norm((full.rhs - K @ x_con)[free]))
@@ -409,12 +409,12 @@ def test_family_refactors_on_jump(sweep_system_small, sweep_full_small,
                                     [(1.0, 1.0), (7.0, 2.0)]])
 def test_family_cauchy_moduli_match_direct(moduli):
     # mu S + lam D = mu K(lam / mu): a negative anchor c = -1 and a PCG step
-    from mmfem.benchmarks import _sweep_groups, cauchy_system, sweep_mesh
+    from mmfem.benchmarks import cauchy_system, sweep_grad_u, sweep_mesh, sweep_u
     from mmfem.solver import solve_family
     mesh = sweep_mesh(0)
     system = cauchy_system(mesh, 2)
     full = assemble_cauchy3d(mesh, SpaceDescriptor("h1", 2, 3))
-    cons = embed(full, _sweep_groups(mesh), coupled=False)
+    cons = embed(full, (mesh.boundary_facets, sweep_u, sweep_grad_u), coupled=False)
     sols = solve_family(system, [lam / mu for lam, mu in moduli])
     assert [s.info["path"] for s in sols] == ["direct", "pcg"]
     assert all(s.spd for s in sols)
@@ -775,12 +775,13 @@ def test_family_holds_no_full_matrices(sweep_system_small):
 def gate_systems():
     """(system, full, constraints) of each gate system: assembled under its
     Dirichlet data and without it, and the constraints of that data."""
-    from mmfem.benchmarks import (_sweep_groups, anti_exact_grad_u, anti_exact_u,
-                                  anti_load_f, anti_load_m, antiplane_params,
-                                  cauchy_system, sweep_mesh,
-                                  sweep_params, sweep_system)
+    from mmfem.benchmarks import (anti_exact_grad_u, anti_exact_u, anti_load_f,
+                                  anti_load_m, antiplane_params, cauchy_system,
+                                  sweep_grad_u, sweep_mesh, sweep_params,
+                                  sweep_system, sweep_u)
     disk, cube = generate_disk(10.0, n_rings=2), sweep_mesh(0)
-    anti = [(disk.tagged_facets("boundary"), anti_exact_u, anti_exact_grad_u)]
+    sweep = (cube.boundary_facets, sweep_u, sweep_grad_u)
+    anti = (disk.tagged_facets("boundary"), anti_exact_u, anti_exact_grad_u)
     systems = {}
     for fam in ("nedelec1", "nedelec2"):
         args = (disk, antiplane_params(), SpaceDescriptor("h1", 2, 2),
@@ -792,10 +793,10 @@ def gate_systems():
         full = assemble_full3d(cube, sweep_params(1.0), SpaceDescriptor("h1", 2, 3),
                                SpaceDescriptor(fam, 1, 3), split_curl=True)
         systems[f"sweep {fam}"] = (sweep_system(cube, sweep_params(1.0), 1, fam),
-                                   full, embed(full, _sweep_groups(cube)))
+                                   full, embed(full, sweep))
     full = assemble_cauchy3d(cube, SpaceDescriptor("h1", 3, 3))
     systems["cauchy 3"] = (cauchy_system(cube, 3), full,
-                           embed(full, _sweep_groups(cube), coupled=False))
+                           embed(full, sweep, coupled=False))
     return systems
 
 
