@@ -4,21 +4,23 @@ On affine cells H1 gradients and H(curl) values map by J^{-T} (covariant
 Piola), the 2D rot by 1/det J and the 3D curl by J/det J, so with
 constant moduli an element matrix is a linear combination of reference
 Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
-2006), cached per form, spaces and rule (n_terms nb^2 doubles, n_terms 9
-or 27).  One chunked driver embeds the system's one Dirichlet datum,
-then forms a chunk's element matrices by one GEMM of per-cell
-coefficients with them and adds the local lower half of Y + Y^T, exactly
-symmetric, into the lower triangle of the CSR ``Pattern`` of the free
-dofs, built once from the node-major cell dofs (``FieldLayout``): every
-matrix is stored as the entries on or below its diagonal.  Entries in a
-constrained row or column go to a spare slot that is dropped, and the
-element matrices give the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
+2006), cached per form, spaces and rule as one symmetrized half-table
+(n_terms nb (nb + 1) doubles, n_terms 9 or 27).  One chunked driver
+embeds the system's one Dirichlet datum, then forms just the stored half
+of a chunk's element matrices Y + Y^T, exactly symmetric, by GEMMs of
+per-cell coefficients with that table, and adds it into the lower
+triangle of the CSR ``Pattern`` of the free dofs, built once from the
+node-major cell dofs (``FieldLayout``): every matrix is stored as the
+entries on or below its diagonal.  Entries in a constrained row or
+column go to a spare slot that is dropped; the element matrices, applied
+to x_c unformed, give the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
 distribute_local_to_global; Bangerth, Hartmann & Kanschat, ACM TOMS 33,
 2007): no matrix on all dofs exists.  Memory beside the triangles, the
 lifts, the constrained values and the pattern: the positions of the
-lower element scalar entries, found once (4 bytes each), then per chunk
-Y of all matrices (at most mesh._CHUNK_NNZ doubles) and one matrix's
-lower half and its positions (8 + 4 bytes per entry of the half).
+element scalar pairs A > B (4 bytes each), then per chunk
+(``_element_chunks``) the halves of all matrices and their positions,
+no element tensor; under Dirichlet data also [G; G^T] (2 n_terms nb^2
+doubles), then G x_c on the cells with a constrained dof.
 """
 
 from __future__ import annotations
@@ -126,10 +128,12 @@ def _exact_gram(w, v):
 
 @lru_cache(maxsize=None)
 def _form_ref(u_degree, p_space, quad_degree, dim):
-    """Halved reference tensors (n_terms, nb, nb), the Gram blocks over the
-    local basis (u, p) of the strain Du - P, of P and of curl P (the 2D
-    rot), or of Du alone.  The P-P block goes with P alone, fewer GEMM
-    terms and roundings."""
+    """The symmetrized half-table (2 n_terms, n_pairs + nb) of the halved
+    reference tensors G (n_terms, nb, nb), the Gram blocks over the local
+    basis (u, p) of the strain Du - P, of P and of curl P (the 2D rot),
+    or of Du alone: rows G[t, A, B], then G[t, B, A]; columns the local
+    pairs A > B (``Pattern.pairs``), then the diagonal A = B.  The P-P
+    block goes with P alone, fewer GEMM terms and roundings."""
     rule, _, vecs = _h1_ref(u_degree, dim, quad_degree)
     tables, nq, nbu = [vecs], len(vecs), vecs.shape[1]
     if p_space is not None:
@@ -139,7 +143,9 @@ def _form_ref(u_degree, p_space, quad_degree, dim):
             for v in (pvals, pcurls.reshape(nq, pcurls.shape[1], -1))]
     ref = np.concatenate([_exact_gram(rule.weights, v) for v in tables])
     ref[:dim * dim, nbu:, nbu:] = 0.0     # empty without a p-space
-    return 0.5 * ref
+    (a, b), d = np.tril_indices(ref.shape[1], -1), np.arange(ref.shape[1])
+    return 0.5 * np.concatenate([np.concatenate([ref[:, a, b], ref[:, d, d]], axis=1),
+                                 np.concatenate([ref[:, b, a], ref[:, d, d]], axis=1)])
 
 
 def _phys_grads(mat, ref):
@@ -214,7 +220,7 @@ class Pattern:
     """CSR pattern of the lower triangles of a system's free blocks (every
     coupling of two free dofs through a cell, column <= row), the
     supervariable of every free dof, and the positions in S (below) of
-    the lower scalar entries of all elements, from which ``positions``
+    the scalar pairs A > B of all elements, from which ``positions``
     places the element entries chunk by chunk.
 
     All fields have k components, numbered node-major (``FieldLayout``):
@@ -229,20 +235,20 @@ class Pattern:
     the diagonal last.
 
     An element matrix, ordered (r, s, A, B) (components outermost, then
-    the cell's scalar dofs A of all fields), is exactly symmetric, so only
-    its local lower half is scattered: ``half`` indexes the entries with
-    A > B, then those with A = B and r >= s, and ``mirror`` their
-    transposes (s, r, B, A).  Each goes to the lower entry of its global
-    pair; an entry in a constrained row or column goes to the spare slot
-    len(indices), one past the pattern.
+    the cell's scalar dofs A of all fields), is exactly symmetric, so
+    only its stored half is formed and scattered (``_halves``): the
+    ``pairs`` A > B for every (r, s), then the diagonal A = B with r >=
+    s.  Each goes to the lower entry of its global pair; an entry in a
+    constrained row or column goes to the spare slot len(indices), one
+    past the pattern.
 
     The free dofs of the scalar dofs in one set of cells (a mesh entity,
     or entities with the same cells, such as a boundary face and the
     interior of its only cell) have one row set: ``group`` labels them
     for the factorization.  Memory: ``indices`` 4 bytes per entry (int32
     below 2^31 entries), ``indptr``, ``group`` and S.indptr one index per
-    free (scalar) dof, and the scalar positions 4 bytes per lower element
-    scalar entry.
+    free (scalar) dof, and the scalar positions 4 bytes per element
+    scalar pair A > B.
     """
 
     def __init__(self, layouts, free):
@@ -257,9 +263,10 @@ class Pattern:
         node_free = node_free[:, 0]
         on = node_free[self.scalar_dofs]        # the free element scalar dofs
         self.cut = ~on.all(axis=1)              # cells with a constrained dof
-        # free scalar numbering; 0 for constrained ones, whose entries are masked
-        self.free_dofs = np.where(on, (np.cumsum(node_free) - 1)[self.scalar_dofs], 0)
         (nc, nloc), ns = on.shape, int(np.count_nonzero(node_free))
+        # free scalar numbering; 0 for constrained ones, whose entries are masked
+        number = np.cumsum(node_free, dtype=np.int32 if k * ns < 2 ** 31 else np.int64) - 1
+        self.free_dofs = np.where(on, number[self.scalar_dofs], 0)
         incidence = sp.csr_matrix(
             (np.ones(np.count_nonzero(on), dtype=bool), self.free_dofs[on],
              np.concatenate([[0], np.cumsum(on.sum(axis=1))])), shape=(nc, ns))
@@ -273,9 +280,8 @@ class Pattern:
         S = sp.csr_matrix((S.data[low], S.indices[low], np.concatenate(
             [[0], np.cumsum(ends - S.indptr[:-1])])), shape=(ns, ns))
         del row, low
-        # the local lower half: pairs A > B, then the diagonal A = B
-        self.pairs, diag = np.tril_indices(nloc, -1), np.arange(nloc)
-        a, b = (np.concatenate([p, diag]) for p in self.pairs)
+        # the stored half's pairs A > B; the diagonal A = B ends its rows
+        self.pairs = a, b = np.tril_indices(nloc, -1)
         # scalar positions, looked up in batches SciPy binary-searches (> S.nnz / 10)
         where = sp.csr_matrix((np.arange(S.nnz, dtype=itype), S.indices, S.indptr),
                               shape=(ns, ns))
@@ -291,16 +297,7 @@ class Pattern:
                 np.copyto(pos[span], S.nnz, where=~(m[:, a] & m[:, b]))
             self.scalar_pos[cells] = pos
         del where
-        self.s_indptr = S.indptr
-
-        def flat(r, s, a, b):     # index of (r, s, A, B) in an element matrix
-            return ((r[:, None] * k + s[:, None]) * nloc + a) * nloc + b
-
-        (r, s), (rd, sd) = np.divmod(np.arange(k * k), k), np.tril_indices(k)
-        self.half = np.concatenate([flat(r, s, *self.pairs),
-                                    flat(rd, sd, diag, diag)], axis=None)
-        self.mirror = np.concatenate([flat(s, r, *self.pairs[::-1]),
-                                      flat(sd, rd, diag, diag)], axis=None)
+        self.s_indptr, self.node_free = S.indptr, node_free
         if k == 1:     # the pattern is S; the expansion would copy it
             self.indptr, self.indices = S.indptr, S.indices
             return
@@ -311,44 +308,39 @@ class Pattern:
                                       lens.ravel(), itype)]
         self.indptr = np.concatenate([[0], np.cumsum(lens)]).astype(itype)
 
-    def positions(self, per_cell):
-        """Chunks of ``_chunks(n_cells, per_cell)`` and the positions of
-        the ``half`` entries of their element matrices, (nc, len(half));
-        without free dofs, all the spare slot 0 (no scalar positions)."""
-        for cells in _chunks(len(self.scalar_pos), per_cell):
-            if not len(self.indices):
-                yield cells, np.zeros((cells.stop - cells.start, len(self.half)),
-                                      dtype=self.scalar_pos.dtype)
-            else:
-                yield cells, (self.scalar_pos[cells] if self.k == 1
-                              else self._block_positions(cells))
-
-    def _block_positions(self, cells):
-        """``positions`` of one chunk for k > 1, in a frame of its own so
-        that its temporaries are gone before the chunk's Y is formed.  A
-        pair A > B whose global order is reversed (scalar dof of A below
-        that of B) swaps the components of row and column."""
-        k, (a, b), e = self.k, self.pairs, self.scalar_pos[cells]
-        po, comp = len(a), np.arange(k, dtype=e.dtype)
-        sd = self.free_dofs[cells]
-        sa, sb = sd[:, a], sd[:, b]
-        row = np.maximum(sa, sb)
-        first = self.indptr[k * row[:, None] + comp[:, None]]         # (nc, r, pair)
-        off = (k * (e[:, :po] - self.s_indptr[row]))[:, None, None]
-        pos = first[:, :, None] + off + comp[:, None]                # (nc, r, s, pair)
-        np.copyto(pos, first[:, None] + off + comp[:, None, None],
-                  where=(sa < sb)[:, None, None])
+    def positions(self, cells):
+        """Positions of the stored halves of a chunk's element matrices:
+        (nc, k k n_pairs) of the pairs, (nc, k (k + 1) / 2, nb) of the
+        diagonal (``_halves`` order); without free dofs, all the spare
+        slot 0 (no scalar positions).  A pair A > B whose global order is
+        reversed (scalar dof of A below that of B) swaps the components
+        of row and column."""
+        k, (a, b), span = self.k, self.pairs, self.span(cells)
+        e, sd, (r, s) = self.scalar_pos[cells], self.free_dofs[cells], np.tril_indices(k)
+        if not len(self.indices):
+            return (np.zeros((len(e), k * k * len(a)), dtype=e.dtype),
+                    np.zeros((len(e), len(r), sd.shape[1]), dtype=e.dtype))
         # entry (r, s) of a diagonal block, s <= r, ends row k i + r at r - s
-        r, s = np.tril_indices(k)
         diag = (self.indptr[k * sd[:, None] + r[:, None] + 1]
                 - (r - s + 1)[:, None].astype(e.dtype))              # (nc, rs, A)
-        span = self.span(cells)
         if span is not None:
-            masked = e[span] == self.s_indptr[-1]
-            np.copyto(pos[span], len(self.indices), where=masked[:, None, None, :po])
-            np.copyto(diag[span], len(self.indices), where=masked[:, None, po:])
-        return np.concatenate([pos.reshape(len(pos), -1), diag.reshape(len(pos), -1)],
-                              axis=1)
+            np.copyto(diag[span], len(self.indices),
+                      where=~self.node_free[self.scalar_dofs[cells][span]][:, None])
+        if k == 1:
+            return e, diag
+        sa, sb, comp = sd[:, a], sd[:, b], np.arange(k, dtype=e.dtype)
+        row, swap = np.maximum(sa, sb), sa < sb
+        first = self.indptr[k * row[:, None] + comp[:, None]]         # (nc, r, pair)
+        first += (k * (e - self.s_indptr[row]))[:, None]
+        pos = np.empty((len(e), k, k, len(a)), dtype=e.dtype)        # (nc, r, s, pair)
+        np.add(first[:, :, None], comp[:, None], out=pos)
+        for i, j in zip(*np.triu_indices(k, 1)):    # in place, no full temporary
+            lo, hi = pos[:, i, j], pos[:, j, i]
+            lo[swap], hi[swap] = hi[swap], lo[swap]
+        if span is not None:
+            np.copyto(pos[span], len(self.indices),
+                      where=(e[span] == self.s_indptr[-1])[:, None, None])
+        return pos.reshape(len(pos), -1), diag
 
     def span(self, cells):
         """The slice of a chunk from its first to its last cell with a
@@ -357,62 +349,85 @@ class Pattern:
         return slice(hit[0], hit[-1] + 1) if len(hit) else None
 
 
-def _assemble(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1,
+def _element_chunks(n_cells, table, n_mats, k, nb):
+    """Chunks of cells whose halves of all matrices with their positions
+    (8 n_mats + 4 bytes per entry of a half), or the lifts' G x_c (k 2
+    n_terms nb doubles per cell), fit in mesh._CHUNK_NNZ doubles."""
+    half = k * k * (table.shape[1] - nb) + k * (k + 1) // 2 * nb
+    return _chunks(n_cells, max(n_mats * half + half // 2, k * len(table) * nb))
+
+
+def _halves(mesh, coeffs, table, cells, nb):
+    """Coefficients x2 = [x, x with r and s swapped] (n_mats, nc, k, k, 2
+    n_terms) of a chunk, x = coeffs(|det J|^(1/2) J^{-T}, J, |det J|),
+    and the stored halves of its element matrices K[r, s, A, B] = x2[r,
+    s] @ table[:, AB], one GEMM over all matrices per part: pairs A > B
+    (n_mats, nc, k, k, n_pairs) and diagonal A = B, r >= s (n_mats, nc,
+    k (k + 1) / 2, nb)."""
+    adet = np.abs(mesh.dets[cells])
+    x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None], mesh.jacs[cells], adet)
+    x2 = np.concatenate([x, x.swapaxes(2, 3)], axis=4)
+    n_pairs, (r, s) = table.shape[1] - nb, np.tril_indices(x.shape[2])
+    pairs = x2.reshape(-1, len(table)) @ table[:, :n_pairs]
+    diag = x2[:, :, r, s].reshape(-1, len(table)) @ table[:, n_pairs:]
+    return (x2, pairs.reshape(x.shape[:4] + (n_pairs,)),
+            diag.reshape(x.shape[:2] + (len(r), nb)))
+
+
+def _assemble(mesh, rule, fields, table, coeffs, loads=(), n_mats=1,
               dirichlet=None, coupled=True):
-    """System of element matrices K[r, a, s, b] = Y[r, s, a, b] + Y[s, r,
-    b, a], Y = coeffs(|det J|^(1/2) J^{-T}, J, |det J|) @ ref on a chunk
-    (``matrix``, ``c_matrix`` if n_mats = 2), and the load vector of
-    ``loads``, (field, reference table, callback or None), on the free
-    dofs of the Dirichlet datum ``dirichlet`` (``_constraints``), with the
-    lifts from one matmul over the (k, k, nb, nb) blocks.  The matrices
-    share one CSR pattern of lower triangles (``Pattern``), every
-    coupling through a cell, also where its sum over cells vanishes:
-    dropping those breaks the k x k block structure that the
-    factorization's ordering relies on, raising fill.  K is exactly
-    symmetric and each lower entry receives one element entry per cell,
-    in cell order, so each matrix is the lower triangle of the symmetric
-    matrix that both halves would give."""
+    """System of the element matrices of ``_halves`` (``matrix``,
+    ``c_matrix`` if n_mats = 2) and the load vector of ``loads``, (field,
+    reference table, callback or None), on the free dofs of the Dirichlet
+    datum ``dirichlet`` (``_constraints``).  The matrices share one CSR
+    pattern of lower triangles (``Pattern``), every coupling through a
+    cell, also where its sum over cells vanishes: dropping those breaks
+    the k x k block structure that the factorization's ordering relies
+    on, raising fill.  Each lower entry receives one stored element entry
+    per cell, in cell order, so each matrix is the lower triangle of the
+    exactly symmetric matrix the element matrices give.  The lifts apply
+    K_e, unformed, to x_e: (K_e x_e)[r, A] = sum_s x2[r, s] @ G[s, :, A],
+    G = [G_t; G_t^T] x_e."""
     t0 = time.perf_counter()
     free, x_con = _constraints(mesh, fields, dirichlet, coupled)
     t1 = time.perf_counter()
     pat = Pattern(list(fields.values()), free)
-    nc, k, (n_terms, nb, _) = len(pat.scalar_dofs), pat.k, ref.shape
-    nnz, comp = len(pat.indices), np.arange(k)
+    (nc, nb), k, nnz = pat.scalar_dofs.shape, pat.k, len(pat.indices)
     # one array per matrix, so that SciPy keeps views without the last
     # entry, the spare slot, instead of copying them
     data = [np.zeros(nnz + 1) for _ in range(n_mats)]
     ax = np.zeros((n_mats, len(free)))      # M x_con of each matrix
-    x_node = x_con.reshape(-1, k)
-    for cells, pos in pat.positions(n_mats * (k * nb) ** 2):
-        adet = np.abs(mesh.dets[cells])
-        x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
-                   mesh.jacs[cells], adet)
-        # one GEMM for all (one per matrix rounds BLAS's edge rows otherwise)
-        y = x.reshape(-1, n_terms) @ ref.reshape(n_terms, -1)
-        y = y.reshape(x.shape[:4] + (nb, nb))
+    x_node, comp = x_con.reshape(-1, k), np.arange(k)
+    if pat.cut.any():       # [G_t; G_t^T] (2 n_terms, nb, nb) from the table
+        (a, b), d, t = pat.pairs, np.arange(nb), len(table) // 2
+        full = np.empty((len(table), nb, nb))
+        full[:, a, b], full[:, d, d] = table[:, :len(a)], table[:, len(a):]
+        full[:t, b, a], full[t:, b, a] = table[t:, :len(a)], table[:t, :len(a)]
+    for cells in _element_chunks(nc, table, n_mats, k, nb):
+        pos, dpos = pat.positions(cells)
+        x2, pairs, diag = _halves(mesh, coeffs, table, cells, nb)
+        for m in range(n_mats):     # in cell order per entry
+            np.add.at(data[m], pos.ravel(), pairs[m].ravel())
+            np.add.at(data[m], dpos.ravel(), diag[m].ravel())
+        del pairs, diag, pos, dpos
         span = pat.span(cells)
-        if span is not None:    # x_con on the span's cells, (nc, 1, s, b, 1)
+        if span is not None:    # G (ns, s t, A) of x_con on the span's cells
             sd = pat.scalar_dofs[cells][span]
-            xe = x_node[sd].transpose(0, 2, 1)[:, None, :, :, None]
-        for d, a, ym in zip(data, ax, y):   # one matrix at a time
-            kh = np.take(ym.reshape(len(ym), -1), pat.half, axis=1)
-            kh += np.take(ym.reshape(len(ym), -1), pat.mirror, axis=1)
-            np.add.at(d, pos.ravel(), kh.ravel())
-            del kh
-            if span is not None:    # K[r, s, a, b] of the span's cells
-                kc = ym[span] + ym[span].transpose(0, 2, 1, 4, 3)
-                np.add.at(a, k * sd[:, None, :] + comp[:, None],
-                          (kc @ xe).sum(axis=2)[..., 0])
-                del kc
-        del x, y, ym, pos       # before the next chunk's
+            xe = x_node[sd].transpose(0, 2, 1).reshape(-1, nb)
+            g = (xe @ full.reshape(-1, nb).T).reshape(len(sd), -1, nb)
+            for m in range(n_mats):
+                np.add.at(ax[m], k * sd[:, None, :] + comp[:, None],
+                          x2[m, span].reshape(len(sd), k, -1) @ g)
+            del xe, g
+        del x2      # before the next chunk's
     rhs = np.zeros(len(free))
-    for layout, table, func in (load for load in loads if load[2] is not None):
-        for cells in _chunks(nc, table.size * layout.n_comps):
+    for layout, tab, func in (load for load in loads if load[2] is not None):
+        for cells in _chunks(nc, tab.size * layout.n_comps):
             w = _weights(mesh, rule, cells)
             xq = mesh.map_points(cells, rule.simplex_points)
             fv = _call(func, xq).reshape(w.shape + (layout.n_comps, -1))
             np.add.at(rhs, layout.cell_dofs(cells),
-                      _project(w, fv, _values(mesh, table, cells)))
+                      _project(w, fv, _values(mesh, tab, cells)))
 
     n, lift = len(pat.indptr) - 1, -ax[:, free]
     mats = [sp.csr_matrix((d[:nnz], pat.indices, pat.indptr), shape=(n, n))

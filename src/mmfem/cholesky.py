@@ -148,7 +148,10 @@ def _quotient_factor(rows, t_label, label, lastcol):
     supervariable (``t_label``, its label), which meet every neighbour
     whose last column comes first, at that column: (perm, L) with
     perm[new] = old supervariable and L the CSC pattern of the Cholesky
-    factor in the new order."""
+    factor in the new order (boolean values).  Memory: Q (12 bytes per
+    entry, two per edge) from A and its transpose (12 bytes per edge
+    each), then SuperLU's L (12 bytes per entry) until only its pattern
+    (5) is left."""
     ns = len(lastcol)
     keep = np.zeros(len(label), dtype=bool)
     keep[lastcol] = True
@@ -157,19 +160,31 @@ def _quotient_factor(rows, t_label, label, lastcol):
     qc = t_label[keep]
     off = qr != qc
     qc, qr = qc[off], qr[off]
-    # Stieltjes values: the factor of an M-matrix has no cancellation
+    # Stieltjes values: the factor of an M-matrix has no cancellation.
+    # Q = A + A^T, A[qc, qr] = -1 (each pair once) with half the diagonal
     degree = np.bincount(qc, minlength=ns) + np.bincount(qr, minlength=ns)
-    Q = sp.csc_matrix(
-        (np.concatenate([-np.ones(2 * len(qr)), degree + 1.0]),
-         (np.concatenate([qr, qc, np.arange(ns)]),
-          np.concatenate([qc, qr, np.arange(ns)]))), shape=(ns, ns))
-    lu = spla.splu(Q, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    ends = np.cumsum(np.bincount(qc, minlength=ns))      # qc is sorted
+    A = sp.csr_matrix((np.full(len(qr) + ns, -1.0),
+                       np.insert(qr, ends, np.arange(ns, dtype=qr.dtype)),
+                       np.concatenate([[0], ends + np.arange(1, ns + 1)])),
+                      shape=(ns, ns))
+    del qr, qc, off, keep
+    A.data[A.indptr[1:] - 1] = 0.5 * (degree + 1.0)     # each row's last
+    A.sort_indices()
+    Q = A + A.T.tocsr()
+    del A
+    # Q is symmetric: its CSR arrays are its CSC ones, no conversion
+    lu = spla.splu(sp.csc_matrix((Q.data, Q.indices, Q.indptr), shape=Q.shape),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
+    del Q
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise FactorizationFailed("quotient graph pivoted off the diagonal")
-    L = lu.L.tocsc()
+    L, perm = lu.L, np.argsort(lu.perm_c)
+    del lu
     L.sort_indices()
-    return np.argsort(lu.perm_c), L
+    return perm, sp.csc_matrix((np.ones(L.nnz, dtype=bool), L.indices, L.indptr),
+                               shape=L.shape)
 
 
 def _postorder(parent):
@@ -396,10 +411,12 @@ def analyse(K, label=None) -> Symbolic:
     passes (chunks of _CHUNK entries, at most 0.66 MB), the schedule's
     Python objects and SciPy's temporaries of the quotient ordering
     (about 100 KB on a 145-dof matrix).  The per-entry term holds for
-    finite element patterns, whose supervariable graph has a symbolic
-    factor of few entries beside the stored ones (each takes about 100
-    bytes here).  Measured above nbytes: 12.6 bytes per stored entry on
-    the 2D benchmark system (peak 25.4 MB), 1.7 on the 3D one (15.4 MB).
+    finite element patterns, whose supervariable graph has few edges and
+    a symbolic factor of few entries beside the stored ones (about 48
+    bytes per edge, 12 per factor entry here, ``_quotient_factor``).
+    Measured above nbytes: 11.6 bytes per stored entry on the 2D
+    benchmark system (peak 24.2 MB), 1.7 on the 3D one (15.4 MB); 52 on
+    random matrices without supervariables, whose fill doubles them.
     """
     indptr, indices, n = K.indptr, K.indices, K.shape[0]
     if n == 0:
@@ -467,13 +484,14 @@ def analyse(K, label=None) -> Symbolic:
     # node below the diagonal; qfront is each node's first front row
     own, below = last - first + 1, qcount[last] - 1
     qptr = np.concatenate([[0], np.cumsum(own + below)])
-    qrows = np.empty(qptr[-1], dtype=np.int64)
+    qrows = np.empty(qptr[-1], dtype=stype)
     qrows[_ranges(qptr[:-1], own)] = _ranges(first, own)
     qrows[_ranges(qptr[:-1] + own, below)] = Li[_ranges(Lp[last] + 1, below)]
     del L, Lp, Li
     qfront = np.cumsum(sz[qrows]) - sz[qrows]
-    qfront -= np.repeat(qfront[qptr[:-1]], own + below)
-    qkeys = np.repeat(np.arange(S), own + below) * ns + qrows     # sorted
+    qfront = (qfront - np.repeat(qfront[qptr[:-1]], own + below)).astype(stype)
+    ktype = np.int32 if S * ns < 2 ** 31 else np.int64
+    qkeys = np.repeat(np.arange(S, dtype=ktype), own + below) * ns + qrows  # sorted
     nrow = np.add.reduceat(sz[qrows], qptr[:-1])
     rptr = np.concatenate([[0], np.cumsum(nrow)])
     srows = _ranges(qoff[qrows], sz[qrows])
@@ -481,7 +499,7 @@ def analyse(K, label=None) -> Symbolic:
     def front_row(s, rows):
         """Position of each scalar row in the front of supernode s."""
         nodes = node_of_row[rows]
-        q = np.asarray(s, dtype=np.int64) * ns + nodes
+        q = np.asarray(s, dtype=qkeys.dtype) * ns + nodes
         at = np.minimum(np.searchsorted(qkeys, q), len(qkeys) - 1)
         if np.any(qkeys[at] != q):
             raise FactorizationFailed("symbolic factor misses an entry")

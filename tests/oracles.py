@@ -4,10 +4,13 @@ forms that only tests use.
 
 The assembler stores the lower triangle of each matrix.  ``symmetric``
 forms the whole matrix from it, and ``assemble_full`` assembles the
-whole matrix on all dofs directly.  ``constrain`` forms a free system
-the way the assembler does not: the free blocks sliced from the matrices
-of a system assembled without Dirichlet data, the lifts and constants
-from CSR products with the whole matrices.
+whole matrix on all dofs directly from the assembler's element halves;
+``assemble_yyt`` does so from element matrices Y + Y^T of the reference
+tensors, an independent reference for the values of the halves.
+``constrain`` forms a free system the way the assembler does not: the
+free blocks sliced from the matrices of a system assembled without
+Dirichlet data, the lifts and constants from CSR products with the
+whole matrices.
 """
 
 from dataclasses import replace
@@ -49,33 +52,34 @@ def matrix_at(system, c):
                           K.indices, K.indptr), shape=K.shape)
 
 
-def assemble_full(form, *args, **kwargs):
-    """``form(*args, **kwargs)``, an ``assemble_*`` call without Dirichlet
-    data, with its matrices whole: every element matrix of the
-    assembler's chunks added entry by entry, both triangles, in cell
-    order, on the pattern of every coupling through a cell."""
+def _spy(form, args, kwargs):
+    """``form(*args, **kwargs)`` and the arguments of its ``_assemble`` call."""
     seen, real = {}, assembly._assemble
 
-    def spy(mesh, rule, fields, ref, coeffs, loads=(), n_mats=1, **rest):
-        seen.update(mesh=mesh, fields=fields, ref=ref, coeffs=coeffs, n_mats=n_mats)
-        return real(mesh, rule, fields, ref, coeffs, loads, n_mats, **rest)
+    def spy(mesh, rule, fields, table, coeffs, loads=(), n_mats=1, **rest):
+        seen.update(mesh=mesh, fields=fields, table=table, coeffs=coeffs, n_mats=n_mats)
+        return real(mesh, rule, fields, table, coeffs, loads, n_mats, **rest)
 
     assembly._assemble = spy
     try:
-        system = form(*args, **kwargs)
+        return form(*args, **kwargs), seen
     finally:
         assembly._assemble = real
-    mesh, ref, coeffs, n_mats = seen["mesh"], seen["ref"], seen["coeffs"], seen["n_mats"]
+
+
+def _dofs_per_cell(fields):
+    """Scalar dofs of a cell over all fields."""
+    return sum(fl.dofmap.cell_dofs.shape[1] for fl in fields.values())
+
+
+def _whole(system, seen, elements):
+    """``system`` with its matrices whole on all dofs: the element matrices
+    (n_mats, nc, k, k, nb, nb) of ``elements``, (cells, matrices) chunk by
+    chunk, added entry by entry, both triangles, in cell order, on the
+    pattern of every coupling through a cell."""
     dofs = np.concatenate([fl.cell_dofs() for fl in seen["fields"].values()], axis=2)
-    (nc, k, nb), n_terms, n = dofs.shape, len(ref), system.n_dofs
-    keys, vals = [], [[] for _ in range(n_mats)]
-    for cells in _chunks(nc, n_mats * (k * nb) ** 2):
-        adet = np.abs(mesh.dets[cells])
-        x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
-                   mesh.jacs[cells], adet)
-        y = (x.reshape(-1, n_terms) @ ref.reshape(n_terms, -1)).reshape(
-            x.shape[:4] + (nb, nb))
-        kc = y + y.transpose(0, 1, 3, 2, 5, 4)          # (mats, c, r, s, A, B)
+    n, keys, vals = system.n_dofs, [], [[] for _ in range(seen["n_mats"])]
+    for cells, kc in elements:
         g = dofs[cells]
         keys.append((g[:, :, None, :, None] * n + g[:, None, :, None, :]).ravel())
         for v, km in zip(vals, kc):
@@ -87,7 +91,65 @@ def assemble_full(form, *args, **kwargs):
         data = np.zeros(len(entries))
         np.add.at(data, at.ravel(), np.concatenate(v))
         mats.append(sp.csr_matrix((data, entries % n, indptr), shape=(n, n)))
-    return replace(system, matrix=mats[0], c_matrix=mats[1] if n_mats == 2 else None)
+    return replace(system, matrix=mats[0], c_matrix=mats[1] if len(mats) == 2 else None)
+
+
+def assemble_full(form, *args, **kwargs):
+    """``form(*args, **kwargs)``, an ``assemble_*`` call without Dirichlet
+    data, with its matrices whole: the stored halves of the assembler's
+    element matrices (``assembly._halves`` on the assembler's chunks)
+    mirrored into whole element matrices (``_whole``)."""
+    system, seen = _spy(form, args, kwargs)
+    k, nb = seen["fields"]["u"].n_comps, _dofs_per_cell(seen["fields"])
+    (a, b), d, (r, s) = np.tril_indices(nb, -1), np.arange(nb), np.tril_indices(k)
+
+    def elements():
+        mesh, table = seen["mesh"], seen["table"]
+        for cells in assembly._element_chunks(mesh.n_cells, table, seen["n_mats"], k, nb):
+            _, pairs, diag = assembly._halves(mesh, seen["coeffs"], table, cells, nb)
+            kc = np.empty(pairs.shape[:4] + (nb, nb))
+            kc[..., a, b] = pairs
+            kc.transpose(0, 1, 3, 2, 5, 4)[..., a, b] = pairs
+            kc[:, :, r[:, None], s[:, None], d, d] = diag
+            kc[:, :, s[:, None], r[:, None], d, d] = diag
+            yield cells, kc
+
+    return _whole(system, seen, elements())
+
+
+def gram_blocks(table, nb):
+    """The halved reference tensors G (n_terms, nb, nb) whose rows G[t, A,
+    B], then G[t, B, A], on the local pairs A > B and then the diagonal,
+    make ``table`` (``assembly._form_ref``)."""
+    (a, b), d, n_terms = np.tril_indices(nb, -1), np.arange(nb), len(table) // 2
+    assert np.array_equal(table[:n_terms, len(a):], table[n_terms:, len(a):])
+    G = np.empty((n_terms, nb, nb))
+    G[:, a, b], G[:, b, a] = table[:n_terms, :len(a)], table[n_terms:, :len(a)]
+    G[:, d, d] = table[:n_terms, len(a):]
+    return G
+
+
+def assemble_yyt(form, *args, **kwargs):
+    """``form(*args, **kwargs)`` without Dirichlet data, its matrices whole
+    (``_whole``) from element matrices K[r, s, A, B] = Y[r, s, A, B] +
+    Y[s, r, B, A], Y = x @ G over the reference tensors G of the
+    assembler's table (``gram_blocks``): a reference for the values of
+    the assembler's stored halves that shares none of their arithmetic."""
+    system, seen = _spy(form, args, kwargs)
+    mesh, coeffs, n_mats = seen["mesh"], seen["coeffs"], seen["n_mats"]
+    nb = _dofs_per_cell(seen["fields"])
+    G = gram_blocks(seen["table"], nb)
+
+    def elements():
+        for cells in _chunks(mesh.n_cells, n_mats * G.size):
+            adet = np.abs(mesh.dets[cells])
+            x = coeffs(mesh.inv_ts[cells] * np.sqrt(adet)[:, None, None],
+                       mesh.jacs[cells], adet)
+            y = (x.reshape(-1, len(G)) @ G.reshape(len(G), -1)).reshape(
+                x.shape[:4] + (nb, nb))
+            yield cells, y + y.transpose(0, 1, 3, 2, 5, 4)
+
+    return _whole(system, seen, elements())
 
 
 def embed(system, data, coupled=True):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,7 @@ from mmfem.errors import SpaceMismatch
 from mmfem.materials import MaterialParams
 from mmfem.mesh import build, generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor, eval_vector_shapes
-from oracles import assemble_full, matrix_at, symmetric
+from oracles import assemble_full, assemble_yyt, constrain, embed, matrix_at, symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -772,17 +774,50 @@ def test_triangle_contract(form, constrained, wavy_disk, wavy_box):
         assert np.all(err <= 8 * np.finfo(float).eps * (abs(ref) @ np.abs(x)))
 
 
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("form", ["antiplane", "full3d", "full3d split_curl",
+                                  "cauchy"])
+def test_halves_agree_with_y_plus_y_transposed(form, constrained, wavy_disk, wavy_box):
+    # the stored halves, one GEMM of x2 on the symmetrized table, against
+    # whole element matrices Y + Y^T of the reference tensors: matrices,
+    # lifts, constants and loads agree to a few ulps of their scale (at
+    # most 1.3, 3.7, 0.5 and 2.8 eps measured)
+    call, data = _form_call(form, wavy_disk, wavy_box)
+    system = call(dirichlet=data if constrained else None)
+    whole = assemble_yyt(call)
+    mats = [M for M in (whole.matrix, whole.c_matrix) if M is not None]
+    ref = replace(whole, matrix=sp.tril(mats[0], format="csr"),
+                  c_matrix=sp.tril(mats[1], format="csr") if len(mats) == 2 else None)
+    if constrained:
+        ref = constrain(ref, embed(whole, data, coupled=form != "cauchy"))
+    eps, x_abs = np.finfo(float).eps, np.abs(ref.x_con)
+    got = [system.matrix, system.c_matrix]
+    for i, (T, M, W) in enumerate(zip(got, [ref.matrix, ref.c_matrix], mats)):
+        assert np.array_equal(T.indptr, M.indptr)
+        assert abs(T - M).max() <= 4 * eps * abs(M).max()
+        scale = (abs(W) @ x_abs)[ref.free].max(initial=0.0)
+        assert np.abs(system.lift[i] - ref.lift[i]).max(initial=0.0) <= 8 * eps * scale
+        energy_scale = x_abs @ (abs(W) @ x_abs)
+        assert abs(system.con_energy[i] - ref.con_energy[i]) <= 4 * eps * energy_scale
+    load_scale = np.abs(ref.rhs - ref.lift[0]).max() + (abs(mats[0]) @ x_abs).max()
+    assert np.abs(system.rhs - ref.rhs).max() <= 8 * eps * load_scale
+    assert len(mats) == len(system.lift) == 2 - (form in ("antiplane", "full3d"))
+
+
 def test_assembly_memory_bound(wavy_box, monkeypatch):
     # the traced peak of a two-matrix assembly in four chunks is at most
-    # what the system keeps, the scalar positions of all cells and one
-    # chunk's temporaries: Y of both matrices (_CHUNK_NNZ doubles), then
-    # one matrix's K and positions (8 + 4 bytes per entry), never two
-    # chunks' at once; under Dirichlet data on the whole boundary too, so
-    # the lifts and the spare slot add no chunk-sized temporaries
+    # what the system keeps, the scalar positions of the pairs A > B of
+    # all cells and one chunk's temporaries: the stored halves of both
+    # matrices and their positions (4 bytes per entry of one matrix's
+    # half), together _CHUNK_NNZ doubles, never two chunks' at once and
+    # no element tensor; under Dirichlet data on the whole boundary too,
+    # where the lifts add the table [G; G^T] (16 n_terms nb^2 bytes) and
+    # no chunk-sized temporaries
     import tracemalloc
     space = SpaceDescriptor("h1", 4, 3)
-    nb = 35     # degree-4 polynomials on a tetrahedron
-    chunk = 2 * (3 * nb) ** 2 * (wavy_box.n_cells // 4)
+    nb, n_terms = 35, 9     # degree-4 polynomials on a tetrahedron; Du
+    half = 3 * 3 * nb * (nb - 1) // 2 + 6 * nb      # entries of one matrix
+    chunk = (2 * half + half // 2) * (wavy_box.n_cells // 4)
     monkeypatch.setattr(mmfem.mesh, "_CHUNK_NNZ", chunk)
     for data in (None, (wavy_box.boundary_facets, _f3, _M3)):
         assemble_cauchy3d(wavy_box, space, dirichlet=data)   # cached tables
@@ -792,9 +827,10 @@ def test_assembly_memory_bound(wavy_box, monkeypatch):
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        scalar_positions = 4 * wavy_box.n_cells * nb ** 2
+        scalar_positions = 4 * wavy_box.n_cells * nb * (nb - 1) // 2
+        lift_table = 0 if data is None else 16 * n_terms * nb ** 2
         small = 256 * 1024      # coefficients, Python objects
-        assert peak <= kept + scalar_positions + 8 * chunk + 12 * chunk // 2 + small
+        assert peak <= kept + scalar_positions + 8 * chunk + lift_table + small
         assert kept >= 8 * (sys_.matrix.nnz + sys_.c_matrix.nnz)
     assert 0 < np.count_nonzero(sys_.free) < sys_.n_dofs
 
