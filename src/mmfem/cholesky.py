@@ -53,7 +53,10 @@ of consecutive parent rows; a child's rows that land in its parent's
 update matrix are its last ones, and what waits of them is a staircase:
 per trailing run, a copy of its rows up to the run's end (the pairs on
 and below the diagonal read no more).  Forward and backward
-substitution run by the same groups.
+substitution run by the same groups, through a solve plan that each
+``Factor`` builds once: per group, views of its pivot block and of L21
+and the front rows, so a solve derives no view or index of its own and
+copies no part of the factor; a single supernode's dtrsv works in place.
 
 Memory: the factor, ``Symbolic.size`` entries, the sum of n k over the
 supernodes (``nnz`` counts the entries on or below the diagonal); the
@@ -85,11 +88,12 @@ _CHUNK = 1 << 13
 # the fixed term of the traced peak of ``analyse``
 _FIXED_BYTES = 1 << 20
 # Python objects and NumPy's iteration buffers in ``factor``: per group
-# (a panel view), per waiting part (its tuple, array headers and lists),
-# per run of a waiting staircase (three ints and a piece), and in one
-# step: an in-place add of strided blocks buffers its three operands,
-# getbufsize() doubles each (``ufunc.at`` less), and small objects
-_OBJ_GROUP, _OBJ_PART, _OBJ_RUN = 256, 384, 352
+# (a panel view and its entry of the solve plan), per waiting part (its
+# tuple, array headers and lists), per run of a waiting staircase (three
+# ints and a piece), and in one step: an in-place add of strided blocks
+# buffers its three operands, getbufsize() doubles each (``ufunc.at``
+# less), and small objects
+_OBJ_GROUP, _OBJ_PART, _OBJ_RUN = 768, 384, 352
 _OBJ_STEP = 3 * 8 * np.getbufsize() + (16 << 10)
 # Update matrices of up to _FLAT_ROWS rows move by flat positions,
 # computed in ``factor`` from 4 bytes per row, larger ones by block
@@ -605,7 +609,11 @@ class Factor:
 
     Group g's panels are ``values[offset:offset + B n k]`` as (B, n, k):
     rows :k hold the pivot block (L11 for a single supernode, its inverse
-    for a batch), rows k: hold L21.
+    for a batch), rows k: hold L21.  The solve plan ``plan`` holds, per
+    group, the pivot columns (a slice for a single supernode, else the
+    (B, k) rows), views of the pivot block and of L21, and L21's front
+    rows (L21 and its rows None where n = k), all views of the panels
+    and of the analysis.
     """
 
     def __init__(self, symbolic, values):
@@ -616,42 +624,45 @@ class Factor:
         self.panels = [
             values[g.offset:g.offset + len(g.rows) * g.n * g.k].reshape(
                 len(g.rows), g.n, g.k) for g in symbolic.groups]
+        self.plan = []
+        for g, P in zip(symbolic.groups, self.panels):
+            k, rows = g.k, g.rows
+            if len(P) == 1:
+                # LAPACK's view: the C-order L11 is a Fortran-order L11^T
+                P, rows = P[0], rows[0]
+                cols, L11 = slice(int(rows[0]), int(rows[0]) + k), P[:k].T
+            else:
+                cols, L11 = rows[:, :k], P[:, :k]
+            if g.n > k:
+                self.plan.append((cols, L11, P[..., k:, :], rows[..., k:]))
+            else:
+                self.plan.append((cols, L11, None, None))
 
     def solve(self, b):
         sym, b = self.symbolic, np.asarray(b, dtype=float)
         if b.ndim == 2:
             return np.array([self.solve(c) for c in b.T]).reshape(b.T.shape).T
-        x = b[sym.perm]
-        work = list(zip(sym.groups, self.panels))
-        for g, P in work:
-            k = g.k
-            if len(P) == 1:
-                # LAPACK views: the C-order L11 is a Fortran-order L11^T
-                c0 = g.rows[0, 0]
-                y = x[c0:c0 + k] = blas.dtrsv(P[0, :k].T, x[c0:c0 + k],
-                                              lower=0, trans=1)
-                if g.n > k:
-                    x[g.rows[0, k:]] -= P[0, k:] @ y
+        x, trsv = b[sym.perm], blas.dtrsv
+        for cols, L11, L21, rows in self.plan:
+            if type(cols) is slice:
+                # in place: y is the view x[cols]
+                y = trsv(L11, x[cols], lower=0, trans=1, overwrite_x=1)
+                if rows is not None:
+                    x[rows] -= L21 @ y
                 continue
-            cols = g.rows[:, :k]
-            y = x[cols] = (P[:, :k] @ x[cols][..., None])[..., 0]
-            if g.n > k:
-                np.subtract.at(x, g.rows[:, k:],
-                               (P[:, k:] @ y[..., None])[..., 0])
-        for g, P in reversed(work):
-            k = g.k
-            if len(P) == 1:
-                c0 = g.rows[0, 0]
-                z = x[c0:c0 + k]
-                if g.n > k:
-                    z -= x[g.rows[0, k:]] @ P[0, k:]
-                x[c0:c0 + k] = blas.dtrsv(P[0, :k].T, z, lower=0)
-                continue
-            cols = g.rows[:, :k]
+            y = x[cols] = (L11 @ x[cols][..., None])[..., 0]
+            if rows is not None:
+                np.subtract.at(x, rows, (L21 @ y[..., None])[..., 0])
+        for cols, L11, L21, rows in reversed(self.plan):
             z = x[cols]
-            if g.n > k:
-                z -= (x[g.rows[:, k:]][:, None, :] @ P[:, k:])[:, 0]
-            x[cols] = (z[:, None, :] @ P[:, :k])[:, 0]
+            if type(cols) is slice:
+                if rows is not None:
+                    z -= x[rows] @ L21
+                trsv(L11, z, lower=0, overwrite_x=1)
+                continue
+            if rows is not None:
+                z -= (x[rows][:, None, :] @ L21)[:, 0]
+            x[cols] = (z[:, None, :] @ L11)[:, 0]
         out = np.empty_like(x)
         out[sym.perm] = x
         return out

@@ -21,9 +21,16 @@ factor from the previous solution, and all factorizations share one
 analysis.  A completed Cholesky certifies K(c) SPD; a matrix it rejects
 is factored by SuperLU's LU instead and reported not SPD.  The walk needs
 K at the smallest c SPD and C positive semidefinite, c of any sign:
-after an SPD factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  It
-factors again at a value whose CG fails or misses the tolerance, and
-ahead of time after a CG that used more than half of PCG_BUDGET.  Every
+after an SPD factor at c0, K(c) = K(c0) + (c - c0) C is SPD too.  CG is
+the in-repo loop of ``_pcg`` (SciPy's ``cg``, update for update); from
+its fifth iteration on it gives up where the count projected from its
+mean contraction so far exceeds PCG_BUDGET, so an attempt that cannot
+converge in the budget stops early (Saad, Iterative Methods for Sparse
+Linear Systems, 2nd ed., 2003, section 6.11).  The walk factors again at
+a value whose CG gives up, runs out of its budget or misses the
+tolerance, and ahead of time after a CG that used more than half of
+PCG_BUDGET.  The decisions read only residual norms and iteration
+counts, so repeated runs give identical results.  Every
 solution meets relative residual RESIDUAL_TOL against its own matrix, or
 the walk raises: Cholesky is backward stable, so a larger residual is
 the conditioning's, which a correction step in working precision cannot
@@ -38,6 +45,7 @@ with, while it is computed, its peak update storage
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -55,6 +63,7 @@ from .simplex import bezier_eval
 
 RESIDUAL_TOL = 1e-10
 PCG_BUDGET = 30     # CG iterations per value of a family solve
+_PROJECT_FROM = 5   # CG iterations before an attempt may be given up
 _STAGES = dict.fromkeys(("assembly", "dirichlet", "analysis", "factor", "solve"), 0.0)
 
 
@@ -74,8 +83,16 @@ class FieldSolution:
     storage plus its peak update storage,
     ``cholesky.Symbolic.factor_bytes``) and ``analysis_bytes`` (the bytes
     the analysis keeps, ``cholesky.Symbolic.nbytes``), all None for LU.
-    ``energy`` is 1/2 x^T K x.  The solution keeps its system without its
-    matrices (``matrix``, ``c_matrix`` and ``group`` are None).
+    Where CG ran at this value (on either path: a direct solution after a
+    CG that failed), ``cg_history`` is its relative residuals r_0 ... r_j
+    at the top of each iteration (j its iterations), ``cg_stop`` why it
+    ended: "converged", "projected" (given up: the projected count
+    ``cg_projected`` exceeded PCG_BUDGET), "budget" (PCG_BUDGET iterations
+    run) or "residual" (converged, but the residual check against K x
+    missed RESIDUAL_TOL); all three None where no CG ran, ``cg_projected``
+    None unless given up.  ``energy`` is 1/2 x^T K x.  The solution keeps
+    its system without its matrices (``matrix``, ``c_matrix`` and
+    ``group`` are None).
     """
 
     system: SparseSystem
@@ -104,7 +121,14 @@ def _product(T):
     d = np.zeros(T.shape[0])
     d[rows] = T.data[last[rows]]
     Tt = T.T
-    return lambda x: T @ x + Tt @ x - d * x
+
+    def Kx(x):
+        # in place, in the order of T x + T^T x - d x
+        y = T @ x
+        y += Tt @ x
+        y -= d * x
+        return y
+    return Kx
 
 
 def _matrix_bytes(mats):
@@ -162,22 +186,52 @@ def _direct(K, Kx, rhs, symbolic, require_spd):
                    "solve": time.perf_counter() - t1}}
 
 
-def _pcg(Kx, rhs, lu, x0):
-    """CG on K, applied by ``Kx``, preconditioned by an SPD factor, from
-    x0, within PCG_BUDGET iterations; returns (xf, iterations,
-    converged)."""
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    n = len(rhs)
-    A = spla.LinearOperator((n, n), matvec=Kx, dtype=float)
-    M = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    xf, info = spla.cg(A, rhs, x0=x0, rtol=RESIDUAL_TOL / 10.0, atol=0.0,
-                       maxiter=PCG_BUDGET, M=M, callback=count)
-    return xf, iterations, info == 0
+def _pcg(Kx, rhs, solve, x0):
+    """CG on K, applied by ``Kx``, preconditioned by an SPD factor's
+    ``solve``, from x0, to relative residual RESIDUAL_TOL / 10 within
+    PCG_BUDGET iterations: SciPy's ``cg`` (its norm test at the top of
+    each iteration and its updates, in its order).  From iteration
+    _PROJECT_FROM on it gives up where the count projected from the mean
+    contraction so far, j + log(tol / r_j) / log((r_j / r_0)^(1/j)),
+    exceeds PCG_BUDGET.  Returns (x, history, stop, projected): the
+    relative residuals r_0 ... r_j of the norm tests, why it ended
+    ("converged", "projected" or "budget") and the projection it gave up
+    at, else None."""
+    tol = RESIDUAL_TOL / 10.0
+    bnorm = np.linalg.norm(rhs)
+    if bnorm == 0:
+        return rhs.copy(), [0.0], "converged", None
+    atol = tol * bnorm
+    x = np.array(x0, dtype=float)
+    r = rhs - Kx(x) if x.any() else rhs.copy()
+    history = []
+    for j in range(PCG_BUDGET + 1):
+        rnorm = np.linalg.norm(r)
+        history.append(float(rnorm / bnorm))
+        if rnorm < atol:
+            return x, history, "converged", None
+        if j == PCG_BUDGET:
+            return x, history, "budget", None
+        if j >= _PROJECT_FROM:
+            # log of the contraction over j iterations; none (or NaN)
+            # projects to infinity
+            shrink = math.log(history[j] / history[0])
+            projected = (j + j * math.log(tol / history[j]) / shrink
+                         if shrink < 0 else math.inf)
+            if projected > PCG_BUDGET:
+                return x, history, "projected", projected
+        z = solve(r)
+        rho = np.dot(r, z)
+        if j:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = Kx(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
 
 
 def solve(system: SparseSystem, require_spd=False) -> FieldSolution:
@@ -245,14 +299,21 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
                                 c * e_c)
         Kx = _product(K)
         info, cg_s = None, 0.0
+        cg = dict.fromkeys(("cg_history", "cg_stop", "cg_projected"))
         if not refactor:
             t = time.perf_counter()
-            x_cg, iterations, converged = _pcg(Kx, rhs, lu, xf)
-            kx = Kx(x_cg)
-            res = _relative_residual(kx, rhs)
+            x_cg, history, stop, projected = _pcg(Kx, rhs, lu.solve, xf)
+            if stop == "converged":
+                kx = Kx(x_cg)
+                res = _relative_residual(kx, rhs)
+                if not res <= RESIDUAL_TOL:     # a NaN residual fails too
+                    stop = "residual"
             cg_s = time.perf_counter() - t
-            if converged and res <= RESIDUAL_TOL:
+            cg = {"cg_history": history, "cg_stop": stop,
+                  "cg_projected": projected}
+            if stop == "converged":
                 xf = x_cg
+                iterations = len(history) - 1
                 info = {"path": "pcg", "iterations": iterations,
                         "residual": res, "stages": {**_STAGES, "solve": cg_s}}
                 refactor = iterations > PCG_BUDGET // 2
@@ -263,6 +324,7 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
             info["matrix_bytes"] = matrix_bytes
             # CG needs an SPD preconditioner
             refactor = not spd
+        info.update(cg)
         info["stages"].update(shared)
         shared = {}
         # PCG runs only from an SPD factor at c0 <= c, and K(c) =

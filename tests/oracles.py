@@ -1,6 +1,7 @@
 """Test oracles: full matrices, constrained systems formed from them,
-the matrix K(c) of a family, one-point field evaluation, and closed
-forms that only tests use.
+the matrix K(c) of a family, one-point field evaluation, SciPy's CG and
+the supernodal solve without a plan, and closed forms that only tests
+use.
 
 The assembler stores the lower triangle of each matrix.  ``symmetric``
 forms the whole matrix from it, and ``assemble_full`` assembles the
@@ -18,6 +19,8 @@ from math import comb
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import blas
 
 from mmfem import assembly
 from mmfem.assembly import SparseSystem
@@ -243,3 +246,60 @@ def eval_field(sol, point):
     """(u, P) values at one physical point; ``sample_line`` for one point."""
     us, Ps = sample_line(sol, np.asarray(point, dtype=float)[None, :])
     return us[0], (None if Ps is None else Ps[0])
+
+
+def scipy_pcg(Kx, rhs, solve, x0, rtol, maxiter):
+    """SciPy's ``cg`` on K, applied by ``Kx``, preconditioned by
+    ``solve``, from x0, to relative residual ``rtol``: (x, iterations,
+    SciPy's info)."""
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    n = len(rhs)
+    A = spla.LinearOperator((n, n), matvec=Kx, dtype=float)
+    M = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    x, info = spla.cg(A, rhs, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter,
+                      M=M, callback=count)
+    return x, iterations, info
+
+
+def factor_solve(F, b):
+    """K x = b by the supernodal factor ``F`` (``cholesky.Factor``) for
+    b of shape (n,), its views and front rows derived group by group from
+    the panels and the analysis, as ``Factor.solve`` did before its plan."""
+    sym = F.symbolic
+    x = np.asarray(b, dtype=float)[sym.perm]
+    work = list(zip(sym.groups, F.panels))
+    for g, P in work:
+        k = g.k
+        if len(P) == 1:
+            c0 = g.rows[0, 0]
+            y = x[c0:c0 + k] = blas.dtrsv(P[0, :k].T, x[c0:c0 + k],
+                                          lower=0, trans=1)
+            if g.n > k:
+                x[g.rows[0, k:]] -= P[0, k:] @ y
+            continue
+        cols = g.rows[:, :k]
+        y = x[cols] = (P[:, :k] @ x[cols][..., None])[..., 0]
+        if g.n > k:
+            np.subtract.at(x, g.rows[:, k:], (P[:, k:] @ y[..., None])[..., 0])
+    for g, P in reversed(work):
+        k = g.k
+        if len(P) == 1:
+            c0 = g.rows[0, 0]
+            z = x[c0:c0 + k]
+            if g.n > k:
+                z -= x[g.rows[0, k:]] @ P[0, k:]
+            x[c0:c0 + k] = blas.dtrsv(P[0, :k].T, z, lower=0)
+            continue
+        cols = g.rows[:, :k]
+        z = x[cols]
+        if g.n > k:
+            z -= (x[g.rows[:, k:]][:, None, :] @ P[:, k:])[:, 0]
+        x[cols] = (z[:, None, :] @ P[:, :k])[:, 0]
+    out = np.empty_like(x)
+    out[sym.perm] = x
+    return out

@@ -10,8 +10,8 @@ from mmfem.materials import MaterialParams
 from mmfem.mesh import generate_box, generate_disk
 from mmfem.nedelec import SpaceDescriptor
 from mmfem.solver import FieldSolution, sample_line, solve
-from oracles import (constrain, embed, eval_field, locate_cell, matrix_at,
-                     symmetric)
+from oracles import (constrain, embed, eval_field, factor_solve, locate_cell,
+                     matrix_at, scipy_pcg, symmetric)
 
 
 def _toy_system(K, b):
@@ -185,13 +185,13 @@ def test_row_pivoted_factorization_not_certified_spd():
 
 
 def test_singular_system_raises_without_cg(monkeypatch):
-    import scipy.sparse.linalg as spla
+    import mmfem.solver as solver
     from mmfem.errors import FactorizationFailed, MMFemError
 
     def no_cg(*args, **kwargs):
         raise AssertionError("CG called")
 
-    monkeypatch.setattr(spla, "cg", no_cg)
+    monkeypatch.setattr(solver, "_pcg", no_cg)
     K = np.array([[1.0, 1.0, 0, 0], [1.0, 1.0, 0, 0],
                   [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     sys_ = constrain(_toy_system(K, [1.0, 0.0, 0.0, 0.0]), ([3], [0.0]))
@@ -382,8 +382,11 @@ def test_family_unsorted_with_duplicate(sweep_system_small, sweep_full_small):
     assert sols[1].info["path"] == "direct"
     info = dict(sols[3].info)
     del info["stages"]      # wall times
+    # CG's one norm test is of b - K x0, the residual check's K x0 - b
     assert info == {"path": "pcg", "iterations": 0,
-                    "residual": sols[3].residual}
+                    "residual": sols[3].residual,
+                    "cg_history": [sols[3].residual], "cg_stop": "converged",
+                    "cg_projected": None}
     np.testing.assert_array_equal(sols[3].x, sols[0].x)
 
 
@@ -403,6 +406,64 @@ def test_family_refactors_on_jump(sweep_system_small, sweep_full_small,
     assert len(calls) == 2
     assert [s.info["path"] for s in sols] == ["direct", "direct"]
     _check_against_direct(sweep_full_small, coeffs, sols)
+
+
+def test_pcg_matches_scipy_cg(sweep_system_small):
+    # the in-repo loop is SciPy's cg update for update: on an attempt that
+    # converges, the same x, bitwise, and the same iteration count
+    from mmfem import cholesky, solver
+    system = sweep_system_small
+    F = cholesky.factor(matrix_at(system, 1e-2))
+    x0 = F.solve(system.rhs + 1e-2 * system.lift[1])
+    c = 0.1778
+    Kx, rhs = solver._product(matrix_at(system, c)), system.rhs + c * system.lift[1]
+    x, history, stop, projected = solver._pcg(Kx, rhs, F.solve, x0)
+    assert stop == "converged" and projected is None and len(history) > 11
+    x_ref, iterations, info = scipy_pcg(Kx, rhs, F.solve, x0,
+                                        solver.RESIDUAL_TOL / 10.0,
+                                        solver.PCG_BUDGET)
+    assert info == 0 and iterations == len(history) - 1
+    assert np.array_equal(x, x_ref)
+    assert history[-1] < solver.RESIDUAL_TOL / 10.0 <= min(history[:-1])
+
+
+def _projections(history, tol):
+    """The walk's projected CG counts at j = 5, 6, ... of a history."""
+    import math
+    return [j + j * math.log(tol / history[j]) / math.log(history[j] / history[0])
+            for j in range(5, len(history))]
+
+
+@pytest.mark.parametrize("coeffs, budget", [([1e-8, 1e6], 30),
+                                            ([1e-2, 0.2], 25)])
+def test_family_gives_up_projected_attempt(sweep_system_small, monkeypatch,
+                                           coeffs, budget):
+    # CG from the anchor contracts too slowly: the attempt stops at the
+    # first j >= 5 whose projected count exceeds the budget (at j = 5 for
+    # the jump to lc = 1e3; later where a smaller budget is crossed only
+    # after j = 5), and the walk factors there
+    import mmfem.solver as solver
+    monkeypatch.setattr(solver, "PCG_BUDGET", budget)
+    runs = [solver.solve_family(sweep_system_small, coeffs) for _ in range(2)]
+    sols = runs[0]
+    assert [s.info["path"] for s in sols] == ["direct", "direct"]
+    assert sols[0].info["cg_history"] is None
+    info = sols[1].info
+    history, stop = info["cg_history"], len(info["cg_history"]) - 1
+    tol = solver.RESIDUAL_TOL / 10.0
+    projected = _projections(history, tol)
+    assert info["cg_stop"] == "projected" and min(history) > tol
+    assert all(p <= budget for p in projected[:-1]) and projected[-1] > budget
+    assert info["cg_projected"] == pytest.approx(projected[-1], rel=1e-12)
+    assert stop == (5 if budget == 30 else 7)
+    # as an all-direct walk, and repeatable
+    for c, sol in zip(coeffs, sols):
+        ref = solver.solve_family(sweep_system_small, [c])[0]
+        assert abs(sol.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+    for a, b in zip(*runs):
+        assert np.array_equal(a.x, b.x) and a.energy == b.energy
+        assert ({k: v for k, v in a.info.items() if k != "stages"}
+                == {k: v for k, v in b.info.items() if k != "stages"})
 
 
 @pytest.mark.parametrize("moduli", [[(-1.0, 1.0), (2.0, 1.0)],
@@ -530,10 +591,32 @@ def test_cholesky_solve_blocks():
     B = np.random.default_rng(3).standard_normal((K.shape[0], 3))
     X = F.solve(B)
     assert X.shape == B.shape
+    ref = np.linalg.solve(K.toarray(), B)
     for j in range(3):
         assert np.array_equal(X[:, j], F.solve(B[:, j]))
+        assert (np.linalg.norm(X[:, j] - ref[:, j])
+                <= 1e-12 * np.linalg.norm(ref[:, j]))
     assert F.solve(B[:, :1]).shape == (K.shape[0], 1)
     assert F.solve(B[:, :0]).shape == (K.shape[0], 0)
+
+
+def test_cholesky_solve_plan():
+    # the plan holds views of the factor and the analysis, no copies, and
+    # solves bitwise as the views derived group by group, on single
+    # supernodes (dtrsv in place) and batches
+    from mmfem import cholesky
+    K = sp.block_diag([_large_fronts()] * 2, format="csc")
+    F = cholesky.factor(sp.tril(K, format="csr"))
+    kinds = {type(cols) for cols, *_ in F.plan}
+    assert kinds == {slice, np.ndarray}
+    for (cols, L11, L21, rows), g in zip(F.plan, F.symbolic.groups):
+        assert np.shares_memory(L11, F.values)
+        assert L21 is None or np.shares_memory(L21, F.values)
+        assert rows is None or np.shares_memory(rows, g.rows)
+    b = np.random.default_rng(4).standard_normal(K.shape[0])
+    values = F.values.copy()
+    assert np.array_equal(F.solve(b), factor_solve(F, b))
+    assert np.array_equal(F.values, values)
 
 
 def test_cholesky_flat_pieces_with_different_t(monkeypatch):
