@@ -43,6 +43,9 @@ class BenchConfig:
             raise InvalidParam("polynomial order too low for family")
         if self.refine < 0:
             raise InvalidParam(f"refine must be >= 0, got {self.refine}")
+        negative = [lc for lc in self.lc_values or () if lc < 0]
+        if negative:
+            raise InvalidParam(f"lc values must be >= 0, got {negative[0]}")
         if self.mesh_path is not None and self.refine > 0:
             raise InvalidParam("a mesh file is used as given: refine must be 0, "
                                f"got {self.refine}")

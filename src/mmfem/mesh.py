@@ -330,6 +330,25 @@ def io_write(mesh: Mesh, path) -> None:
         json.dump(data, fh)
 
 
+def _json_array(path, field, value, ids=False):
+    """A JSON array of numbers as float, or as int64 vertex ids if ``ids``;
+    ParseError naming the file and ``field`` unless it is rectangular,
+    numeric and (ids) integral."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {field} must be a rectangular array of numbers "
+                         f"({exc})") from None
+    if arr.ndim == 0:
+        raise ParseError(f"{path}: {field} must be a list, got {value!r}")
+    if not ids:
+        return arr
+    bad = arr[~(np.isfinite(arr) & (arr == np.round(arr)))]
+    if bad.size:
+        raise ParseError(f"{path}: {field}: {bad[0]} is not an integer vertex id")
+    return arr.astype(np.int64)
+
+
 def io_read(path) -> Mesh:
     """Read a JSON mesh file; raises ParseError with context on bad input."""
     try:
@@ -337,13 +356,21 @@ def io_read(path) -> Mesh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: not a JSON object")
     for key in ("dim", "vertices", "cells"):
         if key not in data:
             raise ParseError(f"{path}: missing {key!r} key")
-    vertices = np.asarray(data["vertices"], dtype=float)
+    vertices = _json_array(path, "'vertices'", data["vertices"])
     if vertices.ndim != 2 or vertices.shape[1] != data["dim"]:
         raise ParseError(f"{path}: 'vertices' must be (n, {data['dim']})")
+    cells = _json_array(path, "'cells'", data["cells"], ids=True)
+    tags = data.get("boundary_tags", {})
+    if not isinstance(tags, dict):
+        raise ParseError(f"{path}: 'boundary_tags' must be an object")
+    tags = {label: _json_array(path, f"'boundary_tags' {label!r}", facets, ids=True)
+            for label, facets in tags.items()}
     try:
-        return build(vertices, data["cells"], tags=data.get("boundary_tags", {}))
+        return build(vertices, cells, tags=tags)
     except (BadIndex, InvalidParam, DegenerateCell) as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -9,10 +9,12 @@ ordinal inside that polytope's dof block; ordinals are canonical across
 elements sharing the polytope (ascending-vertex orientation), which is
 what makes the tangential trace globally continuous.
 
-``eval_vector_shapes`` is the one evaluator: it tabulates the scalar
-primitives with ``bezier_eval`` at reference points, so it is exact on
-the closed simplex, and combines them by one coefficient matrix per
-space.
+``eval_vector_shapes`` is the one evaluator.  Every function is a sum
+of one to three terms, each a scalar (a ``bezier_eval`` function or the
+constant 1) times a vector (theta_c or e_d), or a scalar's gradient; one
+cached flat term table per space lists them.  So a function costs a few
+scalar-basis operations per point at every degree, the complexity of
+the Bernstein-Bezier basis, and is exact on the closed simplex.
 
 Trace conventions used throughout: on an edge from lower to higher local
 vertex with reference tangent t, second-type edge functions satisfy
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
 from .errors import DomainError
-from .simplex import TET_EDGES, TET_FACES, TRI_EDGES, Polytope, bezier_eval, index_position
+from .simplex import (TET_EDGES, TET_FACES, TRI_EDGES, Polytope, bezier_eval,
+                     index_position, index_tuples)
 
 E1_2D = np.array([1.0, 0.0])
 E2_2D = np.array([0.0, 1.0])
@@ -269,6 +271,12 @@ def nedelec1_tri(p: int):
 # ---------------------------------------------------------------------------
 # tetrahedral bases
 
+def _cell_interior(q):
+    """Cell-interior degree-q scalar indices (i, j, k), traversal order."""
+    return [(i, j, k) for i in range(1, q) for j in range(1, q - i)
+            for k in range(1, q - i - j)]
+
+
 def nedelec2_tet(p: int):
     """Second-type tetrahedral basis; (p+1)(p+2)(p+3)/2 functions."""
     if p < 1:
@@ -288,32 +296,13 @@ def nedelec2_tet(p: int):
         fns += _face_templates(Polytope("face", f), p, _TET_FACE_INDEX[f], face_vecs[f])
 
     # cell block: four face-cell families then three interior families
+    pairs = [(i, j) for i in range(1, p) for j in range(1, p - i)]
+    blocks = ([((0, j, k), -E1) for j, k in pairs] + [((i, 0, k), E2) for i, k in pairs]
+              + [((i, j, 0), -E3) for i, j in pairs]
+              + [((i, j, p - i - j), s) for i, j in pairs]
+              + [(idx, vec) for vec in (E3, E2, E1) for idx in _cell_interior(p)])
     cell = Polytope("cell", (0, 1, 2, 3))
-    ordinal = 0
-
-    def ctpl(index, vec):
-        nonlocal ordinal
-        fns.append(_template(cell, ordinal, p, index, vec))
-        ordinal += 1
-
-    for j in _interior_1d(p):
-        for k in range(1, p - j):
-            ctpl((0, j, k), -E1)
-    for i in _interior_1d(p):
-        for k in range(1, p - i):
-            ctpl((i, 0, k), E2)
-    for i in _interior_1d(p):
-        for j in range(1, p - i):
-            ctpl((i, j, 0), -E3)
-    for i in _interior_1d(p):
-        for j in range(1, p - i):
-            ctpl((i, j, p - i - j), s)
-    for vec in (E3, E2, E1):
-        for i in _interior_1d(p):
-            for j in range(1, p - i):
-                for k in range(1, p - i - j):
-                    ctpl((i, j, k), vec)
-    return fns
+    return fns + [_template(cell, n, p, idx, vec) for n, (idx, vec) in enumerate(blocks)]
 
 
 def nedelec1_tet(p: int):
@@ -327,35 +316,18 @@ def nedelec1_tet(p: int):
         fns += _face_lowest_templates(Polytope("face", f), p, _TET_FACE_INDEX[f],
                                       TET_EDGES)
 
+    # non-gradient cell families (restricted construction, degree q = p+2):
+    # q b^{q-1} e_axis - c grad b^q, then the gradients of degree p+1
+    q, inner = p + 2, _cell_interior(p + 2)
+    nongrad = ([(0, (i - 1, j, k), (i, j, k), i / q) for i, j, k in inner]
+               + [(1, (i, j - 1, k), (i, j, k), j / q) for i, j, k in inner]
+               + [(2, (i, j, 0), (i, j, 1), 1.0 / q) for i, j, k in inner if k == 1])
     cell = Polytope("cell", (0, 1, 2, 3))
-    ordinal = 0
-
-    def interior3(q):
-        return [(i, j, k) for i in range(1, q) for j in range(1, q - i)
-                for k in range(1, q - i - j)]
-
-    # non-gradient cell families (restricted construction, degree p+2):
-    # q b^{q-1} e_axis - c grad b^q
-    q = p + 2
-
-    def nongrad(axis, value_index, grad_index, grad_coeff):
-        nonlocal ordinal
-        fns.append(VectorShapeFn("cell_nongrad", cell, ordinal, (
-            (("bvec", q - 1, value_index, axis), float(q)),
-            (("grad", q, grad_index), -grad_coeff))))
-        ordinal += 1
-
-    for i, j, k in interior3(q):
-        nongrad(0, (i - 1, j, k), (i, j, k), i / q)
-    for i, j, k in interior3(q):
-        nongrad(1, (i, j - 1, k), (i, j, k), j / q)
-    for i, j, k in interior3(q):
-        if k == 1:
-            nongrad(2, (i, j, 0), (i, j, 1), 1.0 / q)
-    for idx in interior3(p + 1):
-        fns.append(_gradient(cell, ordinal, p + 1, idx))
-        ordinal += 1
-    return fns
+    fns += [VectorShapeFn("cell_nongrad", cell, n, ((("bvec", q - 1, vidx, axis), float(q)),
+                                                     (("grad", q, gidx), -c)))
+            for n, (axis, vidx, gidx, c) in enumerate(nongrad)]
+    return fns + [_gradient(cell, n, p + 1, idx)
+                  for n, idx in enumerate(_cell_interior(p + 1), len(nongrad))]
 
 
 @lru_cache(maxsize=None)
@@ -379,79 +351,74 @@ class VectorShapeSet:
     curls: np.ndarray
 
 
-def _group_key(prim):
-    """Primitives of one kind and scalar degree are tabulated together."""
-    return prim[0], 0 if prim[0] == "theta" else prim[1]
+def _term(prim, start, dim):
+    """Scalar column, vector column and gradient flag of one primitive;
+    ``start`` maps a scalar degree to its first scalar column."""
+    n_theta = 3 if dim == 2 else 6
+    if prim[0] == "theta":
+        return 0, prim[1], False
+    scol = start[prim[1]] + index_position(prim[1], dim)[prim[2]]
+    if prim[0] == "grad":
+        return scol, n_theta + dim, True
+    return scol, prim[3] + (n_theta if prim[0] == "bvec" else 0), False
 
 
 @lru_cache(maxsize=None)
-def _coefficients(space: SpaceDescriptor):
-    """Primitive groups and coefficient matrix C of the basis of ``space``.
+def _terms(space: SpaceDescriptor):
+    """The flat term table of the basis of ``space``, function by function:
+    the scalar degrees used, each term's coefficient, scalar column,
+    vector column and gradient flag, and each function's first term.
 
-    The distinct primitives are ordered by (kind, scalar degree); each
-    group is (kind, q, cols, aux): the traversal-order columns of its
-    scalars (None for "theta") and its unit-vector or lowest-order
-    function indices (None for "grad").  Base function m is the sum over
-    k of C[k, m] times primitive k.
+    Scalar columns index the ``bezier_eval`` tables of the degrees side
+    by side after column 0, the constant 1 of a lowest-order term; vector
+    columns index theta_0, theta_1, .., e_0, .., e_{dim-1}, then the zero
+    vector of a gradient term.
     """
     fns = build_basis(space)
-    prims = sorted(dict.fromkeys(prim for fn in fns for prim, _ in fn.terms),
-                   key=_group_key)
-    row = {prim: k for k, prim in enumerate(prims)}
-    C = np.zeros((len(prims), len(fns)))
-    for m, fn in enumerate(fns):
-        for prim, coeff in fn.terms:
-            C[row[prim], m] += coeff
-    groups = []
-    for (kind, q), members in groupby(prims, key=_group_key):
-        members = list(members)
-        aux = None if kind == "grad" else np.array([prim[-1] for prim in members])
-        if kind == "theta":
-            groups.append((kind, None, None, aux))
-            continue
-        pos = index_position(q, space.dim)
-        groups.append((kind, q, np.array([pos[prim[2]] for prim in members]), aux))
-    return tuple(groups), C
+    terms = [term for fn in fns for term in fn.terms]
+    degrees = sorted({prim[1] for prim, _ in terms if prim[0] != "theta"})
+    sizes = [len(index_tuples(q, space.dim)) for q in degrees]
+    start = dict(zip(degrees, np.cumsum([1] + sizes)))
+    rows = [(coeff, *_term(prim, start, space.dim)) for prim, coeff in terms]
+    coeff, scol, vcol, grad = (np.array(col) for col in zip(*rows))
+    first = np.cumsum([0] + [len(fn.terms) for fn in fns[:-1]])
+    return degrees, coeff, scol, vcol, grad, first
 
 
 def _cross(g, v):
-    """g x v, as (..., 1) in 2D: the curl of b v for a constant v."""
-    if g.shape[-1] == 2:
-        return (g[..., 0] * v[..., 1] - g[..., 1] * v[..., 0])[..., None]
-    return np.cross(g, v)
+    """g x v over the leading (component) axis, one component in 2D: the
+    curl of b v for a constant v."""
+    if len(g) == 2:
+        return g[:1] * v[1:] - g[1:] * v[:1]
+    return np.stack([g[1] * v[2] - g[2] * v[1], g[2] * v[0] - g[0] * v[2],
+                     g[0] * v[1] - g[1] * v[0]])
 
 
 def eval_vector_shapes(space: SpaceDescriptor, x) -> VectorShapeSet:
     """Values (n, nb, dim) and reference curls of the basis of ``space``
     at the reference points x (n, dim), anywhere on the closed simplex.
 
-    The primitives are tabulated group by group from ``bezier_eval`` into
-    P (n, n_prim, dim) and their curls into R; the basis is C^T P and
-    C^T R.  Curls are (n, nb) in 2D (the scalar rot) and (n, nb, 3) in
-    3D; gradient-kind functions report exactly zero curl.
+    Each term of the flat table (``_terms``) is a scalar b from
+    ``bezier_eval`` and a vector v, evaluated as coeff (b v + g grad b)
+    with curl coeff (b curl v + grad b x v), component-major; one
+    ``np.add.reduceat`` sums the terms of each function.  Curls are
+    (n, nb) in 2D (the scalar rot) and (n, nb, 3) in 3D; gradient-kind
+    functions report exactly zero curl.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    groups, C = _coefficients(space)
+    degrees, coeff, scol, vcol, grad, first = _terms(space)
     n, dim = x.shape
     theta, rot = lowest_order_tri(x) if dim == 2 else lowest_order_tet(x)
     rot = rot.reshape(len(rot), -1)       # 2D rots as (3, 1)
-    tabs = {q: bezier_eval(q, dim, x) for q in {g[1] for g in groups} - {None}}
-    P, R = [], []
-    for kind, q, cols, aux in groups:
-        if kind == "theta":
-            P.append(theta[:, aux])
-            R.append(np.broadcast_to(rot[aux], (n,) + rot[aux].shape))
-            continue
-        vals, grads = tabs[q].values, tabs[q].grads
-        if kind == "grad":
-            P.append(grads[:, cols])
-            R.append(np.zeros((n, len(cols), rot.shape[1])))
-            continue
-        b = vals[:, cols, None]
-        vec = np.eye(dim)[aux] if kind == "bvec" else theta[:, aux]
-        curl = _cross(grads[:, cols], vec)
-        P.append(b * vec)
-        R.append(curl if kind == "bvec" else b * rot[aux] + curl)
-    curls = C.T @ np.concatenate(R, axis=1)
-    return VectorShapeSet(C.T @ np.concatenate(P, axis=1),
-                          curls[..., 0] if dim == 2 else curls)
+    tabs = [bezier_eval(q, dim, x) for q in degrees]
+    b = np.vstack([np.ones((1, n))] + [t.values.T for t in tabs])[scol]
+    gb = np.hstack([np.zeros((dim, 1, n))] + [t.grads.T for t in tabs])[:, scol]
+    units = np.broadcast_to(np.eye(dim, dim + 1)[..., None], (dim, dim + 1, n))
+    v = np.hstack([theta.T, units])[:, vcol]
+    curl_v = np.vstack([rot, np.zeros((dim + 1, rot.shape[1]))]).T[:, vcol, None]
+    c = coeff[:, None]
+    values = np.add.reduceat(c * (b * v + grad[:, None] * gb), first, axis=1)
+    curls = np.add.reduceat(c * (b * curl_v + _cross(gb, v)), first, axis=1)
+    # back to C-ordered (n, nb, component) tables, the layout callers' einsums read
+    values, curls = np.ascontiguousarray(values.T), np.ascontiguousarray(curls.T)
+    return VectorShapeSet(values, curls[..., 0] if dim == 2 else curls)

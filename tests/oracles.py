@@ -1,7 +1,7 @@
 """Test oracles: full matrices, constrained systems formed from them,
 the matrix K(c) of a family, one-point field evaluation, SciPy's CG and
-the supernodal solve without a plan, and closed forms that only tests
-use.
+the supernodal solve without a plan, the dense-coefficient Nedelec
+evaluator, and closed forms that only tests use.
 
 The assembler stores the lower triangle of each matrix.  ``symmetric``
 forms the whole matrix from it, and ``assemble_full`` assembles the
@@ -29,6 +29,8 @@ from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
 from mmfem.dual import seed
 from mmfem.errors import BadIndex, InvalidParam
 from mmfem.mesh import _chunks
+from mmfem.nedelec import build_basis, lowest_order_tet, lowest_order_tri
+from mmfem.simplex import bezier_eval, index_position
 from mmfem.solver import locate_cells, sample_line
 
 
@@ -199,6 +201,47 @@ def eval_single(p, i, xi):
 def n_basis(p, dim):
     """Number of degree-p Bernstein polynomials on a triangle or tetrahedron."""
     return (p + 1) * (p + 2) // 2 if dim == 2 else (p + 1) * (p + 2) * (p + 3) // 6
+
+
+def dense_vector_shapes(space, x):
+    """Values (n, nb, dim) and curls of the basis of ``space`` at the
+    reference points x the dense way, the oracle of
+    ``eval_vector_shapes``'s term table: every distinct primitive of
+    ``build_basis`` tabulated into P (n, n_prim, dim) and its curl into R,
+    the basis C^T P and C^T R with C the dense n_prim x nb coefficients."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n, dim = x.shape
+    fns = build_basis(space)
+    row = {prim: k for k, prim in enumerate(dict.fromkeys(
+        prim for fn in fns for prim, _ in fn.terms))}
+    prims = list(row)
+    C = np.zeros((len(prims), len(fns)))
+    for m, fn in enumerate(fns):
+        for prim, coeff in fn.terms:
+            C[row[prim], m] += coeff
+    theta, rot = lowest_order_tri(x) if dim == 2 else lowest_order_tet(x)
+    rot = rot.reshape(len(rot), -1)
+    tabs = {q: bezier_eval(q, dim, x) for q in {prim[1] for prim in prims
+                                                if prim[0] != "theta"}}
+    P = np.zeros((n, len(prims), dim))
+    R = np.zeros((n, len(prims), rot.shape[1]))
+    for k, prim in enumerate(prims):
+        if prim[0] == "theta":
+            P[:, k], R[:, k] = theta[:, prim[1]], rot[prim[1]]
+            continue
+        col = index_position(prim[1], dim)[prim[2]]
+        b, g = tabs[prim[1]].values[:, col, None], tabs[prim[1]].grads[:, col]
+        if prim[0] == "grad":
+            P[:, k] = g
+            continue
+        v = np.eye(dim)[prim[3]] if prim[0] == "bvec" else theta[:, prim[3]]
+        v = np.broadcast_to(v, g.shape)
+        curl = (g[:, :1] * v[:, 1:] - g[:, 1:] * v[:, :1] if dim == 2
+                else np.cross(g, v))
+        P[:, k] = b * v
+        R[:, k] = curl if prim[0] == "bvec" else b * rot[prim[3]] + curl
+    curls = C.T @ R
+    return C.T @ P, curls[..., 0] if dim == 2 else curls
 
 
 def edge_traces(space, a):

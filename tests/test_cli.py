@@ -116,6 +116,8 @@ _PARAMS_FILES = {"bad_json": '{"lc": 1.0,\n "mu_e": }', "string_modulus": '{"lc"
     (("bending", "--params", "{string_modulus}"), "material key 'lc' must be a number"),
     (("lc-sweep", "--params", "{null_modulus}"), "material key 'mu_e' must be a number"),
     (("lc-sweep", "--params", "{not_an_object}"), "not_an_object.json: not a JSON object"),
+    (("lc-sweep", "--p", "0", "--bound-degree", "1", "--lc", "-1,1"),
+     "lc values must be >= 0, got -1.0"),
 ])
 def test_bad_bench_input_is_a_typed_error(tmp_path, args, message):
     # "{name}" in args stands for a --params file of _PARAMS_FILES

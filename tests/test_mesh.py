@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,25 @@ class TestIO:
             io_read(path)
         with pytest.raises(BadIndex, match="tag 'b'"):
             build([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], tags={"b": [0]})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("cells", [[0, 1, "a"]], "'cells' must be a rectangular array"),
+        ("cells", [[0, 1, 2], [0, 1]], "'cells' must be a rectangular array"),
+        ("cells", [[0, 1, 2.7]], "'cells': 2.7 is not an integer"),
+        ("vertices", [[0, 0], [1, 0], [0]], "'vertices' must be a rectangular array"),
+        ("boundary_tags", {"boundary": 5}, "'boundary_tags' 'boundary' must be a list"),
+        ("boundary_tags", {"b": [[0, 1.5]]}, "'boundary_tags' 'b': 1.5 is not an integer"),
+    ])
+    def test_malformed_field_names_file_and_field(self, tmp_path, key, value, message):
+        # a bad entry is a ParseError naming the file and the field, never a
+        # bare ValueError/TypeError, and a non-integral id is not truncated
+        data = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, 2]],
+                key: value}
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as info:
+            io_read(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import dense_vector_shapes
+
 from mmfem.bernstein import eval_all
-from mmfem.nedelec import (SpaceDescriptor, build_basis, eval_vector_shapes,
+from mmfem.nedelec import (SpaceDescriptor, _terms, build_basis, eval_vector_shapes,
                            lowest_order_tet, lowest_order_tri, nedelec1_tet,
                            nedelec1_tri, nedelec2_tet, nedelec2_tri)
 from mmfem.quadrature import rule_for
@@ -245,3 +247,44 @@ def test_exact_on_closed_simplex(family, p, dim):
     scale = max(1.0, np.abs(vs.curls).max())
     assert np.abs(vs.values - (2 * values[0] - values[1])).max() < 1e-5 * scale
     assert np.abs(vs.curls - (2 * curls[0] - curls[1])).max() < 1e-5 * scale
+
+
+def _closed_simplex_points(dim, rng):
+    """Interior points, then the vertices, three points on each edge and
+    (3D) two on each face of the reference simplex."""
+    verts = TRI_VERTICES if dim == 2 else TET_VERTICES
+    t = np.array([[0.2], [0.5], [0.9]])
+    pts = [interior_points(dim, 12, rng), verts]
+    pts += [verts[a] + t * (verts[b] - verts[a])
+            for a, b in (TRI_EDGES if dim == 2 else TET_EDGES)]
+    if dim == 3:
+        pts += [np.array([[1 / 3, 1 / 3, 1 / 3], [0.6, 0.3, 0.1]]) @ verts[list(f)]
+                for f in TET_FACES]
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("family,p,dim", [
+    *[("nedelec1", p, dim) for dim in (2, 3) for p in range(0, 9)],
+    *[("nedelec2", p, dim) for dim in (2, 3) for p in range(1, 9)],
+])
+def test_term_table_matches_dense_oracle(family, p, dim):
+    # the flat term table against the dense coefficient matrix C^T P, on
+    # the interior and on vertices, edges and faces of the closed simplex
+    sp = SpaceDescriptor(family, p, dim)
+    x = _closed_simplex_points(dim, np.random.default_rng(10 * p + dim))
+    vs = eval_vector_shapes(sp, x)
+    values, curls = dense_vector_shapes(sp, x)
+    assert vs.values.shape == values.shape and vs.curls.shape == curls.shape
+    assert np.abs(vs.values - values).max() <= 1e-15 * np.abs(values).max()
+    assert np.abs(vs.curls - curls).max() <= 1e-15 * np.abs(curls).max()
+
+
+@pytest.mark.parametrize("family", ["nedelec1", "nedelec2"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_term_table_has_one_to_three_terms_per_function(family, dim):
+    for p in range(0 if family == "nedelec1" else 1, 11):
+        sp = SpaceDescriptor(family, p, dim)
+        _, coeff, *_, first = _terms(sp)
+        counts = np.diff(np.append(first, len(coeff)))
+        assert len(counts) == len(build_basis(sp))
+        assert counts.min() >= 1 and counts.max() <= 3, (p, counts.max())
