@@ -9,15 +9,15 @@ Gram blocks G^de_ab = sum_q w_q v_a,d v_b,e (Kirby & Logg, ACM TOMS 32,
 embeds the system's one Dirichlet datum, then forms just the stored half
 of a chunk's element matrices Y + Y^T, exactly symmetric, by GEMMs of
 per-cell coefficients with that table, and adds it into the lower
-triangle of the CSR ``Pattern`` of the free dofs, built once from the
-node-major cell dofs (``FieldLayout``): every matrix is stored as the
-entries on or below its diagonal.  Entries in a constrained row or
-column go to a spare slot that is dropped; the element matrices, applied
-to x_c unformed, give the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
+triangle of the CSR ``Pattern`` of the free dofs, built once on the
+free polytopes: every matrix is stored as the entries on or below its
+diagonal.  Entries in a constrained row or column go to a spare slot
+that is dropped; the element matrices, applied to x_c unformed, give
+the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
 distribute_local_to_global; Bangerth, Hartmann & Kanschat, ACM TOMS 33,
 2007): no matrix on all dofs exists.  Memory beside the triangles, the
-lifts, the constrained values and the pattern: the positions of the
-element scalar pairs A > B (4 bytes each), then per chunk
+lifts, the constrained values and the pattern: the offsets of each
+cell's lower polytope pairs (4 bytes each), then per chunk
 (``_element_chunks``) the halves of all matrices and their positions,
 no element tensor; under Dirichlet data also [G; G^T] (2 n_terms nb^2
 doubles), then G x_c on the cells with a constrained dof.
@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from . import dirichlet
 from .cholesky import _ranges, _supervariables
-from .dofmap import FieldLayout, build_dofmap
+from .dofmap import FieldLayout, build_dofmap, local_entities
 from .errors import InvalidParam, SpaceMismatch
 from .materials import MaterialParams
 from .mesh import Mesh, _chunks
@@ -219,20 +219,22 @@ def _constraints(mesh, fields, data, coupled):
 class Pattern:
     """CSR pattern of the lower triangles of a system's free blocks (every
     coupling of two free dofs through a cell, column <= row), the
-    supervariable of every free dof, and the positions in S (below) of
-    the scalar pairs A > B of all elements, from which ``positions``
-    places the element entries chunk by chunk.
+    supervariable of every free dof, and the per-cell offsets from which
+    ``positions`` places the element entries chunk by chunk.
 
-    All fields have k components, numbered node-major (``FieldLayout``):
-    global dof k i + r is component r of scalar dof i of the stacked
-    dofmaps.  The constraints fix all k components of a scalar dof or
-    none, so the pattern is the lower scalar pattern S of the free scalar
-    dofs (numbered in order) with every entry replaced by a k x k block,
-    lower on the diagonal: row k i + r holds the columns k j + s, j in S
-    row i and s < k, but s <= r where j = i, so entry (r, s) of the block
-    of scalar entry e in row i sits at
-    indptr[k i + r] + k (e - S.indptr[i]) + s.  Rows are sorted with
-    the diagonal last.
+    Every local base function belongs to one polytope of its cell
+    (``dofmap.local_entities``), whose n_E scalar dofs the dofmap numbers
+    consecutively from cell_dofs - ordinal.  Fields have k components,
+    numbered node-major (``FieldLayout``: global dof k i + r is component
+    r of scalar dof i of the stacked dofmaps), so a polytope E owns one
+    run of k n_E global dofs.  The constraints fix whole runs, so the
+    free dofs are the free runs in order, and the pattern is the lower
+    graph Q of the free polytopes (adjacent where they share a cell) in
+    blocks (Ashcraft, SIAM J. Sci. Comput. 16, 1995): row g of E holds
+    the runs of the F < E in E's row of Q, then E's own run up to g,
+    sorted with the diagonal last.  Entry (g, h), h in the run of F from
+    start(F), sits at indptr[g] + off(E, F) + h - start(F), off(E, F)
+    the length of the runs before F's in E's row.
 
     An element matrix, ordered (r, s, A, B) (components outermost, then
     the cell's scalar dofs A of all fields), is exactly symmetric, so
@@ -242,13 +244,12 @@ class Pattern:
     constrained row or column goes to the spare slot len(indices), one
     past the pattern.
 
-    The free dofs of the scalar dofs in one set of cells (a mesh entity,
-    or entities with the same cells, such as a boundary face and the
-    interior of its only cell) have one row set: ``group`` labels them
-    for the factorization.  Memory: ``indices`` 4 bytes per entry (int32
-    below 2^31 entries), ``indptr``, ``group`` and S.indptr one index per
-    free (scalar) dof, and the scalar positions 4 bytes per element
-    scalar pair A > B.
+    Polytopes with one set of cells (a boundary face and the interior of
+    its only cell) have one row set: ``group`` labels their free dofs for
+    the factorization.  Memory: ``indices`` 4 bytes per entry (int32
+    below 2^31 entries), ``indptr`` and ``group`` one index per free dof,
+    and ``offsets``, off(E, F) - start(F) of each lower pair of a cell's
+    polytopes (4 bytes each).
     """
 
     def __init__(self, layouts, free):
@@ -256,90 +257,88 @@ class Pattern:
         starts = np.cumsum([0] + [fl.dofmap.n_dofs for fl in layouts])
         self.scalar_dofs = np.concatenate(
             [fl.dofmap.cell_dofs + s for fl, s in zip(layouts, starts)], axis=1)
-        node_free = free.reshape(-1, k)
-        if np.any(node_free != node_free[:, :1]):
-            raise InvalidParam(f"the Dirichlet constraints fix some of the {k} "
-                               "components of a scalar dof, not all")
-        node_free = node_free[:, 0]
-        on = node_free[self.scalar_dofs]        # the free element scalar dofs
+        ents = np.array([(i,) + e for i, fl in enumerate(layouts)
+                         for e in local_entities(fl.space)])
+        # a cell's polytopes (field, rank, entity); ``slot`` that of each local dof
+        _, rep, slot, size = np.unique(ents[:, :3], axis=0, return_index=True,
+                                       return_inverse=True, return_counts=True)
+        first = self.scalar_dofs[:, rep] - ents[rep, 3]     # (nc, n_poly)
+        node = free.reshape(-1, k)
+        self.node_free = node[:, 0]
+        on, pon = self.node_free[self.scalar_dofs], self.node_free[first]
+        if np.any(node != node[:, :1]) or np.any(on != pon[:, slot]):
+            raise InvalidParam("the Dirichlet constraints fix some, not all, of the "
+                               f"{k} components of the scalar dofs of a polytope")
         self.cut = ~on.all(axis=1)              # cells with a constrained dof
-        (nc, nloc), ns = on.shape, int(np.count_nonzero(node_free))
         # free scalar numbering; 0 for constrained ones, whose entries are masked
-        number = np.cumsum(node_free, dtype=np.int32 if k * ns < 2 ** 31 else np.int64) - 1
+        number = np.cumsum(self.node_free, dtype=np.int32 if len(free) < 2 ** 31
+                           else np.int64) - 1
         self.free_dofs = np.where(on, number[self.scalar_dofs], 0)
-        incidence = sp.csr_matrix(
-            (np.ones(np.count_nonzero(on), dtype=bool), self.free_dofs[on],
-             np.concatenate([[0], np.cumsum(on.sum(axis=1))])), shape=(nc, ns))
-        cells_of = incidence.tocsc()    # the cells of each free scalar dof
-        self.group = np.repeat(_supervariables(cells_of.indptr, cells_of.indices, ns), k)
-        S = cells_of.T @ incidence      # CSR, every row with its diagonal
-        S.sort_indices()
-        itype = np.int32 if k * k * S.nnz < 2 ** 31 - 1 else np.int64
-        row = np.repeat(np.arange(ns, dtype=S.indices.dtype), np.diff(S.indptr))
-        low, ends = S.indices <= row, np.flatnonzero(S.indices == row) + 1
-        S = sp.csr_matrix((S.data[low], S.indices[low], np.concatenate(
-            [[0], np.cumsum(ends - S.indptr[:-1])])), shape=(ns, ns))
-        del row, low
-        # the stored half's pairs A > B; the diagonal A = B ends its rows
-        self.pairs = a, b = np.tril_indices(nloc, -1)
-        # scalar positions, looked up in batches SciPy binary-searches (> S.nnz / 10)
-        where = sp.csr_matrix((np.arange(S.nnz, dtype=itype), S.indices, S.indptr),
-                              shape=(ns, ns))
-        self.scalar_pos = np.empty((nc, len(a)), dtype=itype)
-        for cells in _chunks(nc, len(a)) if ns else ():     # (positions)
-            sd = self.free_dofs[cells].astype(where.indices.dtype)
-            sa, sb = sd[:, a], sd[:, b]
-            pos = np.asarray(where[np.maximum(sa, sb).ravel(),
-                                   np.minimum(sa, sb).ravel()]).reshape(sa.shape)
-            span = self.span(cells)
-            if span is not None:    # the spare slot if k = 1
-                m = on[cells][span]
-                np.copyto(pos[span], S.nnz, where=~(m[:, a] & m[:, b]))
-            self.scalar_pos[cells] = pos
-        del where
-        self.s_indptr, self.node_free = S.indptr, node_free
-        if k == 1:     # the pattern is S; the expansion would copy it
-            self.indptr, self.indices = S.indptr, S.indices
-            return
-        # row k i + r: the k-blocks of S row i, of its diagonal block the first r + 1
-        lens = (k * np.diff(S.indptr) - k)[:, None] + np.arange(1, k + 1)
-        blocks = (k * S.indices.astype(itype)[:, None] + np.arange(k, dtype=itype)).ravel()
-        self.indices = blocks[_ranges(np.repeat(k * S.indptr[:-1].astype(np.int64), k),
-                                      lens.ravel(), itype)]
-        self.indptr = np.concatenate([[0], np.cumsum(lens)]).astype(itype)
+        # the free polytopes in order, their runs and the cells of each
+        n_at = np.zeros(len(node), dtype=np.int64)
+        n_at[first] = size * pon
+        poly, runs = (np.cumsum(n_at > 0) - 1)[first], k * n_at[n_at > 0]
+        nq, start, cell = len(runs), np.cumsum(runs) - runs, np.nonzero(pon)[0]
+        cells_of = sp.csc_matrix((np.ones(len(cell), dtype=bool), (cell, poly[pon])),
+                                 shape=(len(first), nq))
+        self.group = np.repeat(_supervariables(cells_of.indptr, cells_of.indices, nq), runs)
+        # Q from the lower pairs (x >= y) of each cell's free polytopes
+        x, y = np.tril_indices(first.shape[1])
+        both = pon[:, x] & pon[:, y]
+        pe, pf = poly[:, x][both], poly[:, y][both]
+        pe, pf = np.maximum(pe, pf), np.minimum(pe, pf)
+        Q = sp.csr_matrix((np.ones(len(pe), dtype=bool), (pe, pf)), shape=(nq, nq))
+        # Q in blocks, E's block row the runs of its row of Q: ``at`` the
+        # start of each run in them, ``head`` that of each block row
+        lens, n_row = runs[Q.indices], np.diff(Q.indptr)
+        at = np.cumsum(lens) - lens
+        head = at[Q.indptr[:-1]]
+        # row g of E: its block row up to g, off(E, E) + g - start(E) + 1 entries
+        lens_g = np.repeat(at[Q.indptr[1:] - 1] - head, runs) + _ranges(np.ones(nq), runs)
+        itype = np.int32 if lens_g.sum() < 2 ** 31 - 1 else np.int64
+        self.indptr = np.concatenate([[0], np.cumsum(lens_g)]).astype(itype)
+        self.indices = _ranges(start[Q.indices], lens, itype).take(
+            _ranges(np.repeat(head, runs), lens_g, itype))
+        # off(E, F) - start(F) of each cell's lower pairs, looked up in Q
+        Q.data = at - np.repeat(head, n_row) - start[Q.indices]
+        self.offsets = np.zeros(both.shape, dtype=itype)
+        if nq:      # (SciPy answers no indices with a sparse matrix)
+            self.offsets[both] = Q[pe, pf].A1
+        # the stored half's pairs A > B (the diagonal A = B ends its rows),
+        # and the lower pair hi (hi + 1) / 2 + lo of polytopes of each
+        self.pairs = a, b = np.tril_indices(len(ents), -1)
+        hi, lo = np.maximum(slot[a], slot[b]), np.minimum(slot[a], slot[b])
+        self.pair_offset = hi * (hi + 1) // 2 + lo
 
     def positions(self, cells):
         """Positions of the stored halves of a chunk's element matrices:
         (nc, k k n_pairs) of the pairs, (nc, k (k + 1) / 2, nb) of the
         diagonal (``_halves`` order); without free dofs, all the spare
-        slot 0 (no scalar positions).  A pair A > B whose global order is
-        reversed (scalar dof of A below that of B) swaps the components
-        of row and column."""
+        slot 0.  A pair A > B whose global order is reversed (scalar dof
+        of A below that of B) swaps the components of row and column."""
         k, (a, b), span = self.k, self.pairs, self.span(cells)
-        e, sd, (r, s) = self.scalar_pos[cells], self.free_dofs[cells], np.tril_indices(k)
+        sd, (r, s) = self.free_dofs[cells], np.tril_indices(k)
+        off = self.offsets[cells][:, self.pair_offset]      # (nc, pair)
         if not len(self.indices):
-            return (np.zeros((len(e), k * k * len(a)), dtype=e.dtype),
-                    np.zeros((len(e), len(r), sd.shape[1]), dtype=e.dtype))
+            return (np.zeros((len(sd), k * k * len(a)), dtype=off.dtype),
+                    np.zeros((len(sd), len(r), sd.shape[1]), dtype=off.dtype))
         # entry (r, s) of a diagonal block, s <= r, ends row k i + r at r - s
         diag = (self.indptr[k * sd[:, None] + r[:, None] + 1]
-                - (r - s + 1)[:, None].astype(e.dtype))              # (nc, rs, A)
-        if span is not None:
-            np.copyto(diag[span], len(self.indices),
-                      where=~self.node_free[self.scalar_dofs[cells][span]][:, None])
-        if k == 1:
-            return e, diag
-        sa, sb, comp = sd[:, a], sd[:, b], np.arange(k, dtype=e.dtype)
+                - (r - s + 1)[:, None].astype(off.dtype))            # (nc, rs, A)
+        sa, sb, comp = sd[:, a], sd[:, b], np.arange(k, dtype=off.dtype)
         row, swap = np.maximum(sa, sb), sa < sb
         first = self.indptr[k * row[:, None] + comp[:, None]]         # (nc, r, pair)
-        first += (k * (e - self.s_indptr[row]))[:, None]
-        pos = np.empty((len(e), k, k, len(a)), dtype=e.dtype)        # (nc, r, s, pair)
+        first += (off + k * np.minimum(sa, sb))[:, None]    # column k j, component 0
+        pos = np.empty((len(sd), k, k, len(a)), dtype=off.dtype)     # (nc, r, s, pair)
         np.add(first[:, :, None], comp[:, None], out=pos)
         for i, j in zip(*np.triu_indices(k, 1)):    # in place, no full temporary
             lo, hi = pos[:, i, j], pos[:, j, i]
             lo[swap], hi[swap] = hi[swap], lo[swap]
         if span is not None:
+            on = self.node_free[self.scalar_dofs[cells][span]]
+            np.copyto(diag[span], len(self.indices), where=~on[:, None])
             np.copyto(pos[span], len(self.indices),
-                      where=(e[span] == self.s_indptr[-1])[:, None, None])
+                      where=~(on[:, a] & on[:, b])[:, None, None])
         return pos.reshape(len(pos), -1), diag
 
     def span(self, cells):

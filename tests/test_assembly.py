@@ -606,6 +606,11 @@ class TestBatchedAgainstReference:
         whole = assemble_full3d(wavy_box, MICRO, u_space, p_space, f=_f3, M=_M3)
         x = np.random.default_rng(6).standard_normal(whole.n_dofs)
         err = l2_error_hcurl(wavy_box, whole.fields["p"], x, _M3)
+        # a constrained k = 1 system: its positions are computed per chunk
+        constrained_2d = lambda: assemble_antiplane(
+            wavy_disk, MICRO, *_spaces("nedelec2", 2, 2), f=_f2, m=_m2,
+            dirichlet=(wavy_disk.boundary_facets, _f2, _grad_f2))
+        whole_con = constrained_2d()
         sys2 = assemble_antiplane(wavy_disk, MICRO, SpaceDescriptor("h1", 3, 2),
                                   SpaceDescriptor("nedelec2", 2, 2))
         uf, pf = sys2.fields["u"], sys2.fields["p"]
@@ -622,6 +627,11 @@ class TestBatchedAgainstReference:
         assert abs(chunked_err - err) <= 1e-14 * err
         monkeypatch.setattr(mmfem.mesh, "_CHUNK_NNZ", 500)
         np.testing.assert_allclose(errs_2d(), whole_2d, rtol=1e-14)
+        chunked_con = constrained_2d()
+        assert 0 < np.count_nonzero(whole_con.free) < whole_con.n_dofs
+        _assert_close(chunked_con.matrix, whole_con.matrix.toarray(), tol=1e-14)
+        for attr in ("rhs", "lift", "con_energy"):
+            _assert_close(getattr(chunked_con, attr), getattr(whole_con, attr), tol=1e-14)
 
     def test_pattern_is_every_cell_coupling(self, wavy_box):
         # all couplings through a cell, in k x k blocks, sorted, even where
@@ -644,10 +654,11 @@ class TestBatchedAgainstReference:
         assert np.array_equal(stored, expected)
 
     def test_node_major_pattern_is_scalar_pattern_in_blocks(self, wavy_box):
-        # global dof = k (stacked scalar dof) + component: the pattern is
-        # the scalar pattern with every entry a k x k block, the k dofs of
-        # a scalar dof are adjacent in one group, and the Dirichlet keys
-        # are the layout's dofs
+        # global dof = k (stacked scalar dof) + component: the pattern,
+        # built from the runs of the polytopes, is the scalar pattern with
+        # every entry a k x k block (the reference here), the k dofs of a
+        # scalar dof are adjacent in one group, and the Dirichlet keys are
+        # the layout's dofs
         from mmfem.dirichlet import h1_dirichlet, hcurl_dirichlet
         u_space, p_space = _spaces("nedelec1", 1, 3)
         sys_ = assemble_full3d(wavy_box, MICRO, u_space, p_space)
@@ -806,16 +817,17 @@ def test_halves_agree_with_y_plus_y_transposed(form, constrained, wavy_disk, wav
 
 def test_assembly_memory_bound(wavy_box, monkeypatch):
     # the traced peak of a two-matrix assembly in four chunks is at most
-    # what the system keeps, the scalar positions of the pairs A > B of
-    # all cells and one chunk's temporaries: the stored halves of both
-    # matrices and their positions (4 bytes per entry of one matrix's
-    # half), together _CHUNK_NNZ doubles, never two chunks' at once and
-    # no element tensor; under Dirichlet data on the whole boundary too,
-    # where the lifts add the table [G; G^T] (16 n_terms nb^2 bytes) and
-    # no chunk-sized temporaries
+    # what the system keeps, the pattern's offsets of the lower polytope
+    # pairs of all cells (4 bytes each) and one chunk's temporaries: the
+    # stored halves of both matrices and their positions (4 bytes per
+    # entry of one matrix's half), together _CHUNK_NNZ doubles, never two
+    # chunks' at once and no element tensor; under Dirichlet data on the
+    # whole boundary too, where the lifts add the table [G; G^T] (16
+    # n_terms nb^2 bytes) and no chunk-sized temporaries
     import tracemalloc
     space = SpaceDescriptor("h1", 4, 3)
     nb, n_terms = 35, 9     # degree-4 polynomials on a tetrahedron; Du
+    n_poly = 15             # 4 vertices, 6 edges, 4 faces and the cell
     half = 3 * 3 * nb * (nb - 1) // 2 + 6 * nb      # entries of one matrix
     chunk = (2 * half + half // 2) * (wavy_box.n_cells // 4)
     monkeypatch.setattr(mmfem.mesh, "_CHUNK_NNZ", chunk)
@@ -827,10 +839,10 @@ def test_assembly_memory_bound(wavy_box, monkeypatch):
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        scalar_positions = 4 * wavy_box.n_cells * nb * (nb - 1) // 2
+        offsets = 4 * wavy_box.n_cells * n_poly * (n_poly + 1) // 2
         lift_table = 0 if data is None else 16 * n_terms * nb ** 2
         small = 256 * 1024      # coefficients, Python objects
-        assert peak <= kept + scalar_positions + 8 * chunk + lift_table + small
+        assert peak <= kept + offsets + 8 * chunk + lift_table + small
         assert kept >= 8 * (sys_.matrix.nnz + sys_.c_matrix.nnz)
     assert 0 < np.count_nonzero(sys_.free) < sys_.n_dofs
 
@@ -844,4 +856,22 @@ def test_constraints_splitting_a_block_raise(wavy_box, monkeypatch):
         np.array([layout.dofs(1, 0)]), np.array([0.5])))
     with pytest.raises(InvalidParam, match="components"):
         assemble_cauchy3d(wavy_box, SpaceDescriptor("h1", 1, 3),
+                          dirichlet=(wavy_box.boundary_facets, _f3, _M3))
+
+
+def test_constraints_fixing_part_of_a_polytope_raise(wavy_box, monkeypatch):
+    # the free dofs are whole runs of polytopes, so the constraints fix
+    # all dofs of a polytope or none: here all components of one of the
+    # two interior dofs of a degree-3 edge
+    from mmfem import dirichlet
+    from mmfem.errors import InvalidParam
+
+    def one_edge_dof(mesh, layout, *datum):
+        dm = layout.dofmap
+        assert dm.per_edge == 2
+        return layout.dofs(np.arange(3), dm.edge_base), np.zeros(3)
+
+    monkeypatch.setattr(dirichlet, "h1_dirichlet", one_edge_dof)
+    with pytest.raises(InvalidParam, match="polytope"):
+        assemble_cauchy3d(wavy_box, SpaceDescriptor("h1", 3, 3),
                           dirichlet=(wavy_box.boundary_facets, _f3, _M3))

@@ -932,10 +932,11 @@ def test_pattern_path_matches_explicit_slice(gate_systems):
 
 
 def test_pattern_supervariables_are_exact(gate_systems):
-    # dofs are grouped by the cells of their scalar dof: mesh entities,
-    # merged where they share their cells (a boundary face and the
-    # interior of its only cell, an edge and a face in the same two
-    # cells), which is the exact row-set partition of K_ff here
+    # dofs are grouped by the cells of their polytope: mesh entities,
+    # each one run of dofs, merged where they share their cells (a
+    # boundary face and the interior of its only cell, an edge and a face
+    # in the same two cells), which is the exact row-set partition of
+    # K_ff here
     from mmfem import cholesky
     for name, (system, _, _) in gate_systems.items():
         Kff = symmetric(system.matrix)
