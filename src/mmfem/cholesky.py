@@ -17,9 +17,9 @@ Analysis (``analyse``), once per sparsity pattern:
    (MMD_AT_PLUS_A) and factored there with Stieltjes values
    (off-diagonal -1, strictly diagonally dominant), whose Cholesky
    factor has no cancellation: the pattern of that L is the symbolic
-   factor, and the elimination tree and the column structures are read
-   from it.  The ordering sees the block pattern only, never the values
-   of K.
+   factor, postordered by one permutation of SuperLU's unsorted L (only
+   the columns that end a supernode get sorted).  The ordering sees the
+   block pattern only, never the values of K.
 3. Supernodes.  Fundamental supernodes of the quotient tree in
    postorder, then relaxed amalgamation of a last child into its parent
    (CHOLMOD's default thresholds, ``_RELAX``).
@@ -28,12 +28,12 @@ Analysis (``analyse``), once per sparsity pattern:
    m = n - k update rows; a large front (m > _FLAT_ROWS) is a group of
    its own.  The extend-add of each group into its parents is planned
    here: for a small child, the positions of its update rows in its
-   parent's front (relative rows, one index per row); for a large one,
-   runs of consecutive parent rows.  Then the position in the factor of
-   every stored entry (``Symbolic.dst``, in storage order), linear in the
-   new index of its row for a fixed column: found once per supervariable,
-   in the row of its last column, which holds every column that the rows
-   of the others hold.
+   parent's front (relative rows, one index per row, found per node);
+   for a large one, runs of consecutive parent rows.  Then the position
+   in the factor of every stored entry (``Symbolic.dst``, in storage
+   order), linear in the new index of its row for a fixed column: found
+   once per supervariable, in the row of its last column, which holds
+   every column that the rows of the others hold.
 
 Numeric factorization: one (n, k) panel per supernode holds the factor;
 K's stored entries go into it in one scatter, ``values[dst] = K.data``.
@@ -80,7 +80,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from .errors import FactorizationFailed, NotPositiveDefinite
+from .errors import FactorizationFailed, InsufficientMemory, NotPositiveDefinite
 
 # entries per chunk of the per-entry passes of the analysis (at most
 # 0.66 MB of temporaries)
@@ -118,12 +118,12 @@ def _ranges(starts, lengths, dtype=np.int64):
                          + lengths).astype(dtype), lengths))
 
 
-def _column_chunks(indptr):
-    """Column ranges (c0, c1) holding at most _CHUNK entries each (at
+def _column_chunks(indptr, size=_CHUNK):
+    """Column ranges (c0, c1) holding at most ``size`` entries each (at
     least one column), so that per-entry temporaries stay small."""
     n, c0 = len(indptr) - 1, 0
     while c0 < n:
-        c1 = int(np.searchsorted(indptr, indptr[c0] + _CHUNK,
+        c1 = int(np.searchsorted(indptr, indptr[c0] + size,
                                  side="right")) - 1
         c1 = min(max(c1, c0 + 1), n)
         yield c0, c1
@@ -150,12 +150,11 @@ def _quotient_factor(rows, t_label, label, lastcol):
     """Ordering and symbolic factor of the quotient graph, from the
     ``rows`` on or above the diagonal of the last column of each
     supervariable (``t_label``, its label), which meet every neighbour
-    whose last column comes first, at that column: (perm, L) with
-    perm[new] = old supervariable and L the CSC pattern of the Cholesky
-    factor in the new order (boolean values).  Memory: Q (12 bytes per
-    entry, two per edge) from A and its transpose (12 bytes per edge
-    each), then SuperLU's L (12 bytes per entry) until only its pattern
-    (5) is left."""
+    whose last column comes first, at that column: (perm, Lp, Li) with
+    perm[new] = old supervariable and (Lp, Li) SuperLU's CSC pattern of
+    the Cholesky factor in the new order (unsorted).  Memory: Q (12 bytes
+    per entry, two per edge) from A and its transpose (12 bytes per edge
+    each), then SuperLU's L (12 bytes per entry), then its pattern (4)."""
     ns = len(lastcol)
     keep = np.zeros(len(label), dtype=bool)
     keep[lastcol] = True
@@ -186,9 +185,7 @@ def _quotient_factor(rows, t_label, label, lastcol):
         raise FactorizationFailed("quotient graph pivoted off the diagonal")
     L, perm = lu.L, np.argsort(lu.perm_c)
     del lu
-    L.sort_indices()
-    return perm, sp.csc_matrix((np.ones(L.nnz, dtype=bool), L.indices, L.indptr),
-                               shape=L.shape)
+    return perm, L.indptr, L.indices
 
 
 def _postorder(parent):
@@ -214,37 +211,26 @@ def _postorder(parent):
     return np.argsort(np.asarray(at))
 
 
-def _etree(L):
-    """Parent of each column of a lower-triangular CSC pattern with
-    sorted indices and the diagonal first (-1 at roots)."""
-    has = np.diff(L.indptr) > 1
-    parent = np.full(L.shape[0], -1, dtype=np.int64)
-    parent[has] = L.indices[L.indptr[:-1][has] + 1]
-    return parent
-
-
 def _amalgamate(first, last, k, rows, nz, sparent):
     """Relaxed amalgamation of the supernodes (in postorder; node ranges
     first..last).  Returns (kept, first, final) where ``final`` maps each
-    supernode to the kept supernode that absorbed it."""
+    supernode to the kept supernode that absorbed it.  Only the last
+    child, whose nodes end just before the parent's, can join it."""
+    cand = np.flatnonzero(sparent >= 0)
+    cand = cand[last[cand] + 1 == first[sparent[cand]]]
     first, k, rows, nz = (a.tolist() for a in (first, k, rows, nz))
-    last, sparent = last.tolist(), sparent.tolist()
-    merged = [False] * len(k)
-    for s, p in enumerate(sparent):
-        # only the last child, whose nodes end just before p's, can join p
-        if p < 0 or last[s] + 1 != first[p]:
-            continue
+    merged = []
+    for s, p in zip(cand.tolist(), sparent[cand].tolist()):
         cols, nrow = k[s] + k[p], k[s] + rows[p]
         zeros = 1.0 - (nz[s] + nz[p]) / (cols * nrow - cols * (cols - 1) // 2)
         if any(cols <= c and zeros < z for c, z in _RELAX):
             first[p], k[p], rows[p] = first[s], cols, nrow
             nz[p] += nz[s]
-            merged[s] = True
-    final = list(range(len(k)))
-    for s in range(len(k) - 1, -1, -1):
-        if merged[s]:
-            final[s] = final[sparent[s]]
-    kept = ~np.asarray(merged, dtype=bool)
+            merged.append(s)
+    kept = np.bincount(merged, minlength=len(k)) == 0
+    final = np.where(kept, np.arange(len(k)), sparent)
+    while not np.array_equal(final[final], final):     # merge chains
+        final = final[final]
     return kept, np.asarray(first), np.asarray(final)
 
 
@@ -371,11 +357,11 @@ def _runs(rel, k):
     return list(zip(starts.tolist(), ends.tolist(), rel[starts].tolist()))
 
 
-def _supernodes(parent, qcount, Lp, Li, sz, qoff):
-    """Supernodes of the postordered quotient tree as node ranges:
-    (first, last, parent supernode) after relaxed amalgamation."""
+def _supernodes(parent, qcount, sc, sz, qoff):
+    """Supernodes of the postordered quotient tree (scalar column counts
+    ``sc``) as node ranges: (first, last, parent supernode) after relaxed
+    amalgamation."""
     ns = len(parent)
-    sc = np.add.reduceat(sz[Li], Lp[:-1])        # scalar column counts
     nchild = np.bincount(parent[parent >= 0], minlength=ns)
     # fundamental: chains j -> j + 1 of only children whose structures nest
     chain = ((parent[:-1] == np.arange(1, ns)) & (nchild[1:] == 1)
@@ -418,9 +404,9 @@ def analyse(K, label=None) -> Symbolic:
     finite element patterns, whose supervariable graph has few edges and
     a symbolic factor of few entries beside the stored ones (about 48
     bytes per edge, 12 per factor entry here, ``_quotient_factor``).
-    Measured above nbytes: 11.6 bytes per stored entry on the 2D
-    benchmark system (peak 24.2 MB), 1.7 on the 3D one (15.4 MB); 52 on
-    random matrices without supervariables, whose fill doubles them.
+    Measured above nbytes: 11.0 bytes per stored entry on the 2D
+    benchmark system (peak 22.4 MB), 1.4 on the 3D one; 52 on random
+    matrices without supervariables, whose fill doubles them.
     """
     indptr, indices, n = K.indptr, K.indices, K.shape[0]
     if n == 0:
@@ -437,11 +423,9 @@ def analyse(K, label=None) -> Symbolic:
     # counts of the symmetric pattern's columns: the row of the triangle
     # (``up``, the diagonal last if stored) and the column below it
     up = np.diff(indptr)
-    has = np.flatnonzero(up)
-    diag = np.zeros(n, dtype=np.int64)
-    diag[has] = indices[indptr[has + 1] - 1] == has
-    counts = up - diag
-    for a, b in _column_chunks(indptr):     # bincount copies to int64
+    has, counts = np.flatnonzero(up), up.astype(np.int64)
+    counts[has] -= indices[indptr[has + 1] - 1] == has
+    for a, b in _column_chunks(indptr, max(_CHUNK, n)):  # O(entries + n)
         counts += np.bincount(indices[indptr[a]:indptr[b]], minlength=n)
     # supervariables numbered in order of their first columns
     _, repcol, label = np.unique(label, return_index=True,
@@ -458,56 +442,60 @@ def analyse(K, label=None) -> Symbolic:
     tptr = np.concatenate([[0], np.cumsum(up[lastcol])]).astype(stype)
     rows = indices[_ranges(indptr[lastcol], up[lastcol], stype)].astype(stype)
     t_label = np.repeat(np.arange(ns, dtype=stype), up[lastcol])
-    qperm, L = _quotient_factor(rows, t_label, label, lastcol)
-    post = _postorder(_etree(L))
-    if not np.array_equal(post, np.arange(ns)):
-        qperm = qperm[post]
-        L = L[post][:, post].tocsc()
-        L.sort_indices()
-    parent = _etree(L)
-    Lp, Li = L.indptr, L.indices
+    qperm, Lp, Li = _quotient_factor(rows, t_label, label, lastcol)
+    # the elimination tree (each column's first row below the diagonal),
+    # then L's columns and rows in its postorder
     qcount = np.diff(Lp)
+    parent = np.minimum.reduceat(np.where(
+        Li > np.repeat(np.arange(ns, dtype=Li.dtype), qcount), Li, ns), Lp[:-1])
+    parent = np.where(parent < ns, parent, -1)
+    post = _postorder(parent)
+    ipost = np.argsort(post)
+    parent = np.append(ipost, -1)[parent[post]]
+    sc = np.add.reduceat(size_of[qperm][Li], Lp[:-1])[post]  # scalar counts
+    qperm, qcount = qperm[post], qcount[post]
 
     # scalar order: supervariables in the new order, the columns of one
     # in ascending original order
     sz = size_of[qperm]
     qoff = np.concatenate([[0], np.cumsum(sz)])
-    node_of_label = np.empty(ns, dtype=stype)
-    node_of_label[qperm] = np.arange(ns)
+    node_of_label = np.argsort(qperm).astype(stype)
     perm = np.argsort(node_of_label[label], kind="stable")
     iperm = np.empty(n, dtype=np.int64)
     iperm[perm] = np.arange(n)
-    node_of_row = np.repeat(np.arange(ns, dtype=stype), sz)
 
-    first, last, sparent = _supernodes(parent, qcount, Lp, Li, sz, qoff)
-    S = len(first)
-    c0 = qoff[first]
+    first, last, sparent = _supernodes(parent, qcount, sc, sz, qoff)
+    S, c0 = len(first), qoff[first]
     k = qoff[last + 1] - c0
 
     # front rows: the supernode's nodes, then the structure of its last
-    # node below the diagonal; qfront is each node's first front row
+    # node below the diagonal (its column of L, renumbered and sorted);
+    # qfront is each node's first front row
     own, below = last - first + 1, qcount[last] - 1
     qptr = np.concatenate([[0], np.cumsum(own + below)])
+    key = np.repeat(np.arange(S, dtype=np.int64) * ns, qcount[last])
     qrows = np.empty(qptr[-1], dtype=stype)
-    qrows[_ranges(qptr[:-1], own)] = _ranges(first, own)
-    qrows[_ranges(qptr[:-1] + own, below)] = Li[_ranges(Lp[last] + 1, below)]
-    del L, Lp, Li
+    qrows[_ranges(qptr[:-1], own - 1)] = _ranges(first, own - 1)
+    qrows[_ranges(qptr[:-1] + own - 1, qcount[last])] = np.sort(
+        key + ipost[Li[_ranges(Lp[post[last]], qcount[last])]]) - key
+    del Lp, Li, key
     qfront = np.cumsum(sz[qrows]) - sz[qrows]
     qfront = (qfront - np.repeat(qfront[qptr[:-1]], own + below)).astype(stype)
-    ktype = np.int32 if S * ns < 2 ** 31 else np.int64
-    qkeys = np.repeat(np.arange(S, dtype=ktype), own + below) * ns + qrows  # sorted
     nrow = np.add.reduceat(sz[qrows], qptr[:-1])
     rptr = np.concatenate([[0], np.cumsum(nrow)])
     srows = _ranges(qoff[qrows], sz[qrows])
 
-    def front_row(s, rows):
-        """Position of each scalar row in the front of supernode s."""
-        nodes = node_of_row[rows]
-        q = np.asarray(s, dtype=qkeys.dtype) * ns + nodes
-        at = np.minimum(np.searchsorted(qkeys, q), len(qkeys) - 1)
-        if np.any(qkeys[at] != q):
+    # entry (s, node): 1 + the node's index in qrows (a search in row s)
+    front = sp.csr_array((np.arange(1, len(qrows) + 1), qrows, qptr), (S, ns))
+
+    def node_pos(s, v):
+        """Index in qrows of node v in the front of supernode s."""
+        at, far = qptr[s] + v - first[s], (v < first[s]) | (v > last[s])
+        if far.any():   # not one of s's own nodes
+            at[far] = front[s[far], v[far]] - 1
+        if np.any(at < 0):
             raise FactorizationFailed("symbolic factor misses an entry")
-        return qfront[at] + rows - qoff[nodes]
+        return at
 
     # groups of one (height, k, n), heights from the leaves up, a large
     # front (m > _FLAT_ROWS) alone; within a group the supernodes are
@@ -526,77 +514,87 @@ def analyse(K, label=None) -> Symbolic:
     pgroup = np.where(sparent >= 0, group_of[sparent], -1)
     order = np.lexsort((np.arange(S), pgroup, group_of))
     gptr = np.concatenate([np.flatnonzero(new), [S]])
-    slot_in = np.empty(S, dtype=np.int64)     # index within the group
-    pbase = np.empty(S, dtype=np.int64)       # panel offset
-    groups, size = [], 0
-    for g0, g1 in zip(gptr[:-1], gptr[1:]):
-        members = order[g0:g1]
-        kk, nn = int(k[members[0]]), int(nrow[members[0]])
-        slot_in[members] = np.arange(len(members))
-        pbase[members] = size + np.arange(len(members)) * nn * kk
-        groups.append(_Group(offset=size, k=kk, n=nn, flat=None,
-                             blocks=[], rows=srows[rptr[members][:, None]
-                                                   + np.arange(nn)]))
-        size += len(members) * nn * kk
+    B, gk, gn = np.diff(gptr), k[order[gptr[:-1]]], nrow[order[gptr[:-1]]]
+    goff = np.concatenate([[0], np.cumsum(B * gn * gk)])
+    slot_in, pbase = np.empty((2, S), dtype=np.int64)  # in the group, panel
+    slot_in[order] = np.arange(S) - np.repeat(gptr[:-1], B)
+    pbase[order] = np.repeat(goff[:-1], B) + slot_in[order] * np.repeat(gn * gk, B)
+    groups = [_Group(offset=int(goff[g]), k=int(gk[g]), n=int(gn[g]), flat=None,
+                     blocks=[], rows=srows[rptr[order[g0:g1]][:, None]
+                                           + np.arange(gn[g])])
+              for g, (g0, g1) in enumerate(zip(gptr[:-1], gptr[1:]))]
+    size = int(goff[-1])
     # positions in the factor storage and in the update matrices
     largest = max([size] + [len(g.rows) * (g.n - g.k) ** 2 for g in groups])
     itype = np.int32 if largest < 2 ** 31 else np.int64
 
+    # the update rows of each supernode in its parent's front (srows'
+    # layout); per supernode in ``order``, its parent's group, slot, panel
+    nrel = np.zeros(len(qrows), dtype=itype)
+    at = _ranges(qptr[:-1] + own, below)
+    nrel[at] = qfront[node_pos(np.repeat(sparent, below), qrows[at])]
+    frel = _ranges(nrel, sz[qrows], itype)
+    del nrel, at
+    ps = sparent[order]
+    pg, pslot, pb = pgroup[order], slot_in[ps].astype(itype), pbase[ps].astype(itype)
     for grp, g0, g1 in zip(groups, gptr[:-1], gptr[1:]):
-        members = order[g0:g1]
-        m, ps = grp.n - grp.k, sparent[members]
-        if m == 0 or ps[0] < 0:
+        m = grp.n - grp.k
+        if m == 0:
             continue
-        rel = front_row(np.repeat(ps, m), grp.rows[:, grp.k:].ravel()
-                        ).reshape(len(members), m)
+        rel = frel[rptr[order[g0:g1]][:, None] + np.arange(grp.k, grp.n)]
         if m <= _FLAT_ROWS:
-            grp.flat = (rel.astype(itype), pgroup[members],
-                        slot_in[ps].astype(itype), pbase[ps].astype(itype))
+            grp.flat = (rel, pg[g0:g1], pslot[g0:g1], pb[g0:g1])
         else:
-            for b, (pg, s, r) in enumerate(zip(pgroup[members].tolist(),
-                                               slot_in[ps].tolist(), rel)):
-                runs = _runs(r, groups[pg].k)
-                t = sum(p0 < groups[pg].k for _, _, p0 in runs)
-                grp.blocks.append((pg, b, s, runs, t))
+            for b, (q, s, r) in enumerate(zip(pg[g0:g1].tolist(),
+                                              pslot[g0:g1].tolist(), rel)):
+                runs = _runs(r, groups[q].k)
+                t = sum(p0 < groups[q].k for _, _, p0 in runs)
+                grp.blocks.append((q, b, s, runs, t))
+    del frel
 
     # positions in the factor.  The stored entry (i, j), j <= i, is entry
     # (p[i], p[j]) of P K P^T (p: the new order).  Row i of the triangle
-    # is a prefix of the row of the last column of i's supervariable L,
+    # is a prefix of the row of the last column of i's supervariable T,
     # which holds j at the same offset, and for that j the position is
-    # term + coef p[i], linear in p[i]:
-    #   j's node after L's: column p[i], row p[j], coef 1;
-    #   otherwise column p[j], row p[i] (in L's own node the columns keep
-    #   their order, so p[j] <= p[i]), coef the k of p[j]'s supernode,
-    #   whose front holds the rows of L's node in order.
-    # L's own diagonal block is full (or empty): its columns share a row set
+    # term + coef p[i]: with s the supernode of the first of the two nodes
+    # and f + x the front row of a scalar x of the other (f looked up once
+    # per run of one supervariable in the row), if j's node is after T's
+    # (column p[i], row p[j]) coef 1 and term base[s] + k[s] (f + p[j]),
+    # else coef k[s] and term base[s] + k[s] f + p[j] (in T's own node
+    # p[j] <= p[i]).  T's own diagonal block is full (or empty).
     iperm = iperm.astype(itype)
-    so = np.repeat(np.arange(S, dtype=itype), last - first + 1)    # of a node
+    so = np.repeat(np.arange(S, dtype=itype), own)     # of a node
     base, ks = (pbase - c0).astype(itype), k.astype(itype)
     term = np.empty(len(rows), dtype=itype)
     coef = np.empty(len(rows), dtype=itype)
     cown = np.zeros(ns, dtype=np.int64)
     for a, b in _column_chunks(tptr):
-        at = slice(tptr[a], tptr[b])
-        pj, t = iperm[rows[at]], t_label[at]
-        J, I = node_of_label[t], node_of_row[pj]
-        cown += np.bincount(t[I == J], minlength=ns)
-        after = I > J
-        s = so[np.minimum(I, J)]        # the supernode of the factor's column
-        pl = iperm[lastcol[t]]
-        term[at] = base[s] + ks[s] * front_row(s, np.where(after, pj, pl)).astype(itype)
-        coef[at] = np.where(after, 1, ks[s])
-        term[at] += np.where(after, 0, pj - ks[s] * pl)
-    del rows, t_label
+        x, y = tptr[a], tptr[b]
+        r, t = rows[x:y], t_label[x:y]
+        u = label[r]
+        new = np.concatenate([[True], u[1:] != u[:-1], [True]])
+        new[tptr[a:b] - x] = True
+        cut = np.flatnonzero(new[:-1])
+        span = np.diff(cut, append=y - x)
+        u, t = u[cut], t[cut]
+        cown[a:b] = np.bincount(t[u == t] - a, span[u == t], b - a)
+        I, J = node_of_label[u], node_of_label[t]
+        after, hi, s = I > J, np.maximum(I, J), so[np.minimum(I, J)]
+        f = (qfront[node_pos(s, hi)] - qoff[hi]).astype(itype)
+        term[x:y] = (np.repeat(base[s] + ks[s] * f, span)
+                     + np.repeat(np.where(after, ks[s], 1), span) * iperm[r])
+        coef[x:y] = np.repeat(np.where(after, 1, ks[s]), span)
+    del rows, t_label, r, t     # r and t are views
     if np.any((cown != 0) & (cown != size_of)):
         raise FactorizationFailed("columns of one supervariable have "
                                   "different row sets")
     dst = np.empty(len(indices), dtype=itype)
     for a, b in _column_chunks(indptr):
         at = _ranges(tptr[label[a:b]], up[a:b], stype)
-        d = coef[at]
+        d = dst[indptr[a]:indptr[b]]
+        np.take(coef, at, out=d)
         d *= np.repeat(iperm[a:b], up[a:b])
-        d += term[at]
-        dst[indptr[a]:indptr[b]] = d
+        d += term.take(at)
     nnz = int(np.sum(k * nrow - k * (k - 1) // 2))
     peak = _update_peak(groups, np.dtype(itype).itemsize)
     return Symbolic(perm=perm, groups=groups, dst=dst, size=size, nnz=nnz,
@@ -776,15 +774,52 @@ def _extend_add(V, children):
                 V[s, q0:q0 + i1 - i0, p0:p0 + j1 - j0] += Vc[:, j0:j1]
 
 
+def available_memory():
+    """Bytes this process can still allocate, read only: the smaller of
+    the kernel's MemAvailable and the room left under the memory limit of
+    the process's cgroup (v2), None where neither can be read."""
+    figures = []
+    try:
+        with open("/proc/meminfo") as f:
+            figures += [int(x.split()[1]) << 10 for x in f
+                        if x.startswith("MemAvailable:")]
+        with open("/proc/self/cgroup") as f:
+            base = "/sys/fs/cgroup" + [x[3:].strip() for x in f
+                                       if x.startswith("0::")][0]
+        with open(base + "/memory.max") as f, open(base + "/memory.current") as g:
+            limit, used = f.read().strip(), int(g.read())
+        figures += [] if limit == "max" else [int(limit) - used]
+    except (OSError, IndexError, ValueError):
+        pass
+    return min(figures, default=None)
+
+
+def too_large(K, sym, need, free):
+    """Message of InsufficientMemory for a factorization of ``K``
+    analysed by ``sym`` that needs ``need`` bytes, ``free`` available."""
+    return (f"the Cholesky factor of {K.shape[0]} free dofs and {K.nnz} stored "
+            f"entries needs {need} bytes (factor_bytes {sym.factor_bytes}); "
+            f"{free} bytes are available")
+
+
 def factor(K, sym=None) -> Factor:
     """Supernodal Cholesky factor of the SPD matrix whose lower triangle
     is the canonical CSR ``K``, analysed by ``sym`` (see ``analyse``),
     read from ``K.data``; raises NotPositiveDefinite where a pivot block
-    is not positive definite.
+    is not positive definite, InsufficientMemory where an allocation
+    fails.
     Beside the factor and the analysis it holds at most
     ``sym.update_peak`` words of update storage (module docstring)."""
     if sym is None:
         sym = analyse(K)
+    try:
+        return _factor(K, sym)
+    except MemoryError as exc:
+        raise InsufficientMemory(too_large(K, sym, sym.factor_bytes,
+                                           available_memory())) from exc
+
+
+def _factor(K, sym):
     values = np.zeros(sym.size)
     values[sym.dst] = K.data
     pending = [[] for _ in sym.groups]

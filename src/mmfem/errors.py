@@ -57,6 +57,10 @@ class FactorizationFailed(MMFemError, RuntimeError):
     """The free block of a system could not be factored (a singular matrix)."""
 
 
+class InsufficientMemory(MMFemError, MemoryError):
+    """A solve needs more memory than the machine has available."""
+
+
 class NonConvergence(MMFemError, RuntimeError):
     """Solve missed the residual tolerance."""
 

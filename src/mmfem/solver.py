@@ -40,7 +40,11 @@ Memory: the triangles and one K(c) data array
 (``info["matrix_bytes"]``), the analysis (``info["analysis_bytes"]``:
 one index per stored entry, and the schedule), and the stored factor
 with, while it is computed, its peak update storage
-(``info["factor_bytes"]``, bounded by the analysis).
+(``info["factor_bytes"]``, bounded by the analysis).  Right after the
+analysis the walk compares that bound, plus eight vectors of the free
+dofs and one solution per value, with ``cholesky.available_memory()``
+and raises InsufficientMemory before it allocates the factor, as
+``cholesky.factor`` does where an allocation fails.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ import scipy.sparse.linalg as spla
 
 from . import cholesky
 from .assembly import SparseSystem
-from .errors import (FactorizationFailed, InvalidParam, NonConvergence,
-                     NotPositiveDefinite, PointOutsideMesh)
+from .errors import (FactorizationFailed, InsufficientMemory, InvalidParam,
+                     NonConvergence, NotPositiveDefinite, PointOutsideMesh)
 from .mesh import _CHUNK_NNZ
 from .nedelec import eval_vector_shapes
 from .simplex import bezier_eval
@@ -247,7 +251,8 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
     A system outside the contract raises InvalidParam; with
     ``require_spd`` a factor that is not SPD raises NotPositiveDefinite;
     a failed factorization raises FactorizationFailed, a residual above
-    RESIDUAL_TOL NonConvergence.  Each energy comes from the free blocks
+    RESIDUAL_TOL NonConvergence, a factor that does not fit in the
+    available memory InsufficientMemory.  Each energy comes from the free blocks
     and the system's lifts and constants (``SparseSystem``):
     x^T K x = x_f^T K_ff x_f - 2 x_f^T lift + x_c^T K_cc x_c.  The
     system's assembly and Dirichlet stages and the analysis go on the
@@ -282,6 +287,11 @@ def solve_family(system: SparseSystem, coeffs, require_spd=False) -> list:
         mats.append(K)
     t0 = time.perf_counter()
     sym = cholesky.analyse(K, label=system.group)
+    # the factor, eight vectors of the walk and a solution per value
+    need = sym.factor_bytes + 8 * (8 * K.shape[0] + len(coeffs) * system.n_dofs)
+    free = cholesky.available_memory()
+    if free is not None and need > free:
+        raise InsufficientMemory(cholesky.too_large(K, sym, need, free))
     shared = {"assembly": system.assembly_s, "dirichlet": system.dirichlet_s,
               "analysis": time.perf_counter() - t0}
     matrix_bytes = _matrix_bytes(mats)

@@ -815,36 +815,49 @@ def test_halves_agree_with_y_plus_y_transposed(form, constrained, wavy_disk, wav
     assert len(mats) == len(system.lift) == 2 - (form in ("antiplane", "full3d"))
 
 
-def test_assembly_memory_bound(wavy_box, monkeypatch):
-    # the traced peak of a two-matrix assembly in four chunks is at most
-    # what the system keeps, the pattern's offsets of the lower polytope
-    # pairs of all cells (4 bytes each) and one chunk's temporaries: the
-    # stored halves of both matrices and their positions (4 bytes per
-    # entry of one matrix's half), together _CHUNK_NNZ doubles, never two
-    # chunks' at once and no element tensor; under Dirichlet data on the
-    # whole boundary too, where the lifts add the table [G; G^T] (16
-    # n_terms nb^2 bytes) and no chunk-sized temporaries
+def _assembly_within_memory_bound(mesh, cells, monkeypatch):
+    """The traced peak of a two-matrix assembly in chunks of ``cells``
+    cells is at most what the system keeps, the pattern's offsets of the
+    lower polytope pairs of all cells (4 bytes each) and one chunk's
+    temporaries: the stored halves of both matrices and their positions
+    (4 bytes per entry of one matrix's half), together _CHUNK_NNZ
+    doubles, never two chunks' at once and no element tensor; under
+    Dirichlet data on the whole boundary too, where the lifts add the
+    table [G; G^T] (16 n_terms nb^2 bytes) and no chunk-sized
+    temporaries."""
     import tracemalloc
     space = SpaceDescriptor("h1", 4, 3)
     nb, n_terms = 35, 9     # degree-4 polynomials on a tetrahedron; Du
     n_poly = 15             # 4 vertices, 6 edges, 4 faces and the cell
     half = 3 * 3 * nb * (nb - 1) // 2 + 6 * nb      # entries of one matrix
-    chunk = (2 * half + half // 2) * (wavy_box.n_cells // 4)
+    chunk = (2 * half + half // 2) * cells
     monkeypatch.setattr(mmfem.mesh, "_CHUNK_NNZ", chunk)
-    for data in (None, (wavy_box.boundary_facets, _f3, _M3)):
-        assemble_cauchy3d(wavy_box, space, dirichlet=data)   # cached tables
+    for data in (None, (mesh.boundary_facets, _f3, _M3)):
+        assemble_cauchy3d(mesh, space, dirichlet=data)   # cached tables
         tracemalloc.start()
         try:
-            sys_ = assemble_cauchy3d(wavy_box, space, dirichlet=data)
+            sys_ = assemble_cauchy3d(mesh, space, dirichlet=data)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        offsets = 4 * wavy_box.n_cells * n_poly * (n_poly + 1) // 2
+        offsets = 4 * mesh.n_cells * n_poly * (n_poly + 1) // 2
         lift_table = 0 if data is None else 16 * n_terms * nb ** 2
         small = 256 * 1024      # coefficients, Python objects
         assert peak <= kept + offsets + 8 * chunk + lift_table + small
         assert kept >= 8 * (sys_.matrix.nnz + sys_.c_matrix.nnz)
     assert 0 < np.count_nonzero(sys_.free) < sys_.n_dofs
+
+
+def test_assembly_memory_bound(wavy_box, monkeypatch):
+    # in four chunks
+    _assembly_within_memory_bound(wavy_box, wavy_box.n_cells // 4, monkeypatch)
+
+
+def test_assembly_memory_bound_sees_a_per_cell_table(monkeypatch):
+    # on 162 cells in chunks of 12, a per-cell table of 4 bytes per scalar
+    # pair of a cell (0.41 MB) would not fit in the slack of the bound
+    _assembly_within_memory_bound(generate_box(((0, 1), (0, 1), (0, 1)), 3), 12,
+                                  monkeypatch)
 
 
 def test_constraints_splitting_a_block_raise(wavy_box, monkeypatch):

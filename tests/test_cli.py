@@ -163,6 +163,28 @@ def test_bench_entry_point(tmp_path):
     assert len(list(csv.DictReader(open(out / "results.csv")))) == 16
 
 
+def test_bending_too_large_is_a_typed_error(tmp_path):
+    # with the memory probe reading 1 MB, the walk refuses the factor
+    # after the analysis: exit 2, one error line and no traceback
+    from mmfem.benchmarks import BENDING_ZGRID
+    from mmfem.mesh import generate_box, io_write
+    mesh_path = tmp_path / "plate.json"
+    io_write(generate_box(((-10.0, 10.0), (-10.0, 10.0), (-0.5, 0.5)),
+                          (2, 2, np.asarray(BENDING_ZGRID))), mesh_path)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys; from mmfem import cholesky; "
+            "cholesky.available_memory = lambda: 1 << 20; "
+            "from mmfem.cli import main; sys.argv[0] = 'bench'; main()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "bending", "--p", "1", "--mesh",
+         str(mesh_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the Cholesky factor of ")
+    assert "1048576 bytes are available" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_lc_sweep_deterministic(runner, tmp_path):
     outputs = {}
     for run in ("1", "2"):

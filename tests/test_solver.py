@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mmfem.assembly import (SparseSystem, assemble_antiplane, assemble_cauchy3d,
                             assemble_full3d)
@@ -540,6 +541,98 @@ def test_cholesky_labels_need_one_row_set():
     K = sp.csc_matrix(np.array([[4.0, 0, -1], [0, 4, -1], [-1, -1, 4]]))
     with pytest.raises(FactorizationFailed, match="row sets"):
         cholesky.analyse(sp.tril(K, format="csr"), label=np.array([0, 0, 1]))
+    # columns 0 and 2 (one label, not contiguous) have equal counts and
+    # meet the same labels, but neither holds the other's row: their
+    # diagonal block is not full
+    A = np.eye(4) * 4.0
+    for i, j in ((1, 0), (3, 2), (1, 2), (3, 0)):
+        A[i, j] = A[j, i] = -1.0
+    with pytest.raises(FactorizationFailed, match="different row sets"):
+        cholesky.analyse(sp.tril(A, format="csr"), label=np.array([0, 1, 0, 1]))
+
+
+def test_cholesky_analysis_checks():
+    # each check of the analysis raises on the pattern it guards against
+    from mmfem import cholesky
+    from mmfem.errors import FactorizationFailed
+    # columns 0 and 1 share a label but not their row counts
+    K = sp.csr_matrix(np.array([[4.0, 0, 0], [0, 4, 0], [-1, -1, 4]]))
+    with pytest.raises(FactorizationFailed, match="different row counts"):
+        cholesky.analyse(sp.tril(K, format="csr"), label=np.array([0, 0, 0]))
+    # columns 1 and 3 (two fields, not contiguous) have equal counts and
+    # each holds the other, but 1 meets 2 and 3 meets 0: the symbolic
+    # factor of the labelled quotient graph lacks one of those entries
+    A = np.eye(4) * 4.0
+    for i, j in ((1, 3), (2, 1), (3, 0)):
+        A[i, j] = A[j, i] = -1.0
+    with pytest.raises(FactorizationFailed, match="misses an entry"):
+        cholesky.analyse(sp.tril(A, format="csr"), label=np.array([0, 1, 2, 1]))
+    # SuperLU's quotient factor must not pivot
+    real = spla.splu
+
+    class Pivoted:
+        def __init__(self, *args, **kwargs):
+            self.lu = real(*args, **kwargs)
+            self.perm_c, self.perm_r = self.lu.perm_c, self.lu.perm_c[::-1]
+    K = sp.tril(_block_spd([3] * 4, density=0.5, seed=1), format="csr")
+    try:
+        spla.splu = Pivoted
+        with pytest.raises(FactorizationFailed, match="pivoted off the diagonal"):
+            cholesky.analyse(K)
+    finally:
+        spla.splu = real
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("labels", [False, True])
+def test_cholesky_dst_scatters_the_permuted_matrix(seed, labels):
+    # scattering K.data by dst fills each panel with its rows of P K P^T
+    # (the pivot block's lower triangle): random block patterns with their
+    # columns shuffled, so a label's columns are not contiguous, analysed
+    # with the block labels or with exact row sets
+    from mmfem import cholesky
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 7, 25)
+    shuffle = rng.permutation(widths.sum())
+    K = _block_spd(widths, density=0.15, seed=seed)[shuffle][:, shuffle]
+    T = sp.tril(K, format="csr")
+    T.data = np.arange(1.0, T.nnz + 1)
+    label = np.repeat(np.arange(len(widths)), widths)[shuffle] if labels else None
+    sym = cholesky.analyse(T, label=label)
+    values = np.zeros(sym.size)
+    values[sym.dst] = T.data
+    assert np.count_nonzero(values) == T.nnz
+    M = (T + sp.tril(T, -1).T).toarray()[np.ix_(sym.perm, sym.perm)]
+    for g in sym.groups:
+        panels = values[g.offset:g.offset + len(g.rows) * g.n * g.k]
+        for P, rows in zip(panels.reshape(-1, g.n, g.k), g.rows):
+            want = M[np.ix_(rows, rows[:g.k])]
+            want[:g.k] = np.tril(want[:g.k])
+            assert np.array_equal(P, want)
+
+
+def test_solve_that_cannot_fit_fails_typed(monkeypatch):
+    # the walk compares the analysis' stated bytes with the memory probe
+    # before it allocates the factor; the factor's own MemoryError becomes
+    # the same typed error
+    from mmfem import cholesky
+    from mmfem.errors import InsufficientMemory
+    K = 4.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+    monkeypatch.setattr(cholesky, "available_memory", lambda: 1000)
+    monkeypatch.setattr(cholesky, "factor", lambda *args: pytest.fail("factored"))
+    with pytest.raises(InsufficientMemory, match=(
+            r"factor of 4 free dofs and 7 stored entries needs \d+ bytes "
+            r"\(factor_bytes \d+\); 1000 bytes are available")):
+        solve(_toy_system(K, np.ones(4)))
+    monkeypatch.undo()
+
+    def out_of_memory(P, k):
+        raise MemoryError
+
+    monkeypatch.setattr(cholesky, "_front", out_of_memory)
+    with pytest.raises(InsufficientMemory) as info:
+        cholesky.factor(sp.tril(K, format="csr"))
+    assert isinstance(info.value, MemoryError)
 
 
 def _large_fronts():
