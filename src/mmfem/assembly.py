@@ -16,8 +16,10 @@ that is dropped; the element matrices, applied to x_c unformed, give
 the lift -K_fc x_c and x_c^T K_cc x_c (deal.II's
 distribute_local_to_global; Bangerth, Hartmann & Kanschat, ACM TOMS 33,
 2007): no matrix on all dofs exists.  Memory beside the triangles, the
-lifts, the constrained values and the pattern: the offsets of each
-cell's lower polytope pairs (4 bytes each), then per chunk
+lifts, the constrained values and the pattern: per cell the offsets of
+its lower polytope pairs (4 bytes each), its scalar dofs and their free
+numbers (12 bytes per local scalar dof) and whether it has a constrained
+dof (1 byte), M x_c of each matrix (a double per dof), then per chunk
 (``_element_chunks``) the halves of all matrices and their positions,
 no element tensor; under Dirichlet data also [G; G^T] (2 n_terms nb^2
 doubles), then G x_c on the cells with a constrained dof.
@@ -247,9 +249,10 @@ class Pattern:
     Polytopes with one set of cells (a boundary face and the interior of
     its only cell) have one row set: ``group`` labels their free dofs for
     the factorization.  Memory: ``indices`` 4 bytes per entry (int32
-    below 2^31 entries), ``indptr`` and ``group`` one index per free dof,
-    and ``offsets``, off(E, F) - start(F) of each lower pair of a cell's
-    polytopes (4 bytes each).
+    below 2^31 entries), ``indptr`` and ``group`` one index per free dof;
+    per cell ``offsets``, off(E, F) - start(F) of each lower pair of its
+    polytopes (4 bytes each), ``scalar_dofs`` (int64) and ``free_dofs``
+    (int32) of its local scalar dofs and ``cut`` (1 byte).
     """
 
     def __init__(self, layouts, free):

@@ -16,9 +16,9 @@ import numpy as np
 
 from .assembly import (assemble_antiplane, assemble_cauchy3d, assemble_full3d,
                        l2_error_h1, l2_error_hcurl, rot_l2_norm)
-from .errors import InvalidParam, ParseError
+from .errors import InvalidParam
 from .materials import MaterialParams
-from .mesh import generate_box, generate_disk, io_read
+from .mesh import _json_object, generate_box, generate_disk, io_read
 from .nedelec import SpaceDescriptor
 from .solver import sample_line, solve, solve_family
 
@@ -59,15 +59,7 @@ class BenchConfig:
         """
         if self.params_path is None:
             return default
-        import json
-        with open(self.params_path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{self.params_path}: invalid JSON at line "
-                                 f"{exc.lineno}: {exc.msg}") from None
-        if not isinstance(data, dict):
-            raise ParseError(f"{self.params_path}: not a JSON object")
+        data = _json_object(self.params_path)
         fields = {k: getattr(default, k) for k in
                   ("lam_e", "mu_e", "lam_micro", "mu_micro", "mu_c", "lc",
                    "mu_macro", "lam_macro")}

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import permutations
+from numbers import Real
 
 import numpy as np
 
@@ -105,6 +107,14 @@ class Mesh:
         return float(np.sum(np.abs(self.dets))) / (2.0 if d == 2 else 6.0)
 
 
+def _unique_entities(cells, local):
+    """The sorted unique entities (vertex-id rows) of the local entities
+    ``local`` of all cells, and the ids of each cell's in local order."""
+    raw = np.concatenate([cells[:, le] for le in local], axis=0)
+    ents, inverse = np.unique(raw, axis=0, return_inverse=True)
+    return ents, inverse.reshape(len(local), -1).T.copy()
+
+
 def build(vertices, cells, tags=None) -> Mesh:
     """Assemble a mesh from raw arrays.
 
@@ -137,16 +147,8 @@ def build(vertices, cells, tags=None) -> Mesh:
         raise DegenerateCell(f"cell {bad} has |det J| = {abs(dets[bad]):.3e}")
     inv_ts = np.transpose(np.linalg.inv(jacs), (0, 2, 1))
 
-    local_edges = _EDGE_LOCAL[dim]
-    raw = np.concatenate([cells[:, le] for le in local_edges], axis=0)
-    edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-    cell_edges = inverse.reshape(len(local_edges), -1).T.copy()
-
-    faces = cell_faces = None
-    if dim == 3:
-        rawf = np.concatenate([cells[:, lf] for lf in TET_FACES], axis=0)
-        faces, finv = np.unique(rawf, axis=0, return_inverse=True)
-        cell_faces = finv.reshape(len(TET_FACES), -1).T.copy()
+    edges, cell_edges = _unique_entities(cells, _EDGE_LOCAL[dim])
+    faces, cell_faces = _unique_entities(cells, TET_FACES) if dim == 3 else (None, None)
     # every facet lies in some cell, so the counts cover all facets
     counts = np.bincount((cell_edges if dim == 2 else cell_faces).ravel())
     boundary = np.flatnonzero(counts == 1)
@@ -171,11 +173,18 @@ def build(vertices, cells, tags=None) -> Mesh:
     return mesh
 
 
+def _count(name, value):
+    """``value`` as an int >= 1; InvalidParam naming it if it is not one."""
+    if not (isinstance(value, Real) and value >= 1 and value % 1 == 0):
+        raise InvalidParam(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _box_axes(bounds, n, dim):
     """Per-axis gridlines: n may be an int, a tuple of per-axis counts, or
     a tuple whose entries are explicit breakpoint sequences."""
     if np.isscalar(n):
-        n = (int(n),) * dim
+        n = (n,) * dim
     if len(n) != dim:
         raise InvalidParam("n must match the number of axes")
     axes = []
@@ -183,9 +192,7 @@ def _box_axes(bounds, n, dim):
         if not hi > lo:
             raise InvalidParam("box bounds must be increasing")
         if np.isscalar(spec):
-            if int(spec) < 1:
-                raise InvalidParam("axis subdivision count must be >= 1")
-            axes.append(np.linspace(lo, hi, int(spec) + 1))
+            axes.append(np.linspace(lo, hi, _count("axis subdivision count", spec) + 1))
         else:
             pts = np.asarray(spec, dtype=float)
             if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) > 0):
@@ -193,66 +200,41 @@ def _box_axes(bounds, n, dim):
             if not (abs(pts[0] - lo) <= 1e-12 and abs(pts[-1] - hi) <= 1e-12):
                 raise InvalidParam("axis breakpoints must span the bounds")
             axes.append(pts)
-    return axes, tuple(len(a) - 1 for a in axes)
+    return axes
 
 
 def generate_box(bounds, n) -> Mesh:
-    """Simplicial mesh of a rectangle (2 triangles/quad) or box (6 tets/hex).
+    """Simplicial mesh of a rectangle (2 triangles per rectangle) or box
+    (6 tetrahedra per hexahedron).
 
-    Side tags "x-", "x+", ... mark the boundary facets of each plane.
+    The vertices are the grid of the axes' gridlines in C order.  Each
+    grid box is split by Kuhn's rule into dim! simplices, one per order
+    in which a path from its lowest corner steps along the axes
+    (``itertools.permutations``); all share the main diagonal, and the
+    split is the same in every box, so shared facets match up.  Cells
+    run box by box in C order, then path by path.  Side tags "x-", "x+",
+    ... mark the boundary facets of each plane.
     """
     bounds = [tuple(map(float, b)) for b in bounds]
     dim = len(bounds)
     if dim not in (2, 3):
         raise InvalidParam(f"box needs 2 or 3 axes, got {dim}")
-    axes, n = _box_axes(bounds, n, dim)
+    axes = _box_axes(bounds, n, dim)
+    verts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")], axis=1)
 
-    if dim == 2:
-        nx, ny = n
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        verts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        vid = lambda i, j: i * (ny + 1) + j
-        cells = []
-        for i in range(nx):
-            for j in range(ny):
-                a, b = vid(i, j), vid(i + 1, j)
-                c, d = vid(i + 1, j + 1), vid(i, j + 1)
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-        mesh = build(verts, cells)
-    else:
-        nx, ny, nz = n
-        X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-        verts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-        vid = lambda i, j, k: (i * (ny + 1) + j) * (nz + 1) + k
-        # Kuhn split: six tets per hexahedron sharing the main diagonal,
-        # identical in every hex so shared faces match up.
-        perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-        cells = []
-        for i in range(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    base = np.array([i, j, k])
-                    for perm in perms:
-                        path = [base.copy()]
-                        for ax in perm:
-                            nxt = path[-1].copy()
-                            nxt[ax] += 1
-                            path.append(nxt)
-                        cells.append(tuple(vid(*pt) for pt in path))
-        mesh = build(verts, cells)
+    shape = tuple(len(x) for x in axes)
+    vid = np.arange(len(verts)).reshape(shape)
+    step = np.cumprod((1,) + shape[:0:-1])[::-1]      # vertex id step along each axis
+    paths = np.array([np.cumsum([0] + [step[ax] for ax in perm])
+                      for perm in permutations(range(dim))])
+    corners = vid[(slice(-1),) * dim].reshape(-1, 1, 1)
+    mesh = build(verts, (corners + paths).reshape(-1, dim + 1))
 
-    tags = {}
-    names = ["x", "y", "z"][:dim]
-    for ax, name in enumerate(names):
-        for side, val in (("-", bounds[ax][0]), ("+", bounds[ax][1])):
-            ids = []
-            for f in mesh.boundary_facets:
-                fv = mesh.facet_vertices(f)
-                if np.all(np.abs(mesh.vertices[fv, ax] - val) < 1e-12):
-                    ids.append(f)
-            tags[name + side] = np.asarray(ids, dtype=np.int64)
-    mesh.boundary_tags = tags
+    facets = mesh.boundary_facets
+    coords = mesh.vertices[mesh.facet_vertices(facets)]   # (facet, vertex, axis)
+    mesh.boundary_tags = {
+        "xyz"[ax] + side: facets[np.all(np.abs(coords[:, :, ax] - val) < 1e-12, axis=1)]
+        for ax in range(dim) for side, val in zip("-+", bounds[ax])}
     return mesh
 
 
@@ -292,8 +274,7 @@ def generate_disk(radius: float, target_h: float = None, n_rings: int = None) ->
         if target_h is None or not target_h > 0.0:
             raise InvalidParam("need target_h > 0 or n_rings")
         n_rings = max(1, int(np.ceil(radius / target_h)))
-    if n_rings < 1:
-        raise InvalidParam(f"n_rings must be >= 1, got {n_rings}")
+    n_rings = _count("n_rings", n_rings)
 
     verts = [(0.0, 0.0)]
     rings = [[0]]
@@ -349,15 +330,25 @@ def _json_array(path, field, value, ids=False):
     return arr.astype(np.int64)
 
 
-def io_read(path) -> Mesh:
-    """Read a JSON mesh file; raises ParseError with context on bad input."""
+def _json_object(path) -> dict:
+    """The JSON object in the file ``path``; ParseError naming the file if
+    it cannot be read (a directory, say), is not UTF-8 JSON or holds no
+    object."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot be read as UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: not a JSON object")
+    return data
+
+
+def io_read(path) -> Mesh:
+    """Read a JSON mesh file; raises ParseError with context on bad input."""
+    data = _json_object(path)
     for key in ("dim", "vertices", "cells"):
         if key not in data:
             raise ParseError(f"{path}: missing {key!r} key")

@@ -9,6 +9,11 @@ ordinal inside that polytope's dof block; ordinals are canonical across
 elements sharing the polytope (ascending-vertex orientation), which is
 what makes the tangential trace globally continuous.
 
+One rule places the scalars of a polytope in both dimensions (``_index``):
+given the exponents of the polytope's vertices after its first, the first
+takes the rest of the degree, and the exponents e_v of the local vertices
+v read as the multi-index (e_dim, .., e_1) of the simplex module.
+
 ``eval_vector_shapes`` is the one evaluator.  Every function is a sum
 of one to three terms, each a scalar (a ``bezier_eval`` function or the
 constant 1) times a vector (theta_c or e_d), or a scalar's gradient; one
@@ -33,8 +38,7 @@ from .errors import DomainError
 from .simplex import (TET_EDGES, TET_FACES, TRI_EDGES, Polytope, bezier_eval,
                      index_position, index_tuples)
 
-E1_2D = np.array([1.0, 0.0])
-E2_2D = np.array([0.0, 1.0])
+E1_2D, E2_2D = np.eye(2)
 E1, E2, E3 = np.eye(3)
 
 
@@ -144,60 +148,40 @@ def _interior_1d(p):
     return range(1, p)
 
 
-# scalar index of a point on an edge as a function of the exponent m of the
-# *higher* local vertex, keyed by edge in the paper's order
-_TRI_EDGE_INDEX = {
-    (0, 1): lambda p, m: (0, m),
-    (0, 2): lambda p, m: (m, 0),
-    (1, 2): lambda p, m: (m, p - m),
-}
-_TET_EDGE_INDEX = {
-    (0, 1): lambda p, m: (0, 0, m),
-    (0, 2): lambda p, m: (0, m, 0),
-    (0, 3): lambda p, m: (m, 0, 0),
-    (1, 2): lambda p, m: (0, m, p - m),
-    (1, 3): lambda p, m: (m, 0, p - m),
-    (2, 3): lambda p, m: (m, p - m, 0),
-}
+_EDGES = {2: TRI_EDGES, 3: TET_EDGES}
 
 
-def _edge_templates(p, edge_vecs, edge_index):
+def _index(p, verts, exps, dim):
+    """Degree-p scalar multi-index of the exponents ``exps`` on the
+    vertices verts[1:] of a polytope, the rest p - sum(exps) on its first
+    vertex verts[0], and 0 elsewhere: with e_v the exponent of local
+    vertex v, the index (e_dim, .., e_1) of the simplex module."""
+    e = [0] * (dim + 1)
+    e[verts[0]] = p - sum(exps)
+    for v, x in zip(verts[1:], exps):
+        e[v] = x
+    return tuple(e[:0:-1])
+
+
+def _edge_templates(p, edge_vecs, dim):
     """Second-type edge blocks, ordinal = exponent of the higher vertex:
     per edge of ``edge_vecs`` the lower-vertex template at 0, the
     interior one at 1..p-1 and the higher-vertex one at p."""
-    fns = []
-    for e, (lo, mid, hi) in edge_vecs.items():
-        poly, idx = Polytope("edge", e), edge_index[e]
-        fns.append(_template(poly, 0, p, idx(p, 0), lo))
-        fns.extend(_template(poly, m, p, idx(p, m), mid) for m in _interior_1d(p))
-        fns.append(_template(poly, p, p, idx(p, p), hi))
-    return fns
+    return [_template(Polytope("edge", e), m, p, _index(p, e, (m,), dim), vec)
+            for e, (lo, mid, hi) in edge_vecs.items()
+            for m, vec in enumerate([lo] + [mid] * (p - 1) + [hi])]
 
 
-def _edge_gradients(p, edge_index):
+def _edge_gradients(p, dim):
     """First-type edge blocks: theta_n of the n-th edge, then at ordinals
     1..p the gradients of the degree p+1 scalars on the edge."""
     fns = []
-    for n, (e, idx) in enumerate(edge_index.items()):
+    for n, e in enumerate(_EDGES[dim]):
         poly = Polytope("edge", e)
         fns.append(_lowest(poly, n))
-        fns.extend(_gradient(poly, m, p + 1, idx(p + 1, m)) for m in range(1, p + 1))
+        fns.extend(_gradient(poly, m, p + 1, _index(p + 1, e, (m,), dim))
+                   for m in range(1, p + 1))
     return fns
-
-
-# face scalar index from the exponents (eb, ec) of the 2nd and 3rd sorted
-# vertices of the face (exponent of the 1st is p - eb - ec)
-_TET_FACE_INDEX = {
-    (0, 1, 2): lambda p, eb, ec: (0, ec, eb),
-    (0, 1, 3): lambda p, eb, ec: (ec, 0, eb),
-    (0, 2, 3): lambda p, eb, ec: (ec, eb, 0),
-    (1, 2, 3): lambda p, eb, ec: (ec, eb, p - eb - ec),
-}
-
-
-def _tri_cell_index(p, eb, ec):
-    """The triangle's cell is its one face: v2 carries eb, v3 carries ec."""
-    return (ec, eb)
 
 
 def _face_interior(p):
@@ -205,41 +189,42 @@ def _face_interior(p):
     return [(eb, ec) for ec in range(1, p) for eb in range(1, p - ec)]
 
 
-def _face_templates(poly, p, fidx, vecs):
+def _face_templates(poly, p, dim, vecs):
     """Second-type face block (the cell block of a triangle): the edge-face
     families of edges (a,b), (a,c), (b,c), then two pure families over the
-    face interior, with the five templates ``vecs`` in that order."""
+    face interior, with the five templates ``vecs`` in that order; each
+    scalar is given by the exponents (eb, ec) of b and c (``_index``)."""
     vab, vac, vbc, pure1, pure2 = vecs
-    blocks = ([(fidx(p, m, 0), vab) for m in _interior_1d(p)]
-              + [(fidx(p, 0, m), vac) for m in _interior_1d(p)]
-              + [(fidx(p, p - m, m), vbc) for m in _interior_1d(p)]
-              + [(fidx(p, eb, ec), pure1) for eb, ec in _face_interior(p)]
-              + [(fidx(p, eb, ec), pure2) for eb, ec in _face_interior(p)])
-    return [_template(poly, n, p, index, vec) for n, (index, vec) in enumerate(blocks)]
+    blocks = ([((m, 0), vab) for m in _interior_1d(p)]
+              + [((0, m), vac) for m in _interior_1d(p)]
+              + [((p - m, m), vbc) for m in _interior_1d(p)]
+              + [(exps, pure1) for exps in _face_interior(p)]
+              + [(exps, pure2) for exps in _face_interior(p)])
+    return [_template(poly, n, p, _index(p, poly.vertices, exps, dim), vec)
+            for n, (exps, vec) in enumerate(blocks)]
 
 
-def _face_lowest_templates(poly, p, fidx, edges, vb=-1.0):
+def _face_lowest_templates(poly, p, dim, vb=-1.0):
     """First-type face block (the cell block of a triangle): lowest-order
     templates at vertices a and b, on the edges (a,b), (a,c), (b,c) and in
     the interior, then the gradients of the degree p+1 face-interior
-    scalars.  With x, y, z the positions in ``edges`` of the face's edges
-    (a,b), (a,c), (b,c), the templates are theta_z at a, vb theta_y at b
-    (vb = +1 only for the triangle's cell), theta_z - theta_y,
-    theta_x + theta_z and theta_x - theta_y on the edges and
-    theta_x - theta_y + theta_z inside."""
+    scalars.  With x, y, z the positions of the face's edges (a,b), (a,c),
+    (b,c) in the cell's edge list (TRI_EDGES or TET_EDGES), the templates
+    are theta_z at a, vb theta_y at b (vb = +1 only for the triangle's
+    cell), theta_z - theta_y, theta_x + theta_z and theta_x - theta_y on
+    the edges and theta_x - theta_y + theta_z inside."""
     a, b, c = poly.vertices
-    x, y, z = (edges.index(e) for e in ((a, b), (a, c), (b, c)))
+    x, y, z = (_EDGES[dim].index(e) for e in ((a, b), (a, c), (b, c)))
     ab, ac, bc = [(z, 1.0), (y, -1.0)], [(x, 1.0), (z, 1.0)], [(x, 1.0), (y, -1.0)]
-    blocks = ([(fidx(p, 0, 0), [(z, 1.0)]), (fidx(p, p, 0), [(y, vb)])]
-              + [(fidx(p, m, 0), ab) for m in _interior_1d(p)]
-              + [(fidx(p, 0, m), ac) for m in _interior_1d(p)]
-              + [(fidx(p, p - m, m), bc) for m in _interior_1d(p)]
-              + [(fidx(p, eb, ec), [(x, 1.0), (y, -1.0), (z, 1.0)])
-                 for eb, ec in _face_interior(p)])
-    fns = [_lowest_template(poly, n, p, index, pairs)
-           for n, (index, pairs) in enumerate(blocks)]
-    return fns + [_gradient(poly, n, p + 1, fidx(p + 1, eb, ec))
-                  for n, (eb, ec) in enumerate(_face_interior(p + 1), len(fns))]
+    blocks = ([((0, 0), [(z, 1.0)]), ((p, 0), [(y, vb)])]
+              + [((m, 0), ab) for m in _interior_1d(p)]
+              + [((0, m), ac) for m in _interior_1d(p)]
+              + [((p - m, m), bc) for m in _interior_1d(p)]
+              + [(exps, [(x, 1.0), (y, -1.0), (z, 1.0)]) for exps in _face_interior(p)])
+    fns = [_lowest_template(poly, n, p, _index(p, poly.vertices, exps, dim), pairs)
+           for n, (exps, pairs) in enumerate(blocks)]
+    return fns + [_gradient(poly, n, p + 1, _index(p + 1, poly.vertices, exps, dim))
+                  for n, exps in enumerate(_face_interior(p + 1), len(fns))]
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +236,8 @@ def nedelec2_tri(p: int):
         raise DomainError("nedelec2 needs p >= 1")
     fns = _edge_templates(p, {(0, 1): (E2_2D, E2_2D, E1_2D + E2_2D),
                               (0, 2): (E1_2D, E1_2D, E1_2D + E2_2D),
-                              (1, 2): (E1_2D, 0.5 * (E1_2D - E2_2D), -E2_2D)},
-                          _TRI_EDGE_INDEX)
-    return fns + _face_templates(Polytope("cell", (0, 1, 2)), p, _tri_cell_index,
+                              (1, 2): (E1_2D, 0.5 * (E1_2D - E2_2D), -E2_2D)}, 2)
+    return fns + _face_templates(Polytope("cell", (0, 1, 2)), p, 2,
                                  (-E1_2D, E2_2D, E1_2D + E2_2D, E2_2D, E1_2D))
 
 
@@ -261,11 +245,10 @@ def nedelec1_tri(p: int):
     """First-type triangle basis; (p+1)(p+3) functions."""
     if p < 0:
         raise DomainError("nedelec1 needs p >= 0")
-    fns = _edge_gradients(p, _TRI_EDGE_INDEX)
+    fns = _edge_gradients(p, 2)
     if p == 0:
         return fns
-    return fns + _face_lowest_templates(Polytope("cell", (0, 1, 2)), p,
-                                        _tri_cell_index, TRI_EDGES, vb=1.0)
+    return fns + _face_lowest_templates(Polytope("cell", (0, 1, 2)), p, 2, vb=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +268,7 @@ def nedelec2_tet(p: int):
     fns = _edge_templates(p, {
         (0, 1): (E3, E3, s), (0, 2): (E2, E2, s), (0, 3): (E1, E1, s),
         (1, 2): (E2, E2, -E3), (1, 3): (E1, E1, -E3), (2, 3): (E1, E1, -E2),
-    }, _TET_EDGE_INDEX)
+    }, 3)
     face_vecs = {
         (0, 1, 2): (-E2, E3, s, E3, E2),
         (0, 1, 3): (-E1, E3, s, E3, E1),
@@ -293,7 +276,7 @@ def nedelec2_tet(p: int):
         (1, 2, 3): (-E1, E2, -E3, E2, E1),
     }
     for f in TET_FACES:
-        fns += _face_templates(Polytope("face", f), p, _TET_FACE_INDEX[f], face_vecs[f])
+        fns += _face_templates(Polytope("face", f), p, 3, face_vecs[f])
 
     # cell block: four face-cell families then three interior families
     pairs = [(i, j) for i in range(1, p) for j in range(1, p - i)]
@@ -309,12 +292,11 @@ def nedelec1_tet(p: int):
     """First-type tetrahedral basis; (p+4)(p+3)(p+1)/2 functions."""
     if p < 0:
         raise DomainError("nedelec1 needs p >= 0")
-    fns = _edge_gradients(p, _TET_EDGE_INDEX)
+    fns = _edge_gradients(p, 3)
     if p == 0:
         return fns
     for f in TET_FACES:
-        fns += _face_lowest_templates(Polytope("face", f), p, _TET_FACE_INDEX[f],
-                                      TET_EDGES)
+        fns += _face_lowest_templates(Polytope("face", f), p, 3)
 
     # non-gradient cell families (restricted construction, degree q = p+2):
     # q b^{q-1} e_axis - c grad b^q, then the gradients of degree p+1

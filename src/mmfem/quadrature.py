@@ -3,15 +3,17 @@
 Rules hold their points in reference simplex coordinates, which is what
 the basis evaluators take.  Low degrees use tabulated symmetric rules
 with strictly interior points and positive weights; beyond the tables a
-tensorized Gauss-Legendre rule on the collapsed square/cube is mapped
-onto the simplex, with the collapse Jacobian (1-alpha in 2D,
-(1-alpha)²(1-beta) in 3D) folded into the weights.
+tensorized Gauss-Legendre rule on the collapsed unit square or cube is
+mapped onto the simplex, with the collapse Jacobian
+prod_d (1 - x_d)^(dim-1-d) of the collapsed coordinates x_0, x_1, ..
+folded into the weights: (1 - x_0) in 2D, (1 - x_0)^2 (1 - x_1) in 3D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import numpy as np
 
@@ -85,27 +87,17 @@ def _gauss01(n):
 
 
 def _tensor_rule(dim, degree):
-    if dim == 2:
-        na = -(-(degree + 2) // 2)  # the (1-alpha) Jacobian raises the alpha degree
-        nb = -(-(degree + 1) // 2)
-        xa, wa = _gauss01(na)
-        xb, wb = _gauss01(nb)
-        A, B = np.meshgrid(xa, xb, indexing="ij")
-        WA, WB = np.meshgrid(wa, wb, indexing="ij")
-        pts = np.stack([A.ravel(), B.ravel()], axis=1)
-        w = (WA * WB * (1.0 - A)).ravel()
-        return pts, w
-    na = -(-(degree + 3) // 2)
-    nb = -(-(degree + 2) // 2)
-    nc = -(-(degree + 1) // 2)
-    xa, wa = _gauss01(na)
-    xb, wb = _gauss01(nb)
-    xc, wc = _gauss01(nc)
-    A, B, C = np.meshgrid(xa, xb, xc, indexing="ij")
-    WA, WB, WC = np.meshgrid(wa, wb, wc, indexing="ij")
-    pts = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=1)
-    w = (WA * WB * WC * (1.0 - A) ** 2 * (1.0 - B)).ravel()
-    return pts, w
+    """Gauss-Legendre rule on the unit dim-cube for degree ``degree`` on
+    the simplex: the collapse Jacobian adds degree dim-1-d on axis d,
+    which so holds ceil((degree + dim - d) / 2) points, and the weights
+    are prod_d w_d times prod_d (1 - x_d)^(dim-1-d), multiplied in that
+    order."""
+    axes = [_gauss01(-(-(degree + dim - d) // 2)) for d in range(dim)]
+    xs = np.meshgrid(*(x for x, _ in axes), indexing="ij")
+    w = reduce(mul, np.meshgrid(*(wd for _, wd in axes), indexing="ij"))
+    for d in range(dim - 1):
+        w = w * (1.0 - xs[d]) ** (dim - 1 - d)
+    return np.stack([x.ravel() for x in xs], axis=1), w.ravel()
 
 
 @lru_cache(maxsize=None)

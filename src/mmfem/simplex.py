@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 from operator import mul
 
 import numpy as np
@@ -118,29 +119,18 @@ def collapsed_safe(simplex_pts: np.ndarray, dim: int) -> np.ndarray:
 
 
 def traversal_order(p: int, dim: int):
-    """Multi-indices in the Duffy-induced traversal order.
-
-    Outermost index first: (i, j) with i outer, and (i, j, k) with i
-    outer, j middle, k inner.  On every edge the induced order runs from
-    the lower to the higher vertex index.
-    """
-    if dim == 2:
-        return [MultiIndex2(p, i, j) for i in range(p + 1) for j in range(p + 1 - i)]
-    if dim == 3:
-        return [MultiIndex3(p, i, j, k)
-                for i in range(p + 1)
-                for j in range(p + 1 - i)
-                for k in range(p + 1 - i - j)]
-    raise DomainError(f"dim must be 2 or 3, got {dim}")
+    """Multi-indices in the Duffy-induced traversal order (``index_tuples``)."""
+    if dim not in (2, 3):
+        raise DomainError(f"dim must be 2 or 3, got {dim}")
+    return [(MultiIndex2 if dim == 2 else MultiIndex3)(p, *t) for t in index_tuples(p, dim)]
 
 
 def classify(mi) -> Polytope:
     """Polytope owning one base function: the span of its support vertices."""
     exps = mi.exponents
     support = tuple(v for v, e in enumerate(exps) if e > 0)
-    kind = {1: "vertex", 2: "edge", 3: "face", 4: "cell"}[len(support)]
-    if isinstance(mi, MultiIndex2) and len(support) == 3:
-        kind = "cell"
+    n = len(support)
+    kind = "cell" if n == len(exps) else {1: "vertex", 2: "edge", 3: "face"}[n]
     return Polytope(kind, support)
 
 
@@ -214,10 +204,11 @@ def bezier_eval(p: int, dim: int, x) -> H1ShapeSet:
 
 @lru_cache(maxsize=None)
 def index_tuples(p: int, dim: int):
-    """Traversal-ordered plain index tuples, cached."""
-    if dim == 2:
-        return tuple((mi.i, mi.j) for mi in traversal_order(p, 2))
-    return tuple((mi.i, mi.j, mi.k) for mi in traversal_order(p, 3))
+    """The degree-p multi-indices as plain tuples in the Duffy-induced
+    traversal order, cached: lexicographic, outermost index first ((i, j)
+    with i outer; (i, j, k) with i outer, k inner).  On every edge the
+    induced order runs from the lower to the higher vertex index."""
+    return tuple(t for t in product(range(p + 1), repeat=dim) if sum(t) <= p)
 
 
 @lru_cache(maxsize=None)

@@ -817,14 +817,18 @@ def test_halves_agree_with_y_plus_y_transposed(form, constrained, wavy_disk, wav
 
 def _assembly_within_memory_bound(mesh, cells, monkeypatch):
     """The traced peak of a two-matrix assembly in chunks of ``cells``
-    cells is at most what the system keeps, the pattern's offsets of the
-    lower polytope pairs of all cells (4 bytes each) and one chunk's
-    temporaries: the stored halves of both matrices and their positions
-    (4 bytes per entry of one matrix's half), together _CHUNK_NNZ
-    doubles, never two chunks' at once and no element tensor; under
-    Dirichlet data on the whole boundary too, where the lifts add the
-    table [G; G^T] (16 n_terms nb^2 bytes) and no chunk-sized
-    temporaries."""
+    cells is at most what the system keeps, the per-cell arrays of the
+    ``Pattern`` (``offsets``, 4 bytes per lower pair of a cell's
+    polytopes; ``scalar_dofs``, int64, and ``free_dofs``, int32, 12 bytes
+    per local scalar dof; ``cut``, one bool), M x_c of both matrices at
+    the constrained dofs (the embedding's ``ax``, 16 bytes per
+    constrained dof, of which the kept lifts hold only the free part) and
+    one chunk's temporaries: the stored halves of both matrices and their
+    positions (4 bytes per entry of one matrix's half), together
+    _CHUNK_NNZ doubles, never two chunks' at once and no element tensor;
+    under Dirichlet data on the whole boundary too, where the lifts add
+    the table [G; G^T] (16 n_terms nb^2 bytes) and no chunk-sized
+    temporaries.  What is left, ``small``, does not grow with the cells."""
     import tracemalloc
     space = SpaceDescriptor("h1", 4, 3)
     nb, n_terms = 35, 9     # degree-4 polynomials on a tetrahedron; Du
@@ -840,10 +844,11 @@ def _assembly_within_memory_bound(mesh, cells, monkeypatch):
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        offsets = 4 * mesh.n_cells * n_poly * (n_poly + 1) // 2
+        per_cell = mesh.n_cells * (4 * n_poly * (n_poly + 1) // 2 + 12 * nb + 1)
+        m_xc = 16 * np.count_nonzero(~sys_.free)
         lift_table = 0 if data is None else 16 * n_terms * nb ** 2
         small = 256 * 1024      # coefficients, Python objects
-        assert peak <= kept + offsets + 8 * chunk + lift_table + small
+        assert peak <= kept + per_cell + m_xc + 8 * chunk + lift_table + small
         assert kept >= 8 * (sys_.matrix.nnz + sys_.c_matrix.nnz)
     assert 0 < np.count_nonzero(sys_.free) < sys_.n_dofs
 
@@ -854,10 +859,12 @@ def test_assembly_memory_bound(wavy_box, monkeypatch):
 
 
 def test_assembly_memory_bound_sees_a_per_cell_table(monkeypatch):
-    # on 162 cells in chunks of 12, a per-cell table of 4 bytes per scalar
-    # pair of a cell (0.41 MB) would not fit in the slack of the bound
-    _assembly_within_memory_bound(generate_box(((0, 1), (0, 1), (0, 1)), 3), 12,
-                                  monkeypatch)
+    # on 162 and 384 cells in chunks of 12, a per-cell table of 4 bytes per
+    # scalar pair of a cell (2.5 KB a cell: 0.41 and 0.97 MB) would not fit
+    # in the slack of the bound
+    for n in (3, 4):
+        _assembly_within_memory_bound(generate_box(((0, 1), (0, 1), (0, 1)), n), 12,
+                                      monkeypatch)
 
 
 def test_constraints_splitting_a_block_raise(wavy_box, monkeypatch):

@@ -118,10 +118,14 @@ _PARAMS_FILES = {"bad_json": '{"lc": 1.0,\n "mu_e": }', "string_modulus": '{"lc"
     (("lc-sweep", "--params", "{not_an_object}"), "not_an_object.json: not a JSON object"),
     (("lc-sweep", "--p", "0", "--bound-degree", "1", "--lc", "-1,1"),
      "lc values must be >= 0, got -1.0"),
+    (("antiplane", "--params", "{dir}"), "cannot be read as UTF-8 JSON"),
+    (("antiplane", "--mesh", "{dir}"), "cannot be read as UTF-8 JSON"),
 ])
 def test_bad_bench_input_is_a_typed_error(tmp_path, args, message):
-    # "{name}" in args stands for a --params file of _PARAMS_FILES
+    # "{name}" in args stands for a --params file of _PARAMS_FILES, "{dir}"
+    # for a directory, which click's Path(exists=True) lets through
     paths = {name: str(tmp_path / f"{name}.json") for name in _PARAMS_FILES}
+    paths["dir"] = str(tmp_path)
     for name, text in _PARAMS_FILES.items():
         (tmp_path / f"{name}.json").write_text(text)
     proc = _bench(*(arg.format(**paths) for arg in args), "--out", str(tmp_path))

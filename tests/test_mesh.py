@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from mmfem.benchmarks import BENDING_ZGRID
 from mmfem.errors import BadIndex, DegenerateCell, InvalidParam, ParseError
 from mmfem.mesh import build, generate_box, generate_disk, io_read, io_write
 
@@ -59,9 +61,9 @@ def test_degenerate_cell_rejected():
         build([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
 
-@pytest.mark.parametrize("n_rings", [0, -2])
+@pytest.mark.parametrize("n_rings", [0, -2, 2.5])
 def test_disk_without_rings_rejected(n_rings):
-    with pytest.raises(InvalidParam, match="n_rings"):
+    with pytest.raises(InvalidParam, match=f"n_rings .* got {n_rings}"):
         generate_disk(10.0, n_rings=n_rings)
 
 
@@ -113,12 +115,37 @@ class TestBox:
         assert mesh.n_cells == 16
 
     def test_side_tags(self):
-        mesh = generate_box(((-1, 1), (-1, 1), (-1, 1)), 2)
-        for tag in ("x-", "x+", "y-", "y+", "z-", "z+"):
-            facets = mesh.tagged_facets(tag)
-            assert len(facets) == 8  # 4 quads split into 2 triangles
-        total = sum(len(mesh.tagged_facets(t)) for t in mesh.boundary_tags)
-        assert total == len(mesh.boundary_facets)
+        for bounds, n in [(((-1, 1), (-1, 1), (-1, 1)), 2),
+                          (((0, 2), (0, 1)), (4, 2)),
+                          (((0, 1), (-1, 1)), (3, [-1.0, -0.3, 0.2, 1.0])),
+                          (((0, 1), (0, 2), (0, 3)), (2, 3, 1)),
+                          (((-10, 10), (-10, 10), (-0.5, 0.5)),     # the plate
+                           (3, 3, BENDING_ZGRID))]:
+            self._check_box(generate_box(bounds, n), bounds)
+
+    @staticmethod
+    def _check_box(mesh, bounds):
+        dim = len(bounds)
+        axes = [np.unique(mesh.vertices[:, ax]) for ax in range(dim)]
+        counts = [len(x) - 1 for x in axes]
+        # every cell spans one grid box, and each box holds dim! cells
+        grid = np.stack([np.searchsorted(x, mesh.vertices[:, ax])
+                         for ax, x in enumerate(axes)], axis=1)[mesh.cells]
+        lo = grid.min(axis=1)
+        assert np.all(grid.max(axis=1) - lo == 1)
+        per_box = np.bincount(np.ravel_multi_index(lo.T, counts),
+                              minlength=math.prod(counts))
+        assert np.all(per_box == math.factorial(dim))
+        # a side's facets lie in its plane, (dim-1)! per box of its grid
+        for ax in range(dim):
+            others = math.prod(counts[:ax] + counts[ax + 1:])
+            for side, val in zip("-+", bounds[ax]):
+                facets = mesh.tagged_facets("xyz"[ax] + side)
+                assert len(facets) == math.factorial(dim - 1) * others
+                assert np.all(mesh.vertices[mesh.facet_vertices(facets), ax] == val)
+        # the tags partition the boundary
+        tagged = np.sort(np.concatenate(list(mesh.boundary_tags.values())))
+        np.testing.assert_array_equal(tagged, mesh.boundary_facets)
 
     def test_axis_breakpoints(self):
         mesh = generate_box(((0, 1), (0, 1), (0, 1)), (1, 1, [0.0, 0.7, 1.0]))
@@ -132,6 +159,11 @@ class TestBox:
             generate_box(((0, 1), (0, 1)), 0)
         with pytest.raises(InvalidParam):
             generate_box(((0, 1), (0, 1)), (2, [0.0, 0.5, 0.9]))
+        # a non-integral count is rejected, not truncated
+        with pytest.raises(InvalidParam, match="got 2.5"):
+            generate_box(((0, 1), (0, 1)), 2.5)
+        with pytest.raises(InvalidParam, match="got 1.5"):
+            generate_box(((0, 1), (0, 1), (0, 1)), (2, 1.5, [0.0, 1.0]))
 
 
 class TestDisk:
@@ -232,6 +264,16 @@ class TestIO:
         with pytest.raises(ParseError) as info:
             io_read(path)
         assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
+
+    def test_unreadable_file(self, tmp_path):
+        # a directory, or bytes that are not UTF-8, is a ParseError naming
+        # the path, not an OSError or UnicodeDecodeError
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"dim": 2, "name": "\xe9"}')
+        for path in (tmp_path, latin1):
+            with pytest.raises(ParseError, match="cannot be read") as info:
+                io_read(path)
+            assert str(info.value).startswith(f"{path}: ")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

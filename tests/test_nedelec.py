@@ -9,7 +9,8 @@ from mmfem.nedelec import (SpaceDescriptor, _terms, build_basis, eval_vector_sha
                            nedelec1_tri, nedelec2_tet, nedelec2_tri)
 from mmfem.quadrature import rule_for
 from mmfem.simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES,
-                           TRI_VERTICES, bezier_eval)
+                           TRI_VERTICES, MultiIndex2, MultiIndex3, bezier_eval,
+                           classify)
 
 
 def interior_points(dim, n, rng):
@@ -288,3 +289,22 @@ def test_term_table_has_one_to_three_terms_per_function(family, dim):
         counts = np.diff(np.append(first, len(coeff)))
         assert len(counts) == len(build_basis(sp))
         assert counts.min() >= 1 and counts.max() <= 3, (p, counts.max())
+
+
+@pytest.mark.parametrize("family", ["nedelec1", "nedelec2"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_terms_live_on_the_function_polytope(family, dim):
+    # every scalar of a function's terms is supported on vertices of the
+    # function's polytope (``_index``), and every lowest-order function
+    # theta_c it uses belongs to an edge of that polytope
+    edges = TRI_EDGES if dim == 2 else TET_EDGES
+    index_cls = MultiIndex2 if dim == 2 else MultiIndex3
+    for p in range(0 if family == "nedelec1" else 1, 7):
+        for fn in build_basis(SpaceDescriptor(family, p, dim)):
+            verts = set(fn.polytope.vertices)
+            for prim, _ in fn.terms:
+                if prim[0] != "theta":
+                    support = classify(index_cls(prim[1], *prim[2])).vertices
+                    assert set(support) <= verts, (p, fn, prim)
+                if prim[0] in ("theta", "btheta"):
+                    assert set(edges[prim[-1]]) <= verts, (p, fn, prim)
