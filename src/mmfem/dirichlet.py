@@ -39,25 +39,29 @@ from functools import lru_cache
 import numpy as np
 
 from .dofmap import FieldLayout, local_entities
-from .errors import DegenerateFace, SingularEdge
+from .errors import BadIndex, DegenerateFace, SingularEdge
 from .mesh import Mesh, _chunks
 from .nedelec import SpaceDescriptor, eval_vector_shapes
 from .quadrature import _gauss01, rule_for
-from .simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES, TRI_VERTICES,
-                      bezier_eval)
+from .simplex import bezier_eval, polytopes
 
 _GAUSS_FLOOR = 24   # headroom for oscillatory boundary data on coarse meshes
 
 
 def _entities(mesh, facets):
     """Per entity rank (0 vertices, 1 edges, 2 faces in 3D): the sorted
-    unique entities of the facets."""
-    facets = np.asarray(facets, dtype=np.int64).reshape(-1)
+    unique entities of the facets, edge ids (2D) or face ids (3D);
+    BadIndex names the first that is not an integer in range."""
+    ids, n = np.asarray(facets).reshape(-1), (mesh.n_edges, mesh.n_faces)[mesh.dim - 2]
+    ok = ids.dtype.kind in "iuf" and (ids % 1 == 0) & (ids >= 0) & (ids < n)
+    if not np.all(ok):
+        raise BadIndex(f"Dirichlet facet id {ids[np.argmin(ok)].item()!r} is not "
+                       f"an integer in [0, {n})")
+    facets = ids.astype(np.int64)
     fv = mesh.facet_vertices(facets)
-    touched = [fv, facets]
-    if mesh.dim == 3:
-        touched[1:] = [mesh.edge_ids(fv[:, [0, 0, 1]], fv[:, [1, 2, 2]]), facets]
-    return [np.unique(ids) for ids in touched]
+    edges = fv[:, polytopes(mesh.dim - 1, 1)]     # a 2D facet is its one edge
+    touched = [fv, mesh.edge_ids(edges[..., 0], edges[..., 1]), facets]
+    return [np.unique(ids) for ids in touched[:mesh.dim]]
 
 
 def _gradients(gradfunc, pts, n_comps):
@@ -79,10 +83,6 @@ def _vertices(mesh, dofmap, _rank, verts, ufunc, x):
     dofs = dofmap.vertex_dof(verts)[:, None]
     x[:, dofs[:, 0]] = rows.reshape(len(verts), len(x)).T
     return dofs
-
-
-# local edges and faces of a cell, by (cell dim, entity rank)
-_SLOTS = {(2, 1): TRI_EDGES, (3, 1): TET_EDGES, (3, 2): TET_FACES}
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +111,9 @@ def _reference(space: SpaceDescriptor, rank):
     H1 traces are of the gradients.  All slots come from one evaluator
     call.
     """
-    slots, ents = _SLOTS[space.dim, rank], local_entities(space)
-    corners = (TRI_VERTICES if space.dim == 2 else TET_VERTICES)[np.array(slots)]
+    slots, ents = polytopes(space.dim, rank), local_entities(space)
+    # reference vertices: v_0 at the origin, v_k at the unit vector e_{dim-k}
+    corners = np.eye(space.dim + 1, space.dim, -1)[:, ::-1][np.array(slots)]
     dphis = np.swapaxes(corners[:, :0:-1] - corners[:, :1], 1, 2)   # (slot, dim, rank)
     pts, w = _rule(space, rank)
     x = (corners[:, None, 0] + pts @ np.swapaxes(dphis, 1, 2)).reshape(-1, space.dim)
@@ -125,11 +126,10 @@ def _reference(space: SpaceDescriptor, rank):
     vecs = vecs.reshape(shape)
     refs = []
     for s, dphi in enumerate(dphis):
-        known = [l for l, (r, local, _) in enumerate(ents) if r < rank and set(
-            [local] if r == 0 else _SLOTS[space.dim, r][local]) <= set(slots[s])]
-        own = sorted((ordinal, l) for l, (r, local, ordinal) in enumerate(ents)
-                     if (r, local) == (rank, s))
-        cols = np.array(known + [l for _, l in own])
+        known = [l for l, (r, local, _) in enumerate(ents)
+                 if r < rank and set(polytopes(space.dim, r)[local]) <= set(slots[s])]
+        own = [l for l, (r, local, _) in enumerate(ents) if (r, local) == (rank, s)]
+        cols = np.array(known + own)
         trace = np.einsum("de,qnd->qne", dphi, vecs[s][:, cols])
         wtrace = w[:, None, None] * trace
         rot_gram = None

@@ -1,17 +1,20 @@
 """Global degree-of-freedom numbering for H1 and H(curl) spaces.
 
-Every reference base function attaches to a polytope of its element.
-Because cell vertex ids are stored ascending, matching a local polytope
-to its global entity is enough to glue shared dofs: ordinals along an
-edge count from the lower to the higher vertex, face ordinals follow
-the canonical (higher-vertex exponent outer, middle inner) traversal.
-Global ids are blocked vertex / edge / face / cell, each contiguous.
-``FieldLayout`` places a field of k components in the global vector of
-a system node-major: the k dofs of one scalar dof are adjacent.
+Every reference base function attaches to the polytope its support
+spans: a vertex, edge, face or the cell.  One rule gives its dof slot
+in all families (``local_entities``): the polytope's rank, its position
+in ``simplex.polytopes`` and the count of earlier functions on it.  Cell
+vertex ids are stored ascending and the bases order a polytope's
+functions by its own vertices, so that count agrees in all cells sharing
+the polytope: this glues the shared dofs.  Global ids are blocked
+vertex / edge / face / cell, each contiguous.  ``FieldLayout`` places a
+field of k components in the global vector of a system node-major: the
+k dofs of one scalar dof are adjacent.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,70 +22,28 @@ import numpy as np
 
 from .errors import SpaceMismatch
 from .mesh import Mesh
-from .nedelec import SpaceDescriptor, _face_interior, build_basis
-from .simplex import TET_EDGES, TET_FACES, TRI_EDGES, classify, traversal_order
-
-_LOCAL_EDGE_POS = {
-    2: {e: n for n, e in enumerate(TRI_EDGES)},
-    3: {e: n for n, e in enumerate(TET_EDGES)},
-}
-_LOCAL_FACE_POS = {f: n for n, f in enumerate(TET_FACES)}
+from .nedelec import SpaceDescriptor, build_basis
+from .simplex import classify, polytopes, traversal_order
 
 
 @lru_cache(maxsize=None)
-def _face_interior_rank(p):
-    """(ec, eb) -> ordinal for face-interior scalar exponents at degree p,
-    in the canonical order of ``nedelec._face_interior``."""
-    return {(ec, eb): n for n, (eb, ec) in enumerate(_face_interior(p))}
-
-
-@lru_cache(maxsize=None)
-def _h1_reference(degree: int, dim: int):
-    """Per local function: (entity_rank, local_entity, ordinal).
-
-    entity_rank: 0 vertex, 1 edge, 2 face, 3 cell.  local_entity is the
-    local vertex index, edge slot, face slot, or 0 for the cell.
-    """
-    out = []
-    cell_ord = 0
-    for mi in traversal_order(degree, dim):
-        poly = classify(mi)
-        exps = mi.exponents
-        if poly.kind == "vertex":
-            out.append((0, poly.vertices[0], 0))
-        elif poly.kind == "edge":
-            hi = poly.vertices[1]
-            out.append((1, _LOCAL_EDGE_POS[dim][poly.vertices], exps[hi] - 1))
-        elif poly.kind == "face" and dim == 3:
-            b, c = poly.vertices[1], poly.vertices[2]
-            rank = _face_interior_rank(degree)[(exps[c], exps[b])]
-            out.append((2, _LOCAL_FACE_POS[poly.vertices], rank))
-        else:
-            out.append((3, 0, cell_ord))
-            cell_ord += 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _hcurl_reference(space: SpaceDescriptor):
-    out = []
-    for fn in build_basis(space):
-        poly = fn.polytope
-        if poly.kind == "edge":
-            out.append((1, _LOCAL_EDGE_POS[space.dim][poly.vertices], fn.ordinal))
-        elif poly.kind == "face":
-            out.append((2, _LOCAL_FACE_POS[poly.vertices], fn.ordinal))
-        else:
-            out.append((3, 0, fn.ordinal))
-    return tuple(out)
-
-
 def local_entities(space: SpaceDescriptor):
-    """Per local base function of ``space``, in cell_dofs column order:
-    (entity_rank, local_entity, ordinal)."""
+    """Per local base function of ``space``, in cell_dofs column order,
+    its dof slot (entity_rank, local_entity, ordinal): the rank of its
+    polytope (0 vertex, 1 edge, 2 face, 3 cell, also in 2D), the
+    polytope's position in ``simplex.polytopes`` and the number of
+    earlier functions on it."""
     if space.family == "h1":
-        return _h1_reference(space.degree, space.dim)
-    return _hcurl_reference(space)
+        supports = [classify(mi).vertices for mi in traversal_order(space.degree, space.dim)]
+    else:
+        supports = [fn.polytope.vertices for fn in build_basis(space)]
+    seen, out = Counter(), []
+    for verts in supports:
+        rank = len(verts) - 1
+        out.append((3 if rank == space.dim else rank,
+                    polytopes(space.dim, rank).index(verts), seen[verts]))
+        seen[verts] += 1
+    return tuple(out)
 
 
 @dataclass
@@ -132,33 +93,14 @@ def build_dofmap(mesh: Mesh, space: SpaceDescriptor) -> DofMap:
     if space.dim != mesh.dim:
         raise SpaceMismatch(f"space dim {space.dim} != mesh dim {mesh.dim}")
     ref = local_entities(space)
-    per_vertex = int(space.family == "h1")
+    # per rank: the global entities of each cell, their count, dofs per entity
+    entities = (mesh.cells, mesh.cell_edges, mesh.cell_faces,
+                np.arange(mesh.n_cells)[:, None])
+    counts = (mesh.n_vertices, mesh.n_edges, mesh.n_faces, mesh.n_cells)
+    per = [max([o + 1 for r, _, o in ref if r == rank], default=0) for rank in range(4)]
+    base = np.cumsum([0] + [k * n for k, n in zip(per, counts)]).tolist()
 
-    counts = {1: 0, 2: 0, 3: 0}
-    for rank, _, ordinal in ref:
-        if rank in counts:
-            counts[rank] = max(counts[rank], ordinal + 1)
-    per_edge, per_face, per_cell = counts[1], counts[2], counts[3]
-
-    nv = mesh.n_vertices if per_vertex else 0
-    edge_base = nv
-    face_base = edge_base + per_edge * mesh.n_edges
-    cell_base = face_base + per_face * mesh.n_faces
-    n_dofs = cell_base + per_cell * mesh.n_cells
-
-    nc = mesh.n_cells
-    cell_dofs = np.empty((nc, len(ref)), dtype=np.int64)
+    cell_dofs = np.empty((mesh.n_cells, len(ref)), dtype=np.int64)
     for l, (rank, local, ordinal) in enumerate(ref):
-        if rank == 0:
-            cell_dofs[:, l] = mesh.cells[:, local]
-        elif rank == 1:
-            cell_dofs[:, l] = edge_base + per_edge * mesh.cell_edges[:, local] + ordinal
-        elif rank == 2:
-            cell_dofs[:, l] = face_base + per_face * mesh.cell_faces[:, local] + ordinal
-        else:
-            cell_dofs[:, l] = cell_base + per_cell * np.arange(nc) + ordinal
-
-    return DofMap(space=space, n_dofs=n_dofs, cell_dofs=cell_dofs,
-                  per_vertex=per_vertex, per_edge=per_edge, per_face=per_face,
-                  per_cell=per_cell, edge_base=edge_base, face_base=face_base,
-                  cell_base=cell_base)
+        cell_dofs[:, l] = base[rank] + per[rank] * entities[rank][:, local] + ordinal
+    return DofMap(space, base[4], cell_dofs, *per, *base[1:4])

@@ -15,6 +15,7 @@ Mesh files are JSON with keys "dim", "vertices", "cells" and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import permutations
 from numbers import Real
@@ -22,9 +23,8 @@ from numbers import Real
 import numpy as np
 
 from .errors import BadIndex, DegenerateCell, InvalidParam, ParseError
-from .simplex import TET_EDGES, TET_FACES, TRI_EDGES
+from .simplex import polytopes
 
-_EDGE_LOCAL = {2: TRI_EDGES, 3: TET_EDGES}
 _CHUNK_NNZ = 2_000_000
 
 
@@ -103,8 +103,7 @@ class Mesh:
             raise BadIndex(f"unknown boundary tag {tag!r}") from None
 
     def volume(self) -> float:
-        d = self.dim
-        return float(np.sum(np.abs(self.dets))) / (2.0 if d == 2 else 6.0)
+        return float(np.sum(np.abs(self.dets))) / math.factorial(self.dim)
 
 
 def _unique_entities(cells, local):
@@ -147,8 +146,8 @@ def build(vertices, cells, tags=None) -> Mesh:
         raise DegenerateCell(f"cell {bad} has |det J| = {abs(dets[bad]):.3e}")
     inv_ts = np.transpose(np.linalg.inv(jacs), (0, 2, 1))
 
-    edges, cell_edges = _unique_entities(cells, _EDGE_LOCAL[dim])
-    faces, cell_faces = _unique_entities(cells, TET_FACES) if dim == 3 else (None, None)
+    edges, cell_edges = _unique_entities(cells, polytopes(dim, 1))
+    faces, cell_faces = _unique_entities(cells, polytopes(3, 2)) if dim == 3 else (None, None)
     # every facet lies in some cell, so the counts cover all facets
     counts = np.bincount((cell_edges if dim == 2 else cell_faces).ravel())
     boundary = np.flatnonzero(counts == 1)

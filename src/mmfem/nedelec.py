@@ -4,10 +4,10 @@ Base functions are built from the scalar Bezier basis by attaching
 constant template vectors (second type) or combinations of the
 lowest-order rotational functions (first type) to the functions of each
 polytope, plus gradient families and, on tetrahedra, a non-gradient cell
-family.  Every function carries the polytope it attaches to and its
-ordinal inside that polytope's dof block; ordinals are canonical across
-elements sharing the polytope (ascending-vertex orientation), which is
-what makes the tangential trace globally continuous.
+family.  Every function carries the polytope it attaches to.  A
+polytope's functions are listed by its own vertices alone (ascending),
+so their order, the ordinals of ``dofmap.local_entities``, agrees in all
+elements sharing it: the tangential trace is globally continuous.
 
 One rule places the scalars of a polytope in both dimensions (``_index``):
 given the exponents of the polytope's vertices after its first, the first
@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
 from .errors import DomainError
-from .simplex import (TET_EDGES, TET_FACES, TRI_EDGES, Polytope, bezier_eval,
-                     index_position, index_tuples)
+from .simplex import Polytope, bezier_eval, index_position, index_tuples, polytopes
 
 E1_2D, E2_2D = np.eye(2)
 E1, E2, E3 = np.eye(3)
@@ -51,6 +51,11 @@ class SpaceDescriptor:
     dim: int
 
     def __post_init__(self):
+        for name in ("degree", "dim"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and value % 1 == 0):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))   # 2.0 keys the caches as 2
         if self.family not in ("nedelec1", "nedelec2", "h1"):
             raise DomainError(f"unknown family {self.family!r}")
         min_deg = {"nedelec1": 0, "nedelec2": 1, "h1": 1}[self.family]
@@ -78,31 +83,30 @@ class VectorShapeFn:
 
     kind: str
     polytope: Polytope
-    ordinal: int
     terms: tuple
 
 
 def _lowest(poly, c):
-    return VectorShapeFn("lowest", poly, 0, ((("theta", c), 1.0),))
+    return VectorShapeFn("lowest", poly, ((("theta", c), 1.0),))
 
 
-def _template(poly, ordinal, q, index, vec):
+def _template(poly, q, index, vec):
     """Scalar b^q_index times a constant vector."""
-    return VectorShapeFn("template", poly, ordinal,
+    return VectorShapeFn("template", poly,
                          tuple((("bvec", q, tuple(index), d), float(t))
                                for d, t in enumerate(vec) if t != 0.0))
 
 
-def _lowest_template(poly, ordinal, q, index, pairs):
+def _lowest_template(poly, q, index, pairs):
     """Scalar b^q_index times a combination of lowest-order functions,
     given as (function index, coefficient) pairs."""
-    return VectorShapeFn("lowest_template", poly, ordinal,
+    return VectorShapeFn("lowest_template", poly,
                          tuple((("btheta", q, tuple(index), c), coeff)
                                for c, coeff in pairs))
 
 
-def _gradient(poly, ordinal, q, index):
-    return VectorShapeFn("gradient", poly, ordinal,
+def _gradient(poly, q, index):
+    return VectorShapeFn("gradient", poly,
                          ((("grad", q, tuple(index)), 1.0),))
 
 
@@ -148,9 +152,6 @@ def _interior_1d(p):
     return range(1, p)
 
 
-_EDGES = {2: TRI_EDGES, 3: TET_EDGES}
-
-
 def _index(p, verts, exps, dim):
     """Degree-p scalar multi-index of the exponents ``exps`` on the
     vertices verts[1:] of a polytope, the rest p - sum(exps) on its first
@@ -164,22 +165,23 @@ def _index(p, verts, exps, dim):
 
 
 def _edge_templates(p, edge_vecs, dim):
-    """Second-type edge blocks, ordinal = exponent of the higher vertex:
-    per edge of ``edge_vecs`` the lower-vertex template at 0, the
-    interior one at 1..p-1 and the higher-vertex one at p."""
-    return [_template(Polytope("edge", e), m, p, _index(p, e, (m,), dim), vec)
+    """Second-type edge blocks, by exponent m of the higher vertex: per
+    edge of ``edge_vecs`` the lower-vertex template (m = 0), the interior
+    one (m = 1..p-1) and the higher-vertex one (m = p)."""
+    return [_template(Polytope("edge", e), p, _index(p, e, (m,), dim), vec)
             for e, (lo, mid, hi) in edge_vecs.items()
             for m, vec in enumerate([lo] + [mid] * (p - 1) + [hi])]
 
 
 def _edge_gradients(p, dim):
-    """First-type edge blocks: theta_n of the n-th edge, then at ordinals
-    1..p the gradients of the degree p+1 scalars on the edge."""
+    """First-type edge blocks: theta_n of the n-th edge, then the
+    gradients of the degree p+1 scalars on the edge, by exponent m = 1..p
+    of the higher vertex."""
     fns = []
-    for n, e in enumerate(_EDGES[dim]):
+    for n, e in enumerate(polytopes(dim, 1)):
         poly = Polytope("edge", e)
         fns.append(_lowest(poly, n))
-        fns.extend(_gradient(poly, m, p + 1, _index(p + 1, e, (m,), dim))
+        fns.extend(_gradient(poly, p + 1, _index(p + 1, e, (m,), dim))
                    for m in range(1, p + 1))
     return fns
 
@@ -200,8 +202,8 @@ def _face_templates(poly, p, dim, vecs):
               + [((p - m, m), vbc) for m in _interior_1d(p)]
               + [(exps, pure1) for exps in _face_interior(p)]
               + [(exps, pure2) for exps in _face_interior(p)])
-    return [_template(poly, n, p, _index(p, poly.vertices, exps, dim), vec)
-            for n, (exps, vec) in enumerate(blocks)]
+    return [_template(poly, p, _index(p, poly.vertices, exps, dim), vec)
+            for exps, vec in blocks]
 
 
 def _face_lowest_templates(poly, p, dim, vb=-1.0):
@@ -209,22 +211,22 @@ def _face_lowest_templates(poly, p, dim, vb=-1.0):
     templates at vertices a and b, on the edges (a,b), (a,c), (b,c) and in
     the interior, then the gradients of the degree p+1 face-interior
     scalars.  With x, y, z the positions of the face's edges (a,b), (a,c),
-    (b,c) in the cell's edge list (TRI_EDGES or TET_EDGES), the templates
+    (b,c) in the cell's edge list (``simplex.polytopes(dim, 1)``), the templates
     are theta_z at a, vb theta_y at b (vb = +1 only for the triangle's
     cell), theta_z - theta_y, theta_x + theta_z and theta_x - theta_y on
     the edges and theta_x - theta_y + theta_z inside."""
     a, b, c = poly.vertices
-    x, y, z = (_EDGES[dim].index(e) for e in ((a, b), (a, c), (b, c)))
+    x, y, z = (polytopes(dim, 1).index(e) for e in ((a, b), (a, c), (b, c)))
     ab, ac, bc = [(z, 1.0), (y, -1.0)], [(x, 1.0), (z, 1.0)], [(x, 1.0), (y, -1.0)]
     blocks = ([((0, 0), [(z, 1.0)]), ((p, 0), [(y, vb)])]
               + [((m, 0), ab) for m in _interior_1d(p)]
               + [((0, m), ac) for m in _interior_1d(p)]
               + [((p - m, m), bc) for m in _interior_1d(p)]
               + [(exps, [(x, 1.0), (y, -1.0), (z, 1.0)]) for exps in _face_interior(p)])
-    fns = [_lowest_template(poly, n, p, _index(p, poly.vertices, exps, dim), pairs)
-           for n, (exps, pairs) in enumerate(blocks)]
-    return fns + [_gradient(poly, n, p + 1, _index(p + 1, poly.vertices, exps, dim))
-                  for n, exps in enumerate(_face_interior(p + 1), len(fns))]
+    fns = [_lowest_template(poly, p, _index(p, poly.vertices, exps, dim), pairs)
+           for exps, pairs in blocks]
+    return fns + [_gradient(poly, p + 1, _index(p + 1, poly.vertices, exps, dim))
+                  for exps in _face_interior(p + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,7 @@ def nedelec2_tet(p: int):
         (0, 2, 3): (-E1, E2, s, E2, E1),
         (1, 2, 3): (-E1, E2, -E3, E2, E1),
     }
-    for f in TET_FACES:
+    for f in polytopes(3, 2):
         fns += _face_templates(Polytope("face", f), p, 3, face_vecs[f])
 
     # cell block: four face-cell families then three interior families
@@ -285,7 +287,7 @@ def nedelec2_tet(p: int):
               + [((i, j, p - i - j), s) for i, j in pairs]
               + [(idx, vec) for vec in (E3, E2, E1) for idx in _cell_interior(p)])
     cell = Polytope("cell", (0, 1, 2, 3))
-    return fns + [_template(cell, n, p, idx, vec) for n, (idx, vec) in enumerate(blocks)]
+    return fns + [_template(cell, p, idx, vec) for idx, vec in blocks]
 
 
 def nedelec1_tet(p: int):
@@ -295,7 +297,7 @@ def nedelec1_tet(p: int):
     fns = _edge_gradients(p, 3)
     if p == 0:
         return fns
-    for f in TET_FACES:
+    for f in polytopes(3, 2):
         fns += _face_lowest_templates(Polytope("face", f), p, 3)
 
     # non-gradient cell families (restricted construction, degree q = p+2):
@@ -305,11 +307,10 @@ def nedelec1_tet(p: int):
                + [(1, (i, j - 1, k), (i, j, k), j / q) for i, j, k in inner]
                + [(2, (i, j, 0), (i, j, 1), 1.0 / q) for i, j, k in inner if k == 1])
     cell = Polytope("cell", (0, 1, 2, 3))
-    fns += [VectorShapeFn("cell_nongrad", cell, n, ((("bvec", q - 1, vidx, axis), float(q)),
-                                                     (("grad", q, gidx), -c)))
-            for n, (axis, vidx, gidx, c) in enumerate(nongrad)]
-    return fns + [_gradient(cell, n, p + 1, idx)
-                  for n, idx in enumerate(_cell_interior(p + 1), len(nongrad))]
+    fns += [VectorShapeFn("cell_nongrad", cell, ((("bvec", q - 1, vidx, axis), float(q)),
+                                                  (("grad", q, gidx), -c)))
+            for axis, vidx, gidx, c in nongrad]
+    return fns + [_gradient(cell, p + 1, idx) for idx in _cell_interior(p + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,10 @@ the mesh module):
 * tetrahedron: v1=(0,0,0), v2=(0,0,1), v3=(0,1,0), v4=(1,0,0);
   multi-index (i, j, k) carries exponents v1: p-i-j-k, v2: k, v3: j, v4: i.
 
+``polytopes(dim, rank)`` is the one local numbering of the vertices,
+edges and faces, read by the mesh, the bases, the dof map and the
+Dirichlet embedding alike.
+
 ``bezier_eval`` is the one entry point: it takes reference points and
 is exact on the whole closed simplex, vertices and collapse lines
 included.  Internally each base function factorizes into univariate
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 import numpy as np
@@ -34,10 +38,13 @@ TRI_VERTICES = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 TET_VERTICES = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
                          [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
-# local vertex pairs/triples (0-based, ascending) in the paper's numbering
-TRI_EDGES = ((0, 1), (0, 2), (1, 2))
-TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-TET_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+@lru_cache(maxsize=None)
+def polytopes(dim: int, rank: int):
+    """The rank-``rank`` polytopes of the reference ``dim``-simplex, its
+    ascending (rank + 1)-subsets of local vertices in lexicographic order:
+    the paper's numbering of local vertices, edges and faces."""
+    return tuple(combinations(range(dim + 1), rank + 1))
 
 
 @dataclass(frozen=True)

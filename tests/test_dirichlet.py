@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from mmfem import dirichlet
+from mmfem.assembly import assemble_antiplane
 from mmfem.dirichlet import _frame, _reference, _rule
-from mmfem.benchmarks import sweep_grad_u, sweep_mesh, sweep_u
+from mmfem.benchmarks import (anti_exact_grad_u, anti_exact_u, antiplane_params,
+                              sweep_grad_u, sweep_mesh, sweep_u)
 from mmfem.bernstein import eval_all
-from mmfem.dofmap import FieldLayout, _face_interior_rank, build_dofmap
+from mmfem.dofmap import FieldLayout, build_dofmap
+from mmfem.errors import BadIndex
 from mmfem.mesh import build, generate_box, generate_disk
-from mmfem.nedelec import SpaceDescriptor, eval_vector_shapes
+from mmfem.nedelec import SpaceDescriptor, _face_interior, eval_vector_shapes
 from mmfem.simplex import bezier_eval, traversal_order
 from oracles import edge_dofs, edge_traces, face_dofs
 
@@ -253,8 +258,8 @@ class TestFaceH1:
                 elif len(on) == 2:
                     dof = edge_dofs(dm, edge_of[on])[exps[on[1]] - 1]
                 else:
-                    dof = face_dofs(dm, f)[_face_interior_rank(q)[(exps[2],
-                                                                  exps[1])]]
+                    dof = face_dofs(dm, f)[_face_interior(q).index((exps[1],
+                                                                    exps[2]))]
                 trace += vals2[:, col] * cons[dof]
             np.testing.assert_allclose(trace, _quad_u3(xq), atol=1e-12)
 
@@ -415,3 +420,14 @@ class TestBatchedLevels:
         assert set(a) == set(b)
         scale = max(abs(v) for v in a.values())
         assert max(abs(a[d] - b[d]) for d in a) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("bad", [-1, 0.5, 10 ** 6])
+def test_bad_facet_id_is_a_typed_error(bad):
+    # a wrapped-around, fractional or out-of-range id is named, not read
+    # as another facet or left to NumPy
+    mesh = generate_disk(10.0, n_rings=2)
+    with pytest.raises(BadIndex, match=rf"facet id {re.escape(repr(bad))} is not"):
+        assemble_antiplane(mesh, antiplane_params(), SpaceDescriptor("h1", 2, 2),
+                           SpaceDescriptor("nedelec2", 1, 2),
+                           dirichlet=([0, bad], anti_exact_u, anti_exact_grad_u))

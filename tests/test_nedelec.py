@@ -1,16 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import dense_vector_shapes
 
 from mmfem.bernstein import eval_all
+from mmfem.dofmap import build_dofmap, local_entities
+from mmfem.errors import DomainError
+from mmfem.mesh import generate_box
 from mmfem.nedelec import (SpaceDescriptor, _terms, build_basis, eval_vector_shapes,
                            lowest_order_tet, lowest_order_tri, nedelec1_tet,
                            nedelec1_tri, nedelec2_tet, nedelec2_tri)
 from mmfem.quadrature import rule_for
-from mmfem.simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES,
-                           TRI_VERTICES, MultiIndex2, MultiIndex3, bezier_eval,
-                           classify)
+from mmfem.simplex import (TET_VERTICES, TRI_VERTICES, MultiIndex2, MultiIndex3,
+                           bezier_eval, classify, polytopes)
 
 
 def interior_points(dim, n, rng):
@@ -48,6 +52,22 @@ class TestDimensions:
         # p=0 lowest order
         assert len(nedelec1_tri(0)) == 3
         assert len(nedelec1_tet(0)) == 6
+
+
+def test_space_descriptor_degree_and_dim_are_integers():
+    # an integral float is the int (the caches key on the descriptor);
+    # anything else is a DomainError naming the value
+    two = SpaceDescriptor("h1", 2.0, 2.0)
+    assert two == SpaceDescriptor("h1", 2, 2) and type(two.degree) is type(two.dim) is int
+    mesh = generate_box(((0, 1), (0, 1)), 2)
+    np.testing.assert_array_equal(build_dofmap(mesh, two).cell_dofs,
+                                  build_dofmap(mesh, SpaceDescriptor("h1", 2, 2)).cell_dofs)
+    assert len(build_basis(SpaceDescriptor("nedelec1", np.int64(1), 3.0))) == 20
+    for family, degree, dim in [("h1", 2.5, 2), ("nedelec1", 1.5, 3), ("h1", 2, 2.5),
+                                ("nedelec2", "2", 2), ("h1", float("nan"), 3)]:
+        bad = degree if dim in (2, 3) else dim
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            SpaceDescriptor(family, degree, dim)
 
 
 class TestLowestOrder:
@@ -144,7 +164,7 @@ class TestEdgeTraces:
     def test_nedelec2_tri_traces(self, p):
         # tangential traces on each edge reproduce the Bernstein basis
         sp = SpaceDescriptor("nedelec2", p, 2)
-        fns = build_basis(sp)
+        fns, ents = build_basis(sp), local_entities(sp)
         verts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         ts = np.linspace(0.07, 0.93, 6)
         for edge in ((0, 1), (0, 2), (1, 2)):
@@ -156,15 +176,15 @@ class TestEdgeTraces:
             for m, fn in enumerate(fns):
                 if fn.polytope.kind == "edge" and fn.polytope.vertices == edge:
                     trace = vals[:, m] @ t
-                    np.testing.assert_allclose(trace, bern[:, fn.ordinal],
+                    np.testing.assert_allclose(trace, bern[:, ents[m][2]],
                                                atol=1e-13)
 
     def test_pure_edge_trace_example(self):
         # e12 pure-edge function at p=2 traces to b_{01}^2 on xi = 0
         sp = SpaceDescriptor("nedelec2", 2, 2)
-        fns = build_basis(sp)
+        fns, ents = build_basis(sp), local_entities(sp)
         idx = [m for m, f in enumerate(fns)
-               if f.polytope.vertices == (0, 1) and f.ordinal == 1][0]
+               if f.polytope.vertices == (0, 1) and ents[m][2] == 1][0]
         etas = np.linspace(0.1, 0.9, 5)
         pts = np.stack([np.zeros_like(etas), etas], axis=1)
         vals = eval_vector_shapes(sp, pts).values
@@ -175,11 +195,10 @@ class TestEdgeTraces:
     def test_nedelec2_tet_traces(self, p):
         # on every edge the p+1 edge functions trace to the Bernstein basis
         sp = SpaceDescriptor("nedelec2", p, 3)
-        fns = build_basis(sp)
-        from mmfem.simplex import TET_EDGES, TET_VERTICES
+        fns, ents = build_basis(sp), local_entities(sp)
         ts = np.linspace(0.06, 0.94, 5)
         bern = eval_all(p, ts).values
-        for edge in TET_EDGES:
+        for edge in polytopes(3, 1):
             lo, hi = edge
             pts = TET_VERTICES[lo] + ts[:, None] * (TET_VERTICES[hi]
                                                     - TET_VERTICES[lo])
@@ -188,7 +207,7 @@ class TestEdgeTraces:
             for m, fn in enumerate(fns):
                 if fn.polytope.kind == "edge" and fn.polytope.vertices == edge:
                     np.testing.assert_allclose(vals[:, m] @ t,
-                                               bern[:, fn.ordinal], atol=1e-13)
+                                               bern[:, ents[m][2]], atol=1e-13)
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_nedelec1_tet_lowest_unit_trace(self, p):
@@ -196,9 +215,8 @@ class TestEdgeTraces:
         # its own edge and zero on the others
         sp = SpaceDescriptor("nedelec1", p, 3)
         fns = build_basis(sp)
-        from mmfem.simplex import TET_EDGES, TET_VERTICES
         ts = np.linspace(0.1, 0.9, 4)
-        for edge in TET_EDGES:
+        for edge in polytopes(3, 1):
             lo, hi = edge
             pts = TET_VERTICES[lo] + ts[:, None] * (TET_VERTICES[hi]
                                                     - TET_VERTICES[lo])
@@ -236,9 +254,9 @@ def test_exact_on_closed_simplex(family, p, dim):
     verts = TRI_VERTICES if dim == 2 else TET_VERTICES
     t = np.array([[0.25], [0.5], [0.75]])
     pts = [verts] + [verts[a] + t * (verts[b] - verts[a])
-                     for a, b in (TRI_EDGES if dim == 2 else TET_EDGES)]
+                     for a, b in polytopes(dim, 1)]
     if dim == 3:
-        pts += [verts[list(f)].mean(axis=0, keepdims=True) for f in TET_FACES]
+        pts += [verts[list(f)].mean(axis=0, keepdims=True) for f in polytopes(3, 2)]
     pts = np.vstack(pts)
     inner = [pts + s * (verts.mean(axis=0) - pts) for s in (3e-4, 6e-4)]
     sp = SpaceDescriptor(family, p, dim)
@@ -257,10 +275,10 @@ def _closed_simplex_points(dim, rng):
     t = np.array([[0.2], [0.5], [0.9]])
     pts = [interior_points(dim, 12, rng), verts]
     pts += [verts[a] + t * (verts[b] - verts[a])
-            for a, b in (TRI_EDGES if dim == 2 else TET_EDGES)]
+            for a, b in polytopes(dim, 1)]
     if dim == 3:
         pts += [np.array([[1 / 3, 1 / 3, 1 / 3], [0.6, 0.3, 0.1]]) @ verts[list(f)]
-                for f in TET_FACES]
+                for f in polytopes(3, 2)]
     return np.vstack(pts)
 
 
@@ -297,7 +315,7 @@ def test_terms_live_on_the_function_polytope(family, dim):
     # every scalar of a function's terms is supported on vertices of the
     # function's polytope (``_index``), and every lowest-order function
     # theta_c it uses belongs to an edge of that polytope
-    edges = TRI_EDGES if dim == 2 else TET_EDGES
+    edges = polytopes(dim, 1)
     index_cls = MultiIndex2 if dim == 2 else MultiIndex3
     for p in range(0 if family == "nedelec1" else 1, 7):
         for fn in build_basis(SpaceDescriptor(family, p, dim)):

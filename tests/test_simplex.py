@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import mmfem
-from mmfem.simplex import (TET_EDGES, TET_FACES, TET_VERTICES, TRI_EDGES,
-                           TRI_VERTICES, MultiIndex2, MultiIndex3, bezier_eval,
-                           classify, collapsed_safe, duffy_forward,
-                           traversal_order)
+from mmfem.simplex import (TET_VERTICES, TRI_VERTICES, MultiIndex2, MultiIndex3,
+                           bezier_eval, classify, collapsed_safe, duffy_forward,
+                           polytopes, traversal_order)
 from oracles import n_basis
 
 
@@ -240,11 +239,11 @@ def closed_simplex_points(dim):
     verts = TRI_VERTICES if dim == 2 else TET_VERTICES
     t = np.array([[0.25], [0.5], [0.75]])
     pts = [verts] + [verts[a] + t * (verts[b] - verts[a])
-                     for a, b in (TRI_EDGES if dim == 2 else TET_EDGES)]
+                     for a, b in polytopes(dim, 1)]
     if dim == 3:
         s = np.array([[0.2, 0.3], [0.6, 0.1], [0.25, 0.5]])
         pts += [verts[a] + s[:, :1] * (verts[b] - verts[a])
-                + s[:, 1:] * (verts[c] - verts[a]) for a, b, c in TET_FACES]
+                + s[:, 1:] * (verts[c] - verts[a]) for a, b, c in polytopes(3, 2)]
     return np.vstack(pts)
 
 
